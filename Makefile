@@ -5,10 +5,10 @@ GO ?= go
 # Packages with worker pools / goroutine fan-out: the race-detector set.
 RACE_PKGS = ./internal/burst ./internal/poolsim ./internal/rs ./internal/syssim ./internal/cluster ./internal/runctl ./internal/obs
 
-.PHONY: check build vet lint test race stress bench bench-json bench-engines bench-engines-compare fuzz obs-smoke chaos oracle race-oracle
+.PHONY: check build vet lint test race stress bench bench-check bench-json bench-engines bench-engines-compare fuzz obs-smoke chaos oracle race-oracle
 
 ## check: build + vet + mlecvet + tests + race tests — the CI gate.
-check: build vet lint test race stress obs-smoke chaos
+check: build vet lint test bench-check race stress obs-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,14 @@ chaos:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
+## bench-check: the repository benchmark (bench/, a module of its own
+## that build, test and lint above do not descend into) still builds
+## against this checkout, passes its own tests and the analyzers. It
+## times calls into a fixed list of entry points (bench/README.md, "The
+## stable call surface"); a change that reshapes one fails here.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run mlec/cmd/mlecvet ./...
+
 ## bench-json: refresh the committed kernel benchmark baseline
 ## (BENCH_gf256.json): GB/s and allocs/op for the gf256 primitives and
 ## the RS encode/reconstruct paths. LABEL names the run; APPEND=1 keeps
@@ -102,8 +110,9 @@ bench-engines-compare:
 	$(GO) run ./cmd/mlecperf -label compare -out /tmp/mlec-perf-compare.json -against BENCH_engines.json
 
 ## fuzz: short fuzzing smoke of the hand-written parsers (failure-trace
-## files, //lint:allow directives). `go test -fuzz` accepts a single
-## target per invocation, hence one line each.
+## files, //lint:allow directives) and of the burst sampler against its
+## reference. `go test -fuzz` accepts a single target per invocation,
+## hence one line each.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseTrace -fuzztime=10s ./internal/failure
 	$(GO) test -run='^$$' -fuzz=FuzzParseAllowDirective -fuzztime=10s ./internal/lint
@@ -111,3 +120,4 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEscapeEngine -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzLockStateEngine -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=10s ./internal/runctl
+	$(GO) test -run='^$$' -fuzz=FuzzSampleLayoutMatchesReference -fuzztime=10s ./internal/burst

@@ -113,6 +113,18 @@ func campaigns() []campaign {
 				return err
 			},
 		},
+		{
+			// The same estimator at a scattered cell (41 racks x 60
+			// disks): layout rejection almost never covers 41 racks
+			// with 60 draws, so a trial costs 64 failed attempts — the
+			// sampling cost the localized 3x40 cell cannot see.
+			name:    "burst.pdl_41x60",
+			counter: "burst_pdl_trials_total",
+			run: func(ctx context.Context) error {
+				_, err := mlec.BurstPDLContext(ctx, topo, params, mlec.SchemeDD, 41, 60, 2000, 12064, "")
+				return err
+			},
+		},
 	}
 }
 

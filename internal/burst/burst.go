@@ -53,8 +53,8 @@ type Result struct {
 func (r Result) Nines() float64 { return mathx.Nines(r.PDL) }
 
 // Evaluator computes the conditional PDL of one sampled burst layout.
-// failuresPerRack holds, for each affected rack, the flat in-rack disk
-// indices that failed. Implementations must be safe for concurrent use.
+// Implementations must be safe for concurrent use and must not retain
+// the layout: the estimator reuses it for the next trial.
 type Evaluator interface {
 	// ConditionalPDL returns P(data loss | this burst layout),
 	// integrating over stripe placement randomness.
@@ -80,119 +80,6 @@ func (b *BurstLayout) TotalFailures() int {
 		n += len(d)
 	}
 	return n
-}
-
-// SampleLayout draws a burst layout: x distinct racks chosen uniformly
-// from totalRacks, and y distinct disks chosen uniformly from the x·dpr
-// disks conditioned on every rack receiving at least one failure.
-func SampleLayout(rng *rand.Rand, totalRacks, dpr, x, y int) (*BurstLayout, error) {
-	if x <= 0 || x > totalRacks {
-		return nil, fmt.Errorf("burst: x=%d racks out of range [1,%d]", x, totalRacks)
-	}
-	if y < x || y > x*dpr {
-		return nil, fmt.Errorf("burst: y=%d failures not in [x=%d, x·dpr=%d]", y, x, x*dpr)
-	}
-	racks := rng.Perm(totalRacks)[:x]
-	sortInts(racks)
-
-	// Sample y distinct disks from x·dpr conditioned on full rack
-	// coverage, by rejection. Acceptance is high except at y≈x where we
-	// fall back to a direct constructive method.
-	failed := make([]int, y) // flat indices in [0, x·dpr)
-	const maxRejects = 64
-	for attempt := 0; ; attempt++ {
-		if attempt >= maxRejects {
-			return constructiveLayout(rng, racks, dpr, x, y)
-		}
-		sampleDistinct(rng, x*dpr, failed)
-		if coversAllRacks(failed, dpr, x) {
-			break
-		}
-	}
-	return layoutFromFlat(racks, failed, dpr, x), nil
-}
-
-// constructiveLayout guarantees coverage: give each rack one random disk,
-// then distribute the remaining y−x failures uniformly over the remaining
-// disks. The resulting distribution differs negligibly from the
-// conditioned-uniform one and is only used in the extreme y≈x corner
-// where rejection stalls.
-func constructiveLayout(rng *rand.Rand, racks []int, dpr, x, y int) (*BurstLayout, error) {
-	used := make(map[int]bool, y)
-	flat := make([]int, 0, y)
-	for r := 0; r < x; r++ {
-		d := r*dpr + rng.Intn(dpr)
-		used[d] = true
-		flat = append(flat, d)
-	}
-	for len(flat) < y {
-		d := rng.Intn(x * dpr)
-		if !used[d] {
-			used[d] = true
-			flat = append(flat, d)
-		}
-	}
-	return layoutFromFlat(racks, flat, dpr, x), nil
-}
-
-func layoutFromFlat(racks []int, flat []int, dpr, x int) *BurstLayout {
-	perRack := make([][]int, x)
-	for _, f := range flat {
-		r := f / dpr
-		perRack[r] = append(perRack[r], f%dpr)
-	}
-	return &BurstLayout{Racks: racks, FailedDisks: perRack}
-}
-
-// sampleDistinct fills dst with len(dst) distinct values from [0, n)
-// using a partial Fisher–Yates over a transient map (O(len(dst))).
-func sampleDistinct(rng *rand.Rand, n int, dst []int) {
-	swapped := make(map[int]int, len(dst))
-	for i := range dst {
-		j := i + rng.Intn(n-i)
-		vj, ok := swapped[j]
-		if !ok {
-			vj = j
-		}
-		vi, ok := swapped[i]
-		if !ok {
-			vi = i
-		}
-		dst[i] = vj
-		swapped[j] = vi
-	}
-}
-
-func coversAllRacks(flat []int, dpr, x int) bool {
-	var seen uint64
-	var seenHi []bool
-	count := 0
-	for _, f := range flat {
-		r := f / dpr
-		if r < 64 {
-			if seen&(1<<r) == 0 {
-				seen |= 1 << r
-				count++
-			}
-		} else {
-			if seenHi == nil {
-				seenHi = make([]bool, x)
-			}
-			if !seenHi[r] {
-				seenHi[r] = true
-				count++
-			}
-		}
-	}
-	return count == x
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // Trials are partitioned into fixed batches whose RNG streams are pure
@@ -234,8 +121,9 @@ func PDLContext(ctx context.Context, ev Evaluator, x, y, trials int, seed int64,
 		Sum2s: make([]float64, nb),
 		Ns:    make([]int, nb),
 	}
-	fp := pdlFingerprint(ev, x, y, trials, seed)
+	var fp string
 	if checkpointPath != "" {
+		fp = pdlFingerprint(ev, x, y, trials, seed)
 		var prev pdlCheckpoint
 		ok, err := runctl.LoadCheckpoint(checkpointPath, pdlCheckpointKind, fp, &prev)
 		if err != nil {
@@ -308,9 +196,12 @@ func PDLContext(ctx context.Context, ev Evaluator, x, y, trials int, seed int64,
 				if hi > trials {
 					hi = trials
 				}
+				// One sampler, and so one layout, serves the whole
+				// batch; a batch that panics abandons its sampler.
+				sampler := samplers.Get().(*layoutSampler)
 				var sum, sum2 float64
 				for i := lo; i < hi; i++ {
-					layout, err := SampleLayout(rng, ev.TotalRacks(), ev.DisksPerRack(), x, y)
+					layout, err := sampler.sample(rng, ev.TotalRacks(), ev.DisksPerRack(), x, y)
 					if err != nil {
 						return err
 					}
@@ -326,6 +217,7 @@ func PDLContext(ctx context.Context, ev Evaluator, x, y, trials int, seed int64,
 				trialMeter.Add(float64(hi - lo))
 				batchCount.Inc()
 				task.Add(int64(hi - lo))
+				samplers.Put(sampler)
 				return nil
 			})
 		}
@@ -411,8 +303,9 @@ func HeatmapContext(ctx context.Context, ev Evaluator, xs, ys []int, trials int,
 		ck.Done[iy] = make([]bool, len(xs))
 		ck.Cells[iy] = make([]Result, len(xs))
 	}
-	fp := gridFingerprint(ev, xs, ys, trials, seed)
+	var fp string
 	if checkpointPath != "" {
+		fp = gridFingerprint(ev, xs, ys, trials, seed)
 		var prev gridCheckpoint
 		ok, err := runctl.LoadCheckpoint(checkpointPath, gridCheckpointKind, fp, &prev)
 		if err != nil {

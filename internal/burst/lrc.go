@@ -2,9 +2,9 @@ package burst
 
 import (
 	"math"
-	"math/rand"
-	"sync"
+	"math/bits"
 
+	"mlec/internal/mathx/rngsplit"
 	"mlec/internal/placement"
 )
 
@@ -18,21 +18,23 @@ import (
 // the Maximally Recoverable criterion (placement.LRCParams.Recoverable),
 // by convolving the per-group excess distributions with the global-parity
 // failure distribution.
+//
+// The assignments are a pure function of (seed, burst layout): the
+// evaluator holds no generator state, so concurrent batches cannot
+// reorder each other's draws and a fixed-seed cell is reproducible.
 type LRCEvaluator struct {
 	Layout *placement.LRCLayout
 	// Assignments is the number of rack-to-slot assignments averaged
 	// per ConditionalPDL call (default 8).
 	Assignments int
 
-	mu sync.Mutex
-	//mlec:guardedby mu
-	rng *rand.Rand
+	seed int64
 }
 
-// NewLRCEvaluator returns an evaluator with a private deterministic RNG
-// for assignment sampling.
+// NewLRCEvaluator returns an evaluator whose assignment sampling is
+// keyed by seed.
 func NewLRCEvaluator(l *placement.LRCLayout, seed int64) *LRCEvaluator {
-	return &LRCEvaluator{Layout: l, Assignments: 8, rng: rand.New(rand.NewSource(seed))}
+	return &LRCEvaluator{Layout: l, Assignments: 8, seed: seed}
 }
 
 // TotalRacks implements Evaluator.
@@ -46,39 +48,62 @@ func (e *LRCEvaluator) ConditionalPDL(b *BurstLayout) float64 {
 	l := e.Layout
 	p := l.Params
 	width := p.Width()
+	racks := l.Topo.Racks
 	dpr := float64(l.Topo.DisksPerRack())
 
-	// Per-rack chunk failure probabilities for the affected racks;
-	// unaffected racks contribute 0 and can be skipped except that they
-	// dilute the assignment. We sample assignments of width distinct
-	// racks out of Topo.Racks and map affected ones to their ψ.
-	psiByRack := make(map[int]float64, len(b.Racks))
+	// Per-rack chunk failure probabilities; unaffected racks contribute
+	// 0 but dilute the assignment. We sample assignments of width
+	// distinct racks out of Topo.Racks and map each to its ψ.
+	psi := make([]float64, racks)
 	for i, rack := range b.Racks {
-		psiByRack[rack] = float64(len(b.FailedDisks[i])) / dpr
+		psi[rack] = float64(len(b.FailedDisks[i])) / dpr
 	}
 
 	assignments := e.Assignments
 	if assignments <= 0 {
 		assignments = 8
 	}
+	// The assignment stream is splitmix64 keyed by the layout:
+	// rngsplit.Mix under a running counter is that generator's output.
+	key, draws := rngsplit.Mix(e.seed, int(layoutHash(b))), 0
 	var sum float64
 	slot := make([]float64, width)
-	perm := make([]int, l.Topo.Racks)
+	perm := make([]int, racks)
 	for a := 0; a < assignments; a++ {
-		e.mu.Lock()
 		for i := range perm {
 			perm[i] = i
 		}
-		e.rng.Shuffle(len(perm), func(x, y int) { perm[x], perm[y] = perm[y], perm[x] })
-		e.mu.Unlock()
-		for s := 0; s < width; s++ {
-			slot[s] = psiByRack[perm[s]]
+		// Partial Fisher–Yates: only the stripe's width slots are used.
+		for s := range slot {
+			// Multiply-shift maps the 64-bit word onto [0, racks−s); its
+			// bias is below racks·2⁻⁶⁴, far under Monte-Carlo resolution.
+			word, _ := bits.Mul64(uint64(rngsplit.Mix(key, draws)), uint64(racks-s))
+			draws++
+			j := s + int(word)
+			perm[s], perm[j] = perm[j], perm[s]
+			slot[s] = psi[perm[s]]
 		}
 		sum += lrcUnrecoverableProb(p, slot)
 	}
 	pUnrec := sum / float64(assignments)
 	expected := l.TotalStripes() * pUnrec
 	return -math.Expm1(-expected)
+}
+
+// layoutHash is FNV-1a over the layout's racks and failed disks, word by
+// word, each rack followed by its failure count so that list boundaries
+// enter the hash.
+func layoutHash(b *BurstLayout) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i, rack := range b.Racks {
+		h = (h ^ uint64(rack)) * prime
+		h = (h ^ uint64(len(b.FailedDisks[i]))) * prime
+		for _, d := range b.FailedDisks[i] {
+			h = (h ^ uint64(d)) * prime
+		}
+	}
+	return h
 }
 
 // lrcUnrecoverableProb returns the exact probability that a stripe whose

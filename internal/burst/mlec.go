@@ -41,26 +41,27 @@ func (e *MLECEvaluator) lostStripeFraction(f int) float64 {
 // ConditionalPDL implements Evaluator: the probability that at least one
 // network stripe is lost given the burst layout, integrating over the
 // pseudorandom stripe placement exactly.
+//
+// Every tally below is a run-length count over ascending ids rather
+// than a map: the float sums then run in ascending pool, network-pool
+// and rack order on every call, which fixes the last ULP of the result.
 func (e *MLECEvaluator) ConditionalPDL(b *BurstLayout) float64 {
 	l := e.Layout
-	// Failed-disk count per local pool (global pool ids).
-	failsPerPool := make(map[int]int)
-	dpr := l.Topo.DisksPerRack()
-	for i, rack := range b.Racks {
-		for _, d := range b.FailedDisks[i] {
-			pool := l.PoolOfDisk(rack*dpr + d)
-			failsPerPool[pool]++
-		}
-	}
-	// φ per pool; skip non-catastrophic pools early.
-	phis := make(map[int]float64, len(failsPerPool))
-	for pool, f := range failsPerPool {
+	pn := l.Params.PN
+	var idBuf [128]int
+	var phiBuf [32]float64
+	ids := failedPools(idBuf[:0], b, l.Topo.DisksPerRack(), l.LocalPoolSize())
+	// Keep the catastrophic pools (φ > 0) and their φ, still ascending.
+	// The kept ids overwrite the front of ids, behind the read position.
+	pools, phis := ids[:0], phiBuf[:0]
+	for lo := 0; lo < len(ids); {
+		f := runLen(ids[lo:])
 		if phi := e.lostStripeFraction(f); phi > 0 {
-			phis[pool] = phi
+			pools, phis = append(pools, ids[lo]), append(phis, phi)
 		}
+		lo += f
 	}
-	pools := sortedKeys(phis)
-	if len(phis) <= l.Params.PN {
+	if len(phis) <= pn {
 		return 0 // fewer than pn+1 catastrophic pools: no loss possible
 	}
 
@@ -69,39 +70,35 @@ func (e *MLECEvaluator) ConditionalPDL(b *BurstLayout) float64 {
 		// Group catastrophic pools by their network pool; a network
 		// stripe in that pool holds one (independently declustered)
 		// local stripe from each member, so its loss probability is
-		// the Poisson-binomial tail over member φ's at pn+1.
-		// Iterating pools in sorted order keeps each network pool's φ
-		// slice — and with it the Poisson-binomial recurrence — in a
-		// deterministic order.
-		byNet := make(map[int][]float64)
-		for _, pool := range pools {
-			np := l.NetworkPoolOf(pool)
-			byNet[np] = append(byNet[np], phis[pool])
+		// the Poisson-binomial tail over member φ's at pn+1. The stable
+		// sort keeps each network pool's φ's in ascending pool order.
+		for i, pool := range pools {
+			pools[i] = l.NetworkPoolOf(pool)
 		}
+		sortByKey(pools, phis)
 		stripesPerNetPool := l.LocalStripesPerPool()
-		for _, np := range sortedKeys(byNet) {
-			ps := byNet[np]
-			if len(ps) <= l.Params.PN {
-				continue
+		for lo := 0; lo < len(pools); {
+			members := runLen(pools[lo:])
+			if members > pn {
+				expectedLost += stripesPerNetPool * poissonBinomialTail(phis[lo:lo+members], pn+1)
 			}
-			pLoss := poissonBinomialTail(ps, l.Params.PN+1)
-			expectedLost += stripesPerNetPool * pLoss
+			lo += members
 		}
 	} else {
 		// Network-declustered: a network stripe samples kn+pn distinct
 		// racks and one local stripe from a uniform pool within each.
 		// P(the member from rack r is lost) = Σ_{pools in r} φ / pools
-		// per rack.
-		psiByRack := make(map[int]float64)
-		ppr := float64(l.LocalPoolsPerRack())
-		for _, pool := range pools {
-			psiByRack[l.RackOfPool(pool)] += phis[pool] / ppr
+		// per rack. psis overwrites the φ's it has already consumed.
+		ppr := l.LocalPoolsPerRack()
+		psis := phis[:0]
+		for lo, hi := 0, 0; lo < len(pools); lo = hi {
+			psi := 0.0
+			for hi = lo; hi < len(pools) && pools[hi]/ppr == pools[lo]/ppr; hi++ {
+				psi += phis[hi] / float64(ppr)
+			}
+			psis = append(psis, psi)
 		}
-		psis := make([]float64, 0, len(psiByRack))
-		for _, rack := range sortedKeys(psiByRack) {
-			psis = append(psis, psiByRack[rack])
-		}
-		pLoss := sampledRackLossTail(psis, l.Topo.Racks, l.Params.NetworkWidth(), l.Params.PN+1)
+		pLoss := sampledRackLossTail(psis, l.Topo.Racks, l.Params.NetworkWidth(), pn+1)
 		expectedLost = l.TotalNetworkStripes() * pLoss
 	}
 	return -math.Expm1(-expectedLost)
@@ -128,32 +125,21 @@ func sampledRackLossTail(psis []float64, totalRacks, m, t int) float64 {
 	if m < maxJ {
 		maxJ = m
 	}
-	// T[j][l]: l in [0, t], T[j][t] absorbs ≥ t.
-	T := make([][]float64, maxJ+1)
-	for j := range T {
-		T[j] = make([]float64, t+1)
-	}
-	T[0][0] = 1
+	// T[j][l] is row j of one flat table: l in [0, t], T[j][t] absorbs ≥ t.
+	cols := t + 1
+	T := make([]float64, (maxJ+1)*cols)
+	T[0] = 1
 	for _, psi := range psis {
+		// Adding this rack to the (j−1)-subsets that lack it: its member
+		// is lost with probability psi. Descending j reads rows the rack
+		// has not been added to yet.
 		for j := maxJ; j >= 1; j-- {
-			for lIdx := t; lIdx >= 0; lIdx-- {
-				v := 0.0
-				// Rack not in subset: T[j][l] keeps its value (handled
-				// implicitly by adding contributions into a copy).
-				// Rack in subset: comes from T[j-1][l or l-1].
-				if lIdx == t {
-					v = T[j-1][t]*1 + 0 // already ≥t stays ≥t regardless
-					if t >= 1 {
-						v = T[j-1][t] + T[j-1][t-1]*psi
-					}
-				} else {
-					v = T[j-1][lIdx] * (1 - psi)
-					if lIdx >= 1 {
-						v += T[j-1][lIdx-1] * psi
-					}
-				}
-				T[j][lIdx] += v
+			prev, cur := T[(j-1)*cols:j*cols], T[j*cols:(j+1)*cols]
+			cur[t] += prev[t] + prev[t-1]*psi
+			for l := t - 1; l >= 1; l-- {
+				cur[l] += prev[l]*(1-psi) + prev[l-1]*psi
 			}
+			cur[0] += prev[0] * (1 - psi)
 		}
 	}
 	logDen := mathx.LogChoose(totalRacks, m)
@@ -163,7 +149,7 @@ func sampledRackLossTail(psis []float64, totalRacks, m, t int) float64 {
 			continue
 		}
 		w := math.Exp(mathx.LogChoose(totalRacks-a, m-j) - logDen)
-		p += w * T[j][t]
+		p += w * T[j*cols+t]
 	}
 	if p > 1 {
 		p = 1

@@ -3,6 +3,8 @@ package burst
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"mlec/internal/mathx"
@@ -292,5 +294,38 @@ func TestLostStripeFraction(t *testing.T) {
 	}
 	if dp.lostStripeFraction(8) <= phi {
 		t.Error("φ must grow with failure count")
+	}
+}
+
+// TestFailedPoolsMatchesPoolOfDisk: the evaluators' pool tally divides
+// flat disk indices by the pool size; that must stay the dense pool id
+// placement.Layout.PoolOfDisk assigns, in ascending order.
+func TestFailedPoolsMatchesPoolOfDisk(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	small, smallParams := smallTopo()
+	for _, c := range []struct {
+		topo   topology.Config
+		params placement.Params
+	}{{topology.Default(), placement.DefaultParams()}, {small, smallParams}} {
+		topo, params := c.topo, c.params
+		for _, s := range []placement.Scheme{placement.SchemeCD, placement.SchemeDD} {
+			l := placement.MustNewLayout(topo, params, s)
+			dpr := topo.DisksPerRack()
+			b, err := SampleLayout(rng, topo.Racks, dpr, 3, 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []int
+			for i, rack := range b.Racks {
+				for _, d := range b.FailedDisks[i] {
+					want = append(want, l.PoolOfDisk(rack*dpr+d))
+				}
+			}
+			sort.Ints(want)
+			got := failedPools(nil, b, dpr, l.LocalPoolSize())
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v on %d racks: pool ids %v, PoolOfDisk gives %v", s, topo.Racks, got, want)
+			}
+		}
 	}
 }

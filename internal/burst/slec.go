@@ -40,16 +40,15 @@ func (e *SLECEvaluator) ConditionalPDL(b *BurstLayout) float64 {
 // whole pool, so loss is certain iff some pool has ≥ p+1 failures.
 func (e *SLECEvaluator) localCp(b *BurstLayout) float64 {
 	l := e.Layout
-	w := l.Params.Width()
-	dpr := l.Topo.DisksPerRack()
-	fails := make(map[int]int)
-	for i, rack := range b.Racks {
-		for _, d := range b.FailedDisks[i] {
-			pool := (rack*dpr + d) / w // enclosure size divisible by w
-			if fails[pool]++; fails[pool] > l.Params.P {
-				return 1
-			}
+	var idBuf [128]int
+	// Enclosure size is divisible by the pool width.
+	pools := failedPools(idBuf[:0], b, l.Topo.DisksPerRack(), l.Params.Width())
+	for len(pools) > 0 {
+		f := runLen(pools)
+		if f > l.Params.P {
+			return 1
 		}
+		pools = pools[f:]
 	}
 	return 0
 }
@@ -59,20 +58,17 @@ func (e *SLECEvaluator) localCp(b *BurstLayout) float64 {
 func (e *SLECEvaluator) localDp(b *BurstLayout) float64 {
 	l := e.Layout
 	d := l.Topo.DisksPerEnclosure
-	dpr := l.Topo.DisksPerRack()
-	fails := make(map[int]int)
-	for i, rack := range b.Racks {
-		for _, dd := range b.FailedDisks[i] {
-			fails[(rack*dpr+dd)/d]++
-		}
-	}
+	var idBuf [128]int
+	pools := failedPools(idBuf[:0], b, l.Topo.DisksPerRack(), d)
 	stripesPerPool := l.StripesPerPool()
 	var expected float64
-	for _, pool := range sortedKeys(fails) {
-		if f := fails[pool]; f > l.Params.P {
+	for len(pools) > 0 {
+		f := runLen(pools)
+		if f > l.Params.P {
 			q := mathx.HypergeomTail(l.Params.P+1, f, d, l.Params.Width())
 			expected += stripesPerPool * q
 		}
+		pools = pools[f:]
 	}
 	return -math.Expm1(-expected)
 }
@@ -83,16 +79,16 @@ func (e *SLECEvaluator) networkCp(b *BurstLayout) float64 {
 	l := e.Layout
 	w := l.Params.Width()
 	dpr := float64(l.Topo.DisksPerRack())
-	// Failure probability of a stripe's chunk per rack.
-	probsByGroup := make(map[int][]float64)
-	for i, rack := range b.Racks {
-		g := rack / w
-		probsByGroup[g] = append(probsByGroup[g], float64(len(b.FailedDisks[i]))/dpr)
-	}
 	stripesPerGroup := l.StripesPerPool() // one pool per group
+	var probBuf [64]float64
 	var expected float64
-	for _, g := range sortedKeys(probsByGroup) {
-		probs := probsByGroup[g]
+	// Racks ascend, so each group's racks are one run of b.Racks.
+	for lo, hi := 0, 0; lo < len(b.Racks); lo = hi {
+		// Failure probability of a stripe's chunk per rack of the group.
+		probs := probBuf[:0]
+		for hi = lo; hi < len(b.Racks) && b.Racks[hi]/w == b.Racks[lo]/w; hi++ {
+			probs = append(probs, float64(len(b.FailedDisks[hi]))/dpr)
+		}
 		if len(probs) <= l.Params.P {
 			continue // too few affected racks in this group
 		}
@@ -107,9 +103,10 @@ func (e *SLECEvaluator) networkCp(b *BurstLayout) float64 {
 func (e *SLECEvaluator) networkDp(b *BurstLayout) float64 {
 	l := e.Layout
 	dpr := float64(l.Topo.DisksPerRack())
-	psis := make([]float64, len(b.Racks))
-	for i := range b.Racks {
-		psis[i] = float64(len(b.FailedDisks[i])) / dpr
+	var psiBuf [64]float64
+	psis := psiBuf[:0]
+	for _, failed := range b.FailedDisks {
+		psis = append(psis, float64(len(failed))/dpr)
 	}
 	pLoss := sampledRackLossTail(psis, l.Topo.Racks, l.Params.Width(), l.Params.P+1)
 	expected := l.TotalStripes() * pLoss

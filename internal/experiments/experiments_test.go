@@ -308,4 +308,14 @@ func TestHeatmapCSVMode(t *testing.T) {
 	if !strings.Contains(out, "racks,failures,pdl") {
 		t.Error("CSV header missing")
 	}
+	// fig16 cells run two concurrent batches in Quick mode; the %g
+	// columns show whether the LRC assignment draws followed the
+	// scheduler (they did while the evaluator shared one generator).
+	var again strings.Builder
+	if err := Run("fig16", opts, &again); err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != out {
+		t.Errorf("fig16 differs between two runs at one seed:\n%s\n%s", out, again.String())
+	}
 }

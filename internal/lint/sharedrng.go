@@ -10,9 +10,7 @@ import (
 //
 //  1. A struct that pairs a mutex field with a *rand.Rand field has
 //     declared "this RNG is shared between goroutines" — so every
-//     method that touches the RNG field must acquire a lock. This is
-//     the burst.LRCEvaluator contract, previously enforced only by a
-//     comment.
+//     method that touches the RNG field must acquire a lock.
 //
 //  2. A goroutine body (go func literal) must not capture a *rand.Rand
 //     declared outside it. Even when every access happens to be
