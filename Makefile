@@ -5,7 +5,7 @@ GO ?= go
 # Packages with worker pools / goroutine fan-out: the race-detector set.
 RACE_PKGS = ./internal/burst ./internal/poolsim ./internal/rs ./internal/syssim ./internal/cluster ./internal/runctl ./internal/obs
 
-.PHONY: check build vet lint test race stress bench bench-check bench-json bench-engines bench-engines-compare fuzz obs-smoke chaos oracle race-oracle
+.PHONY: check build vet lint test race stress bench bench-check bench-json bench-compare bench-engines bench-engines-compare fuzz obs-smoke chaos oracle race-oracle
 
 ## check: build + vet + mlecvet + tests + race tests — the CI gate.
 check: build vet lint test bench-check race stress obs-smoke chaos

@@ -40,29 +40,21 @@ func (s RunStats) CatRatePerPoolHour() float64 {
 	return float64(s.CatastrophicCount) / (s.SimYears * failure.HoursPerYear)
 }
 
-// driver couples a Pool with an event engine, the failure process and the
-// priority repairer. The exported entry points are LongRun and the
-// splitting estimator in split.go.
+// driver feeds one Machine from a failure process — per-disk clocks
+// drawn from a TTF distribution (LongRun) or a recorded trace (replay) —
+// and keeps the run's statistics.
 type driver struct {
-	pool   *Pool
-	eng    *sim.Engine
-	rng    *rand.Rand
-	ttf    failure.TTFDistribution
-	sample bool // record CatSamples
+	m   *Machine
+	rng *rand.Rand
+	ttf failure.TTFDistribution
 
-	repairEv   *sim.Event
 	failEvents []*sim.Event // per-disk pending failure event
-
-	stats        RunStats
-	onCat        func()           // hook invoked on catastrophe (after recording)
-	onNewFailure func(d int) bool // optional; return false to suppress default handling
-	replay       bool             // trace replay: healed disks get no new failure clocks
+	stats      RunStats
 }
 
 func newDriver(pool *Pool, ttf failure.TTFDistribution, rng *rand.Rand) *driver {
 	return &driver{
-		pool:       pool,
-		eng:        sim.New(),
+		m:          NewMachine(pool, sim.New()),
 		rng:        rng,
 		ttf:        ttf,
 		failEvents: make([]*sim.Event, pool.Cfg.Disks),
@@ -71,106 +63,55 @@ func newDriver(pool *Pool, ttf failure.TTFDistribution, rng *rand.Rand) *driver 
 
 // scheduleFailure arms disk d's next failure.
 func (dr *driver) scheduleFailure(d int) {
-	dr.failEvents[d] = dr.eng.Schedule(dr.ttf.Sample(dr.rng), func() { dr.handleFailure(d) })
+	dr.failEvents[d] = dr.m.eng.Schedule(dr.ttf.Sample(dr.rng), func() {
+		dr.failEvents[d] = nil
+		dr.fail(d)
+	})
 }
 
-func (dr *driver) handleFailure(d int) {
-	dr.failEvents[d] = nil
-	if dr.onNewFailure != nil && !dr.onNewFailure(d) {
-		return
-	}
-	dr.failDiskNow(d)
-}
-
-// failDiskNow applies the failure, records catastrophes, schedules
-// detection, and replans repair.
-func (dr *driver) failDiskNow(d int) {
+// fail counts the failure and hands it to the machine.
+func (dr *driver) fail(d int) {
 	dr.stats.DiskFailures++
-	newlyLost := dr.pool.FailDisk(d)
-	if f := dr.pool.FailedDisks(); f > dr.stats.MaxConcurrentFailures {
+	if f := dr.m.Pool.FailedDisks() + 1; f > dr.stats.MaxConcurrentFailures {
 		dr.stats.MaxConcurrentFailures = f
 	}
-	if newlyLost > 0 {
-		dr.recordCatastrophe()
-		if dr.onCat != nil {
-			dr.onCat()
-		}
-		return
-	}
-	dr.eng.Schedule(dr.pool.Cfg.DetectionDelayHours, func() {
-		dr.pool.DetectDisk(d)
-		dr.replanRepair()
-	})
+	dr.m.Fail(d)
 }
 
 func (dr *driver) recordCatastrophe() {
 	dr.stats.CatastrophicCount++
-	if dr.sample {
-		dr.stats.Samples = append(dr.stats.Samples, CatSample{
-			TimeHours:   dr.eng.Now(),
-			FailedDisks: dr.pool.FailedDisks(),
-			LostStripes: dr.pool.LostStripes(),
-			Profile:     dr.pool.Profile(),
-		})
-	}
-}
-
-// replanRepair cancels any in-flight batch and schedules the completion
-// of the current top-priority batch at the current bandwidth.
-func (dr *driver) replanRepair() {
-	dr.eng.Cancel(dr.repairEv)
-	dr.repairEv = nil
-	batch := dr.pool.NextBatch()
-	if batch == nil {
-		return
-	}
-	bw := dr.pool.Cfg.RepairBW(dr.pool.DetectedDisks())
-	hours := batch.volumeBytes / bw / 3600
-	dr.repairEv = dr.eng.Schedule(hours, func() {
-		dr.repairEv = nil
-		healed := dr.pool.HealBatch(batch)
-		if !dr.replay {
-			for _, d := range healed {
-				dr.scheduleFailure(d)
-			}
-		}
-		dr.replanRepair()
-	})
+	dr.stats.Samples = append(dr.stats.Samples, dr.m.CatSample())
 }
 
 // resetPool instantly heals everything and re-arms all failure clocks —
 // used after a catastrophic event in LongRun (the event is handed to the
 // network level; stage 1 only measures the pool's event rate).
 func (dr *driver) resetPool() {
-	dr.pool.HealAll()
+	dr.m.HealAll()
 	for d := range dr.failEvents {
-		if dr.failEvents[d] != nil {
-			dr.eng.Cancel(dr.failEvents[d])
-		}
+		dr.m.eng.Cancel(dr.failEvents[d])
 		dr.scheduleFailure(d)
 	}
-	dr.eng.Cancel(dr.repairEv)
-	dr.repairEv = nil
 }
 
-// runPolled fires events up to horizon, checking ctx between batches of
-// events. It returns true when the run completed and false when it was
-// cut short by cancellation; either way the engine clock ends at the
-// last fired event (or horizon on completion).
-//mlec:hot pool event loop; drains millions of events per trajectory
-func (dr *driver) runPolled(ctx context.Context, horizon float64) bool {
+// run fires events up to horizon, checking ctx between batches of
+// events, and returns the statistics: over `years` when the horizon was
+// reached, over the span actually simulated — marked Partial — when
+// cancellation cut the run short at an event boundary.
+func (dr *driver) run(ctx context.Context, horizon, years float64) RunStats {
 	const pollEvery = 1024
 	for i := 0; ; i++ {
-		//lint:allow hotiface context poll is amortized to one dispatch per 1024 events
 		if i%pollEvery == 0 && ctx.Err() != nil {
-			return false
+			dr.stats.Partial = true
+			dr.stats.SimYears = dr.m.eng.Now() / failure.HoursPerYear
+			return dr.stats
 		}
-		next, ok := dr.eng.NextTime()
+		next, ok := dr.m.eng.NextTime()
 		if !ok || next > horizon {
-			dr.eng.RunUntil(horizon) // advance the clock; no events fire
-			return true
+			dr.stats.SimYears = years
+			return dr.stats
 		}
-		dr.eng.Step()
+		dr.m.eng.Step()
 	}
 }
 
@@ -195,16 +136,17 @@ func LongRunContext(ctx context.Context, cfg Config, ttf failure.TTFDistribution
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 	dr := newDriver(pool, ttf, rng)
-	dr.sample = true
-	dr.onCat = dr.resetPool
+	dr.m.OnHealed = func(healed []int) { // back in service, so a new failure clock each
+		for _, d := range healed {
+			dr.scheduleFailure(d)
+		}
+	}
+	dr.m.OnCat = func() {
+		dr.recordCatastrophe()
+		dr.resetPool()
+	}
 	for d := 0; d < cfg.Disks; d++ {
 		dr.scheduleFailure(d)
 	}
-	if dr.runPolled(ctx, years*failure.HoursPerYear) {
-		dr.stats.SimYears = years
-	} else {
-		dr.stats.Partial = true
-		dr.stats.SimYears = dr.eng.Now() / failure.HoursPerYear
-	}
-	return dr.stats, nil
+	return dr.run(ctx, years*failure.HoursPerYear, years), nil
 }

@@ -116,7 +116,7 @@ const (
 )
 
 // Pool is the mutable pool state. It contains no event-queue machinery;
-// drivers (LongRun, Splitting) own the clock and call the mutators.
+// a Machine owns the clock and calls the mutators.
 type Pool struct {
 	Cfg Config
 
@@ -255,20 +255,23 @@ func (p *Pool) Profile() []int {
 }
 
 // repairBatch describes the repairer's next unit of work: all repairable
-// stripes at the current top priority.
+// stripes at the current top priority. A batch is storage its owner
+// reuses from one plan to the next.
 type repairBatch struct {
 	stripes  []int
 	priority int
 	// volumeBytes is the data to reconstruct: detected lost chunks.
 	volumeBytes float64
+	healed      []int // HealBatch's result
 }
 
-// NextBatch returns the highest-priority batch of repairable stripes
-// (stripes whose lost chunks include at least one detected disk), or nil
-// when nothing is repairable. Priority is the stripe's total lost count.
-func (p *Pool) NextBatch() *repairBatch {
+// NextBatch fills b with the highest-priority batch of repairable
+// stripes (stripes whose lost chunks include at least one detected disk)
+// and reports whether there is one. Priority is the stripe's total lost
+// count.
+func (p *Pool) NextBatch(b *repairBatch) bool {
 	if p.detected == 0 {
-		return nil
+		return false
 	}
 	best := 0
 	for s, c := range p.lostCount {
@@ -277,24 +280,26 @@ func (p *Pool) NextBatch() *repairBatch {
 		}
 	}
 	if best == 0 {
-		return nil
+		return false
 	}
-	b := &repairBatch{priority: best}
+	stripes := b.stripes
+	stripes = stripes[:0]
 	chunks := 0
 	maxStripes := p.Cfg.batchCap()
 	for s, c := range p.lostCount {
 		if int(c) == best {
 			if dl := p.detectedLost(s); dl > 0 {
-				b.stripes = append(b.stripes, s)
+				stripes = append(stripes, s)
 				chunks += dl
-				if len(b.stripes) >= maxStripes {
+				if len(stripes) >= maxStripes {
 					break
 				}
 			}
 		}
 	}
+	b.stripes, b.priority = stripes, best
 	b.volumeBytes = float64(chunks) * p.Cfg.SegmentBytes()
-	return b
+	return true
 }
 
 // detectedLost counts stripe s's lost chunks that belong to detected
@@ -311,8 +316,11 @@ func (p *Pool) detectedLost(s int) int {
 }
 
 // HealBatch repairs the batch's detected lost chunks and returns the
-// disks that became fully healthy again.
-func (p *Pool) HealBatch(b *repairBatch) (healedDisks []int) {
+// disks that became fully healthy again (in b's storage: good until b's
+// next HealBatch).
+func (p *Pool) HealBatch(b *repairBatch) []int {
+	healed := b.healed
+	healed = healed[:0]
 	for _, s := range b.stripes {
 		mask := p.lostMask[s]
 		for m, d := range p.stripeDisks[s] {
@@ -327,11 +335,12 @@ func (p *Pool) HealBatch(b *repairBatch) (healedDisks []int) {
 				p.state[d] = diskHealthy
 				p.failedCount--
 				p.detected--
-				healedDisks = append(healedDisks, d)
+				healed = append(healed, d)
 			}
 		}
 	}
-	return healedDisks
+	b.healed = healed
+	return healed
 }
 
 // HealAll instantly restores the pool to pristine state (used after a
@@ -408,10 +417,3 @@ func (p *Pool) HealStripeChunks(s, n int) (healedDisks []int) {
 	}
 	return healedDisks
 }
-
-// VolumeBytes returns the batch's reconstruction volume, for drivers
-// outside this package (syssim).
-func (b *repairBatch) VolumeBytes() float64 { return b.volumeBytes }
-
-// Priority returns the batch's stripe damage level.
-func (b *repairBatch) Priority() int { return b.priority }

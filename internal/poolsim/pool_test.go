@@ -94,12 +94,9 @@ func TestPoolFailHealBookkeeping(t *testing.T) {
 		t.Fatal("detection not recorded")
 	}
 	// Heal everything batch by batch.
-	for {
-		b := p.NextBatch()
-		if b == nil {
-			break
-		}
-		p.HealBatch(b)
+	var b repairBatch
+	for p.NextBatch(&b) {
+		p.HealBatch(&b)
 	}
 	if !p.Healthy() {
 		t.Fatal("pool not healthy after full repair")
@@ -178,8 +175,8 @@ func TestBatchPriorityOrder(t *testing.T) {
 	p.FailDisk(1)
 	p.DetectDisk(0)
 	p.DetectDisk(1)
-	b := p.NextBatch()
-	if b == nil {
+	var b repairBatch
+	if !p.NextBatch(&b) {
 		t.Fatal("no batch")
 	}
 	// Highest priority must be the stripes hit by both disks (if any
@@ -202,7 +199,8 @@ func TestBatchCap(t *testing.T) {
 	p, _ := NewPool(cfg, 7)
 	p.FailDisk(0)
 	p.DetectDisk(0)
-	b := p.NextBatch()
+	var b repairBatch
+	p.NextBatch(&b)
 	if len(b.stripes) != 7 {
 		t.Fatalf("batch has %d stripes, want cap 7", len(b.stripes))
 	}
@@ -211,7 +209,7 @@ func TestBatchCap(t *testing.T) {
 func TestUndetectedNotRepairable(t *testing.T) {
 	p, _ := NewPool(paperCpConfig(), 8)
 	p.FailDisk(2)
-	if b := p.NextBatch(); b != nil {
+	if p.NextBatch(new(repairBatch)) {
 		t.Fatal("undetected failure produced a repair batch")
 	}
 }

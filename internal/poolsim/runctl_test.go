@@ -2,6 +2,7 @@ package poolsim
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -124,5 +125,46 @@ func TestReplayTraceContextCancel(t *testing.T) {
 	}
 	if !stats.Partial {
 		t.Error("cancelled replay not marked Partial")
+	}
+}
+
+// TestSplitResumesParentCheckpoint: testdata/split_parent.ckpt was
+// written by the commit before Machine (two-form snapshots, hand-written
+// encoder) two levels into the campaign below. Resuming it must give the
+// result of an uninterrupted run — the one this code computes and, bit
+// for bit, the one that commit computed.
+func TestSplitResumesParentCheckpoint(t *testing.T) {
+	cfg := hotConfig(false)
+	ttf := failure.MustExponentialAFR(0.8)
+	ckpt, err := os.ReadFile(filepath.Join("testdata", "split_parent.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "split.ckpt") // a resumed run writes to its checkpoint
+	if err := os.WriteFile(path, ckpt, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	var ran []int
+	resumed, err := Split(cfg, ttf, SplitConfig{TrajectoriesPerLevel: 400, Seed: 47, CheckpointPath: path,
+		onLevelDone: func(level int) { ran = append(ran, level) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ran, []int{3, 4, 5}) {
+		t.Fatalf("resumed run simulated levels %v, want 3 4 5 on top of the checkpoint's two", ran)
+	}
+	ref, err := Split(cfg, ttf, SplitConfig{TrajectoriesPerLevel: 400, Seed: 47})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resumed, ref) {
+		t.Errorf("resumed run differs from uninterrupted run:\nresumed: %+v\nref:     %+v", resumed, ref)
+	}
+	gotBits := append(floatBits(resumed.LevelProbs...), floatBits(resumed.CatRatePerPoolHour, resumed.CatRateLo, resumed.CatRateHi)...)
+	wantBits := []uint64{0x3fb3333333333333, 0x3fbeb851eb851eb8, 0x3fbeb851eb851eb8, 0x3fbccccccccccccd, 0x3fbb851eb851eb85,
+		0x3eec9ab1ee3c2d2b, 0x3ee208342a8c4dd4, 0x3ef3979cd751b61d}
+	if !reflect.DeepEqual(gotBits, wantBits) || len(resumed.Samples) != 80 || samplesDigest(resumed.Samples) != 0xa77b0ae02ecaa643 {
+		t.Errorf("resumed run differs from the parent commit's uninterrupted run:\n got %#x, %d samples, digest %#x\nwant %#x, 80 samples, digest 0xa77b0ae02ecaa643",
+			gotBits, len(resumed.Samples), samplesDigest(resumed.Samples), wantBits)
 	}
 }

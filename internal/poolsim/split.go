@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"time"
 
 	"mlec/internal/failure"
@@ -84,14 +83,6 @@ func (r SplitResult) CatProbPerPoolYear() float64 {
 	return -math.Expm1(-r.CatRatePerPoolHour * failure.HoursPerYear)
 }
 
-// snapshot captures a trajectory-independent pool state at a level entry.
-type snapshot struct {
-	pool *Pool
-	// detectRemaining[d] = hours until disk d's failure is detected;
-	// only undetected failed disks appear.
-	detectRemaining map[int]float64
-}
-
 type trajectoryOutcome int
 
 const (
@@ -140,57 +131,42 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 		return SplitResult{}, err
 	}
 
-	res := SplitResult{}
-	lambda := ttf.RatePerHour
-	beta0 := float64(cfg.Disks) * lambda // rate of 0 → 1 transitions
+	partial := false
+	beta0 := float64(cfg.Disks) * ttf.RatePerHour // rate of 0 → 1 transitions
 
-	// Running estimator state; persisted at level boundaries.
-	var (
-		startLevel = 1
-		weight     = 1.0 // Π P_j over completed levels
-		rateSum    float64
-		varSum     float64
-		entries    []*snapshot
-	)
+	// st is the estimator's running state, kept as the checkpoint it is
+	// loaded from and saved as at every level boundary.
+	st := splitCheckpoint{NextLevel: 1, Weight: 1}
+	// scratch checks a checkpoint's entries, or builds level 1's.
+	scratch := NewMachine(base, sim.New())
 	fingerprint := splitFingerprint(cfg, ttf, n, maxLevel, sc.Seed)
 	resumed := false
 	if sc.CheckpointPath != "" {
-		var ck splitCheckpoint
-		ok, err := runctl.LoadCheckpoint(sc.CheckpointPath, splitCheckpointKind, fingerprint, &ck)
+		resumed, err = runctl.LoadCheckpoint(sc.CheckpointPath, splitCheckpointKind, fingerprint, &st)
 		if err != nil {
 			return SplitResult{}, err
 		}
-		if ok {
-			entries, err = decodeSnapshots(base, ck.Entries)
-			if err != nil {
-				return SplitResult{}, fmt.Errorf("poolsim: checkpoint %s: %w", sc.CheckpointPath, err)
+		// A checkpoint that fails validation must not seed a campaign:
+		// reject it here, not a level's worth of work later.
+		for i, e := range st.Entries {
+			if err := scratch.Restore(e); err != nil {
+				return SplitResult{}, fmt.Errorf("poolsim: checkpoint %s: entry %d: %w", sc.CheckpointPath, i, err)
 			}
-			startLevel = ck.NextLevel
-			weight = ck.Weight
-			rateSum = ck.RateSum
-			varSum = ck.VarSum
-			res.LevelProbs = ck.LevelProbs
-			res.CatFractions = ck.CatFractions
-			res.LevelTrajectories = ck.LevelTrajectories
-			res.EntryShortfall = ck.EntryShortfall
-			res.Samples = ck.Samples
-			resumed = true
 		}
 	}
 	if !resumed {
 		// Level-1 entries: fresh pool with one random failed disk.
 		rng := rand.New(rand.NewSource(sc.Seed ^ 0x51717))
-		entries = make([]*snapshot, 0, n)
+		st.Entries = make([]Snapshot, 0, n)
 		for i := 0; i < n; i++ {
-			p := base.Clone()
-			d := p.RandomHealthyDisk(rng)
-			p.FailDisk(d)
-			entries = append(entries, &snapshot{
-				pool:            p,
-				detectRemaining: map[int]float64{d: cfg.DetectionDelayHours},
-			})
+			if err := scratch.Restore(Snapshot{}); err != nil {
+				return SplitResult{}, err
+			}
+			scratch.Fail(base.RandomHealthyDisk(rng))
+			st.Entries = append(st.Entries, scratch.Snapshot())
 		}
 	}
+	startLevel := st.NextLevel
 
 	// Observability: a progress task plus registry gauges. All updates
 	// are write-only from the engine's point of view — nothing below
@@ -213,11 +189,12 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 		}
 	}()
 
-	for level := startLevel; level <= maxLevel && len(entries) > 0; level++ {
+	for level := startLevel; level <= maxLevel && len(st.Entries) > 0; level++ {
 		if ctx.Err() != nil {
-			res.Partial = true
+			partial = true
 			break
 		}
+		entries := st.Entries
 		levelGauge.Set(int64(level))
 		task.SetLevel(level, maxLevel)
 		levelSpan := campSpan.Child("poolsim.level")
@@ -228,13 +205,7 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 		// killing the campaign. Per-trajectory RNGs are seeded by
 		// (level, index) so the result is identical regardless of
 		// scheduling.
-		type slot struct {
-			outcome trajectoryOutcome
-			next    *snapshot
-			cat     *CatSample
-			done    bool
-		}
-		slots := make([]slot, n)
+		slots := make([]trajResult, n)
 		pool := runctl.NewPool(ctx)
 		//lint:allow walltime the span is an opaque obs handle the pool only hands back to obs for stream children; no wall-clock value reaches the simulation
 		pool.SetParentSpan(levelSpan)
@@ -251,7 +222,6 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 			if lo >= hi {
 				continue
 			}
-			level := level
 			wstream := trajSeed(sc.Seed, level, lo)
 			pool.Go(wstream, func(ctx context.Context) error {
 				// Chaos hook: a fault here (panic or error) is healed by
@@ -261,21 +231,25 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 				if err := faultinject.Fire("poolsim.worker", wstream); err != nil {
 					return err
 				}
+				// The worker's one machine: every trajectory restores its
+				// entry onto it.
+				tr := newTrajectory(base.Clone(), ttf)
 				for i := lo; i < hi; i++ {
 					if ctx.Err() != nil {
 						return nil // drain: finish nothing new, keep what's done
 					}
 					stream := trajSeed(sc.Seed, level, i)
-					var out slot
+					var restoreErr error
 					if err := runctl.Guard(stream, func() {
 						trng := rand.New(rand.NewSource(stream))
-						entry := entries[trng.Intn(len(entries))]
-						outcome, next, catSample := runTrajectory(cfg, ttf, entry, trng)
-						out = slot{outcome, next, catSample, true}
+						restoreErr = tr.run(entries[trng.Intn(len(entries))], trng)
 					}); err != nil {
 						return err
 					}
-					slots[i] = out
+					if restoreErr != nil {
+						return restoreErr
+					}
+					slots[i] = tr.trajResult
 					trialCount.Inc()
 					trajMeter.Add(1)
 					task.Add(1)
@@ -292,12 +266,12 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 			if levelSpan != nil {
 				levelSpan.EndNote(fmt.Sprintf("level %d cancelled", level))
 			}
-			res.Partial = true
+			partial = true
 			break
 		}
 
 		var ups, cats int
-		nextEntries := make([]*snapshot, 0, n)
+		nextEntries := make([]Snapshot, 0, n)
 		for i := 0; i < n; i++ {
 			switch slots[i].outcome {
 			case outcomeUp:
@@ -306,24 +280,22 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 			case outcomeCat:
 				ups++
 				cats++
-				if slots[i].cat != nil {
-					res.Samples = append(res.Samples, *slots[i].cat)
-				}
+				st.Samples = append(st.Samples, slots[i].cat)
 			}
 		}
 		pUp := float64(ups) / float64(n)
 		catFrac := float64(cats) / float64(n)
 		pCont := float64(ups-cats) / float64(n)
-		res.LevelProbs = append(res.LevelProbs, pUp)
-		res.CatFractions = append(res.CatFractions, catFrac)
-		res.LevelTrajectories = append(res.LevelTrajectories, n)
-		rateSum += weight * catFrac
-		varSum += weight * weight * catFrac * (1 - catFrac) / float64(n)
-		weight *= pCont
+		st.LevelProbs = append(st.LevelProbs, pUp)
+		st.CatFractions = append(st.CatFractions, catFrac)
+		st.LevelTrajectories = append(st.LevelTrajectories, n)
+		st.RateSum += st.Weight * catFrac
+		st.VarSum += st.Weight * st.Weight * catFrac * (1 - catFrac) / float64(n)
+		st.Weight *= pCont
 		if len(nextEntries) < n/10 {
-			res.EntryShortfall = append(res.EntryShortfall, level+1)
+			st.EntryShortfall = append(st.EntryShortfall, level+1)
 		}
-		entries = nextEntries
+		st.NextLevel, st.Entries = level+1, nextEntries
 
 		// Level-boundary observability: entry occupancy, the running CI
 		// width, wall time of the level, and a level-promotion trace
@@ -331,7 +303,7 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 		occ := float64(len(nextEntries)) / float64(n)
 		occGauge.Set(occ)
 		task.SetOccupancy(occ)
-		ciw := 2 * 1.96 * beta0 * math.Sqrt(varSum)
+		ciw := 2 * 1.96 * beta0 * math.Sqrt(st.VarSum)
 		ciwGauge.Set(ciw)
 		task.SetCIWidth(ciw)
 		levelWall.Observe(time.Since(levelBegan).Seconds())
@@ -342,19 +314,7 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 		})
 
 		if sc.CheckpointPath != "" {
-			ck := splitCheckpoint{
-				NextLevel:         level + 1,
-				Weight:            weight,
-				RateSum:           rateSum,
-				VarSum:            varSum,
-				LevelProbs:        res.LevelProbs,
-				CatFractions:      res.CatFractions,
-				LevelTrajectories: res.LevelTrajectories,
-				EntryShortfall:    res.EntryShortfall,
-				Samples:           res.Samples,
-				Entries:           encodeSnapshots(entries),
-			}
-			if err := runctl.SaveCheckpoint(sc.CheckpointPath, splitCheckpointKind, fingerprint, ck); err != nil {
+			if err := runctl.SaveCheckpoint(sc.CheckpointPath, splitCheckpointKind, fingerprint, st); err != nil {
 				return SplitResult{}, err
 			}
 		}
@@ -367,14 +327,22 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 		}
 	}
 
-	res.CatRatePerPoolHour = beta0 * rateSum
-	se := beta0 * math.Sqrt(varSum)
+	res := SplitResult{
+		LevelProbs:         st.LevelProbs,
+		CatFractions:       st.CatFractions,
+		LevelTrajectories:  st.LevelTrajectories,
+		CatRatePerPoolHour: beta0 * st.RateSum,
+		Samples:            st.Samples,
+		EntryShortfall:     st.EntryShortfall,
+		Partial:            partial,
+	}
+	se := beta0 * math.Sqrt(st.VarSum)
 	// The residual weight bounds everything not simulated — the levels
 	// beyond the loop's end contribute at most weight (each deeper
 	// cascade reaches catastrophe with probability ≤ 1). For complete
 	// runs this is the (tiny) truncation bound at MaxLevel; for Partial
 	// runs it is the honest price of the missing levels.
-	tail := beta0 * weight
+	tail := beta0 * st.Weight
 	res.CatRateLo = res.CatRatePerPoolHour - 1.96*se
 	if res.CatRateLo < 0 {
 		res.CatRateLo = 0
@@ -383,117 +351,104 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 	return res, nil
 }
 
-// runTrajectory simulates from the entry snapshot until the pool heals
-// (down), a new failure arrives (up), or that failure is catastrophic.
-func runTrajectory(cfg Config, ttf failure.Exponential, entry *snapshot, rng *rand.Rand) (trajectoryOutcome, *snapshot, *CatSample) {
-	pool := entry.pool.Clone()
-	eng := sim.New()
+// splitCheckpointKind names split checkpoints inside the runctl
+// envelope; LoadCheckpoint rejects files written by other estimators.
+const splitCheckpointKind = "poolsim.split"
 
-	var repairEv *sim.Event
-	var replan func()
-	replan = func() {
-		eng.Cancel(repairEv)
-		repairEv = nil
-		batch := pool.NextBatch()
-		if batch == nil {
-			return
-		}
-		bw := cfg.RepairBW(pool.DetectedDisks())
-		hours := batch.volumeBytes / bw / 3600
-		repairEv = eng.Schedule(hours, func() {
-			repairEv = nil
-			pool.HealBatch(batch)
-			replan()
-		})
+// splitFingerprint binds a checkpoint to the exact campaign that wrote
+// it: any change to the pool geometry, failure rate, trajectory budget,
+// or seed changes every RNG stream, so resuming across it would mix
+// incompatible statistics.
+func splitFingerprint(cfg Config, ttf failure.Exponential, n, maxLevel int, seed int64) string {
+	return fmt.Sprintf("cfg=%+v|lambda=%g|n=%d|maxLevel=%d|seed=%d",
+		cfg, ttf.RatePerHour, n, maxLevel, seed)
+}
+
+// splitCheckpoint is the level-boundary estimator state. Together with
+// the (seed, level, index)-pure trajectory RNGs it is everything needed
+// to continue the campaign exactly as an uninterrupted run would.
+type splitCheckpoint struct {
+	NextLevel         int         `json:"next_level"`
+	Weight            float64     `json:"weight"`   // Π P_j over completed levels
+	RateSum           float64     `json:"rate_sum"` // Σ w_i·catFrac_i, pre-β0
+	VarSum            float64     `json:"var_sum"`  // Σ w_i²·p_i(1−p_i)/n_i, pre-β0²
+	LevelProbs        []float64   `json:"level_probs"`
+	CatFractions      []float64   `json:"cat_fractions"`
+	LevelTrajectories []int       `json:"level_trajectories"`
+	EntryShortfall    []int       `json:"entry_shortfall,omitempty"`
+	Samples           []CatSample `json:"samples,omitempty"`
+	Entries           []Snapshot  `json:"entries"`
+}
+
+// trajectory is a splitting worker's scratch: one machine, restored to
+// an entry snapshot for every trajectory, under one aggregate failure
+// clock — with h healthy disks and memoryless failures the next arrival
+// is Exp(h·λ), drawn again whenever h changes.
+type trajectory struct {
+	m      *Machine
+	lambda float64
+	rng    *rand.Rand
+	failEv *sim.Event
+	onFail func() // tr.fail, bound once
+
+	trajResult // of the last run; outcomeDown while it is undecided
+}
+
+// trajResult is what one trajectory came to.
+type trajResult struct {
+	outcome trajectoryOutcome
+	next    Snapshot  // outcomeUp: the entry into the next level
+	cat     CatSample // outcomeCat
+}
+
+func newTrajectory(pool *Pool, ttf failure.Exponential) *trajectory {
+	tr := &trajectory{m: NewMachine(pool, sim.New()), lambda: ttf.RatePerHour}
+	tr.onFail = tr.fail
+	tr.m.OnCat = func() { tr.outcome, tr.cat = outcomeCat, tr.m.CatSample() }
+	return tr
+}
+
+// run simulates from the entry snapshot until the pool heals (down), a
+// new failure arrives (up), or that failure is catastrophic.
+func (tr *trajectory) run(entry Snapshot, rng *rand.Rand) error {
+	if err := tr.m.Restore(entry); err != nil {
+		return err
 	}
+	tr.rng, tr.failEv, tr.trajResult = rng, nil, trajResult{}
 
-	// Schedule detections in ascending disk order: the event queue
-	// breaks time ties by insertion sequence, so scheduling straight out
-	// of the map would let map iteration order pick which same-time
-	// detection fires first.
-	detectDisks := make([]int, 0, len(entry.detectRemaining))
-	for d := range entry.detectRemaining {
-		detectDisks = append(detectDisks, d)
-	}
-	sort.Ints(detectDisks)
-	detectAt := make(map[int]float64, len(entry.detectRemaining))
-	for _, d := range detectDisks {
-		d, rem := d, entry.detectRemaining[d]
-		detectAt[d] = rem
-		eng.Schedule(rem, func() {
-			pool.DetectDisk(d)
-			replan()
-		})
-	}
-	replan()
-
-	// Aggregate next-failure clock: with (D − f) healthy disks and
-	// memoryless failures, the next arrival is Exp((D−f)λ); re-armed
-	// whenever f changes. Healing changes f only downward (more healthy
-	// disks), which we conservatively handle by re-arming inside the
-	// run loop below whenever the healthy count changed.
-	outcome := outcomeDown
-	var next *snapshot
-	var catSample *CatSample
-	decided := false
-
-	var failEv *sim.Event
-	armFailure := func() {
-		eng.Cancel(failEv)
-		healthy := cfg.Disks - pool.FailedDisks()
-		if healthy <= 0 {
-			failEv = nil
-			return
-		}
-		delay := rng.ExpFloat64() / (float64(healthy) * ttf.RatePerHour)
-		failEv = eng.Schedule(delay, func() {
-			failEv = nil
-			d := pool.RandomHealthyDisk(rng)
-			newlyLost := pool.FailDisk(d)
-			if newlyLost > 0 {
-				outcome = outcomeCat
-				catSample = &CatSample{
-					TimeHours:   eng.Now(),
-					FailedDisks: pool.FailedDisks(),
-					LostStripes: pool.LostStripes(),
-					Profile:     pool.Profile(),
-				}
-			} else {
-				outcome = outcomeUp
-				// Build the next-level entry snapshot.
-				rem := map[int]float64{d: cfg.DetectionDelayHours}
-				now := eng.Now()
-				for dd, at := range detectAt {
-					if pool.DiskState(dd) == int(diskFailedUndetected) && at > now {
-						rem[dd] = at - now
-					}
-				}
-				next = &snapshot{pool: pool.Clone(), detectRemaining: rem}
-			}
-			decided = true
-		})
-	}
-
-	lastHealthy := cfg.Disks - pool.FailedDisks()
-	armFailure()
-	for !decided {
-		if pool.Healthy() {
-			outcome = outcomeDown
-			break
-		}
-		if !eng.Step() {
-			// Queue drained without healing — cannot happen: a damaged
-			// pool always has a detection or repair event pending.
-			// Treat as down to fail safe.
-			outcome = outcomeDown
-			break
-		}
-		if h := cfg.Disks - pool.FailedDisks(); h != lastHealthy {
+	pool := tr.m.Pool
+	lastHealthy := pool.Cfg.Disks - pool.FailedDisks()
+	tr.armFailure()
+	// A damaged pool always has a detection or a repair pending, so the
+	// queue cannot drain before the pool heals; if it did, the outcome
+	// stays down, failing safe.
+	for tr.outcome == outcomeDown && !pool.Healthy() && tr.m.eng.Step() {
+		if h := pool.Cfg.Disks - pool.FailedDisks(); h != lastHealthy && tr.outcome == outcomeDown {
 			lastHealthy = h
-			if !decided {
-				armFailure()
-			}
+			tr.armFailure()
 		}
 	}
-	return outcome, next, catSample
+	return nil
+}
+
+// armFailure draws the next arrival for the current healthy count.
+func (tr *trajectory) armFailure() {
+	tr.m.eng.Cancel(tr.failEv)
+	tr.failEv = nil
+	healthy := tr.m.Pool.Cfg.Disks - tr.m.Pool.FailedDisks()
+	if healthy <= 0 {
+		return
+	}
+	delay := tr.rng.ExpFloat64() / (float64(healthy) * tr.lambda)
+	tr.failEv = tr.m.eng.Schedule(delay, tr.onFail)
+}
+
+// fail is the arrival: it ends the trajectory, up or catastrophic.
+func (tr *trajectory) fail() {
+	tr.failEv = nil
+	tr.outcome = outcomeUp
+	tr.m.Fail(tr.m.Pool.RandomHealthyDisk(tr.rng)) // OnCat turns up into cat
+	if tr.outcome == outcomeUp {
+		tr.next = tr.m.Snapshot()
+	}
 }

@@ -38,31 +38,25 @@ func ReplayTraceContext(ctx context.Context, cfg Config, trace *failure.Trace, y
 		}
 	}
 
-	// Reuse the driver machinery but inject failures from the trace
-	// rather than per-disk clocks.
-	dr := newDriver(pool, failure.Exponential{RatePerHour: 1}, nil)
-	dr.replay = true
-	dr.sample = true
-	dr.onCat = func() { dr.pool.HealAll() }
+	// Failures come from the trace, not from per-disk clocks: repaired
+	// disks get no new clock (no OnHealed), and the driver draws nothing.
+	dr := newDriver(pool, nil, nil)
+	dr.m.OnCat = func() {
+		dr.recordCatastrophe()
+		dr.m.HealAll()
+	}
 	for _, ev := range trace.Events {
-		ev := ev
 		if ev.Disk < 0 || ev.Disk >= cfg.Disks {
 			return RunStats{}, fmt.Errorf("poolsim: trace disk %d out of range [0,%d)", ev.Disk, cfg.Disks)
 		}
-		dr.eng.Schedule(ev.TimeHours, func() {
+		dr.m.eng.Schedule(ev.TimeHours, func() {
 			// A trace may report a disk that is still under repair
 			// from a previous event; skip — it cannot fail twice.
-			if dr.pool.DiskState(ev.Disk) != int(diskHealthy) {
+			if pool.DiskState(ev.Disk) != int(diskHealthy) {
 				return
 			}
-			dr.failDiskNow(ev.Disk)
+			dr.fail(ev.Disk)
 		})
 	}
-	if dr.runPolled(ctx, horizon) {
-		dr.stats.SimYears = horizon / failure.HoursPerYear
-	} else {
-		dr.stats.Partial = true
-		dr.stats.SimYears = dr.eng.Now() / failure.HoursPerYear
-	}
-	return dr.stats, nil
+	return dr.run(ctx, horizon, horizon/failure.HoursPerYear), nil
 }

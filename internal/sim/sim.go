@@ -44,6 +44,7 @@ func (e *Engine) Schedule(delay float64, fn func()) *Event {
 		//lint:allow nakedpanic scheduling into the past is a caller logic error; error returns would infect every event callback
 		panic(fmt.Sprintf("sim: negative delay %g", delay))
 	}
+	//lint:allow hotalloc the engine's one allocation per event, reached from poolsim.Machine's hot transitions; it goes when events become typed values in a flat heap (ROADMAP item 1)
 	ev := &Event{time: e.now + delay, seq: e.seq, callback: fn}
 	e.seq++
 	heap.Push(&e.queue, ev)
@@ -58,6 +59,19 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 	heap.Remove(&e.queue, ev.index)
 	ev.index = -2
+}
+
+// Reset returns the engine to time 0 with an empty queue, cancelling
+// whatever was still scheduled. A driver that plays many short runs on
+// one engine (a splitting worker: one trajectory after another) resets
+// between them, so every run computes its event times from a clock at 0.
+func (e *Engine) Reset() {
+	for i, ev := range e.queue {
+		ev.index = -2
+		e.queue[i] = nil
+	}
+	e.queue = e.queue[:0]
+	e.now, e.seq = 0, 0
 }
 
 // Step fires the next event. It returns false when the queue is empty.

@@ -190,3 +190,26 @@ func TestEngineOrderQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReset: a reset engine is indistinguishable from a new one — clock
+// at 0, nothing pending, tie-breaking restarted — and handles to events
+// it dropped are dead.
+func TestReset(t *testing.T) {
+	e := New()
+	fired := 0
+	e.Schedule(1, func() { fired++ })
+	stale := e.Schedule(5, func() { t.Error("event survived Reset") })
+	e.RunUntil(2)
+	e.Reset()
+	if e.Now() != 0 || e.Pending() != 0 || !stale.Cancelled() {
+		t.Fatalf("after Reset: now %g, pending %d, dropped event cancelled %v", e.Now(), e.Pending(), stale.Cancelled())
+	}
+	e.Cancel(stale) // must not disturb the new queue
+	var order []int
+	e.Schedule(3, func() { order = append(order, 1) })
+	e.Schedule(3, func() { order = append(order, 2) })
+	e.RunUntil(10)
+	if fired != 1 || len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Errorf("after Reset: fired %d, same-time order %v", fired, order)
+	}
+}

@@ -41,21 +41,20 @@ func RunBurst(cfg Config, x, y int, seed int64) (BurstResult, error) {
 		for _, d := range layout.FailedDisks[i] {
 			pool := rack*ppr + d/poolSize
 			inPool := d % poolSize
-			s.pools[pool].FailDisk(inPool)
+			s.pools[pool].Pool.FailDisk(inPool)
 			s.refreshMemberLost(pool)
 		}
 	}
 	res := BurstResult{}
 	for p := range s.pools {
-		if lost := s.pools[p].LostStripes(); lost > 0 {
+		if lost := s.pools[p].Pool.LostStripes(); lost > 0 {
 			res.CatastrophicPools++
 			res.LostLocalStripes += lost
 		}
 	}
-	for ns, dead := range s.netDead {
+	for _, dead := range s.netDead {
 		if dead {
 			res.LostNetworkStripes++
-			_ = ns
 		}
 	}
 	res.Lost = res.LostNetworkStripes > 0

@@ -82,9 +82,8 @@ type System struct {
 	eng     *sim.Engine
 	rng     *rand.Rand
 
-	pools      []*poolsim.Pool
-	poolRepair []*sim.Event // local repair completion per pool
-	netRepair  []*sim.Event // network repair completion per pool
+	pools     []*poolsim.Machine // every local pool under the local-repair rule
+	netRepair []*sim.Event       // network repair completion per pool
 
 	// Network stripe bookkeeping.
 	netOf      [][]int32 // [pool][stripe] → network stripe id (-1 stranded)
@@ -162,8 +161,7 @@ func New(cfg Config) (*System, error) {
 		xrackM:  obs.Default.Meter("syssim_cross_rack_repair_bytes_per_sec"),
 	}
 	n := l.TotalLocalPools()
-	s.pools = make([]*poolsim.Pool, n)
-	s.poolRepair = make([]*sim.Event, n)
+	s.pools = make([]*poolsim.Machine, n)
 	s.netRepair = make([]*sim.Event, n)
 	s.memberLost = make([][]bool, n)
 	s.poolCat = make([]bool, n)
@@ -173,7 +171,17 @@ func New(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.pools[p] = pool
+		m := poolsim.NewMachine(pool, s.eng)
+		m.Trace, m.ID = obs.Trace, p
+		m.OnHealed = func(disks []int) {
+			s.onDisksHealed(p, len(disks))
+			s.refreshMemberLost(p)
+		}
+		m.OnCat = func() {
+			s.refreshMemberLost(p)
+			s.onCatastrophic(p)
+		}
+		s.pools[p] = m
 		s.memberLost[p] = make([]bool, pc.Stripes())
 		s.poolHealthy[p] = pc.Disks
 	}
@@ -396,48 +404,13 @@ func (s *System) failRandomDisk() {
 	if pool < 0 {
 		return
 	}
-	d := s.pools[pool].RandomHealthyDisk(s.rng)
+	d := s.pools[pool].Pool.RandomHealthyDisk(s.rng)
 	s.stats.DiskFailures++
 	s.failuresC.Inc()
 	obs.Trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvFailure, Pool: pool, Disk: d})
 	s.poolHealthy[pool]--
 	s.healthy--
-
-	newlyLost := s.pools[pool].FailDisk(d)
-	if newlyLost > 0 {
-		s.refreshMemberLost(pool)
-		s.onCatastrophic(pool)
-	}
-	pl := pool
-	dd := d
-	s.eng.Schedule(s.cfg.DetectionDelayHours, func() {
-		s.pools[pl].DetectDisk(dd)
-		s.replanLocalRepair(pl)
-	})
-}
-
-// replanLocalRepair mirrors the single-pool driver: cancel the in-flight
-// batch and schedule the top-priority one.
-func (s *System) replanLocalRepair(pool int) {
-	s.eng.Cancel(s.poolRepair[pool])
-	s.poolRepair[pool] = nil
-	batch := s.pools[pool].NextBatch()
-	if batch == nil {
-		return
-	}
-	bw := s.poolCfg.RepairBW(s.pools[pool].DetectedDisks())
-	hours := batch.VolumeBytes() / bw / 3600
-	obs.Trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvRepairStart,
-		Pool: pool, Method: "local", Bytes: batch.VolumeBytes()})
-	s.poolRepair[pool] = s.eng.Schedule(hours, func() {
-		s.poolRepair[pool] = nil
-		obs.Trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvRepairEnd,
-			Pool: pool, Method: "local", Bytes: batch.VolumeBytes()})
-		healed := s.pools[pool].HealBatch(batch)
-		s.onDisksHealed(pool, len(healed))
-		s.refreshMemberLost(pool)
-		s.replanLocalRepair(pool)
-	})
+	s.pools[pool].Fail(d)
 }
 
 func (s *System) onDisksHealed(pool, n int) {
@@ -491,7 +464,7 @@ func (s *System) concurrentCatPools() int {
 // networkVolume returns the bytes the network stage must reconstruct for
 // this pool under the configured method.
 func (s *System) networkVolume(pool int) float64 {
-	p := s.pools[pool]
+	p := s.pools[pool].Pool
 	seg := s.poolCfg.SegmentBytes()
 	switch s.cfg.Method {
 	case repair.RAll:
@@ -522,7 +495,8 @@ func (s *System) networkVolume(pool int) float64 {
 // completeNetworkRepair applies the method's network stage and updates
 // the loss accounting.
 func (s *System) completeNetworkRepair(pool int) {
-	p := s.pools[pool]
+	m := s.pools[pool]
+	p := m.Pool
 	volume := s.networkVolume(pool)
 	traffic := volume * float64(s.cfg.Params.KN+1)
 	s.stats.CrossRackRepairBytes += traffic
@@ -536,10 +510,8 @@ func (s *System) completeNetworkRepair(pool int) {
 		// The network stage rebuilt every failed chunk (R_ALL rebuilds
 		// even healthy ones; same end state).
 		healed := p.FailedDisks()
-		p.HealAll()
+		m.HealAll()
 		s.onDisksHealed(pool, healed)
-		s.eng.Cancel(s.poolRepair[pool])
-		s.poolRepair[pool] = nil
 	case repair.RHYB:
 		total := 0
 		for _, st := range p.LostStripeIDs() {
@@ -547,7 +519,7 @@ func (s *System) completeNetworkRepair(pool int) {
 			total += len(healedDisks)
 		}
 		s.onDisksHealed(pool, total)
-		s.replanLocalRepair(pool)
+		m.Replan()
 	default: // RMin: bring every lost stripe back to pl losses
 		total := 0
 		for _, st := range p.LostStripeIDs() {
@@ -557,7 +529,7 @@ func (s *System) completeNetworkRepair(pool int) {
 			}
 		}
 		s.onDisksHealed(pool, total)
-		s.replanLocalRepair(pool)
+		m.Replan()
 	}
 
 	if s.cfg.Method == repair.RAll {
@@ -587,7 +559,7 @@ func (s *System) refreshMemberLost(pool int) {
 	if s.cfg.Method == repair.RAll && s.poolCat[pool] {
 		return
 	}
-	p := s.pools[pool]
+	p := s.pools[pool].Pool
 	pl := s.cfg.Params.PL
 	for st, counted := range s.memberLost[pool] {
 		actual := p.StripeLostCount(st) > pl
