@@ -5,7 +5,7 @@ GO ?= go
 # Packages with worker pools / goroutine fan-out: the race-detector set.
 RACE_PKGS = ./internal/burst ./internal/poolsim ./internal/rs ./internal/syssim ./internal/cluster ./internal/runctl ./internal/obs
 
-.PHONY: check build vet lint test race stress bench bench-check bench-json bench-compare bench-engines bench-engines-compare fuzz obs-smoke chaos oracle race-oracle
+.PHONY: check build vet lint test race stress bench bench-check bench-json bench-engines fuzz obs-smoke chaos oracle race-oracle
 
 ## check: build + vet + mlecvet + tests + race tests — the CI gate.
 check: build vet lint test bench-check race stress obs-smoke chaos
@@ -31,8 +31,7 @@ oracle:
 	$(GO) run ./cmd/mlecvet -compiler ./...
 
 ## race-oracle: cross-check the concurrency analyzers (lockcheck,
-## atomicmix, goleak, waitgroupcapture, copylock) against the race
-## detector. Generates a stress harness for every //mlec:guardedby
+## atomicmix, goleak, waitgroupcapture) against the race detector. Generates a stress harness for every //mlec:guardedby
 ## annotation, runs the annotated packages' tests under -race in a
 ## throwaway GOCACHE, and fails on any data race the static suite
 ## cannot claim; CI uploads the unexplained reports as an artifact.
@@ -83,31 +82,23 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run mlec/cmd/mlecvet ./...
 
-## bench-json: refresh the committed kernel benchmark baseline
+## bench-json: append a run to the committed kernel ledger
 ## (BENCH_gf256.json): GB/s and allocs/op for the gf256 primitives and
 ## the RS encode/reconstruct paths. LABEL names the run; APPEND=1 keeps
 ## the runs already in the file so before/after pairs sit side by side.
+## The ledgers record a trajectory; whether a change moved a number is
+## decided by bench/'s -compare on alternating prebuilt pairs
+## (bench/README.md), not by comparing one run with a committed one.
 LABEL ?= dev
 bench-json:
-	$(GO) run ./cmd/mlecbench -label $(LABEL) -out BENCH_gf256.json $(if $(APPEND),-append)
+	$(GO) run ./cmd/mlecbench kernels -label $(LABEL) -out BENCH_gf256.json $(if $(APPEND),-append)
 
-## bench-compare: one throwaway run compared against the committed
-## baseline; warns on kernels that lost >20% GB/s, never fails.
-bench-compare:
-	$(GO) run ./cmd/mlecbench -label compare -out /tmp/mlec-bench-compare.json -against BENCH_gf256.json
-
-## bench-engines: refresh the committed engine benchmark baseline
+## bench-engines: append a run to the committed engine ledger
 ## (BENCH_engines.json): events per wall second for the pinned-seed
 ## poolsim / syssim / burst campaigns, counted by the engines' own obs
 ## counters. Same LABEL/APPEND discipline as bench-json.
 bench-engines:
-	$(GO) run ./cmd/mlecperf -label $(LABEL) -out BENCH_engines.json $(if $(APPEND),-append)
-
-## bench-engines-compare: one throwaway engine run compared against the
-## committed baseline; warns on engines that lost >20% events/sec,
-## never fails.
-bench-engines-compare:
-	$(GO) run ./cmd/mlecperf -label compare -out /tmp/mlec-perf-compare.json -against BENCH_engines.json
+	$(GO) run ./cmd/mlecbench engines -label $(LABEL) -out BENCH_engines.json $(if $(APPEND),-append)
 
 ## fuzz: short fuzzing smoke of the hand-written parsers (failure-trace
 ## files, //lint:allow directives) and of the burst sampler against its

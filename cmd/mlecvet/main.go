@@ -23,8 +23,8 @@
 // and the exit status is 1 when any exist.
 //
 // With -race-oracle, mlecvet runs the race-detector oracle: the
-// concurrency analyzers (lockcheck, atomicmix, goleak, waitgroupcapture,
-// copylock) sweep the tree, a stress harness is generated for every
+// concurrency analyzers (lockcheck, atomicmix, goleak, waitgroupcapture)
+// sweep the tree, a stress harness is generated for every
 // //mlec:guardedby annotation, and the annotated packages' test suites
 // run under `go test -race` in a throwaway GOCACHE. Every observed
 // data race must touch a file carrying a concurrency finding;
@@ -99,8 +99,7 @@ type jsonReport struct {
 }
 
 func main() {
-	analyzers := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-	only := flag.String("only", "", "comma-separated analyzer subset (alias of -analyzers)")
+	only := flag.String("only", "", "comma-separated analyzer subset (default: all)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON document on stdout")
 	list := flag.Bool("list", false, "list available analyzers and exit")
 	baseline := flag.String("baseline", "", "baseline JSON file: fail only when an analyzer's finding count rises above it")
@@ -111,13 +110,6 @@ func main() {
 	chaosFlags := faultinject.BindCLIFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *only != "" {
-		if *analyzers != "" && *analyzers != *only {
-			fmt.Fprintln(os.Stderr, "mlecvet: -only and -analyzers select different sets; use one")
-			os.Exit(2)
-		}
-		*analyzers = *only
-	}
 	if *writeBaseline && *baseline == "" {
 		fmt.Fprintln(os.Stderr, "mlecvet: -write-baseline needs -baseline to name the file")
 		os.Exit(2)
@@ -140,7 +132,7 @@ func main() {
 		return
 	}
 
-	selected, err := lint.ByName(*analyzers)
+	selected, err := lint.ByName(*only)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mlecvet:", err)
 		os.Exit(2)
@@ -199,17 +191,8 @@ func main() {
 		}
 	} else {
 		for _, pkg := range pkgs {
-			for _, pos := range pkg.Malformed {
-				fmt.Printf("%s: directive: //lint:allow needs an analyzer name and a reason\n", pos)
-			}
-			for _, pos := range pkg.MalformedUnit {
-				fmt.Printf("%s: directive: //mlec:unit needs a domain (prob, logprob, rate, count, weight)\n", pos)
-			}
-			for _, pos := range pkg.MalformedHot {
-				fmt.Printf("%s: directive: //mlec:hot anchors a function or statement; //mlec:cold anchors a function\n", pos)
-			}
-			for _, pos := range pkg.MalformedGuard {
-				fmt.Printf("%s: directive: //mlec:guardedby <field> anchors a struct field or package-level var, and the guard must be a sibling mutex\n", pos)
+			for _, e := range pkg.Malformed {
+				fmt.Printf("%s: directive: %s\n", e.Pos, e.Msg)
 			}
 		}
 		for _, d := range diags {
@@ -269,20 +252,16 @@ func main() {
 // buildReport assembles the -json document. lint.Run already orders
 // findings by (file, line, column, analyzer); the sort here re-asserts
 // that contract defensively and extends it to the malformed-directive
-// list, which is collected per package and per directive kind and would
-// otherwise leak load order into the output CI diffs against.
+// list, which is collected per package and would otherwise leak load
+// order into the output CI diffs against.
 func buildReport(pkgs []*lint.Package, diags []lint.Diagnostic) jsonReport {
 	report := jsonReport{
 		Findings:            []jsonFinding{},
 		MalformedDirectives: []jsonPos{},
 	}
 	for _, pkg := range pkgs {
-		for _, group := range [][]token.Position{
-			pkg.Malformed, pkg.MalformedUnit, pkg.MalformedHot, pkg.MalformedGuard,
-		} {
-			for _, pos := range group {
-				report.MalformedDirectives = append(report.MalformedDirectives, toJSONPos(pos))
-			}
+		for _, e := range pkg.Malformed {
+			report.MalformedDirectives = append(report.MalformedDirectives, toJSONPos(e.Pos))
 		}
 	}
 	for _, d := range diags {

@@ -23,14 +23,8 @@ func TestBuildReportOrdering(t *testing.T) {
 		{Pos: pos("a.go", 2), Analyzer: "lockcheck", Message: "m"},
 	}
 	pkgs := []*lint.Package{
-		{
-			MalformedHot:   []token.Position{pos("z.go", 3)},
-			MalformedGuard: []token.Position{pos("a.go", 7)},
-		},
-		{
-			Malformed:     []token.Position{pos("a.go", 1)},
-			MalformedUnit: []token.Position{pos("z.go", 1)},
-		},
+		{Malformed: []lint.DirectiveError{{Pos: pos("z.go", 3)}, {Pos: pos("a.go", 7)}}},
+		{Malformed: []lint.DirectiveError{{Pos: pos("a.go", 1)}, {Pos: pos("z.go", 1)}}},
 	}
 
 	report := buildReport(pkgs, diags)

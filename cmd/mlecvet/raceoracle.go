@@ -18,7 +18,7 @@ import (
 // Protocol (see internal/lint/raceoracle.go for the rationale):
 //
 //  1. Run the concurrency analyzers (lockcheck, atomicmix, goleak,
-//     waitgroupcapture, copylock) over the loaded packages.
+//     waitgroupcapture) over the loaded packages.
 //  2. Generate the //mlec:guardedby stress harness into every annotated
 //     package directory (deleted again before returning).
 //  3. Run `go test -race -count=1` over the annotated packages plus

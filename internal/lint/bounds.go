@@ -5,6 +5,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"maps"
 
 	"mlec/internal/lint/cfg"
 )
@@ -111,38 +112,19 @@ type boundsState struct {
 func newBoundsState() *boundsState { return &boundsState{} }
 
 func (s *boundsState) clone() *boundsState {
-	c := &boundsState{}
-	if s.minLen != nil {
-		c.minLen = make(map[sliceRef]int, len(s.minLen))
-		for k, v := range s.minLen {
-			c.minLen[k] = v
-		}
+	return &boundsState{
+		minLen: maps.Clone(s.minLen),
+		lenEq:  cloneSets(s.lenEq),
+		ltLen:  cloneSets(s.ltLen),
+		nonNeg: maps.Clone(s.nonNeg),
 	}
-	if s.lenEq != nil {
-		c.lenEq = make(map[sliceRef]map[sliceRef]bool, len(s.lenEq))
-		for k, set := range s.lenEq {
-			cs := make(map[sliceRef]bool, len(set))
-			for r := range set {
-				cs[r] = true
-			}
-			c.lenEq[k] = cs
-		}
-	}
-	if s.ltLen != nil {
-		c.ltLen = make(map[types.Object]map[sliceRef]bool, len(s.ltLen))
-		for k, set := range s.ltLen {
-			cs := make(map[sliceRef]bool, len(set))
-			for r := range set {
-				cs[r] = true
-			}
-			c.ltLen[k] = cs
-		}
-	}
-	if s.nonNeg != nil {
-		c.nonNeg = make(map[types.Object]bool, len(s.nonNeg))
-		for k := range s.nonNeg {
-			c.nonNeg[k] = true
-		}
+}
+
+// cloneSets deep-copies a map of reference sets (nil stays nil).
+func cloneSets[K comparable](m map[K]map[sliceRef]bool) map[K]map[sliceRef]bool {
+	c := maps.Clone(m)
+	for k, set := range c {
+		c[k] = maps.Clone(set)
 	}
 	return c
 }
@@ -394,88 +376,40 @@ type boundsSite struct {
 // boundsEngine runs the dataflow over one function body.
 type boundsEngine struct {
 	info     *types.Info
-	graph    *cfg.Graph
-	loops    map[*cfg.Block]bool
-	in       []*boundsState
 	unstable map[types.Object]bool
 }
-
-// boundsIterationCap bounds worklist processing. The meet is an
-// intersection and in-states only shrink, so the fixed point is
-// reached long before the cap by construction; if a future transfer
-// breaks monotonicity the engine degrades to "nothing proven" instead
-// of hanging or, worse, over-claiming.
-const boundsIterationCap = 256
 
 // analyzeBounds classifies every index and slice expression of body.
 // Sites inside function literals are not analyzed (a closure body is
 // its own flow graph and is never a //mlec:hot kernel in this tree).
+// The entry state is empty (no facts about parameters), facts meet by
+// intersection, and branch conditions and range headers refine the
+// out-edges (edgeState); verdicts are recorded in a second pass from
+// the fixed in-states of the reachable blocks. A body the solver gives
+// up on yields no sites at all, so nothing is reported or claimed.
 func analyzeBounds(info *types.Info, body *ast.BlockStmt) []boundsSite {
 	if body == nil {
 		return nil
 	}
-	en := &boundsEngine{
-		info:     info,
-		graph:    cfg.Build(body),
-		unstable: make(map[types.Object]bool),
-	}
-	en.loops = en.graph.LoopBlocks()
-	en.in = make([]*boundsState, len(en.graph.Blocks))
+	en := &boundsEngine{info: info, unstable: make(map[types.Object]bool)}
 	en.prepare(body)
-
-	// Worklist fixed point. in[entry] starts empty (no facts about
-	// parameters); all other blocks start unvisited (nil = top).
-	en.in[en.graph.Entry.Index] = newBoundsState()
-	work := []*cfg.Block{en.graph.Entry}
-	queued := make([]bool, len(en.graph.Blocks))
-	queued[en.graph.Entry.Index] = true
-	rounds := 0
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		queued[b.Index] = false
-		if rounds++; rounds > boundsIterationCap*len(en.graph.Blocks) {
-			// Non-monotone transfer bug: drop every fact so no site is
-			// over-claimed (the oracle would catch over-claims too).
-			for i := range en.in {
-				if en.in[i] != nil {
-					en.in[i] = newBoundsState()
-				}
-			}
-			break
-		}
-		out := en.in[b.Index].clone()
-		en.transfer(b, out, nil)
-		for si, succ := range b.Succs {
-			edge := en.edgeState(b, si, out)
-			changed := false
-			if en.in[succ.Index] == nil {
-				en.in[succ.Index] = edge.clone()
-				changed = true
-			} else {
-				changed = en.in[succ.Index].meetInto(edge)
-			}
-			if changed && !queued[succ.Index] {
-				queued[succ.Index] = true
-				work = append(work, succ)
-			}
-		}
-	}
-
-	// Reporting pass: re-run each reachable block's transfer from its
-	// fixed in-state, recording verdicts.
+	g := cfg.Build(body)
+	loops := g.LoopBlocks()
+	sol := cfg.Solve(g, cfg.Flow[*boundsState]{
+		Entry:    newBoundsState(),
+		Clone:    (*boundsState).clone,
+		Merge:    (*boundsState).meetInto,
+		Transfer: func(b *cfg.Block, st *boundsState) { en.transfer(b, st, nil) },
+		Edge:     en.edgeState,
+	})
 	var sites []boundsSite
-	for _, b := range en.graph.Blocks {
-		st := en.in[b.Index]
-		if st == nil {
-			continue // unreachable
-		}
-		inLoop := en.loops[b]
-		en.transfer(b, st.clone(), func(site boundsSite) {
+	sol.Each(func(b *cfg.Block, st *boundsState) {
+		inLoop := loops[b]
+		en.transfer(b, st, func(site boundsSite) {
 			site.inLoop = inLoop
 			sites = append(sites, site)
 		})
-	}
+	})
 	return sites
 }
 
@@ -733,8 +667,7 @@ func (en *boundsEngine) killAfterCalls(st *boundsState, n ast.Node) {
 		if found {
 			return false
 		}
-		if fl, ok := m.(*ast.FuncLit); ok {
-			_ = fl
+		if _, ok := m.(*ast.FuncLit); ok {
 			return false
 		}
 		call, ok := m.(*ast.CallExpr)

@@ -88,9 +88,6 @@ type DomVal struct {
 	ViaExp bool
 }
 
-// isNone reports a value with no domain information.
-func (v DomVal) isNone() bool { return v.D == DomNone && !v.ViaExp }
-
 // joinDom joins two domains: equal stays, None yields the other,
 // conflicting concrete domains go to Mixed.
 func joinDom(a, b Domain) Domain {

@@ -4,263 +4,72 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"mlec/internal/lint/cfg"
 )
 
 // This file is the probflow dataflow engine: a forward analysis over
 // each function's CFG tracking the numeric Domain (domain.go) of every
-// variable and expression. It parallels the taint engine (taint.go) but
-// with arithmetic-aware transfer rules: math.Log moves a probability
-// into log space, math.Exp moves it back (setting the ViaExp provenance
-// bit the cancel analyzer keys on), multiplication composes
-// probabilities but addition across domains poisons the result to
-// DomMixed. The probmix and cancel analyzers read the recorded
-// per-expression values.
-
-// domStore maps variables to their current domain value. Entries whose
-// value carries no information are removed.
-type domStore map[types.Object]DomVal
-
-func (s domStore) clone() domStore {
-	out := make(domStore, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
-// joinInto merges other into s at a control-flow merge, reporting
-// whether s changed. Conflicting concrete domains meet at DomMixed, a
-// stable top, so the worklist iteration terminates.
-func (s domStore) joinInto(other domStore) bool {
-	changed := false
-	for k, v := range other {
-		old := s[k]
-		nv := old.join(v)
-		if nv != old {
-			s[k] = nv
-			changed = true
-		}
-	}
-	return changed
-}
-
-func (s domStore) set(obj types.Object, v DomVal) {
-	if obj == nil {
-		return
-	}
-	if v.isNone() {
-		delete(s, obj)
-		return
-	}
-	s[obj] = v
-}
-
-func (s domStore) weakSet(obj types.Object, v DomVal) {
-	if obj == nil || v.isNone() {
-		return
-	}
-	s[obj] = s[obj].join(v)
-}
+// variable and expression. It is the second lattice of the shared
+// walker (flow.go), with arithmetic-aware rules: math.Log moves a
+// probability into log space, math.Exp moves it back (setting the
+// ViaExp provenance bit the cancel analyzer keys on), multiplication
+// composes probabilities but addition across domains poisons the
+// result to DomMixed. The probmix and cancel analyzers read the
+// recorded per-expression values.
 
 // FuncDomains is the result of running the domain engine over one
 // function body: the domain of every expression at its evaluation
 // point, plus the joined domain of each result slot (used by the fact
 // store to build cross-package summaries).
-type FuncDomains struct {
-	exprs   map[ast.Expr]DomVal
-	results []DomVal
-}
+type FuncDomains varFlow[DomVal]
 
 // Of returns the domain value of an expression node.
 func (fd *FuncDomains) Of(e ast.Expr) DomVal { return fd.exprs[e] }
 
 // domainFlow runs the forward domain analysis over a function body to a
-// fixed point, mirroring analyzeBody in taint.go. params seeds the
-// parameter objects from their annotations/names; resultObjs names the
-// result objects for bare returns.
+// fixed point (runFlow). params seeds the parameter objects from their
+// annotations/names; resultObjs names the result objects for bare
+// returns.
 func domainFlow(info *types.Info, facts *Facts, body *ast.BlockStmt,
-	params map[types.Object]DomVal, resultObjs []types.Object, nresults int) *FuncDomains {
-
-	g := cfg.Build(body)
-	fd := &FuncDomains{
-		exprs:   make(map[ast.Expr]DomVal),
-		results: make([]DomVal, nresults),
-	}
-	tr := &domTransfer{info: info, facts: facts, fd: fd, resultObjs: resultObjs}
-
-	in := make([]domStore, len(g.Blocks))
-	for i := range in {
-		in[i] = domStore{}
-	}
-	for obj, v := range params {
-		in[g.Entry.Index].set(obj, v)
-	}
-
-	// Worklist fixed point, seeded with every block: blocks generate
-	// domain facts on their own (a := math.Log(p) is a source). The
-	// lattice is finite (flat domains with a Mixed top over a fixed
-	// variable population), so this terminates.
-	work := make([]*cfg.Block, len(g.Blocks))
-	copy(work, g.Blocks)
-	queued := make([]bool, len(g.Blocks))
-	for i := range queued {
-		queued[i] = true
-	}
-	for len(work) > 0 {
-		blk := work[0]
-		work = work[1:]
-		queued[blk.Index] = false
-
-		out := in[blk.Index].clone()
-		for _, n := range blk.Nodes {
-			tr.node(out, n)
-		}
-		for _, succ := range blk.Succs {
-			if in[succ.Index].joinInto(out) && !queued[succ.Index] {
-				queued[succ.Index] = true
-				work = append(work, succ)
-			}
-		}
-	}
-
-	// Final pass with stable block-entry states records per-expression
-	// domains.
-	for _, blk := range g.Blocks {
-		out := in[blk.Index].clone()
-		for _, n := range blk.Nodes {
-			tr.node(out, n)
-		}
-	}
-	return fd
+	params map[types.Object]DomVal, resultObjs []types.Object) *FuncDomains {
+	return (*FuncDomains)(runFlow[DomVal](domRules{}, info, facts, body, params, resultObjs))
 }
 
-// domTransfer implements the domain transfer functions.
-type domTransfer struct {
-	info       *types.Info
-	facts      *Facts
-	fd         *FuncDomains
-	resultObjs []types.Object
+// domRules is the domain lattice's side of the shared walker.
+type domRules struct{}
+
+type domFlow = varFlow[DomVal]
+
+// declared: a variable whose right-hand side carried no domain falls
+// back to its declared seed (annotation, then name heuristic; see
+// seedObject).
+func (domRules) declared(fl *domFlow, obj types.Object) DomVal {
+	if fl.facts == nil {
+		return DomVal{}
+	}
+	return seedObject(fl.facts.units, fl.facts.fset, obj)
 }
 
-func (t *domTransfer) node(s domStore, n ast.Node) {
-	switch n := n.(type) {
-	case ast.Expr:
-		t.eval(s, n)
-	case *ast.AssignStmt:
-		t.assign(s, n)
-	case *ast.DeclStmt:
-		if gd, ok := n.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					var v DomVal
-					if i < len(vs.Values) {
-						v = t.eval(s, vs.Values[i])
-					}
-					obj := t.info.Defs[name]
-					if v.isNone() {
-						v = t.seed(obj)
-					}
-					s.set(obj, v)
-				}
-			}
+// slot: per-slot domains of x, y := f() come from the callee summary.
+func (t domRules) slot(fl *domFlow, e ast.Expr, _ DomVal, i int) DomVal {
+	if call, ok := e.(*ast.CallExpr); ok {
+		if sum := t.calleeDomains(fl, call); sum != nil && i < len(sum.results) {
+			return sum.results[i]
 		}
-	case *ast.ExprStmt:
-		t.eval(s, n.X)
-	case *ast.IncDecStmt:
-		t.eval(s, n.X)
-	case *ast.SendStmt:
-		v := t.eval(s, n.Value)
-		t.eval(s, n.Chan)
-		s.weakSet(rootObj(t.info, n.Chan), v)
-	case *ast.ReturnStmt:
-		if len(n.Results) == 0 {
-			for i, obj := range t.resultObjs {
-				if obj != nil && i < len(t.fd.results) {
-					t.fd.results[i] = t.fd.results[i].join(s[obj])
-				}
-			}
-			return
-		}
-		if len(n.Results) == 1 && len(t.fd.results) > 1 {
-			// return f() returning multiple values: per-slot domains
-			// from the callee's summary when available.
-			if call, ok := n.Results[0].(*ast.CallExpr); ok {
-				t.eval(s, call)
-				if sum := t.calleeDomains(call); sum != nil {
-					for i := range t.fd.results {
-						if i < len(sum.results) {
-							t.fd.results[i] = t.fd.results[i].join(sum.results[i])
-						}
-					}
-					return
-				}
-			} else {
-				t.eval(s, n.Results[0])
-			}
-			return
-		}
-		for i, e := range n.Results {
-			v := t.eval(s, e)
-			if i < len(t.fd.results) {
-				t.fd.results[i] = t.fd.results[i].join(v)
-			}
-		}
-	case *ast.RangeStmt:
-		v := t.eval(s, n.X)
-		// Ranging a container yields elements of the container's
-		// domain; the key is a count.
-		if n.Key != nil {
-			t.assignDomTo(s, n.Key, DomVal{D: DomCount}, n.Tok == token.DEFINE)
-		}
-		if n.Value != nil {
-			t.assignDomTo(s, n.Value, v, n.Tok == token.DEFINE)
-		}
-	case *ast.GoStmt:
-		t.eval(s, n.Call)
-	case *ast.DeferStmt:
-		t.eval(s, n.Call)
-	case ast.Stmt:
-		// No top-level expressions (the CFG lifts conditions out).
 	}
+	return DomVal{}
 }
 
-func (t *domTransfer) assign(s domStore, a *ast.AssignStmt) {
-	if a.Tok == token.ASSIGN || a.Tok == token.DEFINE {
-		if len(a.Rhs) == 1 && len(a.Lhs) > 1 {
-			// x, y := f(): per-slot domains from the callee summary.
-			var sum *domainSummary
-			if call, ok := a.Rhs[0].(*ast.CallExpr); ok {
-				sum = t.calleeDomains(call)
-			}
-			t.eval(s, a.Rhs[0])
-			for i, l := range a.Lhs {
-				var v DomVal
-				if sum != nil && i < len(sum.results) {
-					v = sum.results[i]
-				}
-				t.assignDomTo(s, l, v, a.Tok == token.DEFINE)
-			}
-			return
-		}
-		for i, l := range a.Lhs {
-			var v DomVal
-			if i < len(a.Rhs) {
-				v = t.eval(s, a.Rhs[i])
-			}
-			t.assignDomTo(s, l, v, a.Tok == token.DEFINE)
-		}
-		return
-	}
-	// Compound assignment: x op= e keeps x in its domain family the way
-	// the binary operator would.
-	v := t.eval(s, a.Rhs[0])
-	old := t.eval(s, a.Lhs[0])
+// ranged: ranging a container yields elements of the container's
+// domain; the key is a count.
+func (domRules) ranged(_ *domFlow, _ *ast.RangeStmt, x DomVal) (key, val DomVal) {
+	return DomVal{D: DomCount}, x
+}
+
+func (domRules) stored(_ *domFlow, _ *ast.IndexExpr, v DomVal) DomVal { return v }
+
+// compound: x op= e keeps x in its domain family the way the binary
+// operator would.
+func (domRules) compound(_ *domFlow, a *ast.AssignStmt, old, v DomVal) (DomVal, bool, bool) {
 	var op token.Token
 	switch a.Tok {
 	case token.ADD_ASSIGN:
@@ -272,142 +81,94 @@ func (t *domTransfer) assign(s domStore, a *ast.AssignStmt) {
 	case token.QUO_ASSIGN:
 		op = token.QUO
 	default:
-		return
+		return DomVal{}, false, false
 	}
-	nv := binaryDomain(op, old, v)
-	if obj := rootObj(t.info, a.Lhs[0]); obj != nil {
-		if _, isIdent := ast.Unparen(a.Lhs[0]).(*ast.Ident); isIdent {
-			s.set(obj, nv)
-		} else {
-			s.weakSet(obj, nv)
-		}
-	}
+	return binaryDomain(op, old, v), true, true
 }
 
-// assignDomTo writes v into an assignable expression. A defined or
-// plainly-assigned identifier whose right-hand side carried no domain
-// falls back to its declared seed (annotation, then name heuristic).
-func (t *domTransfer) assignDomTo(s domStore, lhs ast.Expr, v DomVal, define bool) {
-	switch l := lhs.(type) {
-	case *ast.Ident:
-		if l.Name == "_" {
-			return
-		}
-		obj := t.info.Defs[l]
-		if !define {
-			if u := t.info.Uses[l]; u != nil {
-				obj = u
-			}
-		}
-		if v.isNone() {
-			v = t.seed(obj)
-		}
-		s.set(obj, v)
-	case *ast.IndexExpr:
-		t.eval(s, l.Index)
-		s.weakSet(rootObj(t.info, l.X), v)
-	case *ast.SelectorExpr, *ast.StarExpr:
-		s.weakSet(rootObj(t.info, lhs), v)
-	case *ast.ParenExpr:
-		t.assignDomTo(s, l.X, v, define)
-	}
-}
-
-// seed returns an object's declared domain (see seedObject).
-func (t *domTransfer) seed(obj types.Object) DomVal {
-	if t.facts == nil || obj == nil {
-		return DomVal{}
-	}
-	return seedObject(t.facts.units, t.facts.fset, obj)
-}
-
-// eval computes the domain of an expression and records it.
-func (t *domTransfer) eval(s domStore, e ast.Expr) DomVal {
-	v := t.evalInner(s, e)
-	if tv, ok := t.info.Types[e]; ok {
+// expr computes the domain of an expression: the structural rules of
+// structural, then the type rules that hold whatever the structure.
+func (t domRules) expr(fl *domFlow, s varStore[DomVal], e ast.Expr) DomVal {
+	v := t.structural(fl, s, e)
+	if tv, ok := fl.info.Types[e]; ok {
 		if tv.Value != nil {
 			// Constants carry no domain: 1, 0.5 and friends are
 			// compatible with every scale.
 			v = DomVal{}
-		} else if isIntegerType(tv.Type) {
+		} else if isIntegerType(tv.Type) && v == (DomVal{}) {
 			// Every integer-typed value is a count (exact arithmetic);
 			// an explicit annotation on the variable may refine it, so
 			// only override values with no information.
-			if v.isNone() {
-				v = DomVal{D: DomCount}
-			}
+			v = DomVal{D: DomCount}
 		}
-	}
-	if !v.isNone() {
-		t.fd.exprs[e] = t.fd.exprs[e].join(v)
 	}
 	return v
 }
 
-func (t *domTransfer) evalInner(s domStore, e ast.Expr) DomVal {
+func (t domRules) structural(fl *domFlow, s varStore[DomVal], e ast.Expr) DomVal {
 	switch e := e.(type) {
 	case *ast.Ident:
-		if obj := t.info.ObjectOf(e); obj != nil {
+		if obj := fl.info.ObjectOf(e); obj != nil {
 			if v, ok := s[obj]; ok {
 				return v
 			}
 			// Package-level variables and constants are not in the
 			// flow store; fall back to their declared seed.
 			if _, isVar := obj.(*types.Var); isVar {
-				return t.seed(obj)
+				return t.declared(fl, obj)
 			}
 		}
 	case *ast.ParenExpr:
-		return t.eval(s, e.X)
+		return fl.eval(s, e.X)
 	case *ast.UnaryExpr:
 		// Negation keeps the scale (-log p is still log-domain; -p is
 		// still probability-scaled), as do &x and <-ch.
-		return t.eval(s, e.X)
+		return fl.eval(s, e.X)
 	case *ast.StarExpr:
-		return t.eval(s, e.X)
+		return fl.eval(s, e.X)
 	case *ast.BinaryExpr:
-		x := t.eval(s, e.X)
-		y := t.eval(s, e.Y)
+		x := fl.eval(s, e.X)
+		y := fl.eval(s, e.Y)
 		return binaryDomain(e.Op, x, y)
 	case *ast.IndexExpr:
-		t.eval(s, e.Index)
-		return t.eval(s, e.X)
+		fl.eval(s, e.Index)
+		return fl.eval(s, e.X)
 	case *ast.SliceExpr:
-		v := t.eval(s, e.X)
+		v := fl.eval(s, e.X)
 		if e.Low != nil {
-			t.eval(s, e.Low)
+			fl.eval(s, e.Low)
 		}
 		if e.High != nil {
-			t.eval(s, e.High)
+			fl.eval(s, e.High)
 		}
 		if e.Max != nil {
-			t.eval(s, e.Max)
+			fl.eval(s, e.Max)
 		}
 		return v
 	case *ast.SelectorExpr:
 		// Field reads are seeded from the field's own declaration
 		// (annotation or name): s1.CatRatePerPoolHour is a rate
 		// wherever the struct travels.
-		if sel, ok := t.info.Selections[e]; ok && sel.Kind() == types.FieldVal {
-			t.eval(s, e.X)
-			return t.seed(sel.Obj())
+		if sel, ok := fl.info.Selections[e]; ok && sel.Kind() == types.FieldVal {
+			fl.eval(s, e.X)
+			return t.declared(fl, sel.Obj())
 		}
 		return DomVal{}
 	case *ast.CompositeLit:
 		for _, el := range e.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				t.eval(s, kv.Value)
+				fl.eval(s, kv.Value)
 				continue
 			}
-			t.eval(s, el)
+			fl.eval(s, el)
 		}
 		// A composite value has no scalar domain of its own; element
 		// reads re-seed from field declarations.
 		return DomVal{}
 	case *ast.TypeAssertExpr:
-		return t.eval(s, e.X)
+		return fl.eval(s, e.X)
 	case *ast.CallExpr:
-		return t.call(s, e)
+		return t.call(fl, s, e)
 	case *ast.FuncLit:
 		return DomVal{}
 	}
@@ -487,21 +248,21 @@ func quoDomain(a, b Domain) Domain {
 // call applies domain semantics for a call: the math-package
 // sources/converters, RNG draws, then summarized intra-module callees,
 // then a name-heuristic fallback.
-func (t *domTransfer) call(s domStore, call *ast.CallExpr) DomVal {
+func (t domRules) call(fl *domFlow, s varStore[DomVal], call *ast.CallExpr) DomVal {
 	args := make([]DomVal, len(call.Args))
 	for i, a := range call.Args {
-		args[i] = t.eval(s, a)
+		args[i] = fl.eval(s, a)
 	}
 
 	// Conversions pass the domain through (float64(n) keeps Count; the
 	// integer rule in eval already handled the argument).
 	if len(call.Args) == 1 {
-		if tv, ok := t.info.Types[call.Fun]; ok && tv.IsType() {
+		if tv, ok := fl.info.Types[call.Fun]; ok && tv.IsType() {
 			return args[0]
 		}
 	}
 
-	switch calleeName(t.info, call) {
+	switch calleeName(fl.info, call) {
 	case "math.Exp", "math.Exp2":
 		// Back to linear space. The result's magnitude is unbounded
 		// below: exp of a very negative log-probability is exactly the
@@ -540,7 +301,7 @@ func (t *domTransfer) call(s domStore, call *ast.CallExpr) DomVal {
 	}
 
 	// Intra-module callee with an eager summary.
-	if sum := t.calleeDomains(call); sum != nil && len(sum.results) == 1 {
+	if sum := t.calleeDomains(fl, call); sum != nil && len(sum.results) == 1 {
 		return sum.results[0]
 	}
 	return DomVal{}
@@ -548,13 +309,13 @@ func (t *domTransfer) call(s domStore, call *ast.CallExpr) DomVal {
 
 // calleeDomains resolves the eager domain summary of a direct
 // intra-module call, falling back to nil for external callees.
-func (t *domTransfer) calleeDomains(call *ast.CallExpr) *domainSummary {
-	if t.facts == nil {
+func (domRules) calleeDomains(fl *domFlow, call *ast.CallExpr) *domainSummary {
+	if fl.facts == nil {
 		return nil
 	}
-	fn := calleeFunc(t.info, call)
+	fn := calleeFunc(fl.info, call)
 	if fn == nil {
 		return nil
 	}
-	return t.facts.domainsOf(fn)
+	return fl.facts.domainsOf(fn)
 }

@@ -11,7 +11,7 @@ import (
 // This file is the allocation/escape half of the hot-path analysis
 // family (hotness propagation lives in hot.go): a conservative
 // intraprocedural engine that classifies every allocation-prone
-// expression of a function body. The hot* analyzers filter the
+// expression of a function body. The hotalloc analyzer filters the
 // resulting sites; the fact store folds them into per-function
 // "allocates" summaries so a caller three packages away can know that
 // a helper it pulled onto a hot path heap-allocates.
@@ -31,8 +31,8 @@ const (
 	// state: a sanitized append (capacity planned by an explicit-cap
 	// make or a [:0] reuse reslice), a pointer-shaped interface
 	// conversion, a capture-free function literal. Also used for the
-	// zero-allocation perf sites (dynamic dispatch, defer) that other
-	// analyzers report on different grounds.
+	// zero-allocation perf sites (dynamic dispatch, defer) that
+	// hotalloc reports on different grounds.
 	AllocFree AllocClass = iota
 	// StackPlausible marks an allocation whose result is bound to a
 	// local that the engine cannot see escaping — returned, captured,
@@ -62,23 +62,23 @@ func (c AllocClass) String() string {
 	return "?"
 }
 
-// allocKind names the source pattern of a site; each hot* analyzer
-// owns a disjoint subset.
+// allocKind names the source pattern of a site; hotalloc picks the
+// message and the reporting condition by kind.
 type allocKind int
 
 const (
 	akMake        allocKind = iota // make(slice/map/chan)
 	akNew                          // new(T)
 	akLit                          // slice/map composite literal, &T{...}
-	akAppend                       // append without a capacity proof (hotprealloc)
-	akIfaceBox                     // concrete non-pointer value boxed into an interface (hotiface)
-	akDispatch                     // interface method call / indirect call (hotiface; no allocation)
+	akAppend                       // append without a capacity proof
+	akIfaceBox                     // concrete non-pointer value boxed into an interface
+	akDispatch                     // interface method call / indirect call (no allocation)
 	akClosure                      // function literal capturing locals
 	akMethodValue                  // bound method value (closure allocation)
 	akStringConv                   // string <-> []byte/[]rune conversion
 	akVariadic                     // implicit slice for a variadic call
 	akFmt                          // call into fmt/log (formats and boxes)
-	akDefer                        // defer statement (hotdefer; allocation only in loops)
+	akDefer                        // defer statement (allocation only in loops)
 )
 
 // AllocSite is one classified expression or statement.
@@ -129,8 +129,8 @@ type escapeWalker struct {
 }
 
 // prepare computes the walk's node metadata: loop membership from the
-// CFG (goto-formed loops included), cold roots, escape bits and the
-// append-capacity sanitizer index.
+// CFG (goto-formed loops included), cold roots (earlyExits), escape
+// bits and the append-capacity sanitizer index.
 func (w *escapeWalker) prepare(body *ast.BlockStmt) {
 	g := cfg.Build(body)
 	loops := g.LoopBlocks()
@@ -142,7 +142,7 @@ func (w *escapeWalker) prepare(body *ast.BlockStmt) {
 		}
 	}
 
-	w.coldRoots = make(map[ast.Node]bool)
+	w.coldRoots = earlyExits(body)
 	w.escaped = make(map[types.Object]bool)
 	w.capProven = make(map[types.Object]token.Pos)
 	w.bound = make(map[ast.Expr]types.Object)
@@ -154,21 +154,6 @@ func (w *escapeWalker) prepare(body *ast.BlockStmt) {
 			// its body is out of scope.
 			w.markFreeVars(n)
 			return false
-		case *ast.IfStmt:
-			if terminates(n.Body.List) {
-				w.coldRoots[n.Body] = true
-			}
-			if els, ok := n.Else.(*ast.BlockStmt); ok && terminates(els.List) {
-				w.coldRoots[els] = true
-			}
-		case *ast.CaseClause:
-			if terminates(n.Body) {
-				w.coldRoots[n] = true
-			}
-		case *ast.CommClause:
-			if terminates(n.Body) {
-				w.coldRoots[n] = true
-			}
 		case *ast.ReturnStmt:
 			for _, r := range n.Results {
 				w.markEscape(r)
@@ -200,6 +185,37 @@ func (w *escapeWalker) prepare(body *ast.BlockStmt) {
 		}
 		return true
 	})
+}
+
+// earlyExits returns the early-exit branches of body (function literals
+// excluded): the if/else blocks and case/comm clauses whose last
+// statement is a return or a panic. They run at most once per call or
+// per loop, so what they hold is not a steady-state cost.
+func earlyExits(body *ast.BlockStmt) map[ast.Node]bool {
+	exits := make(map[ast.Node]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.IfStmt:
+			if terminates(n.Body.List) {
+				exits[n.Body] = true
+			}
+			if els, ok := n.Else.(*ast.BlockStmt); ok && terminates(els.List) {
+				exits[els] = true
+			}
+		case *ast.CaseClause:
+			if terminates(n.Body) {
+				exits[n] = true
+			}
+		case *ast.CommClause:
+			if terminates(n.Body) {
+				exits[n] = true
+			}
+		}
+		return true
+	})
+	return exits
 }
 
 // terminates reports whether a statement list ends in a return or a
@@ -681,8 +697,8 @@ func (s AllocSite) steadyAlloc() bool {
 }
 
 // FuncAllocSites runs the escape engine over a declaration in this
-// pass, memoized through the fact store so the four hot* analyzers
-// share one classification per function.
+// pass, memoized through the fact store so hotalloc and the
+// per-function "allocates" summaries share one classification.
 func (p *Pass) FuncAllocSites(fd *ast.FuncDecl) []AllocSite {
 	fn := p.declFunc(fd)
 	if fn == nil {

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -138,21 +140,11 @@ func NewFacts(pkgs []*Package) *Facts {
 				}
 			}
 		}
-		for file, lines := range p.units {
-			f.units[file] = lines
-		}
-		for file, lines := range p.hots {
-			f.hotIdx[file] = lines
-		}
-		for file, lines := range p.colds {
-			f.coldIdx[file] = lines
-		}
-		for field, mu := range p.guardedFields {
-			f.guardedFields[field] = mu
-		}
-		for v, mu := range p.guardedVars {
-			f.guardedVars[v] = mu
-		}
+		maps.Copy(f.units, p.units)
+		maps.Copy(f.hotIdx, p.hots)
+		maps.Copy(f.coldIdx, p.colds)
+		maps.Copy(f.guardedFields, p.guardedFields)
+		maps.Copy(f.guardedVars, p.guardedVars)
 	}
 	for _, p := range pkgs {
 		index(p)
@@ -218,27 +210,11 @@ func resultCount(fn *types.Func) int {
 }
 
 func (s *funcSummary) equal(o *funcSummary) bool {
-	if s.recvFlows != o.recvFlows || len(s.results) != len(o.results) {
-		return false
-	}
-	for i := range s.results {
-		if s.results[i] != o.results[i] {
-			return false
-		}
-	}
-	return true
+	return s.recvFlows == o.recvFlows && slices.Equal(s.results, o.results)
 }
 
 func (d *domainSummary) equal(o *domainSummary) bool {
-	if len(d.results) != len(o.results) {
-		return false
-	}
-	for i := range d.results {
-		if d.results[i] != o.results[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(d.results, o.results)
 }
 
 // computeTaint runs the taint engine over one declaration in summary
@@ -246,9 +222,9 @@ func (d *domainSummary) equal(o *domainSummary) bool {
 func (f *Facts) computeTaint(n *cgNode) *funcSummary {
 	fd := n.site.decl
 	info := n.site.pkg.Info
-	nres := resultCount(n.fn)
+	sum := &funcSummary{results: make([]taintVal, resultCount(n.fn))}
 	if fd.Body == nil {
-		return &funcSummary{results: make([]taintVal, nres)}
+		return sum
 	}
 
 	params := make(map[types.Object]taintVal)
@@ -265,10 +241,7 @@ func (f *Facts) computeTaint(n *cgNode) *funcSummary {
 		params[info.Defs[fd.Recv.List[0].Names[0]]] = taintVal{params: recvBit}
 	}
 
-	resultObjs, nresults := resultObjects(info, fd)
-	ft := analyzeBody(info, f, fd.Body, params, resultObjs, nresults)
-
-	sum := &funcSummary{results: make([]taintVal, nresults)}
+	ft := analyzeBody(info, f, fd.Body, params, resultObjects(info, fd.Type))
 	for i, r := range ft.results {
 		if r.params&recvBit != 0 {
 			sum.recvFlows = true
@@ -292,18 +265,15 @@ func (f *Facts) computeDomains(n *cgNode) *domainSummary {
 	if fd.Body == nil {
 		return sum
 	}
-	resultObjs, nresults := resultObjects(info, fd)
-	flow := domainFlow(info, f, fd.Body, f.paramSeeds(fd, info), resultObjs, nresults)
+	resultObjs := resultObjects(info, fd.Type)
+	flow := domainFlow(info, f, fd.Body, f.paramSeeds(info, fd.Recv, fd.Type.Params), resultObjs)
 	copy(sum.results, flow.results)
 	for i := range sum.results {
-		if !sum.results[i].isNone() {
-			continue
-		}
-		if i < len(resultObjs) && resultObjs[i] != nil {
+		if sum.results[i] == (DomVal{}) && resultObjs[i] != nil {
 			sum.results[i] = seedObject(f.units, f.fset, resultObjs[i])
 		}
 	}
-	if nres > 0 && sum.results[0].isNone() {
+	if nres > 0 && sum.results[0] == (DomVal{}) {
 		sum.results[0] = f.declSeed(n.fn, fd)
 	}
 	// An explicit //mlec:unit annotation on the declaration is a human
@@ -339,22 +309,22 @@ func (f *Facts) declSeed(fn *types.Func, fd *ast.FuncDecl) DomVal {
 	return DomVal{D: domainFromName(fn.Name())}
 }
 
-// paramSeeds maps each parameter (and receiver) to its declared domain.
-func (f *Facts) paramSeeds(fd *ast.FuncDecl, info *types.Info) map[types.Object]DomVal {
+// paramSeeds maps the variables the field lists declare (a receiver, a
+// parameter list; nil lists are skipped) to their declared domains.
+func (f *Facts) paramSeeds(info *types.Info, lists ...*ast.FieldList) map[types.Object]DomVal {
 	params := make(map[types.Object]DomVal)
-	add := func(name *ast.Ident) {
-		obj := info.Defs[name]
-		if v := seedObject(f.units, f.fset, obj); !v.isNone() {
-			params[obj] = v
+	for _, list := range lists {
+		if list == nil {
+			continue
 		}
-	}
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			add(name)
+		for _, field := range list.List {
+			for _, name := range field.Names {
+				obj := info.Defs[name]
+				if v := seedObject(f.units, f.fset, obj); v != (DomVal{}) {
+					params[obj] = v
+				}
+			}
 		}
-	}
-	if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
-		add(fd.Recv.List[0].Names[0])
 	}
 	return params
 }
@@ -465,26 +435,22 @@ func isErrorType(t types.Type) bool {
 	return obj.Name() == "error" && obj.Pkg() == nil
 }
 
-// resultObjects returns the named result objects (nil entries for
-// unnamed results) and the result count.
-func resultObjects(info *types.Info, fd *ast.FuncDecl) ([]types.Object, int) {
-	if fd.Type.Results == nil {
-		return nil, 0
+// resultObjects returns one entry per result of the function type: the
+// named result's object, nil for an unnamed result.
+func resultObjects(info *types.Info, ft *ast.FuncType) []types.Object {
+	if ft.Results == nil {
+		return nil
 	}
 	var objs []types.Object
-	n := 0
-	for _, field := range fd.Type.Results.List {
+	for _, field := range ft.Results.List {
 		if len(field.Names) == 0 {
 			objs = append(objs, nil)
-			n++
-			continue
 		}
 		for _, name := range field.Names {
 			objs = append(objs, info.Defs[name])
-			n++
 		}
 	}
-	return objs, n
+	return objs
 }
 
 // FuncTaint runs the taint engine over a function declaration's body in
@@ -492,56 +458,27 @@ func resultObjects(info *types.Info, fd *ast.FuncDecl) ([]types.Object, int) {
 // taints. Analyzers call this once per declaration and then walk the
 // body looking at sinks.
 func (p *Pass) FuncTaint(fd *ast.FuncDecl) *FuncTaint {
-	resultObjs, nresults := resultObjects(p.Info, fd)
-	return analyzeBody(p.Info, p.Facts, fd.Body, nil, resultObjs, nresults)
+	return analyzeBody(p.Info, p.Facts, fd.Body, nil, resultObjects(p.Info, fd.Type))
 }
 
 // FuncLitTaint is FuncTaint for a function literal. Captured variables
 // start untainted (closure environments are not modeled; the engine is
 // intraprocedural).
 func (p *Pass) FuncLitTaint(lit *ast.FuncLit) *FuncTaint {
-	var nresults int
-	if lit.Type.Results != nil {
-		for _, field := range lit.Type.Results.List {
-			if len(field.Names) == 0 {
-				nresults++
-			} else {
-				nresults += len(field.Names)
-			}
-		}
-	}
-	return analyzeBody(p.Info, p.Facts, lit.Body, nil, nil, nresults)
+	return analyzeBody(p.Info, p.Facts, lit.Body, nil, resultObjects(p.Info, lit.Type))
 }
 
 // FuncDomains runs the domain engine over a declaration in analysis
 // mode: parameters are seeded from their declared domains so the
 // recorded per-expression values reflect what the signature promises.
 func (p *Pass) FuncDomains(fd *ast.FuncDecl) *FuncDomains {
-	resultObjs, nresults := resultObjects(p.Info, fd)
-	return domainFlow(p.Info, p.Facts, fd.Body, p.Facts.paramSeeds(fd, p.Info), resultObjs, nresults)
+	return domainFlow(p.Info, p.Facts, fd.Body,
+		p.Facts.paramSeeds(p.Info, fd.Recv, fd.Type.Params), resultObjects(p.Info, fd.Type))
 }
 
 // FuncLitDomains is FuncDomains for a function literal (captured
 // variables are not modeled; parameters seed from their names).
 func (p *Pass) FuncLitDomains(lit *ast.FuncLit) *FuncDomains {
-	params := make(map[types.Object]DomVal)
-	for _, field := range lit.Type.Params.List {
-		for _, name := range field.Names {
-			obj := p.Info.Defs[name]
-			if v := seedObject(p.Facts.units, p.Facts.fset, obj); !v.isNone() {
-				params[obj] = v
-			}
-		}
-	}
-	var nresults int
-	if lit.Type.Results != nil {
-		for _, field := range lit.Type.Results.List {
-			if len(field.Names) == 0 {
-				nresults++
-			} else {
-				nresults += len(field.Names)
-			}
-		}
-	}
-	return domainFlow(p.Info, p.Facts, lit.Body, params, nil, nresults)
+	return domainFlow(p.Info, p.Facts, lit.Body,
+		p.Facts.paramSeeds(p.Info, lit.Type.Params), resultObjects(p.Info, lit.Type))
 }

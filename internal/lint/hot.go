@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -48,7 +47,7 @@ import (
 // literals are attributed to the enclosing declaration, matching the
 // call graph's edge semantics — a helper invoked from a hot closure is
 // hot. Indirect calls (function values, interface methods) propagate
-// nothing; hotiface flags the dispatch itself instead.
+// nothing; hotalloc flags the dispatch itself instead.
 //
 // Each propagated function records the caller that made it hot, so a
 // diagnostic in a helper three packages away can say which annotated
@@ -82,12 +81,7 @@ func (p *Package) validateHotDirectives() {
 	declLines := make(map[string]map[int]bool)
 	stmtLines := make(map[string]map[int]bool)
 	mark := func(m map[string]map[int]bool, pos token.Position) {
-		lines := m[pos.Filename]
-		if lines == nil {
-			lines = make(map[int]bool)
-			m[pos.Filename] = lines
-		}
-		lines[pos.Line] = true
+		byLine(m, pos.Filename)[pos.Line] = true
 	}
 	for _, f := range p.Files {
 		for _, d := range f.Decls {
@@ -113,24 +107,17 @@ func (p *Package) validateHotDirectives() {
 	for file, lines := range p.hots {
 		for line := range lines {
 			if !anchored(declLines, file, line) && !anchored(stmtLines, file, line) {
-				p.MalformedHot = append(p.MalformedHot, token.Position{Filename: file, Line: line, Column: 1})
+				p.malformed(token.Position{Filename: file, Line: line, Column: 1}, badHot)
 			}
 		}
 	}
 	for file, lines := range p.colds {
 		for line := range lines {
 			if !anchored(declLines, file, line) {
-				p.MalformedHot = append(p.MalformedHot, token.Position{Filename: file, Line: line, Column: 1})
+				p.malformed(token.Position{Filename: file, Line: line, Column: 1}, badHot)
 			}
 		}
 	}
-	sort.Slice(p.MalformedHot, func(i, j int) bool {
-		a, b := p.MalformedHot[i], p.MalformedHot[j]
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
 }
 
 // posIndex resolves line-anchored directives by file and line, merged

@@ -43,41 +43,57 @@ func inStmts(n ast.Node, stmts []ast.Stmt) bool {
 	return false
 }
 
-func runHotBCE(pass *Pass) error {
+// eachDirectHot calls fn for every declaration in the scope hotbce and
+// hotinline sweep (and the compiler oracle cross-checks): a function
+// that carries //mlec:hot itself, whole, or the //mlec:hot region
+// statements of any other non-cold function. inScope reports whether a
+// node of fd lies in that scope.
+func eachDirectHot(pass *Pass, fn func(fd *ast.FuncDecl, inScope func(ast.Node) bool)) {
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || pass.FuncCold(fd) {
 				continue
 			}
-			direct := pass.funcDirectHot(fd)
-			var regions []ast.Stmt
-			if !direct {
-				regions = pass.HotRegions(fd)
-				if len(regions) == 0 {
-					continue
-				}
-			}
-			for _, site := range analyzeBounds(pass.Info, fd.Body) {
-				if site.proven || !site.inLoop {
-					continue
-				}
-				if !direct && !inStmts(site.node, regions) {
-					continue
-				}
-				hint := "guard the loop with an explicit len() comparison or a `_ = " + site.base + "[n-1]` hint, or restructure to slice-advance form"
-				if site.need > 0 {
-					hint = "establish len(" + site.base + ") >= " + strconv.Itoa(site.need) + " before the loop (length guard or `_ = " + site.base + "[" + strconv.Itoa(site.need-1) + "]` hint), or restructure to slice-advance form"
-				}
-				verb := "indexes"
-				if site.kind == "slice" {
-					verb = "slices"
-				}
-				pass.Report(site.node.Pos(),
-					"%s %s %s in a hot loop without a provable bound; %s",
-					fd.Name.Name, verb, site.expr, hint)
+			if pass.funcDirectHot(fd) {
+				fn(fd, func(ast.Node) bool { return true })
+			} else if regions := pass.HotRegions(fd); len(regions) > 0 {
+				fn(fd, func(n ast.Node) bool { return inStmts(n, regions) })
 			}
 		}
 	}
+}
+
+// hotLoopBounds returns the bounds-engine sites of fd that lie in a
+// loop of the swept scope: what hotbce judges and the oracle claims.
+func hotLoopBounds(pass *Pass, fd *ast.FuncDecl, inScope func(ast.Node) bool) []boundsSite {
+	var sites []boundsSite
+	for _, site := range analyzeBounds(pass.Info, fd.Body) {
+		if site.inLoop && inScope(site.node) {
+			sites = append(sites, site)
+		}
+	}
+	return sites
+}
+
+func runHotBCE(pass *Pass) error {
+	eachDirectHot(pass, func(fd *ast.FuncDecl, inScope func(ast.Node) bool) {
+		for _, site := range hotLoopBounds(pass, fd, inScope) {
+			if site.proven {
+				continue
+			}
+			hint := "guard the loop with an explicit len() comparison or a `_ = " + site.base + "[n-1]` hint, or restructure to slice-advance form"
+			if site.need > 0 {
+				hint = "establish len(" + site.base + ") >= " + strconv.Itoa(site.need) + " before the loop (length guard or `_ = " + site.base + "[" + strconv.Itoa(site.need-1) + "]` hint), or restructure to slice-advance form"
+			}
+			verb := "indexes"
+			if site.kind == "slice" {
+				verb = "slices"
+			}
+			pass.Report(site.node.Pos(),
+				"%s %s %s in a hot loop without a provable bound; %s",
+				fd.Name.Name, verb, site.expr, hint)
+		}
+	})
 	return nil
 }

@@ -25,7 +25,7 @@ import (
 //     or panic): they run at most once per loop, not per iteration.
 //   - //mlec:cold callees: the annotation is the reviewed claim that
 //     the call is off the steady-state path (amortized poll points).
-//   - Interface-method calls: hotiface owns dynamic dispatch.
+//   - Interface-method calls: hotalloc owns dynamic dispatch.
 //   - Out-of-module callees: their bodies are not loaded, and the
 //     stdlib's hot-path helpers (encoding/binary, atomics) are
 //     intrinsified or inlined already.
@@ -56,28 +56,16 @@ const inlineNodeBudget = 80
 const inlineExtraCallCost = 57
 
 func runHotInline(pass *Pass) error {
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || pass.FuncCold(fd) {
+	eachDirectHot(pass, func(fd *ast.FuncDecl, inScope func(ast.Node) bool) {
+		for _, call := range loopCallExprs(fd) {
+			if !inScope(call) {
 				continue
 			}
-			direct := pass.funcDirectHot(fd)
-			var regions []ast.Stmt
-			if !direct {
-				regions = pass.HotRegions(fd)
-				if len(regions) == 0 {
-					continue
-				}
-			}
-			for _, site := range hotLoopCalls(pass, fd) {
-				if !direct && !inStmts(site.call, regions) {
-					continue
-				}
-				pass.Report(site.call.Pos(), "%s", site.message(pass, fd))
+			if site, verdict := judgeCall(pass, call); verdict == callBad {
+				pass.Report(call.Pos(), "%s", site.message(pass, fd))
 			}
 		}
-	}
+	})
 	return nil
 }
 
@@ -100,50 +88,15 @@ func (s *inlineSite) message(pass *Pass, fd *ast.FuncDecl) string {
 		"or annotate it //mlec:cold with a rationale if the call is off the steady-state path"
 }
 
-// hotLoopCalls collects the calls of fd that execute once per
-// iteration of some loop: call sites in loop blocks of the CFG,
-// excluding early-exit branches.
-func hotLoopCalls(pass *Pass, fd *ast.FuncDecl) []inlineSite {
-	var sites []inlineSite
-	for _, call := range loopCallExprs(fd) {
-		if site, verdict := judgeCall(pass, call); verdict == callBad {
-			sites = append(sites, site)
-		}
-	}
-	return sites
-}
-
 // loopCallExprs returns the CallExprs of fd that lie in loop blocks
 // and outside early-exit branches, in source order.
 func loopCallExprs(fd *ast.FuncDecl) []*ast.CallExpr {
 	g := cfg.Build(fd.Body)
 	loops := g.LoopBlocks()
 
-	// Early-exit branches: if/case bodies that end in return or panic
-	// run at most once per loop, so their calls are not steady-state.
-	exits := make(map[ast.Node]bool)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.IfStmt:
-			if terminates(n.Body.List) {
-				exits[n.Body] = true
-			}
-			if els, ok := n.Else.(*ast.BlockStmt); ok && terminates(els.List) {
-				exits[els] = true
-			}
-		case *ast.CaseClause:
-			if terminates(n.Body) {
-				exits[n] = true
-			}
-		case *ast.CommClause:
-			if terminates(n.Body) {
-				exits[n] = true
-			}
-		}
-		return true
-	})
+	// Calls in early-exit branches run at most once per loop, so they
+	// are not steady-state.
+	exits := earlyExits(fd.Body)
 	inExit := func(n ast.Node) bool {
 		for e := range exits {
 			if n.Pos() >= e.Pos() && n.End() <= e.End() {
@@ -210,7 +163,7 @@ func judgeCall(pass *Pass, call *ast.CallExpr) (inlineSite, callVerdict) {
 	}
 	if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
 		if types.IsInterface(sig.Recv().Type()) {
-			return inlineSite{}, callFine // hotiface's domain
+			return inlineSite{}, callFine // hotalloc's domain
 		}
 	}
 	ds, known := pass.Facts.decls[callee]

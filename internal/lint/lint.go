@@ -146,15 +146,11 @@ func All() []*Analyzer {
 		Cancel,
 		ErrFlow,
 		HotAlloc,
-		HotIface,
-		HotDefer,
-		HotPrealloc,
 		HotBCE,
 		HotInline,
 		Lockcheck,
 		AtomicMix,
 		GoLeak,
-		CopyLock,
 	}
 }
 

@@ -30,8 +30,9 @@ type Package struct {
 	// the fact store can resolve declarations in dependency packages.
 	loader *Loader
 
-	// allows maps filename → line → set of analyzer names allowlisted
-	// at that line by //lint:allow directives.
+	// allows maps filename → line → analyzer names allowlisted at that
+	// line by //lint:allow directives; the value records whether the
+	// directive has suppressed a finding yet (see unusedAllows).
 	allows map[string]map[int]map[string]bool
 	// units maps filename → line → domain declared at that line by
 	// //mlec:unit directives (see domain.go).
@@ -50,34 +51,69 @@ type Package struct {
 	// validateGuardDirectives after type-checking.
 	guardedFields map[*types.Var]*types.Var
 	guardedVars   map[*types.Var]*types.Var
-	// Malformed records //lint:allow directives missing the mandatory
-	// analyzer name or reason; the driver reports them.
-	Malformed []token.Position
-	// MalformedUnit records //mlec:unit directives naming no (or an
-	// unknown) domain; the driver reports them.
-	MalformedUnit []token.Position
-	// MalformedHot records //mlec:hot / //mlec:cold directives that
-	// attach to nothing: hot must sit on (or directly above) a function
-	// declaration or a statement, cold on a function declaration. A
-	// dangling annotation is the silent failure mode of an enforcement
-	// layer — the author believes a kernel is guarded when nothing is —
-	// so it is reported rather than ignored.
-	MalformedHot []token.Position
-	// MalformedGuard records //mlec:guardedby directives that name no
-	// guard, attach to nothing, or name a guard that does not resolve to
-	// a sibling mutex field (or package-level mutex var); the driver
-	// reports them for the same reason as MalformedHot.
-	MalformedGuard []token.Position
+	// Malformed records every directive comment the loader could not
+	// honor, sorted by position; the driver reports them. A dangling
+	// annotation is the silent failure mode of an enforcement layer —
+	// the author believes a kernel is guarded, a field protected or a
+	// finding excused when nothing is — so it is reported rather than
+	// ignored.
+	Malformed []DirectiveError
+}
+
+// A DirectiveError is one malformed directive comment.
+type DirectiveError struct {
+	Pos token.Position
+	// Msg names the directive and what it needs to be well-formed.
+	Msg string
+}
+
+// What each directive needs: //lint:allow both of its fields; //mlec:unit
+// a known domain; //mlec:hot and //mlec:cold something to attach to (hot
+// on or directly above a function declaration or a statement, cold a
+// function declaration); //mlec:guardedby exactly one guard name, a
+// struct field or package-level var to attach to, and a guard that
+// resolves to a sibling mutex field (or package-level mutex var).
+const (
+	badAllow = "//lint:allow needs an analyzer name and a reason"
+	badUnit  = "//mlec:unit needs a domain (prob, logprob, rate, count, weight)"
+	badHot   = "//mlec:hot anchors a function or statement; //mlec:cold anchors a function"
+	badGuard = "//mlec:guardedby <field> anchors a struct field or package-level var, and the guard must be a sibling mutex"
+)
+
+func (p *Package) malformed(pos token.Position, msg string) {
+	p.Malformed = append(p.Malformed, DirectiveError{pos, msg})
 }
 
 // allowed reports whether a diagnostic from the named analyzer at pos is
 // suppressed by a directive on the same line or the line directly above.
 func (p *Package) allowed(analyzer string, pos token.Position) bool {
 	lines := p.allows[pos.Filename]
-	if lines == nil {
-		return false
+	for _, line := range [2]int{pos.Line, pos.Line - 1} {
+		if _, ok := lines[line][analyzer]; ok {
+			lines[line][analyzer] = true
+			return true
+		}
 	}
-	return lines[pos.Line][analyzer] || lines[pos.Line-1][analyzer]
+	return false
+}
+
+// unusedAllows lists the //lint:allow directives that have suppressed
+// no finding since the package was loaded, as "file:line: analyzer",
+// sorted. After a run of every analyzer such a directive is stale: the
+// pattern it excused is gone, or the analyzer no longer reports it.
+func (p *Package) unusedAllows() []string {
+	var out []string
+	for file, lines := range p.allows {
+		for line, set := range lines {
+			for analyzer, used := range set {
+				if !used {
+					out = append(out, fmt.Sprintf("%s:%d: %s", file, line, analyzer))
+				}
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // A Loader parses and type-checks packages of a single module from
@@ -310,6 +346,13 @@ func (l *Loader) loadPath(path string) (*Package, error) {
 	pkg.collectAllows()
 	pkg.validateHotDirectives()
 	pkg.validateGuardDirectives()
+	sort.Slice(pkg.Malformed, func(i, j int) bool {
+		a, b := pkg.Malformed[i].Pos, pkg.Malformed[j].Pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		return a.Line < b.Line
+	})
 	l.pkgs[path] = pkg
 	return pkg, nil
 }
@@ -417,69 +460,56 @@ func (p *Package) collectAllows() {
 	for _, f := range p.Files {
 		for _, group := range f.Comments {
 			for _, c := range group.List {
+				pos := p.Fset.Position(c.Pos())
 				if guard, isGuard, ok := parseGuardDirective(c.Text); isGuard {
-					pos := p.Fset.Position(c.Pos())
 					if !ok {
-						p.MalformedGuard = append(p.MalformedGuard, pos)
+						p.malformed(pos, badGuard)
 						continue
 					}
-					byLine := p.guards[pos.Filename]
-					if byLine == nil {
-						byLine = make(map[int]string)
-						p.guards[pos.Filename] = byLine
-					}
-					byLine[pos.Line] = guard
+					byLine(p.guards, pos.Filename)[pos.Line] = guard
 					continue
 				}
 				if kind, isHot := parseHotDirective(c.Text); isHot {
-					pos := p.Fset.Position(c.Pos())
-					byLine := p.hots
 					if kind == "cold" {
-						byLine = p.colds
+						byLine(p.colds, pos.Filename)[pos.Line] = true
+					} else {
+						byLine(p.hots, pos.Filename)[pos.Line] = true
 					}
-					lines := byLine[pos.Filename]
-					if lines == nil {
-						lines = make(map[int]bool)
-						byLine[pos.Filename] = lines
-					}
-					lines[pos.Line] = true
 					continue
 				}
 				if d, isUnit, ok := parseUnitDirective(c.Text); isUnit {
-					pos := p.Fset.Position(c.Pos())
 					if !ok {
-						p.MalformedUnit = append(p.MalformedUnit, pos)
+						p.malformed(pos, badUnit)
 						continue
 					}
-					byLine := p.units[pos.Filename]
-					if byLine == nil {
-						byLine = make(map[int]Domain)
-						p.units[pos.Filename] = byLine
-					}
-					byLine[pos.Line] = d
+					byLine(p.units, pos.Filename)[pos.Line] = d
 					continue
 				}
 				analyzer, isDirective, ok := parseAllowDirective(c.Text)
 				if !isDirective {
 					continue
 				}
-				pos := p.Fset.Position(c.Pos())
 				if !ok {
-					p.Malformed = append(p.Malformed, pos)
+					p.malformed(pos, badAllow)
 					continue
 				}
-				byLine := p.allows[pos.Filename]
-				if byLine == nil {
-					byLine = make(map[int]map[string]bool)
-					p.allows[pos.Filename] = byLine
+				lines := byLine(p.allows, pos.Filename)
+				if lines[pos.Line] == nil {
+					lines[pos.Line] = make(map[string]bool)
 				}
-				set := byLine[pos.Line]
-				if set == nil {
-					set = make(map[string]bool)
-					byLine[pos.Line] = set
-				}
-				set[analyzer] = true
+				lines[pos.Line][analyzer] = false
 			}
 		}
 	}
+}
+
+// byLine returns the per-line map of file in a directive index,
+// creating it on first use.
+func byLine[V any](index map[string]map[int]V, file string) map[int]V {
+	lines := index[file]
+	if lines == nil {
+		lines = make(map[int]V)
+		index[file] = lines
+	}
+	return lines
 }

@@ -85,7 +85,7 @@ func TestMalformedDirectiveRecorded(t *testing.T) {
 	if len(pkg.Malformed) != 1 {
 		t.Fatalf("Malformed = %v, want exactly one entry", pkg.Malformed)
 	}
-	if base := filepath.Base(pkg.Malformed[0].Filename); base != "loadedge.go" {
+	if base := filepath.Base(pkg.Malformed[0].Pos.Filename); base != "loadedge.go" {
 		t.Errorf("malformed directive attributed to %s", base)
 	}
 	// The well-formed directive in the same file must still be indexed.

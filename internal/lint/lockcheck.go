@@ -26,7 +26,7 @@ func runLockcheck(pass *Pass) error {
 				continue
 			}
 			e := newLockEngine(pass.Info, pass.Facts, pass.declFunc(fd), fd, pass.Report)
-			e.analyze(fd.Body, nil)
+			e.analyze(fd.Body)
 		}
 	}
 	return nil

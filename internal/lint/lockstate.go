@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 
@@ -12,7 +13,7 @@ import (
 )
 
 // This file implements the lock-state engine behind the concurrency
-// analyzer family (lockcheck, atomicmix, goleak, copylock).
+// analyzer family (lockcheck, atomicmix, goleak).
 //
 // # Directive grammar
 //
@@ -24,7 +25,7 @@ import (
 // annotation is the human claim "every access to this state happens
 // with <name> held"; the engine turns the claim into a checked
 // invariant. A directive that anchors to nothing, or whose guard does
-// not resolve, is recorded in Package.MalformedGuard and reported by
+// not resolve, is recorded in Package.Malformed and reported by
 // the driver — a dangling guard annotation is a reviewer believing
 // state is protected when nothing checks it.
 //
@@ -37,8 +38,8 @@ import (
 // enough to detect double-lock, never enough to diverge. The join at
 // CFG merge points is the pointwise minimum (must-held semantics: a
 // lock is held after a merge only if it is held on every incoming
-// path), so one iteration order reaches the greatest fixed point and a
-// hard cap bounds the loop defensively.
+// path), so the shared solver (cfg.Solve) reaches the greatest fixed
+// point from an entry state that holds nothing.
 //
 // Exit discipline rides the CFG's synthetic Exit block: every return,
 // direct panic call and fall-off-the-end edges into Exit, and at each
@@ -83,7 +84,7 @@ import (
 
 // validateGuardDirectives anchors every //mlec:guardedby directive to a
 // struct field or package-level var and resolves its guard, filling
-// guardedFields/guardedVars; failures land in MalformedGuard.
+// guardedFields/guardedVars; failures land in Malformed.
 func (p *Package) validateGuardDirectives() {
 	p.guardedFields = make(map[*types.Var]*types.Var)
 	p.guardedVars = make(map[*types.Var]*types.Var)
@@ -92,14 +93,7 @@ func (p *Package) validateGuardDirectives() {
 	}
 	// claimed tracks directive lines that anchored to something.
 	claimed := make(map[string]map[int]bool)
-	claim := func(file string, line int) {
-		lines := claimed[file]
-		if lines == nil {
-			lines = make(map[int]bool)
-			claimed[file] = lines
-		}
-		lines[line] = true
-	}
+	claim := func(file string, line int) { byLine(claimed, file)[line] = true }
 	// guardAt returns the directive guard name for a node starting at
 	// pos: directive on the same line (trailing) or the line above.
 	guardAt := func(pos token.Position) (string, int, bool) {
@@ -151,18 +145,10 @@ func (p *Package) validateGuardDirectives() {
 	for file, lines := range p.guards {
 		for line := range lines {
 			if !claimed[file][line] {
-				p.MalformedGuard = append(p.MalformedGuard,
-					token.Position{Filename: file, Line: line, Column: 1})
+				p.malformed(token.Position{Filename: file, Line: line, Column: 1}, badGuard)
 			}
 		}
 	}
-	sort.Slice(p.MalformedGuard, func(i, j int) bool {
-		a, b := p.MalformedGuard[i], p.MalformedGuard[j]
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
 }
 
 // anchorStructGuards resolves guardedby directives on the fields of one
@@ -261,17 +247,10 @@ func newLockSummary() *lockSummary {
 	}
 }
 
+// equal compares the key sets: a key determines its lockAbs.
 func (s *lockSummary) equal(o *lockSummary) bool {
 	eq := func(a, b map[string]lockAbs) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for k := range a {
-			if _, ok := b[k]; !ok {
-				return false
-			}
-		}
-		return true
+		return maps.EqualFunc(a, b, func(lockAbs, lockAbs) bool { return true })
 	}
 	return eq(s.requires, o.requires) && eq(s.acquires, o.acquires) &&
 		eq(s.releases, o.releases) && eq(s.internal, o.internal)
@@ -291,48 +270,48 @@ type lockVal struct {
 
 func (v lockVal) zero() bool { return v == lockVal{} }
 
+// inc and dec move one counter within its clamp.
+func inc(d *int8) {
+	if *d < 2 {
+		*d++
+	}
+}
+
+func dec(d *int8) {
+	if *d > 0 {
+		*d--
+	}
+}
+
 // lockState maps lock references to their state. sliceRef (bounds.go)
 // is reused as the reference type: an object root plus a selection
 // path is exactly what identifies a mutex too.
 type lockState map[sliceRef]lockVal
 
-func (s lockState) clone() lockState {
-	c := make(lockState, len(s))
+// put stores v for ref, keeping zero states out of the map.
+func (s lockState) put(ref sliceRef, v lockVal) {
+	if v.zero() {
+		delete(s, ref)
+	} else {
+		s[ref] = v
+	}
+}
+
+// meetInto is the join at CFG merge points, in place: the pointwise
+// minimum (held only if held on every path). It reports whether s
+// changed.
+func (s lockState) meetInto(other lockState) bool {
+	changed := false
 	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
-
-// join is the pointwise minimum: held only if held on every path.
-func joinLockStates(a, b lockState) lockState {
-	out := make(lockState)
-	min8 := func(x, y int8) int8 {
-		if x < y {
-			return x
+		o := other[k] // zero value when absent
+		m := lockVal{min(v.w, o.w), min(v.r, o.r), min(v.dw, o.dw), min(v.dr, o.dr)}
+		if m == v {
+			continue
 		}
-		return y
+		changed = true
+		s.put(k, m)
 	}
-	for k, av := range a {
-		bv := b[k] // zero value when absent
-		v := lockVal{min8(av.w, bv.w), min8(av.r, bv.r), min8(av.dw, bv.dw), min8(av.dr, bv.dr)}
-		if !v.zero() {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-func equalLockStates(a, b lockState) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
+	return changed
 }
 
 const (
@@ -396,74 +375,34 @@ func newLockEngine(info *types.Info, facts *Facts, fn *types.Func, decl *ast.Fun
 	return e
 }
 
-// analyze runs the engine over a body: fixed point first, then (when
-// reporting) a second pass that fires diagnostics and checks every
-// edge into the CFG's Exit block for imbalance.
-func (e *lockEngine) analyze(body *ast.BlockStmt, entry lockState) {
+// analyze runs the engine over a body: fixed point first (cfg.Solve,
+// from an entry state holding nothing), then the reporting pass.
+func (e *lockEngine) analyze(body *ast.BlockStmt) {
 	if body == nil {
 		return
 	}
 	e.collectLocallyBorn(body)
 	g := cfg.Build(body)
-	n := len(g.Blocks)
-	ins := make([]lockState, n)
-	outs := make([]lockState, n)
-	visited := make([]bool, n)
-	preds := make([][]int, n)
-	for _, blk := range g.Blocks {
-		for _, s := range blk.Succs {
-			preds[s.Index] = append(preds[s.Index], blk.Index)
-		}
+	sol := cfg.Solve(g, cfg.Flow[lockState]{
+		Entry:    lockState{},
+		Clone:    maps.Clone[lockState],
+		Merge:    lockState.meetInto,
+		Transfer: func(b *cfg.Block, st lockState) { e.transferBlock(b, st, false) },
+	})
+	e.finish(sol, g, body)
+}
+
+// finish is the pass over the solved body that fires diagnostics and
+// checks every edge into the CFG's Exit block for imbalance, in block
+// order so diagnostics are deterministic. A body the solver gave up on
+// reports nothing and claims nothing: the inferences its half-iterated
+// states put into the summary are dropped.
+func (e *lockEngine) finish(sol *cfg.Solution[lockState], g *cfg.Graph, body *ast.BlockStmt) {
+	if !sol.Converged {
+		e.summary = newLockSummary()
+		return
 	}
-	if entry == nil {
-		entry = make(lockState)
-	}
-	// Fixed point. The lattice is tiny and join is min, so a handful of
-	// sweeps converge; the cap keeps malformed inputs (fuzzing) safe.
-	for iter := 0; iter < 32; iter++ {
-		changed := false
-		for _, blk := range g.Blocks {
-			var in lockState
-			if blk == g.Entry {
-				in = entry.clone()
-			} else {
-				seen := false
-				for _, p := range preds[blk.Index] {
-					if !visited[p] {
-						continue
-					}
-					if !seen {
-						in = outs[p].clone()
-						seen = true
-					} else {
-						in = joinLockStates(in, outs[p])
-					}
-				}
-				if !seen {
-					continue // unreachable (so far)
-				}
-			}
-			out := in.clone()
-			e.transferBlock(blk, out, false)
-			if !visited[blk.Index] || !equalLockStates(ins[blk.Index], in) ||
-				!equalLockStates(outs[blk.Index], out) {
-				changed = true
-			}
-			visited[blk.Index] = true
-			ins[blk.Index] = in
-			outs[blk.Index] = out
-		}
-		if !changed {
-			break
-		}
-	}
-	// Report pass + exit-edge imbalance checks, in block order so
-	// diagnostics are deterministic.
-	for _, blk := range g.Blocks {
-		if !visited[blk.Index] {
-			continue
-		}
-		st := ins[blk.Index].clone()
+	sol.Each(func(blk *cfg.Block, st lockState) {
 		e.transferBlock(blk, st, true)
 		for _, s := range blk.Succs {
 			if s == g.Exit {
@@ -471,7 +410,7 @@ func (e *lockEngine) analyze(body *ast.BlockStmt, entry lockState) {
 				break
 			}
 		}
-	}
+	})
 	// Nested literals: analyzed with a fresh state — the engine does
 	// not model which enclosing locks are held when a closure runs.
 	lits := e.lits
@@ -485,7 +424,7 @@ func (e *lockEngine) analyze(body *ast.BlockStmt, entry lockState) {
 		if ls.gos {
 			sub.mode = lockModeGo
 		}
-		sub.analyze(ls.lit.Body, nil)
+		sub.analyze(ls.lit.Body)
 	}
 }
 
@@ -743,17 +682,13 @@ func (e *lockEngine) applyLockOp(op string, ref sliceRef, pos token.Pos, st lock
 				e.emit(pos, "Lock of %s while its read lock is held on this path (self-deadlock)", label)
 			}
 		}
-		if v.w < 2 {
-			v.w++
-		}
+		inc(&v.w)
 		e.noteInternal(ref, false)
 	case "RLock":
 		if report && v.w > 0 {
 			e.emit(pos, "RLock of %s while its write lock is held on this path (self-deadlock)", label)
 		}
-		if v.r < 2 {
-			v.r++
-		}
+		inc(&v.r)
 		e.noteInternal(ref, true)
 	case "Unlock":
 		if v.w > 0 {
@@ -768,11 +703,7 @@ func (e *lockEngine) applyLockOp(op string, ref sliceRef, pos token.Pos, st lock
 			e.emit(pos, "RUnlock of %s which is not held on this path", label)
 		}
 	}
-	if v.zero() {
-		delete(st, ref)
-	} else {
-		st[ref] = v
-	}
+	st.put(ref, v)
 }
 
 // noteInternal records an acquisition for the self-deadlock summary.
@@ -811,24 +742,30 @@ func (e *lockEngine) deferStmt(d *ast.DeferStmt, st lockState, report bool) {
 	addDeferred := func(ref sliceRef, read bool) {
 		v := st[ref]
 		if read {
-			if v.dr < 2 {
-				v.dr++
-			}
-		} else if v.dw < 2 {
-			v.dw++
+			inc(&v.dr)
+		} else {
+			inc(&v.dw)
 		}
 		st[ref] = v
 	}
-	if sel, ok := d.Call.Fun.(*ast.SelectorExpr); ok {
-		if op, ref, ok := e.lockOp(sel); ok {
-			switch op {
-			case "Unlock":
-				addDeferred(ref, false)
-			case "RUnlock":
-				addDeferred(ref, true)
-			}
-			return
+	// deferredUnlock registers sel when it is an unlock of a resolvable
+	// mutex, and reports whether sel was a lock operation at all.
+	deferredUnlock := func(fun ast.Expr) bool {
+		sel, ok := fun.(*ast.SelectorExpr)
+		if !ok {
+			return false
 		}
+		op, ref, ok := e.lockOp(sel)
+		switch {
+		case ok && op == "Unlock":
+			addDeferred(ref, false)
+		case ok && op == "RUnlock":
+			addDeferred(ref, true)
+		}
+		return ok
+	}
+	if deferredUnlock(d.Call.Fun) {
+		return
 	}
 	if lit, ok := d.Call.Fun.(*ast.FuncLit); ok {
 		// Unlocks anywhere in the deferred literal (not in further
@@ -837,19 +774,8 @@ func (e *lockEngine) deferStmt(d *ast.DeferStmt, st lockState, report bool) {
 			if _, ok := n.(*ast.FuncLit); ok {
 				return false
 			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				if op, ref, ok := e.lockOp(sel); ok {
-					switch op {
-					case "Unlock":
-						addDeferred(ref, false)
-					case "RUnlock":
-						addDeferred(ref, true)
-					}
-				}
+			if call, ok := n.(*ast.CallExpr); ok {
+				deferredUnlock(call.Fun)
 			}
 			return true
 		})
@@ -908,28 +834,20 @@ func (e *lockEngine) applySummary(callee *types.Func, sum *lockSummary, call *as
 		if ref, ok := e.concretize(abs, call); ok {
 			v := st[ref]
 			if abs.read {
-				if v.r > 0 {
-					v.r--
-				}
-			} else if v.w > 0 {
-				v.w--
-			}
-			if v.zero() {
-				delete(st, ref)
+				dec(&v.r)
 			} else {
-				st[ref] = v
+				dec(&v.w)
 			}
+			st.put(ref, v)
 		}
 	}
 	for _, abs := range sortedAbs(sum.acquires) {
 		if ref, ok := e.concretize(abs, call); ok {
 			v := st[ref]
 			if abs.read {
-				if v.r < 2 {
-					v.r++
-				}
-			} else if v.w < 2 {
-				v.w++
+				inc(&v.r)
+			} else {
+				inc(&v.w)
 			}
 			st[ref] = v
 		}
@@ -1197,7 +1115,7 @@ func (f *Facts) computeLocks(g *callGraph) {
 			changed := false
 			for _, n := range scc {
 				e := newLockEngine(n.site.pkg.Info, f, n.fn, n.site.decl, nil)
-				e.analyze(n.site.decl.Body, nil)
+				e.analyze(n.site.decl.Body)
 				if !e.summary.equal(f.locks[n.fn]) {
 					f.locks[n.fn] = e.summary
 					changed = true

@@ -72,50 +72,30 @@ func CollectOracleClaims(pkgs []*Package) ([]BoundsClaim, []InlineClaim) {
 			Facts:    facts,
 			pkg:      pkg,
 		}
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || pass.FuncCold(fd) {
+		eachDirectHot(pass, func(fd *ast.FuncDecl, inScope func(ast.Node) bool) {
+			for _, site := range hotLoopBounds(pass, fd, inScope) {
+				bounds = append(bounds, BoundsClaim{
+					Pos:    pass.Fset.Position(site.node.Pos()),
+					Expr:   site.expr,
+					Proven: site.proven,
+				})
+			}
+			for _, call := range loopCallExprs(fd) {
+				if !inScope(call) {
 					continue
 				}
-				direct := pass.funcDirectHot(fd)
-				var regions []ast.Stmt
-				if !direct {
-					regions = pass.HotRegions(fd)
-					if len(regions) == 0 {
-						continue
-					}
+				site, verdict := judgeCall(pass, call)
+				if verdict != callInlinable {
+					continue
 				}
-				for _, site := range analyzeBounds(pass.Info, fd.Body) {
-					if !site.inLoop {
-						continue
-					}
-					if !direct && !inStmts(site.node, regions) {
-						continue
-					}
-					bounds = append(bounds, BoundsClaim{
-						Pos:    pass.Fset.Position(site.node.Pos()),
-						Expr:   site.expr,
-						Proven: site.proven,
-					})
-				}
-				for _, call := range loopCallExprs(fd) {
-					if !direct && !inStmts(call, regions) {
-						continue
-					}
-					site, verdict := judgeCall(pass, call)
-					if verdict != callInlinable {
-						continue
-					}
-					ds := facts.decls[site.callee]
-					inlines = append(inlines, InlineClaim{
-						CallPos: pass.Fset.Position(call.Pos()),
-						DeclPos: ds.pkg.Fset.Position(ds.decl.Pos()),
-						Name:    site.callee.Name(),
-					})
-				}
+				ds := facts.decls[site.callee]
+				inlines = append(inlines, InlineClaim{
+					CallPos: pass.Fset.Position(call.Pos()),
+					DeclPos: ds.pkg.Fset.Position(ds.decl.Pos()),
+					Name:    site.callee.Name(),
+				})
 			}
-		}
+		})
 	}
 	return bounds, inlines
 }

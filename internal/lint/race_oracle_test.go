@@ -116,7 +116,7 @@ func TestStressSource(t *testing.T) {
 		}
 	}
 	// A package with no annotations generates nothing.
-	if s := stressSource(loadFixture(t, l, "copylock")); s != nil {
+	if s := stressSource(loadFixture(t, l, "goleak")); s != nil {
 		t.Errorf("unannotated package produced a harness:\n%s", s)
 	}
 }

@@ -32,9 +32,9 @@ import (
 
 // ConcurrencyAnalyzers returns the analyzers whose findings count as
 // explanations for a race-detector report: the lock-discipline,
-// atomic-consistency, goroutine-lifecycle and lock-copy checks.
+// atomic-consistency, goroutine-lifecycle and shared-accumulator checks.
 func ConcurrencyAnalyzers() []*Analyzer {
-	return []*Analyzer{Lockcheck, AtomicMix, GoLeak, WaitGroupCapture, CopyLock}
+	return []*Analyzer{Lockcheck, AtomicMix, GoLeak, WaitGroupCapture}
 }
 
 // A RaceReport is one WARNING: DATA RACE block from -race output.

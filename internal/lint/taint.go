@@ -2,10 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-
-	"mlec/internal/lint/cfg"
 )
 
 // Taint is a bit set of value properties the dataflow engine tracks.
@@ -47,352 +44,121 @@ func (v taintVal) join(w taintVal) taintVal {
 	return taintVal{v.kinds | w.kinds, v.params | w.params}
 }
 
-func (v taintVal) isZero() bool { return v.kinds == 0 && v.params == 0 }
-
-// store maps variables to their current taint. Entries with zero taint
-// are removed so map equality checks stay cheap.
-type store map[types.Object]taintVal
-
-func (s store) clone() store {
-	out := make(store, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
-// joinInto merges other into s, reporting whether s changed.
-func (s store) joinInto(other store) bool {
-	changed := false
-	for k, v := range other {
-		old := s[k]
-		nv := old.join(v)
-		if nv != old {
-			s[k] = nv
-			changed = true
-		}
-	}
-	return changed
-}
-
-func (s store) set(obj types.Object, v taintVal) {
-	if obj == nil {
-		return
-	}
-	if v.isZero() {
-		delete(s, obj)
-		return
-	}
-	s[obj] = v
-}
-
-func (s store) weakSet(obj types.Object, v taintVal) {
-	if obj == nil || v.isZero() {
-		return
-	}
-	s[obj] = s[obj].join(v)
-}
-
 // FuncTaint is the result of running the taint engine over one function
 // body: the taint of every expression node at the program point where
 // it is evaluated, plus the joined taint of each result slot (used by
 // the fact store to build cross-package summaries).
-type FuncTaint struct {
-	exprs   map[ast.Expr]taintVal
-	results []taintVal
-}
+type FuncTaint varFlow[taintVal]
 
 // Of returns the taint kinds of an expression node.
 func (ft *FuncTaint) Of(e ast.Expr) Taint { return ft.exprs[e].kinds }
 
-// val returns the full lattice value (kinds + param bits).
-func (ft *FuncTaint) val(e ast.Expr) taintVal { return ft.exprs[e] }
-
 // analyzeBody runs the forward taint analysis over a function body to a
-// fixed point. info provides types, facts resolves callee summaries
-// (may be nil), params seeds the parameter objects (used in summary
-// mode: param i carries bit 1<<i), and results names the result
+// fixed point (runFlow). info provides types, facts resolves callee
+// summaries (may be nil), params seeds the parameter objects (used in
+// summary mode: param i carries bit 1<<i), and results names the result
 // objects for bare returns.
 func analyzeBody(info *types.Info, facts *Facts, body *ast.BlockStmt,
-	params map[types.Object]taintVal, resultObjs []types.Object, nresults int) *FuncTaint {
-
-	g := cfg.Build(body)
-	ft := &FuncTaint{
-		exprs:   make(map[ast.Expr]taintVal),
-		results: make([]taintVal, nresults),
-	}
-	tr := &transfer{info: info, facts: facts, ft: ft, resultObjs: resultObjs}
-
-	in := make([]store, len(g.Blocks))
-	for i := range in {
-		in[i] = store{}
-	}
-	for obj, v := range params {
-		in[g.Entry.Index].set(obj, v)
-	}
-
-	// Worklist fixed point. Every block starts on the list: blocks
-	// generate taint on their own (a range header is a source), so
-	// waiting for an in-state change would never process blocks whose
-	// predecessors have clean out-states. The lattice is finite (bit
-	// sets over a fixed variable population), so this terminates.
-	work := make([]*cfg.Block, len(g.Blocks))
-	copy(work, g.Blocks)
-	queued := make([]bool, len(g.Blocks))
-	for i := range queued {
-		queued[i] = true
-	}
-	for len(work) > 0 {
-		blk := work[0]
-		work = work[1:]
-		queued[blk.Index] = false
-
-		out := in[blk.Index].clone()
-		for _, n := range blk.Nodes {
-			tr.node(out, n)
-		}
-		for _, succ := range blk.Succs {
-			if in[succ.Index].joinInto(out) && !queued[succ.Index] {
-				queued[succ.Index] = true
-				work = append(work, succ)
-			}
-		}
-	}
-
-	// Final pass: with stable block-entry states, record per-expression
-	// taints (the fixed point guarantees these are the join over all
-	// paths reaching the node).
-	for _, blk := range g.Blocks {
-		out := in[blk.Index].clone()
-		for _, n := range blk.Nodes {
-			tr.node(out, n)
-		}
-	}
-	return ft
+	params map[types.Object]taintVal, resultObjs []types.Object) *FuncTaint {
+	return (*FuncTaint)(runFlow[taintVal](taintRules{}, info, facts, body, params, resultObjs))
 }
 
-// transfer implements the dataflow transfer functions. node mutates the
-// store in place and records expression taints into ft.
-type transfer struct {
-	info       *types.Info
-	facts      *Facts
-	ft         *FuncTaint
-	resultObjs []types.Object
+// taintRules is the taint lattice's side of the shared walker.
+type taintRules struct{}
+
+type taintFlow = varFlow[taintVal]
+
+func (taintRules) declared(*taintFlow, types.Object) taintVal { return taintVal{} }
+
+// slot: every value of x, y := f() carries the call's taint
+// (conservative).
+func (taintRules) slot(_ *taintFlow, _ ast.Expr, v taintVal, _ int) taintVal { return v }
+
+func (taintRules) ranged(fl *taintFlow, n *ast.RangeStmt, x taintVal) (key, val taintVal) {
+	if isMapType(fl.info.TypeOf(n.X)) {
+		// Ranging a map is THE map-order source: key and value become
+		// order-tainted regardless of the map's own taint.
+		x.kinds |= TaintMapOrder
+	}
+	return x, x
 }
 
-func (t *transfer) node(s store, n ast.Node) {
-	switch n := n.(type) {
-	case ast.Expr:
-		t.eval(s, n)
-	case *ast.AssignStmt:
-		t.assign(s, n)
-	case *ast.DeclStmt:
-		if gd, ok := n.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					var v taintVal
-					if i < len(vs.Values) {
-						v = t.eval(s, vs.Values[i])
-					}
-					s.set(t.info.Defs[name], v)
-				}
-			}
+// stored: a map is key-addressed, so writing entries in map-iteration
+// order leaves the map's content deterministic and MapOrder does not
+// propagate through m[k] = v (WallTime still does — the stored value
+// itself is wall-clock data). Exception: slice-valued entries.
+// m[k] = append(m[k], x) grows an ordered structure in iteration order,
+// which is exactly the nondeterminism the analyzer hunts.
+func (taintRules) stored(fl *taintFlow, l *ast.IndexExpr, v taintVal) taintVal {
+	if mt := asMapType(fl.info.TypeOf(l.X)); mt != nil {
+		if _, sliceElem := mt.Elem().Underlying().(*types.Slice); !sliceElem {
+			v.kinds &^= TaintMapOrder
 		}
-	case *ast.ExprStmt:
-		t.eval(s, n.X)
-	case *ast.IncDecStmt:
-		t.eval(s, n.X)
-	case *ast.SendStmt:
-		v := t.eval(s, n.Value)
-		t.eval(s, n.Chan)
-		// A send taints the channel; receives read it back out.
-		s.weakSet(rootObj(t.info, n.Chan), v)
-	case *ast.ReturnStmt:
-		if len(n.Results) == 0 {
-			// Bare return: named results carry their current taint.
-			for i, obj := range t.resultObjs {
-				if obj != nil && i < len(t.ft.results) {
-					t.ft.results[i] = t.ft.results[i].join(s[obj])
-				}
-			}
-			return
-		}
-		if len(n.Results) == 1 && len(t.ft.results) > 1 {
-			// return f() returning multiple values: join the call's
-			// taint into every slot (conservative).
-			v := t.eval(s, n.Results[0])
-			for i := range t.ft.results {
-				t.ft.results[i] = t.ft.results[i].join(v)
-			}
-			return
-		}
-		for i, e := range n.Results {
-			v := t.eval(s, e)
-			if i < len(t.ft.results) {
-				t.ft.results[i] = t.ft.results[i].join(v)
-			}
-		}
-	case *ast.RangeStmt:
-		v := t.eval(s, n.X)
-		iter := v
-		if isMapType(t.info.TypeOf(n.X)) {
-			// Ranging a map is THE map-order source: key and value
-			// become order-tainted regardless of the map's own taint.
-			iter.kinds |= TaintMapOrder
-		}
-		if n.Key != nil {
-			t.assignTo(s, n.Key, iter, n.Tok == token.DEFINE)
-		}
-		if n.Value != nil {
-			t.assignTo(s, n.Value, iter, n.Tok == token.DEFINE)
-		}
-	case *ast.GoStmt:
-		t.eval(s, n.Call)
-	case *ast.DeferStmt:
-		t.eval(s, n.Call)
-	case ast.Stmt:
-		// Other statements hold no top-level expressions to evaluate
-		// (the CFG lifts conditions and bodies into their own blocks).
-	}
-}
-
-func (t *transfer) assign(s store, a *ast.AssignStmt) {
-	if a.Tok == token.ASSIGN || a.Tok == token.DEFINE {
-		if len(a.Rhs) == 1 && len(a.Lhs) > 1 {
-			// x, y := f(): every LHS gets the call's taint.
-			v := t.eval(s, a.Rhs[0])
-			for _, l := range a.Lhs {
-				t.assignTo(s, l, v, a.Tok == token.DEFINE)
-			}
-			return
-		}
-		for i, l := range a.Lhs {
-			var v taintVal
-			if i < len(a.Rhs) {
-				v = t.eval(s, a.Rhs[i])
-			}
-			t.assignTo(s, l, v, a.Tok == token.DEFINE)
-		}
-		return
-	}
-	// Compound assignment (+=, -=, …): the LHS keeps its old taint and
-	// absorbs the RHS's — except integer accumulators. Integer
-	// arithmetic is exact and commutative, so a counter folded over a
-	// map range is the same whatever the iteration order; floats (not
-	// associative) and strings (concatenation order) do absorb taint.
-	v := t.eval(s, a.Rhs[0])
-	t.eval(s, a.Lhs[0])
-	if lt := t.info.TypeOf(a.Lhs[0]); lt != nil {
-		if bt, ok := lt.Underlying().(*types.Basic); ok && bt.Info()&types.IsInteger != 0 {
-			return
-		}
-	}
-	s.weakSet(rootObj(t.info, a.Lhs[0]), v)
-}
-
-// assignTo writes v into an assignable expression. Plain identifiers
-// get a strong (killing) update; element/field writes taint the root
-// variable weakly — the container may hold clean values too, but once a
-// tainted value is inside, reads are conservatively tainted.
-func (t *transfer) assignTo(s store, lhs ast.Expr, v taintVal, define bool) {
-	switch l := lhs.(type) {
-	case *ast.Ident:
-		if l.Name == "_" {
-			return
-		}
-		if define {
-			s.set(t.info.Defs[l], v)
-			return
-		}
-		if obj := t.info.Uses[l]; obj != nil {
-			s.set(obj, v)
-			return
-		}
-		s.set(t.info.Defs[l], v)
-	case *ast.IndexExpr:
-		t.eval(s, l.Index)
-		// A map is key-addressed: writing entries in map-iteration
-		// order leaves the map's content deterministic, so MapOrder
-		// does not propagate through m[k] = v (WallTime still does —
-		// the stored value itself is wall-clock data). Exception:
-		// slice-valued entries. m[k] = append(m[k], x) grows an
-		// ordered structure in iteration order, which is exactly the
-		// nondeterminism the analyzer hunts.
-		if mt := asMapType(t.info.TypeOf(l.X)); mt != nil {
-			if _, sliceElem := mt.Elem().Underlying().(*types.Slice); !sliceElem {
-				v.kinds &^= TaintMapOrder
-			}
-		}
-		s.weakSet(rootObj(t.info, l.X), v)
-	case *ast.SelectorExpr, *ast.StarExpr:
-		s.weakSet(rootObj(t.info, lhs), v)
-	case *ast.ParenExpr:
-		t.assignTo(s, l.X, v, define)
-	}
-}
-
-// eval computes the taint of an expression and records it.
-func (t *transfer) eval(s store, e ast.Expr) taintVal {
-	v := t.evalInner(s, e)
-	if !v.isZero() {
-		t.ft.exprs[e] = t.ft.exprs[e].join(v)
 	}
 	return v
 }
 
-func (t *transfer) evalInner(s store, e ast.Expr) taintVal {
+// compound: the LHS keeps its old taint and absorbs the RHS's — except
+// integer accumulators. Integer arithmetic is exact and commutative, so
+// a counter folded over a map range is the same whatever the iteration
+// order; floats (not associative) and strings (concatenation order) do
+// absorb taint.
+func (taintRules) compound(fl *taintFlow, a *ast.AssignStmt, _, v taintVal) (taintVal, bool, bool) {
+	if isIntegerType(fl.info.TypeOf(a.Lhs[0])) {
+		return taintVal{}, false, false
+	}
+	return v, false, true
+}
+
+func (t taintRules) expr(fl *taintFlow, s varStore[taintVal], e ast.Expr) taintVal {
 	switch e := e.(type) {
 	case *ast.Ident:
-		if obj := t.info.ObjectOf(e); obj != nil {
+		if obj := fl.info.ObjectOf(e); obj != nil {
 			return s[obj]
 		}
 	case *ast.ParenExpr:
-		return t.eval(s, e.X)
+		return fl.eval(s, e.X)
 	case *ast.UnaryExpr:
-		return t.eval(s, e.X) // includes <-ch: channel taint flows out
+		return fl.eval(s, e.X) // includes <-ch: channel taint flows out
 	case *ast.StarExpr:
-		return t.eval(s, e.X)
+		return fl.eval(s, e.X)
 	case *ast.BinaryExpr:
-		return t.eval(s, e.X).join(t.eval(s, e.Y))
+		return fl.eval(s, e.X).join(fl.eval(s, e.Y))
 	case *ast.IndexExpr:
-		return t.eval(s, e.X).join(t.eval(s, e.Index))
+		return fl.eval(s, e.X).join(fl.eval(s, e.Index))
 	case *ast.SliceExpr:
-		v := t.eval(s, e.X)
+		v := fl.eval(s, e.X)
 		if e.Low != nil {
-			t.eval(s, e.Low)
+			fl.eval(s, e.Low)
 		}
 		if e.High != nil {
-			t.eval(s, e.High)
+			fl.eval(s, e.High)
 		}
 		if e.Max != nil {
-			t.eval(s, e.Max)
+			fl.eval(s, e.Max)
 		}
 		return v
 	case *ast.SelectorExpr:
 		// Method values / package selectors carry no taint; field reads
 		// inherit the base object's.
-		if sel, ok := t.info.Selections[e]; ok && sel.Kind() == types.FieldVal {
-			return t.eval(s, e.X)
+		if sel, ok := fl.info.Selections[e]; ok && sel.Kind() == types.FieldVal {
+			return fl.eval(s, e.X)
 		}
 		return taintVal{}
 	case *ast.CompositeLit:
 		var v taintVal
 		for _, el := range e.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				v = v.join(t.eval(s, kv.Value))
+				v = v.join(fl.eval(s, kv.Value))
 				continue
 			}
-			v = v.join(t.eval(s, el))
+			v = v.join(fl.eval(s, el))
 		}
 		return v
 	case *ast.TypeAssertExpr:
-		return t.eval(s, e.X)
+		return fl.eval(s, e.X)
 	case *ast.CallExpr:
-		return t.call(s, e)
+		return t.call(fl, s, e)
 	case *ast.FuncLit:
 		// Closure bodies are analyzed as separate functions; the value
 		// itself is clean.
@@ -404,20 +170,20 @@ func (t *transfer) evalInner(s store, e ast.Expr) taintVal {
 // call applies taint semantics for a call expression: sources
 // (time.Now/Since), sanitizers (sort.*, slices.Sort*), pass-throughs
 // (append, copy, conversions) and summarized intra-module callees.
-func (t *transfer) call(s store, call *ast.CallExpr) taintVal {
+func (taintRules) call(fl *taintFlow, s varStore[taintVal], call *ast.CallExpr) taintVal {
 	args := make([]taintVal, len(call.Args))
 	for i, a := range call.Args {
-		args[i] = t.eval(s, a)
+		args[i] = fl.eval(s, a)
 	}
 
 	// Conversions: T(x) passes taint through.
 	if len(call.Args) == 1 {
-		if tv, ok := t.info.Types[call.Fun]; ok && tv.IsType() {
+		if tv, ok := fl.info.Types[call.Fun]; ok && tv.IsType() {
 			return args[0]
 		}
 	}
 
-	switch calleeName(t.info, call) {
+	switch calleeName(fl.info, call) {
 	case "builtin.append":
 		var v taintVal
 		for _, a := range args {
@@ -440,7 +206,7 @@ func (t *transfer) call(s store, call *ast.CallExpr) taintVal {
 		// Sorting re-establishes a canonical order: the map-order
 		// taint of the sorted container is sanitized in place.
 		if len(call.Args) > 0 {
-			if obj := rootObj(t.info, call.Args[0]); obj != nil {
+			if obj := rootObj(fl.info, call.Args[0]); obj != nil {
 				v := s[obj]
 				v.kinds &^= TaintMapOrder
 				// Param bits model order flow too — a sorted result no
@@ -454,9 +220,9 @@ func (t *transfer) call(s store, call *ast.CallExpr) taintVal {
 	// Intra-module callee with a computed summary: map argument taints
 	// through the parameter-flow mask and add the callee's own result
 	// taint.
-	if t.facts != nil {
-		if fn := calleeFunc(t.info, call); fn != nil {
-			if sum := t.facts.summaryOf(fn); sum != nil {
+	if fl.facts != nil {
+		if fn := calleeFunc(fl.info, call); fn != nil {
+			if sum := fl.facts.summaryOf(fn); sum != nil {
 				var v taintVal
 				for _, r := range sum.results {
 					v.kinds |= r.kinds
@@ -469,7 +235,7 @@ func (t *transfer) call(s store, call *ast.CallExpr) taintVal {
 				// Method calls: bit 31 marks receiver flow.
 				if sum.recvFlows {
 					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-						v = v.join(t.eval(s, sel.X))
+						v = v.join(fl.eval(s, sel.X))
 					}
 				}
 				return v
@@ -487,8 +253,8 @@ func (t *transfer) call(s store, call *ast.CallExpr) taintVal {
 		v = v.join(a)
 	}
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if tsel, ok := t.info.Selections[sel]; ok && tsel.Kind() == types.MethodVal {
-			v = v.join(t.eval(s, sel.X))
+		if tsel, ok := fl.info.Selections[sel]; ok && tsel.Kind() == types.MethodVal {
+			v = v.join(fl.eval(s, sel.X))
 		}
 	}
 	return v

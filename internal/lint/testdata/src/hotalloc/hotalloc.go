@@ -89,8 +89,8 @@ func SetupThenLoop(xs []int) int {
 	//mlec:hot
 	for _, x := range scratch {
 		total += x
-		box := new(int) // want `heap-allocates new`
-		sink = append(sink, box)
+		box := new(int)          // want `heap-allocates new`
+		sink = append(sink, box) // want `appends in a hot loop without a capacity plan`
 	}
 	return total
 }

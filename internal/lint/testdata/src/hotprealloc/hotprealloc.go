@@ -25,7 +25,7 @@ func Grows(xs []int) []int {
 //
 //mlec:hot
 func Planned(xs []int) []int {
-	out := make([]int, 0, len(xs))
+	out := make([]int, 0, len(xs)) // want `heap-allocates make`
 	for _, x := range xs {
 		out = append(out, x)
 	}

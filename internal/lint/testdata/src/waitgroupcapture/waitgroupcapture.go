@@ -4,14 +4,14 @@ package fixwaitgroupcapture
 import "sync"
 
 // CaptureLoop references the for-loop variable inside the goroutine:
-// flagged.
+// per-iteration since Go 1.22, exempt.
 func CaptureLoop() {
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = i // want `references loop variable "i"`
+			_ = i
 		}()
 	}
 	wg.Wait()
@@ -24,7 +24,7 @@ func CaptureRange(xs []int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = x // want `references loop variable "x"`
+			_ = x
 		}()
 	}
 	wg.Wait()
@@ -92,13 +92,13 @@ func ParamPass() {
 	wg.Wait()
 }
 
-// AddInGoroutine moves the Add inside the spawned body: the spawner
-// may already be blocked in Wait when it runs (Add-after-Wait race).
+// AddInGoroutine moves the Add inside the spawned body: goleak's
+// finding (Add-after-Wait race), not a shared-accumulator write.
 func AddInGoroutine() {
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
-		wg.Add(1) // want `wg.Add inside the spawned goroutine races a concurrent Wait`
+		wg.Add(1)
 		defer wg.Done()
 		wg.Done()
 	}()

@@ -6,74 +6,33 @@ import (
 	"go/types"
 )
 
-// WaitGroupCapture enforces the worker-pool discipline used by the
-// simulators' fan-out loops (burst.PDL, poolsim.Split,
-// rs.EncodeParallel):
+// WaitGroupCapture enforces the one rule of the worker-pool discipline
+// (burst.PDL, poolsim.Split, rs.EncodeParallel) that nothing else
+// reports: a goroutine launched inside a loop must not write to a
+// variable declared outside the loop without holding a lock — the
+// shared-accumulator race. Writing to distinct elements of a
+// pre-allocated slice (slots[i] = …) is the blessed pattern and is not
+// flagged; direct writes (sum += x, done++) are, unless the goroutine
+// body acquires a mutex.
 //
-//  1. A goroutine launched inside a loop must not reference the loop
-//     variable directly — it must receive it as a parameter of the go
-//     func literal. (Go 1.22 made per-iteration variables safe, but
-//     parameter passing keeps the dependency explicit and the code
-//     correct under earlier toolchains and refactors.)
-//
-//  2. A goroutine launched inside a loop must not write to a variable
-//     declared outside the loop without holding a lock — the shared-
-//     accumulator race. Writing to distinct elements of a
-//     pre-allocated slice (slots[i] = …) is the blessed pattern and is
-//     not flagged; direct writes (sum += x, done++) are, unless the
-//     goroutine body acquires a mutex.
-//
-//  3. wg.Add must not run inside the spawned goroutine itself — the
-//     spawner may already be blocked in Wait when the Add executes
-//     (the Add-after-Wait race). The check is shared with goleak
-//     (goleak.go), whose lifecycle summaries subsume this analyzer's
-//     lexical rules; the waitgroupcapture name is kept as the
-//     established alias for the loop-discipline findings.
+// Capturing the loop variable itself is not a hazard at this module's
+// language version (per-iteration variables since Go 1.22), and wg.Add
+// inside the spawned goroutine is goleak's finding.
 var WaitGroupCapture = &Analyzer{
 	Name: "waitgroupcapture",
-	Doc:  "flag worker-pool loops capturing loop variables or racing on shared accumulators",
+	Doc:  "flag worker-pool loops whose goroutines race on a shared accumulator",
 	Run:  runWaitGroupCapture,
 }
 
 func runWaitGroupCapture(pass *Pass) error {
 	for _, f := range pass.Files {
-		// Rule 3 applies to every spawned literal, in or out of a loop.
 		ast.Inspect(f, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok {
-				if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
-					reportAddInsideGoroutine(pass, lit)
-				}
-			}
-			return true
-		})
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			loopVars := make(map[types.Object]bool)
 			switch loop := n.(type) {
 			case *ast.ForStmt:
-				body = loop.Body
-				if init, ok := loop.Init.(*ast.AssignStmt); ok {
-					for _, lhs := range init.Lhs {
-						if id, ok := lhs.(*ast.Ident); ok {
-							if obj := pass.Info.Defs[id]; obj != nil {
-								loopVars[obj] = true
-							}
-						}
-					}
-				}
+				checkLoopGoroutines(pass, loop.Pos(), loop.Body)
 			case *ast.RangeStmt:
-				body = loop.Body
-				for _, e := range []ast.Expr{loop.Key, loop.Value} {
-					if id, ok := e.(*ast.Ident); ok {
-						if obj := pass.Info.Defs[id]; obj != nil {
-							loopVars[obj] = true
-						}
-					}
-				}
-			default:
-				return true
+				checkLoopGoroutines(pass, loop.Pos(), loop.Body)
 			}
-			checkLoopGoroutines(pass, n.Pos(), body, loopVars)
 			return true
 		})
 	}
@@ -82,7 +41,7 @@ func runWaitGroupCapture(pass *Pass) error {
 
 // checkLoopGoroutines inspects go statements directly inside one loop
 // body (not nested inside further function literals).
-func checkLoopGoroutines(pass *Pass, loopPos token.Pos, body *ast.BlockStmt, loopVars map[types.Object]bool) {
+func checkLoopGoroutines(pass *Pass, loopPos token.Pos, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false // a nested closure is not "launched by this loop"
@@ -92,24 +51,17 @@ func checkLoopGoroutines(pass *Pass, loopPos token.Pos, body *ast.BlockStmt, loo
 			return true
 		}
 		lit, ok := g.Call.Fun.(*ast.FuncLit)
-		if !ok {
+		if !ok || containsLockCall(lit.Body) {
 			return true
 		}
-		locks := containsLockCall(lit.Body)
 		ast.Inspect(lit.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.Ident:
-				if obj := pass.Info.Uses[n]; obj != nil && loopVars[obj] {
-					pass.Report(n.Pos(),
-						"goroutine references loop variable %q; pass it as a parameter of the go func",
-						n.Name)
-				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					reportSharedWrite(pass, lhs, lit, loopPos, locks)
+					reportSharedWrite(pass, lhs, lit, loopPos)
 				}
 			case *ast.IncDecStmt:
-				reportSharedWrite(pass, n.X, lit, loopPos, locks)
+				reportSharedWrite(pass, n.X, lit, loopPos)
 			}
 			return true
 		})
@@ -119,10 +71,7 @@ func checkLoopGoroutines(pass *Pass, loopPos token.Pos, body *ast.BlockStmt, loo
 
 // reportSharedWrite flags a direct assignment to a variable declared
 // before the loop, performed inside the goroutine without locking.
-func reportSharedWrite(pass *Pass, lhs ast.Expr, lit *ast.FuncLit, loopPos token.Pos, locks bool) {
-	if locks {
-		return
-	}
+func reportSharedWrite(pass *Pass, lhs ast.Expr, lit *ast.FuncLit, loopPos token.Pos) {
 	id, ok := lhs.(*ast.Ident)
 	if !ok {
 		return // element/field writes are the per-slot pattern

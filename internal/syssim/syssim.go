@@ -331,7 +331,7 @@ func RunContext(ctx context.Context, cfg Config, years float64, seed int64) (Sta
 			s.depthGauge.Set(int64(s.eng.Pending()))
 			//lint:allow hotalloc progress note renders once per 1024 events, amortized away
 			task.SetNote(fmt.Sprintf("simyears %.2f/%.2f", s.eng.Now()/failure.HoursPerYear, years))
-			//lint:allow hotiface context poll is amortized to one dispatch per 1024 events
+			//lint:allow hotalloc context poll is amortized to one dispatch per 1024 events
 			if ctx.Err() != nil {
 				s.stats.Partial = true
 				s.stats.SimYears = s.eng.Now() / failure.HoursPerYear
@@ -342,7 +342,6 @@ func RunContext(ctx context.Context, cfg Config, years float64, seed int64) (Sta
 			// fault: error kinds fail the run loudly (panic kinds kill
 			// it), which is exactly what a chaos probe of an unhealable
 			// engine should report.
-			//lint:allow hotiface chaos probe is amortized to one dispatch per 1024 events
 			if err := faultinject.Fire("syssim.events", cfg.Seed); err != nil {
 				return s.stats, fmt.Errorf("syssim: injected fault: %w", err)
 			}
