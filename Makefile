@@ -101,9 +101,9 @@ bench-engines:
 	$(GO) run ./cmd/mlecbench engines -label $(LABEL) -out BENCH_engines.json $(if $(APPEND),-append)
 
 ## fuzz: short fuzzing smoke of the hand-written parsers (failure-trace
-## files, //lint:allow directives) and of the burst sampler against its
-## reference. `go test -fuzz` accepts a single target per invocation,
-## hence one line each.
+## files, //lint:allow directives) and of the burst sampler and the
+## codecs against their references. `go test -fuzz` accepts a single
+## target per invocation, hence one line each.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseTrace -fuzztime=10s ./internal/failure
 	$(GO) test -run='^$$' -fuzz=FuzzParseAllowDirective -fuzztime=10s ./internal/lint
@@ -112,3 +112,4 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLockStateEngine -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=10s ./internal/runctl
 	$(GO) test -run='^$$' -fuzz=FuzzSampleLayoutMatchesReference -fuzztime=10s ./internal/burst
+	$(GO) test -run='^$$' -fuzz=FuzzCodecMatchesReference -fuzztime=10s ./internal/gf256

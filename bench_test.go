@@ -20,6 +20,7 @@ import (
 	"mlec/internal/burst"
 	"mlec/internal/experiments"
 	"mlec/internal/gf256"
+	"mlec/internal/lrc"
 	"mlec/internal/placement"
 	"mlec/internal/repair"
 	"mlec/internal/rs"
@@ -236,28 +237,54 @@ func BenchmarkSec524LRCTraffic(b *testing.B) {
 
 // --- Hot-path micro-benchmarks ----------------------------------------
 
-func BenchmarkGFMulAddSlice(b *testing.B) {
-	src := make([]byte, 128<<10)
-	dst := make([]byte, 128<<10)
-	rand.New(rand.NewSource(1)).Read(src)
-	b.SetBytes(int64(len(src)))
+// These mirror the rows of `mlecbench kernels` (cmd/mlecbench/kernels.go):
+// same 128 KiB shards, same seeds.
+
+const benchShardBytes = 128 << 10
+
+// benchmarkApply times gf256.Apply on a rows×1 matrix: the one-row table
+// loop for rows = 1, the two-row loop for rows = 2.
+func benchmarkApply(b *testing.B, rows int) {
+	coef := [][]byte{{0x1d}, {0x8e}}[:rows]
+	in := [][]byte{make([]byte, benchShardBytes)}
+	rand.New(rand.NewSource(1)).Read(in[0])
+	out := [][]byte{make([]byte, benchShardBytes), make([]byte, benchShardBytes)}[:rows]
+	b.SetBytes(benchShardBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gf256.MulAddSlice(0x1d, src, dst)
+		gf256.Apply(coef, in, out)
 	}
 }
 
-func benchmarkRSEncode(b *testing.B, k, p int) {
-	codec := rs.MustNew(k, p)
-	shards := make([][]byte, k+p)
-	rng := rand.New(rand.NewSource(2))
+func BenchmarkGFApply_1x1(b *testing.B) { benchmarkApply(b, 1) }
+func BenchmarkGFApply_2x1(b *testing.B) { benchmarkApply(b, 2) }
+
+// benchCodec is what the benchmarks need of rs.Codec and lrc.Codec.
+type benchCodec interface {
+	Encode(shards [][]byte) error
+	Reconstruct(shards [][]byte) error
+}
+
+// encodedStripe returns a stripe of total shards whose first k are seeded
+// random data and whose parities codec filled in.
+func encodedStripe(b *testing.B, codec benchCodec, k, total int, seed int64) [][]byte {
+	shards := make([][]byte, total)
+	rng := rand.New(rand.NewSource(seed))
 	for i := range shards {
-		shards[i] = make([]byte, 128<<10)
+		shards[i] = make([]byte, benchShardBytes)
 		if i < k {
 			rng.Read(shards[i])
 		}
 	}
-	b.SetBytes(int64(k * 128 << 10))
+	if err := codec.Encode(shards); err != nil {
+		b.Fatal(err)
+	}
+	return shards
+}
+
+func benchmarkEncode(b *testing.B, codec benchCodec, k, total int) {
+	shards := encodedStripe(b, codec, k, total, 2)
+	b.SetBytes(int64(k) * benchShardBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := codec.Encode(shards); err != nil {
@@ -266,33 +293,50 @@ func benchmarkRSEncode(b *testing.B, k, p int) {
 	}
 }
 
-func BenchmarkRSEncode_10_2(b *testing.B)  { benchmarkRSEncode(b, 10, 2) }
-func BenchmarkRSEncode_17_3(b *testing.B)  { benchmarkRSEncode(b, 17, 3) }
-func BenchmarkRSEncode_28_12(b *testing.B) { benchmarkRSEncode(b, 28, 12) }
+func BenchmarkRSEncode_10_2(b *testing.B)  { benchmarkEncode(b, rs.MustNew(10, 2), 10, 12) }
+func BenchmarkRSEncode_17_3(b *testing.B)  { benchmarkEncode(b, rs.MustNew(17, 3), 17, 20) }
+func BenchmarkRSEncode_28_12(b *testing.B) { benchmarkEncode(b, rs.MustNew(28, 12), 28, 40) }
 
-func BenchmarkRSReconstruct_17_3(b *testing.B) {
+func BenchmarkLRCEncode_14_2_4(b *testing.B) { benchmarkEncode(b, lrc.MustNew(14, 2, 4), 14, 20) }
+
+func BenchmarkRSVerify_17_3(b *testing.B) {
 	codec := rs.MustNew(17, 3)
-	ref := make([][]byte, 20)
-	rng := rand.New(rand.NewSource(3))
-	for i := range ref {
-		ref[i] = make([]byte, 128<<10)
-		if i < 17 {
-			rng.Read(ref[i])
-		}
-	}
-	if err := codec.Encode(ref); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(3 * 128 << 10)
+	shards := encodedStripe(b, codec, 17, 20, 2)
+	b.SetBytes(17 * benchShardBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shards := make([][]byte, 20)
+		if ok, err := codec.Verify(shards); err != nil || !ok {
+			b.Fatal(ok, err)
+		}
+	}
+}
+
+// benchmarkReconstruct times rebuilding the lost shards of one stripe;
+// throughput counts the bytes rebuilt.
+func benchmarkReconstruct(b *testing.B, codec benchCodec, k, total int, lost []int) {
+	ref := encodedStripe(b, codec, k, total, 3)
+	shards := make([][]byte, total)
+	b.SetBytes(int64(len(lost)) * benchShardBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		copy(shards, ref)
-		shards[0], shards[7], shards[19] = nil, nil, nil
+		for _, j := range lost {
+			shards[j] = nil
+		}
 		if err := codec.Reconstruct(shards); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+func BenchmarkRSReconstruct_17_3(b *testing.B) {
+	benchmarkReconstruct(b, rs.MustNew(17, 3), 17, 20, []int{0, 7, 19})
+}
+
+// One loss in a group (XOR repair) plus two in the other and a global
+// parity (the global solve).
+func BenchmarkLRCReconstruct_14_2_4(b *testing.B) {
+	benchmarkReconstruct(b, lrc.MustNew(14, 2, 4), 14, 20, []int{0, 7, 8, 16})
 }
 
 func BenchmarkBurstConditionalPDL(b *testing.B) {

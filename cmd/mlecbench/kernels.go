@@ -6,14 +6,15 @@ import (
 	"testing"
 
 	"mlec/internal/gf256"
+	"mlec/internal/lrc"
 	"mlec/internal/rs"
 )
 
 // The kernels tier: the codec kernel micro-benchmarks run through
 // testing.Benchmark (BENCH_gf256.json). The file exists so that "the
 // kernels are allocation-free" is a recorded, diffable fact rather than
-// a claim: each run captures GB/s and allocs/op for the gf256
-// primitives and the Reed-Solomon encode/reconstruct paths, and a sweep
+// a claim: each run captures GB/s and allocs/op for gf256.Apply and
+// XorSlice and the rs/lrc encode, verify and reconstruct paths, and a sweep
 // that accidentally introduces an allocation shows up as a nonzero
 // allocs/op in the diff, next to the throughput it cost.
 
@@ -64,24 +65,8 @@ type namedBench struct {
 // -bench` and the committed baseline measure the same work.
 func kernelBenchmarks() []namedBench {
 	return []namedBench{
-		{"gf256.MulSlice", func(b *testing.B) {
-			src, dst := randSlice(1), make([]byte, shardBytes)
-			b.SetBytes(shardBytes)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				gf256.MulSlice(0x1d, src, dst)
-			}
-		}},
-		{"gf256.MulAddSlice", func(b *testing.B) {
-			src, dst := randSlice(1), make([]byte, shardBytes)
-			b.SetBytes(shardBytes)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				gf256.MulAddSlice(0x1d, src, dst)
-			}
-		}},
+		{"gf256.Apply_1x1", applyBench(1)},
+		{"gf256.Apply_2x1", applyBench(2)},
 		{"gf256.XorSlice", func(b *testing.B) {
 			src, dst := randSlice(1), make([]byte, shardBytes)
 			b.SetBytes(shardBytes)
@@ -91,53 +76,97 @@ func kernelBenchmarks() []namedBench {
 				gf256.XorSlice(src, dst)
 			}
 		}},
-		{"rs.Encode_10_2", rsEncodeBench(10, 2)},
-		{"rs.Encode_17_3", rsEncodeBench(17, 3)},
-		{"rs.Encode_28_12", rsEncodeBench(28, 12)},
-		{"rs.Reconstruct_17_3", func(b *testing.B) {
+		{"rs.Encode_10_2", encodeBench(rs.MustNew(10, 2), 10, 12)},
+		{"rs.Encode_17_3", encodeBench(rs.MustNew(17, 3), 17, 20)},
+		{"rs.Encode_28_12", encodeBench(rs.MustNew(28, 12), 28, 40)},
+		{"rs.Verify_17_3", func(b *testing.B) {
 			codec := rs.MustNew(17, 3)
-			ref := make([][]byte, 20)
-			rng := rand.New(rand.NewSource(3))
-			for i := range ref {
-				ref[i] = make([]byte, shardBytes)
-				if i < 17 {
-					rng.Read(ref[i])
-				}
-			}
-			if err := codec.Encode(ref); err != nil {
-				b.Fatal(err)
-			}
-			shards := make([][]byte, 20)
-			b.SetBytes(3 * shardBytes)
+			shards := encodedStripe(b, codec, 17, 20, 2)
+			b.SetBytes(17 * shardBytes)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				copy(shards, ref)
-				shards[0], shards[7], shards[19] = nil, nil, nil
-				if err := codec.Reconstruct(shards); err != nil {
-					b.Fatal(err)
+				if ok, err := codec.Verify(shards); err != nil || !ok {
+					b.Fatal(ok, err)
 				}
 			}
 		}},
+		{"rs.Reconstruct_17_3", reconstructBench(rs.MustNew(17, 3), 17, 20, []int{0, 7, 19})},
+		{"lrc.Encode_14_2_4", encodeBench(lrc.MustNew(14, 2, 4), 14, 20)},
+		// One loss in a group (XOR repair) plus two in the other and a
+		// global parity (the global solve).
+		{"lrc.Reconstruct_14_2_4", reconstructBench(lrc.MustNew(14, 2, 4), 14, 20, []int{0, 7, 8, 16})},
 	}
 }
 
-func rsEncodeBench(k, p int) func(b *testing.B) {
+// applyBench times gf256.Apply on a rows×1 matrix: the one-row table loop
+// for rows = 1, the two-row loop for rows = 2.
+func applyBench(rows int) func(b *testing.B) {
 	return func(b *testing.B) {
-		codec := rs.MustNew(k, p)
-		shards := make([][]byte, k+p)
-		rng := rand.New(rand.NewSource(2))
-		for i := range shards {
-			shards[i] = make([]byte, shardBytes)
-			if i < k {
-				rng.Read(shards[i])
-			}
+		coef := [][]byte{{0x1d}, {0x8e}}[:rows]
+		in := [][]byte{randSlice(1)}
+		out := [][]byte{make([]byte, shardBytes), make([]byte, shardBytes)}[:rows]
+		b.SetBytes(shardBytes)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			gf256.Apply(coef, in, out)
 		}
+	}
+}
+
+// stripeCodec is what the benchmarks need of rs.Codec and lrc.Codec.
+type stripeCodec interface {
+	Encode(shards [][]byte) error
+	Reconstruct(shards [][]byte) error
+}
+
+// encodedStripe returns a stripe of total shards whose first k are
+// seeded random data and whose parities codec filled in.
+func encodedStripe(b *testing.B, codec stripeCodec, k, total int, seed int64) [][]byte {
+	shards := make([][]byte, total)
+	rng := rand.New(rand.NewSource(seed))
+	for i := range shards {
+		shards[i] = make([]byte, shardBytes)
+		if i < k {
+			rng.Read(shards[i])
+		}
+	}
+	if err := codec.Encode(shards); err != nil {
+		b.Fatal(err)
+	}
+	return shards
+}
+
+func encodeBench(codec stripeCodec, k, total int) func(b *testing.B) {
+	return func(b *testing.B) {
+		shards := encodedStripe(b, codec, k, total, 2)
 		b.SetBytes(int64(k) * shardBytes)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := codec.Encode(shards); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// reconstructBench times rebuilding the lost shards of one stripe;
+// throughput counts the bytes rebuilt.
+func reconstructBench(codec stripeCodec, k, total int, lost []int) func(b *testing.B) {
+	return func(b *testing.B) {
+		ref := encodedStripe(b, codec, k, total, 3)
+		shards := make([][]byte, total)
+		b.SetBytes(int64(len(lost)) * shardBytes)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(shards, ref)
+			for _, j := range lost {
+				shards[j] = nil
+			}
+			if err := codec.Reconstruct(shards); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,9 +4,11 @@
 // The field is constructed with the primitive polynomial
 // x^8 + x^4 + x^3 + x^2 + 1 (0x11d), the same polynomial used by most
 // storage erasure codecs (including Intel ISA-L, which the paper benchmarks
-// in Figure 11). Multiplication uses 256-entry log/exp tables; the hot
-// slice kernels additionally use a per-multiplier 256-entry product table,
-// which is the scalar analogue of the SIMD shuffle kernels in ISA-L.
+// in Figure 11). Multiplication uses 256-entry log/exp tables; the
+// shard-length kernel, Apply, additionally uses a per-multiplier 256-entry
+// product table, which is the scalar analogue of the SIMD shuffle kernels
+// in ISA-L. Code (code.go) is the systematic linear code written once on
+// top of Apply; rs and lrc are two generator matrices for it.
 package gf256
 
 import "encoding/binary"
@@ -18,8 +20,7 @@ const Poly = 0x1d
 var (
 	expTable [512]byte // exp[i] = g^i, doubled to avoid a mod in Mul
 	logTable [256]byte // log[x] = i such that g^i = x; log[0] is unused
-	// mulTable[a] is the full product row a*b for all b. 64 KiB total;
-	// rows are handed out by MulTable for the slice kernels.
+	// mulTable[a] is the full product row a*b for all b. 64 KiB total.
 	mulTable [256][256]byte
 	// inverse[x] = x^-1; inverse[0] is 0 and must never be used.
 	inverse [256]byte
@@ -108,12 +109,69 @@ func Log(a byte) int {
 	return int(logTable[a])
 }
 
-// MulTable returns the 256-entry product row for multiplier c, i.e.
-// row[b] == Mul(c, b). The returned slice aliases an internal table and
-// must not be modified.
-func MulTable(c byte) *[256]byte { return &mulTable[c] }
+// Apply computes a matrix–shard product over GF(2^8), byte position by
+// byte position: out[r] = Σ_c rows[r][c]·in[c]. It is the one
+// shard-length kernel: encoding applies the generator's parity rows to
+// the data shards, decoding applies decode rows to the survivors. rows
+// must be a len(out)×len(in) coefficient matrix and every shard of in
+// and out the same length, or Apply panics; out is overwritten and must
+// not overlap in.
+//
+// Rows are taken two at a time so that one pass over a source shard
+// feeds two outputs (mulAdd2); a zero coefficient costs nothing and a
+// coefficient of 1 is a plain XOR, which is what keeps an LRC local
+// parity row — or a decode row that reduced to one — at XOR speed.
+func Apply(rows, in, out [][]byte) {
+	if !applicable(rows, in, out) {
+		//lint:allow nakedpanic hot-kernel precondition; the bounds-check analogue for mismatched shard geometry
+		panic("gf256: Apply shape mismatch")
+	}
+	for len(rows) >= 2 {
+		r0, r1, d0, d1 := rows[0], rows[1], out[0], out[1]
+		clear(d0)
+		clear(d1)
+		for c, src := range in {
+			if c0, c1 := r0[c], r1[c]; c0 > 1 && c1 > 1 {
+				mulAdd2(c0, c1, src, d0, d1)
+			} else {
+				mulAdd(c0, src, d0)
+				mulAdd(c1, src, d1)
+			}
+		}
+		rows, out = rows[2:], out[2:]
+	}
+	if len(rows) == 1 {
+		clear(out[0])
+		for c, src := range in {
+			mulAdd(rows[0][c], src, out[0])
+		}
+	}
+}
 
-// The slice kernels below are written in "slice-advance" form:
+// applicable reports whether rows is a len(out)×len(in) matrix and the
+// shards of in and out share one length.
+func applicable(rows, in, out [][]byte) bool {
+	if len(rows) != len(out) {
+		return false
+	}
+	if len(out) == 0 {
+		return true
+	}
+	n := len(out[0])
+	for _, src := range in {
+		if len(src) != n {
+			return false
+		}
+	}
+	for r, d := range out {
+		if len(d) != n || len(rows[r]) != len(in) {
+			return false
+		}
+	}
+	return true
+}
+
+// The loops below are written in "slice-advance" form:
 //
 //	for len(src) >= N && len(dst) >= N { ... src, dst = src[N:], dst[N:] }
 //
@@ -126,65 +184,11 @@ func MulTable(c byte) *[256]byte { return &mulTable[c] }
 // through encoding/binary's little-endian views, which compile to
 // single moves on little-endian targets and stay correct elsewhere.
 
-// MulSlice sets dst[i] = c * src[i] for all i. dst and src must have the
-// same length; they may alias exactly (but not partially overlap).
+// mulAdd sets dst[i] ^= c·src[i] for equally long src and dst: one matrix
+// coefficient applied to one shard (or to one row of a Matrix).
 //
 //mlec:hot per-byte codec kernel
-func MulSlice(c byte, src, dst []byte) {
-	if len(src) != len(dst) {
-		//lint:allow nakedpanic hot-kernel precondition; the bounds-check analogue for mismatched shard geometry
-		panic("gf256: MulSlice length mismatch")
-	}
-	if c == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	if c == 1 {
-		copy(dst, src)
-		return
-	}
-	mt := &mulTable[c]
-	// 16 bytes per iteration: byte loads feed the table row (always
-	// in-bounds: a byte indexes a 256-entry array), products are
-	// composed into two words and stored word-wide.
-	for len(src) >= 16 && len(dst) >= 16 {
-		v := uint64(mt[src[0]]) |
-			uint64(mt[src[1]])<<8 |
-			uint64(mt[src[2]])<<16 |
-			uint64(mt[src[3]])<<24 |
-			uint64(mt[src[4]])<<32 |
-			uint64(mt[src[5]])<<40 |
-			uint64(mt[src[6]])<<48 |
-			uint64(mt[src[7]])<<56
-		w := uint64(mt[src[8]]) |
-			uint64(mt[src[9]])<<8 |
-			uint64(mt[src[10]])<<16 |
-			uint64(mt[src[11]])<<24 |
-			uint64(mt[src[12]])<<32 |
-			uint64(mt[src[13]])<<40 |
-			uint64(mt[src[14]])<<48 |
-			uint64(mt[src[15]])<<56
-		binary.LittleEndian.PutUint64(dst, v)
-		binary.LittleEndian.PutUint64(dst[8:], w)
-		src, dst = src[16:], dst[16:]
-	}
-	for len(src) > 0 && len(dst) > 0 {
-		dst[0] = mt[src[0]]
-		src, dst = src[1:], dst[1:]
-	}
-}
-
-// MulAddSlice sets dst[i] ^= c * src[i] for all i — the fundamental
-// encode kernel (one matrix coefficient applied to one data shard).
-//
-//mlec:hot per-byte codec kernel
-func MulAddSlice(c byte, src, dst []byte) {
-	if len(src) != len(dst) {
-		//lint:allow nakedpanic hot-kernel precondition; the bounds-check analogue for mismatched shard geometry
-		panic("gf256: MulAddSlice length mismatch")
-	}
+func mulAdd(c byte, src, dst []byte) {
 	if c == 0 {
 		return
 	}
@@ -193,6 +197,9 @@ func MulAddSlice(c byte, src, dst []byte) {
 		return
 	}
 	mt := &mulTable[c]
+	// 16 bytes per iteration: byte loads feed the table row (always
+	// in-bounds: a byte indexes a 256-entry array), products are
+	// composed into two words and folded into dst word-wide.
 	for len(src) >= 16 && len(dst) >= 16 {
 		v := uint64(mt[src[0]]) |
 			uint64(mt[src[1]])<<8 |
@@ -220,6 +227,43 @@ func MulAddSlice(c byte, src, dst []byte) {
 	}
 }
 
+// mulAdd2 sets d0[i] ^= c0·src[i] and d1[i] ^= c1·src[i] in one pass over
+// src. Entry s of the pair table holds c0·s in bits 0–7 and c1·s in bits
+// 32–39, so one byte lookup yields both products, and composing a word
+// by shifting 8 bits per source byte accumulates the c0 products in the
+// low half and the c1 products in the high half without colliding. The
+// table is 2 KiB of stack, built per call (256 steps against a shard of
+// thousands of bytes) and L1-resident for the pass — unlike a
+// two-bytes-per-lookup table, whose 128 KiB would thrash the cache.
+//
+//mlec:hot per-byte codec kernel
+func mulAdd2(c0, c1 byte, src, d0, d1 []byte) {
+	var t [256]uint64
+	m0, m1 := &mulTable[c0], &mulTable[c1]
+	for i := range t {
+		s := byte(i) // a byte index into a 256-entry array needs no bounds check
+		t[s] = uint64(m0[s]) | uint64(m1[s])<<32
+	}
+	for len(src) >= 8 && len(d0) >= 8 && len(d1) >= 8 {
+		a := t[src[0]] | t[src[1]]<<8 | t[src[2]]<<16 | t[src[3]]<<24
+		b := t[src[4]] | t[src[5]]<<8 | t[src[6]]<<16 | t[src[7]]<<24
+		// a, b each hold 4 c0-products (low 32 bits) and 4
+		// c1-products (high 32 bits); recombine into one word per
+		// destination.
+		v := uint64(uint32(a)) | uint64(uint32(b))<<32
+		w := a>>32 | b&0xffffffff00000000
+		binary.LittleEndian.PutUint64(d0, binary.LittleEndian.Uint64(d0)^v)
+		binary.LittleEndian.PutUint64(d1, binary.LittleEndian.Uint64(d1)^w)
+		src, d0, d1 = src[8:], d0[8:], d1[8:]
+	}
+	for len(src) > 0 && len(d0) > 0 && len(d1) > 0 {
+		e := t[src[0]]
+		d0[0] ^= byte(e)
+		d1[0] ^= byte(e >> 32)
+		src, d0, d1 = src[1:], d0[1:], d1[1:]
+	}
+}
+
 // XorSlice sets dst[i] ^= src[i] for all i, using word-wide XOR.
 //
 //mlec:hot per-byte codec kernel
@@ -243,84 +287,5 @@ func XorSlice(src, dst []byte) {
 	for len(src) > 0 && len(dst) > 0 {
 		dst[0] ^= src[0]
 		src, dst = src[1:], dst[1:]
-	}
-}
-
-// DualTable is a product table for a pair of multipliers (c1, c2):
-// entry s holds Mul(c1,s) in bits 0–7 and Mul(c2,s) in bits 32–39. One
-// byte lookup therefore yields both parity contributions, and because
-// per-byte products are composed into a word by shifting 8 bits per
-// source byte, the c1 products accumulate in the low half of the word
-// and the c2 products in the high half without colliding. The table is
-// 2 KiB — it stays L1-resident across a whole shard pass, unlike wider
-// (two-bytes-per-lookup) tables whose 128 KiB footprint thrashes the
-// cache as the encode loop cycles through k·p coefficients.
-type DualTable [256]uint64
-
-// NewDualTable builds the interleaved product table for (c1, c2).
-func NewDualTable(c1, c2 byte) *DualTable {
-	t := new(DualTable)
-	t1, t2 := &mulTable[c1], &mulTable[c2]
-	for s := 0; s < 256; s++ {
-		t[s] = uint64(t1[s]) | uint64(t2[s])<<32
-	}
-	return t
-}
-
-// MulAddDual sets d1[i] ^= c1*src[i] and d2[i] ^= c2*src[i] where t is
-// NewDualTable(c1, c2). src, d1, d2 must have equal lengths; d1 and d2
-// must not overlap src or each other. One pass over src feeds two
-// parity rows, halving table lookups and loop overhead per parity byte
-// relative to two MulAddSlice passes.
-//
-//mlec:hot dual-parity codec kernel
-func MulAddDual(t *DualTable, src, d1, d2 []byte) {
-	if len(src) != len(d1) || len(src) != len(d2) {
-		//lint:allow nakedpanic hot-kernel precondition; the bounds-check analogue for mismatched shard geometry
-		panic("gf256: MulAddDual length mismatch")
-	}
-	for len(src) >= 8 && len(d1) >= 8 && len(d2) >= 8 {
-		a := t[src[0]] | t[src[1]]<<8 | t[src[2]]<<16 | t[src[3]]<<24
-		b := t[src[4]] | t[src[5]]<<8 | t[src[6]]<<16 | t[src[7]]<<24
-		// a, b each hold 4 c1-products (low 32 bits) and 4
-		// c2-products (high 32 bits); recombine into one word per
-		// destination.
-		v := uint64(uint32(a)) | uint64(uint32(b))<<32
-		w := a>>32 | b&0xffffffff00000000
-		binary.LittleEndian.PutUint64(d1, binary.LittleEndian.Uint64(d1)^v)
-		binary.LittleEndian.PutUint64(d2, binary.LittleEndian.Uint64(d2)^w)
-		src, d1, d2 = src[8:], d1[8:], d2[8:]
-	}
-	for len(src) > 0 && len(d1) > 0 && len(d2) > 0 {
-		e := t[src[0]]
-		d1[0] ^= byte(e)
-		d2[0] ^= byte(e >> 32)
-		src, d1, d2 = src[1:], d1[1:], d2[1:]
-	}
-}
-
-// MulDual sets d1[i] = c1*src[i] and d2[i] = c2*src[i] — the
-// first-source variant of MulAddDual that overwrites instead of
-// accumulating, saving the destination reads (and a separate zeroing
-// pass) on the first column of an encode.
-//
-//mlec:hot dual-parity codec kernel
-func MulDual(t *DualTable, src, d1, d2 []byte) {
-	if len(src) != len(d1) || len(src) != len(d2) {
-		//lint:allow nakedpanic hot-kernel precondition; the bounds-check analogue for mismatched shard geometry
-		panic("gf256: MulDual length mismatch")
-	}
-	for len(src) >= 8 && len(d1) >= 8 && len(d2) >= 8 {
-		a := t[src[0]] | t[src[1]]<<8 | t[src[2]]<<16 | t[src[3]]<<24
-		b := t[src[4]] | t[src[5]]<<8 | t[src[6]]<<16 | t[src[7]]<<24
-		binary.LittleEndian.PutUint64(d1, uint64(uint32(a))|uint64(uint32(b))<<32)
-		binary.LittleEndian.PutUint64(d2, a>>32|b&0xffffffff00000000)
-		src, d1, d2 = src[8:], d1[8:], d2[8:]
-	}
-	for len(src) > 0 && len(d1) > 0 && len(d2) > 0 {
-		e := t[src[0]]
-		d1[0] = byte(e)
-		d2[0] = byte(e >> 32)
-		src, d1, d2 = src[1:], d1[1:], d2[1:]
 	}
 }

@@ -110,6 +110,8 @@ func TestInvZeroPanics(t *testing.T) {
 	Inv(0)
 }
 
+// TestMulSlice holds a 1×1 Apply to its definition: out = c·src, whatever
+// out held before.
 func TestMulSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 7, 8, 9, 64, 1000} {
@@ -117,16 +119,19 @@ func TestMulSlice(t *testing.T) {
 		rng.Read(src)
 		for _, c := range []byte{0, 1, 2, 0x1d, 255} {
 			dst := make([]byte, n)
-			MulSlice(c, src, dst)
+			rng.Read(dst)
+			Apply([][]byte{{c}}, [][]byte{src}, [][]byte{dst})
 			for i := range src {
 				if dst[i] != Mul(c, src[i]) {
-					t.Fatalf("MulSlice c=%d n=%d idx=%d", c, n, i)
+					t.Fatalf("Apply 1x1 c=%d n=%d idx=%d", c, n, i)
 				}
 			}
 		}
 	}
 }
 
+// TestMulAddSlice holds the accumulate loop under Apply and Matrix.reduce
+// to its definition: dst ^= c·src.
 func TestMulAddSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{0, 1, 9, 100} {
@@ -137,11 +142,11 @@ func TestMulAddSlice(t *testing.T) {
 		orig := append([]byte(nil), dst...)
 		for _, c := range []byte{0, 1, 3, 200} {
 			d2 := append([]byte(nil), orig...)
-			MulAddSlice(c, src, d2)
+			mulAdd(c, src, d2)
 			for i := range src {
 				want := orig[i] ^ Mul(c, src[i])
 				if d2[i] != want {
-					t.Fatalf("MulAddSlice c=%d n=%d idx=%d got %d want %d", c, n, i, d2[i], want)
+					t.Fatalf("mulAdd c=%d n=%d idx=%d got %d want %d", c, n, i, d2[i], want)
 				}
 			}
 		}
@@ -166,9 +171,8 @@ func TestXorSliceSelfInverse(t *testing.T) {
 
 func TestSliceLengthMismatchPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"MulSlice":    func() { MulSlice(2, make([]byte, 3), make([]byte, 4)) },
-		"MulAddSlice": func() { MulAddSlice(2, make([]byte, 3), make([]byte, 4)) },
-		"XorSlice":    func() { XorSlice(make([]byte, 3), make([]byte, 4)) },
+		"Apply":    func() { Apply([][]byte{{2}}, [][]byte{make([]byte, 3)}, [][]byte{make([]byte, 4)}) },
+		"XorSlice": func() { XorSlice(make([]byte, 3), make([]byte, 4)) },
 	} {
 		func() {
 			defer func() {
@@ -178,15 +182,6 @@ func TestSliceLengthMismatchPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestMulTableRow(t *testing.T) {
-	row := MulTable(7)
-	for b := 0; b < 256; b++ {
-		if row[b] != Mul(7, byte(b)) {
-			t.Fatalf("MulTable(7)[%d] mismatch", b)
-		}
 	}
 }
 

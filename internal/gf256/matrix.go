@@ -41,13 +41,6 @@ func (m *Matrix) Set(r, c int, v byte) { m.Data[r*m.Cols+c] = v }
 // Row returns row r as a slice aliasing the matrix storage.
 func (m *Matrix) Row(r int) []byte { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // Mul returns the matrix product m·other. Mismatched inner dimensions
 // panic: operand shapes derive from validated code parameters.
 func (m *Matrix) Mul(other *Matrix) *Matrix {
@@ -88,52 +81,54 @@ func (m *Matrix) SubMatrix(r0, r1, c0, c1 int) *Matrix {
 // is singular (which would indicate a non-MDS code construction).
 var ErrSingular = errors.New("gf256: matrix is singular")
 
-// Invert returns the inverse of a square matrix using Gauss–Jordan
-// elimination. It returns ErrSingular for singular matrices and a
-// shape error for non-square ones.
+// Invert returns the inverse of a square matrix by reducing [m | I] to
+// [I | m⁻¹]. It returns ErrSingular for singular matrices and a shape
+// error for non-square ones.
 func (m *Matrix) Invert() (*Matrix, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("gf256: cannot invert non-square %dx%d matrix", m.Rows, m.Cols)
 	}
 	n := m.Rows
-	work := m.Clone()
-	out := Identity(n)
-	for col := 0; col < n; col++ {
-		// Find a pivot.
-		pivot := -1
-		for r := col; r < n; r++ {
-			if work.At(r, col) != 0 {
-				pivot = r
-				break
+	aug := NewMatrix(n, 2*n)
+	for r := 0; r < n; r++ {
+		copy(aug.Row(r), m.Row(r))
+		aug.Set(r, n+r, 1)
+	}
+	if !aug.reduce(n) {
+		return nil, ErrSingular
+	}
+	return aug.SubMatrix(0, n, n, 2*n), nil
+}
+
+// reduce runs Gauss–Jordan elimination over the first cols columns of m
+// in place: column c takes as pivot the first row at or below c with a
+// nonzero entry there, which moves to row c, is scaled to a leading 1 and
+// is cleared out of every other row. It reports false, leaving m partly
+// reduced, when a column has no pivot (the columns are dependent).
+func (m *Matrix) reduce(cols int) bool {
+	for col := 0; col < cols; col++ {
+		pivot := col
+		for pivot < m.Rows && m.At(pivot, col) == 0 {
+			pivot++
+		}
+		if pivot >= m.Rows {
+			return false
+		}
+		for ; pivot > col; pivot-- { // one at a time: the rows passed over keep their order
+			swapRows(m, pivot, pivot-1)
+		}
+		row := m.Row(col)
+		inv := &mulTable[inverse[row[col]]]
+		for i, b := range row {
+			row[i] = inv[b]
+		}
+		for r := 0; r < m.Rows; r++ {
+			if r != col {
+				mulAdd(m.At(r, col), row, m.Row(r))
 			}
-		}
-		if pivot == -1 {
-			return nil, ErrSingular
-		}
-		if pivot != col {
-			swapRows(work, pivot, col)
-			swapRows(out, pivot, col)
-		}
-		// Scale pivot row to make the pivot 1.
-		if pv := work.At(col, col); pv != 1 {
-			inv := Inv(pv)
-			MulSlice(inv, work.Row(col), work.Row(col))
-			MulSlice(inv, out.Row(col), out.Row(col))
-		}
-		// Eliminate the column from all other rows.
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := work.At(r, col)
-			if f == 0 {
-				continue
-			}
-			MulAddSlice(f, work.Row(col), work.Row(r))
-			MulAddSlice(f, out.Row(col), out.Row(r))
 		}
 	}
-	return out, nil
+	return true
 }
 
 func swapRows(m *Matrix, a, b int) {
@@ -143,9 +138,9 @@ func swapRows(m *Matrix, a, b int) {
 	}
 }
 
-// Vandermonde returns the rows×cols matrix with element (r, c) = g^(r·c).
-// Used as the seed for the systematic Reed–Solomon encoding matrix.
-func Vandermonde(rows, cols int) *Matrix {
+// vandermonde returns the rows×cols matrix with element (r, c) = g^(r·c),
+// the seed of the systematic Reed–Solomon generator (ParityRows).
+func vandermonde(rows, cols int) *Matrix {
 	m := NewMatrix(rows, cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {

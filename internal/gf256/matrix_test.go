@@ -85,7 +85,7 @@ func TestInvertSingular(t *testing.T) {
 func TestVandermondeSquareSubmatricesInvertible(t *testing.T) {
 	// Any k consecutive... in fact any k distinct rows of a Vandermonde
 	// matrix with distinct evaluation points are linearly independent.
-	v := Vandermonde(8, 5)
+	v := vandermonde(8, 5)
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
 		rows := rng.Perm(8)[:5]
@@ -100,7 +100,7 @@ func TestVandermondeSquareSubmatricesInvertible(t *testing.T) {
 }
 
 func TestSubMatrix(t *testing.T) {
-	m := Vandermonde(6, 6)
+	m := vandermonde(6, 6)
 	s := m.SubMatrix(1, 4, 2, 5)
 	if s.Rows != 3 || s.Cols != 3 {
 		t.Fatalf("SubMatrix shape %dx%d", s.Rows, s.Cols)

@@ -10,10 +10,13 @@
 // construction for the configurations the paper uses: any single failure
 // inside a group repairs locally from k/l + 1 chunks; larger failure sets
 // decode through the combined parity system when the information-flow
-// condition holds. This implementation realizes decode by solving the
+// condition holds. This implementation hands its generator — l XOR rows,
+// then r Reed–Solomon rows — to gf256.Code, which decodes by solving the
 // linear system over GF(2^8) restricted to the surviving chunks, so a
 // pattern is recoverable exactly when the survivor equations have full
 // rank — which the tests compare against the combinatorial criterion.
+// Local repair is not a special case there: a lone loss in a group
+// pivots on the group's local parity and is rebuilt by XOR alone.
 package lrc
 
 import (
@@ -31,11 +34,7 @@ import (
 type Codec struct {
 	k, l, r   int
 	groupSize int
-	// rows is the (l+r)×k generator block for all parities:
-	// rows[0:l] local parity rows (XOR masks over the group),
-	// rows[l:l+r] global parity rows (Vandermonde-derived, MDS w.r.t.
-	// the data chunks).
-	rows *gf256.Matrix
+	code      *gf256.Code
 }
 
 var (
@@ -58,29 +57,23 @@ func New(k, l, r int) (*Codec, error) {
 		return nil, fmt.Errorf("lrc: stripe width %d exceeds 256", k+l+r)
 	}
 	c := &Codec{k: k, l: l, r: r, groupSize: k / l}
-	c.rows = gf256.NewMatrix(l+r, k)
 	// Local parities: XOR over each group.
-	for g := 0; g < l; g++ {
+	gen := make([][]byte, l, l+r)
+	for g := range gen {
+		gen[g] = make([]byte, k)
 		for j := g * c.groupSize; j < (g+1)*c.groupSize; j++ {
-			c.rows.Set(g, j, 1)
+			gen[g][j] = 1
 		}
 	}
 	// Global parities: the parity rows of a systematic (k + r) RS code.
 	// This gives the global parities the MDS property over data chunks
 	// and, together with the XOR locals, the recoverability profile of
 	// the Azure LRC for the paper's configurations.
-	if r > 0 {
-		v := gf256.Vandermonde(k+r, k)
-		top := v.SubMatrix(0, k, 0, k)
-		topInv, err := top.Invert()
-		if err != nil {
-			return nil, fmt.Errorf("lrc: construction failure: %w", err)
-		}
-		full := v.Mul(topInv)
-		for gi := 0; gi < r; gi++ {
-			copy(c.rows.Row(l+gi), full.Row(k+gi))
-		}
+	global, err := gf256.ParityRows(k, r)
+	if err != nil {
+		return nil, fmt.Errorf("lrc: construction failure: %w", err)
 	}
+	c.code = gf256.NewCode("lrc", k, append(gen, global...), ErrShardSize, ErrUnrecoverable)
 	return c, nil
 }
 
@@ -121,75 +114,11 @@ func (c *Codec) StorageOverhead() float64 {
 	return float64(c.l+c.r) / float64(c.k)
 }
 
-func (c *Codec) checkShards(shards [][]byte, wantAll bool) (int, error) {
-	if len(shards) != c.TotalShards() {
-		return 0, fmt.Errorf("lrc: got %d shards, want %d", len(shards), c.TotalShards())
-	}
-	size := -1
-	for i, s := range shards {
-		if s == nil {
-			if wantAll {
-				return 0, fmt.Errorf("lrc: shard %d is nil", i)
-			}
-			continue
-		}
-		if size == -1 {
-			size = len(s)
-		} else if len(s) != size {
-			return 0, ErrShardSize
-		}
-	}
-	if size <= 0 {
-		return 0, ErrUnrecoverable
-	}
-	return size, nil
-}
-
 // Encode fills shards[k:k+l+r] from shards[0:k].
-func (c *Codec) Encode(shards [][]byte) error {
-	if _, err := c.checkShards(shards, true); err != nil {
-		return err
-	}
-	for pi := 0; pi < c.l+c.r; pi++ {
-		row := c.rows.Row(pi)
-		out := shards[c.k+pi]
-		for i := range out {
-			out[i] = 0
-		}
-		for di := 0; di < c.k; di++ {
-			if row[di] != 0 {
-				gf256.MulAddSlice(row[di], shards[di], out)
-			}
-		}
-	}
-	return nil
-}
+func (c *Codec) Encode(shards [][]byte) error { return c.code.Encode(shards) }
 
 // Verify reports whether all parities are consistent with the data.
-func (c *Codec) Verify(shards [][]byte) (bool, error) {
-	size, err := c.checkShards(shards, true)
-	if err != nil {
-		return false, err
-	}
-	buf := make([]byte, size)
-	for pi := 0; pi < c.l+c.r; pi++ {
-		row := c.rows.Row(pi)
-		for i := range buf {
-			buf[i] = 0
-		}
-		for di := 0; di < c.k; di++ {
-			if row[di] != 0 {
-				gf256.MulAddSlice(row[di], shards[di], buf)
-			}
-		}
-		for i := range buf {
-			if buf[i] != shards[c.k+pi][i] {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
-}
+func (c *Codec) Verify(shards [][]byte) (bool, error) { return c.code.Verify(shards) }
 
 // LocalRepairable reports whether missing shard idx can be repaired purely
 // within its local group (exactly one missing chunk among the group's data
@@ -197,6 +126,8 @@ func (c *Codec) Verify(shards [][]byte) (bool, error) {
 func (c *Codec) LocalRepairable(shards [][]byte, idx int) bool {
 	g := -1
 	switch {
+	case len(shards) != c.TotalShards():
+		return false
 	case idx < 0 || idx >= c.k+c.l:
 		return false // global parities have no local group
 	case idx < c.k:
@@ -216,165 +147,8 @@ func (c *Codec) LocalRepairable(shards [][]byte, idx int) bool {
 	return missing == 1 && shards[idx] == nil
 }
 
-// Reconstruct rebuilds all missing shards. It first applies local-group
-// XOR repairs (cheap), then solves the residual global system. Returns
-// ErrUnrecoverable when the pattern exceeds the code's capability.
-func (c *Codec) Reconstruct(shards [][]byte) error {
-	size, err := c.checkShards(shards, false)
-	if err != nil {
-		return err
-	}
-	// Phase 1: iterated local repairs. Repairing one group can never
-	// unlock another (groups are disjoint), but a single pass suffices.
-	for g := 0; g < c.l; g++ {
-		c.tryLocalRepair(shards, g, size)
-	}
-	// Phase 2: global solve for whatever remains.
-	if !anyMissing(shards) {
-		return nil
-	}
-	return c.globalSolve(shards, size)
-}
-
-// tryLocalRepair repairs the single missing chunk of group g if exactly
-// one of (group data chunks + local parity) is missing.
-func (c *Codec) tryLocalRepair(shards [][]byte, g, size int) {
-	lo, hi := g*c.groupSize, (g+1)*c.groupSize
-	missing := -1
-	count := 0
-	for j := lo; j < hi; j++ {
-		if shards[j] == nil {
-			missing, count = j, count+1
-		}
-	}
-	if shards[c.k+g] == nil {
-		missing, count = c.k+g, count+1
-	}
-	if count != 1 {
-		return
-	}
-	out := make([]byte, size)
-	for j := lo; j < hi; j++ {
-		if j != missing {
-			gf256.XorSlice(shards[j], out)
-		}
-	}
-	if missing != c.k+g {
-		gf256.XorSlice(shards[c.k+g], out)
-	}
-	shards[missing] = out
-}
-
-func anyMissing(shards [][]byte) bool {
-	for _, s := range shards {
-		if s == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// globalSolve recovers missing data chunks by Gaussian elimination over
-// the survivor parity equations, then recomputes missing parities.
-func (c *Codec) globalSolve(shards [][]byte, size int) error {
-	// Unknowns: missing data chunks.
-	var unknowns []int
-	for i := 0; i < c.k; i++ {
-		if shards[i] == nil {
-			unknowns = append(unknowns, i)
-		}
-	}
-	if len(unknowns) > 0 {
-		// Equations: each surviving parity p gives
-		// Σ_j row[j]·data_j = p, i.e.
-		// Σ_{j missing} row[j]·x_j = p + Σ_{j present} row[j]·data_j.
-		type eq struct {
-			coef []byte // per unknown
-			rhs  []byte
-		}
-		var eqs []eq
-		for pi := 0; pi < c.l+c.r; pi++ {
-			if shards[c.k+pi] == nil {
-				continue
-			}
-			row := c.rows.Row(pi)
-			coef := make([]byte, len(unknowns))
-			relevant := false
-			for ui, u := range unknowns {
-				coef[ui] = row[u]
-				if row[u] != 0 {
-					relevant = true
-				}
-			}
-			if !relevant {
-				continue
-			}
-			rhs := append([]byte(nil), shards[c.k+pi]...)
-			for j := 0; j < c.k; j++ {
-				if shards[j] != nil && row[j] != 0 {
-					gf256.MulAddSlice(row[j], shards[j], rhs)
-				}
-			}
-			eqs = append(eqs, eq{coef, rhs})
-		}
-		// Gaussian elimination on the coefficient rows, applying the
-		// same operations to the RHS data slices.
-		rowIdx := 0
-		pivots := make([]int, 0, len(unknowns))
-		for col := 0; col < len(unknowns) && rowIdx < len(eqs); col++ {
-			// Find pivot.
-			p := -1
-			for r := rowIdx; r < len(eqs); r++ {
-				if eqs[r].coef[col] != 0 {
-					p = r
-					break
-				}
-			}
-			if p == -1 {
-				continue
-			}
-			eqs[rowIdx], eqs[p] = eqs[p], eqs[rowIdx]
-			// Normalize.
-			if v := eqs[rowIdx].coef[col]; v != 1 {
-				inv := gf256.Inv(v)
-				gf256.MulSlice(inv, eqs[rowIdx].coef, eqs[rowIdx].coef)
-				gf256.MulSlice(inv, eqs[rowIdx].rhs, eqs[rowIdx].rhs)
-			}
-			// Eliminate from all other rows.
-			for r := 0; r < len(eqs); r++ {
-				if r == rowIdx {
-					continue
-				}
-				f := eqs[r].coef[col]
-				if f == 0 {
-					continue
-				}
-				gf256.MulAddSlice(f, eqs[rowIdx].coef, eqs[r].coef)
-				gf256.MulAddSlice(f, eqs[rowIdx].rhs, eqs[r].rhs)
-			}
-			pivots = append(pivots, col)
-			rowIdx++
-		}
-		if len(pivots) < len(unknowns) {
-			return ErrUnrecoverable
-		}
-		for i, col := range pivots {
-			shards[unknowns[col]] = eqs[i].rhs
-		}
-	}
-	// All data present now: recompute missing parities.
-	for pi := 0; pi < c.l+c.r; pi++ {
-		if shards[c.k+pi] != nil {
-			continue
-		}
-		row := c.rows.Row(pi)
-		out := make([]byte, size)
-		for di := 0; di < c.k; di++ {
-			if row[di] != 0 {
-				gf256.MulAddSlice(row[di], shards[di], out)
-			}
-		}
-		shards[c.k+pi] = out
-	}
-	return nil
-}
+// Reconstruct rebuilds all missing shards in place; a group with a single
+// loss is rebuilt by XOR within the group. It returns ErrUnrecoverable,
+// leaving shards as they were, when the pattern exceeds the code's
+// capability.
+func (c *Codec) Reconstruct(shards [][]byte) error { return c.code.Reconstruct(shards, false) }

@@ -113,6 +113,37 @@ func TestGlobalParityNotLocallyRepairable(t *testing.T) {
 	}
 }
 
+// TestLocalRepairableWrongShardCount: a shard set of the wrong length is
+// not repairable, and used to index out of range.
+func TestLocalRepairableWrongShardCount(t *testing.T) {
+	c, ref := newFilled(t, 4, 2, 2, 32, 22)
+	for _, shards := range [][][]byte{nil, make([][]byte, 3), ref[:7], append(cloneWithErasures(ref, []int{0}), nil)} {
+		if c.LocalRepairable(shards, 0) {
+			t.Fatalf("LocalRepairable true on %d shards", len(shards))
+		}
+	}
+}
+
+// TestZeroLengthShards: a stripe of empty shards is a size error, not an
+// unrecoverable pattern.
+func TestZeroLengthShards(t *testing.T) {
+	c := MustNew(4, 2, 2)
+	shards := make([][]byte, 8)
+	for i := range shards {
+		shards[i] = []byte{}
+	}
+	if err := c.Encode(shards); err != ErrShardSize {
+		t.Fatalf("Encode: err = %v, want ErrShardSize", err)
+	}
+	shards[0] = nil
+	if err := c.Reconstruct(shards); err != ErrShardSize {
+		t.Fatalf("Reconstruct: err = %v, want ErrShardSize", err)
+	}
+	if err := c.Reconstruct(make([][]byte, 8)); err != ErrUnrecoverable {
+		t.Fatalf("Reconstruct of nothing: err = %v, want ErrUnrecoverable", err)
+	}
+}
+
 func TestRplus1FailuresRecoverable(t *testing.T) {
 	// Azure LRC tolerates any r+1 failures (it is Maximally
 	// Recoverable; r+1 arbitrary failures are information-

@@ -15,7 +15,7 @@ import (
 // encoding throughput at extra hardware cost (§5.1.2 F#2); the
 // ablation-cores experiment measures its (imperfect) scaling.
 func (c *Codec) EncodeParallel(shards [][]byte, workers int) error {
-	size, err := c.checkShards(shards, true)
+	size, err := c.code.ShardSize(shards, true)
 	if err != nil {
 		return err
 	}
@@ -46,7 +46,7 @@ func (c *Codec) EncodeParallel(shards [][]byte, workers int) error {
 				sub[i] = s[lo:hi]
 			}
 			// Each range is an independent encode; errors cannot occur
-			// here because checkShards already validated the geometry.
+			// here because ShardSize already validated the geometry.
 			return c.Encode(sub)
 		})
 	}

@@ -2,6 +2,7 @@ package rs
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -176,6 +177,52 @@ func TestShardSizeMismatch(t *testing.T) {
 	shards[2] = make([]byte, 31)
 	if err := c.Encode(shards); err != ErrShardSize {
 		t.Fatalf("err = %v, want ErrShardSize", err)
+	}
+}
+
+// TestZeroLengthShards: a stripe of empty shards is a size error to every
+// entry point, not a shortage of shards.
+func TestZeroLengthShards(t *testing.T) {
+	c := MustNew(3, 2)
+	shards := newShards(3, 2, 0)
+	if err := c.Encode(shards); err != ErrShardSize {
+		t.Fatalf("Encode: err = %v, want ErrShardSize", err)
+	}
+	if _, err := c.Verify(shards); err != ErrShardSize {
+		t.Fatalf("Verify: err = %v, want ErrShardSize", err)
+	}
+	shards[1] = nil
+	if err := c.Reconstruct(shards); err != ErrShardSize {
+		t.Fatalf("Reconstruct: err = %v, want ErrShardSize", err)
+	}
+	if err := c.Reconstruct(make([][]byte, 5)); err != ErrTooFewShards {
+		t.Fatalf("Reconstruct of nothing: err = %v, want ErrTooFewShards", err)
+	}
+}
+
+// TestJoinLengthOutOfRange: a negative original length used to panic in
+// make, one beyond the data shards used to return short data and no
+// error.
+func TestJoinLengthOutOfRange(t *testing.T) {
+	c := MustNew(3, 2)
+	shards, n := c.Split([]byte("hello, world"))
+	for _, origLen := range []int{-1, 3*len(shards[0]) + 1, 1 << 50} {
+		if out, err := c.Join(shards, origLen); !errors.Is(err, ErrDataLength) {
+			t.Errorf("Join(origLen=%d) = %d bytes, %v; want ErrDataLength", origLen, len(out), err)
+		}
+	}
+	for _, origLen := range []int{0, n, 3 * len(shards[0])} {
+		if out, err := c.Join(shards, origLen); err != nil || len(out) != origLen {
+			t.Errorf("Join(origLen=%d) = %d bytes, %v", origLen, len(out), err)
+		}
+	}
+	// A missing shard is reported only when the length reaches into it.
+	shards[2] = nil
+	if _, err := c.Join(shards, len(shards[0])); err != nil {
+		t.Errorf("Join short of the missing shard: %v", err)
+	}
+	if _, err := c.Join(shards, n); err == nil || errors.Is(err, ErrDataLength) {
+		t.Errorf("Join into the missing shard: err = %v, want the missing-shard error", err)
 	}
 }
 

@@ -23,23 +23,18 @@ import (
 // paper's 128 KiB chunks produce.
 const DefaultShardBytes = 128 << 10
 
-// encoder abstracts the two codecs for measurement.
-type encoder interface {
-	Encode(shards [][]byte) error
-}
-
-// measure runs enc.Encode in a loop for at least dur and returns the
+// measure runs encode in a loop for at least dur and returns the
 // data-ingest throughput in bytes/second (k data shards per iteration).
-func measure(enc encoder, shards [][]byte, dataShards, shardBytes int, dur time.Duration) (float64, error) {
+func measure(encode func(shards [][]byte) error, shards [][]byte, dataShards, shardBytes int, dur time.Duration) (float64, error) {
 	// Warm up once (builds tables into cache, faults pages).
-	if err := enc.Encode(shards); err != nil {
+	if err := encode(shards); err != nil {
 		return 0, err
 	}
 	var iters int
 	start := time.Now()
 	var elapsed time.Duration
 	for elapsed < dur {
-		if err := enc.Encode(shards); err != nil {
+		if err := encode(shards); err != nil {
 			return 0, err
 		}
 		iters++
@@ -70,7 +65,7 @@ func MeasureRS(k, p, shardBytes int, dur time.Duration) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return measure(codec, makeShards(k+p, shardBytes), k, shardBytes, dur)
+	return measure(codec.Encode, makeShards(k+p, shardBytes), k, shardBytes, dur)
 }
 
 // MeasureLRC returns the single-goroutine encoding throughput of a
@@ -80,7 +75,7 @@ func MeasureLRC(k, l, r, shardBytes int, dur time.Duration) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return measure(codec, makeShards(codec.TotalShards(), shardBytes), k, shardBytes, dur)
+	return measure(codec.Encode, makeShards(codec.TotalShards(), shardBytes), k, shardBytes, dur)
 }
 
 // MeasureMLEC returns the end-to-end MLEC encoding throughput: every
@@ -144,19 +139,6 @@ func MeasureRSParallel(k, p, shardBytes, workers int, dur time.Duration) (float6
 	if err != nil {
 		return 0, err
 	}
-	shards := makeShards(k+p, shardBytes)
-	if err := codec.EncodeParallel(shards, workers); err != nil {
-		return 0, err
-	}
-	var iters int
-	start := time.Now()
-	var elapsed time.Duration
-	for elapsed < dur {
-		if err := codec.EncodeParallel(shards, workers); err != nil {
-			return 0, err
-		}
-		iters++
-		elapsed = time.Since(start)
-	}
-	return float64(iters) * float64(k) * float64(shardBytes) / elapsed.Seconds(), nil
+	encode := func(shards [][]byte) error { return codec.EncodeParallel(shards, workers) }
+	return measure(encode, makeShards(k+p, shardBytes), k, shardBytes, dur)
 }
