@@ -5,7 +5,7 @@ GO ?= go
 # Packages with worker pools / goroutine fan-out: the race-detector set.
 RACE_PKGS = ./internal/burst ./internal/poolsim ./internal/rs ./internal/syssim ./internal/cluster ./internal/runctl ./internal/obs
 
-.PHONY: check build vet lint test race stress bench bench-check bench-json bench-engines fuzz obs-smoke chaos oracle race-oracle
+.PHONY: check build vet lint test race stress bench bench-check bench-json bench-engines fuzz obs-smoke chaos race-oracle
 
 ## check: build + vet + mlecvet + tests + race tests — the CI gate.
 check: build vet lint test bench-check race stress obs-smoke chaos
@@ -19,16 +19,12 @@ vet:
 ## lint: the repository's own static-analysis suite (see internal/lint).
 ## The committed baseline ratchets per-analyzer finding counts (they may
 ## fall, never rise) and the timeout is the CI budget: a run that cannot
-## finish in 60s is itself a regression and exits 2.
+## finish in 60s is itself a regression and exits 2. hotbce and hotinline
+## read the compiler's own verdicts: the first run compiles the hot
+## packages with -d=ssa/check_bce -m=2, later runs replay the
+## diagnostics from the build cache.
 lint:
 	$(GO) run ./cmd/mlecvet -baseline lint/baseline.json -timeout 60s ./...
-
-## oracle: cross-check the hotbce/hotinline verdicts against the real
-## compiler (-d=ssa/check_bce and -m into a throwaway GOCACHE). Every
-## disagreement is printed and fails the target; CI uploads the list as
-## an artifact. Slow (~2 min): it rebuilds the whole module uncached.
-oracle:
-	$(GO) run ./cmd/mlecvet -compiler ./...
 
 ## race-oracle: cross-check the concurrency analyzers (lockcheck,
 ## atomicmix, goleak, waitgroupcapture) against the race detector. Generates a stress harness for every //mlec:guardedby

@@ -1,7 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"go/token"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"testing"
 
 	"mlec/internal/lint"
@@ -65,5 +70,34 @@ func TestBuildReportOrdering(t *testing.T) {
 		if g.File != w.file || g.Line != w.line {
 			t.Errorf("malformed[%d] = %s:%d, want %s:%d", i, g.File, g.Line, w.file, w.line)
 		}
+	}
+}
+
+// TestWriteBaselineRefusesOnly: -write-baseline rewrites the ratchet
+// file from the counts of the analyzers that ran, so under -only it
+// would drop every other analyzer's key. The combination is a usage
+// error (exit 2) and the file is left as it was.
+func TestWriteBaselineRefusesOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the command")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "mlecvet")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	base := filepath.Join(dir, "baseline.json")
+	want := []byte("{\n  \"floateq\": 0,\n  \"hotbce\": 0\n}\n")
+	if err := os.WriteFile(base, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "-only", "floateq", "-baseline", base, "-write-baseline",
+		"./internal/lint/testdata/src/floateq").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("exit: %v, want status 2\n%s", err, out)
+	}
+	if got, err := os.ReadFile(base); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("baseline rewritten (err %v):\n%s", err, got)
 	}
 }

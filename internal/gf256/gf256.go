@@ -178,9 +178,9 @@ func applicable(rows, in, out [][]byte) bool {
 // rather than the indexed form `for i := 0; i+N <= len(src); i += N`.
 // The compiler's prove pass eliminates every bounds check in the
 // slice-advance form (constant indexes below N against a known minimum
-// length), whereas the indexed form keeps a check per access; `mlecvet
-// -compiler` verifies this against `-d=ssa/check_bce` output and the
-// hotbce analyzer enforces it statically. Word loads and stores go
+// length), whereas the indexed form keeps a check per access; the
+// hotbce analyzer reads the compiler's `-d=ssa/check_bce` output and
+// fails any check kept in these loops. Word loads and stores go
 // through encoding/binary's little-endian views, which compile to
 // single moves on little-endian targets and stay correct elsewhere.
 

@@ -41,8 +41,8 @@ func reachable(g *Graph) map[*Block]bool {
 	return seen
 }
 
-// nodeCount sums the nodes across reachable blocks.
-func nodeCount(g *Graph) int {
+// reachableNodes sums the nodes across reachable blocks.
+func reachableNodes(g *Graph) int {
 	n := 0
 	for b := range reachable(g) {
 		n += len(b.Nodes)
@@ -148,8 +148,8 @@ func TestBreakContinue(t *testing.T) {
 		return total
 	}`)
 	// The accumulation and the return must both be reachable.
-	if nodeCount(g) < 6 {
-		t.Fatalf("only %d reachable nodes: %s", nodeCount(g), g)
+	if reachableNodes(g) < 6 {
+		t.Fatalf("only %d reachable nodes: %s", reachableNodes(g), g)
 	}
 	returns := 0
 	for b := range reachable(g) {
@@ -204,8 +204,8 @@ func TestSwitchFallthrough(t *testing.T) {
 		return y
 	}`)
 	// All three case bodies and the return are reachable.
-	if nodeCount(g) < 7 {
-		t.Fatalf("only %d reachable nodes: %s", nodeCount(g), g)
+	if reachableNodes(g) < 7 {
+		t.Fatalf("only %d reachable nodes: %s", reachableNodes(g), g)
 	}
 }
 
@@ -260,7 +260,7 @@ func TestGotoForwardEdgesToLabel(t *testing.T) {
 	done:
 		_ = x
 	}`)
-	if nodeCount(g) < 1 {
+	if reachableNodes(g) < 1 {
 		t.Fatalf("goto graph lost nodes: %s", g)
 	}
 	// A forward goto must not create a cycle.
@@ -394,8 +394,8 @@ func hasEdge(from, to *Block) bool {
 	return false
 }
 
-// TestRangeOverIntBackEdge locks the shape the bounds engine depends on
-// for range-over-int loops (go1.22): the header holds the RangeStmt,
+// TestRangeOverIntBackEdge locks the shape loop passes depend on for
+// range-over-int loops (go1.22): the header holds the RangeStmt,
 // the body edges back to the header, and the body is the header's
 // FIRST successor — passes refine "iteration in progress" facts along
 // Succs[0] and "loop done" facts along Succs[1].
@@ -542,7 +542,7 @@ func TestLabeledRangeContinueBackEdge(t *testing.T) {
 // TestCondSuccsOrderTrueFirst locks the successor ordering convention
 // across every conditional construct: Succs[0] is the edge taken when
 // the condition holds (if.then / loop body), Succs[1] the refuted edge.
-// The bounds engine's branch refinement is built on this ordering.
+// A pass that refines facts along branch edges relies on it.
 func TestCondSuccsOrderTrueFirst(t *testing.T) {
 	g := parse(t, `func f(s []byte, n int) {
 		if len(s) > 0 {
@@ -655,8 +655,8 @@ func TestPanicMakesFollowersUnreachable(t *testing.T) {
 			}
 		}
 	}
-	if nodeCount(g) != 2 { // setup() and panic() only
-		t.Fatalf("reachable node count = %d, want 2: %s", nodeCount(g), g)
+	if reachableNodes(g) != 2 { // setup() and panic() only
+		t.Fatalf("reachable node count = %d, want 2: %s", reachableNodes(g), g)
 	}
 }
 

@@ -8,7 +8,7 @@ package cfg
 //
 // The solver does not interpret the lattice. Merge is a union for a
 // may-analysis whose facts grow (taint, domains) and an intersection
-// for a must-analysis whose facts shrink (bounds, held locks); all the
+// for a must-analysis whose facts shrink (held locks); all the
 // solver needs is the "changed" bit.
 type Flow[S any] struct {
 	// Entry is the state on function entry.
@@ -28,10 +28,6 @@ type Flow[S any] struct {
 	Merge func(in, edge S) bool
 	// Transfer runs s through b's nodes in order, in place.
 	Transfer func(b *Block, s S)
-	// Edge, when non-nil, refines the state leaving b along its i-th
-	// out-edge (a branch condition, a range header). It must not
-	// mutate out: return out itself or a refined copy.
-	Edge func(b *Block, i int, out S) S
 }
 
 // IterationCap bounds Solve at IterationCap transfers per block of the
@@ -85,16 +81,12 @@ func Solve[S any](g *Graph, f Flow[S]) *Solution[S] {
 		queued[b.Index] = false
 		out := f.Clone(sol.in[b.Index])
 		f.Transfer(b, out)
-		for i, succ := range b.Succs {
-			edge := out
-			if f.Edge != nil {
-				edge = f.Edge(b, i, out)
-			}
+		for _, succ := range b.Succs {
 			changed := false
 			if sol.reached[succ.Index] {
-				changed = f.Merge(sol.in[succ.Index], edge)
+				changed = f.Merge(sol.in[succ.Index], out)
 			} else {
-				sol.in[succ.Index] = f.Clone(edge)
+				sol.in[succ.Index] = f.Clone(out)
 				sol.reached[succ.Index] = true
 				changed = true
 			}

@@ -113,38 +113,6 @@ func TestSolveAllSeededReachesSources(t *testing.T) {
 	}
 }
 
-// TestSolveEdgeRefinement: Edge sees each out-edge by index and what it
-// returns is what the successor receives.
-func TestSolveEdgeRefinement(t *testing.T) {
-	g := parse(t, `func f(c bool) { if c { _ = 1 } else { _ = 2 } }`)
-	f := rangeSources(map[*Block]int{})
-	f.Edge = func(b *Block, i int, out set) set {
-		if len(b.Succs) != 2 {
-			return out
-		}
-		refined := maps.Clone(out)
-		refined[[]string{"true", "false"}[i]] = true
-		return refined
-	}
-	sol := Solve(g, f)
-	sol.Each(func(b *Block, in set) {
-		switch b.Kind {
-		case "if.then":
-			if !in["true"] || in["false"] {
-				t.Errorf("then block in-state %v, want only the true edge's fact", in)
-			}
-		case "if.else":
-			if !in["false"] || in["true"] {
-				t.Errorf("else block in-state %v, want only the false edge's fact", in)
-			}
-		case "if.done":
-			if !in["true"] || !in["false"] {
-				t.Errorf("join in-state %v, want both branches' facts", in)
-			}
-		}
-	})
-}
-
 // TestSolveCapOnNonMonotoneTransfer: a transfer that flips a fact on
 // every visit of a loop never reaches a fixed point. The solver stops
 // after exactly IterationCap transfers per block, says so, and Each

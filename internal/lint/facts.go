@@ -62,6 +62,11 @@ type Facts struct {
 	guardedVars   map[*types.Var]*types.Var
 	locks         map[*types.Func]*lockSummary
 
+	// compiled holds the compiler's bounds-check and inliner verdicts
+	// for the hot packages (see oracle.go); Run fills it when hotbce or
+	// hotinline is selected.
+	compiled *compiled
+
 	// sccCount and maxSCCIters are recorded for tests and the
 	// benchmark: how big the condensation was and the deepest
 	// fixed-point iteration any component needed.

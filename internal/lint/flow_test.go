@@ -116,39 +116,6 @@ func TestDomainsGiveUpSilently(t *testing.T) {
 	}
 }
 
-func TestBoundsGiveUpSilently(t *testing.T) {
-	src := func(n int) string {
-		var decl strings.Builder
-		for i := 1; i <= n; i++ {
-			fmt.Fprintf(&decl, "\ts%d := make([]byte, 8)\n", i)
-		}
-		return "package p\n\n//mlec:hot\nfunc Kernel(s0 []byte, k int) (x byte) {\n" + decl.String() +
-			"\tfor i := 0; i < k; i++ {\n" + fmt.Sprintf("\t\tx ^= s%d[7]\n", n) + chain("s", n) + "\t}\n\treturn x\n}\n"
-	}
-	short := srcPackage(t, src(settles))
-	diags, err := Run([]*Package{short}, []*Analyzer{HotBCE})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) == 0 {
-		t.Fatal("hotbce missed the index whose length fact the loop destroys")
-	}
-	if bounds, _ := CollectOracleClaims([]*Package{short}); len(bounds) == 0 {
-		t.Fatal("no oracle claim for a settled hot loop")
-	}
-	long := srcPackage(t, src(givesUp))
-	diags, err = Run([]*Package{long}, []*Analyzer{HotBCE})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("reported from a flow that did not converge: %s", d)
-	}
-	if bounds, _ := CollectOracleClaims([]*Package{long}); len(bounds) != 0 {
-		t.Errorf("%d oracle claims from a flow that did not converge", len(bounds))
-	}
-}
-
 // TestLockEngineGivesUpSilently hands the lock engine a solution that
 // did not converge. No honest body gets there — lock depths are clamped
 // and independent, so the states settle in a few trips — which is why

@@ -2,28 +2,31 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
+	"go/types"
 	"strconv"
+
+	"mlec/internal/lint/cfg"
 )
 
 // HotBCE enforces the bounds-check discipline on the //mlec:hot
-// kernels: every index or slice expression inside a loop of a hot
-// function (or hot region) must be provably in bounds from the length
-// facts on the path to it, so the compiler's prove pass eliminates the
-// per-iteration check. The engine (bounds.go) mirrors the idioms the
-// kernels use — length guards, slice-advance loops, range keys,
-// `_ = s[k]` hints, byte-indexed 256-entry tables — and `mlecvet
-// -compiler` cross-checks its verdicts against `-d=ssa/check_bce`.
+// kernels: no index or slice expression inside a loop of a hot function
+// (or hot region) may keep its bounds check. The verdict is the
+// compiler's own: a `Found IsInBounds` or `Found IsSliceInBounds` from
+// -d=ssa/check_bce (oracle.go) inside a loop of the swept scope is a
+// finding, so a guard or a `_ = s[k]` hint that satisfies the prove
+// pass satisfies the analyzer, and nothing else does.
 //
 // Scope is deliberately the directly annotated hot code, not the
 // transitive hot set: propagation reaches simulation drivers whose
 // per-event indexing is dominated by event dispatch, where a bounds
 // check is noise, not cost. The annotated kernels are exactly the code
 // whose per-byte loops make one check per iteration measurable.
-// Sites outside loops are likewise ignored: a once-per-call check is
+// Checks outside loops are likewise ignored: a once-per-call check is
 // not a steady-state cost.
 var HotBCE = &Analyzer{
 	Name: "hotbce",
-	Doc:  "require provably eliminable bounds checks in //mlec:hot loops",
+	Doc:  "forbid bounds checks the compiler keeps in //mlec:hot loops",
 	Run:  runHotBCE,
 }
 
@@ -44,10 +47,10 @@ func inStmts(n ast.Node, stmts []ast.Stmt) bool {
 }
 
 // eachDirectHot calls fn for every declaration in the scope hotbce and
-// hotinline sweep (and the compiler oracle cross-checks): a function
-// that carries //mlec:hot itself, whole, or the //mlec:hot region
-// statements of any other non-cold function. inScope reports whether a
-// node of fd lies in that scope.
+// hotinline sweep (and the compiler build covers): a function that
+// carries //mlec:hot itself, whole, or the //mlec:hot region statements
+// of any other non-cold function. inScope reports whether a node of fd
+// lies in that scope.
 func eachDirectHot(pass *Pass, fn func(fd *ast.FuncDecl, inScope func(ast.Node) bool)) {
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
@@ -64,36 +67,100 @@ func eachDirectHot(pass *Pass, fn func(fd *ast.FuncDecl, inScope func(ast.Node) 
 	}
 }
 
-// hotLoopBounds returns the bounds-engine sites of fd that lie in a
-// loop of the swept scope: what hotbce judges and the oracle claims.
-func hotLoopBounds(pass *Pass, fd *ast.FuncDecl, inScope func(ast.Node) bool) []boundsSite {
-	var sites []boundsSite
-	for _, site := range analyzeBounds(pass.Info, fd.Body) {
-		if site.inLoop && inScope(site.node) {
-			sites = append(sites, site)
+// loopNodes returns the nodes of body's loop blocks: what runs once per
+// iteration. A range header contributes its key, value and operand, not
+// the statement, whose extent covers the body.
+func loopNodes(body *ast.BlockStmt) []ast.Node {
+	g := cfg.Build(body)
+	loops := g.LoopBlocks()
+	var nodes []ast.Node
+	for _, b := range g.Blocks {
+		if !loops[b] {
+			continue
+		}
+		for _, n := range b.Nodes {
+			r, ok := n.(*ast.RangeStmt)
+			if !ok {
+				nodes = append(nodes, n)
+				continue
+			}
+			for _, e := range []ast.Expr{r.Key, r.Value, r.X} {
+				if e != nil {
+					nodes = append(nodes, e)
+				}
+			}
 		}
 	}
-	return sites
+	return nodes
 }
 
 func runHotBCE(pass *Pass) error {
 	eachDirectHot(pass, func(fd *ast.FuncDecl, inScope func(ast.Node) bool) {
-		for _, site := range hotLoopBounds(pass, fd, inScope) {
-			if site.proven {
+		checks := pass.keptChecks(fd.Body)
+		if len(checks) == 0 {
+			return
+		}
+		for _, n := range loopNodes(fd.Body) {
+			if !inScope(n) {
 				continue
 			}
-			hint := "guard the loop with an explicit len() comparison or a `_ = " + site.base + "[n-1]` hint, or restructure to slice-advance form"
-			if site.need > 0 {
-				hint = "establish len(" + site.base + ") >= " + strconv.Itoa(site.need) + " before the loop (length guard or `_ = " + site.base + "[" + strconv.Itoa(site.need-1) + "]` hint), or restructure to slice-advance form"
+			for _, p := range checks {
+				if p < n.Pos() || p >= n.End() {
+					continue
+				}
+				if what, ok := checkSite(n, p, pass.Fset); ok {
+					pass.Report(p, "%s %s; establish the bound before the loop (an explicit len() guard "+
+						"or a `_ = s[n-1]` hint), or restructure to slice-advance form", fd.Name.Name, what)
+				}
 			}
-			verb := "indexes"
-			if site.kind == "slice" {
-				verb = "slices"
-			}
-			pass.Report(site.node.Pos(),
-				"%s %s %s in a hot loop without a provable bound; %s",
-				fd.Name.Name, verb, site.expr, hint)
 		}
 	})
 	return nil
+}
+
+// keptChecks returns the positions in body where the compiler kept a
+// bounds check.
+func (p *Pass) keptChecks(body *ast.BlockStmt) []token.Pos {
+	tf := p.Fset.File(body.Pos())
+	var out []token.Pos
+	for _, c := range p.Facts.compiled.found[tf.Name()] {
+		if c.line < 1 || c.line > tf.LineCount() {
+			continue
+		}
+		if pos := tf.LineStart(c.line) + token.Pos(c.col-1); pos >= body.Pos() && pos < body.End() {
+			out = append(out, pos)
+		}
+	}
+	return out
+}
+
+// checkSite describes the bounds check the compiler kept at p inside n,
+// naming the expression by its position: an index or slice by its '[',
+// an inlined call by its '('. A check inside a function literal belongs
+// to the literal, not to the loop, and is skipped.
+func checkSite(n ast.Node, p token.Pos, fset *token.FileSet) (string, bool) {
+	const kept = " in a hot loop, and the compiler keeps its bounds check"
+	what := "has a bounds check the compiler keeps at column " + strconv.Itoa(fset.Position(p).Column) + " of a hot loop"
+	inLit := false
+	ast.Inspect(n, func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.FuncLit:
+			inLit = inLit || (p >= m.Pos() && p < m.End())
+			return false
+		case *ast.IndexExpr:
+			if m.Lbrack == p {
+				what = "indexes " + types.ExprString(m) + kept
+			}
+		case *ast.SliceExpr:
+			if m.Lbrack == p {
+				what = "slices " + types.ExprString(m) + kept
+			}
+		case *ast.CallExpr:
+			if m.Lparen == p {
+				what = "calls " + types.ExprString(m.Fun) + " in a hot loop, and the compiler keeps a bounds check in its inlined body"
+			}
+		}
+		return true
+	})
+	return what, !inLit
 }

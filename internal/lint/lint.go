@@ -29,6 +29,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -93,10 +94,20 @@ func (d Diagnostic) String() string {
 }
 
 // Run executes every analyzer over every package and returns the
-// combined findings sorted by file position.
+// combined findings sorted by file position. When hotbce or hotinline
+// is among the analyzers, Run first compiles the hot packages with
+// the compiler's diagnostics on (oracle.go); a failed build is an
+// error.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	facts := NewFacts(pkgs)
+	if slices.ContainsFunc(analyzers, func(a *Analyzer) bool { return a == HotBCE || a == HotInline }) {
+		c, err := compileHot(pkgs, facts)
+		if err != nil {
+			return nil, err
+		}
+		facts.compiled = c
+	}
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			pass := &Pass{

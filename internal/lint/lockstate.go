@@ -283,9 +283,38 @@ func dec(d *int8) {
 	}
 }
 
-// lockState maps lock references to their state. sliceRef (bounds.go)
-// is reused as the reference type: an object root plus a selection
-// path is exactly what identifies a mutex too.
+// A sliceRef names a reference by a variable, optionally extended by a
+// chain of field selections; the zero path means the object itself. It
+// identifies a mutex here, and a WaitGroup or a channel in goleak.go.
+type sliceRef struct {
+	obj  types.Object
+	path string // "" or ".field" chains, e.g. ".mu"
+}
+
+// resolveRef resolves e to a sliceRef when e is an identifier or a
+// pure field-selection chain rooted at one.
+func resolveRef(info *types.Info, e ast.Expr) (sliceRef, bool) {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		obj := info.ObjectOf(x)
+		if _, ok := obj.(*types.Var); ok {
+			return sliceRef{obj: obj}, true
+		}
+	case *ast.SelectorExpr:
+		sel, ok := info.Selections[x]
+		if !ok || sel.Kind() != types.FieldVal {
+			return sliceRef{}, false
+		}
+		base, ok := resolveRef(info, x.X)
+		if !ok {
+			return sliceRef{}, false
+		}
+		return sliceRef{obj: base.obj, path: base.path + "." + x.Sel.Name}, true
+	}
+	return sliceRef{}, false
+}
+
+// lockState maps lock references to their state.
 type lockState map[sliceRef]lockVal
 
 // put stores v for ref, keeping zero states out of the map.

@@ -2,246 +2,144 @@ package lint
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"go/ast"
-	"go/token"
 	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
-	"strings"
 )
 
-// This file is the compiler-oracle half of the hotbce/hotinline pair:
-// the static engines make claims ("this index needs no check", "this
-// callee will inline"), and `mlecvet -compiler` checks every claim
-// against the real compiler's diagnostics from
+// This file asks the compiler. hotbce and hotinline judge what the gc
+// compiler does to a hot loop — which bounds checks its prove pass
+// keeps, which calls its inliner takes — so instead of modelling either
+// pass they read the compiler's own diagnostics, from one build per Run:
 //
-//	go build -gcflags='<module>/...=-d=ssa/check_bce -m' <module>/...
+//	go build -o /dev/null -gcflags='-d=ssa/check_bce -m=2' <dirs>
 //
-// A disagreement in either direction is its own finding class:
+// over the packages holding directly hot code plus the packages that
+// declare the callees of their hot-loop calls. The flags apply to the
+// packages named on the command line only, and the build uses the
+// normal build cache: the go command caches a package's compiler output
+// with its object file and replays it on a hit, so a warm run costs
+// what a no-op build costs and prints the same lines as a cold one.
 //
-//   - The engine proves a site the compiler still checks: the engine is
-//     unsound for that idiom and must be fixed before its verdicts can
-//     be trusted.
-//   - The compiler eliminates a site the engine cannot prove: the
-//     engine is too conservative, and a kernel author following its
-//     hint would add a guard the compiler does not need.
-//   - A callee the engine judged inlinable is missing from the `-m`
-//     `can inline` set: the shape heuristics in hotinline have diverged
-//     from the real inliner.
+// Three kinds of line matter; everything else -m=2 prints (escape
+// analysis, inlining costs, package banners) is ignored:
 //
-// Comparison is per source line, only on lines where the static engine
-// makes a claim: check_bce reports column positions that do not line up
-// node-for-node with AST positions, but line granularity does. A line
-// carrying both proven and unproven claims is skipped — neither verdict
-// about the line as a whole would be justified.
+//	f.go:L:C: Found IsInBounds            a kept index check, C at the '['
+//	f.go:L:C: Found IsSliceInBounds       a kept slice check, C at the '['
+//	f.go:L:C: inlining call to F          an inlined call, C at the '('
+//	f.go:L:C: cannot inline F: reason     a declaration the inliner refused
+//
+// A check kept inside an inlined callee is reported at the call's '('.
+// A build that fails is an error of the Run, never a silent pass.
 
-// A BoundsClaim is the static engine's verdict for one index or slice
-// expression in a swept hot loop.
-type BoundsClaim struct {
-	Pos    token.Position
-	Expr   string
-	Proven bool
+// srcPos is a compiler-reported position: an absolute file path, a
+// line and a byte column, as go/token counts them.
+type srcPos struct {
+	file      string
+	line, col int
 }
 
-// An InlineClaim records that hotinline judged a hot-loop callee
-// inlinable (small, in-module, blocker-free): the compiler must agree
-// with a `can inline` line at the callee's declaration.
-type InlineClaim struct {
-	CallPos token.Position
-	DeclPos token.Position
-	Name    string
-}
-
-// CollectOracleClaims gathers the claims for the swept scope — loop
-// sites in directly //mlec:hot functions and hot regions — mirroring
-// exactly what hotbce and hotinline inspect.
-func CollectOracleClaims(pkgs []*Package) ([]BoundsClaim, []InlineClaim) {
-	facts := NewFacts(pkgs)
-	var bounds []BoundsClaim
-	var inlines []InlineClaim
-	for _, pkg := range pkgs {
-		pass := &Pass{
-			Analyzer: HotBCE,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			Facts:    facts,
-			pkg:      pkg,
-		}
-		eachDirectHot(pass, func(fd *ast.FuncDecl, inScope func(ast.Node) bool) {
-			for _, site := range hotLoopBounds(pass, fd, inScope) {
-				bounds = append(bounds, BoundsClaim{
-					Pos:    pass.Fset.Position(site.node.Pos()),
-					Expr:   site.expr,
-					Proven: site.proven,
-				})
-			}
-			for _, call := range loopCallExprs(fd) {
-				if !inScope(call) {
-					continue
-				}
-				site, verdict := judgeCall(pass, call)
-				if verdict != callInlinable {
-					continue
-				}
-				ds := facts.decls[site.callee]
-				inlines = append(inlines, InlineClaim{
-					CallPos: pass.Fset.Position(call.Pos()),
-					DeclPos: ds.pkg.Fset.Position(ds.decl.Pos()),
-					Name:    site.callee.Name(),
-				})
-			}
-		})
-	}
-	return bounds, inlines
-}
-
-// OracleFacts is the parsed compiler output: which source lines kept a
-// bounds check, and which declaration lines the inliner accepted.
-// Paths are kept as the compiler printed them (relative to the module
-// root) and matched against absolute claim positions by path suffix.
-type OracleFacts struct {
-	Bounds    map[oracleKey][]string // base+line -> compiler-printed paths with Found
-	CanInline map[oracleKey][]string // base+line of a `can inline` declaration
-}
-
-// oracleKey indexes diagnostics by file base name and line; the stored
-// paths disambiguate same-named files in different directories.
-type oracleKey struct {
-	base string
-	line int
+// compiled is the parsed compiler output.
+type compiled struct {
+	found   map[string][]srcPos // file → kept bounds checks
+	inlined map[srcPos]bool     // call sites the inliner took
+	refused map[srcPos]string   // declaration line (col 0) → why it cannot inline
 }
 
 var (
-	foundRe  = regexp.MustCompile(`^(.+\.go):(\d+):\d+: Found (?:IsInBounds|IsSliceInBounds)$`)
-	inlineRe = regexp.MustCompile(`^(.+\.go):(\d+):\d+: can inline `)
+	foundRe   = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): Found Is(?:Slice)?InBounds$`)
+	inlinedRe = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): inlining call to `)
+	refusedRe = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): cannot inline [^ ]+: (.+)$`)
 )
 
-// ParseOracle extracts check_bce and inliner facts from the combined
-// output of the oracle build; all other lines (escape analysis, package
-// banners) are ignored.
-func ParseOracle(r io.Reader) (*OracleFacts, error) {
-	facts := &OracleFacts{
-		Bounds:    make(map[oracleKey][]string),
-		CanInline: make(map[oracleKey][]string),
+// parseOracle reads the combined output of the diagnostic build. Paths
+// the go command printed relative to its working directory dir are
+// made absolute, so they compare equal to the loader's file names.
+func parseOracle(r io.Reader, dir string) (*compiled, error) {
+	c := &compiled{
+		found:   make(map[string][]srcPos),
+		inlined: make(map[srcPos]bool),
+		refused: make(map[srcPos]string),
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
 		if m := foundRe.FindStringSubmatch(line); m != nil {
-			facts.add(facts.Bounds, m[1], m[2])
-		} else if m := inlineRe.FindStringSubmatch(line); m != nil {
-			facts.add(facts.CanInline, m[1], m[2])
+			p := diagPos(dir, m)
+			c.found[p.file] = append(c.found[p.file], p)
+		} else if m := inlinedRe.FindStringSubmatch(line); m != nil {
+			c.inlined[diagPos(dir, m)] = true
+		} else if m := refusedRe.FindStringSubmatch(line); m != nil {
+			p := diagPos(dir, m)
+			p.col = 0
+			c.refused[p] = m[4]
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("oracle: reading compiler output: %w", err)
+		return nil, fmt.Errorf("lint: reading compiler output: %w", err)
 	}
-	return facts, nil
+	return c, nil
 }
 
-func (f *OracleFacts) add(m map[oracleKey][]string, file, lineStr string) {
-	n, err := strconv.Atoi(lineStr)
+// diagPos builds the position of a matched diagnostic (file, line, column
+// in m[1:4]; the regexps guarantee the numbers parse).
+func diagPos(dir string, m []string) srcPos {
+	file := m[1]
+	if !filepath.IsAbs(file) {
+		file = filepath.Join(dir, file)
+	}
+	line, _ := strconv.Atoi(m[2])
+	col, _ := strconv.Atoi(m[3])
+	return srcPos{file: filepath.Clean(file), line: line, col: col}
+}
+
+// compileHot runs the diagnostic build over the packages hotbce and
+// hotinline sweep and parses what the compiler printed. With no
+// directly hot code among pkgs there is nothing to build.
+func compileHot(pkgs []*Package, facts *Facts) (*compiled, error) {
+	dirs := make(map[string]bool)
+	root := ""
+	var err error
+	for _, pkg := range pkgs {
+		pass := &Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info, Facts: facts, pkg: pkg}
+		eachDirectHot(pass, func(fd *ast.FuncDecl, inScope func(ast.Node) bool) {
+			if pkg.loader == nil {
+				err = fmt.Errorf("lint: %s has hot code but was not loaded from a directory the compiler can build", pkg.Path)
+				return
+			}
+			root = pkg.loader.moduleDir
+			dirs[pkg.Dir] = true
+			for _, call := range loopCallExprs(fd) {
+				if site, _ := hotCallee(pkg.Info, facts, call); site != nil && inScope(call) {
+					dirs[site.pkg.Dir] = true
+				}
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	if len(dirs) == 0 {
+		return &compiled{}, nil
+	}
+	args := []string{"build", "-o", os.DevNull, "-gcflags=-d=ssa/check_bce -m=2"}
+	for dir := range dirs {
+		args = append(args, dir)
+	}
+	sort.Strings(args[4:])
+	cmd := exec.Command("go", args...)
+	cmd.Dir = root
+	out, err := cmd.CombinedOutput()
 	if err != nil {
-		return
+		return nil, fmt.Errorf("lint: compiling the hot packages for hotbce/hotinline: %v\n%s", err, out)
 	}
-	file = filepath.ToSlash(file)
-	k := oracleKey{base: filepath.Base(file), line: n}
-	for _, p := range m[k] {
-		if p == file {
-			return
-		}
-	}
-	m[k] = append(m[k], file)
-}
-
-// at reports whether m holds a diagnostic for the claim position: same
-// base name and line, with the compiler-printed path a suffix of the
-// claim's path (compiler paths are module-relative, claim paths
-// absolute).
-func oracleAt(m map[oracleKey][]string, pos token.Position) bool {
-	file := filepath.ToSlash(pos.Filename)
-	for _, p := range m[oracleKey{base: filepath.Base(file), line: pos.Line}] {
-		if file == p || strings.HasSuffix(file, "/"+p) {
-			return true
-		}
-	}
-	return false
-}
-
-// A Disagreement is one line where the static engine and the compiler
-// reached different verdicts.
-type Disagreement struct {
-	Pos    token.Position
-	Detail string
-}
-
-func (d Disagreement) String() string {
-	return fmt.Sprintf("%s:%d: %s", d.Pos.Filename, d.Pos.Line, d.Detail)
-}
-
-// CompareOracle cross-checks the claims against the compiler facts and
-// returns the disagreements sorted by position. Bounds claims are
-// grouped per line; a line with both proven and unproven claims is
-// skipped (no line-level verdict is justified).
-func CompareOracle(bounds []BoundsClaim, inlines []InlineClaim, facts *OracleFacts) []Disagreement {
-	var out []Disagreement
-
-	type lineVerdict struct {
-		pos                token.Position
-		proven, unproven   bool
-		provenEx, unprovEx string
-	}
-	lines := make(map[oracleKey]*lineVerdict)
-	for _, c := range bounds {
-		k := oracleKey{base: filepath.Base(filepath.ToSlash(c.Pos.Filename)), line: c.Pos.Line}
-		v := lines[k]
-		if v == nil {
-			v = &lineVerdict{pos: c.Pos}
-			lines[k] = v
-		}
-		if c.Proven {
-			v.proven, v.provenEx = true, c.Expr
-		} else {
-			v.unproven, v.unprovEx = true, c.Expr
-		}
-	}
-	for _, v := range lines {
-		switch {
-		case v.proven && v.unproven:
-			// Mixed line: check_bce output cannot be attributed to one
-			// claim, so neither direction is checkable.
-		case v.proven && oracleAt(facts.Bounds, v.pos):
-			out = append(out, Disagreement{Pos: v.pos, Detail: fmt.Sprintf(
-				"static engine proves %s but the compiler kept a bounds check (Found IsInBounds); the engine is unsound for this idiom", v.provenEx)})
-		case v.unproven && !oracleAt(facts.Bounds, v.pos):
-			out = append(out, Disagreement{Pos: v.pos, Detail: fmt.Sprintf(
-				"compiler eliminated the bounds check on %s but the static engine cannot prove it; teach the engine the idiom", v.unprovEx)})
-		}
-	}
-
-	for _, c := range inlines {
-		if !oracleAt(facts.CanInline, c.DeclPos) {
-			out = append(out, Disagreement{Pos: c.CallPos, Detail: fmt.Sprintf(
-				"hotinline judged %s inlinable but the compiler printed no `can inline %s` at %s:%d; the shape heuristics have diverged",
-				c.Name, c.Name, c.DeclPos.Filename, c.DeclPos.Line)})
-		}
-	}
-
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Pos, out[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return out[i].Detail < out[j].Detail
-	})
-	return out
+	return parseOracle(bytes.NewReader(out), root)
 }

@@ -1,95 +1,89 @@
 package lint
 
 import (
-	"go/token"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// cannedOracle is a trimmed -gcflags='-d=ssa/check_bce -m=2' transcript
+// as the go command prints it from the module root.
 const cannedOracle = `# mlec/internal/gf256
 internal/gf256/gf256.go:98:9: Found IsInBounds
-internal/gf256/gf256.go:132:6: can inline MulByte
+internal/gf256/gf256.go:132:6: can inline MulByte with cost 4 as: func(byte, byte) byte { return mulTable[a][b] }
 internal/gf256/gf256.go:140:12: Found IsSliceInBounds
-internal/obs/metrics.go:20:6: can inline (*Counter).Inc
-internal/obs/metrics.go:20:19: inlining call to sync/atomic.(*Int64).Add
+internal/gf256/gf256.go:150:18: inlining call to MulByte
+internal/obs/meter.go:20:6: cannot inline (*Meter).Add: function too complex: cost 149 exceeds budget 80
+internal/obs/meter.go:31:6: cannot inline lockedBump: unhandled op DEFER
+internal/obs/meter.go:40:9: cannot inline lockedBump into Drain: repeated recursive cycle
+internal/obs/meter.go:20:19: inlining call to sync/atomic.(*Int64).Add
 internal/gf256/gf256.go:55:2: s escapes to heap
 internal/gf256/gf256.go:98:30: Found IsInBounds
 not a diagnostic line
-internal/gf256/gf256.go:200:6: cannot inline XorSlice: function too complex
+/elsewhere/gf256.go:7:3: Found IsInBounds
 `
 
-func oraclePos(file string, line int) token.Position {
-	return token.Position{Filename: file, Line: line, Column: 1}
-}
-
 func TestParseOracle(t *testing.T) {
-	facts, err := ParseOracle(strings.NewReader(cannedOracle))
+	root := filepath.FromSlash("/work/repo")
+	c, err := parseOracle(strings.NewReader(cannedOracle), root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	abs := "/work/repo/internal/gf256/gf256.go"
-	if !oracleAt(facts.Bounds, oraclePos(abs, 98)) {
-		t.Errorf("missing Found at %s:98", abs)
+	gf := filepath.Join(root, "internal", "gf256", "gf256.go")
+	meter := filepath.Join(root, "internal", "obs", "meter.go")
+
+	found := map[srcPos]bool{}
+	for _, p := range c.found[gf] {
+		found[p] = true
 	}
-	if !oracleAt(facts.Bounds, oraclePos(abs, 140)) {
-		t.Errorf("missing Found (IsSliceInBounds) at %s:140", abs)
+	for _, p := range []srcPos{{gf, 98, 9}, {gf, 98, 30}, {gf, 140, 12}} {
+		if !found[p] {
+			t.Errorf("missing Found at %v", p)
+		}
 	}
-	if oracleAt(facts.Bounds, oraclePos(abs, 132)) {
-		t.Errorf("spurious Found at %s:132", abs)
+	if len(c.found[gf]) != 3 {
+		t.Errorf("got %d Found lines in gf256.go, want 3: %v", len(c.found[gf]), c.found[gf])
 	}
-	if !oracleAt(facts.CanInline, oraclePos(abs, 132)) {
-		t.Errorf("missing can-inline at %s:132", abs)
+	// An absolute path stays as printed.
+	if len(c.found[filepath.FromSlash("/elsewhere/gf256.go")]) != 1 {
+		t.Errorf("absolute path not kept: %v", c.found)
 	}
-	if !oracleAt(facts.CanInline, oraclePos("/work/repo/internal/obs/metrics.go", 20)) {
-		t.Errorf("missing can-inline for a method at metrics.go:20")
+	// A same-base file in a different directory shares nothing.
+	if other := filepath.Join(root, "internal", "other", "gf256.go"); len(c.found[other]) != 0 {
+		t.Errorf("Found leaked across directories to %s", other)
 	}
-	// cannot-inline and escape lines are not can-inline facts.
-	if oracleAt(facts.CanInline, oraclePos(abs, 200)) {
-		t.Errorf("`cannot inline` parsed as can-inline at %s:200", abs)
+
+	if !c.inlined[srcPos{gf, 150, 18}] || !c.inlined[srcPos{meter, 20, 19}] {
+		t.Errorf("missing inlined call sites: %v", c.inlined)
 	}
-	// A same-base same-line file in a different directory must not match.
-	if oracleAt(facts.Bounds, oraclePos("/work/repo/internal/other/gf256.go", 98)) {
-		t.Errorf("suffix match leaked across directories")
+	if c.inlined[srcPos{gf, 132, 6}] {
+		t.Error("`can inline` parsed as an inlined call site")
+	}
+
+	for p, want := range map[srcPos]string{
+		{meter, 20, 0}: "function too complex: cost 149 exceeds budget 80",
+		{meter, 31, 0}: "unhandled op DEFER",
+	} {
+		if got := c.refused[p]; got != want {
+			t.Errorf("refused[%v] = %q, want %q", p, got, want)
+		}
+	}
+	// A call-site refusal ("cannot inline F into G") is not a
+	// declaration's verdict.
+	if len(c.refused) != 2 {
+		t.Errorf("got %d refusals, want 2: %v", len(c.refused), c.refused)
 	}
 }
 
-func TestCompareOracle(t *testing.T) {
-	facts, err := ParseOracle(strings.NewReader(cannedOracle))
-	if err != nil {
-		t.Fatal(err)
-	}
-	abs := "/work/repo/internal/gf256/gf256.go"
-	bounds := []BoundsClaim{
-		// Proven on a line the compiler checked: unsoundness.
-		{Pos: oraclePos(abs, 98), Expr: "tab[x]", Proven: true},
-		// Unproven on a line with no Found: over-conservative.
-		{Pos: oraclePos(abs, 60), Expr: "s[i]", Proven: false},
-		// Proven on a clean line: agreement.
-		{Pos: oraclePos(abs, 61), Expr: "s[0]", Proven: true},
-		// Unproven on a checked line: agreement.
-		{Pos: oraclePos(abs, 140), Expr: "s[8:]", Proven: false},
-		// Mixed line: skipped in both directions.
-		{Pos: oraclePos(abs, 70), Expr: "a[0]", Proven: true},
-		{Pos: oraclePos(abs, 70), Expr: "b[i]", Proven: false},
-	}
-	inlines := []InlineClaim{
-		// Declared at a can-inline line: agreement.
-		{CallPos: oraclePos(abs, 300), DeclPos: oraclePos(abs, 132), Name: "MulByte"},
-		// No can-inline at the declaration: divergence.
-		{CallPos: oraclePos(abs, 301), DeclPos: oraclePos(abs, 200), Name: "XorSlice"},
-	}
-	got := CompareOracle(bounds, inlines, facts)
-	if len(got) != 3 {
-		t.Fatalf("got %d disagreements, want 3:\n%v", len(got), got)
-	}
-	wantSubstr := []string{
-		"compiler eliminated the bounds check on s[i]",
-		"static engine proves tab[x]",
-		"hotinline judged XorSlice inlinable",
-	}
-	for i, w := range wantSubstr {
-		if !strings.Contains(got[i].String(), w) {
-			t.Errorf("disagreement %d = %q, want substring %q", i, got[i], w)
+// TestCompilerBuildFailureIsAnError: a hot package the compiler cannot
+// build (go/types accepts a function declared without a body; gc does
+// not) makes Run fail instead of passing with no verdicts.
+func TestCompilerBuildFailureIsAnError(t *testing.T) {
+	pkg := loadFixture(t, newFixtureLoader(t), "hotbuildfail")
+	for _, a := range []*Analyzer{HotBCE, HotInline} {
+		diags, err := Run([]*Package{pkg}, []*Analyzer{a})
+		if err == nil || !strings.Contains(err.Error(), "missing function body") {
+			t.Errorf("%s: Run = %v, %v; want the compiler's error", a.Name, diags, err)
 		}
 	}
 }

@@ -12,13 +12,12 @@ import (
 	"testing"
 )
 
-// engineTuples runs the five flow engines (taint, domain, bounds,
-// escape, lock state) over every declared function of pkgs and returns
-// one sorted "engine pos value" line per verdict: non-zero taint and
-// non-none domain per expression, the taint/domain/mayFail summary of
-// each function, every bounds site, every allocation site, every
-// non-empty lock summary. Positions are relative to root so the lines
-// compare across checkouts.
+// engineTuples runs the four flow engines (taint, domain, escape, lock
+// state) over every declared function of pkgs and returns one sorted
+// "engine pos value" line per verdict: non-zero taint and non-none
+// domain per expression, the taint/domain/mayFail summary of each
+// function, every allocation site, every non-empty lock summary.
+// Positions are relative to root so the lines compare across checkouts.
 func engineTuples(root string, pkgs []*Package) []string {
 	facts := NewFacts(pkgs)
 	var lines []string
@@ -84,10 +83,6 @@ func engineTuples(root string, pkgs []*Package) []string {
 					func(l *ast.FuncLit) func(ast.Expr) string { return taintOf(pass.FuncLitTaint(l).Of) })
 				exprs("domain", fd.Body, domOf(pass.FuncDomains(fd).Of),
 					func(l *ast.FuncLit) func(ast.Expr) string { return domOf(pass.FuncLitDomains(l).Of) })
-				for _, s := range analyzeBounds(pkg.Info, fd.Body) {
-					emit("bounds", s.node.Pos(), "%s %s base=%s proven=%v loop=%v need=%d",
-						s.kind, s.expr, s.base, s.proven, s.inLoop, s.need)
-				}
 				for _, s := range pass.FuncAllocSites(fd) {
 					emit("alloc", s.Node.Pos(), "kind=%d %s loop=%v %s", s.kind, s.Class, s.InLoop, s.What)
 				}
@@ -138,7 +133,9 @@ func engineTuples(root string, pkgs []*Package) []string {
 // testdata/src: the first 16 hex digits of the SHA-256 of that
 // fixture's engineTuples lines. Recorded on the tree before the flow
 // engines moved onto the shared solver; an engine refactor must leave
-// every digest as it is.
+// every digest as it is. (The bounds engine's rows left with the
+// engine: the fixtures that had any were re-digested from the tree
+// before the deletion, without them.)
 var pinnedVerdicts = map[string]string{
 	"atomicmix":        "895cdfef1c24abe1",
 	"barego":           "c5c9d5892e688cad",
@@ -150,18 +147,19 @@ var pinnedVerdicts = map[string]string{
 	"globalrand":       "52e664af8629c205",
 	"goleak":           "b9451eee82eef8f8",
 	"guarddirective":   "a3fdca3cfebb7a59",
-	"hotalloc":         "c40e43fff15144c0",
-	"hotbce":           "a250bc454e5bb89d",
+	"hotalloc":         "e4c8c10f8f01b286",
+	"hotbce":           "254403c96fa4eb0d",
+	"hotbuildfail":     "850e2936ee2bb88a",
 	"hotdefer":         "7b0cc7c8afd2591d",
 	"hotdirective":     "a6b1827412b4371c",
 	"hotiface":         "1563835c82b57a42",
-	"hotinline":        "8a3802747dfd2b6f",
-	"hotprealloc":      "b16a79e34d300048",
+	"hotinline":        "37895f0508aaa7d8",
+	"hotprealloc":      "c251c417fa58b6dc",
 	"loadedge":         "0c410f0af59f1e81",
 	"lockcheck":        "d50d9815bde253f9",
 	"maporder":         "9c0f8b6f0f299f8a",
 	"maporderdep":      "fe105df3a578b052",
-	"nakedpanic":       "4086f2a18a91f140",
+	"nakedpanic":       "9b6d8355154e6c62",
 	"obsfake":          "6cc95e7cb7e5e40d",
 	"obspoll":          "2750a89ef75f8ba7",
 	"probmix":          "6417bee476da936b",

@@ -1,11 +1,11 @@
-// Package hotbce exercises the hotbce analyzer: indexing in //mlec:hot
-// loops must be provable from length facts on every path. Proven sites
-// and sites outside loops are negative cases; each unproven loop site
-// is a finding with a suggested remedy.
+// Package hotbce exercises the hotbce analyzer: no index or slice in a
+// //mlec:hot loop may keep its bounds check. Every want line is the
+// compiler's own verdict (-d=ssa/check_bce prints Found there); sites
+// the prove pass eliminates and sites outside loops are negative cases.
 package hotbce
 
 // SliceAdvance is the blessed kernel shape: constant indexes below the
-// guard width, then advance. Everything proves.
+// guard width, then advance. Every check is eliminated.
 //
 //mlec:hot
 func SliceAdvance(src, dst []byte) {
@@ -29,13 +29,13 @@ func SliceAdvance(src, dst []byte) {
 func IndexedNoGuard(s []byte) byte {
 	var acc byte
 	for i := 0; i+2 <= len(s); i += 2 {
-		acc ^= s[i]   // want `indexes s\[i\] in a hot loop without a provable bound`
-		acc ^= s[i+1] // want `indexes s\[i \+ 1\] in a hot loop without a provable bound`
+		acc ^= s[i]   // want `indexes s\[i\] in a hot loop, and the compiler keeps its bounds check`
+		acc ^= s[i+1] // want `indexes s\[i \+ 1\] in a hot loop, and the compiler keeps its bounds check`
 	}
 	return acc
 }
 
-// RangeIndex proves through the range key relation.
+// RangeIndex is in bounds by the range key relation.
 //
 //mlec:hot
 func RangeIndex(s []byte) byte {
@@ -46,8 +46,8 @@ func RangeIndex(s []byte) byte {
 	return acc
 }
 
-// EqualLens proves indexing one slice with the other's range key after
-// an early-return length guard.
+// EqualLens indexes one slice with the other's range key after an
+// early-return length guard: the prove pass carries the equality.
 //
 //mlec:hot
 func EqualLens(row, data []byte) byte {
@@ -61,8 +61,8 @@ func EqualLens(row, data []byte) byte {
 	return acc
 }
 
-// OrGuard proves through the false edge of a disjunction: past the
-// guard both operands are false.
+// OrGuard is in bounds through the false edge of a disjunction: past
+// the guard both operands are false.
 //
 //mlec:hot
 func OrGuard(rem [][]byte) []byte {
@@ -80,19 +80,18 @@ func OrGuard(rem [][]byte) []byte {
 }
 
 // UnrelatedLens indexes data with a key ranged over row without any
-// length relation between them: unprovable.
+// length relation between them: the check stays.
 //
 //mlec:hot
 func UnrelatedLens(row, data []byte) byte {
 	var acc byte
 	for i := range row {
-		acc ^= data[i] // want `indexes data\[i\] in a hot loop without a provable bound`
+		acc ^= data[i] // want `indexes data\[i\] in a hot loop, and the compiler keeps its bounds check`
 	}
 	return acc
 }
 
-// ByteTable proves via the byte-index rule: a byte cannot exceed a
-// 256-entry table.
+// ByteTable needs no check: a byte cannot exceed a 256-entry table.
 //
 //mlec:hot
 func ByteTable(tab *[256]byte, src []byte) byte {
@@ -104,9 +103,22 @@ func ByteTable(tab *[256]byte, src []byte) byte {
 	return acc
 }
 
-// HintBeforeLoop proves constant window indexing from a `_ = s[k]`
-// hint placed before the loop: the postcondition len(src) >= 8
-// survives every iteration because nothing reassigns src.
+// MaskTable needs no check either: the prove pass knows x&255 < 256 for
+// any unsigned x, not only for a byte-typed index.
+//
+//mlec:hot
+func MaskTable(tab *[256]uint32, src []uint32) uint32 {
+	var acc uint32
+	for _, x := range src {
+		acc ^= tab[x&255]
+	}
+	return acc
+}
+
+// HintBeforeLoop eliminates constant window checks with a `_ = s[k]`
+// hint placed before the loop: past it len(src) >= 8 holds on every
+// iteration because nothing reassigns src. The hint keeps its own
+// check, once per call, outside the loop.
 //
 //mlec:hot
 func HintBeforeLoop(src []byte, rounds int) byte {
@@ -124,7 +136,7 @@ func HintBeforeLoop(src []byte, rounds int) byte {
 func UnguardedSliceExpr(s []byte) int {
 	n := 0
 	for n < 10 {
-		s = s[8:] // want `slices s\[8:\] in a hot loop without a provable bound`
+		s = s[8:] // want `slices s\[8:\] in a hot loop, and the compiler keeps its bounds check`
 		n++
 	}
 	return n
@@ -140,9 +152,9 @@ func (q *queue) drop() {
 	}
 }
 
-// FieldPeek proves a field-path fact: the loop condition re-establishes
-// len(q.items) >= 1 on every iteration, and nothing invalidates it
-// before the read.
+// FieldPeek reads a field the loop condition just measured: the
+// condition re-establishes len(q.items) >= 1 on every iteration, and
+// nothing invalidates it before the read.
 //
 //mlec:hot
 func FieldPeek(q *queue) int {
@@ -155,20 +167,20 @@ func FieldPeek(q *queue) int {
 }
 
 // FieldPeekAfterCall reads the field after a method call that may have
-// shrunk it: the call kills the fact, so the read is unprovable.
+// shrunk it, so the read keeps its check.
 //
 //mlec:hot
 func FieldPeekAfterCall(q *queue) int {
 	total := 0
 	for len(q.items) > 0 {
 		q.drop()
-		total += q.items[0] // want `indexes q\.items\[0\] in a hot loop without a provable bound`
+		total += q.items[0] // want `indexes q\.items\[0\] in a hot loop, and the compiler keeps its bounds check`
 	}
 	return total
 }
 
 // OncePerCall indexes outside any loop: a single check is not a
-// steady-state cost, so no finding regardless of provability.
+// steady-state cost, so no finding whatever the compiler keeps.
 //
 //mlec:hot
 func OncePerCall(s []byte) byte {
@@ -183,14 +195,14 @@ func RegionHost(xs, ys []int) int {
 	total := xs[len(xs)-1] // outside the region: not swept
 	//mlec:hot region: the reduction loop
 	for i := range xs {
-		total += ys[i] // want `indexes ys\[i\] in a hot loop without a provable bound`
+		total += ys[i] // want `indexes ys\[i\] in a hot loop, and the compiler keeps its bounds check`
 	}
 	return total
 }
 
 // transitiveHelper is hot only by propagation from Caller; hotbce
-// sweeps directly annotated code only, so its unproven indexing is
-// not a finding.
+// sweeps directly annotated code only, so its checked indexing is not
+// a finding — not even where Caller inlines it, outside any loop.
 func transitiveHelper(xs []int) int {
 	total := 0
 	for i := 0; i < 4; i++ {
@@ -202,6 +214,20 @@ func transitiveHelper(xs []int) int {
 //mlec:hot
 func Caller(xs []int) int {
 	return transitiveHelper(xs)
+}
+
+func peek(xs []int, i int) int { return xs[i] }
+
+// InlinedCheck calls a helper the compiler inlines; the check the
+// helper's body keeps is reported at the call.
+//
+//mlec:hot
+func InlinedCheck(xs, idx []int) int {
+	total := 0
+	for _, i := range idx {
+		total += peek(xs, i) // want `calls peek in a hot loop, and the compiler keeps a bounds check in its inlined body`
+	}
+	return total
 }
 
 // Allowed suppresses a true finding with a reviewed directive.

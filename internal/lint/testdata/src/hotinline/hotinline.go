@@ -1,28 +1,30 @@
 // Package hotinline exercises the hotinline analyzer: per-iteration
-// calls in //mlec:hot loops to small callees whose shape defeats the
-// inliner are findings; amortized, cold, large, or cleanly inlinable
-// callees are not.
+// calls in //mlec:hot loops that the inliner refuses for a reason other
+// than size are findings; inlined, cold, and over-budget callees are
+// not. Every verdict is the compiler's own (-m=2).
 package hotinline
 
 import "sync"
 
 var mu sync.Mutex
 
-// lockedBump is small enough to inline, but the defer blocks it.
+// lockedBump is small, but the inliner refuses its defer.
 func lockedBump(n *int) {
 	mu.Lock()
 	defer mu.Unlock()
 	*n++
 }
 
-// plainBump is the same size with no blocker: inlinable, no finding.
+// plainBump has no defer, but the inliner prices its two calls over the
+// budget ("function too complex"): a cost refusal, no finding.
 func plainBump(n *int) {
 	mu.Lock()
 	*n++
 	mu.Unlock()
 }
 
-// sumAll is small but contains a non-leaf loop (a loop that calls).
+// sumAll loops over a call through a function value; the inliner takes
+// it all the same.
 func sumAll(xs []int, f func(int) int) int {
 	total := 0
 	for _, x := range xs {
@@ -31,8 +33,7 @@ func sumAll(xs []int, f func(int) int) int {
 	return total
 }
 
-// leafSum loops without calling: the loop alone is not flagged (a
-// small leaf loop still amortizes its call overhead over the data).
+// leafSum loops without calling: inlined.
 func leafSum(xs []int) int {
 	total := 0
 	for _, x := range xs {
@@ -41,8 +42,8 @@ func leafSum(xs []int) int {
 	return total
 }
 
-// bigKernel is over the size budget: its call overhead is amortized
-// over its own work, so the internal calls are nobody's business.
+// bigKernel is over the cost budget: its call overhead is amortized over
+// its own work, so the refusal is no finding.
 func bigKernel(src, dst []byte) {
 	for len(src) >= 8 && len(dst) >= 8 {
 		dst[0], dst[1], dst[2], dst[3] = src[0], src[1], src[2], src[3]
@@ -71,6 +72,11 @@ func helperB(b []byte) {
 	}
 }
 
+// pinned is tiny, but its go:noinline mark refuses the inliner.
+//
+//go:noinline
+func pinned(n int) int { return n + 1 }
+
 // coldNote is the reviewed opt-out: amortized poll-point work.
 //
 //mlec:cold amortized poll-point rendering
@@ -86,11 +92,12 @@ func coldNote(n *int) {
 func Driver(xs []int, counters []int, visit func(int) int) int {
 	total := 0
 	for i := range xs {
-		lockedBump(&total) // want `lockedBump in a hot loop, but its defer defeats the inliner`
+		lockedBump(&total) // want `lockedBump in a hot loop, but the compiler cannot inline it: unhandled op DEFER`
 		plainBump(&total)
-		total += sumAll(xs, visit) // want `sumAll in a hot loop, but its non-leaf loop defeats the inliner`
+		total += sumAll(xs, visit)
 		total += leafSum(xs)
-		total += visit(i) // want `calls visit through a function value in a hot loop`
+		total += pinned(i) // want `pinned in a hot loop, but the compiler cannot inline it: marked go:noinline`
+		total += visit(i)  // want `calls visit through a function value in a hot loop`
 		if total > 1<<30 {
 			lockedBump(&total) // early-exit branch: at most once per loop
 			return total
@@ -100,7 +107,7 @@ func Driver(xs []int, counters []int, visit func(int) int) int {
 	return total
 }
 
-// KernelCaller calls the big kernel per iteration: size exempts it.
+// KernelCaller calls the big kernel per iteration: its cost exempts it.
 //
 //mlec:hot
 func KernelCaller(shards [][]byte, out []byte) {
@@ -117,7 +124,7 @@ func RegionHost(xs []int) int {
 	}
 	//mlec:hot region: the second pass is the steady-state one
 	for range xs {
-		lockedBump(&total) // want `lockedBump in a hot loop, but its defer defeats the inliner`
+		lockedBump(&total) // want `lockedBump in a hot loop, but the compiler cannot inline it: unhandled op DEFER`
 	}
 	return total
 }

@@ -16,8 +16,8 @@ import (
 // fingerprint, seed), how long it took, how many events it simulated,
 // how fast it peaked, and how much heap it used — written by the
 // -run-report flag so that runs can be compared across commits without
-// re-deriving anything from logs. cmd/mlecperf builds its
-// BENCH_engines.json trajectory from exactly these readings.
+// re-deriving anything from logs. `mlecbench engines` reads the same
+// obs event counters for its BENCH_engines.json trajectory.
 
 // RunReportSchema versions the report format; ParseRunReport rejects
 // anything else.

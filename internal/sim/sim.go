@@ -94,9 +94,9 @@ func (e *Engine) Step() bool {
 //mlec:hot event drain path
 func (e *Engine) RunUntil(until float64) {
 	// len(e.queue) rather than e.queue.Len(): the direct length read is
-	// what lets both the hotbce value-range engine and the compiler's
-	// prove pass eliminate the bounds check on the peek below (Step
-	// mutates the queue, so the fact is re-established every iteration).
+	// what lets the compiler's prove pass eliminate the bounds check on
+	// the peek below, which hotbce holds it to (Step mutates the queue,
+	// so the fact is re-established every iteration).
 	for len(e.queue) > 0 {
 		next := e.queue[0].time
 		if next > until {
