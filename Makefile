@@ -51,7 +51,8 @@ stress:
 ## obs-smoke: prove observability is inert. Builds mlecdur/mlecburst,
 ## byte-compares fixed-seed stdout with the full -obs/-progress/
 ## -trace-out stack on vs off, validates the trace file, and scrapes a
-## live endpoint through the strict Prometheus parser.
+## live endpoint: /metrics through the strict Prometheus parser (the
+## burst trial counter must be counting) and /progress for the task.
 obs-smoke:
 	$(GO) test -count=1 -run 'TestCLIInertness|TestEndpointServes' ./internal/obs
 

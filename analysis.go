@@ -165,14 +165,15 @@ func EstimateDurability(topo Topology, params Params, scheme Scheme, opts Durabi
 // opts.CheckpointPath set, an identical later call resumes the campaign
 // deterministically.
 func EstimateDurabilityContext(ctx context.Context, topo Topology, params Params, scheme Scheme, opts DurabilityOptions) ([]DurabilityEstimate, error) {
-	if opts.AFR <= 0 || opts.AFR >= 1 {
-		opts.AFR = 0.01
+	afr, err := failure.ResolveAFR(opts.AFR)
+	if err != nil {
+		return nil, err
 	}
 	l, err := placement.NewLayout(topo, params, scheme)
 	if err != nil {
 		return nil, err
 	}
-	lambda := opts.AFR / 8760
+	lambda := afr / 8760
 
 	cfg := poolsim.Config{
 		Disks: l.LocalPoolSize(), Width: params.LocalWidth(), Parity: params.PL,
@@ -186,7 +187,7 @@ func EstimateDurabilityContext(ctx context.Context, topo Topology, params Params
 	var rateLo, rateHi float64
 	var partial bool
 	if opts.UseSimulation {
-		ttf, err := failure.NewExponentialAFR(opts.AFR)
+		ttf, err := failure.NewExponentialAFR(afr)
 		if err != nil {
 			return nil, err
 		}

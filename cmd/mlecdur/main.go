@@ -65,6 +65,9 @@ func main() {
 	if math.IsNaN(*afr) || math.IsInf(*afr, 0) {
 		fatalUsage("-afr must be finite, got %v", *afr)
 	}
+	if *afr <= 0 || *afr >= 1 {
+		fatalUsage("-afr must be in (0,1), got %v", *afr)
+	}
 
 	schemes := map[string]mlec.Scheme{
 		"C/C": mlec.SchemeCC, "C/D": mlec.SchemeCD,

@@ -54,6 +54,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "run 'mlecsim -h' for usage")
 		os.Exit(2)
 	}
+	if *afr <= 0 || *afr >= 1 {
+		fmt.Fprintf(os.Stderr, "mlecsim: -afr must be in (0,1), got %v\n", *afr)
+		fmt.Fprintln(os.Stderr, "run 'mlecsim -h' for usage")
+		os.Exit(2)
+	}
 
 	args := flag.Args()
 	if len(args) == 0 {

@@ -150,9 +150,7 @@ func PDLContext(ctx context.Context, ev Evaluator, x, y, trials int, seed int64,
 	}
 	task.SetDone(int64(restored))
 	trialCount := obs.Default.Counter("burst_pdl_trials_total")
-	trialMeter := obs.Default.Meter("burst_pdl_trials_per_sec")
 	batchCount := obs.Default.Counter("burst_pdl_batches_total")
-	ciwGauge := obs.Default.FloatGauge("burst_pdl_ci_width")
 	span := obs.StartSpan("burst.pdl")
 	defer func() {
 		if span != nil {
@@ -214,7 +212,6 @@ func PDLContext(ctx context.Context, ev Evaluator, x, y, trials int, seed int64,
 				ck.Sums[b], ck.Sum2s[b], ck.Ns[b] = sum, sum2, hi-lo
 				ck.Done[b] = true
 				trialCount.Add(int64(hi - lo))
-				trialMeter.Add(float64(hi - lo))
 				batchCount.Inc()
 				task.Add(int64(hi - lo))
 				samplers.Put(sampler)
@@ -264,7 +261,6 @@ func PDLContext(ctx context.Context, ev Evaluator, x, y, trials int, seed int64,
 	if hi > 1 {
 		hi = 1
 	}
-	ciwGauge.Set(hi - lo)
 	task.SetCIWidth(hi - lo)
 	return Result{Racks: x, Failures: y, PDL: mean, Lo: lo, Hi: hi, Trials: done, Partial: completed < nb}, nil
 }

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"mlec/internal/failure"
 	"mlec/internal/placement"
 	"mlec/internal/topology"
 )
@@ -22,8 +23,8 @@ type Options struct {
 	Quick bool
 	// Seed drives every stochastic component.
 	Seed int64
-	// AFR overrides the annual failure rate (default 0.01, the paper's
-	// 1%).
+	// AFR overrides the annual failure rate: 0 selects the paper's 1%,
+	// anything else must lie in (0,1) or RunContext refuses the run.
 	AFR float64
 	// CSV switches renders that support it (the PDL heatmaps) from
 	// ASCII art to machine-readable CSV.
@@ -39,9 +40,11 @@ type Options struct {
 // DefaultOptions returns the paper's configuration.
 func DefaultOptions() Options { return Options{Seed: 1, AFR: 0.01} }
 
+// afr returns the annual failure rate, resolving 0 to the default.
+// RunContext has already refused values outside [0,1).
 func (o Options) afr() float64 {
-	if o.AFR <= 0 || o.AFR >= 1 {
-		return 0.01
+	if o.AFR == 0 {
+		return failure.DefaultAFR
 	}
 	return o.AFR
 }
@@ -88,6 +91,9 @@ func RunContext(ctx context.Context, id string, opts Options, w io.Writer) error
 	r, ok := registry[id]
 	if !ok {
 		return fmt.Errorf("experiments: unknown experiment %q (try List())", id)
+	}
+	if _, err := failure.ResolveAFR(opts.AFR); err != nil {
+		return fmt.Errorf("experiments: %w", err)
 	}
 	return r(ctx, opts, w)
 }

@@ -40,10 +40,27 @@ type Exponential struct {
 	RatePerHour float64
 }
 
+// DefaultAFR is the paper's annual disk failure rate, 1 %.
+const DefaultAFR = 0.01
+
+// ResolveAFR applies the options convention shared by the library entry
+// points: an AFR of 0 means "unset" and resolves to DefaultAFR; any
+// other value outside (0,1), NaN included, is an error rather than a
+// silent substitution.
+func ResolveAFR(afr float64) (float64, error) {
+	if afr == 0 {
+		return DefaultAFR, nil
+	}
+	if !(afr > 0 && afr < 1) {
+		return 0, fmt.Errorf("failure: AFR %g outside (0,1)", afr)
+	}
+	return afr, nil
+}
+
 // NewExponentialAFR converts an annual failure rate (e.g. 0.01 for 1%)
 // into an exponential TTF distribution with λ = −ln(1−AFR)/8760.
 func NewExponentialAFR(afr float64) (Exponential, error) {
-	if afr <= 0 || afr >= 1 {
+	if !(afr > 0 && afr < 1) {
 		return Exponential{}, fmt.Errorf("failure: AFR %g outside (0,1)", afr)
 	}
 	return Exponential{RatePerHour: -math.Log1p(-afr) / HoursPerYear}, nil

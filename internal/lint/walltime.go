@@ -111,10 +111,10 @@ func checkWallTimeAssign(pass *Pass, ft *FuncTaint, a *ast.AssignStmt) {
 // The obs package is the one sanctioned in-module sink. Its metrics and
 // progress cells are write-only from the engines' point of view — no
 // simulation code ever reads them back — so a wall-clock duration
-// flowing into an obs histogram can influence operator dashboards but
-// never a simulated result. Exempting the package here keeps the
-// invariant honest without scattering allow directives over every
-// instrumentation site.
+// flowing into an obs span or progress task can influence operator
+// dashboards but never a simulated result. Exempting the package here
+// keeps the invariant honest without scattering allow directives over
+// every instrumentation site.
 func checkWallTimeCall(pass *Pass, ft *FuncTaint, call *ast.CallExpr) {
 	name := calleeName(pass.Info, call)
 	if !strings.HasPrefix(name, "mlec/") {

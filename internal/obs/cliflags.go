@@ -32,7 +32,7 @@ type CLIFlags struct {
 func BindCLIFlags(fs *flag.FlagSet) *CLIFlags {
 	f := &CLIFlags{tool: filepath.Base(fs.Name())}
 	fs.StringVar(&f.Endpoint, "obs", "",
-		"serve observability HTTP endpoint on this address (/metrics, /metrics.json, /debug/pprof)")
+		"serve observability HTTP endpoint on this address (/metrics, /progress, /debug/pprof)")
 	fs.DurationVar(&f.Every, "progress", 0,
 		"render a progress report to stderr at this interval (0 disables)")
 	fs.StringVar(&f.TraceOut, "trace-out", "",
@@ -58,7 +58,7 @@ func (f *CLIFlags) SetSeed(seed int64) { f.seed = seed }
 // clock, writes the heap profile, and emits the run report.
 // Observability failing to start is a usage error, not a reason to
 // corrupt a long run, so Activate fails fast before any engine work
-// begins.
+// begins; a failed Activate releases what it opened and records no run.
 func (f *CLIFlags) Activate(errw io.Writer) (func(), error) {
 	var (
 		srv        *Server
@@ -67,7 +67,7 @@ func (f *CLIFlags) Activate(errw io.Writer) (func(), error) {
 		cpuProfile *os.File
 		quit       chan struct{}
 		ticked     chan struct{}
-		reported   bool
+		ran        bool // set when Activate succeeds, cleared by the first stop
 	)
 	begin := time.Now()
 	stop := func() {
@@ -77,16 +77,18 @@ func (f *CLIFlags) Activate(errw io.Writer) (func(), error) {
 				fmt.Fprintf(errw, "obs: profile: %v\n", err)
 			}
 			cpuProfile = nil
-			writeHeapProfile(filepath.Join(f.ProfileDir, "heap.pprof"), errw)
+			if ran {
+				writeHeapProfile(filepath.Join(f.ProfileDir, "heap.pprof"), errw)
+			}
 		}
-		if f.RunReport != "" && !reported {
-			reported = true
+		if ran && f.RunReport != "" {
 			rep := BuildRunReport(f.tool, os.Args[1:], f.seed, time.Since(begin), Default)
 			rep.ProfileDir = f.ProfileDir
 			if err := WriteRunReport(f.RunReport, rep); err != nil {
 				fmt.Fprintf(errw, "obs: %v\n", err)
 			}
 		}
+		ran = false
 		if quit != nil {
 			close(quit)
 			<-ticked
@@ -189,6 +191,7 @@ func (f *CLIFlags) Activate(errw io.Writer) (func(), error) {
 			}
 		}()
 	}
+	ran = true
 	return stop, nil
 }
 

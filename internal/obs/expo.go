@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 )
 
 // KV is one key/value pair of a SortedSnapshot.
@@ -27,74 +26,6 @@ func SortedSnapshot[V any](m map[string]V) []KV[V] {
 	return out
 }
 
-// MetricPoint is one metric in a JSON snapshot. Value is an int64 for
-// counters and gauges, a float64 for their float variants, and a
-// HistogramPoint for histograms.
-type MetricPoint struct {
-	Name  string `json:"name"`
-	Kind  string `json:"kind"`
-	Value any    `json:"value"`
-}
-
-// HistogramPoint is a histogram's snapshot in JSON form. Quantiles are
-// the 0.5/0.9/0.99 estimates; Min/Max are omitted (and the quantiles
-// null) when the histogram is empty.
-type HistogramPoint struct {
-	N       int64     `json:"n"`
-	Sum     float64   `json:"sum"`
-	Min     *float64  `json:"min,omitempty"`
-	Max     *float64  `json:"max,omitempty"`
-	Q50     *float64  `json:"q50,omitempty"`
-	Q90     *float64  `json:"q90,omitempty"`
-	Q99     *float64  `json:"q99,omitempty"`
-	Bounds  []float64 `json:"bounds"`
-	Buckets []int64   `json:"buckets"` // cumulative, one per bound
-	Over    int64     `json:"over"`    // observations above the last bound
-}
-
-// MeterPoint is a meter's snapshot in JSON form.
-type MeterPoint struct {
-	Total      float64 `json:"total"`
-	RatePerSec float64 `json:"rate_per_sec"`
-	PeakPerSec float64 `json:"peak_per_sec"`
-}
-
-// Snapshot returns every metric as a name-sorted slice, the JSON form
-// served at /metrics.json.
-func (r *Registry) Snapshot() []MetricPoint {
-	metrics := r.copyMetrics()
-	points := make([]MetricPoint, 0, len(metrics))
-	for _, kv := range SortedSnapshot(metrics) {
-		// canonicalName routes the label values through the same escaper
-		// the text exposition uses, so /metrics and /metrics.json can
-		// never render one series under two spellings.
-		pt := MetricPoint{Name: canonicalName(kv.Key), Kind: metricKind(kv.Value)}
-		switch m := kv.Value.(type) {
-		case *Counter:
-			pt.Value = m.Value()
-		case *Gauge:
-			pt.Value = m.Value()
-		case *FloatCounter:
-			pt.Value = m.Value()
-		case *FloatGauge:
-			pt.Value = m.Value()
-		case *Histogram:
-			hp := HistogramPoint{N: m.N(), Sum: m.Sum()}
-			hp.Bounds, hp.Buckets, hp.Over = m.snapshotBuckets()
-			if hp.N > 0 {
-				fp := func(v float64) *float64 { return &v }
-				hp.Min, hp.Max = fp(m.Min()), fp(m.Max())
-				hp.Q50, hp.Q90, hp.Q99 = fp(m.Quantile(0.5)), fp(m.Quantile(0.9)), fp(m.Quantile(0.99))
-			}
-			pt.Value = hp
-		case *Meter:
-			pt.Value = MeterPoint{Total: m.Total(), RatePerSec: m.Rate(), PeakPerSec: m.Peak()}
-		}
-		points = append(points, pt)
-	}
-	return points
-}
-
 // copyMetrics snapshots the metric map under the lock so exposition
 // never holds it while formatting.
 func (r *Registry) copyMetrics() map[string]any {
@@ -109,9 +40,8 @@ func (r *Registry) copyMetrics() map[string]any {
 
 // WritePrometheus renders the registry in the Prometheus text
 // exposition format (version 0.0.4): one # TYPE line per base metric
-// name, histograms expanded into cumulative _bucket{le=...} series plus
-// _sum and _count. Output is fully deterministic: metrics sort by name,
-// label blocks are canonicalized with sorted keys.
+// name followed by its samples. Output is fully deterministic: metrics
+// sort by name, label blocks are canonicalized with sorted keys.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	typed := make(map[string]string)   // base name -> prometheus type
 	lines := make(map[string][]string) // base name -> rendered sample lines
@@ -120,45 +50,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if !ok {
 			continue // registry names are validated at creation; defensive
 		}
-		switch m := kv.Value.(type) {
-		case *Counter:
-			typed[base] = "counter"
-			lines[base] = append(lines[base],
-				fmt.Sprintf("%s%s %d", base, formatLabels(labels), m.Value()))
-		case *Gauge:
-			typed[base] = "gauge"
-			lines[base] = append(lines[base],
-				fmt.Sprintf("%s%s %d", base, formatLabels(labels), m.Value()))
-		case *FloatCounter:
-			typed[base] = "counter"
-			lines[base] = append(lines[base],
-				fmt.Sprintf("%s%s %s", base, formatLabels(labels), formatFloat(m.Value())))
-		case *FloatGauge:
-			typed[base] = "gauge"
-			lines[base] = append(lines[base],
-				fmt.Sprintf("%s%s %s", base, formatLabels(labels), formatFloat(m.Value())))
-		case *Histogram:
-			typed[base] = "histogram"
-			bounds, cumulative, over := m.snapshotBuckets()
-			n := m.N()
-			for i, b := range bounds {
-				lines[base] = append(lines[base], fmt.Sprintf("%s_bucket%s %d",
-					base, formatLabels(labels, Label{Key: "le", Value: formatFloat(b)}), cumulative[i]))
-			}
-			_ = over // +Inf bucket is the total count by the cumulative convention
-			lines[base] = append(lines[base], fmt.Sprintf("%s_bucket%s %d",
-				base, formatLabels(labels, Label{Key: "le", Value: "+Inf"}), n))
-			lines[base] = append(lines[base],
-				fmt.Sprintf("%s_sum%s %s", base, formatLabels(labels), formatFloat(m.Sum())))
-			lines[base] = append(lines[base],
-				fmt.Sprintf("%s_count%s %d", base, formatLabels(labels), n))
-		case *Meter:
-			// A meter's windowed rate is a gauge on the wire; Total and
-			// Peak ride only the JSON snapshot and /progress.
-			typed[base] = "gauge"
-			lines[base] = append(lines[base],
-				fmt.Sprintf("%s%s %s", base, formatLabels(labels), formatFloat(m.Rate())))
-		}
+		v := kv.Value.(interface{ Value() int64 }).Value() // *Counter | *Gauge
+		typed[base] = metricKind(kv.Value)
+		lines[base] = append(lines[base], fmt.Sprintf("%s%s %d", base, formatLabels(labels), v))
 	}
 	for _, kv := range SortedSnapshot(lines) {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", kv.Key, typed[kv.Key]); err != nil {
@@ -171,10 +65,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// formatFloat renders a float sample the way Prometheus expects:
-// shortest round-trip representation.
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

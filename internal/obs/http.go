@@ -11,8 +11,7 @@ import (
 // Handler returns the observability HTTP mux:
 //
 //	/metrics        Prometheus text exposition of reg
-//	/metrics.json   the same registry as a JSON snapshot
-//	/progress       active progress tasks + throughput meters, JSON
+//	/progress       active progress tasks, JSON
 //	/debug/pprof/*  the standard net/http/pprof pages
 func Handler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
@@ -25,17 +24,11 @@ func Handler(reg *Registry) http.Handler {
 			reg.Counter("obs_http_write_errors_total").Inc()
 		}
 	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(reg.Snapshot())
-	})
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(ProgressPage{Tasks: Progress.Snapshots(), Meters: reg.MeterSnapshots()})
+		_ = enc.Encode(ProgressPage{Tasks: Progress.Snapshots()})
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -46,10 +39,9 @@ func Handler(reg *Registry) http.Handler {
 }
 
 // ProgressPage is the JSON document served at /progress: the active
-// progress tasks plus every registered throughput meter's reading.
+// progress tasks.
 type ProgressPage struct {
-	Tasks  []TaskSnapshot  `json:"tasks"`
-	Meters []MeterSnapshot `json:"meters,omitempty"`
+	Tasks []TaskSnapshot `json:"tasks"`
 }
 
 // Server is a running observability endpoint.

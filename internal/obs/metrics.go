@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Counter is a monotonically increasing integer metric. The zero value
 // is ready to use. All methods are safe for concurrent use and
@@ -36,7 +33,7 @@ func (c *Counter) mergeFloor(v int64) {
 }
 
 // Gauge is an integer metric that can go up and down (live workers,
-// queue depth, current splitting level). The zero value is ready.
+// queue depth, catastrophic pools). The zero value is ready.
 type Gauge struct {
 	v atomic.Int64
 }
@@ -49,169 +46,3 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// FloatCounter is a monotonically increasing float metric (repair
-// bytes, simulated hours). Adds are CAS loops on the float's bits.
-type FloatCounter struct {
-	bits atomic.Uint64
-}
-
-// Add increments the counter by delta.
-func (c *FloatCounter) Add(delta float64) {
-	for {
-		old := c.bits.Load()
-		cur := math.Float64frombits(old)
-		if c.bits.CompareAndSwap(old, math.Float64bits(cur+delta)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (c *FloatCounter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
-
-// FloatGauge is a float metric holding the most recent observation of
-// some evolving quantity (entry occupancy, CI width).
-type FloatGauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Histogram is a fixed-bucket histogram: observations land in the first
-// bucket whose upper bound is >= the value, or in the implicit overflow
-// bucket past the last bound. Everything is atomic; Observe is a bucket
-// scan plus three CAS updates, cheap enough for per-level (not
-// per-trial) instrumentation sites.
-type Histogram struct {
-	bounds []float64 // strictly increasing upper bounds, immutable after construction
-	bkts   []atomic.Int64
-	over   atomic.Int64
-	n      atomic.Int64
-	sum    atomic.Uint64 // float64 bits
-	minB   atomic.Uint64 // float64 bits; +Inf when empty
-	maxB   atomic.Uint64 // float64 bits; -Inf when empty
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			//lint:allow nakedpanic histogram bounds are compile-time instrumentation constants; a bad set is a programmer error
-			panic("obs: histogram bounds must be strictly increasing")
-		}
-	}
-	h := &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		bkts:   make([]atomic.Int64, len(bounds)),
-	}
-	h.minB.Store(math.Float64bits(math.Inf(1)))
-	h.maxB.Store(math.Float64bits(math.Inf(-1)))
-	return h
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	idx := len(h.bounds)
-	for i, b := range h.bounds {
-		if v <= b {
-			idx = i
-			break
-		}
-	}
-	if idx == len(h.bounds) {
-		h.over.Add(1)
-	} else {
-		h.bkts[idx].Add(1)
-	}
-	h.n.Add(1)
-	for {
-		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			break
-		}
-	}
-	for {
-		old := h.minB.Load()
-		if math.Float64frombits(old) <= v || h.minB.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-	for {
-		old := h.maxB.Load()
-		if math.Float64frombits(old) >= v || h.maxB.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-}
-
-// N returns the number of observations.
-func (h *Histogram) N() int64 { return h.n.Load() }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Min returns the smallest observation, or +Inf when empty.
-func (h *Histogram) Min() float64 { return math.Float64frombits(h.minB.Load()) }
-
-// Max returns the largest observation, or -Inf when empty.
-func (h *Histogram) Max() float64 { return math.Float64frombits(h.maxB.Load()) }
-
-// Quantile returns an estimate of the q-quantile (q in [0,1]) from the
-// bucket counts: NaN on an empty histogram, linear interpolation within
-// the selected bucket clamped to the observed [Min, Max] range (a
-// single observation therefore returns exactly that observation), and
-// the observed Max when the quantile lands in the overflow bucket,
-// whose width is otherwise unbounded.
-func (h *Histogram) Quantile(q float64) float64 {
-	n := h.n.Load()
-	if n == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(n)
-	var cum int64
-	for i := range h.bkts {
-		cnt := h.bkts[i].Load()
-		if cnt == 0 {
-			continue
-		}
-		if float64(cum+cnt) >= target {
-			lo := h.Min()
-			if i > 0 {
-				lo = math.Max(lo, h.bounds[i-1])
-			}
-			hi := math.Min(h.Max(), h.bounds[i])
-			if hi < lo {
-				hi = lo
-			}
-			within := (target - float64(cum)) / float64(cnt)
-			return lo + (hi-lo)*within
-		}
-		cum += cnt
-	}
-	// The quantile falls in the overflow bucket: report the observed
-	// max rather than inventing an upper bound.
-	return h.Max()
-}
-
-// snapshotBuckets returns the per-bucket cumulative counts in bound
-// order plus the overflow count — the exposition-side view.
-func (h *Histogram) snapshotBuckets() (bounds []float64, cumulative []int64, over int64) {
-	bounds = h.bounds
-	cumulative = make([]int64, len(h.bkts))
-	var cum int64
-	for i := range h.bkts {
-		cum += h.bkts[i].Load()
-		cumulative[i] = cum
-	}
-	return bounds, cumulative, h.over.Load()
-}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -33,18 +32,7 @@ func TestCounterMergeFloor(t *testing.T) {
 	}
 }
 
-func TestFloatCounterAndGauge(t *testing.T) {
-	var fc FloatCounter
-	fc.Add(1.5)
-	fc.Add(2.25)
-	if got := fc.Value(); got != 3.75 {
-		t.Fatalf("FloatCounter = %v, want 3.75", got)
-	}
-	var fg FloatGauge
-	fg.Set(0.125)
-	if got := fg.Value(); got != 0.125 {
-		t.Fatalf("FloatGauge = %v, want 0.125", got)
-	}
+func TestGaugeAddSet(t *testing.T) {
 	var g Gauge
 	g.Add(3)
 	g.Add(-5)
@@ -55,88 +43,6 @@ func TestFloatCounterAndGauge(t *testing.T) {
 	if got := g.Value(); got != 9 {
 		t.Fatalf("Gauge after Set = %d, want 9", got)
 	}
-}
-
-func TestHistogramQuantileEmpty(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4})
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := h.Quantile(q); !math.IsNaN(got) {
-			t.Fatalf("Quantile(%v) on empty histogram = %v, want NaN", q, got)
-		}
-	}
-	if got := h.Min(); !math.IsInf(got, 1) {
-		t.Fatalf("empty Min = %v, want +Inf", got)
-	}
-	if got := h.Max(); !math.IsInf(got, -1) {
-		t.Fatalf("empty Max = %v, want -Inf", got)
-	}
-}
-
-func TestHistogramQuantileSingleSample(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4})
-	h.Observe(1.7)
-	// With one observation Min == Max == 1.7; every quantile must be
-	// exactly the sample, not a bucket-bound interpolation.
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 1.7 {
-			t.Fatalf("Quantile(%v) = %v, want the single sample 1.7", q, got)
-		}
-	}
-}
-
-func TestHistogramQuantileAllOverflow(t *testing.T) {
-	h := newHistogram([]float64{1, 2})
-	h.Observe(10)
-	h.Observe(20)
-	h.Observe(30)
-	// Every sample is past the last bound: the overflow bucket has no
-	// upper bound, so the only honest report is the observed max.
-	for _, q := range []float64{0.5, 0.9, 1} {
-		if got := h.Quantile(q); got != 30 {
-			t.Fatalf("Quantile(%v) = %v, want observed max 30", q, got)
-		}
-	}
-}
-
-func TestHistogramQuantileInterpolates(t *testing.T) {
-	h := newHistogram([]float64{10, 20, 30})
-	for i := 0; i < 10; i++ {
-		h.Observe(5) // bucket le=10
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(25) // bucket le=30
-	}
-	if got := h.Quantile(0.25); got < 5 || got > 10 {
-		t.Fatalf("Quantile(0.25) = %v, want within first bucket [5,10]", got)
-	}
-	if got := h.Quantile(0.9); got < 20 || got > 25 {
-		t.Fatalf("Quantile(0.9) = %v, want within [20, max 25]", got)
-	}
-	if got, want := h.N(), int64(20); got != want {
-		t.Fatalf("N = %d, want %d", got, want)
-	}
-	if got, want := h.Sum(), float64(10*5+10*25); got != want {
-		t.Fatalf("Sum = %v, want %v", got, want)
-	}
-	// Out-of-range q clamps instead of extrapolating.
-	if got := h.Quantile(-1); got != h.Quantile(0) {
-		t.Fatalf("Quantile(-1) = %v, want clamp to Quantile(0) = %v", got, h.Quantile(0))
-	}
-	if got := h.Quantile(2); got != h.Quantile(1) {
-		t.Fatalf("Quantile(2) = %v, want clamp to Quantile(1) = %v", got, h.Quantile(1))
-	}
-	if got := h.Quantile(math.NaN()); !math.IsNaN(got) {
-		t.Fatalf("Quantile(NaN) = %v, want NaN", got)
-	}
-}
-
-func TestHistogramBadBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("newHistogram with non-increasing bounds did not panic")
-		}
-	}()
-	newHistogram([]float64{1, 1})
 }
 
 func TestRegistryKindMismatchPanics(t *testing.T) {
@@ -209,10 +115,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				r.Counter("conc_total").Inc()
 				r.Counter(`conc_labeled_total{worker="a"}`).Inc()
 				r.Gauge("conc_gauge").Set(int64(i))
-				r.FloatCounter("conc_float_total").Add(0.5)
-				r.Histogram("conc_hist", 1, 10, 100).Observe(float64(i % 200))
 				if i%500 == 0 {
-					_ = r.Snapshot()
 					_ = r.WritePrometheus(discard{})
 					r.MergeCounters(map[string]int64{"conc_total": int64(i)})
 				}
@@ -222,12 +125,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	wg.Wait()
 	if got, want := r.Counter("conc_total").Value(), int64(workers*iters); got != want {
 		t.Fatalf("conc_total = %d, want %d", got, want)
-	}
-	if got, want := r.Histogram("conc_hist").N(), int64(workers*iters); got != want {
-		t.Fatalf("conc_hist N = %d, want %d", got, want)
-	}
-	if got, want := r.FloatCounter("conc_float_total").Value(), float64(workers*iters)*0.5; got != want {
-		t.Fatalf("conc_float_total = %v, want %v", got, want)
 	}
 }
 

@@ -8,15 +8,15 @@ import (
 
 // Metric names follow the Prometheus grammar: a bare metric name
 // (`syssim_events_total`) or a name with an inline label block
-// (`syssim_repair_bytes_total{method="R_ALL"}`). The full string is the
+// (`faultinject_injected_total{kind="panic"}`). The full string is the
 // registry key, so two label sets of the same base metric are two
 // independent atomic cells — labelled hot-path updates stay lock-free.
 //
 // Label values are written in the Prometheus text-format wire encoding:
 // `\\` for a backslash, `\"` for a quote, `\n` for a newline. splitName
 // decodes them and formatLabels re-encodes through the one shared
-// escaper, so the text exposition, the JSON snapshot, and the strict
-// parser in promparse.go can never disagree about a hostile value.
+// escaper, so the text exposition and the strict parser in promparse.go
+// can never disagree about a hostile value.
 
 // validName reports whether name is a bare metric name or a name with a
 // well-formed label block.
@@ -134,9 +134,8 @@ func scanQuotedValue(s string, start int) (val string, next int, ok bool) {
 	return "", 0, false
 }
 
-// escapeLabelValue encodes a label value for the text wire format —
-// the one escaper every exposition path shares (Prometheus text via
-// formatLabels, the JSON snapshot via canonicalName).
+// escapeLabelValue encodes a label value for the text wire format, the
+// one escaper formatLabels renders through.
 func escapeLabelValue(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
@@ -190,12 +189,11 @@ func validLabelName(s string) bool {
 	return true
 }
 
-// formatLabels renders label pairs plus any extras (the histogram `le`
-// label) as a canonical `{k="v",...}` block, keys sorted and values
-// wire-escaped through escapeLabelValue; empty input renders as the
-// empty string.
-func formatLabels(labels []Label, extra ...Label) string {
-	all := append(append([]Label(nil), labels...), extra...)
+// formatLabels renders label pairs as a canonical `{k="v",...}` block,
+// keys sorted and values wire-escaped through escapeLabelValue; empty
+// input renders as the empty string.
+func formatLabels(labels []Label) string {
+	all := append([]Label(nil), labels...)
 	if len(all) == 0 {
 		return ""
 	}
@@ -213,17 +211,4 @@ func formatLabels(labels []Label, extra ...Label) string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// canonicalName renders a registry key in canonical form — base name
-// plus sorted, re-escaped label block — so the JSON snapshot and the
-// text exposition emit byte-identical series names. Malformed keys
-// (impossible for registered metrics, which are validated at creation)
-// come back unchanged.
-func canonicalName(key string) string {
-	base, labels, ok := splitName(key)
-	if !ok {
-		return key
-	}
-	return base + formatLabels(labels)
 }

@@ -1,12 +1,15 @@
 // Package obs is the stdlib-only observability layer shared by every
-// Monte-Carlo engine in this repository: an atomic metrics registry
-// (counters, gauges, fixed-bucket histograms with quantile snapshots), a
-// structured progress tracker (ETA, trials/sec, splitting-level
-// occupancy, CI width), and a simulated-time trace recorder emitting
-// JSONL events. The cmd/ binaries expose all three through -obs (an
-// HTTP endpoint serving Prometheus text, a JSON snapshot, and pprof),
-// -progress (periodic stderr rendering) and -trace-out (the JSONL file
-// cmd/mlectrace reads back).
+// Monte-Carlo engine in this repository: an atomic metrics registry of
+// two kinds (integer counters and gauges), a structured progress
+// tracker (ETA, trials/sec, splitting-level occupancy, CI width), a
+// simulated-time trace recorder emitting JSONL events, and wall-clock
+// causal spans. Each quantity has one home: a rate is a counter over
+// time (the progress task and any Prometheus scraper derive it), a
+// level's wall time is its span, occupancy and CI width live on the
+// progress task. The cmd/ binaries expose these through -obs (an HTTP
+// endpoint serving Prometheus text, the progress tasks, and pprof),
+// -progress (periodic stderr rendering), -trace-out and -span-out (the
+// JSONL files cmd/mlectrace reads back) and -run-report.
 //
 // # Inertness
 //
@@ -29,7 +32,7 @@
 // # Relationship to the mlecvet suite
 //
 // This package is the one sanctioned place where wall-clock readings
-// may land (progress rates, ETAs, level wall-time histograms): the
+// may land (progress rates, ETAs, span durations): the
 // walltime analyzer lets simulation packages pass wall-clock-derived
 // values into package obs, and the ctxpoll analyzer exempts obs's own
 // pump loops, because neither path can reach simulation state. See
@@ -50,7 +53,7 @@ import (
 type Registry struct {
 	mu sync.Mutex
 	//mlec:guardedby mu
-	metrics map[string]any // *Counter | *FloatCounter | *Gauge | *FloatGauge | *Histogram | *Meter
+	metrics map[string]any // *Counter | *Gauge
 }
 
 // Default is the process-wide registry every engine instruments. CLI
@@ -86,56 +89,22 @@ func metricKind(m any) string {
 	switch m.(type) {
 	case *Counter:
 		return "counter"
-	case *FloatCounter:
-		return "floatcounter"
 	case *Gauge:
 		return "gauge"
-	case *FloatGauge:
-		return "floatgauge"
-	case *Histogram:
-		return "histogram"
-	case *Meter:
-		return "meter"
 	}
 	return fmt.Sprintf("%T", m)
 }
 
 // Counter returns the counter registered under name, creating it if
 // needed. The name may carry a Prometheus label block:
-// `repair_bytes_total{method="R_MIN"}`.
+// `faultinject_injected_total{kind="panic"}`.
 func (r *Registry) Counter(name string) *Counter {
 	return r.lookup(name, "counter", func() any { return &Counter{} }).(*Counter)
-}
-
-// FloatCounter returns the float counter registered under name.
-func (r *Registry) FloatCounter(name string) *FloatCounter {
-	return r.lookup(name, "floatcounter", func() any { return &FloatCounter{} }).(*FloatCounter)
 }
 
 // Gauge returns the gauge registered under name.
 func (r *Registry) Gauge(name string) *Gauge {
 	return r.lookup(name, "gauge", func() any { return &Gauge{} }).(*Gauge)
-}
-
-// FloatGauge returns the float gauge registered under name.
-func (r *Registry) FloatGauge(name string) *FloatGauge {
-	return r.lookup(name, "floatgauge", func() any { return &FloatGauge{} }).(*FloatGauge)
-}
-
-// Histogram returns the histogram registered under name, creating it
-// with the given bucket upper bounds (strictly increasing; an implicit
-// overflow bucket catches everything above the last bound). Bounds are
-// fixed at first registration; later calls return the existing
-// histogram regardless of the bounds argument.
-func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
-	return r.lookup(name, "histogram", func() any { return newHistogram(bounds) }).(*Histogram)
-}
-
-// Meter returns the throughput meter registered under name. By
-// convention meter names end in `_per_sec`; the text exposition renders
-// the windowed rate as a gauge under that name.
-func (r *Registry) Meter(name string) *Meter {
-	return r.lookup(name, "meter", func() any { return &Meter{} }).(*Meter)
 }
 
 // CounterValues snapshots every integer counter, keyed by full metric

@@ -34,7 +34,7 @@ type Task struct {
 	begun time.Time
 
 	done atomic.Int64
-	goal atomic.Int64 // <= 0 means unknown
+	goal int64 // <= 0 means unknown; fixed at StartTask
 
 	mu sync.Mutex
 	//mlec:guardedby mu
@@ -53,8 +53,7 @@ type Task struct {
 // work count (pass 0 when unknown); the task reports done/goal, rate
 // and ETA from it.
 func (t *Tracker) StartTask(name string, goal int64) *Task {
-	task := &Task{name: name, begun: time.Now()}
-	task.goal.Store(goal)
+	task := &Task{name: name, begun: time.Now(), goal: goal}
 	t.mu.Lock()
 	t.tasks = append(t.tasks, task)
 	t.mu.Unlock()
@@ -82,9 +81,6 @@ func (task *Task) Add(delta int64) { task.done.Add(delta) }
 
 // SetDone replaces the work counter (used when resuming mid-run).
 func (task *Task) SetDone(v int64) { task.done.Store(v) }
-
-// SetGoal replaces the target work count.
-func (task *Task) SetGoal(v int64) { task.goal.Store(v) }
 
 // SetLevel records the current and maximum splitting level.
 func (task *Task) SetLevel(level, maxLevel int) {
@@ -141,7 +137,7 @@ func (task *Task) snapshot(now time.Time) TaskSnapshot {
 	}
 	task.mu.Unlock()
 	s.Done = task.done.Load()
-	s.Goal = task.goal.Load()
+	s.Goal = task.goal
 	s.Elapsed = now.Sub(task.begun)
 	if secs := s.Elapsed.Seconds(); secs > 0 {
 		s.PerSec = float64(s.Done) / secs
@@ -171,15 +167,6 @@ func (t *Tracker) Snapshots() []TaskSnapshot {
 // feed the same report.
 func (t *Tracker) Render(w io.Writer, reg *Registry) {
 	snaps := t.Snapshots()
-	defer func() {
-		if meters := reg.MeterSnapshots(); len(meters) > 0 {
-			line := "progress: rates"
-			for _, m := range meters {
-				line += fmt.Sprintf(" %s %s/s", m.Name, formatShort(m.RatePerSec))
-			}
-			fmt.Fprintln(w, line)
-		}
-	}()
 	if len(snaps) == 0 {
 		fmt.Fprintf(w, "progress: idle (workers live %d)\n", reg.Gauge("runctl_pool_workers_live").Value())
 		return

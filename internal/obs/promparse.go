@@ -21,11 +21,12 @@ type PromText struct {
 }
 
 // ParsePrometheus parses (and thereby validates) the subset of the
-// Prometheus text exposition format this package emits: `# TYPE` lines,
-// optional `# HELP`/comment lines, and `series value` samples. It
-// rejects malformed series names, unparseable values, duplicate series,
-// and samples whose base metric has no preceding # TYPE declaration —
-// strict enough for make obs-smoke to catch format regressions.
+// Prometheus text exposition format this package emits: `# TYPE` lines
+// declaring a counter or gauge, optional `# HELP`/comment lines, and
+// `series value` samples. It rejects other metric types, malformed
+// series names, unparseable values, duplicate series, and samples whose
+// base metric has no preceding # TYPE declaration — strict enough for
+// make obs-smoke to catch format regressions.
 func ParsePrometheus(rd io.Reader) (*PromText, error) {
 	out := &PromText{Types: make(map[string]string)}
 	seen := make(map[string]bool)
@@ -43,7 +44,7 @@ func ParsePrometheus(rd io.Reader) (*PromText, error) {
 			if len(fields) >= 4 && fields[1] == "TYPE" {
 				name, kind := fields[2], fields[3]
 				switch kind {
-				case "counter", "gauge", "histogram", "summary", "untyped":
+				case "counter", "gauge":
 				default:
 					return nil, fmt.Errorf("prom parse: line %d: unknown type %q", lineNo, kind)
 				}
@@ -62,7 +63,7 @@ func ParsePrometheus(rd io.Reader) (*PromText, error) {
 		if !ok {
 			return nil, fmt.Errorf("prom parse: line %d: malformed series %q", lineNo, series)
 		}
-		if typeOfBase(out.Types, base) == "" {
+		if out.Types[base] == "" {
 			return nil, fmt.Errorf("prom parse: line %d: sample %s has no # TYPE", lineNo, series)
 		}
 		if seen[series] {
@@ -106,22 +107,6 @@ func parsePromSample(line string) (string, float64, error) {
 		return "", 0, fmt.Errorf("sample %q: bad value: %v", line, err)
 	}
 	return series, val, nil
-}
-
-// typeOfBase resolves the declared type covering a series base name:
-// exact match first, then the histogram sub-series suffixes.
-func typeOfBase(types map[string]string, base string) string {
-	if t, ok := types[base]; ok {
-		return t
-	}
-	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-		if root, ok := strings.CutSuffix(base, suffix); ok {
-			if t := types[root]; t == "histogram" || t == "summary" {
-				return t
-			}
-		}
-	}
-	return ""
 }
 
 // Sample returns the value of the named series and whether it exists.

@@ -14,14 +14,14 @@ import (
 // Per-run performance reports. A RunReport is the persisted record of
 // one CLI invocation's performance envelope — what campaign ran (config
 // fingerprint, seed), how long it took, how many events it simulated,
-// how fast it peaked, and how much heap it used — written by the
-// -run-report flag so that runs can be compared across commits without
-// re-deriving anything from logs. `mlecbench engines` reads the same
+// every counter's final value, and how much heap it used — written by
+// the -run-report flag so that runs can be compared across commits
+// without re-deriving anything from logs. `mlecbench engines` reads the same
 // obs event counters for its BENCH_engines.json trajectory.
 
 // RunReportSchema versions the report format; ParseRunReport rejects
 // anything else.
-const RunReportSchema = "mlec-run-report/v1"
+const RunReportSchema = "mlec-run-report/v2"
 
 // RunReport is the versioned JSON document -run-report emits.
 type RunReport struct {
@@ -35,9 +35,8 @@ type RunReport struct {
 	GOARCH            string   `json:"goarch"`
 	CPUModel          string   `json:"cpu_model,omitempty"`
 
-	WallSeconds      float64 `json:"wall_seconds"`
-	EventsSimulated  int64   `json:"events_simulated"`
-	PeakEventsPerSec float64 `json:"peak_events_per_sec"`
+	WallSeconds     float64 `json:"wall_seconds"`
+	EventsSimulated int64   `json:"events_simulated"`
 
 	// Heap readings from runtime.ReadMemStats at report time: HeapSys
 	// as the peak (the high-water mark of heap claimed from the OS),
@@ -46,13 +45,9 @@ type RunReport struct {
 	TotalAllocBytes uint64 `json:"total_alloc_bytes"`
 	NumGC           uint32 `json:"num_gc"`
 
-	CheckpointSaves int64 `json:"checkpoint_saves"`
-	CheckpointLoads int64 `json:"checkpoint_loads"`
-	StreamRetries   int64 `json:"stream_retries"`
-	StreamHeals     int64 `json:"stream_heals"`
-
+	// Counters holds every registry counter by full metric name, the
+	// runctl checkpoint and stream tallies included.
 	Counters map[string]int64 `json:"counters"`
-	Meters   []MeterSnapshot  `json:"meters,omitempty"`
 
 	ProfileDir string `json:"profile_dir,omitempty"`
 }
@@ -112,7 +107,7 @@ func classifyFlag(arg string) (name string, hasValue bool, isObs bool) {
 }
 
 // BuildRunReport assembles a report from the process's current state:
-// the registry's counters and meters, plus a runtime.ReadMemStats
+// the registry's counters plus a runtime.ReadMemStats
 // snapshot. The caller supplies the campaign identity (tool, args,
 // seed) and the measured wall time.
 func BuildRunReport(tool string, args []string, seed int64, wall time.Duration, reg *Registry) RunReport {
@@ -133,25 +128,10 @@ func BuildRunReport(tool string, args []string, seed int64, wall time.Duration, 
 		PeakHeapBytes:     ms.HeapSys,
 		TotalAllocBytes:   ms.TotalAlloc,
 		NumGC:             ms.NumGC,
-		CheckpointSaves:   counters["runctl_checkpoint_saves_total"],
-		CheckpointLoads:   counters["runctl_checkpoint_loads_total"],
-		StreamRetries:     counters["runctl_stream_retries_total"],
-		StreamHeals:       counters["runctl_stream_heals_total"],
 		Counters:          counters,
-		Meters:            reg.MeterSnapshots(),
 	}
 	for _, name := range engineEventCounters {
 		rep.EventsSimulated += counters[name]
-	}
-	for _, m := range rep.Meters {
-		// Byte-volume meters measure the same work in a different unit;
-		// only event meters feed the headline peak.
-		if strings.Contains(m.Name, "bytes") {
-			continue
-		}
-		if m.PeakPerSec > rep.PeakEventsPerSec {
-			rep.PeakEventsPerSec = m.PeakPerSec
-		}
 	}
 	return rep
 }

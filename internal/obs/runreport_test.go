@@ -38,10 +38,6 @@ func TestBuildRunReport(t *testing.T) {
 	r.Counter("burst_pdl_trials_total").Add(500)
 	r.Counter("runctl_checkpoint_saves_total").Add(3)
 	r.Counter("runctl_stream_retries_total").Add(2)
-	ev := r.Meter("syssim_events_per_sec")
-	ev.addAt(5_000_000, 900)
-	by := r.Meter("syssim_repair_bytes_per_sec")
-	by.addAt(5_000_000, 1e9) // byte meters must not feed the event peak
 
 	args := []string{"-seed", "7", "-run-report", "/tmp/r.json"}
 	rep := BuildRunReport("mlecdur", args, 7, 1500*time.Millisecond, r)
@@ -57,23 +53,18 @@ func TestBuildRunReport(t *testing.T) {
 	if rep.EventsSimulated != 1500 {
 		t.Fatalf("EventsSimulated = %d, want 1500 (sum of engine event counters)", rep.EventsSimulated)
 	}
-	if rep.PeakEventsPerSec != 900 {
-		t.Fatalf("PeakEventsPerSec = %g, want 900 (bytes meters excluded)", rep.PeakEventsPerSec)
-	}
-	if rep.CheckpointSaves != 3 || rep.StreamRetries != 2 {
-		t.Fatalf("counter pulls %+v", rep)
+	if rep.Counters["runctl_checkpoint_saves_total"] != 3 || rep.Counters["runctl_stream_retries_total"] != 2 {
+		t.Fatalf("counters %v", rep.Counters)
 	}
 	if rep.PeakHeapBytes == 0 || rep.GoVersion == "" {
 		t.Fatalf("runtime fields missing: %+v", rep)
-	}
-	if len(rep.Meters) != 2 {
-		t.Fatalf("Meters = %+v, want both meters embedded", rep.Meters)
 	}
 }
 
 func TestRunReportRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("syssim_events_total").Add(10)
+	r.Counter("runctl_stream_heals_total").Add(4)
 	rep := BuildRunReport("mlecburst", []string{"-seed", "1"}, 1, time.Second, r)
 	path := t.TempDir() + "/RUNREPORT.json"
 	if err := WriteRunReport(path, rep); err != nil {
@@ -87,17 +78,28 @@ func TestRunReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("own report does not parse: %v", err)
 	}
+	if got.Schema != "mlec-run-report/v2" {
+		t.Fatalf("schema %q, want mlec-run-report/v2", got.Schema)
+	}
 	if got.Tool != rep.Tool || got.EventsSimulated != rep.EventsSimulated ||
-		got.ConfigFingerprint != rep.ConfigFingerprint {
+		got.ConfigFingerprint != rep.ConfigFingerprint ||
+		got.Counters["runctl_stream_heals_total"] != 4 {
 		t.Fatalf("round trip lost fields: %+v vs %+v", got, rep)
 	}
 }
 
 func TestParseRunReportRejects(t *testing.T) {
+	const v2 = `{"schema":"mlec-run-report/v2","tool":"x","args":[],"config_fingerprint":"a","seed":1,"go_version":"go","goos":"linux","goarch":"amd64","wall_seconds":1,"events_simulated":0,"peak_heap_bytes":1,"total_alloc_bytes":1,"num_gc":0,"counters":{}}`
+	if _, err := ParseRunReport(strings.NewReader(v2)); err != nil {
+		t.Fatalf("valid v2 document rejected: %v", err)
+	}
 	cases := map[string]string{
-		"wrong schema":  `{"schema":"mlec-run-report/v0","tool":"x","args":[],"config_fingerprint":"a","seed":1,"go_version":"go","goos":"linux","goarch":"amd64","wall_seconds":1,"events_simulated":0,"peak_events_per_sec":0,"peak_heap_bytes":1,"total_alloc_bytes":1,"num_gc":0,"checkpoint_saves":0,"checkpoint_loads":0,"stream_retries":0,"stream_heals":0,"counters":{}}`,
-		"missing tool":  `{"schema":"mlec-run-report/v1","tool":"","args":[],"config_fingerprint":"a","seed":1,"go_version":"go","goos":"linux","goarch":"amd64","wall_seconds":1,"events_simulated":0,"peak_events_per_sec":0,"peak_heap_bytes":1,"total_alloc_bytes":1,"num_gc":0,"checkpoint_saves":0,"checkpoint_loads":0,"stream_retries":0,"stream_heals":0,"counters":{}}`,
-		"unknown field": `{"schema":"mlec-run-report/v1","tool":"x","bogus":1}`,
+		// A v1 document, even one using only fields v2 kept, is refused
+		// on its schema alone.
+		"v1 schema":     strings.Replace(v2, "/v2", "/v1", 1),
+		"v1 fields":     `{"schema":"mlec-run-report/v1","tool":"x","args":[],"config_fingerprint":"a","seed":1,"go_version":"go","goos":"linux","goarch":"amd64","wall_seconds":1,"events_simulated":0,"peak_events_per_sec":0,"peak_heap_bytes":1,"total_alloc_bytes":1,"num_gc":0,"checkpoint_saves":0,"checkpoint_loads":0,"stream_retries":0,"stream_heals":0,"counters":{}}`,
+		"missing tool":  strings.Replace(v2, `"tool":"x"`, `"tool":""`, 1),
+		"unknown field": `{"schema":"mlec-run-report/v2","tool":"x","bogus":1}`,
 		"not json":      `banana`,
 	}
 	for name, doc := range cases {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"time"
 
 	"mlec/internal/failure"
 	"mlec/internal/faultinject"
@@ -168,19 +167,13 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 	}
 	startLevel := st.NextLevel
 
-	// Observability: a progress task plus registry gauges. All updates
-	// are write-only from the engine's point of view — nothing below
+	// Observability: a progress task plus the trajectory counter. All
+	// updates are write-only from the engine's point of view — nothing below
 	// ever reads them back — so they cannot perturb the estimate.
 	task := obs.Progress.StartTask("poolsim.split", int64(maxLevel)*int64(n))
 	defer task.Finish()
 	task.SetDone(int64(startLevel-1) * int64(n))
 	trialCount := obs.Default.Counter("poolsim_split_trajectories_total")
-	trajMeter := obs.Default.Meter("poolsim_split_trajectories_per_sec")
-	levelGauge := obs.Default.Gauge("poolsim_split_level")
-	occGauge := obs.Default.FloatGauge("poolsim_split_entry_occupancy")
-	ciwGauge := obs.Default.FloatGauge("poolsim_split_ci_width")
-	levelWall := obs.Default.Histogram("poolsim_split_level_wall_seconds",
-		0.1, 0.5, 1, 5, 15, 60, 300, 1800)
 	campSpan := obs.StartSpan("poolsim.split")
 	lastLevel := startLevel - 1
 	defer func() {
@@ -195,10 +188,8 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 			break
 		}
 		entries := st.Entries
-		levelGauge.Set(int64(level))
 		task.SetLevel(level, maxLevel)
 		levelSpan := campSpan.Child("poolsim.level")
-		levelBegan := time.Now()
 		// Trajectories are independent given the entry set; run them on
 		// all CPUs through the runctl pool so a panicking trajectory
 		// surfaces as a typed error with its RNG stream instead of
@@ -251,7 +242,6 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 					}
 					slots[i] = tr.trajResult
 					trialCount.Inc()
-					trajMeter.Add(1)
 					task.Add(1)
 				}
 				return nil
@@ -298,15 +288,13 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 		st.NextLevel, st.Entries = level+1, nextEntries
 
 		// Level-boundary observability: entry occupancy, the running CI
-		// width, wall time of the level, and a level-promotion trace
-		// event. Single-threaded here, so the trace stays deterministic.
+		// width and a level-promotion trace event (the level's wall time
+		// is its poolsim.level span). Single-threaded here, so the trace
+		// stays deterministic.
 		occ := float64(len(nextEntries)) / float64(n)
-		occGauge.Set(occ)
 		task.SetOccupancy(occ)
 		ciw := 2 * 1.96 * beta0 * math.Sqrt(st.VarSum)
-		ciwGauge.Set(ciw)
 		task.SetCIWidth(ciw)
-		levelWall.Observe(time.Since(levelBegan).Seconds())
 		obs.Trace.Emit(obs.TraceEvent{
 			Kind:  obs.EvLevelPromotion,
 			Level: level,

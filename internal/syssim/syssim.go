@@ -109,9 +109,6 @@ type System struct {
 	catC       *obs.Counter
 	catGauge   *obs.Gauge
 	depthGauge *obs.Gauge
-	xrackC     *obs.FloatCounter
-	eventsM    *obs.Meter
-	xrackM     *obs.Meter
 }
 
 // New builds the simulator.
@@ -155,10 +152,6 @@ func New(cfg Config) (*System, error) {
 		catC:       obs.Default.Counter("syssim_cat_events_total"),
 		catGauge:   obs.Default.Gauge("syssim_pools_catastrophic"),
 		depthGauge: obs.Default.Gauge("syssim_event_queue_depth"),
-		xrackC: obs.Default.FloatCounter(fmt.Sprintf(
-			"syssim_cross_rack_repair_bytes_total{method=%q}", cfg.Method)),
-		eventsM: obs.Default.Meter("syssim_events_per_sec"),
-		xrackM:  obs.Default.Meter("syssim_cross_rack_repair_bytes_per_sec"),
 	}
 	n := l.TotalLocalPools()
 	s.pools = make([]*poolsim.Machine, n)
@@ -352,7 +345,6 @@ func RunContext(ctx context.Context, cfg Config, years float64, seed int64) (Sta
 		}
 		s.eng.Step()
 		s.eventsC.Inc()
-		s.eventsM.Add(1)
 		task.Add(1)
 	}
 	s.eng.RunUntil(horizon) // advance the clock; no events fire
@@ -499,8 +491,6 @@ func (s *System) completeNetworkRepair(pool int) {
 	volume := s.networkVolume(pool)
 	traffic := volume * float64(s.cfg.Params.KN+1)
 	s.stats.CrossRackRepairBytes += traffic
-	s.xrackC.Add(traffic)
-	s.xrackM.Add(traffic)
 	obs.Trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvRepairEnd,
 		Pool: pool, Method: s.cfg.Method.String(), Bytes: traffic})
 

@@ -2,7 +2,10 @@ package mlec
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -242,5 +245,45 @@ func TestSystemRebalance(t *testing.T) {
 	cc, _ := NewSystem(smallConfig(SchemeCC))
 	if _, err := cc.Rebalance(); err == nil {
 		t.Error("rebalance accepted on clustered layout")
+	}
+}
+
+// TestAFROutOfRangeRejected: each AFR-taking entry point refuses an AFR
+// below 0 or at/above 1 instead of silently computing the 1% numbers;
+// 0 keeps meaning "default 1%".
+func TestAFROutOfRangeRejected(t *testing.T) {
+	ctx := context.Background()
+	topo := DefaultTopology()
+	topo.Racks = 6
+	topo.EnclosuresPerRack = 1
+	topo.DisksPerEnclosure = 12
+	simCfg := func(afr float64) SimulationConfig {
+		return SimulationConfig{Topology: topo, Params: Params{KN: 2, PN: 1, KL: 4, PL: 2},
+			Scheme: SchemeCD, Method: RepairMinimum, AFR: afr}
+	}
+	entries := map[string]func(afr float64) error{
+		"EstimateDurabilityContext": func(afr float64) error {
+			_, err := EstimateDurabilityContext(ctx, DefaultTopology(), DefaultParams(), SchemeCD, DurabilityOptions{AFR: afr})
+			return err
+		},
+		"SimulateContext": func(afr float64) error {
+			_, err := SimulateContext(ctx, simCfg(afr), 1, 1)
+			return err
+		},
+		"RunExperimentContext": func(afr float64) error {
+			return RunExperimentContext(ctx, "tab2", ExperimentOptions{Quick: true, Seed: 1, AFR: afr}, io.Discard)
+		},
+	}
+	for name, run := range entries {
+		t.Run(name, func(t *testing.T) {
+			for _, afr := range []float64{-0.5, 1, 1.5, math.NaN()} {
+				if err := run(afr); err == nil || !strings.Contains(err.Error(), "AFR") {
+					t.Errorf("AFR %v: err %v, want an AFR range error", afr, err)
+				}
+			}
+			if err := run(0); err != nil {
+				t.Errorf("AFR 0 (default): %v", err)
+			}
+		})
 	}
 }

@@ -52,10 +52,11 @@ func Simulate(cfg SimulationConfig, years float64, seed int64) (SimulationStats,
 // deadline stops the event loop at the next event boundary and returns
 // the statistics accumulated so far with Partial set.
 func SimulateContext(ctx context.Context, cfg SimulationConfig, years float64, seed int64) (SimulationStats, error) {
-	if cfg.AFR <= 0 || cfg.AFR >= 1 {
-		cfg.AFR = 0.01
+	afr, err := failure.ResolveAFR(cfg.AFR)
+	if err != nil {
+		return SimulationStats{}, err
 	}
-	ttf, err := failure.NewExponentialAFR(cfg.AFR)
+	ttf, err := failure.NewExponentialAFR(afr)
 	if err != nil {
 		return SimulationStats{}, err
 	}
