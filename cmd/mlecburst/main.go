@@ -53,8 +53,15 @@ func main() {
 	if *trials <= 0 {
 		fatalUsage("-trials must be positive, got %d", *trials)
 	}
-	if *x <= 0 || *y <= 0 {
-		fatalUsage("-x and -y must be positive, got x=%d y=%d", *x, *y)
+	// A burst touches every one of its x racks and fails at most every
+	// disk in them; any other (x, y) has no layout to sample.
+	topo := mlec.DefaultTopology()
+	if *x < 1 || *x > topo.Racks {
+		fatalUsage("-x must be between 1 and the topology's %d racks, got %d", topo.Racks, *x)
+	}
+	if *y < *x || *y > *x*topo.DisksPerRack() {
+		fatalUsage("-y must be between x=%d (one failure per rack) and x*%d=%d (every disk of the racks), got %d",
+			*x, topo.DisksPerRack(), *x*topo.DisksPerRack(), *y)
 	}
 	for _, f := range []struct {
 		name string
@@ -96,7 +103,7 @@ func main() {
 	defer runctl.StartWatchdog(*watchdog, os.Stderr)()
 
 	params := mlec.Params{KN: *kn, PN: *pn, KL: *kl, PL: *pl}
-	r, err := mlec.BurstPDLContext(ctx, mlec.DefaultTopology(), params, scheme, *x, *y, *trials, *seed, *checkpoint)
+	r, err := mlec.BurstPDLContext(ctx, topo, params, scheme, *x, *y, *trials, *seed, *checkpoint)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mlecburst: %v\n", err)
 		stopObs() // os.Exit skips defers; flush the trace first

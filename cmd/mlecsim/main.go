@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"time"
 
 	"mlec"
@@ -71,9 +72,19 @@ func main() {
 		}
 		return
 	}
+	known := mlec.Experiments()
 	ids := args
 	if args[0] == "all" {
-		ids = mlec.Experiments()
+		ids = known
+	}
+	// Every id is checked before any experiment runs, so a typo at the
+	// end of a long list fails at once instead of after the work before it.
+	for _, id := range ids {
+		if !slices.Contains(known, id) {
+			fmt.Fprintf(os.Stderr, "mlecsim: unknown experiment %q ('mlecsim list' shows the ids)\n\n", id)
+			usage()
+			os.Exit(2)
+		}
 	}
 	if *checkpoint != "" {
 		if err := os.MkdirAll(*checkpoint, 0o755); err != nil {

@@ -2,11 +2,22 @@ package main
 
 import (
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// buildCLI compiles this command into a temporary directory.
+func buildCLI(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "mlecsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
 
 // TestRejectsOutOfRangeAFR: an AFR outside (0,1) is a usage error, not
 // a silent fall-back to the 1% numbers.
@@ -14,10 +25,7 @@ func TestRejectsOutOfRangeAFR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary")
 	}
-	bin := filepath.Join(t.TempDir(), "mlecsim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildCLI(t)
 	for _, afr := range []string{"-0.5", "0", "1", "1.5"} {
 		var stdout, stderr strings.Builder
 		cmd := exec.Command(bin, "-quick", "-afr", afr, "tab2")
@@ -29,5 +37,29 @@ func TestRejectsOutOfRangeAFR(t *testing.T) {
 			t.Errorf("-afr %s: err %v, stdout %q, stderr %q; want exit 2, no stdout, a range error",
 				afr, err, stdout.String(), stderr.String())
 		}
+	}
+}
+
+// TestRejectsUnknownIDBeforeWork: an unknown id anywhere in the list is
+// a usage error caught before the first experiment runs or the
+// checkpoint directory is made.
+func TestRejectsUnknownIDBeforeWork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := buildCLI(t)
+	ckpt := filepath.Join(t.TempDir(), "ckpt")
+	var stdout, stderr strings.Builder
+	cmd := exec.Command(bin, "-quick", "-checkpoint", ckpt, "tab1", "nosuch")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || stdout.Len() != 0 ||
+		!strings.Contains(stderr.String(), `unknown experiment "nosuch"`) {
+		t.Errorf("err %v, stdout %q, stderr %q; want exit 2, no stdout, the unknown id named",
+			err, stdout.String(), stderr.String())
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Errorf("checkpoint directory made before the ids were checked (stat err %v)", err)
 	}
 }

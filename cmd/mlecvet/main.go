@@ -1,12 +1,14 @@
 // Command mlecvet runs the repository's domain-specific static
 // analyzers (internal/lint) over the given packages, in the style of a
 // go/analysis multichecker. It is wired into `make check` and CI next
-// to `go vet` and `go test -race`.
+// to `go vet` and `go test -race`, and checks only what neither of them
+// reports; concurrency discipline is left to the race detector, run
+// over tests that drive the shared state from several goroutines.
 //
 // Usage:
 //
 //	mlecvet [-only name,name] [-json] [-list] [-baseline file]
-//	        [-write-baseline] [-race-oracle] [-timeout D] [patterns...]
+//	        [-write-baseline] [-timeout D] [patterns...]
 //
 // Patterns default to ./... and support ./dir and ./dir/... forms
 // rooted at the module. The exit status is 0 when the tree is clean, 1
@@ -17,15 +19,6 @@
 // with -gcflags='-d=ssa/check_bce -m=2' against the normal build cache
 // (a first run compiles them; later runs replay the cached diagnostics)
 // and a failed build exits 2.
-//
-// With -race-oracle, mlecvet runs the race-detector oracle: the
-// concurrency analyzers (lockcheck, atomicmix, goleak, waitgroupcapture)
-// sweep the tree, a stress harness is generated for every
-// //mlec:guardedby annotation, and the annotated packages' test suites
-// run under `go test -race` in a throwaway GOCACHE. Every observed
-// data race must touch a file carrying a concurrency finding;
-// unexplained races are printed to stdout and fail the run with exit
-// status 1 (see internal/lint/raceoracle.go for the protocol).
 //
 // With -baseline, the exit status ratchets instead: the run fails only
 // when some analyzer reports more findings than the committed baseline
@@ -98,7 +91,6 @@ func main() {
 	list := flag.Bool("list", false, "list available analyzers and exit")
 	baseline := flag.String("baseline", "", "baseline JSON file: fail only when an analyzer's finding count rises above it")
 	writeBaseline := flag.Bool("write-baseline", false, "rewrite the -baseline file with the current finding counts")
-	raceOracle := flag.Bool("race-oracle", false, "cross-check concurrency findings against `go test -race` plus the //mlec:guardedby stress harness")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for loading and analysis (0 = none)")
 	chaosFlags := faultinject.BindCLIFlags(flag.CommandLine)
 	flag.Parse()
@@ -150,10 +142,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mlecvet:", err)
 		os.Exit(2)
-	}
-
-	if *raceOracle {
-		os.Exit(runRaceOracle(ctx, pkgs))
 	}
 
 	type runResult struct {

@@ -140,11 +140,11 @@ type ruleState struct {
 	rule Rule
 
 	mu sync.Mutex
-	//mlec:guardedby mu
+	// guarded by mu
 	hits int64 // global hit counter (nth/every triggers)
-	//mlec:guardedby mu
+	// guarded by mu
 	fired int // fires so far (count cap)
-	//mlec:guardedby mu
+	// guarded by mu
 	stream map[int64]int64 // per-stream hit counts (prob trigger)
 }
 
@@ -192,7 +192,7 @@ func Enabled() bool { return active.Load() != nil }
 // are resolved lazily but cached so repeated fires stay cheap.
 var (
 	injectedMu sync.Mutex
-	//mlec:guardedby injectedMu
+	// guarded by injectedMu
 	injectedC = map[Kind]*obs.Counter{}
 )
 

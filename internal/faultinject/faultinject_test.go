@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"mlec/internal/obs"
 )
 
 // arm parses and enables spec for the duration of the test.
@@ -184,6 +188,75 @@ func TestProbDeterminismAndOncePerStream(t *testing.T) {
 		if err := Fire("pt", s0); err != nil {
 			t.Fatalf("stream %d retry %d fired again: %v", s0, retry, err)
 		}
+	}
+}
+
+// TestConcurrentFiresCurseTheSameStreams fires one probability rule from
+// several pool-like workers at once: the fired set must be the one a
+// single goroutine sees, because the decision is a pure function of
+// (seed, point, stream). Under -race this is the rule state's
+// data-race certificate.
+func TestConcurrentFiresCurseTheSameStreams(t *testing.T) {
+	const workers, each = 4, 250
+	plan := arm(t, "pt:error:p=0.3;seed=9")
+	start := make(chan struct{})
+	fired := make([][]int64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for s := int64(w * each); s < int64((w+1)*each); s++ {
+				if Fire("pt", s) != nil {
+					fired[w] = append(fired[w], s)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	var want []int64
+	for s := int64(0); s < workers*each; s++ {
+		if unitProb(plan.Seed, "pt", s) < 0.3 {
+			want = append(want, s)
+		}
+	}
+	if got := slices.Concat(fired...); !slices.Equal(got, want) {
+		t.Fatalf("concurrent fires cursed %d streams, a sequential pass %d", len(got), len(want))
+	}
+}
+
+// TestConcurrentFirstFiresShareOneCell fires several rules of one kind
+// from separate goroutines into a fresh kind→counter cache, so the
+// kind's cell is created while the others look it up: every fire must
+// land on the one faultinject_injected_total{kind="error"} counter.
+func TestConcurrentFirstFiresShareOneCell(t *testing.T) {
+	const workers, each = 4, 20
+	arm(t, "a:error;b:error;c:error;d:error")
+	injectedMu.Lock()
+	injectedC = map[Kind]*obs.Counter{}
+	injectedMu.Unlock()
+	total := obs.Default.Counter(`faultinject_injected_total{kind="error"}`)
+	before := total.Value()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, point := range []string{"a", "b", "c", "d"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < each; i++ {
+				if Fire(point, int64(i)) == nil {
+					t.Errorf("%s: unconditional rule did not fire", point)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := total.Value() - before; got != workers*each {
+		t.Fatalf("injected counter advanced by %d, want %d", got, workers*each)
 	}
 }
 

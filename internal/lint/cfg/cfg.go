@@ -50,9 +50,8 @@ type Graph struct {
 	Entry *Block
 	// Exit is the synthetic block every function-leaving edge targets:
 	// falling off the end, return statements, and direct panic calls.
-	// A pass that must act on "every way out of the function" — the
-	// lock-state engine applying deferred unlocks, for instance —
-	// checks for edges into Exit rather than pattern-matching return
+	// A pass that must act on "every way out of the function" checks
+	// for edges into Exit rather than pattern-matching return
 	// statements itself.
 	Exit *Block
 	// Blocks lists every block, Entry first. Unreachable blocks are

@@ -603,8 +603,8 @@ func TestExitFieldIsTheExitBlock(t *testing.T) {
 	}
 }
 
-// TestPanicTerminatesBlock locks the panic-edge semantics the
-// lock-state engine leans on: a direct panic call ends its block with
+// TestPanicTerminatesBlock locks the panic-edge semantics a
+// path-sensitive pass leans on: a direct panic call ends its block with
 // an edge to Exit, and statements after it are unreachable from entry.
 func TestPanicTerminatesBlock(t *testing.T) {
 	g := parse(t, `func f(x bool) {
@@ -661,7 +661,7 @@ func TestPanicMakesFollowersUnreachable(t *testing.T) {
 }
 
 // TestDeferStaysStraightLine: a defer statement is an ordinary node of
-// its block (the lock-state engine collects deferred unlocks from the
+// its block (a path-sensitive pass collects deferred calls from the
 // path state, not from special edges), and a defer after Lock shares
 // the Lock's block.
 func TestDeferStaysStraightLine(t *testing.T) {
@@ -686,8 +686,7 @@ func TestDeferStaysStraightLine(t *testing.T) {
 
 // TestConditionalDeferOnOwnPath: a defer inside an if-branch appears
 // only in that branch's block, so a path-sensitive pass sees paths on
-// which the defer never registered — the conditional-defer negative
-// case of the lock-state engine.
+// which the defer never registered.
 func TestConditionalDeferOnOwnPath(t *testing.T) {
 	g := parse(t, `func f(x bool) {
 	mu.Lock()

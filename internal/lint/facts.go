@@ -55,13 +55,6 @@ type Facts struct {
 	domains   map[*types.Func]*domainSummary
 	mayFail   map[*types.Func]bool
 
-	// guardedFields and guardedVars merge the resolved //mlec:guardedby
-	// annotations across packages; locks holds the per-function lock
-	// summaries (see lockstate.go).
-	guardedFields map[*types.Var]*types.Var
-	guardedVars   map[*types.Var]*types.Var
-	locks         map[*types.Func]*lockSummary
-
 	// compiled holds the compiler's bounds-check and inliner verdicts
 	// for the hot packages (see oracle.go); Run fills it when hotbce or
 	// hotinline is selected.
@@ -121,9 +114,6 @@ func NewFacts(pkgs []*Package) *Facts {
 		summaries: make(map[*types.Func]*funcSummary),
 		domains:   make(map[*types.Func]*domainSummary),
 		mayFail:   make(map[*types.Func]bool),
-
-		guardedFields: make(map[*types.Var]*types.Var),
-		guardedVars:   make(map[*types.Var]*types.Var),
 	}
 	seen := make(map[*Package]bool)
 	index := func(p *Package) {
@@ -148,8 +138,6 @@ func NewFacts(pkgs []*Package) *Facts {
 		maps.Copy(f.units, p.units)
 		maps.Copy(f.hotIdx, p.hots)
 		maps.Copy(f.coldIdx, p.colds)
-		maps.Copy(f.guardedFields, p.guardedFields)
-		maps.Copy(f.guardedVars, p.guardedVars)
 	}
 	for _, p := range pkgs {
 		index(p)
@@ -168,7 +156,6 @@ func NewFacts(pkgs []*Package) *Facts {
 	f.computeAll(g)
 	f.computeHot(g)
 	f.computeAllocates(g)
-	f.computeLocks(g)
 	return f
 }
 

@@ -41,6 +41,13 @@ func FuzzTaintEngine(f *testing.F) {
 	// of the fixture that left with the copylock analyzer (go vet reports
 	// it now), kept as a mutation starting point.
 	f.Add("package p\nimport \"sync\"\ntype G struct{ mu sync.Mutex; n int }\nfunc f(g *G) int { tmp := *g; tmp.mu.Lock(); defer tmp.mu.Unlock(); return tmp.n }\n")
+	// The idioms of the three fixtures that left with the lock analyzers
+	// (the race detector checks them now): a deferred-closure unlock on
+	// an early-return path, a field both atomic and plain, a read lock in
+	// a goroutine literal. Kept as mutation starting points.
+	f.Add("package p\nimport \"sync\"\ntype C struct{ mu sync.Mutex; n int }\nfunc (c *C) Get(ok bool) int {\n\tc.mu.Lock()\n\tdefer func() { c.mu.Unlock() }()\n\tif !ok {\n\t\treturn 0\n\t}\n\treturn c.n\n}\n")
+	f.Add("package p\nimport \"sync/atomic\"\ntype H struct{ n int64 }\nfunc (h *H) Inc() { atomic.AddInt64(&h.n, 1) }\nfunc (h *H) Racy() int64 { return h.n }\n")
+	f.Add("package p\nimport \"sync\"\ntype R struct{ mu sync.RWMutex; m map[string]int }\nfunc (r *R) Scan(keys []string) {\n\tgo func() {\n\t\tr.mu.RLock()\n\t\tdefer r.mu.RUnlock()\n\t\tfor _, k := range keys {\n\t\t\t_ = r.m[k]\n\t\t}\n\t}()\n}\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		fset := token.NewFileSet()

@@ -105,7 +105,7 @@ func reportAddInsideGoroutine(pass *Pass, lit *ast.FuncLit) {
 		}
 		pass.Report(call.Pos(),
 			"%s.Add inside the spawned goroutine races a concurrent Wait (Add-after-Wait); call Add before the go statement",
-			lockRefLabel(ref))
+			ref.obj.Name()+ref.path)
 		return true
 	})
 }
@@ -146,6 +146,37 @@ func wgPaired(pass *Pass, encl *ast.BlockStmt, g *ast.GoStmt, spawned *ast.Block
 		return true
 	})
 	return done
+}
+
+// A sliceRef names a reference by a variable, optionally extended by a
+// chain of field selections; the zero path means the object itself. It
+// identifies a WaitGroup or a channel.
+type sliceRef struct {
+	obj  types.Object
+	path string // "" or ".field" chains, e.g. ".wg"
+}
+
+// resolveRef resolves e to a sliceRef when e is an identifier or a
+// pure field-selection chain rooted at one.
+func resolveRef(info *types.Info, e ast.Expr) (sliceRef, bool) {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		obj := info.ObjectOf(x)
+		if _, ok := obj.(*types.Var); ok {
+			return sliceRef{obj: obj}, true
+		}
+	case *ast.SelectorExpr:
+		sel, ok := info.Selections[x]
+		if !ok || sel.Kind() != types.FieldVal {
+			return sliceRef{}, false
+		}
+		base, ok := resolveRef(info, x.X)
+		if !ok {
+			return sliceRef{}, false
+		}
+		return sliceRef{obj: base.obj, path: base.path + "." + x.Sel.Name}, true
+	}
+	return sliceRef{}, false
 }
 
 // wgCall matches ref.<method>() on a sync.WaitGroup and resolves the

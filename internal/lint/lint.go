@@ -159,8 +159,6 @@ func All() []*Analyzer {
 		HotAlloc,
 		HotBCE,
 		HotInline,
-		Lockcheck,
-		AtomicMix,
 		GoLeak,
 	}
 }

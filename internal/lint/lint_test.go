@@ -165,8 +165,6 @@ func TestAnalyzers(t *testing.T) {
 		{HotAlloc, "hotprealloc"},
 		{HotBCE, "hotbce"},
 		{HotInline, "hotinline"},
-		{Lockcheck, "lockcheck"},
-		{AtomicMix, "atomicmix"},
 		{GoLeak, "goleak"},
 	}
 	for _, c := range cases {
@@ -225,20 +223,6 @@ func TestMalformedHotDirective(t *testing.T) {
 	}
 }
 
-// TestMalformedGuardDirective checks the //mlec:guardedby anchoring
-// rules: a guard naming no sibling mutex, a bare directive, and
-// directives on a type or function declaration are malformed, while
-// the valid annotation in the same file still feeds the lock engine
-// (the fixture's want comment proves it).
-func TestMalformedGuardDirective(t *testing.T) {
-	l := newFixtureLoader(t)
-	runFixture(t, l, Lockcheck, "guarddirective")
-	pkg := loadFixture(t, l, "guarddirective")
-	if got := malformed(pkg, "//mlec:guardedby"); len(got) != 4 {
-		t.Fatalf("got %d malformed //mlec:guardedby directives, want 4: %v", len(got), pkg.Malformed)
-	}
-}
-
 func TestByName(t *testing.T) {
 	all, err := ByName("")
 	if err != nil || len(all) != len(All()) {
@@ -249,8 +233,9 @@ func TestByName(t *testing.T) {
 		t.Fatalf("ByName(\"floateq, nakedpanic\") = %v, err %v", two, err)
 	}
 	// Unknown names are rejected — among them the analyzers hotalloc
-	// absorbed and the one go vet's copylocks check replaced.
-	for _, name := range []string{"nosuch", "hotprealloc", "hotiface", "hotdefer", "copylock"} {
+	// absorbed, the one go vet's copylocks check replaced and the two
+	// the race detector replaced.
+	for _, name := range []string{"nosuch", "hotprealloc", "hotiface", "hotdefer", "copylock", "lockcheck", "atomicmix"} {
 		if _, err := ByName(name); err == nil || !strings.Contains(err.Error(), "unknown analyzer") {
 			t.Errorf("ByName(%q) error = %v, want unknown analyzer", name, err)
 		}

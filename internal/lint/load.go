@@ -41,22 +41,11 @@ type Package struct {
 	// directives (see hot.go for the attachment and propagation rules).
 	hots  map[string]map[int]bool
 	colds map[string]map[int]bool
-	// guards maps filename → line → guard name declared at that line by
-	// //mlec:guardedby directives (see lockstate.go for the attachment
-	// rules and the lock-state engine that enforces them).
-	guards map[string]map[int]string
-	// guardedFields and guardedVars are the resolved //mlec:guardedby
-	// annotations of this package: struct field → sibling mutex field,
-	// and package-level var → package-level mutex var. Filled by
-	// validateGuardDirectives after type-checking.
-	guardedFields map[*types.Var]*types.Var
-	guardedVars   map[*types.Var]*types.Var
 	// Malformed records every directive comment the loader could not
 	// honor, sorted by position; the driver reports them. A dangling
 	// annotation is the silent failure mode of an enforcement layer —
-	// the author believes a kernel is guarded, a field protected or a
-	// finding excused when nothing is — so it is reported rather than
-	// ignored.
+	// the author believes a kernel is guarded or a finding excused when
+	// nothing is — so it is reported rather than ignored.
 	Malformed []DirectiveError
 }
 
@@ -70,14 +59,11 @@ type DirectiveError struct {
 // What each directive needs: //lint:allow both of its fields; //mlec:unit
 // a known domain; //mlec:hot and //mlec:cold something to attach to (hot
 // on or directly above a function declaration or a statement, cold a
-// function declaration); //mlec:guardedby exactly one guard name, a
-// struct field or package-level var to attach to, and a guard that
-// resolves to a sibling mutex field (or package-level mutex var).
+// function declaration).
 const (
 	badAllow = "//lint:allow needs an analyzer name and a reason"
 	badUnit  = "//mlec:unit needs a domain (prob, logprob, rate, count, weight)"
 	badHot   = "//mlec:hot anchors a function or statement; //mlec:cold anchors a function"
-	badGuard = "//mlec:guardedby <field> anchors a struct field or package-level var, and the guard must be a sibling mutex"
 )
 
 func (p *Package) malformed(pos token.Position, msg string) {
@@ -345,7 +331,6 @@ func (l *Loader) loadPath(path string) (*Package, error) {
 	}
 	pkg.collectAllows()
 	pkg.validateHotDirectives()
-	pkg.validateGuardDirectives()
 	sort.Slice(pkg.Malformed, func(i, j int) bool {
 		a, b := pkg.Malformed[i].Pos, pkg.Malformed[j].Pos
 		if a.Filename != b.Filename {
@@ -434,41 +419,17 @@ func parseAllowDirective(text string) (analyzer string, isDirective, ok bool) {
 	return fields[0], true, true
 }
 
-// parseGuardDirective parses one comment's text as a //mlec:guardedby
-// directive. isGuard reports whether the comment is a guardedby
-// directive at all; ok reports whether it names exactly one guard.
-func parseGuardDirective(text string) (guard string, isGuard, ok bool) {
-	rest, found := strings.CutPrefix(text, "//mlec:guardedby")
-	if !found {
-		return "", false, false
-	}
-	fields := strings.Fields(rest)
-	if len(fields) != 1 {
-		return "", true, false
-	}
-	return fields[0], true, true
-}
-
-// collectAllows indexes //lint:allow, //mlec:unit, //mlec:guardedby and
-// //mlec:hot / //mlec:cold directives by file and line.
+// collectAllows indexes //lint:allow, //mlec:unit and //mlec:hot /
+// //mlec:cold directives by file and line.
 func (p *Package) collectAllows() {
 	p.allows = make(map[string]map[int]map[string]bool)
 	p.units = make(map[string]map[int]Domain)
 	p.hots = make(map[string]map[int]bool)
 	p.colds = make(map[string]map[int]bool)
-	p.guards = make(map[string]map[int]string)
 	for _, f := range p.Files {
 		for _, group := range f.Comments {
 			for _, c := range group.List {
 				pos := p.Fset.Position(c.Pos())
-				if guard, isGuard, ok := parseGuardDirective(c.Text); isGuard {
-					if !ok {
-						p.malformed(pos, badGuard)
-						continue
-					}
-					byLine(p.guards, pos.Filename)[pos.Line] = guard
-					continue
-				}
 				if kind, isHot := parseHotDirective(c.Text); isHot {
 					if kind == "cold" {
 						byLine(p.colds, pos.Filename)[pos.Line] = true

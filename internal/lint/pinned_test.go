@@ -12,11 +12,11 @@ import (
 	"testing"
 )
 
-// engineTuples runs the four flow engines (taint, domain, escape, lock
-// state) over every declared function of pkgs and returns one sorted
-// "engine pos value" line per verdict: non-zero taint and non-none
-// domain per expression, the taint/domain/mayFail summary of each
-// function, every allocation site, every non-empty lock summary.
+// engineTuples runs the three flow engines (taint, domain, escape) over
+// every declared function of pkgs and returns one sorted "engine pos
+// value" line per verdict: non-zero taint and non-none domain per
+// expression, the taint/domain/mayFail summary of each function, every
+// allocation site.
 // Positions are relative to root so the lines compare across checkouts.
 func engineTuples(root string, pkgs []*Package) []string {
 	facts := NewFacts(pkgs)
@@ -110,18 +110,6 @@ func engineTuples(root string, pkgs []*Package) []string {
 				if mf, known := facts.MayFail(fn); known && mf {
 					emit("mayfail", fd.Pos(), "true")
 				}
-				if sum := facts.LockSummaryOf(fn); sum != nil && !sum.empty() {
-					var parts []string
-					for _, set := range []struct {
-						name string
-						m    map[string]lockAbs
-					}{{"requires", sum.requires}, {"acquires", sum.acquires}, {"releases", sum.releases}, {"internal", sum.internal}} {
-						for _, abs := range sortedAbs(set.m) {
-							parts = append(parts, set.name+":"+abs.key())
-						}
-					}
-					emit("lock", fd.Pos(), "%s", strings.Join(parts, " "))
-				}
 			}
 		}
 	}
@@ -133,11 +121,10 @@ func engineTuples(root string, pkgs []*Package) []string {
 // testdata/src: the first 16 hex digits of the SHA-256 of that
 // fixture's engineTuples lines. Recorded on the tree before the flow
 // engines moved onto the shared solver; an engine refactor must leave
-// every digest as it is. (The bounds engine's rows left with the
-// engine: the fixtures that had any were re-digested from the tree
-// before the deletion, without them.)
+// every digest as it is. (The bounds engine's rows, and later the lock
+// engine's, left with their engines: the fixtures that had any were
+// re-digested from the tree before each deletion, without them.)
 var pinnedVerdicts = map[string]string{
-	"atomicmix":        "895cdfef1c24abe1",
 	"barego":           "c5c9d5892e688cad",
 	"cancel":           "5b474a9cbd868b52",
 	"ctxpoll":          "e70767ab585b0e0b",
@@ -146,24 +133,22 @@ var pinnedVerdicts = map[string]string{
 	"floateq":          "6b1043489493c439",
 	"globalrand":       "52e664af8629c205",
 	"goleak":           "b9451eee82eef8f8",
-	"guarddirective":   "a3fdca3cfebb7a59",
 	"hotalloc":         "e4c8c10f8f01b286",
 	"hotbce":           "254403c96fa4eb0d",
 	"hotbuildfail":     "850e2936ee2bb88a",
-	"hotdefer":         "7b0cc7c8afd2591d",
+	"hotdefer":         "d16955e50b459b95",
 	"hotdirective":     "a6b1827412b4371c",
 	"hotiface":         "1563835c82b57a42",
-	"hotinline":        "37895f0508aaa7d8",
+	"hotinline":        "094a8d17dd128c70",
 	"hotprealloc":      "c251c417fa58b6dc",
 	"loadedge":         "0c410f0af59f1e81",
-	"lockcheck":        "d50d9815bde253f9",
 	"maporder":         "9c0f8b6f0f299f8a",
 	"maporderdep":      "fe105df3a578b052",
 	"nakedpanic":       "9b6d8355154e6c62",
 	"obsfake":          "6cc95e7cb7e5e40d",
 	"obspoll":          "2750a89ef75f8ba7",
 	"probmix":          "6417bee476da936b",
-	"sharedrng":        "d943f3a5c6d5e278",
+	"sharedrng":        "498b7b15b3c7f61f",
 	"unitdirective":    "5a4aad51ecd396e7",
 	"waitgroupcapture": "0e71f05b16d46aff",
 	"walltime":         "d8a4858a2e803c71",

@@ -52,7 +52,7 @@ import (
 // NewRegistry, or the package-level Default shared by the engines.
 type Registry struct {
 	mu sync.Mutex
-	//mlec:guardedby mu
+	// guarded by mu
 	metrics map[string]any // *Counter | *Gauge
 }
 

@@ -14,7 +14,7 @@ import (
 // renders them periodically to stderr.
 type Tracker struct {
 	mu sync.Mutex
-	//mlec:guardedby mu
+	// guarded by mu
 	tasks []*Task
 }
 
@@ -37,15 +37,15 @@ type Task struct {
 	goal int64 // <= 0 means unknown; fixed at StartTask
 
 	mu sync.Mutex
-	//mlec:guardedby mu
+	// guarded by mu
 	level int
-	//mlec:guardedby mu
+	// guarded by mu
 	maxLevel int
-	//mlec:guardedby mu
+	// guarded by mu
 	occupancy float64 // meaningful when level > 0
-	//mlec:guardedby mu
+	// guarded by mu
 	ciWidth float64 // meaningful when > 0
-	//mlec:guardedby mu
+	// guarded by mu
 	note string
 }
 

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -55,6 +57,71 @@ func TestProgressRender(t *testing.T) {
 		}
 	}
 	tr.remove(task)
+}
+
+// TestTaskConcurrentUpdates drives one task from several workers while
+// the reporter renders it, the way a splitting run and -progress share
+// a task. Each setter gets two goroutines of its own, so no other
+// setter's lock orders their writes: under -race this is the task's
+// data-race certificate.
+func TestTaskConcurrentUpdates(t *testing.T) {
+	const each = 200
+	tr := &Tracker{}
+	task := tr.StartTask("concurrent.test", 2*each)
+	setters := []func(i int){
+		func(i int) { task.SetLevel(i, each) },
+		func(i int) { task.SetOccupancy(0.5) },
+		func(i int) { task.SetCIWidth(0.1) },
+		func(i int) { task.SetNote("worker") },
+		func(i int) { task.Add(1) },
+		func(i int) { tr.Render(io.Discard, NewRegistry()) },
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, set := range setters {
+		for k := 0; k < 2; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < each; i++ {
+					set(i)
+				}
+			}()
+		}
+	}
+	close(start)
+	wg.Wait()
+	s := tr.Snapshots()[0]
+	if s.Done != 2*each || s.MaxLevel != each || s.Note != "worker" {
+		t.Fatalf("snapshot %+v after concurrent updates", s)
+	}
+}
+
+// TestTrackerConcurrentStartTask registers and removes tasks from
+// several goroutines at once, as concurrent experiments do on Progress.
+func TestTrackerConcurrentStartTask(t *testing.T) {
+	const workers, each = 4, 50
+	tr := &Tracker{}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < each; i++ {
+				task := tr.StartTask("start.test", 0)
+				tr.Snapshots()
+				tr.remove(task)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := tr.Snapshots(); len(got) != 0 {
+		t.Fatalf("%d tasks left after every task was removed", len(got))
+	}
 }
 
 func TestFormatShort(t *testing.T) {

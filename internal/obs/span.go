@@ -50,11 +50,11 @@ type SpanRecorder struct {
 	ids atomic.Uint64
 
 	mu sync.Mutex
-	//mlec:guardedby mu
+	// guarded by mu
 	sink io.Writer
-	//mlec:guardedby mu
+	// guarded by mu
 	epoch time.Time
-	//mlec:guardedby mu
+	// guarded by mu
 	err error // first write/encode error; emission stops on it
 }
 

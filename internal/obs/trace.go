@@ -90,13 +90,13 @@ type Recorder struct {
 	on atomic.Bool
 
 	mu sync.Mutex
-	//mlec:guardedby mu
+	// guarded by mu
 	sink io.Writer
-	//mlec:guardedby mu
+	// guarded by mu
 	buf bytes.Buffer
-	//mlec:guardedby mu
+	// guarded by mu
 	seq uint64
-	//mlec:guardedby mu
+	// guarded by mu
 	err error // first write/encode error; emission stops on it
 }
 

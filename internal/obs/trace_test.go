@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -50,6 +51,44 @@ func TestRecorderRoundTrip(t *testing.T) {
 	}
 	if sink.Len() != before {
 		t.Fatal("emission after Stop reached the sink")
+	}
+}
+
+// TestRecorderConcurrentEmit emits from several goroutines at once, as
+// pool workers do: every event must reach the sink exactly once, with
+// the sequence numbers 1..n and no torn lines.
+func TestRecorderConcurrentEmit(t *testing.T) {
+	const workers, each = 4, 200
+	var sink bytes.Buffer
+	rec := &Recorder{}
+	if err := rec.Start(&sink); err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < each; i++ {
+				rec.Emit(TraceEvent{T: float64(i), Kind: EvFailure, Pool: w})
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if err := rec.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := ParseTraceEvents(&sink)
+	if err != nil {
+		t.Fatalf("concurrent trace does not parse: %v", err)
+	}
+	// ParseTraceEvents checks the sequence strictly increases, so n
+	// events ending at seq n are exactly 1..n.
+	if len(evs) != workers*each || evs[len(evs)-1].Seq != workers*each {
+		t.Fatalf("parsed %d events, want seq 1..%d", len(evs), workers*each)
 	}
 }
 

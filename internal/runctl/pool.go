@@ -41,7 +41,7 @@ type Pool struct {
 	attempts int
 
 	mu sync.Mutex
-	//mlec:guardedby mu
+	// guarded by mu
 	first error
 
 	// parentSpan, when set, parents each worker stream's wall-clock

@@ -65,6 +65,30 @@ func TestPoolReturnsWorkerError(t *testing.T) {
 	}
 }
 
+// TestPoolKeepsOneOfConcurrentFailures fails every worker at once, after
+// all are launched, so their final failures reach the pool's error slot
+// concurrently: Wait must report exactly one of them. Under -race this
+// is the slot's data-race certificate.
+func TestPoolKeepsOneOfConcurrentFailures(t *testing.T) {
+	const workers = 8
+	p := NewPool(context.Background())
+	p.SetAttempts(1)
+	start := make(chan struct{})
+	errs := make(map[error]bool, workers)
+	for w := 0; w < workers; w++ {
+		err := fmt.Errorf("worker %d failed", w)
+		errs[err] = true
+		p.Go(int64(w), func(context.Context) error {
+			<-start
+			return err
+		})
+	}
+	close(start)
+	if err := p.Wait(); !errs[err] {
+		t.Fatalf("Wait = %v, want one of the workers' errors", err)
+	}
+}
+
 func TestPoolGracefulCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := NewPool(ctx)
