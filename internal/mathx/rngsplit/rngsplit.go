@@ -7,6 +7,11 @@
 // across streams; Derive instead mixes the pair through splitmix64 so
 // adjacent worker IDs yield statistically unrelated sequences while
 // remaining a pure function of (seed, workerID).
+//
+// Source is math/rand's generator with lazy seeding: the same draws as
+// rand.NewSource, for a driver that reseeds one generator per short
+// stream (a splitting trajectory) and would otherwise spend most of its
+// time filling a 607-word register it barely reads.
 package rngsplit
 
 import "math/rand"

@@ -48,25 +48,28 @@ type driver struct {
 	rng *rand.Rand
 	ttf failure.TTFDistribution
 
-	failEvents []*sim.Event // per-disk pending failure event
+	failEvents []sim.Event // per-disk pending failure event
+	onFail     []func()    // per disk, dr.fail(d), bound once
 	stats      RunStats
 }
 
 func newDriver(pool *Pool, ttf failure.TTFDistribution, rng *rand.Rand) *driver {
-	return &driver{
+	dr := &driver{
 		m:          NewMachine(pool, sim.New()),
 		rng:        rng,
 		ttf:        ttf,
-		failEvents: make([]*sim.Event, pool.Cfg.Disks),
+		failEvents: make([]sim.Event, pool.Cfg.Disks),
+		onFail:     make([]func(), pool.Cfg.Disks),
 	}
+	for d := range dr.onFail {
+		dr.onFail[d] = func() { dr.fail(d) }
+	}
+	return dr
 }
 
 // scheduleFailure arms disk d's next failure.
 func (dr *driver) scheduleFailure(d int) {
-	dr.failEvents[d] = dr.m.eng.Schedule(dr.ttf.Sample(dr.rng), func() {
-		dr.failEvents[d] = nil
-		dr.fail(d)
-	})
+	dr.failEvents[d] = dr.m.eng.Schedule(dr.ttf.Sample(dr.rng), dr.onFail[d])
 }
 
 // fail counts the failure and hands it to the machine.

@@ -36,7 +36,7 @@ type Machine struct {
 	ID    int
 
 	eng       *sim.Engine
-	repairEv  *sim.Event  // completion of the batch in flight
+	repairEv  sim.Event   // completion of the batch in flight
 	batch     repairBatch // the batch repairEv completes
 	batchDone func()      // m.finishBatch, bound once: a replan allocates no closure
 	onDetect  []func()    // per disk, m.detect(d), bound once likewise
@@ -100,7 +100,6 @@ func (m *Machine) detect(d int) {
 //mlec:hot runs on every detection and every finished batch
 func (m *Machine) Replan() {
 	m.eng.Cancel(m.repairEv)
-	m.repairEv = nil
 	if !m.Pool.NextBatch(&m.batch) {
 		return
 	}
@@ -111,7 +110,6 @@ func (m *Machine) Replan() {
 
 //mlec:hot every finished repair batch of every driver
 func (m *Machine) finishBatch() {
-	m.repairEv = nil
 	m.traceBatch(obs.EvRepairEnd)
 	healed := m.Pool.HealBatch(&m.batch)
 	if m.OnHealed != nil {
@@ -134,7 +132,6 @@ func (m *Machine) traceBatch(kind string) {
 func (m *Machine) HealAll() {
 	m.Pool.HealAll()
 	m.eng.Cancel(m.repairEv)
-	m.repairEv = nil
 }
 
 // CatSample records the pool as it stands, for a driver's OnCat.
@@ -217,7 +214,6 @@ func (m *Machine) Restore(s Snapshot) error {
 	p, cfg := m.Pool, m.Pool.Cfg
 	p.HealAll()
 	m.eng.Reset()
-	m.repairEv = nil
 	for _, dj := range s.Disks {
 		if dj.D < 0 || dj.D >= cfg.Disks {
 			return fmt.Errorf("disk %d out of range", dj.D)
@@ -247,11 +243,14 @@ func (m *Machine) Restore(s Snapshot) error {
 		}
 		p.lostMask[tj.S] = tj.M
 		p.lostCount[tj.S] = uint8(bits.OnesCount64(tj.M))
-		for i, d := range p.stripeDisks[tj.S] {
-			if tj.M&(1<<uint(i)) != 0 {
-				p.diskLost[d]++
+		for mask := tj.M; mask != 0; mask &= mask - 1 {
+			d := p.stripeDisks[tj.S][bits.TrailingZeros64(mask)]
+			p.diskLost[d]++
+			if p.state[d] == diskRepairing {
+				p.detLost[tj.S]++
 			}
 		}
+		p.index(tj.S)
 	}
 	for d, lost := range p.diskLost {
 		if lost > 0 && p.state[d] == diskHealthy {

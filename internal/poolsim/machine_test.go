@@ -93,8 +93,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if again := other.Snapshot(); !reflect.DeepEqual(again, snap) {
 		t.Errorf("restored machine snapshots to\n%+v, want\n%+v", again, snap)
 	}
-	if other.eng.Now() != 0 || other.repairEv == nil {
-		t.Errorf("restored machine: clock %g, repair planned %v; want 0 and true", other.eng.Now(), other.repairEv != nil)
+	if other.eng.Now() != 0 || other.repairEv == (sim.Event{}) {
+		t.Errorf("restored machine: clock %g, repair planned %v; want 0 and true", other.eng.Now(), other.repairEv != (sim.Event{}))
 	}
 	other.eng.RunUntil(0.3)
 	if other.Pool.DiskState(2) != int(diskRepairing) || other.Pool.DiskState(3) != int(diskFailedUndetected) {

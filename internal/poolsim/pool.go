@@ -17,6 +17,7 @@ package poolsim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"mlec/internal/placement"
@@ -129,6 +130,16 @@ type Pool struct {
 	lostMask  []uint64
 	lostCount []uint8
 
+	// The repairable-stripe index, kept by every mutator. detLost[s]
+	// counts stripe s's lost chunks on detected (repairing) disks. Words
+	// [c·words, (c+1)·words) of ready are the set of stripes with
+	// lostCount c and detLost > 0 — the stripes a batch at priority c
+	// would take, in ascending order — and readyN[c] is its size.
+	detLost []uint8
+	ready   []uint64
+	readyN  []int32
+	words   int
+
 	state       []diskState
 	diskLost    []int // lost chunks attributable to each disk
 	failedCount int   // disks not healthy
@@ -153,6 +164,7 @@ func NewPool(cfg Config, layoutSeed int64) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
+	words := (len(layout) + 63) / 64
 	p := &Pool{
 		Cfg:          cfg,
 		stripeDisks:  layout,
@@ -160,6 +172,10 @@ func NewPool(cfg Config, layoutSeed int64) (*Pool, error) {
 		memberOfDisk: make([][]int, cfg.Disks),
 		lostMask:     make([]uint64, len(layout)),
 		lostCount:    make([]uint8, len(layout)),
+		detLost:      make([]uint8, len(layout)),
+		ready:        make([]uint64, (cfg.Width+1)*words),
+		readyN:       make([]int32, cfg.Width+1),
+		words:        words,
 		state:        make([]diskState, cfg.Disks),
 		diskLost:     make([]int, cfg.Disks),
 	}
@@ -177,6 +193,9 @@ func (p *Pool) Clone() *Pool {
 	c := *p
 	c.lostMask = append([]uint64(nil), p.lostMask...)
 	c.lostCount = append([]uint8(nil), p.lostCount...)
+	c.detLost = append([]uint8(nil), p.detLost...)
+	c.ready = append([]uint64(nil), p.ready...)
+	c.readyN = append([]int32(nil), p.readyN...)
 	c.state = append([]diskState(nil), p.state...)
 	c.diskLost = append([]int(nil), p.diskLost...)
 	return &c
@@ -210,8 +229,10 @@ func (p *Pool) FailDisk(d int) (newlyLost int) {
 		if p.lostMask[s]&(1<<uint(m)) != 0 {
 			continue // already lost (only possible via direct injection)
 		}
+		p.unindex(s)
 		p.lostMask[s] |= 1 << uint(m)
 		p.lostCount[s]++
+		p.index(s)
 		p.diskLost[d]++
 		if p.lostCount[s] == pl+1 {
 			newlyLost++
@@ -227,6 +248,32 @@ func (p *Pool) DetectDisk(d int) {
 	}
 	p.state[d] = diskRepairing
 	p.detected++
+	for i, s := range p.diskStripes[d] {
+		if p.lostMask[s]&(1<<uint(p.memberOfDisk[d][i])) != 0 {
+			p.unindex(s)
+			p.detLost[s]++
+			p.index(s)
+		}
+	}
+}
+
+// unindex takes stripe s out of the repairable index before its counts
+// change; index puts it back under its new priority afterwards. Both are
+// no-ops for a stripe with no detected lost chunk.
+func (p *Pool) unindex(s int) {
+	if p.detLost[s] > 0 {
+		c := int(p.lostCount[s])
+		p.ready[c*p.words+s>>6] &^= 1 << uint(s&63)
+		p.readyN[c]--
+	}
+}
+
+func (p *Pool) index(s int) {
+	if p.detLost[s] > 0 {
+		c := int(p.lostCount[s])
+		p.ready[c*p.words+s>>6] |= 1 << uint(s&63)
+		p.readyN[c]++
+	}
 }
 
 // LostStripes returns the number of stripes currently beyond local
@@ -270,13 +317,11 @@ type repairBatch struct {
 // and reports whether there is one. Priority is the stripe's total lost
 // count.
 func (p *Pool) NextBatch(b *repairBatch) bool {
-	if p.detected == 0 {
-		return false
-	}
 	best := 0
-	for s, c := range p.lostCount {
-		if int(c) > best && p.detectedLost(s) > 0 {
-			best = int(c)
+	for c := len(p.readyN) - 1; c > 0; c-- {
+		if p.readyN[c] > 0 {
+			best = c
+			break
 		}
 	}
 	if best == 0 {
@@ -286,33 +331,20 @@ func (p *Pool) NextBatch(b *repairBatch) bool {
 	stripes = stripes[:0]
 	chunks := 0
 	maxStripes := p.Cfg.batchCap()
-	for s, c := range p.lostCount {
-		if int(c) == best {
-			if dl := p.detectedLost(s); dl > 0 {
-				stripes = append(stripes, s)
-				chunks += dl
-				if len(stripes) >= maxStripes {
-					break
-				}
+scan:
+	for w, word := range p.ready[best*p.words : (best+1)*p.words] {
+		for ; word != 0; word &= word - 1 {
+			s := w<<6 + bits.TrailingZeros64(word)
+			stripes = append(stripes, s)
+			chunks += int(p.detLost[s])
+			if len(stripes) >= maxStripes {
+				break scan
 			}
 		}
 	}
 	b.stripes, b.priority = stripes, best
 	b.volumeBytes = float64(chunks) * p.Cfg.SegmentBytes()
 	return true
-}
-
-// detectedLost counts stripe s's lost chunks that belong to detected
-// (repairing) disks.
-func (p *Pool) detectedLost(s int) int {
-	n := 0
-	mask := p.lostMask[s]
-	for m, d := range p.stripeDisks[s] {
-		if mask&(1<<uint(m)) != 0 && p.state[d] == diskRepairing {
-			n++
-		}
-	}
-	return n
 }
 
 // HealBatch repairs the batch's detected lost chunks and returns the
@@ -322,14 +354,18 @@ func (p *Pool) HealBatch(b *repairBatch) []int {
 	healed := b.healed
 	healed = healed[:0]
 	for _, s := range b.stripes {
-		mask := p.lostMask[s]
-		for m, d := range p.stripeDisks[s] {
-			bit := uint64(1) << uint(m)
-			if mask&bit == 0 || p.state[d] != diskRepairing {
+		// Every detected lost chunk of s is rebuilt, so s leaves the
+		// index for good: no index(s) afterwards.
+		p.unindex(s)
+		for mask := p.lostMask[s]; mask != 0; mask &= mask - 1 {
+			m := bits.TrailingZeros64(mask)
+			d := p.stripeDisks[s][m]
+			if p.state[d] != diskRepairing {
 				continue
 			}
-			p.lostMask[s] &^= bit
+			p.lostMask[s] &^= 1 << uint(m)
 			p.lostCount[s]--
+			p.detLost[s]--
 			p.diskLost[d]--
 			if p.diskLost[d] == 0 {
 				p.state[d] = diskHealthy
@@ -346,14 +382,13 @@ func (p *Pool) HealBatch(b *repairBatch) []int {
 // HealAll instantly restores the pool to pristine state (used after a
 // catastrophic event is handed to the network level).
 func (p *Pool) HealAll() {
-	for s := range p.lostMask {
-		p.lostMask[s] = 0
-		p.lostCount[s] = 0
-	}
-	for d := range p.state {
-		p.state[d] = diskHealthy
-		p.diskLost[d] = 0
-	}
+	clear(p.lostMask)
+	clear(p.lostCount)
+	clear(p.detLost)
+	clear(p.ready)
+	clear(p.readyN)
+	clear(p.state)
+	clear(p.diskLost)
 	p.failedCount = 0
 	p.detected = 0
 }
@@ -393,17 +428,15 @@ func (p *Pool) StripeLostCount(s int) int { return int(p.lostCount[s]) }
 // repairer has its own maps). Returns the disks that became fully
 // healthy.
 func (p *Pool) HealStripeChunks(s, n int) (healedDisks []int) {
-	mask := p.lostMask[s]
-	for m, d := range p.stripeDisks[s] {
-		if n == 0 {
-			break
-		}
-		bit := uint64(1) << uint(m)
-		if mask&bit == 0 {
-			continue
-		}
-		p.lostMask[s] &^= bit
+	p.unindex(s)
+	for mask := p.lostMask[s]; mask != 0 && n > 0; mask &= mask - 1 {
+		m := bits.TrailingZeros64(mask)
+		d := p.stripeDisks[s][m]
+		p.lostMask[s] &^= 1 << uint(m)
 		p.lostCount[s]--
+		if p.state[d] == diskRepairing {
+			p.detLost[s]--
+		}
 		p.diskLost[d]--
 		n--
 		if p.diskLost[d] == 0 {
@@ -415,5 +448,6 @@ func (p *Pool) HealStripeChunks(s, n int) (healedDisks []int) {
 			healedDisks = append(healedDisks, d)
 		}
 	}
+	p.index(s)
 	return healedDisks
 }

@@ -9,6 +9,7 @@ import (
 
 	"mlec/internal/failure"
 	"mlec/internal/faultinject"
+	"mlec/internal/mathx/rngsplit"
 	"mlec/internal/obs"
 	"mlec/internal/runctl"
 	"mlec/internal/sim"
@@ -65,9 +66,10 @@ type SplitResult struct {
 	CatRateLo, CatRateHi float64
 	// Samples holds pool states at (simulated) catastrophic events.
 	Samples []CatSample
-	// EntryShortfall reports levels where the previous level produced
-	// fewer distinct entry snapshots than trajectories (resampling with
-	// replacement was used).
+	// EntryShortfall lists the levels entered from fewer than n/10
+	// snapshots for n trajectories a level. Every level draws its
+	// trajectories' entries with replacement; these levels rest on so few
+	// distinct entries that their estimate is correspondingly unsure.
 	EntryShortfall []int
 	// Partial marks an estimate cut short by context cancellation or
 	// deadline: levels beyond the last completed one are missing and
@@ -222,8 +224,9 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 				if err := faultinject.Fire("poolsim.worker", wstream); err != nil {
 					return err
 				}
-				// The worker's one machine: every trajectory restores its
-				// entry onto it.
+				// The worker's one machine and one generator: every
+				// trajectory restores its entry onto the machine and
+				// reseeds the generator with its stream.
 				tr := newTrajectory(base.Clone(), ttf)
 				for i := lo; i < hi; i++ {
 					if ctx.Err() != nil {
@@ -232,8 +235,8 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 					stream := trajSeed(sc.Seed, level, i)
 					var restoreErr error
 					if err := runctl.Guard(stream, func() {
-						trng := rand.New(rand.NewSource(stream))
-						restoreErr = tr.run(entries[trng.Intn(len(entries))], trng)
+						tr.rng.Seed(stream)
+						restoreErr = tr.run(entries[tr.rng.Intn(len(entries))])
 					}); err != nil {
 						return err
 					}
@@ -375,8 +378,10 @@ type splitCheckpoint struct {
 type trajectory struct {
 	m      *Machine
 	lambda float64
+	// rng draws from a lazily seeded rngsplit.Source: reseeded per
+	// trajectory, it makes the draws rand.NewSource(stream) would.
 	rng    *rand.Rand
-	failEv *sim.Event
+	failEv sim.Event
 	onFail func() // tr.fail, bound once
 
 	trajResult // of the last run; outcomeDown while it is undecided
@@ -390,19 +395,21 @@ type trajResult struct {
 }
 
 func newTrajectory(pool *Pool, ttf failure.Exponential) *trajectory {
-	tr := &trajectory{m: NewMachine(pool, sim.New()), lambda: ttf.RatePerHour}
+	tr := &trajectory{m: NewMachine(pool, sim.New()), lambda: ttf.RatePerHour,
+		rng: rand.New(rngsplit.NewSource(0))}
 	tr.onFail = tr.fail
 	tr.m.OnCat = func() { tr.outcome, tr.cat = outcomeCat, tr.m.CatSample() }
 	return tr
 }
 
 // run simulates from the entry snapshot until the pool heals (down), a
-// new failure arrives (up), or that failure is catastrophic.
-func (tr *trajectory) run(entry Snapshot, rng *rand.Rand) error {
+// new failure arrives (up), or that failure is catastrophic, drawing
+// from tr.rng as its caller seeded it.
+func (tr *trajectory) run(entry Snapshot) error {
 	if err := tr.m.Restore(entry); err != nil {
 		return err
 	}
-	tr.rng, tr.failEv, tr.trajResult = rng, nil, trajResult{}
+	tr.trajResult = trajResult{}
 
 	pool := tr.m.Pool
 	lastHealthy := pool.Cfg.Disks - pool.FailedDisks()
@@ -422,7 +429,6 @@ func (tr *trajectory) run(entry Snapshot, rng *rand.Rand) error {
 // armFailure draws the next arrival for the current healthy count.
 func (tr *trajectory) armFailure() {
 	tr.m.eng.Cancel(tr.failEv)
-	tr.failEv = nil
 	healthy := tr.m.Pool.Cfg.Disks - tr.m.Pool.FailedDisks()
 	if healthy <= 0 {
 		return
@@ -433,7 +439,6 @@ func (tr *trajectory) armFailure() {
 
 // fail is the arrival: it ends the trajectory, up or catastrophic.
 func (tr *trajectory) fail() {
-	tr.failEv = nil
 	tr.outcome = outcomeUp
 	tr.m.Fail(tr.m.Pool.RandomHealthyDisk(tr.rng)) // OnCat turns up into cat
 	if tr.outcome == outcomeUp {

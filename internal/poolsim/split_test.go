@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mlec/internal/failure"
+	"mlec/internal/sim"
 )
 
 // hotConfig is a small pool with failure and repair rates tuned so
@@ -102,6 +103,36 @@ func TestSplitMatchesBruteForce(t *testing.T) {
 		if ratio < 0.4 || ratio > 2.5 {
 			t.Errorf("clustered=%v: splitting (%.3g) vs brute force (%.3g) ratio %.2f out of range",
 				clustered, split.CatRatePerPoolHour, bruteRate, ratio)
+		}
+	}
+}
+
+// TestTrajectoryAllocs: on a warm worker, a trajectory that heals — the
+// common outcome — allocates nothing: reseeding the generator, restoring
+// the entry, the detections, the repair batches and the failure clock
+// all reuse the worker's storage.
+func TestTrajectoryAllocs(t *testing.T) {
+	for _, cfg := range []Config{paperCpConfig(), paperDpConfig(120)} {
+		base, err := NewPool(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch := NewMachine(base, sim.New())
+		scratch.Fail(3)
+		entry := scratch.Snapshot()
+		tr := newTrajectory(base.Clone(), failure.MustExponentialAFR(0.01))
+		run := func() {
+			tr.rng.Seed(42)
+			if err := tr.run(entry); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if tr.outcome != outcomeDown || !tr.m.Pool.Healthy() {
+			t.Fatalf("clustered=%v: trajectory ended with outcome %d, want a healed pool", cfg.Clustered, tr.outcome)
+		}
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Errorf("clustered=%v: %g allocs per trajectory on a warm worker, want 0", cfg.Clustered, allocs)
 		}
 	}
 }

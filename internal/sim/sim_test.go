@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -54,24 +55,42 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() false after cancel")
-	}
-	// Double cancel and nil cancel are no-ops.
+	// Double cancel and cancelling the zero Event are no-ops.
 	e.Cancel(ev)
-	e.Cancel(nil)
+	e.Cancel(Event{})
 }
 
 func TestCancelFromCallback(t *testing.T) {
 	e := New()
 	fired := false
-	var later *Event
+	var later Event
 	e.Schedule(1, func() { e.Cancel(later) })
 	later = e.Schedule(2, func() { fired = true })
 	for e.Step() {
 	}
 	if fired {
 		t.Fatal("event cancelled from a callback still fired")
+	}
+}
+
+// TestCancelSelfFromCallback: a callback that cancels the event that is
+// firing it (syssim's failure clock re-arms itself that way) cancels
+// nothing.
+func TestCancelSelfFromCallback(t *testing.T) {
+	e := New()
+	var self Event
+	var order []int
+	self = e.Schedule(1, func() {
+		e.Cancel(self)
+		order = append(order, 1)
+	})
+	for i := 2; i <= 4; i++ {
+		e.Schedule(float64(i), func() { order = append(order, i) })
+	}
+	for e.Step() {
+	}
+	if !reflect.DeepEqual(order, []int{1, 2, 3, 4}) {
+		t.Fatalf("fired %v, want [1 2 3 4]", order)
 	}
 }
 
@@ -131,7 +150,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 func TestHeapStress(t *testing.T) {
 	e := New()
 	rng := rand.New(rand.NewSource(5))
-	var events []*Event
+	var events []Event
 	for i := 0; i < 2000; i++ {
 		events = append(events, e.Schedule(rng.Float64()*100, func() {}))
 	}
@@ -193,7 +212,7 @@ func TestEngineOrderQuick(t *testing.T) {
 
 // TestReset: a reset engine is indistinguishable from a new one — clock
 // at 0, nothing pending, tie-breaking restarted — and handles to events
-// it dropped are dead.
+// it dropped are dead, even once their slots hold new events.
 func TestReset(t *testing.T) {
 	e := New()
 	fired := 0
@@ -201,15 +220,125 @@ func TestReset(t *testing.T) {
 	stale := e.Schedule(5, func() { t.Error("event survived Reset") })
 	e.RunUntil(2)
 	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 || !stale.Cancelled() {
-		t.Fatalf("after Reset: now %g, pending %d, dropped event cancelled %v", e.Now(), e.Pending(), stale.Cancelled())
+	if e.Now() != 0 || e.Pending() != 0 {
+		t.Fatalf("after Reset: now %g, pending %d", e.Now(), e.Pending())
 	}
-	e.Cancel(stale) // must not disturb the new queue
 	var order []int
 	e.Schedule(3, func() { order = append(order, 1) })
 	e.Schedule(3, func() { order = append(order, 2) })
+	e.Cancel(stale) // its slot is one of the two above: must not disturb them
 	e.RunUntil(10)
 	if fired != 1 || len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Errorf("after Reset: fired %d, same-time order %v", fired, order)
+	}
+}
+
+// TestStaleHandleAfterSlotReuse: a handle to an event that fired, or was
+// cancelled, names a slot the engine hands to the next event; cancelling
+// through the old handle must leave the new event alone.
+func TestStaleHandleAfterSlotReuse(t *testing.T) {
+	e := New()
+	fired := e.Schedule(1, func() {})
+	e.Step()
+	var got []string
+	a := e.Schedule(1, func() { got = append(got, "a") })
+	if a.slot != fired.slot {
+		t.Fatalf("slot not reused: fired in %d, next scheduled in %d", fired.slot, a.slot)
+	}
+	e.Cancel(fired)
+
+	cancelled := e.Schedule(2, func() { t.Error("cancelled event fired") })
+	e.Cancel(cancelled)
+	b := e.Schedule(2, func() { got = append(got, "b") })
+	if b.slot != cancelled.slot {
+		t.Fatalf("slot not reused: cancelled in %d, next scheduled in %d", cancelled.slot, b.slot)
+	}
+	e.Cancel(cancelled)
+
+	for e.Step() {
+	}
+	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("stale handles disturbed the events reusing their slots: fired %v, want [a b]", got)
+	}
+}
+
+// TestSteadyStateAllocs: once the slab has grown to the working set,
+// Schedule, Step and Cancel allocate nothing.
+func TestSteadyStateAllocs(t *testing.T) {
+	e := New()
+	nop := func() {}
+	for i := 0; i < 100; i++ {
+		e.Schedule(float64(i), nop)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		ev := e.Schedule(0.5, nop)
+		e.Schedule(1.5, nop)
+		e.Cancel(ev)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Schedule/Step/Cancel: %g allocs per round, want 0", allocs)
+	}
+}
+
+// TestMatchesReferenceEngine drives the engine and the container/heap
+// engine it replaced (reference_test.go) through the same random
+// schedules, cancellations, resets and callback-scheduled events, and
+// requires the same firing sequence: same event, same clock, every step.
+func TestMatchesReferenceEngine(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e, r := New(), newRefEngine()
+		var got, want []int
+		var handles []Event
+		var refHandles []*refEvent
+		id := 0
+		var schedule func(delay float64)
+		schedule = func(delay float64) {
+			me := id
+			id++
+			// Coarse delays make equal times, and so seq tie-breaks, common.
+			child := rng.Intn(4) == 0
+			var childDelay float64
+			if child {
+				childDelay = float64(rng.Intn(3))
+			}
+			handles = append(handles, e.Schedule(delay, func() {
+				got = append(got, me)
+				if child {
+					schedule(childDelay)
+				}
+			}))
+			refHandles = append(refHandles, r.schedule(delay, func() {
+				want = append(want, me)
+			}))
+		}
+		for op := 0; op < 3000; op++ {
+			switch k := rng.Intn(10); {
+			case k < 5:
+				schedule(float64(rng.Intn(8)))
+			case k < 7 && len(handles) > 0:
+				i := rng.Intn(len(handles))
+				e.Cancel(handles[i])
+				r.cancel(refHandles[i])
+			case k < 9:
+				// The reference steps first: the engine's callback then
+				// schedules its child on both, at the same clock.
+				refStepped := r.step()
+				if e.Step() != refStepped {
+					t.Fatalf("seed %d op %d: Step disagrees on an empty queue", seed, op)
+				}
+			default:
+				e.Reset()
+				r.reset()
+			}
+			if e.Now() != r.now || e.Pending() != r.pending() {
+				t.Fatalf("seed %d op %d: now %g pending %d, reference now %g pending %d",
+					seed, op, e.Now(), e.Pending(), r.now, r.pending())
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: firing order diverged from the reference", seed)
+		}
 	}
 }

@@ -83,7 +83,8 @@ type System struct {
 	rng     *rand.Rand
 
 	pools     []*poolsim.Machine // every local pool under the local-repair rule
-	netRepair []*sim.Event       // network repair completion per pool
+	netRepair []sim.Event        // network repair completion per pool
+	netDone   []func()           // per pool, s.completeNetworkRepair(p), bound once
 
 	// Network stripe bookkeeping.
 	netOf      [][]int32 // [pool][stripe] → network stripe id (-1 stranded)
@@ -91,11 +92,13 @@ type System struct {
 	netDead    []bool    // currently counted as a loss episode
 	memberLost [][]bool  // [pool][stripe]: counted as lost member
 
-	poolCat []bool // pool currently catastrophic
+	poolCat  []bool // pool currently catastrophic
+	catPools int    // pools currently catastrophic
 
 	healthy      int // healthy disks, system-wide
 	poolHealthy  []int
-	failureEvent *sim.Event
+	failureEvent sim.Event
+	onFailure    func() // s.fireFailure, bound once
 
 	netBW float64 // network repair bandwidth (bytes/s)
 
@@ -154,8 +157,10 @@ func New(cfg Config) (*System, error) {
 		depthGauge: obs.Default.Gauge("syssim_event_queue_depth"),
 	}
 	n := l.TotalLocalPools()
+	s.onFailure = s.fireFailure
 	s.pools = make([]*poolsim.Machine, n)
-	s.netRepair = make([]*sim.Event, n)
+	s.netRepair = make([]sim.Event, n)
+	s.netDone = make([]func(), n)
 	s.memberLost = make([][]bool, n)
 	s.poolCat = make([]bool, n)
 	s.poolHealthy = make([]int, n)
@@ -174,6 +179,7 @@ func New(cfg Config) (*System, error) {
 			s.refreshMemberLost(p)
 			s.onCatastrophic(p)
 		}
+		s.netDone[p] = func() { s.completeNetworkRepair(p) }
 		s.pools[p] = m
 		s.memberLost[p] = make([]bool, pc.Stripes())
 		s.poolHealthy[p] = pc.Disks
@@ -358,16 +364,17 @@ func RunContext(ctx context.Context, cfg Config, years float64, seed int64) (Sta
 // exact) via the fallback in nextFailureDelay.
 func (s *System) armFailureClock() {
 	s.eng.Cancel(s.failureEvent)
-	s.failureEvent = nil
 	if s.healthy == 0 {
 		return
 	}
-	delay := s.nextFailureDelay()
-	s.failureEvent = s.eng.Schedule(delay, func() {
-		s.failureEvent = nil
-		s.failRandomDisk()
-		s.armFailureClock()
-	})
+	s.failureEvent = s.eng.Schedule(s.nextFailureDelay(), s.onFailure)
+}
+
+// fireFailure is the failure clock's event: a disk fails, and the clock
+// is drawn again for the new healthy count.
+func (s *System) fireFailure() {
+	s.failRandomDisk()
+	s.armFailureClock()
 }
 
 func (s *System) nextFailureDelay() float64 {
@@ -420,7 +427,8 @@ func (s *System) onCatastrophic(pool int) {
 		s.poolCat[pool] = true
 		s.stats.CatastrophicEvents++
 		s.catC.Inc()
-		c := s.concurrentCatPools()
+		s.catPools++
+		c := s.catPools
 		s.catGauge.Set(int64(c))
 		obs.Trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvPoolCat, Pool: pool})
 		if c > s.stats.MaxConcurrentCatPools {
@@ -436,20 +444,7 @@ func (s *System) onCatastrophic(pool int) {
 	hours := volume/s.netBW/3600 + s.cfg.DetectionDelayHours
 	obs.Trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvRepairStart,
 		Pool: pool, Method: s.cfg.Method.String(), Bytes: volume})
-	s.netRepair[pool] = s.eng.Schedule(hours, func() {
-		s.netRepair[pool] = nil
-		s.completeNetworkRepair(pool)
-	})
-}
-
-func (s *System) concurrentCatPools() int {
-	n := 0
-	for _, c := range s.poolCat {
-		if c {
-			n++
-		}
-	}
-	return n
+	s.netRepair[pool] = s.eng.Schedule(hours, s.netDone[pool])
 }
 
 // networkVolume returns the bytes the network stage must reconstruct for
@@ -468,19 +463,22 @@ func (s *System) networkVolume(pool int) float64 {
 			chunks += j * n
 		}
 		return float64(chunks) * seg
-	case repair.RHYB:
+	default: // R_HYB, R_MIN: the lost stripes' chunks beyond the kept ones
 		chunks := 0
 		for _, st := range p.LostStripeIDs() {
-			chunks += p.StripeLostCount(st)
-		}
-		return float64(chunks) * seg
-	default: // RMin
-		chunks := 0
-		for _, st := range p.LostStripeIDs() {
-			chunks += p.StripeLostCount(st) - s.cfg.Params.PL
+			chunks += p.StripeLostCount(st) - s.keptLosses()
 		}
 		return float64(chunks) * seg
 	}
+}
+
+// keptLosses is how many of a lost stripe's lost chunks the network
+// stage leaves to local repair: none under R_HYB, pl under R_MIN.
+func (s *System) keptLosses() int {
+	if s.cfg.Method == repair.RHYB {
+		return 0
+	}
+	return s.cfg.Params.PL
 }
 
 // completeNetworkRepair applies the method's network stage and updates
@@ -501,20 +499,11 @@ func (s *System) completeNetworkRepair(pool int) {
 		healed := p.FailedDisks()
 		m.HealAll()
 		s.onDisksHealed(pool, healed)
-	case repair.RHYB:
+	default: // R_HYB rebuilds lost stripes whole, R_MIN back to pl losses
 		total := 0
 		for _, st := range p.LostStripeIDs() {
-			healedDisks := p.HealStripeChunks(st, p.StripeLostCount(st))
-			total += len(healedDisks)
-		}
-		s.onDisksHealed(pool, total)
-		m.Replan()
-	default: // RMin: bring every lost stripe back to pl losses
-		total := 0
-		for _, st := range p.LostStripeIDs() {
-			if n := p.StripeLostCount(st) - s.cfg.Params.PL; n > 0 {
-				healedDisks := p.HealStripeChunks(st, n)
-				total += len(healedDisks)
+			if n := p.StripeLostCount(st) - s.keptLosses(); n > 0 {
+				total += len(p.HealStripeChunks(st, n))
 			}
 		}
 		s.onDisksHealed(pool, total)
@@ -525,7 +514,8 @@ func (s *System) completeNetworkRepair(pool int) {
 		s.markWholePool(pool, false)
 	}
 	s.poolCat[pool] = false
-	s.catGauge.Set(int64(s.concurrentCatPools()))
+	s.catPools--
+	s.catGauge.Set(int64(s.catPools))
 	obs.Trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvPoolHeal, Pool: pool})
 	s.refreshMemberLost(pool)
 	// New damage may already have re-accumulated during the window.
