@@ -7,7 +7,6 @@ import (
 	"mlec/internal/burst"
 	"mlec/internal/bwmodel"
 	"mlec/internal/failure"
-	"mlec/internal/markov"
 	"mlec/internal/placement"
 	"mlec/internal/poolsim"
 	"mlec/internal/repair"
@@ -173,44 +172,20 @@ func EstimateDurabilityContext(ctx context.Context, topo Topology, params Params
 	if err != nil {
 		return nil, err
 	}
-	lambda := afr / 8760
-
-	cfg := poolsim.Config{
-		Disks: l.LocalPoolSize(), Width: params.LocalWidth(), Parity: params.PL,
-		Clustered:           scheme.Local == placement.Clustered,
-		SegmentsPerDisk:     120,
-		DiskCapacityBytes:   topo.DiskCapacityBytes,
-		DiskRepairBW:        topo.DiskRepairBandwidth(),
-		DetectionDelayHours: failure.DefaultDetectionDelayHours,
-	}
 	var s1 splitting.Stage1
-	var rateLo, rateHi float64
-	var partial bool
 	if opts.UseSimulation {
-		ttf, err := failure.NewExponentialAFR(afr)
-		if err != nil {
-			return nil, err
-		}
 		n := opts.Trajectories
 		if n <= 0 {
 			n = 20000
 		}
-		res, err := poolsim.SplitContext(ctx, cfg, ttf, poolsim.SplitConfig{
+		s1, err = splitting.SplitStage1(ctx, l, 120, afr, poolsim.SplitConfig{
 			TrajectoriesPerLevel: n, Seed: opts.Seed, CheckpointPath: opts.CheckpointPath,
 		})
-		if err != nil {
-			return nil, err
-		}
-		s1 = splitting.Stage1FromSplit(cfg, res)
-		rateLo, rateHi = res.CatRateLo, res.CatRateHi
-		partial = res.Partial
 	} else {
-		m := markov.MLECRAllModel{Layout: l, LambdaPerHour: lambda}
-		rate, err := m.CatRatePerPoolHour()
-		if err != nil {
-			return nil, err
-		}
-		s1 = splitting.Stage1FromSplit(cfg, poolsim.SplitResult{CatRatePerPoolHour: rate})
+		s1, err = splitting.MarkovStage1(l, afr)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	out := make([]DurabilityEstimate, 0, len(repair.AllMethods))
@@ -225,29 +200,29 @@ func EstimateDurabilityContext(ctx context.Context, topo Topology, params Params
 			WindowHours:        r.WindowHours,
 			AnnualPDL:          r.AnnualPDL,
 			Nines:              r.Nines,
-			Partial:            partial,
+			Partial:            s1.Partial,
 		}
 		// AnnualPDL is monotone in the stage-1 catastrophe rate, so the
 		// rate interval maps directly onto a PDL interval by re-running
 		// the (cheap, deterministic) stage-2 composition at each bound.
-		if rateLo > 0 || rateHi > 0 {
-			s1lo, s1hi := s1, s1
-			s1lo.CatRatePerPoolHour = rateLo
-			s1hi.CatRatePerPoolHour = rateHi
-			rlo, err := splitting.Durability(l, m, s1lo)
-			if err != nil {
+		if s1.CatRateLo > 0 || s1.CatRateHi > 0 {
+			if est.AnnualPDLLo, err = annualPDLAt(l, m, s1, s1.CatRateLo); err != nil {
 				return nil, err
 			}
-			rhi, err := splitting.Durability(l, m, s1hi)
-			if err != nil {
+			if est.AnnualPDLHi, err = annualPDLAt(l, m, s1, s1.CatRateHi); err != nil {
 				return nil, err
 			}
-			est.AnnualPDLLo = rlo.AnnualPDL
-			est.AnnualPDLHi = rhi.AnnualPDL
 		}
 		out = append(out, est)
 	}
 	return out, nil
+}
+
+// annualPDLAt composes stage 1 at another catastrophic rate.
+func annualPDLAt(l *placement.Layout, m RepairMethod, s1 splitting.Stage1, rate float64) (float64, error) {
+	s1.CatRatePerPoolHour = rate
+	r, err := splitting.Durability(l, m, s1)
+	return r.AnnualPDL, err
 }
 
 // EncodingThroughput measures the end-to-end MLEC encoding throughput in

@@ -1,12 +1,14 @@
 package main
 
 import (
-	"errors"
-	"os/exec"
-	"path/filepath"
+	"os"
 	"strings"
 	"testing"
+
+	"mlec/cmd/internal/clitest"
 )
+
+func TestMain(m *testing.M) { os.Exit(clitest.Main(m)) }
 
 // TestRejectsImpossibleBurst: a burst with fewer failures than racks,
 // more racks than the topology has, or more failures than the racks
@@ -15,21 +17,8 @@ func TestRejectsImpossibleBurst(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary")
 	}
-	bin := filepath.Join(t.TempDir(), "mlecburst")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	run := func(args ...string) (int, string, string) {
-		var stdout, stderr strings.Builder
-		cmd := exec.Command(bin, args...)
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if err != nil && !errors.As(err, &exit) {
-			t.Fatalf("running %v: %v", args, err)
-		}
-		return cmd.ProcessState.ExitCode(), stdout.String(), stderr.String()
-	}
+	bin := clitest.Build(t)
+	run := func(args ...string) (int, string, string) { return clitest.Run(t, bin, args...) }
 	for _, c := range []struct{ x, y, msg string }{
 		{"5", "3", "-y must be between"},
 		{"1000", "5", "-x must be between"},

@@ -1,41 +1,22 @@
 package main
 
 import (
-	"errors"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mlec/cmd/internal/clitest"
 )
 
-// buildCLI compiles this command into a temporary directory.
-func buildCLI(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "mlecdur")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	return bin
-}
+func TestMain(m *testing.M) { os.Exit(clitest.Main(m)) }
 
-// runCLI runs bin and returns its exit code, stdout and stderr.
-func runCLI(t *testing.T, bin string, args ...string) (int, string, string) {
-	t.Helper()
-	var stdout, stderr strings.Builder
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	switch {
-	case err == nil:
-		return 0, stdout.String(), stderr.String()
-	case errors.As(err, &exit):
-		return exit.ExitCode(), stdout.String(), stderr.String()
-	}
-	t.Fatalf("running %s: %v", bin, err)
-	return 0, "", ""
-}
+// buildCLI and runCLI build this command once for the package's tests
+// and run it.
+var (
+	buildCLI = clitest.Build
+	runCLI   = clitest.Run
+)
 
 // TestRejectsOutOfRangeAFR: an AFR outside (0,1) is a usage error, not
 // a silent fall-back to the 1% numbers.

@@ -26,41 +26,24 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"slices"
 	"time"
 
 	"mlec"
-	"mlec/internal/faultinject"
+	"mlec/cmd/internal/cli"
 	"mlec/internal/obs"
-	"mlec/internal/runctl"
 )
 
 func main() {
+	c := cli.New("mlecsim", "renders", "checkpoint directory for resumable Monte-Carlo experiments")
+	afrFlag := c.AFR()
 	quick := flag.Bool("quick", false, "reduced grids/trials")
-	seed := flag.Int64("seed", 1, "RNG seed")
-	afr := flag.Float64("afr", 0.01, "annual disk failure rate")
 	csv := flag.Bool("csv", false, "emit CSV instead of ASCII heatmaps (fig5/fig13/fig16)")
-	timeout := flag.Duration("timeout", 0, "wall-clock budget (0 = none); partial renders on expiry")
-	checkpoint := flag.String("checkpoint", "", "checkpoint directory for resumable Monte-Carlo experiments")
-	watchdog := flag.Duration("watchdog", 0, "stall watchdog interval (0 = off); warns when live workers stop progressing")
-	obsFlags := obs.BindCLIFlags(flag.CommandLine)
-	chaosFlags := faultinject.BindCLIFlags(flag.CommandLine)
 	flag.Usage = usage
 	flag.Parse()
 
-	if math.IsNaN(*afr) || math.IsInf(*afr, 0) {
-		fmt.Fprintf(os.Stderr, "mlecsim: -afr must be finite, got %v\n", *afr)
-		fmt.Fprintln(os.Stderr, "run 'mlecsim -h' for usage")
-		os.Exit(2)
-	}
-	if *afr <= 0 || *afr >= 1 {
-		fmt.Fprintf(os.Stderr, "mlecsim: -afr must be in (0,1), got %v\n", *afr)
-		fmt.Fprintln(os.Stderr, "run 'mlecsim -h' for usage")
-		os.Exit(2)
-	}
-
+	afr := afrFlag()
 	args := flag.Args()
 	if len(args) == 0 {
 		usage()
@@ -86,33 +69,21 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *checkpoint != "" {
-		if err := os.MkdirAll(*checkpoint, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "mlecsim: -checkpoint: %v\n", err)
-			os.Exit(1)
+	if c.Checkpoint != "" {
+		if err := os.MkdirAll(c.Checkpoint, 0o755); err != nil {
+			c.Fail(fmt.Errorf("-checkpoint: %w", err))
 		}
 	}
 
-	obsFlags.SetSeed(*seed)
-	stopObs, err := obsFlags.Activate(os.Stderr)
+	ctx, err := c.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mlecsim: %v\n", err)
 		os.Exit(2)
 	}
-	defer stopObs()
-	stopChaos, err := chaosFlags.Activate(os.Stderr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mlecsim: %v\n", err)
-		os.Exit(2)
-	}
-	defer stopChaos()
-
-	ctx, stop := runctl.CLIContext(*timeout)
-	defer stop()
-	defer runctl.StartWatchdog(*watchdog, os.Stderr)()
+	defer c.Stop()
 
 	opts := mlec.ExperimentOptions{
-		Quick: *quick, Seed: *seed, AFR: *afr, CSV: *csv, CheckpointDir: *checkpoint,
+		Quick: *quick, Seed: c.Seed, AFR: afr, CSV: *csv, CheckpointDir: c.Checkpoint,
 	}
 	for _, id := range ids {
 		start := time.Now()
@@ -122,9 +93,7 @@ func main() {
 			span.EndNote(id)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mlecsim: %s: %v\n", id, err)
-			stopObs() // os.Exit skips defers; flush the trace first
-			os.Exit(1)
+			c.Fail(fmt.Errorf("%s: %w", id, err))
 		}
 		fmt.Printf("[%s done in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 		if err := ctx.Err(); err != nil {
@@ -132,12 +101,8 @@ func main() {
 			if errors.Is(err, context.DeadlineExceeded) {
 				what = "timed out"
 			}
-			fmt.Fprintf(os.Stderr, "mlecsim: %s after %s; remaining experiments skipped\n", what, id)
-			if *checkpoint != "" {
-				fmt.Fprintf(os.Stderr, "Re-run the same command to resume from %s.\n", *checkpoint)
-			}
-			stopObs()
-			os.Exit(1)
+			c.Partial(os.Stderr, fmt.Sprintf("mlecsim: %s after %s; remaining experiments skipped", what, id))
+			c.Exit(1)
 		}
 	}
 }

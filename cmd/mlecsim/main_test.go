@@ -7,17 +7,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mlec/cmd/internal/clitest"
 )
 
-// buildCLI compiles this command into a temporary directory.
-func buildCLI(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "mlecsim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	return bin
-}
+func TestMain(m *testing.M) { os.Exit(clitest.Main(m)) }
+
+// buildCLI builds this command once for the package's tests.
+var buildCLI = clitest.Build
 
 // TestRejectsOutOfRangeAFR: an AFR outside (0,1) is a usage error, not
 // a silent fall-back to the 1% numbers.

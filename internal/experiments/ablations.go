@@ -1,16 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"mlec/internal/burst"
 	"mlec/internal/bwmodel"
 	"mlec/internal/ecdur"
-	"mlec/internal/markov"
 	"mlec/internal/placement"
-	"mlec/internal/poolsim"
 	"mlec/internal/render"
 	"mlec/internal/repair"
 	"mlec/internal/splitting"
@@ -38,13 +35,10 @@ func AblationDetection(opts Options) (*AblationDetectionResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := markov.MLECRAllModel{Layout: l, LambdaPerHour: opts.lambda()}
-	rate, err := m.CatRatePerPoolHour()
+	s1, err := splitting.MarkovStage1(l, opts.afr())
 	if err != nil {
 		return nil, err
 	}
-	s1 := splitting.Stage1FromSplit(poolSimConfig(placement.Declustered, opts),
-		poolsim.SplitResult{CatRatePerPoolHour: rate})
 
 	lrcParams := placement.LRCParams{K: 14, L: 2, R: 4}
 	res := &AblationDetectionResult{}
@@ -98,10 +92,7 @@ type AblationPoolSizeResult struct {
 // AblationPoolSize varies the enclosure (= local-Dp pool) size while
 // holding the system at 57,600 disks.
 func AblationPoolSize(opts Options) (*AblationPoolSizeResult, error) {
-	trials := 400
-	if opts.Quick {
-		trials = 120
-	}
+	trials := opts.size().poolSizeTrials
 	res := &AblationPoolSizeResult{}
 	for _, poolDisks := range []int{40, 60, 120, 240} {
 		topo := paperTopo()
@@ -210,33 +201,6 @@ func (r *AblationStripeWidthResult) Render(w io.Writer) error {
 	return render.Table(w, []string{"config", "lost-stripe fraction", "R_HYB traffic", "R_MIN traffic"}, rows)
 }
 
-func init() {
-	register("ablation-detection", "durability vs failure-detection time (MLEC vs LRC)",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := AblationDetection(opts)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		})
-	register("ablation-poolsize", "local-Dp pool size vs repair speed and burst PDL",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := AblationPoolSize(opts)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		})
-	register("ablation-stripewidth", "local stripe width vs lost-stripe fraction and repair traffic",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := AblationStripeWidth(opts)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		})
-}
-
 // CorePoint is one row of the encoder-parallelism ablation.
 type CorePoint struct {
 	Workers     int
@@ -254,7 +218,7 @@ type AblationCoresResult struct {
 // local (17+3) code — quantifying §5.1.2 F#2's remark that throughput can
 // be bought with cores at the cost of "imperfect parallelism".
 func AblationCores(opts Options) (*AblationCoresResult, error) {
-	dur := measureDur(opts) * 3
+	dur := opts.size().measure * 3
 	params := paperParams()
 	res := &AblationCoresResult{Params: params}
 	base := 0.0
@@ -285,15 +249,4 @@ func (r *AblationCoresResult) Render(w io.Writer) error {
 		})
 	}
 	return render.Table(w, []string{"workers", "throughput", "speedup"}, rows)
-}
-
-func init() {
-	register("ablation-cores", "multi-core encoding throughput scaling",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := AblationCores(opts)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		})
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"mlec/internal/failure"
-	"mlec/internal/markov"
 	"mlec/internal/mathx"
 	"mlec/internal/placement"
 	"mlec/internal/poolsim"
@@ -15,76 +13,43 @@ import (
 	"mlec/internal/splitting"
 )
 
-// poolSimConfig builds the poolsim configuration for one local placement
-// kind under the paper topology.
-func poolSimConfig(local placement.Kind, opts Options) poolsim.Config {
-	topo := paperTopo()
-	params := paperParams()
-	cfg := poolsim.Config{
-		Width: params.LocalWidth(), Parity: params.PL,
-		DiskCapacityBytes:   topo.DiskCapacityBytes,
-		DiskRepairBW:        topo.DiskRepairBandwidth(),
-		DetectionDelayHours: failure.DefaultDetectionDelayHours,
-	}
-	if local == placement.Clustered {
-		cfg.Disks = params.LocalWidth()
-		cfg.Clustered = true
-		cfg.SegmentsPerDisk = 100
-	} else {
-		cfg.Disks = topo.DisksPerEnclosure
-		cfg.SegmentsPerDisk = 240
-		if opts.Quick {
-			cfg.SegmentsPerDisk = 60
-		}
-	}
-	return cfg
-}
+// stage1Segments is the splitting granularity of each local pool kind.
+var stage1Segments = map[placement.Kind]int{placement.Clustered: 100, placement.Declustered: 240}
 
-// stage1ByLocal estimates the catastrophic-pool behaviour for both local
-// placement kinds. Quick mode uses the Markov R_ALL view with the
-// analytic lost-stripe fraction; full mode runs the poolsim splitting
-// estimator (the paper's stage 1).
-func stage1ByLocal(ctx context.Context, opts Options) (map[placement.Kind]splitting.Stage1, error) {
-	out := map[placement.Kind]splitting.Stage1{}
-	params := paperParams()
-	if opts.Quick {
-		for _, kind := range []placement.Kind{placement.Clustered, placement.Declustered} {
-			scheme := placement.Scheme{Network: placement.Clustered, Local: kind}
-			l, err := placement.NewLayout(paperTopo(), params, scheme)
-			if err != nil {
-				return nil, err
-			}
-			m := markov.MLECRAllModel{Layout: l, LambdaPerHour: opts.lambda()}
-			rate, err := m.CatRatePerPoolHour()
-			if err != nil {
-				return nil, err
-			}
-			s1 := splitting.Stage1FromSplit(poolSimConfig(kind, opts),
-				poolsim.SplitResult{CatRatePerPoolHour: rate})
-			out[kind] = s1
-		}
-		return out, nil
-	}
-	ttf, err := failure.NewExponentialAFR(opts.afr())
+// paperStage1 builds the four paper layouts and estimates the
+// catastrophic-pool behaviour of both local placement kinds (a pool
+// behaves the same under either network scheme). Quick mode uses the
+// Markov R_ALL view with the analytic lost-stripe fraction; full mode
+// runs the poolsim splitting estimator (the paper's stage 1).
+func paperStage1(ctx context.Context, opts Options) (map[placement.Scheme]*placement.Layout,
+	map[placement.Kind]splitting.Stage1, error) {
+	ls, err := paperLayouts()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	out := map[placement.Kind]splitting.Stage1{}
 	for _, kind := range []placement.Kind{placement.Clustered, placement.Declustered} {
-		cfg := poolSimConfig(kind, opts)
-		res, err := poolsim.SplitContext(ctx, cfg, ttf, poolsim.SplitConfig{
-			TrajectoriesPerLevel: 20000, Seed: opts.Seed,
-			CheckpointPath: opts.checkpointPath("stage1-" + kind.String()),
-		})
+		l := ls[placement.Scheme{Network: placement.Clustered, Local: kind}]
+		var s1 splitting.Stage1
+		var err error
+		if n := opts.size().splitTrajectories; n > 0 {
+			s1, err = splitting.SplitStage1(ctx, l, stage1Segments[kind], opts.afr(), poolsim.SplitConfig{
+				TrajectoriesPerLevel: n, Seed: opts.Seed,
+				CheckpointPath: opts.checkpointPath("stage1-" + kind.String()),
+			})
+		} else {
+			s1, err = splitting.MarkovStage1(l, opts.afr())
+		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if res.Partial {
-			return nil, fmt.Errorf("experiments: stage-1 splitting for %v interrupted after %d levels (resume with the same checkpoint dir): %w",
-				kind, len(res.LevelProbs), ctx.Err())
+		if s1.Partial {
+			return nil, nil, fmt.Errorf("experiments: stage-1 splitting for %v interrupted (resume with the same checkpoint dir): %w",
+				kind, ctx.Err())
 		}
-		out[kind] = splitting.Stage1FromSplit(cfg, res)
+		out[kind] = s1
 	}
-	return out, nil
+	return ls, out, nil
 }
 
 // Fig7Result carries the catastrophic-local-failure probabilities.
@@ -103,17 +68,13 @@ func Fig7(opts Options) (*Fig7Result, error) {
 // Fig7Context is Fig7 under run control; the stage-1 splitting estimator
 // checkpoints under opts.CheckpointDir and resumes deterministically.
 func Fig7Context(ctx context.Context, opts Options) (*Fig7Result, error) {
-	s1, err := stage1ByLocal(ctx, opts)
+	ls, s1, err := paperStage1(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig7Result{PerScheme: map[placement.Scheme]float64{}}
 	for _, s := range placement.AllSchemes {
-		l, err := placement.NewLayout(paperTopo(), paperParams(), s)
-		if err != nil {
-			return nil, err
-		}
-		rate := s1[s.Local].CatRatePerPoolHour * float64(l.TotalLocalPools())
+		rate := s1[s.Local].CatRatePerPoolHour * float64(ls[s].TotalLocalPools())
 		res.PerScheme[s] = mathx.RateToAnnualPDL(rate)
 	}
 	return res, nil
@@ -144,19 +105,11 @@ func Fig10(opts Options) (*Fig10Result, error) {
 // estimator checkpoints under opts.CheckpointDir and resumes
 // deterministically.
 func Fig10Context(ctx context.Context, opts Options) (*Fig10Result, error) {
-	s1, err := stage1ByLocal(ctx, opts)
+	ls, s1, err := paperStage1(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
-	layouts := map[placement.Scheme]*placement.Layout{}
-	for _, s := range placement.AllSchemes {
-		l, err := placement.NewLayout(paperTopo(), paperParams(), s)
-		if err != nil {
-			return nil, err
-		}
-		layouts[s] = l
-	}
-	rows, err := splitting.Fig10(layouts, s1)
+	rows, err := splitting.Fig10(ls, s1)
 	if err != nil {
 		return nil, err
 	}
@@ -175,23 +128,4 @@ func (r *Fig10Result) Render(w io.Writer) error {
 		rows = append(rows, cells)
 	}
 	return render.Table(w, []string{"scheme", "R_ALL", "R_FCO", "R_HYB", "R_MIN"}, rows)
-}
-
-func init() {
-	register("fig7", "probability of catastrophic local failure per scheme",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := Fig7Context(ctx, opts)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		})
-	register("fig10", "durability (nines) per scheme and repair method",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := Fig10Context(ctx, opts)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		})
 }

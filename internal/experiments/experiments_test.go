@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,17 +12,23 @@ import (
 
 func quickOpts() Options { return Options{Quick: true, Seed: 7, AFR: 0.01} }
 
+// TestRegistryComplete: the registry holds exactly the paper's tables and
+// figures, the full-system run and the four ablations.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig1", "tab1", "fig5", "fig6", "tab2", "fig7", "fig8", "fig9",
 		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-		"sec514", "sec524",
+		"sec514", "sec524", "syssim",
+		"ablation-detection", "ablation-poolsize", "ablation-stripewidth", "ablation-cores",
 	}
 	have := map[string]bool{}
 	for _, id := range List() {
 		have[id] = true
 		if Describe(id) == "" {
 			t.Errorf("experiment %q has no description", id)
+		}
+		if !slices.Contains(want, id) {
+			t.Errorf("experiment %q registered but not expected", id)
 		}
 	}
 	for _, id := range want {

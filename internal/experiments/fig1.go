@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -70,9 +69,4 @@ func (r *Fig1Result) Render(w io.Writer) error {
 	_, err := fmt.Fprintf(w, "growth 2010→2022: %.0f× disks (Backblaze), %.1f× max capacity\n",
 		r.BackblazeGrowth, r.CapacityGrowth)
 	return err
-}
-
-func init() {
-	register("fig1", "storage scaling dataset (disks per system, capacity per disk)",
-		func(ctx context.Context, opts Options, w io.Writer) error { return Fig1(opts).Render(w) })
 }

@@ -11,26 +11,41 @@ import (
 	"mlec/internal/render"
 )
 
-// heatmapGrid returns the (x racks, y failures) axes used by the PDL
-// heatmaps (Figures 5, 13, 16): the paper sweeps 1..60 racks and up to 60
-// failures.
-func heatmapGrid(opts Options) (xs, ys []int, trials int) {
-	if opts.Quick {
-		for x := 1; x <= 60; x += 10 {
-			xs = append(xs, x)
+// panel is one PDL heatmap of a figure: its ASCII title, its CSV label.
+type panel struct {
+	title, label string
+	g            *burst.Grid
+}
+
+// renderPanels prints a figure's heatmaps: as CSV, each under a "# label"
+// line, when csv is set; otherwise as ASCII art, a figure of several
+// panels ending each with a blank line.
+func renderPanels(w io.Writer, csv bool, panels ...panel) error {
+	for _, p := range panels {
+		if csv {
+			if _, err := fmt.Fprintf(w, "# %s\n", p.label); err != nil {
+				return err
+			}
+			if err := p.g.WriteCSV(w); err != nil {
+				return err
+			}
+			continue
 		}
-		for y := 12; y <= 60; y += 16 {
-			ys = append(ys, y)
+		if err := renderGrid(w, p.title, p.g); err != nil {
+			return err
 		}
-		return xs, ys, 120
+		if len(panels) > 1 {
+			fmt.Fprintln(w)
+		}
 	}
-	for x := 1; x <= 60; x += 2 {
-		xs = append(xs, x)
-	}
-	for y := 4; y <= 60; y += 4 {
-		ys = append(ys, y)
-	}
-	return xs, ys, 600
+	return nil
+}
+
+// heatmap runs one PDL grid at the size table's axes and trials,
+// checkpointed under the campaign name.
+func heatmap(ctx context.Context, opts Options, ev burst.Evaluator, name string) (*burst.Grid, error) {
+	sz := opts.size()
+	return burst.HeatmapContext(ctx, ev, sz.heatXs, sz.heatYs, sz.heatTrials, opts.Seed, opts.checkpointPath(name))
 }
 
 func renderGrid(w io.Writer, title string, g *burst.Grid) error {
@@ -52,6 +67,7 @@ func renderGrid(w io.Writer, title string, g *burst.Grid) error {
 // Fig5Result holds the four MLEC PDL heatmaps.
 type Fig5Result struct {
 	Grids map[placement.Scheme]*burst.Grid
+	csv   bool
 }
 
 // Fig5 evaluates PDL under correlated failure bursts for the four MLEC
@@ -63,15 +79,13 @@ func Fig5(opts Options) (*Fig5Result, error) {
 // Fig5Context is Fig5 under run control, checkpointing each scheme's
 // grid separately under opts.CheckpointDir.
 func Fig5Context(ctx context.Context, opts Options) (*Fig5Result, error) {
-	xs, ys, trials := heatmapGrid(opts)
-	res := &Fig5Result{Grids: map[placement.Scheme]*burst.Grid{}}
+	ls, err := paperLayouts()
+	if err != nil {
+		return nil, err
+	}
+	res := &Fig5Result{Grids: map[placement.Scheme]*burst.Grid{}, csv: opts.CSV}
 	for _, s := range placement.AllSchemes {
-		l, err := placement.NewLayout(paperTopo(), paperParams(), s)
-		if err != nil {
-			return nil, err
-		}
-		g, err := burst.HeatmapContext(ctx, burst.NewMLECEvaluator(l), xs, ys, trials, opts.Seed,
-			opts.checkpointPath("fig5-"+s.String()))
+		g, err := heatmap(ctx, opts, burst.NewMLECEvaluator(ls[s]), "fig5-"+s.String())
 		if err != nil {
 			return nil, err
 		}
@@ -82,19 +96,19 @@ func Fig5Context(ctx context.Context, opts Options) (*Fig5Result, error) {
 
 // Render prints the four heatmaps in the paper's order.
 func (r *Fig5Result) Render(w io.Writer) error {
+	panels := make([]panel, 0, len(placement.AllSchemes))
 	for _, s := range placement.AllSchemes {
-		if err := renderGrid(w, fmt.Sprintf("Figure 5 (%v): MLEC PDL under correlated bursts", s), r.Grids[s]); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
+		panels = append(panels, panel{fmt.Sprintf("Figure 5 (%v): MLEC PDL under correlated bursts", s),
+			"fig5 " + s.String(), r.Grids[s]})
 	}
-	return nil
+	return renderPanels(w, r.csv, panels...)
 }
 
 // Fig13Result holds the four SLEC PDL heatmaps.
 type Fig13Result struct {
 	Params placement.SLECParams
 	Grids  map[placement.SLECPlacement]*burst.Grid
+	csv    bool
 }
 
 // Fig13 evaluates burst PDL for the four SLEC placements with the
@@ -107,16 +121,14 @@ func Fig13(opts Options) (*Fig13Result, error) {
 // Fig13Context is Fig13 under run control, checkpointing each
 // placement's grid separately under opts.CheckpointDir.
 func Fig13Context(ctx context.Context, opts Options) (*Fig13Result, error) {
-	xs, ys, trials := heatmapGrid(opts)
 	params := placement.SLECParams{K: 7, P: 3}
-	res := &Fig13Result{Params: params, Grids: map[placement.SLECPlacement]*burst.Grid{}}
+	res := &Fig13Result{Params: params, Grids: map[placement.SLECPlacement]*burst.Grid{}, csv: opts.CSV}
 	for _, pl := range placement.AllSLECPlacements {
 		l, err := placement.NewSLECLayout(paperTopo(), params, pl)
 		if err != nil {
 			return nil, err
 		}
-		g, err := burst.HeatmapContext(ctx, burst.NewSLECEvaluator(l), xs, ys, trials, opts.Seed,
-			opts.checkpointPath("fig13-"+pl.String()))
+		g, err := heatmap(ctx, opts, burst.NewSLECEvaluator(l), "fig13-"+pl.String())
 		if err != nil {
 			return nil, err
 		}
@@ -127,19 +139,19 @@ func Fig13Context(ctx context.Context, opts Options) (*Fig13Result, error) {
 
 // Render prints the four heatmaps in the paper's order.
 func (r *Fig13Result) Render(w io.Writer) error {
+	panels := make([]panel, 0, len(placement.AllSLECPlacements))
 	for _, pl := range placement.AllSLECPlacements {
-		if err := renderGrid(w, fmt.Sprintf("Figure 13 (%v %v): SLEC PDL under correlated bursts", pl, r.Params), r.Grids[pl]); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
+		panels = append(panels, panel{fmt.Sprintf("Figure 13 (%v %v): SLEC PDL under correlated bursts", pl, r.Params),
+			"fig13 " + pl.String(), r.Grids[pl]})
 	}
-	return nil
+	return renderPanels(w, r.csv, panels...)
 }
 
 // Fig16Result holds the LRC-Dp PDL heatmap.
 type Fig16Result struct {
 	Params placement.LRCParams
 	Grid   *burst.Grid
+	csv    bool
 }
 
 // Fig16 evaluates burst PDL for the paper's (14,2,4) LRC-Dp (§5.2.3).
@@ -150,75 +162,20 @@ func Fig16(opts Options) (*Fig16Result, error) {
 
 // Fig16Context is Fig16 under run control.
 func Fig16Context(ctx context.Context, opts Options) (*Fig16Result, error) {
-	xs, ys, trials := heatmapGrid(opts)
 	params := placement.LRCParams{K: 14, L: 2, R: 4}
 	l, err := placement.NewLRCLayout(paperTopo(), params)
 	if err != nil {
 		return nil, err
 	}
-	g, err := burst.HeatmapContext(ctx, burst.NewLRCEvaluator(l, opts.Seed), xs, ys, trials, opts.Seed,
-		opts.checkpointPath("fig16"))
+	g, err := heatmap(ctx, opts, burst.NewLRCEvaluator(l, opts.Seed), "fig16")
 	if err != nil {
 		return nil, err
 	}
-	return &Fig16Result{Params: params, Grid: g}, nil
+	return &Fig16Result{Params: params, Grid: g, csv: opts.CSV}, nil
 }
 
 // Render prints the heatmap.
 func (r *Fig16Result) Render(w io.Writer) error {
-	return renderGrid(w, fmt.Sprintf("Figure 16 (LRC-Dp %v): PDL under correlated bursts", r.Params), r.Grid)
-}
-
-// writeGridCSV emits one labelled grid in CSV form.
-func writeGridCSV(w io.Writer, label string, g *burst.Grid) error {
-	if _, err := fmt.Fprintf(w, "# %s\n", label); err != nil {
-		return err
-	}
-	return g.WriteCSV(w)
-}
-
-func init() {
-	register("fig5", "MLEC PDL heatmaps under correlated failure bursts (4 schemes)",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := Fig5Context(ctx, opts)
-			if err != nil {
-				return err
-			}
-			if opts.CSV {
-				for _, s := range placement.AllSchemes {
-					if err := writeGridCSV(w, "fig5 "+s.String(), r.Grids[s]); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			return r.Render(w)
-		})
-	register("fig13", "SLEC PDL heatmaps under correlated failure bursts (4 placements)",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := Fig13Context(ctx, opts)
-			if err != nil {
-				return err
-			}
-			if opts.CSV {
-				for _, pl := range placement.AllSLECPlacements {
-					if err := writeGridCSV(w, "fig13 "+pl.String(), r.Grids[pl]); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			return r.Render(w)
-		})
-	register("fig16", "LRC-Dp PDL heatmap under correlated failure bursts",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := Fig16Context(ctx, opts)
-			if err != nil {
-				return err
-			}
-			if opts.CSV {
-				return writeGridCSV(w, "fig16 LRC-Dp", r.Grid)
-			}
-			return r.Render(w)
-		})
+	return renderPanels(w, r.csv, panel{fmt.Sprintf("Figure 16 (LRC-Dp %v): PDL under correlated bursts", r.Params),
+		"fig16 LRC-Dp", r.Grid})
 }

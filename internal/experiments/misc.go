@@ -1,17 +1,16 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
 
 	"mlec/internal/cluster"
 	"mlec/internal/lrc"
-	"mlec/internal/markov"
 	"mlec/internal/placement"
 	"mlec/internal/render"
 	"mlec/internal/repair"
+	"mlec/internal/splitting"
 	"mlec/internal/traffic"
 )
 
@@ -172,15 +171,14 @@ func Sec5Traffic(opts Options) (*Sec5TrafficResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := markov.MLECRAllModel{Layout: l, LambdaPerHour: opts.lambda()}
-	catRate, err := m.CatRatePerPoolHour()
+	s1, err := splitting.MarkovStage1(l, opts.afr())
 	if err != nil {
 		return nil, err
 	}
 	cmp, err := traffic.Compare(topo,
 		placement.SLECParams{K: 7, P: 3},
 		placement.LRCParams{K: 14, L: 2, R: 4},
-		l, repair.RMin, opts.lambda(), catRate)
+		l, repair.RMin, opts.lambda(), s1.CatRatePerPoolHour)
 	if err != nil {
 		return nil, err
 	}
@@ -198,39 +196,4 @@ func (r *Sec5TrafficResult) Render(w io.Writer) error {
 		{"MLEC years per TB", fmt.Sprintf("%.3g", c.MLECYearsPerTB)},
 	}
 	return render.Table(w, []string{"system", "repair traffic"}, rows)
-}
-
-func init() {
-	register("tab1", "failure-mode taxonomy demonstrated on a live cluster",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := Tab1(opts)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		})
-	register("fig14", "LRC (4,2,2) layout and local-repair demonstration",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := Fig14(opts)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		})
-	register("sec514", "repair network traffic: network SLEC vs MLEC",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := Sec5Traffic(opts)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		})
-	register("sec524", "repair network traffic: LRC vs MLEC",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := Sec5Traffic(opts)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		})
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -58,22 +57,18 @@ type Fig8Row struct {
 type Fig8Result struct{ Rows []Fig8Row }
 
 // Fig8 quantifies cross-rack repair traffic of the four repair methods on
-// a catastrophic local pool failure (§4.2.1).
-func Fig8(_ Options) (*Fig8Result, error) {
+// a catastrophic local pool failure (§4.2.1): the traffic column of
+// Figure 9's sweep.
+func Fig8(opts Options) (*Fig8Result, error) {
+	sweep, err := Fig9(opts)
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig8Result{}
-	for _, s := range placement.AllSchemes {
-		l, err := placement.NewLayout(paperTopo(), paperParams(), s)
-		if err != nil {
-			return nil, err
-		}
-		an := repair.NewAnalyzer(l)
-		row := Fig8Row{Scheme: s}
-		for _, m := range repair.AllMethods {
-			a, err := an.AnalyzeBurst(m)
-			if err != nil {
-				return nil, err
-			}
-			row.Traffic[int(m)] = a.CrossRackTrafficBytes
+	for _, r := range sweep.Rows {
+		row := Fig8Row{Scheme: r.Scheme}
+		for m, a := range r.Analyses {
+			row.Traffic[m] = a.CrossRackTrafficBytes
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -103,15 +98,17 @@ type Fig9Row struct {
 // Fig9Result carries Figure 9.
 type Fig9Result struct{ Rows []Fig9Row }
 
-// Fig9 measures network-level and local repair time per method (§4.2.2).
+// Fig9 measures network-level and local repair time per method (§4.2.2)
+// by analyzing one catastrophic local pool failure under every scheme and
+// repair method: the sweep Figure 8 reads too.
 func Fig9(_ Options) (*Fig9Result, error) {
+	ls, err := paperLayouts()
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig9Result{}
 	for _, s := range placement.AllSchemes {
-		l, err := placement.NewLayout(paperTopo(), paperParams(), s)
-		if err != nil {
-			return nil, err
-		}
-		an := repair.NewAnalyzer(l)
+		an := repair.NewAnalyzer(ls[s])
 		row := Fig9Row{Scheme: s}
 		for _, m := range repair.AllMethods {
 			a, err := an.AnalyzeBurst(m)
@@ -139,39 +136,4 @@ func (r *Fig9Result) Render(w io.Writer) error {
 		rows = append(rows, cells)
 	}
 	return render.Table(w, []string{"scheme", "R_ALL (net+local)", "R_FCO", "R_HYB", "R_MIN"}, rows)
-}
-
-func init() {
-	register("tab2", "repair size and available repair bandwidth per MLEC scheme",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := Fig6Tab2(opts)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		})
-	register("fig6", "repair time under single-disk and catastrophic local failures",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := Fig6Tab2(opts)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		})
-	register("fig8", "cross-rack repair traffic of the four repair methods",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := Fig8(opts)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		})
-	register("fig9", "network/local repair time of the four repair methods",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := Fig9(opts)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		})
 }

@@ -33,10 +33,7 @@ func SysSim(opts Options) (*SysSimResult, error) {
 // stops each scheme's simulation at the next event boundary and the
 // partial runs report the span they actually covered (Stats.Partial).
 func SysSimContext(ctx context.Context, opts Options) (*SysSimResult, error) {
-	years := 25.0
-	if opts.Quick {
-		years = 5
-	}
+	years := opts.size().sysYears
 	ttf, err := failure.NewExponentialAFR(opts.afr())
 	if err != nil {
 		return nil, err
@@ -81,15 +78,4 @@ func (r *SysSimResult) Render(w io.Writer) error {
 	return render.Table(w, []string{
 		"scheme", "disk failures", "catastrophic pools", "data-loss events", "network repair",
 	}, rows)
-}
-
-func init() {
-	register("syssim", "full-system simulation of the 57,600-disk datacenter (all schemes)",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := SysSimContext(ctx, opts)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		})
 }

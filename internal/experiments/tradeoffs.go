@@ -1,28 +1,16 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"mlec/internal/ecdur"
-	"mlec/internal/markov"
 	"mlec/internal/placement"
-	"mlec/internal/poolsim"
 	"mlec/internal/render"
 	"mlec/internal/repair"
 	"mlec/internal/splitting"
 	"mlec/internal/throughput"
 )
-
-// measureDur returns the per-cell throughput measurement budget.
-func measureDur(opts Options) time.Duration {
-	if opts.Quick {
-		return 4 * time.Millisecond
-	}
-	return 40 * time.Millisecond
-}
 
 // Fig11Result carries the encoding-throughput heatmap.
 type Fig11Result struct {
@@ -32,17 +20,8 @@ type Fig11Result struct {
 // Fig11 measures single-goroutine RS encoding throughput over the paper's
 // (k, p) grid (§5.1.1). Quick mode samples a sub-grid.
 func Fig11(opts Options) (*Fig11Result, error) {
-	var ks, ps []int
-	if opts.Quick {
-		ks = []int{2, 10, 26, 50}
-		ps = []int{1, 4, 10}
-	} else {
-		for k := 2; k <= 50; k += 4 {
-			ks = append(ks, k)
-		}
-		ps = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	}
-	cells, err := throughput.Fig11Grid(ks, ps, throughput.DefaultShardBytes, measureDur(opts))
+	sz := opts.size()
+	cells, err := throughput.Fig11Grid(sz.fig11Ks, sz.fig11Ps, throughput.DefaultShardBytes, sz.measure)
 	if err != nil {
 		return nil, err
 	}
@@ -104,23 +83,15 @@ func mlecTradeoffPoint(params placement.Params, scheme placement.Scheme, opts Op
 	if err != nil {
 		return TradeoffPoint{}, err
 	}
-	m := markov.MLECRAllModel{Layout: l, LambdaPerHour: opts.lambda()}
-	rate, err := m.CatRatePerPoolHour()
+	s1, err := splitting.MarkovStage1(l, opts.afr())
 	if err != nil {
 		return TradeoffPoint{}, err
 	}
-	cfg := poolsim.Config{
-		Disks: l.LocalPoolSize(), Width: params.LocalWidth(), Parity: params.PL,
-		Clustered:       scheme.Local == placement.Clustered,
-		SegmentsPerDisk: 100, DiskCapacityBytes: paperTopo().DiskCapacityBytes,
-		DiskRepairBW: paperTopo().DiskRepairBandwidth(), DetectionDelayHours: 0.5,
-	}
-	s1 := splitting.Stage1FromSplit(cfg, poolsim.SplitResult{CatRatePerPoolHour: rate})
 	dur, err := splitting.Durability(l, repair.RMin, s1)
 	if err != nil {
 		return TradeoffPoint{}, err
 	}
-	tp, err := throughput.MeasureMLEC(params, throughput.DefaultShardBytes, measureDur(opts))
+	tp, err := throughput.MeasureMLEC(params, throughput.DefaultShardBytes, opts.size().measure)
 	if err != nil {
 		return TradeoffPoint{}, err
 	}
@@ -138,7 +109,7 @@ func slecTradeoffPoint(params placement.SLECParams, pl placement.SLECPlacement, 
 	if err != nil {
 		return TradeoffPoint{}, err
 	}
-	tp, err := throughput.MeasureRS(params.K, params.P, throughput.DefaultShardBytes, measureDur(opts))
+	tp, err := throughput.MeasureRS(params.K, params.P, throughput.DefaultShardBytes, opts.size().measure)
 	if err != nil {
 		return TradeoffPoint{}, err
 	}
@@ -153,13 +124,8 @@ func slecTradeoffPoint(params placement.SLECParams, pl placement.SLECPlacement, 
 // Fig12 builds the MLEC-vs-SLEC durability/throughput scatter (§5.1.2).
 func Fig12(opts Options) (*Fig12Result, error) {
 	res := &Fig12Result{}
-	mlecCfgs := mlecConfigs30
-	slecCfgs := slecConfigs30
-	if opts.Quick {
-		mlecCfgs = mlecCfgs[:3]
-		slecCfgs = slecCfgs[:3]
-	}
-	for _, p := range mlecCfgs {
+	n := opts.size().tradeoffs
+	for _, p := range head(mlecConfigs30, n) {
 		a, err := mlecTradeoffPoint(p, placement.SchemeCC, opts)
 		if err != nil {
 			return nil, err
@@ -171,7 +137,7 @@ func Fig12(opts Options) (*Fig12Result, error) {
 		}
 		res.PanelB = append(res.PanelB, b)
 	}
-	for _, p := range slecCfgs {
+	for _, p := range head(slecConfigs30, n) {
 		for _, pl := range []placement.SLECPlacement{placement.LocalCp, placement.NetworkCp} {
 			if _, err := placement.NewSLECLayout(paperTopo(), p, pl); err != nil {
 				continue // width doesn't divide this placement's pools
@@ -245,25 +211,20 @@ var lrcConfigs30 = []placement.LRCParams{
 // Fig15 builds the C/D-vs-LRC-Dp durability/throughput scatter (§5.2.2).
 func Fig15(opts Options) (*Fig15Result, error) {
 	res := &Fig15Result{}
-	mlecCfgs := mlecConfigs30
-	lrcCfgs := lrcConfigs30
-	if opts.Quick {
-		mlecCfgs = mlecCfgs[:3]
-		lrcCfgs = lrcCfgs[:3]
-	}
-	for _, p := range mlecCfgs {
+	sz := opts.size()
+	for _, p := range head(mlecConfigs30, sz.tradeoffs) {
 		pt, err := mlecTradeoffPoint(p, placement.SchemeCD, opts)
 		if err != nil {
 			return nil, err
 		}
 		res.Points = append(res.Points, pt)
 	}
-	for _, p := range lrcCfgs {
+	for _, p := range head(lrcConfigs30, sz.tradeoffs) {
 		r, err := ecdur.LRC(paperTopo(), p, opts.lambda())
 		if err != nil {
 			return nil, err
 		}
-		tp, err := throughput.MeasureLRC(p.K, p.L, p.R, throughput.DefaultShardBytes, measureDur(opts))
+		tp, err := throughput.MeasureLRC(p.K, p.L, p.R, throughput.DefaultShardBytes, sz.measure)
 		if err != nil {
 			return nil, err
 		}
@@ -281,31 +242,4 @@ func Fig15(opts Options) (*Fig15Result, error) {
 func (r *Fig15Result) Render(w io.Writer) error {
 	fmt.Fprintln(w, "Figure 15: C/D MLEC vs LRC-Dp durability/throughput tradeoff")
 	return renderPoints(w, r.Points)
-}
-
-func init() {
-	register("fig11", "encoding throughput heatmap over (k, p)",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := Fig11(opts)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		})
-	register("fig12", "MLEC vs SLEC durability/throughput tradeoff at ~30% overhead",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := Fig12(opts)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		})
-	register("fig15", "MLEC vs LRC durability/throughput tradeoff at ~30% overhead",
-		func(ctx context.Context, opts Options, w io.Writer) error {
-			r, err := Fig15(opts)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		})
 }

@@ -66,6 +66,13 @@ func NewExponentialAFR(afr float64) (Exponential, error) {
 	return Exponential{RatePerHour: -math.Log1p(-afr) / HoursPerYear}, nil
 }
 
+// LinearRatePerHour is the per-hour failure rate AFR/8760 that the Markov
+// chains take: the AFR spread evenly over the year's hours. It is the
+// first-order term of NewExponentialAFR's −ln(1−AFR)/8760, which the
+// simulators use and which is 0.5 % higher at 1 % AFR and 5.4 % higher at
+// 10 % (DESIGN.md §5).
+func LinearRatePerHour(afr float64) float64 { return afr / HoursPerYear }
+
 // MustExponentialAFR is NewExponentialAFR but panics on error.
 func MustExponentialAFR(afr float64) Exponential {
 	d, err := NewExponentialAFR(afr)

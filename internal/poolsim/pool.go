@@ -20,6 +20,7 @@ import (
 	"math/bits"
 	"math/rand"
 
+	"mlec/internal/failure"
 	"mlec/internal/placement"
 )
 
@@ -41,6 +42,20 @@ type Config struct {
 	// reduce the restart pessimism at the cost of more events.
 	// 0 selects the default of 5% of the pool's stripes.
 	MaxBatchStripes int
+}
+
+// ConfigFor is the stage-1 model of one local pool of l: its geometry, the
+// topology's disk size and repair bandwidth, the paper's detection delay,
+// and segmentsPerDisk stripe-chunks on every disk.
+func ConfigFor(l *placement.Layout, segmentsPerDisk int) Config {
+	return Config{
+		Disks: l.LocalPoolSize(), Width: l.Params.LocalWidth(), Parity: l.Params.PL,
+		Clustered:           l.Scheme.Local == placement.Clustered,
+		SegmentsPerDisk:     segmentsPerDisk,
+		DiskCapacityBytes:   l.Topo.DiskCapacityBytes,
+		DiskRepairBW:        l.Topo.DiskRepairBandwidth(),
+		DetectionDelayHours: failure.DefaultDetectionDelayHours,
+	}
 }
 
 // batchCap returns the effective repair batch size.

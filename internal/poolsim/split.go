@@ -79,11 +79,6 @@ type SplitResult struct {
 	Partial bool
 }
 
-// CatProbPerPoolYear converts the rate to an annual per-pool probability.
-func (r SplitResult) CatProbPerPoolYear() float64 {
-	return -math.Expm1(-r.CatRatePerPoolHour * failure.HoursPerYear)
-}
-
 type trajectoryOutcome int
 
 const (

@@ -1,8 +1,9 @@
-// Package splitting implements stage 2 of the paper's splitting
-// methodology (§3): composing the stage-1 catastrophic-local-pool rate
-// (from poolsim, or the Markov model for R_ALL verification) with the
-// network level to estimate system durability — the paper's Figure 10 and
-// the durability axes of Figures 12 and 15.
+// Package splitting runs the paper's splitting methodology (§3) from a
+// layout. Stage 1 — the catastrophic-local-pool rate and state — comes by
+// one of two routes: the poolsim splitting estimator (SplitStage1) or the
+// R_ALL Markov chain (MarkovStage1). Stage 2 composes it with the network
+// level to estimate system durability — the paper's Figure 10 and the
+// durability axes of Figures 12 and 15.
 //
 // Composition: catastrophic pool events arrive per pool at rate λ and
 // keep the pool in the catastrophic state for a repair-method-dependent
@@ -16,10 +17,12 @@
 package splitting
 
 import (
+	"context"
 	"fmt"
 
 	"mlec/internal/burst"
 	"mlec/internal/failure"
+	"mlec/internal/markov"
 	"mlec/internal/mathx"
 	"mlec/internal/placement"
 	"mlec/internal/poolsim"
@@ -30,19 +33,59 @@ import (
 type Stage1 struct {
 	// CatRatePerPoolHour is the catastrophic-event rate of one pool.
 	CatRatePerPoolHour float64
+	// CatRateLo and CatRateHi bound the rate as the splitting estimator
+	// reports it (poolsim.SplitResult); both are zero on the Markov route,
+	// which has no sampling error.
+	CatRateLo, CatRateHi float64
 	// FailedDisksAtCat is the typical number of failed disks at the
 	// catastrophic instant (pl+1 unless samples say otherwise).
 	FailedDisksAtCat int
 	// LostStripeFraction is φ: the fraction of the pool's stripes that
 	// are actually lost at the catastrophic instant.
 	LostStripeFraction float64
+	// Partial marks a stage 1 from an interrupted splitting campaign.
+	Partial bool
+}
+
+// MarkovStage1 is stage 1 from the R_ALL Markov chain of l's local pool,
+// at the per-hour failure rate failure.LinearRatePerHour(afr).
+func MarkovStage1(l *placement.Layout, afr float64) (Stage1, error) {
+	m := markov.MLECRAllModel{Layout: l, LambdaPerHour: failure.LinearRatePerHour(afr)}
+	rate, err := m.CatRatePerPoolHour()
+	if err != nil {
+		return Stage1{}, err
+	}
+	// Without samples stage 1 reads only the pool's geometry: pl+1 failed
+	// disks and the analytic φ, at any granularity.
+	return Stage1FromSplit(poolsim.ConfigFor(l, 0), poolsim.SplitResult{CatRatePerPoolHour: rate}), nil
+}
+
+// SplitStage1 is stage 1 from the splitting estimator on one local pool
+// of l at segmentsPerDisk granularity, under exponential failures at the
+// given AFR. Cancelling ctx returns a Partial stage 1 whose CatRateHi
+// covers the levels left unexplored.
+func SplitStage1(ctx context.Context, l *placement.Layout, segmentsPerDisk int, afr float64,
+	sc poolsim.SplitConfig) (Stage1, error) {
+	ttf, err := failure.NewExponentialAFR(afr)
+	if err != nil {
+		return Stage1{}, err
+	}
+	cfg := poolsim.ConfigFor(l, segmentsPerDisk)
+	res, err := poolsim.SplitContext(ctx, cfg, ttf, sc)
+	if err != nil {
+		return Stage1{}, err
+	}
+	return Stage1FromSplit(cfg, res), nil
 }
 
 // Stage1FromSplit derives Stage1 from a poolsim splitting run.
 func Stage1FromSplit(cfg poolsim.Config, res poolsim.SplitResult) Stage1 {
 	s := Stage1{
 		CatRatePerPoolHour: res.CatRatePerPoolHour,
+		CatRateLo:          res.CatRateLo,
+		CatRateHi:          res.CatRateHi,
 		FailedDisksAtCat:   cfg.Parity + 1,
+		Partial:            res.Partial,
 	}
 	if len(res.Samples) > 0 {
 		var fd, lost float64
@@ -52,8 +95,6 @@ func Stage1FromSplit(cfg poolsim.Config, res poolsim.SplitResult) Stage1 {
 		}
 		s.FailedDisksAtCat = int(fd/float64(len(res.Samples)) + 0.5)
 		s.LostStripeFraction = lost / float64(len(res.Samples)) / float64(cfg.Stripes())
-	} else {
-		s.LostStripeFraction = analyticPhi(cfg, s.FailedDisksAtCat)
 	}
 	if s.LostStripeFraction <= 0 {
 		s.LostStripeFraction = analyticPhi(cfg, s.FailedDisksAtCat)
@@ -67,16 +108,6 @@ func analyticPhi(cfg poolsim.Config, failed int) float64 {
 		return 1
 	}
 	return mathx.HypergeomTail(cfg.Parity+1, failed, cfg.Disks, cfg.Width)
-}
-
-// Stage1Analytic derives Stage1 from the R_ALL Markov view: catastrophic
-// means pl+1 concurrent failures and the whole pool counts as lost.
-func Stage1Analytic(catRatePerPoolHour float64, pl int) Stage1 {
-	return Stage1{
-		CatRatePerPoolHour: catRatePerPoolHour,
-		FailedDisksAtCat:   pl + 1,
-		LostStripeFraction: 1,
-	}
 }
 
 // Result is one durability estimate.

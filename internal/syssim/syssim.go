@@ -129,19 +129,9 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	pc := poolsim.Config{
-		Disks:               l.LocalPoolSize(),
-		Width:               cfg.Params.LocalWidth(),
-		Parity:              cfg.Params.PL,
-		Clustered:           cfg.Scheme.Local == placement.Clustered,
-		SegmentsPerDisk:     cfg.SegmentsPerDisk,
-		DiskCapacityBytes:   cfg.Topo.DiskCapacityBytes,
-		DiskRepairBW:        cfg.Topo.DiskRepairBandwidth(),
-		DetectionDelayHours: cfg.DetectionDelayHours,
-	}
-	if err := pc.Validate(); err != nil {
-		return nil, err
-	}
+	// NewPool validates pc, so the first pool reports a bad one.
+	pc := poolsim.ConfigFor(l, cfg.SegmentsPerDisk)
+	pc.DetectionDelayHours = cfg.DetectionDelayHours
 	s := &System{
 		cfg:     cfg,
 		layout:  l,

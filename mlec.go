@@ -183,8 +183,11 @@ func (s *System) ResetTraffic() { s.c.ResetTraffic() }
 // ExperimentOptions tunes the paper-experiment drivers.
 type ExperimentOptions = experiments.Options
 
-// Experiments lists the registered paper-experiment ids (fig1…fig16,
-// tab1, tab2, sec514, sec524).
+// Experiments lists the 22 registered experiment ids in sorted order: the
+// paper's tables and figures (fig1, fig5…fig16, tab1, tab2, sec514,
+// sec524), the full-system simulation (syssim) and the four ablations
+// (ablation-cores, ablation-detection, ablation-poolsize,
+// ablation-stripewidth).
 func Experiments() []string { return experiments.List() }
 
 // DescribeExperiment returns an experiment's one-line description.
