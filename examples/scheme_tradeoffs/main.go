@@ -33,7 +33,7 @@ func main() {
 	}
 
 	// Encoding throughput of the paper's flagship configurations.
-	fmt.Println("\nencoding throughput (single goroutine, pure-Go codec):")
+	fmt.Println("\nencoding throughput (single goroutine):")
 	for _, cfg := range []mlec.Params{
 		{KN: 5, PN: 1, KL: 5, PL: 1},
 		{KN: 10, PN: 2, KL: 17, PL: 3},

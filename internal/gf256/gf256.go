@@ -4,11 +4,12 @@
 // The field is constructed with the primitive polynomial
 // x^8 + x^4 + x^3 + x^2 + 1 (0x11d), the same polynomial used by most
 // storage erasure codecs (including Intel ISA-L, which the paper benchmarks
-// in Figure 11). Multiplication uses 256-entry log/exp tables; the
-// shard-length kernel, Apply, additionally uses a per-multiplier 256-entry
-// product table, which is the scalar analogue of the SIMD shuffle kernels
-// in ISA-L. Code (code.go) is the systematic linear code written once on
-// top of Apply; rs and lrc are two generator matrices for it.
+// in Figure 11). Multiplication uses 256-entry log/exp tables. The
+// shard-length kernel, Apply, multiplies 32 bytes at a time with
+// ISA-L's split-nibble shuffles on an amd64 CPU with AVX2
+// (kernel_amd64.s) and otherwise with Go loops over a per-multiplier
+// 256-entry product table. Code (code.go) is the systematic linear code
+// written once on top of Apply; rs and lrc are two generator matrices for it.
 package gf256
 
 import "encoding/binary"
@@ -196,6 +197,8 @@ func mulAdd(c byte, src, dst []byte) {
 		XorSlice(src, dst)
 		return
 	}
+	n := mulAddVec(c, src, dst)
+	src, dst = src[n:], dst[n:]
 	mt := &mulTable[c]
 	// 16 bytes per iteration: byte loads feed the table row (always
 	// in-bounds: a byte indexes a 256-entry array), products are
@@ -228,16 +231,20 @@ func mulAdd(c byte, src, dst []byte) {
 }
 
 // mulAdd2 sets d0[i] ^= c0·src[i] and d1[i] ^= c1·src[i] in one pass over
-// src. Entry s of the pair table holds c0·s in bits 0–7 and c1·s in bits
-// 32–39, so one byte lookup yields both products, and composing a word
-// by shifting 8 bits per source byte accumulates the c0 products in the
-// low half and the c1 products in the high half without colliding. The
-// table is 2 KiB of stack, built per call (256 steps against a shard of
-// thousands of bytes) and L1-resident for the pass — unlike a
-// two-bytes-per-lookup table, whose 128 KiB would thrash the cache.
+// src. mulAdd finishes the sub-32-byte tail of a vector body, so the pair
+// table — 2 KiB of stack, built in 256 steps — is built only for the Go
+// loop. Its entry s holds c0·s in bits 0–7 and c1·s in bits 32–39, so one
+// byte lookup yields both products, and composing a word by shifting 8
+// bits per source byte accumulates the c0 products in the low half and
+// the c1 products in the high half without colliding.
 //
 //mlec:hot per-byte codec kernel
 func mulAdd2(c0, c1 byte, src, d0, d1 []byte) {
+	if n := mulAdd2Vec(c0, c1, src, d0, d1); n > 0 {
+		mulAdd(c0, src[n:], d0[n:])
+		mulAdd(c1, src[n:], d1[n:])
+		return
+	}
 	var t [256]uint64
 	m0, m1 := &mulTable[c0], &mulTable[c1]
 	for i := range t {

@@ -2,6 +2,7 @@ package gf256
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -89,7 +90,9 @@ func checkApply(t *testing.T, rng *rand.Rand, rows [][]byte, n int) {
 // widths up to the widest code's k, coefficients drawn from kernelCoeffs
 // so that every pairing of 0, 1 and a generic multiplier occurs, and
 // lengths through 4099.
-func TestApplyMatchesScalar(t *testing.T) {
+func TestApplyMatchesScalar(t *testing.T) { OnKernels(t, applyMatchesScalar) }
+
+func applyMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	lengths := append(kernelLengths(), 255, 256, 257, 1023, 4096, 4099)
 	for _, nr := range []int{1, 2, 3, 12} {
@@ -128,7 +131,9 @@ func TestMulSliceMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestMulAddSliceMatchesScalar(t *testing.T) {
+func TestMulAddSliceMatchesScalar(t *testing.T) { OnKernels(t, mulAddSliceMatchesScalar) }
+
+func mulAddSliceMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, c := range kernelCoeffs {
 		for _, n := range kernelLengths() {
@@ -162,17 +167,19 @@ func TestXorSliceMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestKernelsUnaligned runs the word kernels on sub-slices at every
-// offset 0–8 of a shared backing array, so word loads land on every
+// TestKernelsUnaligned runs the kernels on sub-slices at every offset 0–32
+// of a shared backing array, so word and YMM loads land on every
 // alignment phase, and verifies bytes outside the window are untouched.
 // The 2×2 Apply takes the two-row loop for its first column and, through
 // the coefficient 1 and a generic one, XorSlice and the one-row loop for
 // its second.
-func TestKernelsUnaligned(t *testing.T) {
+func TestKernelsUnaligned(t *testing.T) { OnKernels(t, kernelsUnaligned) }
+
+func kernelsUnaligned(t *testing.T) {
 	const pad = 16
 	rows := [][]byte{{0x1d, 1}, {0x8e, 3}}
 	rng := rand.New(rand.NewSource(4))
-	for off := 0; off <= 8; off++ {
+	for off := 0; off <= 32; off++ {
 		for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129} {
 			window := func(b []byte) []byte { return b[pad+off : pad+off+n] }
 			outside := func(b []byte) []byte {
@@ -216,7 +223,9 @@ func TestKernelsUnaligned(t *testing.T) {
 	}
 }
 
-func TestMulAddDualMatchesScalar(t *testing.T) {
+func TestMulAddDualMatchesScalar(t *testing.T) { OnKernels(t, mulAddDualMatchesScalar) }
+
+func mulAddDualMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, pair := range [][2]byte{{0, 0}, {1, 2}, {0x1d, 0x8e}, {0xff, 0x01}} {
 		c1, c2 := pair[0], pair[1]
@@ -272,4 +281,36 @@ func TestDualLengthMismatchPanics(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// TestKernelsDoNotAllocate holds the //mlec:hot claim of zero allocations
+// per call: Apply at 1, 2, 3 and 12 rows, Code.Encode and XorSlice, on
+// shards long enough for a vector body and a Go tail.
+func TestKernelsDoNotAllocate(t *testing.T) { OnKernels(t, kernelsDoNotAllocate) }
+
+func kernelsDoNotAllocate(t *testing.T) {
+	const n = 4099
+	rng := rand.New(rand.NewSource(9))
+	in := randomShards(rng, 12, n)
+	noAllocs := func(what string, f func()) {
+		t.Helper()
+		if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", what, allocs)
+		}
+	}
+	for _, nr := range []int{1, 2, 3, 12} {
+		rows, out := randomShards(rng, nr, len(in)), randomShards(rng, nr, n)
+		noAllocs(fmt.Sprintf("Apply with %d rows", nr), func() { Apply(rows, in, out) })
+	}
+	gen, err := ParityRows(10, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, stripe := NewCode("rs", 10, gen, nil, nil), randomShards(rng, 14, n)
+	noAllocs("Code.Encode", func() {
+		if err := code.Encode(stripe); err != nil {
+			t.Fatal(err)
+		}
+	})
+	noAllocs("XorSlice", func() { XorSlice(in[0], in[1]) })
 }

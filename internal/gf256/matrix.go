@@ -51,18 +51,8 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 	}
 	out := NewMatrix(m.Rows, other.Cols)
 	for r := 0; r < m.Rows; r++ {
-		mr := m.Row(r)
-		or := out.Row(r)
-		for k := 0; k < m.Cols; k++ {
-			a := mr[k]
-			if a == 0 {
-				continue
-			}
-			mt := &mulTable[a]
-			ok := other.Row(k)
-			for c := range or {
-				or[c] ^= mt[ok[c]]
-			}
+		for k, a := range m.Row(r) {
+			mulAdd(a, other.Row(k), out.Row(r))
 		}
 	}
 	return out

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mlec/internal/gf256"
 	"mlec/internal/lrc"
 	"mlec/internal/rs"
 )
@@ -91,7 +92,9 @@ var pinnedShapes = []pinnedShape{
 		[5]uint64{0xc1e69a0975e5c6f7, 0xff429f3a52fceb3d, 0xf48b88731e293f94, 0x451b61eeceb9d503, 0xde68bb5c56930184}),
 }
 
-func TestCodecBytesPinned(t *testing.T) {
+func TestCodecBytesPinned(t *testing.T) { gf256.OnKernels(t, codecBytesPinned) }
+
+func codecBytesPinned(t *testing.T) {
 	for si, sh := range pinnedShapes {
 		for zi, size := range pinnedSizes {
 			rng := rand.New(rand.NewSource(int64(1000*si + zi)))

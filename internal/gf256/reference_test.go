@@ -220,8 +220,11 @@ func describe(shards [][]byte) string {
 
 // TestCodecsMatchReference runs every erasure mask of every Reed–Solomon
 // code up to 12+4 and of a spread of LRC shapes — recoverable or not —
-// against the reference.
-func TestCodecsMatchReference(t *testing.T) {
+// against the reference. Shards are 35 bytes: one 32-byte vector block
+// and a Go tail.
+func TestCodecsMatchReference(t *testing.T) { gf256.OnKernels(t, codecsMatchReference) }
+
+func codecsMatchReference(t *testing.T) {
 	var codecs []testedCodec
 	for k := 1; k <= 12; k++ {
 		for p := 0; p <= 4; p++ {
@@ -233,7 +236,7 @@ func TestCodecsMatchReference(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	for _, tc := range codecs {
-		full := tc.stripe(t, rng, 3)
+		full := tc.stripe(t, rng, 35)
 		// Masks that lose more than can ever come back all take the same
 		// early exit; past two beyond the parity count a sample will do.
 		for mask := 0; mask < 1<<len(full); mask++ {
@@ -266,22 +269,26 @@ func FuzzCodecMatchesReference(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint8(2), uint8(8), int64(7), []byte{0, 1, 4, 6}) // beyond an LRC's reach
 	f.Add(uint8(14), uint8(4), uint8(2), uint8(2), int64(8), []byte{0, 1, 2, 3, 4, 5, 6})
 	f.Fuzz(func(t *testing.T, k, p, l, size uint8, seed int64, lost []byte) {
-		k, p, l, size = 1+k%50, p%11, l%5, 1+size%64
-		var tc testedCodec
-		if l == 0 {
-			tc = testedRS(int(k), int(p))
-		} else {
-			k = max(k/l, 1) * l // whole groups
-			tc = testedLRC(int(k), int(l), int(p))
-		}
-		full := tc.stripe(t, rand.New(rand.NewSource(seed)), int(size))
-		tc.checkErasure(t, full, func(i int) bool {
-			for _, j := range lost {
-				if int(j)%len(full) == i {
-					return true
-				}
+		gf256.OnKernels(t, func(t *testing.T) { codecMatchesReference(t, k, p, l, size, seed, lost) })
+	})
+}
+
+func codecMatchesReference(t *testing.T, k, p, l, size uint8, seed int64, lost []byte) {
+	k, p, l, size = 1+k%50, p%11, l%5, 1+size%64
+	var tc testedCodec
+	if l == 0 {
+		tc = testedRS(int(k), int(p))
+	} else {
+		k = max(k/l, 1) * l // whole groups
+		tc = testedLRC(int(k), int(l), int(p))
+	}
+	full := tc.stripe(t, rand.New(rand.NewSource(seed)), int(size))
+	tc.checkErasure(t, full, func(i int) bool {
+		for _, j := range lost {
+			if int(j)%len(full) == i {
+				return true
 			}
-			return false
-		})
+		}
+		return false
 	})
 }

@@ -23,20 +23,13 @@ func (c *Codec) EncodeParallel(shards [][]byte, workers int) error {
 		workers = runtime.NumCPU()
 	}
 	// Below ~64 KiB per worker the goroutine overhead dominates.
-	if maxW := size / (64 << 10); workers > maxW {
-		workers = maxW
-	}
-	if workers <= 1 {
+	if workers = min(workers, size/(64<<10)); workers <= 1 {
 		return c.Encode(shards)
 	}
 	chunk := (size + workers - 1) / workers
 	pool := runctl.NewPool(context.Background())
 	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > size {
-			hi = size
-		}
+		lo, hi := w*chunk, min(w*chunk+chunk, size)
 		if lo >= hi {
 			break
 		}

@@ -1,8 +1,9 @@
 // Package rs implements a systematic (k+p) Reed–Solomon erasure codec over
 // GF(2^8), the "SLEC" building block of the paper. It is the from-scratch
 // substitute for Intel ISA-L used in the paper's Figure 11 encoding
-// throughput measurements, and supplies both levels of MLEC as well as the
-// global-parity stage of LRC.
+// throughput measurements, with ISA-L's split-nibble AVX2 multiply where
+// the CPU has it (gf256.Apply), and supplies both levels of MLEC as well
+// as the global-parity stage of LRC.
 //
 // The encoding matrix is the extended-Vandermonde construction: build a
 // (k+p)×k Vandermonde matrix over distinct evaluation points, then
@@ -107,20 +108,12 @@ func (c *Codec) ReconstructData(shards [][]byte) error { return c.code.Reconstru
 // Split partitions data into k equally sized shards (zero-padding the
 // tail) and allocates p empty parity shards, ready for Encode.
 func (c *Codec) Split(data []byte) ([][]byte, int) {
-	shardSize := (len(data) + c.k - 1) / c.k
-	if shardSize == 0 {
-		shardSize = 1
-	}
+	shardSize := max((len(data)+c.k-1)/c.k, 1)
 	shards := make([][]byte, c.k+c.p)
 	for i := 0; i < c.k; i++ {
 		shards[i] = make([]byte, shardSize)
-		lo := i * shardSize
-		if lo < len(data) {
-			hi := lo + shardSize
-			if hi > len(data) {
-				hi = len(data)
-			}
-			copy(shards[i], data[lo:hi])
+		if lo := i * shardSize; lo < len(data) {
+			copy(shards[i], data[lo:min(lo+shardSize, len(data))])
 		}
 	}
 	for i := c.k; i < c.k+c.p; i++ {

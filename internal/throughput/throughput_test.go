@@ -17,7 +17,7 @@ func TestMeasureRSPositive(t *testing.T) {
 	if v <= 0 {
 		t.Fatalf("throughput %g", v)
 	}
-	// A table-based pure-Go codec should exceed this floor on any
+	// Even the Go table loops (no AVX2) should exceed this floor on any
 	// machine, even under the race detector's ~10× instrumentation.
 	if v < 5e6 {
 		t.Errorf("suspiciously slow: %g B/s", v)
