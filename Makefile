@@ -97,7 +97,8 @@ bench-engines:
 ## fuzz: short fuzzing smoke of the hand-written parsers (failure-trace
 ## files, //lint:allow directives) and of the burst sampler, the codecs
 ## and the lazily seeded rngsplit.Source against their references
-## (math/rand for the last). `go test -fuzz` accepts a single
+## (math/rand for the last), and of the cluster's degraded read under
+## arbitrary disk failures. `go test -fuzz` accepts a single
 ## target per invocation, hence one line each.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseTrace -fuzztime=10s ./internal/failure
@@ -107,4 +108,5 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=10s ./internal/runctl
 	$(GO) test -run='^$$' -fuzz=FuzzSampleLayoutMatchesReference -fuzztime=10s ./internal/burst
 	$(GO) test -run='^$$' -fuzz=FuzzCodecMatchesReference -fuzztime=10s ./internal/gf256
+	$(GO) test -run='^$$' -fuzz=FuzzClusterReadAfterFailures -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzSourceMatchesMathRand -fuzztime=10s ./internal/mathx/rngsplit

@@ -2,7 +2,9 @@
 // miniature datacenter whose disks hold real chunk bytes, with the full
 // write path (two-level encoding), degraded reads, disk failures, and all
 // four repair methods of the paper moving real data and metering actual
-// cross-rack traffic.
+// cross-rack traffic. Reads, scrubs and network repairs work on views of
+// the stored chunks, one chunk column at a time, and copy payload bytes
+// only into the chunks they rebuild and the one buffer Read returns.
 //
 // It serves two purposes: it is the executable core a downstream user
 // would adopt (see examples/), and it validates the analytic repair
@@ -294,30 +296,29 @@ func (c *Cluster) ReplaceDisk(global int) {
 // rackOfDisk returns the rack of a global disk index.
 func (c *Cluster) rackOfDisk(global int) int { return c.cfg.Topo.RackOf(global) }
 
+// unmetered is the destination rack of a user read: the traffic meters
+// count repair bytes only.
+const unmetered = -1
+
 // readChunk fetches a chunk if its disk is alive, metering traffic
 // relative to destRack (reads crossing racks count as cross-rack).
 func (c *Cluster) readChunk(key chunkKey, from int, destRack int) ([]byte, bool) {
-	d := c.disks[from]
-	if d.failed {
-		return nil, false
-	}
-	b, ok := d.chunks[key]
-	if !ok {
-		return nil, false
-	}
-	if c.rackOfDisk(from) == destRack {
+	b, ok := c.readChunkPeek(key, from)
+	switch {
+	case !ok || destRack == unmetered:
+	case c.rackOfDisk(from) == destRack:
 		c.LocalRead += float64(len(b))
-	} else {
+	default:
 		c.CrossRackRead += float64(len(b))
 	}
-	return b, true
+	return b, ok
 }
 
-// writeChunk stores a chunk, metering traffic relative to srcRack.
+// writeChunk stores a chunk, metering traffic relative to srcRack. The
+// disk takes data as it is: every caller hands over a buffer of its own
+// (freshly rebuilt, or moved off another disk).
 func (c *Cluster) writeChunk(key chunkKey, to int, srcRack int, data []byte) {
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	c.disks[to].chunks[key] = buf
+	c.disks[to].chunks[key] = data
 	if c.rackOfDisk(to) == srcRack {
 		c.LocalWritten += float64(len(data))
 	} else {
@@ -335,76 +336,117 @@ func (c *Cluster) ResetTraffic() {
 }
 
 // Read returns an object's data, reconstructing through local and then
-// network parities as needed (degraded read). The cluster state is not
-// modified — reconstruction happens in buffers.
+// network parities as needed (degraded read): views of the data chunks of
+// members 0…kn−1, a lost chunk rebuilt in its member if that lost ≤ pl,
+// the network parity members touched only for a lost data member, and one
+// copy into a buffer of the caller's own. State and meters are unchanged.
 func (c *Cluster) Read(name string) ([]byte, error) {
 	obj, ok := c.objects[name]
 	if !ok {
 		return nil, fmt.Errorf("cluster: no object %q", name)
 	}
-	out := make([]byte, 0, obj.size)
+	p := c.cfg.Params
+	views := make([][]byte, 0, len(obj.stripes)*p.KN*p.KL)
 	for ns, meta := range obj.stripes {
-		payloads, err := c.recoverNetStripe(obj.name, ns, meta, false)
+		members, err := c.gather(obj.name, ns, meta, -1, allChunks(p.KL), false)
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < c.cfg.Params.KN; i++ {
-			out = append(out, payloads[i]...)
+		if err := c.decodeColumns(members, p.KN); err != nil {
+			return nil, err
+		}
+		for _, m := range members[:p.KN] {
+			views = append(views, m...)
 		}
 	}
-	return out[:obj.size], nil
+	return bytes.Join(views, nil)[:obj.size], nil
 }
 
-// recoverNetStripe returns all kn+pn payloads of a network stripe,
-// reconstructing as needed. If meter is false, traffic counters are left
-// untouched (reads for user I/O are not repair traffic).
-func (c *Cluster) recoverNetStripe(name string, ns int, meta netStripeMeta, meter bool) ([][]byte, error) {
-	savedCR, savedCW, savedLR, savedLW := c.CrossRackRead, c.CrossRackWritten, c.LocalRead, c.LocalWritten
-	p := c.cfg.Params
-	shards := make([][]byte, p.NetworkWidth())
-	for li := range meta.locals {
-		payload, err := c.recoverLocalPayload(name, ns, li, meta.locals[li])
-		if err == nil {
-			shards[li] = payload
+// gather returns, indexed by member, views of the chunks cis of the
+// first kn members of a network stripe, taken in member order with skip
+// passed over, that are recoverable; every other member gets nil entries.
+// It returns ErrDataLoss when fewer than kn are recoverable. With meter,
+// every member tried meters its reads (memberViews) and every member
+// taken ships its len(cis) chunks across racks.
+func (c *Cluster) gather(name string, ns int, meta netStripeMeta, skip int, cis []int, meter bool) ([][][]byte, error) {
+	members := make([][][]byte, c.cfg.Params.NetworkWidth())
+	have := 0
+	for li := range members {
+		if have < c.cfg.Params.KN && li != skip {
+			members[li] = c.memberViews(name, ns, li, meta.locals[li], cis, meter)
+		}
+		if members[li] == nil {
+			members[li] = make([][]byte, len(cis))
+			continue
+		}
+		have++
+		if meter {
+			c.CrossRackRead += float64(len(cis) * c.cfg.ChunkBytes) // shipped to the coordinator
 		}
 	}
-	if !meter {
-		c.CrossRackRead, c.CrossRackWritten, c.LocalRead, c.LocalWritten = savedCR, savedCW, savedLR, savedLW
-	}
-	if err := c.netC.Reconstruct(shards); err != nil {
+	if have < c.cfg.Params.KN {
 		return nil, ErrDataLoss
 	}
-	return shards, nil
+	return members, nil
 }
 
-// recoverLocalPayload assembles one local stripe's data payload, using
-// local parity reconstruction if ≤ pl chunks are lost. Traffic is
-// metered relative to the stripe's own rack.
-func (c *Cluster) recoverLocalPayload(name string, ns, li int, lm localStripeMeta) ([]byte, error) {
-	p := c.cfg.Params
-	rack := c.layout.RackOfPool(lm.pool)
-	chunks := make([][]byte, p.LocalWidth())
-	missing := 0
+// memberViews returns views of the data chunks cis of one member local
+// stripe, or nil when it lost more than pl chunks. A missing chunk is
+// rebuilt inside the member into a buffer of its own and never stored.
+// With meter it meters what a repair reads in the member's rack: the
+// chunks cis when all are there, else every surviving chunk.
+func (c *Cluster) memberViews(name string, ns, li int, lm localStripeMeta, cis []int, meter bool) [][]byte {
+	rack := unmetered
+	if meter {
+		rack = c.layout.RackOfPool(lm.pool)
+	}
+	views, whole := make([][]byte, len(cis)), true
+	for i := 0; i < len(cis) && whole; i++ {
+		views[i], whole = c.readChunkPeek(chunkKey{name, ns, li, cis[i]}, lm.disks[cis[i]])
+	}
+	if whole {
+		for i := 0; meter && i < len(cis); i++ {
+			c.readChunk(chunkKey{name, ns, li, cis[i]}, lm.disks[cis[i]], rack) // meters the read
+		}
+		return views
+	}
+	chunks := make([][]byte, c.cfg.Params.LocalWidth())
 	for ci, d := range lm.disks {
-		if b, ok := c.readChunk(chunkKey{name, ns, li, ci}, d, rack); ok {
-			chunks[ci] = b
-		} else {
-			missing++
+		chunks[ci], _ = c.readChunk(chunkKey{name, ns, li, ci}, d, rack)
+	}
+	if c.locC.ReconstructData(chunks) != nil { // the local code is MDS: more than pl lost
+		return nil
+	}
+	for i, ci := range cis {
+		views[i] = chunks[ci]
+	}
+	return views
+}
+
+// decodeColumns fills in the views of members below upto, one chunk
+// column at a time: column i is the i-th view of every member, nil where
+// the member was not gathered. A network stripe's shard is the
+// concatenation of one local stripe's data chunks and the code works on
+// each byte position alone, so decoding the columns gives the bytes that
+// decoding whole payloads would. A rebuilt chunk is a new buffer.
+func (c *Cluster) decodeColumns(members [][][]byte, upto int) error {
+	decode := c.netC.ReconstructData
+	if upto > c.cfg.Params.KN {
+		decode = c.netC.Reconstruct // a network parity member is wanted
+	}
+	col := make([][]byte, len(members))
+	for i := range members[0] {
+		for li, m := range members {
+			col[li] = m[i]
+		}
+		if err := decode(col); err != nil {
+			return ErrDataLoss
+		}
+		for li := range upto {
+			members[li][i] = col[li]
 		}
 	}
-	if missing > p.PL {
-		return nil, ErrDataLoss
-	}
-	if missing > 0 {
-		if err := c.locC.ReconstructData(chunks); err != nil {
-			return nil, ErrDataLoss
-		}
-	}
-	payload := make([]byte, 0, p.KL*c.cfg.ChunkBytes)
-	for i := 0; i < p.KL; i++ {
-		payload = append(payload, chunks[i]...)
-	}
-	return payload, nil
+	return nil
 }
 
 // VerifyAll re-reads every object and checks it against nothing being

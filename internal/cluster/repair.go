@@ -232,14 +232,14 @@ func (c *Cluster) repairMinimum(ds []damage) error {
 }
 
 // rebuildStripeViaNetwork reconstructs the given chunk indices of one
-// local stripe using network-level parity: for each data-chunk range it
-// reads the aligned range from kn other members (shipping those bytes
-// across racks), decodes, and writes the chunk into the stripe's rack
-// (one cross-rack write per rebuilt byte). Lost parity chunks are then
-// re-encoded inside the rack from the (now complete) data chunks.
+// local stripe using network-level parity: for each lost data chunk it
+// reads the same chunk column of kn other members (shipping those bytes
+// across racks), decodes the column, and stores the rebuilt chunk in the
+// stripe's rack (one cross-rack write per rebuilt byte). Lost parity
+// chunks are then re-encoded inside the rack from the (now complete)
+// data chunks.
 func (c *Cluster) rebuildStripeViaNetwork(ref stripeRef, lm localStripeMeta, chunkIdxs []int) error {
 	p := c.cfg.Params
-	meta := &ref.obj.stripes[ref.ns]
 	var dataIdxs, parityIdxs []int
 	for _, ci := range chunkIdxs {
 		if ci < p.KL {
@@ -249,32 +249,15 @@ func (c *Cluster) rebuildStripeViaNetwork(ref stripeRef, lm localStripeMeta, chu
 		}
 	}
 	if len(dataIdxs) > 0 {
-		// Gather the aligned ranges of kn surviving members' payloads.
-		shards := make([][]byte, p.NetworkWidth())
-		have := 0
-		for li := 0; li < p.NetworkWidth() && have < p.KN; li++ {
-			if li == ref.li {
-				continue
-			}
-			rng, err := c.memberRanges(ref.obj, ref.ns, li, meta.locals[li], dataIdxs)
-			if err != nil {
-				continue // member itself unrecoverable right now
-			}
-			c.CrossRackRead += float64(len(rng)) // shipped to the coordinator
-			shards[li] = rng
-			have++
+		members, err := c.gather(ref.obj.name, ref.ns, ref.obj.stripes[ref.ns], ref.li, dataIdxs, true)
+		if err != nil {
+			return err
 		}
-		if have < p.KN {
-			return ErrDataLoss
+		if err := c.decodeColumns(members, ref.li+1); err != nil {
+			return err
 		}
-		if err := c.netC.Reconstruct(shards); err != nil {
-			return ErrDataLoss
-		}
-		// shards[ref.li] now holds the concatenated rebuilt ranges.
-		rebuilt := shards[ref.li]
 		for i, ci := range dataIdxs {
-			chunk := rebuilt[i*c.cfg.ChunkBytes : (i+1)*c.cfg.ChunkBytes]
-			c.writeRebuiltChunk(chunkKey{ref.obj.name, ref.ns, ref.li, ci}, lm, ci, -1, chunk)
+			c.writeRebuiltChunk(chunkKey{ref.obj.name, ref.ns, ref.li, ci}, lm, ci, -1, members[ref.li][i])
 		}
 	}
 	if len(parityIdxs) > 0 {
@@ -283,36 +266,6 @@ func (c *Cluster) rebuildStripeViaNetwork(ref stripeRef, lm localStripeMeta, chu
 		}
 	}
 	return nil
-}
-
-// memberRanges extracts the concatenated data ranges (per chunkIdxs) of
-// one member local stripe, reconstructing locally inside the member's
-// rack when needed.
-func (c *Cluster) memberRanges(obj *object, ns, li int, lm localStripeMeta, chunkIdxs []int) ([]byte, error) {
-	rack := c.layout.RackOfPool(lm.pool)
-	out := make([]byte, 0, len(chunkIdxs)*c.cfg.ChunkBytes)
-	var missing []int
-	for _, ci := range chunkIdxs {
-		if _, ok := c.readChunkPeek(chunkKey{obj.name, ns, li, ci}, lm.disks[ci]); !ok {
-			missing = append(missing, ci)
-		}
-	}
-	if len(missing) == 0 {
-		for _, ci := range chunkIdxs {
-			b, _ := c.readChunk(chunkKey{obj.name, ns, li, ci}, lm.disks[ci], rack)
-			out = append(out, b...)
-		}
-		return out, nil
-	}
-	// Reconstruct the member's payload locally (degraded member).
-	payload, err := c.recoverLocalPayload(obj.name, ns, li, lm)
-	if err != nil {
-		return nil, err
-	}
-	for _, ci := range chunkIdxs {
-		out = append(out, payload[ci*c.cfg.ChunkBytes:(ci+1)*c.cfg.ChunkBytes]...)
-	}
-	return out, nil
 }
 
 // readChunkPeek checks chunk presence without metering.

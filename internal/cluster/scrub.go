@@ -22,14 +22,17 @@ func (r ScrubReport) Clean() bool {
 // Scrub re-verifies every fully-present local stripe against its local
 // parities and every fully-present network stripe against its network
 // parities — the background consistency check a production system runs
-// continuously. It never modifies state and meters no repair traffic.
+// continuously. Both checks run on views of the stored chunks, the
+// network one a chunk column at a time (see decodeColumns); a network
+// stripe with any bad column counts once. It never modifies state and
+// meters no repair traffic.
 func (c *Cluster) Scrub() (ScrubReport, error) {
 	var rep ScrubReport
 	p := c.cfg.Params
+	members, col := make([][][]byte, p.NetworkWidth()), make([][]byte, p.NetworkWidth())
 	for _, obj := range c.sortedObjects() {
 		for ns := range obj.stripes {
 			meta := &obj.stripes[ns]
-			netShards := make([][]byte, p.NetworkWidth())
 			netComplete := true
 			for li := range meta.locals {
 				lm := meta.locals[li]
@@ -56,22 +59,24 @@ func (c *Cluster) Scrub() (ScrubReport, error) {
 				if !ok {
 					rep.LocalParityMismatches++
 				}
-				payload := make([]byte, 0, p.KL*c.cfg.ChunkBytes)
-				for i := 0; i < p.KL; i++ {
-					payload = append(payload, chunks[i]...)
-				}
-				netShards[li] = payload
+				members[li] = chunks[:p.KL]
 			}
 			if !netComplete {
 				continue
 			}
 			rep.NetworkStripesChecked++
-			ok, err := c.netC.Verify(netShards)
-			if err != nil {
-				return rep, fmt.Errorf("cluster: scrub %s/%d net: %w", obj.name, ns, err)
-			}
-			if !ok {
-				rep.NetworkMismatches++
+			for ci := range p.KL {
+				for li, m := range members {
+					col[li] = m[ci]
+				}
+				ok, err := c.netC.Verify(col)
+				if err != nil {
+					return rep, fmt.Errorf("cluster: scrub %s/%d net: %w", obj.name, ns, err)
+				}
+				if !ok {
+					rep.NetworkMismatches++
+					break
+				}
 			}
 		}
 	}
@@ -85,11 +90,11 @@ func (c *Cluster) CorruptChunk(objName string, netStripe, localIdx, chunkIdx int
 	if !ok {
 		return fmt.Errorf("cluster: no object %q", objName)
 	}
-	if netStripe >= len(obj.stripes) || localIdx >= len(obj.stripes[netStripe].locals) {
+	if netStripe < 0 || netStripe >= len(obj.stripes) || localIdx < 0 || localIdx >= len(obj.stripes[netStripe].locals) {
 		return fmt.Errorf("cluster: stripe out of range")
 	}
 	lm := obj.stripes[netStripe].locals[localIdx]
-	if chunkIdx >= len(lm.disks) {
+	if chunkIdx < 0 || chunkIdx >= len(lm.disks) {
 		return fmt.Errorf("cluster: chunk out of range")
 	}
 	key := chunkKey{objName, netStripe, localIdx, chunkIdx}

@@ -92,7 +92,51 @@ func TestCorruptChunkValidation(t *testing.T) {
 	if err := c.Write("obj", randomData(64, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CorruptChunk("obj", 9, 0, 0); err == nil {
-		t.Error("out-of-range stripe accepted")
+	for _, idx := range [][3]int{{9, 0, 0}, {0, 9, 0}, {0, 0, 9}, {-1, 0, 0}, {0, -1, 0}, {0, 0, -1}} {
+		if err := c.CorruptChunk("obj", idx[0], idx[1], idx[2]); err == nil {
+			t.Errorf("CorruptChunk(stripe %d, member %d, chunk %d) accepted", idx[0], idx[1], idx[2])
+		}
+	}
+}
+
+// The network check runs one chunk column at a time; these pin its
+// edges. Member kn is the first network parity member, and CorruptChunk
+// flips a chunk's first byte, which lies in that chunk's own column.
+func TestScrubFindsLastColumnOfParityMember(t *testing.T) {
+	c, _ := New(smallConfig(placement.SchemeDD))
+	if err := c.Write("obj", randomData(c.NetStripeDataBytes(), 6)); err != nil {
+		t.Fatal(err)
+	}
+	p := c.cfg.Params
+	if err := c.CorruptChunk("obj", 0, p.KN, p.KL-1); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.LocalParityMismatches != 1 || rep.NetworkMismatches != 1 {
+		t.Errorf("report %+v, want one local and one network mismatch", rep)
+	}
+}
+
+func TestScrubCountsANetworkStripeOnce(t *testing.T) {
+	c, _ := New(smallConfig(placement.SchemeCD))
+	if err := c.Write("obj", randomData(2*c.NetStripeDataBytes(), 7)); err != nil {
+		t.Fatal(err)
+	}
+	// Columns 0 and kl−1 of network stripe 0, in two different members.
+	if err := c.CorruptChunk("obj", 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CorruptChunk("obj", 0, 1, c.cfg.Params.KL-1); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.NetworkStripesChecked != 2 || rep.NetworkMismatches != 1 || rep.LocalParityMismatches != 2 {
+		t.Errorf("report %+v, want 2 network stripes checked, 1 network and 2 local mismatches", rep)
 	}
 }

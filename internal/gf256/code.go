@@ -3,6 +3,7 @@ package gf256
 import (
 	"bytes"
 	"fmt"
+	"sync"
 )
 
 // Code is a systematic linear erasure code over GF(2^8): a stripe is k
@@ -19,6 +20,26 @@ type Code struct {
 	// length, errRank for an erasure pattern the surviving shards do not
 	// determine.
 	errSize, errRank error
+}
+
+// scratches pools one Verify or Reconstruct call's working memory across
+// codes, each scratch grown to the shapes it meets: once warm, Verify
+// allocates nothing and Reconstruct only the shards it rebuilds.
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+type scratch struct {
+	idx                  []int    // decodeRows: lost data shards, then surviving parity shards
+	mat, coef, parity    []byte   // decodeRows' elimination matrix and decode rows; Verify's parity
+	dec, present, header [][]byte // decode-row headers, Reconstruct's survivors, rebuild's rows and outputs
+}
+
+// resize returns *buf at length n, holding what the last call left.
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // NewCode returns the code with k data shards and parity generator gen
@@ -92,17 +113,18 @@ func (c *Code) Encode(shards [][]byte) error {
 }
 
 // Verify reports whether the parity shards are consistent with the data
-// shards. Parities are recomputed one at a time, so the scratch is one
-// shard however many there are.
+// shards. Parities are recomputed one at a time into one pooled shard.
 func (c *Code) Verify(shards [][]byte) (bool, error) {
 	size, err := c.ShardSize(shards, true)
 	if err != nil {
 		return false, err
 	}
-	scratch := [][]byte{make([]byte, size)}
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
+	out := [][]byte{resize(&s.parity, size)}
 	for i, want := range shards[c.k:] {
-		Apply(c.gen[i:i+1], shards[:c.k], scratch)
-		if !bytes.Equal(scratch[0], want) {
+		Apply(c.gen[i:i+1], shards[:c.k], out)
+		if !bytes.Equal(out[0], want) {
 			return false, nil
 		}
 	}
@@ -124,35 +146,37 @@ func (c *Code) Reconstruct(shards [][]byte, dataOnly bool) error {
 	if err != nil {
 		return err
 	}
+	s := scratches.Get().(*scratch)
+	defer func() { clear(s.present); clear(s.header[:cap(s.header)]); scratches.Put(s) }() // keep no caller's shard
 	data, parity := shards[:c.k], shards[c.k:]
-	dec, err := c.decodeRows(shards)
+	dec, err := c.decodeRows(s, shards)
 	if err != nil {
 		return err
 	}
 	if dec != nil {
-		present := make([][]byte, 0, len(shards))
-		for _, s := range shards {
-			if s != nil {
-				present = append(present, s)
+		s.present = s.present[:0]
+		for _, sh := range shards {
+			if sh != nil {
+				s.present = append(s.present, sh)
 			}
 		}
-		rebuild(data, dec, present, size)
+		s.rebuild(data, dec, s.present, size)
 	}
 	if !dataOnly {
-		rebuild(parity, c.gen, data, size)
+		s.rebuild(parity, c.gen, data, size)
 	}
 	return nil
 }
 
 // rebuild replaces every nil entry of dst by a new shard of size bytes:
 // entry i becomes rows[i] × in.
-func rebuild(dst, rows, in [][]byte, size int) {
+func (s *scratch) rebuild(dst, rows, in [][]byte, size int) {
 	n := countNil(dst)
-	hdr := make([][]byte, 2*n)
+	hdr := resize(&s.header, 2*n)
 	sel, out := hdr[:n], hdr[n:]
 	n = 0
-	for i, s := range dst {
-		if s == nil {
+	for i, sh := range dst {
+		if sh == nil {
 			dst[i] = make([]byte, size)
 			sel[n], out[n] = rows[i], dst[i]
 			n++
@@ -185,46 +209,45 @@ func countNil(shards [][]byte) (n int) {
 // its row then has ones on the group and zeros elsewhere, and Apply runs
 // it as the XOR a local repair is. For an MDS generator every square
 // block of A is regular and the first u survivors are the pivots.
-func (c *Code) decodeRows(shards [][]byte) ([][]byte, error) {
-	data, parity := shards[:c.k], shards[c.k:]
+func (c *Code) decodeRows(s *scratch, shards [][]byte) ([][]byte, error) {
+	data := shards[:c.k]
 	u := countNil(data)
 	if u == 0 {
 		return nil, nil
 	}
-	idx := make([]int, 0, len(shards))
-	for j, s := range data {
-		if s == nil {
-			idx = append(idx, j)
-		}
-	}
-	for i, s := range parity {
-		if s != nil {
+	idx := s.idx[:0]
+	for i, sh := range shards {
+		if (sh == nil) == (i < c.k) { // a lost data shard or a surviving parity
 			idx = append(idx, i)
 		}
 	}
-	lost, alive := idx[:u], idx[u:] // data columns to solve for, parity rows to solve with
+	s.idx = idx
+	lost, alive := idx[:u], idx[u:] // data shards to solve for, parity shards to solve with
 	if len(alive) < u {
 		return nil, c.errRank
 	}
-	m := NewMatrix(len(alive), u+len(alive))
+	m := Matrix{Rows: len(alive), Cols: u + len(alive)}
+	m.Data = resize(&s.mat, m.Rows*m.Cols)
+	clear(m.Data)
 	for r, i := range alive {
 		for col, j := range lost {
-			m.Set(r, col, c.gen[i][j])
+			m.Set(r, col, c.gen[i-c.k][j])
 		}
 		m.Set(r, u+r, 1)
 	}
 	if !m.reduce(u) {
 		return nil, c.errRank
 	}
-	dec := make([][]byte, c.k)
+	dec := resize(&s.dec, c.k)
 	width := c.k + len(alive)
-	coef := make([]byte, u*width)
+	coef := resize(&s.coef, u*width)
+	clear(coef)
 	for r, j := range lost {
 		// The row is computed over all k data shards, then the present
 		// ones close ranks and the parity weights follow them.
 		row, weights := coef[r*width:(r+1)*width], m.Row(r)[u:]
 		for w, i := range alive {
-			mulAdd(weights[w], c.gen[i], row[:c.k])
+			mulAdd(weights[w], c.gen[i-c.k], row[:c.k])
 		}
 		n := 0
 		for d, s := range data {

@@ -285,7 +285,9 @@ func TestDualLengthMismatchPanics(t *testing.T) {
 
 // TestKernelsDoNotAllocate holds the //mlec:hot claim of zero allocations
 // per call: Apply at 1, 2, 3 and 12 rows, Code.Encode and XorSlice, on
-// shards long enough for a vector body and a Go tail.
+// shards long enough for a vector body and a Go tail. It also holds the
+// pooled scratch to its promise: once warm, Code.Verify allocates nothing
+// and Code.Reconstruct exactly the shards it rebuilds.
 func TestKernelsDoNotAllocate(t *testing.T) { OnKernels(t, kernelsDoNotAllocate) }
 
 func kernelsDoNotAllocate(t *testing.T) {
@@ -313,4 +315,58 @@ func kernelsDoNotAllocate(t *testing.T) {
 		}
 	})
 	noAllocs("XorSlice", func() { XorSlice(in[0], in[1]) })
+	noAllocs("Code.Verify", func() {
+		if ok, err := code.Verify(stripe); !ok || err != nil {
+			t.Fatalf("Verify = %v, %v on an encoded stripe", ok, err)
+		}
+	})
+
+	// lrc (14,2,4): two XOR group rows, then four Reed–Solomon rows.
+	lrcGen := make([][]byte, 2)
+	for g := range lrcGen {
+		lrcGen[g] = make([]byte, 14)
+		for j := 7 * g; j < 7*g+7; j++ {
+			lrcGen[g][j] = 1
+		}
+	}
+	global, err := ParityRows(14, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lrcCode, lrcStripe := NewCode("lrc", 14, append(lrcGen, global...), nil, nil), randomShards(rng, 20, n)
+	if err := lrcCode.Encode(lrcStripe); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		code   *Code
+		stripe [][]byte
+		lost   []int
+	}{
+		{"rs 10+4, one data", code, stripe, []int{1}},
+		{"rs 10+4, data and parity", code, stripe, []int{1, 11}},
+		{"rs 10+4, three", code, stripe, []int{1, 5, 12}},
+		{"rs 10+4, four", code, stripe, []int{0, 3, 7, 13}},
+		{"lrc 14,2,4, local", lrcCode, lrcStripe, []int{2}},
+		{"lrc 14,2,4, local and global", lrcCode, lrcStripe, []int{2, 17}},
+	} {
+		shards := make([][]byte, len(tc.stripe))
+		allocs := testing.AllocsPerRun(20, func() {
+			copy(shards, tc.stripe)
+			for _, i := range tc.lost {
+				shards[i] = nil
+			}
+			if err := tc.code.Reconstruct(shards, false); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		})
+		if allocs != float64(len(tc.lost)) {
+			t.Errorf("Code.Reconstruct, %s: %v allocations per call, want %d (the rebuilt shards)", tc.name, allocs, len(tc.lost))
+		}
+		for _, i := range tc.lost {
+			if !bytes.Equal(shards[i], tc.stripe[i]) {
+				t.Errorf("Code.Reconstruct, %s: shard %d rebuilt wrong", tc.name, i)
+			}
+		}
+	}
 }
