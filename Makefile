@@ -23,9 +23,9 @@ vet:
 ## lint: the repository's own static-analysis suite (see internal/lint).
 ## The committed baseline ratchets per-analyzer finding counts (they may
 ## fall, never rise) and the timeout is the CI budget: a run that cannot
-## finish in 60s is itself a regression and exits 2. hotbce and hotinline
-## read the compiler's own verdicts: the first run compiles the hot
-## packages with -d=ssa/check_bce -m=2, later runs replay the
+## finish in 60s is itself a regression and exits 2. hotalloc, hotbce
+## and hotinline read the compiler's own verdicts: the first run compiles
+## the hot packages with -d=ssa/check_bce -m=2, later runs replay the
 ## diagnostics from the build cache.
 lint:
 	$(GO) run ./cmd/mlecvet -baseline lint/baseline.json -timeout 60s ./...

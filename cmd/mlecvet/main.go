@@ -14,10 +14,11 @@
 // rooted at the module. The exit status is 0 when the tree is clean, 1
 // when any analyzer reports a finding, 2 on usage or load errors.
 //
-// hotbce and hotinline take their verdicts from the compiler: when
-// either runs, mlecvet first builds the packages holding //mlec:hot code
-// with -gcflags='-d=ssa/check_bce -m=2' against the normal build cache
-// (a first run compiles them; later runs replay the cached diagnostics)
+// hotalloc, hotbce and hotinline take their verdicts from the compiler:
+// when any of them runs, mlecvet first builds the packages holding hot
+// code (//mlec:hot, or hot by propagation) with
+// -gcflags='-d=ssa/check_bce -m=2' against the normal build cache (a
+// first run compiles them; later runs replay the cached diagnostics)
 // and a failed build exits 2.
 //
 // With -baseline, the exit status ratchets instead: the run fails only

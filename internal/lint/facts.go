@@ -44,20 +44,14 @@ type Facts struct {
 	hot     map[*types.Func]bool
 	cold    map[*types.Func]bool
 	hotVia  map[*types.Func]*types.Func
-	// allocates holds the per-function allocation summaries: whether a
-	// steady-state heap allocation is reachable through the function's
-	// own body or a direct callee (see escape.go), and siteCache the
-	// memoized escape-engine classification behind them.
-	allocates map[*types.Func]bool
-	siteCache map[*types.Func][]AllocSite
 
 	summaries map[*types.Func]*funcSummary
 	domains   map[*types.Func]*domainSummary
 	mayFail   map[*types.Func]bool
 
-	// compiled holds the compiler's bounds-check and inliner verdicts
-	// for the hot packages (see oracle.go); Run fills it when hotbce or
-	// hotinline is selected.
+	// compiled holds the compiler's heap, bounds-check and inliner
+	// verdicts for the hot packages (see oracle.go); Run fills it when
+	// hotalloc, hotbce or hotinline is selected.
 	compiled *compiled
 
 	// sccCount and maxSCCIters are recorded for tests and the
@@ -110,7 +104,6 @@ func NewFacts(pkgs []*Package) *Facts {
 		units:     make(unitIndex),
 		hotIdx:    make(posIndex),
 		coldIdx:   make(posIndex),
-		allocates: make(map[*types.Func]bool),
 		summaries: make(map[*types.Func]*funcSummary),
 		domains:   make(map[*types.Func]*domainSummary),
 		mayFail:   make(map[*types.Func]bool),
@@ -155,7 +148,6 @@ func NewFacts(pkgs []*Package) *Facts {
 	g := buildCallGraph(f.decls)
 	f.computeAll(g)
 	f.computeHot(g)
-	f.computeAllocates(g)
 	return f
 }
 

@@ -9,7 +9,8 @@ import (
 )
 
 // This file implements the hotness half of the hot-path analysis
-// family (the allocation classification half lives in escape.go).
+// family (the analyzers that read it are hotalloc.go, hotbce.go and
+// hotinline.go).
 //
 // # Directive grammar
 //

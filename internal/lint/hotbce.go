@@ -36,32 +36,37 @@ func (p *Pass) funcDirectHot(fd *ast.FuncDecl) bool {
 	return p.Facts.hotIdx.at(p.Fset.Position(fd.Pos())) && !p.FuncCold(fd)
 }
 
-// inStmts reports whether n lies within one of the statements.
-func inStmts(n ast.Node, stmts []ast.Stmt) bool {
+// inStmts reports whether p lies within one of the statements.
+func inStmts(p token.Pos, stmts []ast.Stmt) bool {
 	for _, s := range stmts {
-		if n.Pos() >= s.Pos() && n.End() <= s.End() {
+		if p >= s.Pos() && p < s.End() {
 			return true
 		}
 	}
 	return false
 }
 
-// eachDirectHot calls fn for every declaration in the scope hotbce and
-// hotinline sweep (and the compiler build covers): a function that
-// carries //mlec:hot itself, whole, or the //mlec:hot region statements
-// of any other non-cold function. inScope reports whether a node of fd
-// lies in that scope.
-func eachDirectHot(pass *Pass, fn func(fd *ast.FuncDecl, inScope func(ast.Node) bool)) {
+// eachHotScope calls fn for every non-cold declaration of the pass that
+// holds hot scope, with a test for whether a position of fd lies in
+// it: all of fd when fd is hot — by its own //mlec:hot when direct, by
+// annotation or propagation otherwise — and else its //mlec:hot region
+// statements. hotbce and hotinline sweep the direct scope, hotalloc
+// the whole.
+func eachHotScope(pass *Pass, direct bool, fn func(fd *ast.FuncDecl, inScope func(token.Pos) bool)) {
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || pass.FuncCold(fd) {
 				continue
 			}
-			if pass.funcDirectHot(fd) {
-				fn(fd, func(ast.Node) bool { return true })
+			hot := pass.FuncHot(fd)
+			if direct {
+				hot = pass.funcDirectHot(fd)
+			}
+			if hot {
+				fn(fd, func(token.Pos) bool { return true })
 			} else if regions := pass.HotRegions(fd); len(regions) > 0 {
-				fn(fd, func(n ast.Node) bool { return inStmts(n, regions) })
+				fn(fd, func(p token.Pos) bool { return inStmts(p, regions) })
 			}
 		}
 	}
@@ -95,13 +100,13 @@ func loopNodes(body *ast.BlockStmt) []ast.Node {
 }
 
 func runHotBCE(pass *Pass) error {
-	eachDirectHot(pass, func(fd *ast.FuncDecl, inScope func(ast.Node) bool) {
+	eachHotScope(pass, true, func(fd *ast.FuncDecl, inScope func(token.Pos) bool) {
 		checks := pass.keptChecks(fd.Body)
 		if len(checks) == 0 {
 			return
 		}
 		for _, n := range loopNodes(fd.Body) {
-			if !inScope(n) {
+			if !inScope(n.Pos()) {
 				continue
 			}
 			for _, p := range checks {
@@ -121,17 +126,24 @@ func runHotBCE(pass *Pass) error {
 // keptChecks returns the positions in body where the compiler kept a
 // bounds check.
 func (p *Pass) keptChecks(body *ast.BlockStmt) []token.Pos {
-	tf := p.Fset.File(body.Pos())
 	var out []token.Pos
-	for _, c := range p.Facts.compiled.found[tf.Name()] {
-		if c.line < 1 || c.line > tf.LineCount() {
-			continue
-		}
-		if pos := tf.LineStart(c.line) + token.Pos(c.col-1); pos >= body.Pos() && pos < body.End() {
+	for _, c := range p.Facts.compiled.found[p.Fset.File(body.Pos()).Name()] {
+		if pos, ok := p.compilerPos(body, c); ok {
 			out = append(out, pos)
 		}
 	}
 	return out
+}
+
+// compilerPos converts a compiler-reported position in the file that
+// holds n to a token.Pos, and reports whether it lies within n.
+func (p *Pass) compilerPos(n ast.Node, c srcPos) (token.Pos, bool) {
+	tf := p.Fset.File(n.Pos())
+	if c.line < 1 || c.line > tf.LineCount() {
+		return token.NoPos, false
+	}
+	pos := tf.LineStart(c.line) + token.Pos(c.col-1)
+	return pos, pos >= n.Pos() && pos < n.End()
 }
 
 // checkSite describes the bounds check the compiler kept at p inside n,

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -24,13 +25,10 @@ import (
 //     or panic): they run at most once per loop, not per iteration.
 //   - //mlec:cold callees: the annotation is the reviewed claim that
 //     the call is off the steady-state path (amortized poll points).
-//   - Interface-method calls: hotalloc owns dynamic dispatch.
+//   - Interface-method calls and calls through a function value:
+//     hotalloc owns dynamic dispatch.
 //   - Out-of-module callees: the stdlib's hot-path helpers (encoding/
 //     binary, atomics) are intrinsified or inlined already.
-//
-// Indirect calls through a function value are flagged from the source:
-// they cannot be inlined at all, which on a hot loop deserves the same
-// scrutiny.
 var HotInline = &Analyzer{
 	Name: "hotinline",
 	Doc:  "flag hot-loop calls the inliner refuses for a reason other than size",
@@ -39,18 +37,12 @@ var HotInline = &Analyzer{
 
 func runHotInline(pass *Pass) error {
 	c := pass.Facts.compiled
-	eachDirectHot(pass, func(fd *ast.FuncDecl, inScope func(ast.Node) bool) {
-		for _, call := range loopCallExprs(fd) {
-			if !inScope(call) {
+	eachHotScope(pass, true, func(fd *ast.FuncDecl, inScope func(token.Pos) bool) {
+		for _, call := range loopCalls(loopNodes(fd.Body), pass.steadyState(fd.Body)) {
+			if !inScope(call.Pos()) {
 				continue
 			}
-			site, indirect := hotCallee(pass.Info, pass.Facts, call)
-			if indirect {
-				pass.Report(call.Pos(), "%s calls %s through a function value in a hot loop; an indirect call "+
-					"cannot be inlined — devirtualize it (call the function directly) or hoist the dispatch out of the loop",
-					fd.Name.Name, types.ExprString(call.Fun))
-				continue
-			}
+			site := hotCallee(pass.Info, pass.Facts, call)
 			if site == nil {
 				continue
 			}
@@ -70,30 +62,14 @@ func runHotInline(pass *Pass) error {
 	return nil
 }
 
-// loopCallExprs returns the CallExprs of fd that lie in loop blocks
-// and outside early-exit branches, in block order.
-func loopCallExprs(fd *ast.FuncDecl) []*ast.CallExpr {
-	// Calls in early-exit branches run at most once per loop, so they
-	// are not steady-state.
-	exits := earlyExits(fd.Body)
-	inExit := func(n ast.Node) bool {
-		for e := range exits {
-			if n.Pos() >= e.Pos() && n.End() <= e.End() {
-				return true
-			}
-		}
-		return false
-	}
+// loopCalls returns the calls inside a function's loop nodes (loopNodes)
+// that are steady-state work (steadyState), in block order.
+func loopCalls(loops []ast.Node, steady func(token.Pos) bool) []*ast.CallExpr {
 	var calls []*ast.CallExpr
-	for _, node := range loopNodes(fd.Body) {
+	for _, node := range loops {
 		ast.Inspect(node, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.CallExpr:
-				if !inExit(n) {
-					calls = append(calls, n)
-				}
+			if call, ok := n.(*ast.CallExpr); ok && steady(call.Pos()) {
+				calls = append(calls, call)
 			}
 			return true
 		})
@@ -101,33 +77,84 @@ func loopCallExprs(fd *ast.FuncDecl) []*ast.CallExpr {
 	return calls
 }
 
-// hotCallee resolves a hot-loop call to what hotinline asks the
-// compiler about: the in-module declaration it calls directly, or
-// indirect for a call through a function value. Conversions, builtins,
-// literals invoked in place, interface methods, out-of-module and
-// //mlec:cold callees resolve to neither.
-func hotCallee(info *types.Info, facts *Facts, call *ast.CallExpr) (site *declSite, indirect bool) {
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		return nil, false
+// steadyState returns a test for whether a position in body is
+// steady-state work of its function. Three extents are not: early-exit
+// branches — if/else blocks and case/comm clauses whose last statement
+// is a return or a panic, which run at most once per call or per loop;
+// function literal bodies, which run on their invoker's schedule; and
+// calls to //mlec:cold functions, the reviewed claim that the call is
+// off the steady-state path.
+func (p *Pass) steadyState(body *ast.BlockStmt) func(token.Pos) bool {
+	var off []ast.Node
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			off = append(off, n.Body)
+			return false
+		case *ast.IfStmt:
+			if terminates(n.Body.List) {
+				off = append(off, n.Body)
+			}
+			if els, ok := n.Else.(*ast.BlockStmt); ok && terminates(els.List) {
+				off = append(off, els)
+			}
+		case *ast.CaseClause:
+			if terminates(n.Body) {
+				off = append(off, n)
+			}
+		case *ast.CommClause:
+			if terminates(n.Body) {
+				off = append(off, n)
+			}
+		case *ast.CallExpr:
+			if fn := calleeFunc(p.Info, n); fn != nil && p.Facts.IsCold(fn) {
+				off = append(off, n)
+			}
+		}
+		return true
+	})
+	return func(pos token.Pos) bool {
+		for _, n := range off {
+			if pos >= n.Pos() && pos < n.End() {
+				return false
+			}
+		}
+		return true
 	}
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.FuncLit:
-		return nil, false
-	case *ast.Ident:
-		if _, ok := info.ObjectOf(fun).(*types.Builtin); ok {
-			return nil, false
+}
+
+// terminates reports whether a statement list ends in a return or a
+// call to panic — the early-exit shape that takes a block off the
+// steady state.
+func terminates(list []ast.Stmt) bool {
+	if len(list) == 0 {
+		return false
+	}
+	switch last := list[len(list)-1].(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.ExprStmt:
+		if call, ok := last.X.(*ast.CallExpr); ok {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
+				return true
+			}
 		}
 	}
+	return false
+}
+
+// hotCallee resolves a hot-loop call to what hotinline asks the
+// compiler about: the in-module declaration it calls directly. Calls
+// through a function value or an interface, conversions, builtins,
+// literals invoked in place, out-of-module and //mlec:cold callees
+// resolve to nil.
+func hotCallee(info *types.Info, facts *Facts, call *ast.CallExpr) *declSite {
 	callee := calleeFunc(info, call)
-	if callee == nil {
-		return nil, true
+	if callee == nil || facts.IsCold(callee) {
+		return nil
 	}
-	if sig := callee.Type().(*types.Signature); sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
-		return nil, false
+	if ds := facts.decls[callee]; ds != nil && ds.decl.Body != nil {
+		return ds
 	}
-	ds := facts.decls[callee]
-	if ds == nil || ds.decl.Body == nil || facts.IsCold(callee) {
-		return nil, false
-	}
-	return ds, false
+	return nil
 }

@@ -94,15 +94,15 @@ func (d Diagnostic) String() string {
 }
 
 // Run executes every analyzer over every package and returns the
-// combined findings sorted by file position. When hotbce or hotinline
-// is among the analyzers, Run first compiles the hot packages with
-// the compiler's diagnostics on (oracle.go); a failed build is an
+// combined findings sorted by file position. When hotalloc, hotbce or
+// hotinline is among the analyzers, Run first compiles the hot packages
+// with the compiler's diagnostics on (oracle.go); a failed build is an
 // error.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	facts := NewFacts(pkgs)
-	if slices.ContainsFunc(analyzers, func(a *Analyzer) bool { return a == HotBCE || a == HotInline }) {
-		c, err := compileHot(pkgs, facts)
+	if slices.ContainsFunc(analyzers, func(a *Analyzer) bool { return a == HotAlloc || a == HotBCE || a == HotInline }) {
+		c, err := compileHot(facts)
 		if err != nil {
 			return nil, err
 		}

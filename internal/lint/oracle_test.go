@@ -2,6 +2,7 @@ package lint
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -18,6 +19,16 @@ internal/obs/meter.go:31:6: cannot inline lockedBump: unhandled op DEFER
 internal/obs/meter.go:40:9: cannot inline lockedBump into Drain: repeated recursive cycle
 internal/obs/meter.go:20:19: inlining call to sync/atomic.(*Int64).Add
 internal/gf256/gf256.go:55:2: s escapes to heap
+internal/gf256/gf256.go:60:13: make([]byte, n) escapes to heap:
+internal/gf256/gf256.go:60:13:   flow: {heap} = &{storage for make([]byte, n)}:
+internal/gf256/gf256.go:60:13:     from make([]byte, n) (spill) at internal/gf256/gf256.go:60:13
+internal/gf256/gf256.go:60:13: make([]byte, n) escapes to heap
+internal/gf256/gf256.go:61:2: acc escapes to heap:
+internal/gf256/gf256.go:61:2: moved to heap: acc
+internal/gf256/gf256.go:61:2: acc escapes to heap
+internal/gf256/gf256.go:62:9: ... argument does not escape
+internal/gf256/gf256.go:66:3: header without a summary escapes to heap:
+internal/gf256/gf256.go:55:2: leaking param: s
 internal/gf256/gf256.go:98:30: Found IsInBounds
 not a diagnostic line
 /elsewhere/gf256.go:7:3: Found IsInBounds
@@ -73,14 +84,26 @@ func TestParseOracle(t *testing.T) {
 	if len(c.refused) != 2 {
 		t.Errorf("got %d refusals, want 2: %v", len(c.refused), c.refused)
 	}
+
+	// Both summary forms count, once per position; the flow headers
+	// (trailing colon) and the flows under them do not.
+	wantHeap := []heapSite{
+		{srcPos{gf, 55, 2}, "s", "escapes to heap"},
+		{srcPos{gf, 60, 13}, "make([]byte, n)", "escapes to heap"},
+		{srcPos{gf, 61, 2}, "acc", "moved to heap"},
+	}
+	if !slices.Equal(c.heap[gf], wantHeap) || len(c.heap) != 1 {
+		t.Errorf("heap sites = %v, want %v in gf256.go only", c.heap, wantHeap)
+	}
 }
 
 // TestCompilerBuildFailureIsAnError: a hot package the compiler cannot
 // build (go/types accepts a function declared without a body; gc does
-// not) makes Run fail instead of passing with no verdicts.
+// not) makes each compiler-reading analyzer's Run fail instead of
+// passing with no verdicts.
 func TestCompilerBuildFailureIsAnError(t *testing.T) {
 	pkg := loadFixture(t, newFixtureLoader(t), "hotbuildfail")
-	for _, a := range []*Analyzer{HotBCE, HotInline} {
+	for _, a := range []*Analyzer{HotAlloc, HotBCE, HotInline} {
 		diags, err := Run([]*Package{pkg}, []*Analyzer{a})
 		if err == nil || !strings.Contains(err.Error(), "missing function body") {
 			t.Errorf("%s: Run = %v, %v; want the compiler's error", a.Name, diags, err)

@@ -12,11 +12,10 @@ import (
 	"testing"
 )
 
-// engineTuples runs the three flow engines (taint, domain, escape) over
-// every declared function of pkgs and returns one sorted "engine pos
-// value" line per verdict: non-zero taint and non-none domain per
-// expression, the taint/domain/mayFail summary of each function, every
-// allocation site.
+// engineTuples runs the two flow engines (taint, domain) over every
+// declared function of pkgs and returns one sorted "engine pos value"
+// line per verdict: non-zero taint and non-none domain per expression,
+// the taint/domain/mayFail summary of each function.
 // Positions are relative to root so the lines compare across checkouts.
 func engineTuples(root string, pkgs []*Package) []string {
 	facts := NewFacts(pkgs)
@@ -83,9 +82,6 @@ func engineTuples(root string, pkgs []*Package) []string {
 					func(l *ast.FuncLit) func(ast.Expr) string { return taintOf(pass.FuncLitTaint(l).Of) })
 				exprs("domain", fd.Body, domOf(pass.FuncDomains(fd).Of),
 					func(l *ast.FuncLit) func(ast.Expr) string { return domOf(pass.FuncLitDomains(l).Of) })
-				for _, s := range pass.FuncAllocSites(fd) {
-					emit("alloc", s.Node.Pos(), "kind=%d %s loop=%v %s", s.kind, s.Class, s.InLoop, s.What)
-				}
 				fn := pass.declFunc(fd)
 				if fn == nil {
 					continue
@@ -121,37 +117,39 @@ func engineTuples(root string, pkgs []*Package) []string {
 // testdata/src: the first 16 hex digits of the SHA-256 of that
 // fixture's engineTuples lines. Recorded on the tree before the flow
 // engines moved onto the shared solver; an engine refactor must leave
-// every digest as it is. (The bounds engine's rows, and later the lock
-// engine's, left with their engines: the fixtures that had any were
-// re-digested from the tree before each deletion, without them.)
+// every digest as it is. (The bounds engine's rows, later the lock
+// engine's and then the escape engine's, left with their engines: the
+// fixtures that had any were re-digested from the tree before each
+// deletion, without them.)
 var pinnedVerdicts = map[string]string{
-	"barego":           "c5c9d5892e688cad",
+	"barego":           "fdabeed8434e8892",
 	"cancel":           "5b474a9cbd868b52",
-	"ctxpoll":          "e70767ab585b0e0b",
+	"ctxpoll":          "40fe6356babc73e4",
 	"directive":        "78423aff97c23193",
-	"errflow":          "5257a35fc65519bf",
+	"errflow":          "4486b4593d4764d2",
+	"escape":           "a5c760fc779e67cc",
 	"floateq":          "6b1043489493c439",
 	"globalrand":       "52e664af8629c205",
-	"goleak":           "b9451eee82eef8f8",
-	"hotalloc":         "e4c8c10f8f01b286",
+	"goleak":           "156ab61b59dd2423",
+	"hotalloc":         "b81090b56d3924b3",
 	"hotbce":           "254403c96fa4eb0d",
 	"hotbuildfail":     "850e2936ee2bb88a",
-	"hotdefer":         "d16955e50b459b95",
-	"hotdirective":     "a6b1827412b4371c",
-	"hotiface":         "1563835c82b57a42",
-	"hotinline":        "094a8d17dd128c70",
-	"hotprealloc":      "c251c417fa58b6dc",
+	"hotdefer":         "c1560aac44cd901a",
+	"hotdirective":     "8daffa4665183504",
+	"hotiface":         "c105a5e240f5272f",
+	"hotinline":        "98ad028df89d4ebf",
+	"hotprealloc":      "8283b09367129344",
 	"loadedge":         "0c410f0af59f1e81",
-	"maporder":         "9c0f8b6f0f299f8a",
-	"maporderdep":      "fe105df3a578b052",
+	"maporder":         "283b66aa6304d229",
+	"maporderdep":      "7328c946814629a3",
 	"nakedpanic":       "9b6d8355154e6c62",
 	"obsfake":          "6cc95e7cb7e5e40d",
 	"obspoll":          "2750a89ef75f8ba7",
 	"probmix":          "6417bee476da936b",
-	"sharedrng":        "498b7b15b3c7f61f",
+	"sharedrng":        "7880fb6ca1190fe8",
 	"unitdirective":    "5a4aad51ecd396e7",
-	"waitgroupcapture": "0e71f05b16d46aff",
-	"walltime":         "d8a4858a2e803c71",
+	"waitgroupcapture": "e6cefad46b4bdecd",
+	"walltime":         "3df949f20e692b29",
 	"walltimecli":      "cb74d8ad2f9205fc",
 }
 

@@ -1,27 +1,27 @@
-// Package hotalloc exercises the hotalloc analyzer: steady-state heap
-// allocations inside //mlec:hot functions and regions are findings;
-// cold-path, stack-plausible and //mlec:cold-shielded allocations are
-// not.
+// Package hotalloc exercises the hotalloc analyzer: the compiler's
+// heap allocations inside //mlec:hot functions and regions are
+// findings; cold-path, stack-allocated and //mlec:cold-shielded ones
+// are not.
 package hotalloc
 
 import "fmt"
 
 var sink []*int
 
-// Kernel is annotated hot; its escaping make and its fmt call are
-// steady-state allocations.
+// Kernel is annotated hot; its escaping make and the argument its fmt
+// call boxes are steady-state allocations.
 //
 //mlec:hot
 func Kernel(src []byte) []byte {
 	buf := make([]byte, len(src)) // want `heap-allocates make`
 	copy(buf, src)
-	tag := fmt.Sprintf("%d", len(src)) // want `heap-allocates fmt.Sprintf`
+	tag := fmt.Sprintf("%d", len(src)) // want `heap-allocates len\(src\) \(the compiler: escapes to heap`
 	_ = tag
 	return buf
 }
 
-// StackLocal allocates a scratch slice that never escapes: plausibly
-// stack-allocated, so not a finding.
+// StackLocal allocates a scratch slice that never escapes: the compiler
+// keeps it on the stack, so not a finding.
 //
 //mlec:hot
 func StackLocal() int {
@@ -53,7 +53,7 @@ func Driver(xs []int) int {
 }
 
 func helper(xs []int) map[int]bool {
-	seen := map[int]bool{} // want `heap-allocates map literal`
+	seen := map[int]bool{} // want `heap-allocates map\[int\]bool\{\}`
 	for _, x := range xs {
 		seen[x] = true
 	}
@@ -100,8 +100,8 @@ func SetupThenLoop(xs []int) int {
 //
 //mlec:hot
 func Closure(xs []int) func() int {
-	i := 0
-	next := func() int { // want `heap-allocates closure capturing locals`
+	i := 0               // want `heap-allocates i \(the compiler: moved to heap`
+	next := func() int { // want `heap-allocates func literal`
 		i++
 		return xs[i-1]
 	}
@@ -123,14 +123,14 @@ func (c *counter) inc() { c.n++ }
 //
 //mlec:hot
 func MethodValue(c *counter) func() {
-	return c.inc // want `heap-allocates bound method value`
+	return c.inc // want `heap-allocates c.inc`
 }
 
 // Stringify copies the byte slice into a string.
 //
 //mlec:hot
 func Stringify(b []byte) string {
-	return string(b) // want `heap-allocates string conversion`
+	return string(b) // want `heap-allocates string\(b\)`
 }
 
 func sum(xs ...int) int {
@@ -141,11 +141,11 @@ func sum(xs ...int) int {
 	return t
 }
 
-// Variadic boxes its arguments into an implicit slice.
+// Variadic's implicit slice never escapes sum: stack-allocated.
 //
 //mlec:hot
 func Variadic(a, b int) int {
-	return sum(a, b) // want `heap-allocates variadic argument slice`
+	return sum(a, b)
 }
 
 // Allowed carries a reviewed suppression: the directive swallows the

@@ -7,7 +7,7 @@ package hotiface
 //
 //mlec:hot
 func BoxInt(x int) any {
-	var v any = x // want `interface boxing of int`
+	var v any = x // want `heap-allocates x \(the compiler: escapes to heap`
 	return v
 }
 
@@ -23,11 +23,11 @@ type pair struct{ a, b int }
 
 func consume(v any) { _ = v }
 
-// PassArg boxes a struct into an interface-typed parameter.
+// PassArg's boxed struct never escapes consume: stack-allocated.
 //
 //mlec:hot
 func PassArg(s pair) {
-	consume(s) // want `interface boxing of`
+	consume(s)
 }
 
 // ColdBox boxes only on the early-exit path.

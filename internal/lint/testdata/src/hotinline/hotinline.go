@@ -97,7 +97,7 @@ func Driver(xs []int, counters []int, visit func(int) int) int {
 		total += sumAll(xs, visit)
 		total += leafSum(xs)
 		total += pinned(i) // want `pinned in a hot loop, but the compiler cannot inline it: marked go:noinline`
-		total += visit(i)  // want `calls visit through a function value in a hot loop`
+		total += visit(i)  // dispatch through a function value: hotalloc's finding
 		if total > 1<<30 {
 			lockedBump(&total) // early-exit branch: at most once per loop
 			return total

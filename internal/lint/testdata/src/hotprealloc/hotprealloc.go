@@ -49,7 +49,7 @@ func Reuse(buf, xs []int) []int {
 //
 //mlec:hot
 func Abandoned(xs []int) []int {
-	out := make([]int, 0, len(xs))
+	out := make([]int, 0, len(xs)) // want `heap-allocates make`
 	_ = out
 	var other []int
 	for _, x := range xs {

@@ -130,12 +130,23 @@ func LongRun(cfg Config, ttf failure.TTFDistribution, years float64, seed int64)
 // deadline the simulation stops at the next event boundary and returns
 // the statistics over the span actually simulated, marked Partial.
 func LongRunContext(ctx context.Context, cfg Config, ttf failure.TTFDistribution, years float64, seed int64) (RunStats, error) {
-	pool, err := NewPool(cfg, seed)
+	dr, err := newLongRun(cfg, ttf, seed)
 	if err != nil {
 		return RunStats{}, err
 	}
 	if years <= 0 {
 		return RunStats{}, fmt.Errorf("poolsim: years = %g", years)
+	}
+	return dr.run(ctx, years*failure.HoursPerYear, years), nil
+}
+
+// newLongRun is LongRun's driver, every disk's failure clock armed: a
+// healed disk gets a new clock, and a catastrophe is recorded and the
+// pool reset.
+func newLongRun(cfg Config, ttf failure.TTFDistribution, seed int64) (*driver, error) {
+	pool, err := NewPool(cfg, seed)
+	if err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 	dr := newDriver(pool, ttf, rng)
@@ -151,5 +162,5 @@ func LongRunContext(ctx context.Context, cfg Config, ttf failure.TTFDistribution
 	for d := 0; d < cfg.Disks; d++ {
 		dr.scheduleFailure(d)
 	}
-	return dr.run(ctx, years*failure.HoursPerYear, years), nil
+	return dr, nil
 }

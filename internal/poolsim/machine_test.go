@@ -1,6 +1,7 @@
 package poolsim
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -149,5 +150,41 @@ func TestRestoreRejectsMalformed(t *testing.T) {
 	if m.Pool.FailedDisks() != 2 || m.Pool.DetectedDisks() != 1 || m.Pool.StripeLostCount(0) != 2 {
 		t.Errorf("restored: %d failed, %d detected, stripe 0 lost %d; want 2, 1, 2",
 			m.Pool.FailedDisks(), m.Pool.DetectedDisks(), m.Pool.StripeLostCount(0))
+	}
+}
+
+// TestLongRunTransitionsDoNotAllocate holds the Machine's transitions —
+// Fail, detect, Replan, finishBatch — allocation-free as LongRun drives
+// them, on the paper's (17+3) pools of both kinds at 30 % AFR. The only
+// allocations left after a warm-up are the catastrophe samples LongRun
+// keeps — one damage profile each — and the few doublings of the sample
+// list and the repair batch's buffers, which grow to their high-water
+// marks and stay.
+func TestLongRunTransitionsDoNotAllocate(t *testing.T) {
+	ttf := failure.MustExponentialAFR(0.3)
+	for _, cfg := range []Config{paperCpConfig(), paperDpConfig(100)} {
+		dr, err := newLongRun(cfg, ttf, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// AllocsPerRun calls span once to warm up, then once measured:
+		// 2,000 simulated years each.
+		var horizon float64
+		var failures, cats int
+		span := func() {
+			f, c := dr.stats.DiskFailures, dr.stats.CatastrophicCount
+			horizon += 2000 * failure.HoursPerYear
+			dr.run(context.Background(), horizon, 0)
+			failures, cats = dr.stats.DiskFailures-f, dr.stats.CatastrophicCount-c
+		}
+		allocs := testing.AllocsPerRun(1, span)
+		t.Logf("clustered=%v: %g allocs over %d disk failures and %d catastrophes", cfg.Clustered, allocs, failures, cats)
+		if failures < 10000 {
+			t.Fatalf("clustered=%v: only %d disk failures in 2,000 years", cfg.Clustered, failures)
+		}
+		if allocs > float64(cats+4) {
+			t.Errorf("clustered=%v: %g allocs over %d disk failures, want at most one per catastrophe (%d) and 4 buffer doublings",
+				cfg.Clustered, allocs, failures, cats)
+		}
 	}
 }

@@ -17,6 +17,7 @@ package poolsim
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 	"math/rand"
 
@@ -422,17 +423,20 @@ func (p *Pool) RandomHealthyDisk(rng *rand.Rand) int {
 	}
 }
 
-// LostStripeIDs returns the ids of stripes currently beyond local
-// recovery, for network-level repair bookkeeping.
-func (p *Pool) LostStripeIDs() []int {
-	var ids []int
-	pl := uint8(p.Cfg.Parity)
-	for s, c := range p.lostCount {
-		if c > pl {
-			ids = append(ids, s)
+// LostStripeIDs yields the ids of the stripes currently beyond local
+// recovery, in ascending order, for network-level repair bookkeeping. It
+// reads each stripe's count as it reaches it, so the loop body may heal
+// the stripe it was handed (HealStripeChunks) without disturbing the
+// rest of the walk.
+func (p *Pool) LostStripeIDs() iter.Seq[int] {
+	return func(yield func(int) bool) {
+		pl := uint8(p.Cfg.Parity)
+		for s, c := range p.lostCount {
+			if c > pl && !yield(s) {
+				return
+			}
 		}
 	}
-	return ids
 }
 
 // StripeLostCount returns stripe s's current lost-chunk count.
@@ -440,9 +444,9 @@ func (p *Pool) StripeLostCount(s int) int { return int(p.lostCount[s]) }
 
 // HealStripeChunks rebuilds up to n of stripe s's lost chunks (network
 // repair can restore chunks of undetected disks too — the network
-// repairer has its own maps). Returns the disks that became fully
+// repairer has its own maps). Returns how many disks became fully
 // healthy.
-func (p *Pool) HealStripeChunks(s, n int) (healedDisks []int) {
+func (p *Pool) HealStripeChunks(s, n int) (healedDisks int) {
 	p.unindex(s)
 	for mask := p.lostMask[s]; mask != 0 && n > 0; mask &= mask - 1 {
 		m := bits.TrailingZeros64(mask)
@@ -460,7 +464,7 @@ func (p *Pool) HealStripeChunks(s, n int) (healedDisks []int) {
 			}
 			p.state[d] = diskHealthy
 			p.failedCount--
-			healedDisks = append(healedDisks, d)
+			healedDisks++
 		}
 	}
 	p.index(s)

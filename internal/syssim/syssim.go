@@ -448,14 +448,13 @@ func (s *System) networkVolume(pool int) float64 {
 	case repair.RFCO:
 		// All currently-lost chunks in the pool.
 		chunks := 0
-		prof := p.Profile()
-		for j, n := range prof {
-			chunks += j * n
+		for st := range s.poolCfg.Stripes() {
+			chunks += p.StripeLostCount(st)
 		}
 		return float64(chunks) * seg
 	default: // R_HYB, R_MIN: the lost stripes' chunks beyond the kept ones
 		chunks := 0
-		for _, st := range p.LostStripeIDs() {
+		for st := range p.LostStripeIDs() {
 			chunks += p.StripeLostCount(st) - s.keptLosses()
 		}
 		return float64(chunks) * seg
@@ -491,9 +490,9 @@ func (s *System) completeNetworkRepair(pool int) {
 		s.onDisksHealed(pool, healed)
 	default: // R_HYB rebuilds lost stripes whole, R_MIN back to pl losses
 		total := 0
-		for _, st := range p.LostStripeIDs() {
+		for st := range p.LostStripeIDs() {
 			if n := p.StripeLostCount(st) - s.keptLosses(); n > 0 {
-				total += len(p.HealStripeChunks(st, n))
+				total += p.HealStripeChunks(st, n)
 			}
 		}
 		s.onDisksHealed(pool, total)

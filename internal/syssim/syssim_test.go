@@ -1,9 +1,11 @@
 package syssim
 
 import (
+	"runtime"
 	"testing"
 
 	"mlec/internal/burst"
+	"mlec/internal/obs"
 
 	"mlec/internal/failure"
 	"mlec/internal/placement"
@@ -238,6 +240,45 @@ func TestBurstPDLMatchesAnalytic(t *testing.T) {
 		}
 		if diff > 0.08 {
 			t.Errorf("%v: structural %.3f vs analytic %.3f diverge", scheme, structural, analytic.PDL)
+		}
+	}
+}
+
+// TestDrainLoopAllocs holds RunContext's drain loop allocation-free on
+// every scheme × method pair at 50 % AFR. Two runs from one seed share
+// their setup, their teardown and their first span of events, so the
+// mallocs the longer run makes beyond the shorter one are the drain
+// loop's over the extra events. The one allocation allowed there is the
+// progress note, rendered once per 1024 events: its Sprintf boxes two
+// floats and builds the string, 3 mallocs, and now and then allocates
+// fmt's printer afresh, because a garbage collection emptied its cache
+// or, under the race detector, sync.Pool dropped it. Four a note covers
+// both.
+func TestDrainLoopAllocs(t *testing.T) {
+	events := obs.Default.Counter("syssim_events_total")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run := func(cfg Config, years float64) (mallocs, n int64) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		m0, e0 := ms.Mallocs, events.Value()
+		if _, err := Run(cfg, years, 5); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		return int64(ms.Mallocs - m0), events.Value() - e0
+	}
+	for _, scheme := range placement.AllSchemes {
+		for _, method := range repair.AllMethods {
+			cfg := hotSystem(scheme, method, 0.5)
+			run(cfg, 1) // first-use registrations
+			short, shortEvents := run(cfg, 50)
+			long, longEvents := run(cfg, 200)
+			notes := longEvents/1024 - shortEvents/1024 + 1
+			t.Logf("%v %v: %d mallocs over %d events", scheme, method, long-short, longEvents-shortEvents)
+			if extra := long - short; extra > 4*notes+16 {
+				t.Errorf("%v %v: the drain loop made %d mallocs over %d events, want at most 4 per progress note (%d notes) and 16 more",
+					scheme, method, extra, longEvents-shortEvents, notes)
+			}
 		}
 	}
 }
