@@ -9,10 +9,10 @@ GO ?= go
 # drive its methods from several goroutines at once.
 RACE_PKGS = ./internal/burst ./internal/poolsim ./internal/rs ./internal/syssim ./internal/cluster ./internal/runctl ./internal/obs ./internal/faultinject
 
-.PHONY: check build vet lint test race stress bench bench-check bench-json bench-engines fuzz obs-smoke chaos
+.PHONY: check build vet lint test race stress bench bench-smoke bench-check bench-json bench-engines fuzz obs-smoke chaos
 
 ## check: build + vet + mlecvet + tests + race tests — the CI gate.
-check: build vet lint test bench-check race stress obs-smoke chaos
+check: build vet lint test bench-smoke bench-check race stress obs-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -38,11 +38,12 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-## stress: repeat the cancellation / checkpoint-resume tests under the
-## race detector — mid-run cancels exercise the pool drain paths that a
-## single pass can miss.
+## stress: repeat the cancellation / checkpoint-resume and watchdog
+## tests under the race detector — mid-run cancels exercise the pool
+## drain paths, and a stall trip the watchdog's stop join, that a single
+## pass can miss.
 stress:
-	$(GO) test -race -count=3 -run 'Cancel|Resume|Partial|Context|Pool' \
+	$(GO) test -race -count=3 -run 'Cancel|Resume|Partial|Context|Pool|Watchdog' \
 		./internal/runctl ./internal/poolsim ./internal/burst ./internal/syssim
 
 ## obs-smoke: prove observability is inert. Builds mlecdur/mlecburst,
@@ -67,6 +68,12 @@ chaos:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
+
+## bench-smoke: run every Benchmark* body exactly once, so a benchmark
+## whose setup or call site broke fails the gate instead of only
+## compiling.
+bench-smoke:
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 ## bench-check: the repository benchmark (bench/, a module of its own
 ## that build, test and lint above do not descend into) still builds

@@ -2,6 +2,7 @@ package mlec
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"mlec/internal/burst"
@@ -122,7 +123,8 @@ type DurabilityOptions struct {
 	// stage 1 (slower, captures priority-repair and stripe-coverage
 	// effects); otherwise the Markov R_ALL view is used.
 	UseSimulation bool
-	// Trajectories per splitting level (default 20000).
+	// Trajectories per splitting level (0 means the default 20000;
+	// negative is an error).
 	Trajectories int
 	Seed         int64
 	// CheckpointPath, when non-empty and UseSimulation is set, makes
@@ -168,18 +170,17 @@ func EstimateDurabilityContext(ctx context.Context, topo Topology, params Params
 	if err != nil {
 		return nil, err
 	}
+	if opts.Trajectories < 0 {
+		return nil, fmt.Errorf("mlec: Trajectories = %d, must not be negative", opts.Trajectories)
+	}
 	l, err := placement.NewLayout(topo, params, scheme)
 	if err != nil {
 		return nil, err
 	}
 	var s1 splitting.Stage1
 	if opts.UseSimulation {
-		n := opts.Trajectories
-		if n <= 0 {
-			n = 20000
-		}
 		s1, err = splitting.SplitStage1(ctx, l, 120, afr, poolsim.SplitConfig{
-			TrajectoriesPerLevel: n, Seed: opts.Seed, CheckpointPath: opts.CheckpointPath,
+			TrajectoriesPerLevel: opts.Trajectories, Seed: opts.Seed, CheckpointPath: opts.CheckpointPath,
 		})
 	} else {
 		s1, err = splitting.MarkovStage1(l, afr)

@@ -14,16 +14,15 @@
 package mlec
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"mlec/internal/burst"
 	"mlec/internal/experiments"
-	"mlec/internal/gf256"
-	"mlec/internal/lrc"
+	"mlec/internal/kernelbench"
 	"mlec/internal/placement"
 	"mlec/internal/repair"
-	"mlec/internal/rs"
 	"mlec/internal/topology"
 )
 
@@ -57,7 +56,7 @@ func BenchmarkTab01FailureModes(b *testing.B) {
 func BenchmarkFig05PDLHeatmapMLEC(b *testing.B) {
 	var lastPDL float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig5(benchOpts(i))
+		r, err := experiments.Fig5Context(context.Background(), benchOpts(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,7 +93,7 @@ func BenchmarkTab02RepairBandwidth(b *testing.B) {
 func BenchmarkFig07CatastrophicLocal(b *testing.B) {
 	var p float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig7(benchOpts(i))
+		r, err := experiments.Fig7Context(context.Background(), benchOpts(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +129,7 @@ func BenchmarkFig09RepairTimeMethods(b *testing.B) {
 func BenchmarkFig10Durability(b *testing.B) {
 	var nines float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig10(benchOpts(i))
+		r, err := experiments.Fig10Context(context.Background(), benchOpts(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +168,7 @@ func BenchmarkFig12MLECvsSLEC(b *testing.B) {
 
 func BenchmarkFig13PDLHeatmapSLEC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig13(benchOpts(i))
+		r, err := experiments.Fig13Context(context.Background(), benchOpts(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,7 +204,7 @@ func BenchmarkFig15MLECvsLRC(b *testing.B) {
 
 func BenchmarkFig16PDLHeatmapLRC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig16(benchOpts(i)); err != nil {
+		if _, err := experiments.Fig16Context(context.Background(), benchOpts(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -237,106 +236,12 @@ func BenchmarkSec524LRCTraffic(b *testing.B) {
 
 // --- Hot-path micro-benchmarks ----------------------------------------
 
-// These mirror the rows of `mlecbench kernels` (cmd/mlecbench/kernels.go):
-// same 128 KiB shards, same seeds.
-
-const benchShardBytes = 128 << 10
-
-// benchmarkApply times gf256.Apply on a rows×1 matrix: the one-row table
-// loop for rows = 1, the two-row loop for rows = 2.
-func benchmarkApply(b *testing.B, rows int) {
-	coef := [][]byte{{0x1d}, {0x8e}}[:rows]
-	in := [][]byte{make([]byte, benchShardBytes)}
-	rand.New(rand.NewSource(1)).Read(in[0])
-	out := [][]byte{make([]byte, benchShardBytes), make([]byte, benchShardBytes)}[:rows]
-	b.SetBytes(benchShardBytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gf256.Apply(coef, in, out)
+// BenchmarkKernels runs the rows of `mlecbench kernels` (the kernelbench
+// table) as sub-benchmarks: same 128 KiB shards, same seeds, same work.
+func BenchmarkKernels(b *testing.B) {
+	for _, k := range kernelbench.All() {
+		b.Run(k.Name, k.Fn)
 	}
-}
-
-func BenchmarkGFApply_1x1(b *testing.B) { benchmarkApply(b, 1) }
-func BenchmarkGFApply_2x1(b *testing.B) { benchmarkApply(b, 2) }
-
-// benchCodec is what the benchmarks need of rs.Codec and lrc.Codec.
-type benchCodec interface {
-	Encode(shards [][]byte) error
-	Reconstruct(shards [][]byte) error
-}
-
-// encodedStripe returns a stripe of total shards whose first k are seeded
-// random data and whose parities codec filled in.
-func encodedStripe(b *testing.B, codec benchCodec, k, total int, seed int64) [][]byte {
-	shards := make([][]byte, total)
-	rng := rand.New(rand.NewSource(seed))
-	for i := range shards {
-		shards[i] = make([]byte, benchShardBytes)
-		if i < k {
-			rng.Read(shards[i])
-		}
-	}
-	if err := codec.Encode(shards); err != nil {
-		b.Fatal(err)
-	}
-	return shards
-}
-
-func benchmarkEncode(b *testing.B, codec benchCodec, k, total int) {
-	shards := encodedStripe(b, codec, k, total, 2)
-	b.SetBytes(int64(k) * benchShardBytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := codec.Encode(shards); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRSEncode_10_2(b *testing.B)  { benchmarkEncode(b, rs.MustNew(10, 2), 10, 12) }
-func BenchmarkRSEncode_17_3(b *testing.B)  { benchmarkEncode(b, rs.MustNew(17, 3), 17, 20) }
-func BenchmarkRSEncode_28_12(b *testing.B) { benchmarkEncode(b, rs.MustNew(28, 12), 28, 40) }
-
-func BenchmarkLRCEncode_14_2_4(b *testing.B) { benchmarkEncode(b, lrc.MustNew(14, 2, 4), 14, 20) }
-
-func BenchmarkRSVerify_17_3(b *testing.B) {
-	codec := rs.MustNew(17, 3)
-	shards := encodedStripe(b, codec, 17, 20, 2)
-	b.SetBytes(17 * benchShardBytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ok, err := codec.Verify(shards); err != nil || !ok {
-			b.Fatal(ok, err)
-		}
-	}
-}
-
-// benchmarkReconstruct times rebuilding the lost shards of one stripe;
-// throughput counts the bytes rebuilt.
-func benchmarkReconstruct(b *testing.B, codec benchCodec, k, total int, lost []int) {
-	ref := encodedStripe(b, codec, k, total, 3)
-	shards := make([][]byte, total)
-	b.SetBytes(int64(len(lost)) * benchShardBytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(shards, ref)
-		for _, j := range lost {
-			shards[j] = nil
-		}
-		if err := codec.Reconstruct(shards); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRSReconstruct_17_3(b *testing.B) {
-	benchmarkReconstruct(b, rs.MustNew(17, 3), 17, 20, []int{0, 7, 19})
-}
-
-// One loss in a group (XOR repair) plus two in the other and a global
-// parity (the global solve).
-func BenchmarkLRCReconstruct_14_2_4(b *testing.B) {
-	benchmarkReconstruct(b, lrc.MustNew(14, 2, 4), 14, 20, []int{0, 7, 8, 16})
 }
 
 func BenchmarkBurstConditionalPDL(b *testing.B) {

@@ -93,20 +93,15 @@ const (
 	pdlRoundSize   = 256
 )
 
-// PDL estimates the probability of data loss for a single (x, y) cell by
-// Monte Carlo over burst layouts, with trials split across CPUs. PDL is
-// PDLContext without cancellation or checkpointing.
-func PDL(ev Evaluator, x, y, trials int, seed int64) (Result, error) {
-	return PDLContext(context.Background(), ev, x, y, trials, seed, "")
-}
-
-// PDLContext is PDL under run control: cancellation or a deadline stops
-// the campaign at the next batch-round boundary, drains in-flight
-// batches, and returns the completed trials as a Partial estimate. With
-// a non-empty checkpointPath the per-batch tallies persist after every
-// round and a later call with the same arguments resumes, reproducing
-// the uninterrupted run's statistics exactly (the reduction always runs
-// in batch order over the same per-batch sums).
+// PDLContext estimates the probability of data loss for a single (x, y)
+// cell by Monte Carlo over burst layouts, with trials split across CPUs.
+// Cancellation or a deadline stops the campaign at the next batch-round
+// boundary, drains in-flight batches, and returns the completed trials
+// as a Partial estimate. With a non-empty checkpointPath the per-batch
+// tallies persist after every round and a later call with the same
+// arguments resumes, reproducing the uninterrupted run's statistics
+// exactly (the reduction always runs in batch order over the same
+// per-batch sums).
 func PDLContext(ctx context.Context, ev Evaluator, x, y, trials int, seed int64, checkpointPath string) (Result, error) {
 	if trials <= 0 {
 		return Result{}, fmt.Errorf("burst: trials = %d", trials)
@@ -276,18 +271,12 @@ type Grid struct {
 	Partial bool
 }
 
-// Heatmap evaluates a whole grid of (x, y) cells. Heatmap is
-// HeatmapContext without cancellation or checkpointing.
-func Heatmap(ev Evaluator, xs, ys []int, trials int, seed int64) (*Grid, error) {
-	return HeatmapContext(context.Background(), ev, xs, ys, trials, seed, "")
-}
-
-// HeatmapContext is Heatmap under run control, checkpointing at cell
-// granularity: each fully evaluated cell persists to checkpointPath
-// (when non-empty) and is restored verbatim on resume; a cell cut short
-// mid-campaign is discarded and re-evaluated, so resumed grids match
-// uninterrupted ones exactly. On cancellation the remaining cells are
-// NaN and the grid is marked Partial.
+// HeatmapContext evaluates a whole grid of (x, y) cells, checkpointing
+// at cell granularity: each fully evaluated cell persists to
+// checkpointPath (when non-empty) and is restored verbatim on resume; a
+// cell cut short mid-campaign is discarded and re-evaluated, so resumed
+// grids match uninterrupted ones exactly. On cancellation the remaining
+// cells are NaN and the grid is marked Partial.
 func HeatmapContext(ctx context.Context, ev Evaluator, xs, ys []int, trials int, seed int64, checkpointPath string) (*Grid, error) {
 	g := &Grid{Xs: xs, Ys: ys, Cells: make([][]Result, len(ys))}
 	ck := gridCheckpoint{

@@ -1,6 +1,7 @@
 package burst
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -188,14 +189,14 @@ func TestPDLInvalidCells(t *testing.T) {
 	topo := topology.Default()
 	_ = topo
 	ev := &fakeEvaluator{racks: 60, dpr: 960, val: 0.5}
-	r, err := PDL(ev, 10, 5, 100, 1) // y < x
+	r, err := PDLContext(context.Background(), ev, 10, 5, 100, 1, "") // y < x
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !math.IsNaN(r.PDL) {
 		t.Errorf("y<x PDL = %g, want NaN", r.PDL)
 	}
-	if _, err := PDL(ev, 1, 1, 0, 1); err == nil {
+	if _, err := PDLContext(context.Background(), ev, 1, 1, 0, 1, ""); err == nil {
 		t.Error("trials=0 accepted")
 	}
 }
@@ -211,7 +212,7 @@ func (f *fakeEvaluator) DisksPerRack() int                   { return f.dpr }
 
 func TestPDLAveragesConditionals(t *testing.T) {
 	ev := &fakeEvaluator{racks: 60, dpr: 960, val: 0.25}
-	r, err := PDL(ev, 3, 30, 500, 7)
+	r, err := PDLContext(context.Background(), ev, 3, 30, 500, 7, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestPDLAveragesConditionals(t *testing.T) {
 
 func TestHeatmapShape(t *testing.T) {
 	ev := &fakeEvaluator{racks: 60, dpr: 960, val: 0.1}
-	g, err := Heatmap(ev, []int{1, 3, 5}, []int{5, 10}, 50, 11)
+	g, err := HeatmapContext(context.Background(), ev, []int{1, 3, 5}, []int{5, 10}, 50, 11, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func TestLRCScatteredSusceptibility(t *testing.T) {
 	ev := NewLRCEvaluator(l, 5)
 
 	// Scattered burst: 60 failures in 60 racks.
-	r, err := PDL(ev, 60, 60, 300, 3)
+	r, err := PDLContext(context.Background(), ev, 60, 60, 300, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestLRCScatteredSusceptibility(t *testing.T) {
 	// scattered burst better: one failure per rack cannot create any
 	// catastrophic pool (pl = 3).
 	ml := placement.MustNewLayout(topo, placement.DefaultParams(), placement.SchemeDD)
-	mr, err := PDL(NewMLECEvaluator(ml), 60, 60, 300, 3)
+	mr, err := PDLContext(context.Background(), NewMLECEvaluator(ml), 60, 60, 300, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestLRCLocalizedTolerance(t *testing.T) {
 	topo := topology.Default()
 	l := placement.MustNewLRCLayout(topo, placement.LRCParams{K: 14, L: 2, R: 4})
 	ev := NewLRCEvaluator(l, 5)
-	r, err := PDL(ev, 1, 120, 200, 4)
+	r, err := PDLContext(context.Background(), ev, 1, 120, 200, 4, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestLRCEvaluatorDeterministicSeed(t *testing.T) {
 	if got := run(); got != want {
 		t.Fatalf("GOMAXPROCS=1: %+v, GOMAXPROCS=%d: %+v", got, runtime.NumCPU(), want)
 	}
-	if other, err := PDL(NewLRCEvaluator(l, 6), 30, 60, 5*pdlBatchTrials, 9); err != nil || other.PDL == want.PDL {
+	if other, err := PDLContext(context.Background(), NewLRCEvaluator(l, 6), 30, 60, 5*pdlBatchTrials, 9, ""); err != nil || other.PDL == want.PDL {
 		t.Errorf("evaluator seed does not reach the assignments: PDL %g under both seeds (err %v)", other.PDL, err)
 	}
 }

@@ -1,6 +1,7 @@
 package burst
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -29,7 +30,7 @@ func mlecPDL(t *testing.T, topo topology.Config, p placement.Params, s placement
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := PDL(NewMLECEvaluator(l), x, y, trials, 12345)
+	r, err := PDLContext(context.Background(), NewMLECEvaluator(l), x, y, trials, 12345, "")
 	if err != nil {
 		t.Fatal(err)
 	}

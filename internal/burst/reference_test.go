@@ -1,6 +1,7 @@
 package burst
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -290,7 +291,7 @@ func TestHeatmapBitsPinned(t *testing.T) {
 		cases[4+i].ev = NewSLECEvaluator(placement.MustNewSLECLayout(topo, placement.SLECParams{K: 7, P: 3}, pl))
 	}
 	for _, c := range cases {
-		g, err := Heatmap(c.ev, xs, ys, 96, 20230911)
+		g, err := HeatmapContext(context.Background(), c.ev, xs, ys, 96, 20230911, "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,7 +53,7 @@ func TestPDLCheckpointResumeDeterministic(t *testing.T) {
 	var seed int64 = 99
 	path := filepath.Join(t.TempDir(), "pdl.ckpt")
 
-	ref, err := PDL(ev, x, y, trials, seed)
+	ref, err := PDLContext(context.Background(), ev, x, y, trials, seed, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestHeatmapContextResumeDeterministic(t *testing.T) {
 	var seed int64 = 7
 	path := filepath.Join(t.TempDir(), "grid.ckpt")
 
-	ref, err := Heatmap(ev, xs, ys, trials, seed)
+	ref, err := HeatmapContext(context.Background(), ev, xs, ys, trials, seed, "")
 	if err != nil {
 		t.Fatal(err)
 	}

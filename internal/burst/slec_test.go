@@ -1,6 +1,7 @@
 package burst
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ func slecPDL(t *testing.T, topo topology.Config, p placement.SLECParams, pl plac
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := PDL(NewSLECEvaluator(l), x, y, trials, 777)
+	r, err := PDLContext(context.Background(), NewSLECEvaluator(l), x, y, trials, 777, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestExactLocalCpMatchesMonteCarlo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := PDL(NewSLECEvaluator(l), c.x, c.y, 60000, 31)
+		r, err := PDLContext(context.Background(), NewSLECEvaluator(l), c.x, c.y, 60000, 31, "")
 		if err != nil {
 			t.Fatal(err)
 		}

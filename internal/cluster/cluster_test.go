@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mlec/internal/placement"
@@ -137,6 +138,39 @@ func TestRepairRestoresAllMethods(t *testing.T) {
 			}
 			if pools := c.CatastrophicPools(); len(pools) != 0 {
 				t.Fatalf("%v/%v: catastrophic pools remain: %v", s, m, pools)
+			}
+		}
+	}
+}
+
+// TestRepairRejectsUnknownMethod: a method outside the four is refused
+// before Repair replaces a disk or rebuilds a chunk, on a healthy
+// cluster and on one with a catastrophic pool alike.
+func TestRepairRejectsUnknownMethod(t *testing.T) {
+	for _, failed := range [][]int{nil, {0, 1, 2}} {
+		c, _ := New(smallConfig(placement.SchemeCC))
+		if err := c.Write("obj", randomData(2*c.NetStripeDataBytes(), 6)); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range failed {
+			c.FailDisk(d)
+		}
+		before, cat := c.Report(), c.CatastrophicPools()
+		if (len(cat) > 0) != (failed != nil) {
+			t.Fatalf("failed %v: catastrophic pools %v", failed, cat)
+		}
+		if err := c.Repair(repair.Method(42)); !errors.Is(err, repair.ErrUnknownMethod) {
+			t.Errorf("failed %v: Repair(Method(42)) = %v, want ErrUnknownMethod", failed, err)
+		}
+		if after := c.Report(); after != before {
+			t.Errorf("failed %v: refused repair changed the report: %+v → %+v", failed, before, after)
+		}
+		if got := c.CatastrophicPools(); !reflect.DeepEqual(got, cat) {
+			t.Errorf("failed %v: refused repair changed the catastrophic pools: %v → %v", failed, cat, got)
+		}
+		for _, d := range failed {
+			if !c.disks[d].failed {
+				t.Errorf("failed %v: refused repair replaced disk %d", failed, d)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mlec/internal/repair"
@@ -70,8 +71,13 @@ func (c *Cluster) CatastrophicPools() []int {
 // Repair restores all damage in the cluster: catastrophic pools are
 // repaired with the given method (R_ALL…R_MIN), remaining locally-
 // recoverable damage is repaired locally. Failed disks are replaced in
-// place. Traffic meters record the data movement.
+// place. Traffic meters record the data movement. A method outside the
+// four returns an error wrapping repair.ErrUnknownMethod before any
+// state changes.
 func (c *Cluster) Repair(method repair.Method) error {
+	if !slices.Contains(repair.AllMethods, method) {
+		return fmt.Errorf("cluster: %w: %v", repair.ErrUnknownMethod, method)
+	}
 	byPool := c.scanDamage()
 	catastrophic := map[int]bool{}
 	for pool, ds := range byPool {
@@ -112,7 +118,8 @@ func (c *Cluster) Repair(method repair.Method) error {
 	return nil
 }
 
-// repairCatastrophicPool dispatches on the repair method.
+// repairCatastrophicPool dispatches on the repair method, which Repair
+// has already checked is one of the four.
 func (c *Cluster) repairCatastrophicPool(pool int, ds []damage, method repair.Method) error {
 	switch method {
 	case repair.RAll:
@@ -121,10 +128,8 @@ func (c *Cluster) repairCatastrophicPool(pool int, ds []damage, method repair.Me
 		return c.repairFailedChunksOnly(ds)
 	case repair.RHYB:
 		return c.repairHybrid(ds)
-	case repair.RMin:
-		return c.repairMinimum(ds)
 	default:
-		return fmt.Errorf("cluster: unknown repair method %v", method)
+		return c.repairMinimum(ds)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -103,7 +104,7 @@ func AblationPoolSize(opts Options) (*AblationPoolSizeResult, error) {
 			return nil, err
 		}
 		bm := bwmodel.New(l)
-		r, err := burst.PDL(burst.NewMLECEvaluator(l), paperParams().PN+1, 60, trials, opts.Seed)
+		r, err := burst.PDLContext(context.Background(), burst.NewMLECEvaluator(l), paperParams().PN+1, 60, trials, opts.Seed, "")
 		if err != nil {
 			return nil, err
 		}

@@ -59,14 +59,9 @@ type Fig7Result struct {
 	PerScheme map[placement.Scheme]float64
 }
 
-// Fig7 estimates the probability of catastrophic local failure (§4.1.3).
-// Fig7 is Fig7Context without cancellation.
-func Fig7(opts Options) (*Fig7Result, error) {
-	return Fig7Context(context.Background(), opts)
-}
-
-// Fig7Context is Fig7 under run control; the stage-1 splitting estimator
-// checkpoints under opts.CheckpointDir and resumes deterministically.
+// Fig7Context estimates the probability of catastrophic local failure
+// (§4.1.3). The stage-1 splitting estimator checkpoints under
+// opts.CheckpointDir and resumes deterministically.
 func Fig7Context(ctx context.Context, opts Options) (*Fig7Result, error) {
 	ls, s1, err := paperStage1(ctx, opts)
 	if err != nil {
@@ -95,15 +90,9 @@ type Fig10Result struct {
 	Rows []splitting.Fig10Row
 }
 
-// Fig10 estimates system durability for the four schemes × four repair
-// methods (§4.2.3). Fig10 is Fig10Context without cancellation.
-func Fig10(opts Options) (*Fig10Result, error) {
-	return Fig10Context(context.Background(), opts)
-}
-
-// Fig10Context is Fig10 under run control; the stage-1 splitting
-// estimator checkpoints under opts.CheckpointDir and resumes
-// deterministically.
+// Fig10Context estimates system durability for the four schemes × four
+// repair methods (§4.2.3). The stage-1 splitting estimator checkpoints
+// under opts.CheckpointDir and resumes deterministically.
 func Fig10Context(ctx context.Context, opts Options) (*Fig10Result, error) {
 	ls, s1, err := paperStage1(ctx, opts)
 	if err != nil {

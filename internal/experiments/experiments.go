@@ -159,15 +159,9 @@ func init() {
 	register("ablation-cores", "multi-core encoding throughput scaling", noCtx(AblationCores))
 }
 
-// Run executes the experiment with the given id, rendering to w. Run is
-// RunContext without cancellation.
-func Run(id string, opts Options, w io.Writer) error {
-	return RunContext(context.Background(), id, opts, w)
-}
-
-// RunContext executes the experiment under run control: cancellation or
-// a deadline stops the Monte-Carlo engines at the next trial boundary
-// and the driver renders the partial result it has.
+// RunContext executes the experiment with the given id, rendering to w.
+// Cancellation or a deadline stops the Monte-Carlo engines at the next
+// trial boundary and the experiment renders the partial result it has.
 func RunContext(ctx context.Context, id string, opts Options, w io.Writer) error {
 	e, ok := registry[id]
 	if !ok {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"slices"
 	"strings"
 	"testing"
@@ -39,7 +40,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestRunUnknown(t *testing.T) {
-	if err := Run("nope", quickOpts(), &bytes.Buffer{}); err == nil {
+	if err := RunContext(context.Background(), "nope", quickOpts(), &bytes.Buffer{}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -88,7 +89,7 @@ func TestTab1(t *testing.T) {
 }
 
 func TestFig5QuickShape(t *testing.T) {
-	r, err := Fig5(quickOpts())
+	r, err := Fig5Context(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestFig6Tab2(t *testing.T) {
 }
 
 func TestFig7Quick(t *testing.T) {
-	r, err := Fig7(quickOpts())
+	r, err := Fig7Context(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestFig8Fig9Quick(t *testing.T) {
 }
 
 func TestFig10Quick(t *testing.T) {
-	r, err := Fig10(quickOpts())
+	r, err := Fig10Context(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestFig15Quick(t *testing.T) {
 }
 
 func TestFig16Quick(t *testing.T) {
-	r, err := Fig16(quickOpts())
+	r, err := Fig16Context(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestRunAllQuick(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			var sb strings.Builder
-			if err := Run(id, quickOpts(), &sb); err != nil {
+			if err := RunContext(context.Background(), id, quickOpts(), &sb); err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
 			if sb.Len() == 0 {
@@ -305,7 +306,7 @@ func TestHeatmapCSVMode(t *testing.T) {
 	opts := quickOpts()
 	opts.CSV = true
 	var sb strings.Builder
-	if err := Run("fig16", opts, &sb); err != nil {
+	if err := RunContext(context.Background(), "fig16", opts, &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -319,7 +320,7 @@ func TestHeatmapCSVMode(t *testing.T) {
 	// columns show whether the LRC assignment draws followed the
 	// scheduler (they did while the evaluator shared one generator).
 	var again strings.Builder
-	if err := Run("fig16", opts, &again); err != nil {
+	if err := RunContext(context.Background(), "fig16", opts, &again); err != nil {
 		t.Fatal(err)
 	}
 	if again.String() != out {

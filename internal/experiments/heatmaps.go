@@ -70,14 +70,9 @@ type Fig5Result struct {
 	csv   bool
 }
 
-// Fig5 evaluates PDL under correlated failure bursts for the four MLEC
-// schemes (§4.1.1). Fig5 is Fig5Context without cancellation.
-func Fig5(opts Options) (*Fig5Result, error) {
-	return Fig5Context(context.Background(), opts)
-}
-
-// Fig5Context is Fig5 under run control, checkpointing each scheme's
-// grid separately under opts.CheckpointDir.
+// Fig5Context evaluates PDL under correlated failure bursts for the four
+// MLEC schemes (§4.1.1), checkpointing each scheme's grid separately
+// under opts.CheckpointDir.
 func Fig5Context(ctx context.Context, opts Options) (*Fig5Result, error) {
 	ls, err := paperLayouts()
 	if err != nil {
@@ -111,15 +106,9 @@ type Fig13Result struct {
 	csv    bool
 }
 
-// Fig13 evaluates burst PDL for the four SLEC placements with the
-// paper's (7+3) code (§5.1.3). Fig13 is Fig13Context without
-// cancellation.
-func Fig13(opts Options) (*Fig13Result, error) {
-	return Fig13Context(context.Background(), opts)
-}
-
-// Fig13Context is Fig13 under run control, checkpointing each
-// placement's grid separately under opts.CheckpointDir.
+// Fig13Context evaluates burst PDL for the four SLEC placements with the
+// paper's (7+3) code (§5.1.3), checkpointing each placement's grid
+// separately under opts.CheckpointDir.
 func Fig13Context(ctx context.Context, opts Options) (*Fig13Result, error) {
 	params := placement.SLECParams{K: 7, P: 3}
 	res := &Fig13Result{Params: params, Grids: map[placement.SLECPlacement]*burst.Grid{}, csv: opts.CSV}
@@ -154,13 +143,8 @@ type Fig16Result struct {
 	csv    bool
 }
 
-// Fig16 evaluates burst PDL for the paper's (14,2,4) LRC-Dp (§5.2.3).
-// Fig16 is Fig16Context without cancellation.
-func Fig16(opts Options) (*Fig16Result, error) {
-	return Fig16Context(context.Background(), opts)
-}
-
-// Fig16Context is Fig16 under run control.
+// Fig16Context evaluates burst PDL for the paper's (14,2,4) LRC-Dp
+// (§5.2.3).
 func Fig16Context(ctx context.Context, opts Options) (*Fig16Result, error) {
 	params := placement.LRCParams{K: 14, L: 2, R: 4}
 	l, err := placement.NewLRCLayout(paperTopo(), params)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"crypto/md5"
 	"fmt"
 	"slices"
@@ -17,7 +18,7 @@ var timeBoxed = []string{"fig11", "fig12", "fig15", "ablation-cores"}
 func renderDigest(t *testing.T, id string, opts Options) string {
 	t.Helper()
 	var sb strings.Builder
-	if err := Run(id, opts, &sb); err != nil {
+	if err := RunContext(context.Background(), id, opts, &sb); err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
 	return fmt.Sprintf("%x", md5.Sum([]byte(sb.String())))

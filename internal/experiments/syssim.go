@@ -20,18 +20,14 @@ type SysSimResult struct {
 	Runs   map[placement.Scheme]syssim.Stats
 }
 
-// SysSim runs the full 57,600-disk datacenter simulator for every scheme
-// — the paper's headline artifact ("over 50,000 disks") exercised
+// SysSimContext runs the full 57,600-disk datacenter simulator for every
+// scheme — the paper's headline artifact ("over 50,000 disks") exercised
 // end-to-end. At the default 1% AFR it measures fleet failure handling
 // and catastrophic-pool incidence; data-loss events need the splitting
 // estimator (they are too rare to observe directly, which is the point).
-func SysSim(opts Options) (*SysSimResult, error) {
-	return SysSimContext(context.Background(), opts)
-}
-
-// SysSimContext is SysSim under run control: cancellation or a deadline
-// stops each scheme's simulation at the next event boundary and the
-// partial runs report the span they actually covered (Stats.Partial).
+// Cancellation or a deadline stops each scheme's simulation at the next
+// event boundary and the partial runs report the span they actually
+// covered (Stats.Partial).
 func SysSimContext(ctx context.Context, opts Options) (*SysSimResult, error) {
 	years := opts.size().sysYears
 	ttf, err := failure.NewExponentialAFR(opts.afr())

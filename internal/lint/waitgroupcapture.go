@@ -7,10 +7,10 @@ import (
 )
 
 // WaitGroupCapture enforces the one rule of the worker-pool discipline
-// (burst.PDL, poolsim.Split, rs.EncodeParallel) that nothing else
-// reports: a goroutine launched inside a loop must not write to a
-// variable declared outside the loop without holding a lock — the
-// shared-accumulator race. Writing to distinct elements of a
+// (burst.PDLContext, poolsim.SplitContext, rs.EncodeParallel) that
+// nothing else reports: a goroutine launched inside a loop must not
+// write to a variable declared outside the loop without holding a lock —
+// the shared-accumulator race. Writing to distinct elements of a
 // pre-allocated slice (slots[i] = …) is the blessed pattern and is not
 // flagged; direct writes (sum += x, done++) are, unless the goroutine
 // body acquires a mutex.

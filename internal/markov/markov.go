@@ -13,7 +13,6 @@ package markov
 
 import (
 	"fmt"
-	"math"
 
 	"mlec/internal/bwmodel"
 	"mlec/internal/mathx"
@@ -32,8 +31,12 @@ type Chain struct {
 }
 
 // MTTDLHours returns the expected hours from the pristine state to
-// absorption (first data-loss event), by solving the first-passage
-// tridiagonal system T_f = (1 + β_f·T_{f+1} + μ_f·T_{f−1})/(β_f+μ_f).
+// absorption (first data-loss event). With D_f = T_f − T_{f+1}, the
+// expected time to first reach state f+1 from f, the first-passage
+// equations (β_f+μ_f)·T_f − β_f·T_{f+1} − μ_f·T_{f−1} = 1 become the
+// forward recurrence D_0 = 1/β_0, D_f = (1 + μ_f·D_{f−1})/β_f, and
+// MTTDL = T_0 = D_0 + … + D_P. Every term is positive, so nothing
+// cancels however far μ exceeds β (the durability regime).
 func (c Chain) MTTDLHours() (float64, error) {
 	if c.N <= 0 || c.P < 0 || c.P >= c.N {
 		return 0, fmt.Errorf("markov: bad chain N=%d P=%d", c.N, c.P)
@@ -41,173 +44,21 @@ func (c Chain) MTTDLHours() (float64, error) {
 	if c.LambdaPerHour <= 0 {
 		return 0, fmt.Errorf("markov: lambda = %g", c.LambdaPerHour)
 	}
-	n := c.P + 1 // unknown states 0..P; T_{P+1} = 0
-	beta := make([]float64, n)
-	mu := make([]float64, n)
-	for f := 0; f < n; f++ {
-		beta[f] = float64(c.N-f) * c.LambdaPerHour
-		if f > 0 {
-			mu[f] = c.RepairRate(f)
-			if mu[f] < 0 {
-				return 0, fmt.Errorf("markov: negative repair rate at state %d", f)
-			}
+	d := make([]float64, c.P+1)
+	d[0] = 1 / (float64(c.N) * c.LambdaPerHour)
+	for f := 1; f <= c.P; f++ {
+		mu := c.RepairRate(f)
+		if mu < 0 {
+			return 0, fmt.Errorf("markov: negative repair rate at state %d", f)
 		}
+		d[f] = (1 + mu*d[f-1]) / (float64(c.N-f) * c.LambdaPerHour)
 	}
-	// Thomas algorithm on the tridiagonal system:
-	//   (β_f+μ_f)·T_f − β_f·T_{f+1} − μ_f·T_{f−1} = 1.
-	// Forward sweep expressing T_f = a_f + b_f·T_{f+1}. The naive
-	// denominator β_f + μ_f·(1−b_{f−1}) cancels catastrophically when
-	// μ ≫ β (exactly the durability regime), so track the complement
-	// c_f = 1−b_f directly: c_f = μ_f·c_{f−1}/(β_f + μ_f·c_{f−1}).
-	a := make([]float64, n)
-	b := make([]float64, n)
-	// State 0: β_0·T_0 − β_0·T_1 = 1 → T_0 = 1/β_0 + T_1.
-	a[0] = 1 / beta[0]
-	b[0] = 1
-	comp := 0.0 // complement 1 − b[f−1]
-	for f := 1; f < n; f++ {
-		denom := beta[f] + mu[f]*comp
-		if denom <= 0 {
-			return 0, fmt.Errorf("markov: singular chain at state %d", f)
-		}
-		a[f] = (1 + mu[f]*a[f-1]) / denom
-		b[f] = beta[f] / denom
-		comp = mu[f] * comp / denom
-	}
-	// Back-substitute with T_{P+1} = 0.
-	t := a[n-1]
-	for f := n - 2; f >= 0; f-- {
-		t = a[f] + b[f]*t
+	// Sum from the top: T_f = D_f + T_{f+1}, with T_{P+1} = 0.
+	t := 0.0
+	for f := c.P; f >= 0; f-- {
+		t += d[f]
 	}
 	return t, nil
-}
-
-// Generator returns the chain's (P+2)×(P+2) generator matrix Q over
-// states 0..P+1: Q[f][f+1] is the failure rate β_f = (N−f)·λ,
-// Q[f][f−1] the repair rate μ_f, diagonals the negated row sums, and
-// the absorbing row P+1 is all zeros. Every row sums to zero exactly up
-// to the one rounding in the diagonal negation, which the tests pin to
-// an ulp-scaled tolerance.
-func (c Chain) Generator() ([][]float64, error) {
-	if c.N <= 0 || c.P < 0 || c.P >= c.N {
-		return nil, fmt.Errorf("markov: bad chain N=%d P=%d", c.N, c.P)
-	}
-	if c.LambdaPerHour <= 0 {
-		return nil, fmt.Errorf("markov: lambda = %g", c.LambdaPerHour)
-	}
-	n := c.P + 2
-	q := make([][]float64, n)
-	for f := range q {
-		q[f] = make([]float64, n)
-	}
-	for f := 0; f <= c.P; f++ {
-		beta := float64(c.N-f) * c.LambdaPerHour
-		diag := beta
-		q[f][f+1] = beta
-		if f > 0 {
-			mu := c.RepairRate(f)
-			if mu < 0 {
-				return nil, fmt.Errorf("markov: negative repair rate at state %d", f)
-			}
-			q[f][f-1] = mu
-			diag += mu
-		}
-		q[f][f] = -diag
-	}
-	return q, nil
-}
-
-// TransientProbs returns the state-occupancy distribution π(t) after
-// tHours, starting from the pristine state, by uniformization: with
-// qmax ≥ max_f |Q[f][f]|, the DTMC P = I + Q/qmax is stochastic and
-// π(t) = Σ_k Pois(qmax·t; k) · π₀·P^k. Long horizons are split into
-// steps with qmax·τ ≤ 32 so the leading Poisson weight e^(−qmax·τ)
-// never underflows; within a step the series is truncated once the
-// accumulated Poisson mass is within an ulp of 1.
-func (c Chain) TransientProbs(tHours float64) ([]float64, error) {
-	q, err := c.Generator()
-	if err != nil {
-		return nil, err
-	}
-	if tHours < 0 {
-		return nil, fmt.Errorf("markov: negative horizon %g", tHours)
-	}
-	n := len(q)
-	pi := make([]float64, n)
-	pi[0] = 1
-	qmax := 0.0
-	for f := range q {
-		if -q[f][f] > qmax {
-			qmax = -q[f][f]
-		}
-	}
-	if qmax == 0 || tHours == 0 {
-		return pi, nil
-	}
-	// The uniformized DTMC: p[i][j] = I + Q/qmax, rows sum to 1.
-	p := make([][]float64, n)
-	for i := range p {
-		p[i] = make([]float64, n)
-		for j := range p[i] {
-			p[i][j] = q[i][j] / qmax
-		}
-		p[i][i] += 1
-	}
-	steps := int(math.Ceil(qmax * tHours / 32))
-	tau := tHours / float64(steps)
-	for s := 0; s < steps; s++ {
-		pi = uniformStep(pi, p, qmax*tau)
-	}
-	return pi, nil
-}
-
-// uniformStep advances the distribution by one uniformized interval of
-// dimensionless length a = qmax·τ ≤ 32.
-func uniformStep(pi []float64, p [][]float64, a float64) []float64 {
-	n := len(pi)
-	out := make([]float64, n)
-	v := make([]float64, n)
-	next := make([]float64, n)
-	copy(v, pi)
-	w := math.Exp(-a)
-	cum := 0.0
-	// Poisson tail bound: a + 40·sqrt(a) terms leave mass ≪ 1 ulp.
-	kcap := int(a+40*math.Sqrt(a+1)) + 60
-	for k := 0; k <= kcap; k++ {
-		for i := range out {
-			out[i] += w * v[i]
-		}
-		cum += w
-		if cum >= 1-1e-16 {
-			break
-		}
-		// v ← v·P (row vector times the stochastic matrix).
-		for j := range next {
-			next[j] = 0
-		}
-		for i := range v {
-			if v[i] == 0 {
-				continue
-			}
-			for j := range next {
-				next[j] += v[i] * p[i][j]
-			}
-		}
-		v, next = next, v
-		w *= a / float64(k+1)
-	}
-	// Renormalize to unit mass: both the series truncation and the
-	// rounding of each v·P under-weight the distribution by ~1 ulp, and
-	// without this the deficit compounds across the thousands of steps
-	// a long horizon takes.
-	mass := 0.0
-	for _, p := range out {
-		mass += p
-	}
-	for i := range out {
-		out[i] /= mass
-	}
-	return out
 }
 
 // LossRatePerHour returns the long-run data-loss event rate ≈ 1/MTTDL.
@@ -217,15 +68,6 @@ func (c Chain) LossRatePerHour() (float64, error) {
 		return 0, err
 	}
 	return 1 / mttdl, nil
-}
-
-// AnnualPDL returns P(loss within a year) = 1 − e^(−8760/MTTDL).
-func (c Chain) AnnualPDL() (float64, error) {
-	rate, err := c.LossRatePerHour()
-	if err != nil {
-		return 0, err
-	}
-	return mathx.RateToAnnualPDL(rate), nil
 }
 
 // SLECPool builds the chain for one SLEC pool: n devices, p parities,

@@ -13,20 +13,39 @@ func approx(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// TestRAID5ClosedForm: for n disks, p=1, constant μ ≫ λ, the classic
-// approximation MTTDL ≈ μ/(n(n−1)λ²) must hold.
+// TestRAID5ClosedForm: for n disks, p parities and a constant repair
+// rate μ ≫ λ, MTTDL must match its leading-order closed form
+// μ^p / (λ^(p+1)·n(n−1)…(n−p)) — the classic μ/(n(n−1)λ²) at p = 1 —
+// to within a relative 10·n·λ/μ. The last row is the durability regime
+// (μ/λ = 10^10): there the closed form is good to 2e-8, so the row pins
+// the recurrence to about seven digits.
 func TestRAID5ClosedForm(t *testing.T) {
-	n := 8
-	lambda := 1e-6
-	mu := 1e-2
-	c := Chain{N: n, P: 1, LambdaPerHour: lambda, RepairRate: func(int) float64 { return mu }}
-	got, err := c.MTTDLHours()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mu / (float64(n) * float64(n-1) * lambda * lambda)
-	if !approx(got, want, 0.02) {
-		t.Fatalf("MTTDL %g, want ≈ %g", got, want)
+	for _, c := range []struct {
+		n, p       int
+		lambda, mu float64
+	}{
+		{8, 1, 1e-6, 1e-2},
+		{10, 2, 1e-6, 1e-2},
+		{20, 3, 1e-6, 1e-2},
+		{20, 4, 1e-6, 1e-2},
+		{100, 4, 1e-9, 10},
+	} {
+		mu := c.mu
+		chain := Chain{N: c.n, P: c.p, LambdaPerHour: c.lambda, RepairRate: func(int) float64 { return mu }}
+		got, err := chain.MTTDLHours()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1 / c.lambda
+		for i := 1; i <= c.p; i++ {
+			want *= c.mu / c.lambda
+		}
+		for i := 0; i <= c.p; i++ {
+			want /= float64(c.n - i)
+		}
+		if tol := 10 * float64(c.n) * c.lambda / c.mu; !approx(got, want, tol) {
+			t.Errorf("n=%d p=%d: MTTDL %g, want %g within %g relative", c.n, c.p, got, want, tol)
+		}
 	}
 }
 

@@ -95,12 +95,6 @@ func OneMinusPow(p float64, n float64) float64 {
 	return -math.Expm1(n * math.Log1p(-p))
 }
 
-// Log1MinusPow returns ln(1-(1-p)^n) where useful; callers needing the
-// complement in log space.
-func Log1MinusPow(p, n float64) float64 {
-	return math.Log(OneMinusPow(p, n))
-}
-
 // Nines converts a probability of data loss into "number of nines" of
 // durability: nines = -log10(pdl). PDL 0 maps to +Inf.
 func Nines(pdl float64) float64 {
@@ -111,14 +105,6 @@ func Nines(pdl float64) float64 {
 		return 0
 	}
 	return -math.Log10(pdl)
-}
-
-// PDLFromNines inverts Nines.
-func PDLFromNines(n float64) float64 {
-	if math.IsInf(n, 1) {
-		return 0
-	}
-	return math.Pow(10, -n)
 }
 
 // PoissonOverlapRate returns the steady-state rate (events per unit time)
@@ -182,18 +168,6 @@ func RateToAnnualPDL(ratePerHour float64) float64 {
 // HoursPerYear is the conversion used throughout (365-day year, matching
 // the paper's annualized metrics).
 const HoursPerYear = 8760.0
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
 
 // WilsonInterval returns the 95% Wilson score interval for a binomial
 // proportion with x successes out of n trials. Used to attach confidence

@@ -118,17 +118,12 @@ func (dr *driver) run(ctx context.Context, horizon, years float64) RunStats {
 	}
 }
 
-// LongRun simulates one pool for the given number of years and returns
-// event statistics. After each catastrophic event the pool is reset (the
-// network level takes over in the full system; here we only measure the
-// pool-level rate). LongRun is LongRunContext without cancellation.
-func LongRun(cfg Config, ttf failure.TTFDistribution, years float64, seed int64) (RunStats, error) {
-	return LongRunContext(context.Background(), cfg, ttf, years, seed)
-}
-
-// LongRunContext is LongRun under run control: on cancellation or
-// deadline the simulation stops at the next event boundary and returns
-// the statistics over the span actually simulated, marked Partial.
+// LongRunContext simulates one pool for the given number of years and
+// returns event statistics. After each catastrophic event the pool is
+// reset (the network level takes over in the full system; here we only
+// measure the pool-level rate). On cancellation or deadline the
+// simulation stops at the next event boundary and returns the statistics
+// over the span actually simulated, marked Partial.
 func LongRunContext(ctx context.Context, cfg Config, ttf failure.TTFDistribution, years float64, seed int64) (RunStats, error) {
 	dr, err := newLongRun(cfg, ttf, seed)
 	if err != nil {

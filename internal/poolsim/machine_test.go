@@ -55,7 +55,7 @@ func TestStaleDetectionIgnored(t *testing.T) {
 	trace := &failure.Trace{Events: []failure.Event{
 		{Disk: 0, TimeHours: 1.0}, {Disk: 1, TimeHours: 1.1}, {Disk: 0, TimeHours: 1.2}, {Disk: 1, TimeHours: 2.6},
 	}}
-	stats, err := ReplayTrace(pool.Cfg, trace, 0, 1)
+	stats, err := ReplayTraceContext(context.Background(), pool.Cfg, trace, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

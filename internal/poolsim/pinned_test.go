@@ -1,6 +1,7 @@
 package poolsim
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -82,7 +83,7 @@ func TestSplitBitsPinned(t *testing.T) {
 	}
 	ttf := failure.MustExponentialAFR(0.8)
 	for _, p := range pins {
-		res, err := Split(hotConfig(p.clustered), ttf, SplitConfig{TrajectoriesPerLevel: 2000, Seed: p.seed})
+		res, err := SplitContext(context.Background(), hotConfig(p.clustered), ttf, SplitConfig{TrajectoriesPerLevel: 2000, Seed: p.seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,20 +114,20 @@ func TestLongRunStatsPinned(t *testing.T) {
 		run func() (RunStats, error)
 	}{
 		{pin{"longrun clustered", 0x4097700000000000, 19265, 49, 3, 0x8e3ff3b1c9dfa57a},
-			func() (RunStats, error) { return LongRun(hotConfig(true), exp, 1500, 11) }},
+			func() (RunStats, error) { return LongRunContext(context.Background(), hotConfig(true), exp, 1500, 11) }},
 		{pin{"longrun declustered", 0x4097700000000000, 38617, 105, 5, 0xc7b32936b21838c2},
-			func() (RunStats, error) { return LongRun(hotConfig(false), exp, 1500, 12) }},
+			func() (RunStats, error) { return LongRunContext(context.Background(), hotConfig(false), exp, 1500, 12) }},
 		{pin{"longrun weibull", 0x4097700000000000, 11577, 13, 3, 0x53073931bf479aa2},
 			func() (RunStats, error) {
-				return LongRun(hotConfig(true), failure.Weibull{Shape: 1.5, ScaleHours: 10000}, 1500, 3)
+				return LongRunContext(context.Background(), hotConfig(true), failure.Weibull{Shape: 1.5, ScaleHours: 10000}, 1500, 3)
 			}},
 		{pin{"replay clustered", 0x4097700000000000, 19232, 41, 3, 0x6b00a2de2879f403},
 			func() (RunStats, error) {
-				return ReplayTrace(hotConfig(true), failure.GenerateTrace(8, 1500, exp, 31), 1500, 31)
+				return ReplayTraceContext(context.Background(), hotConfig(true), failure.GenerateTrace(8, 1500, exp, 31), 1500, 31)
 			}},
 		{pin{"replay declustered", 0x4097700000000000, 38767, 96, 5, 0x47d84aabeccd6b96},
 			func() (RunStats, error) {
-				return ReplayTrace(hotConfig(false), failure.GenerateTrace(16, 1500, exp, 32), 1500, 32)
+				return ReplayTraceContext(context.Background(), hotConfig(false), failure.GenerateTrace(16, 1500, exp, 32), 1500, 32)
 			}},
 	}
 	for _, r := range runs {

@@ -20,7 +20,7 @@ func TestSplitCheckpointResumeDeterministic(t *testing.T) {
 	ttf := failure.MustExponentialAFR(0.8)
 	path := filepath.Join(t.TempDir(), "split.ckpt")
 
-	ref, err := Split(cfg, ttf, SplitConfig{TrajectoriesPerLevel: 3000, Seed: 31})
+	ref, err := SplitContext(context.Background(), cfg, ttf, SplitConfig{TrajectoriesPerLevel: 3000, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSplitCheckpointResumeDeterministic(t *testing.T) {
 		t.Errorf("partial CatRateHi %g narrower than full run's %g", partial.CatRateHi, ref.CatRateHi)
 	}
 
-	resumed, err := Split(cfg, ttf, SplitConfig{TrajectoriesPerLevel: 3000, Seed: 31, CheckpointPath: path})
+	resumed, err := SplitContext(context.Background(), cfg, ttf, SplitConfig{TrajectoriesPerLevel: 3000, Seed: 31, CheckpointPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +67,10 @@ func TestSplitCheckpointRejectsOtherCampaign(t *testing.T) {
 	cfg := hotConfig(true)
 	ttf := failure.MustExponentialAFR(0.8)
 	path := filepath.Join(t.TempDir(), "split.ckpt")
-	if _, err := Split(cfg, ttf, SplitConfig{TrajectoriesPerLevel: 500, Seed: 1, CheckpointPath: path}); err != nil {
+	if _, err := SplitContext(context.Background(), cfg, ttf, SplitConfig{TrajectoriesPerLevel: 500, Seed: 1, CheckpointPath: path}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Split(cfg, ttf, SplitConfig{TrajectoriesPerLevel: 500, Seed: 2, CheckpointPath: path}); err == nil {
+	if _, err := SplitContext(context.Background(), cfg, ttf, SplitConfig{TrajectoriesPerLevel: 500, Seed: 2, CheckpointPath: path}); err == nil {
 		t.Fatal("checkpoint from seed 1 accepted by seed-2 campaign")
 	}
 }
@@ -145,7 +145,7 @@ func TestSplitResumesParentCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ran []int
-	resumed, err := Split(cfg, ttf, SplitConfig{TrajectoriesPerLevel: 400, Seed: 47, CheckpointPath: path,
+	resumed, err := SplitContext(context.Background(), cfg, ttf, SplitConfig{TrajectoriesPerLevel: 400, Seed: 47, CheckpointPath: path,
 		onLevelDone: func(level int) { ran = append(ran, level) }})
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestSplitResumesParentCheckpoint(t *testing.T) {
 	if !reflect.DeepEqual(ran, []int{3, 4, 5}) {
 		t.Fatalf("resumed run simulated levels %v, want 3 4 5 on top of the checkpoint's two", ran)
 	}
-	ref, err := Split(cfg, ttf, SplitConfig{TrajectoriesPerLevel: 400, Seed: 47})
+	ref, err := SplitContext(context.Background(), cfg, ttf, SplitConfig{TrajectoriesPerLevel: 400, Seed: 47})
 	if err != nil {
 		t.Fatal(err)
 	}

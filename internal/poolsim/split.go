@@ -94,19 +94,14 @@ func trajSeed(seed int64, level, i int) int64 {
 	return seed ^ (int64(level) << 32) ^ int64(i)*0x9e3779b9
 }
 
-// Split estimates the catastrophic-pool rate by multilevel splitting.
-// The failure process must be exponential (memoryless) — level
-// trajectories re-arm failure clocks at entry, which is only valid
-// without ageing. Split is SplitContext without cancellation.
-func Split(cfg Config, ttf failure.Exponential, sc SplitConfig) (SplitResult, error) {
-	return SplitContext(context.Background(), cfg, ttf, sc)
-}
-
-// SplitContext is Split under run control: ctx cancellation (or
-// deadline) stops the campaign at the next trajectory boundary, drains
-// in-flight trajectories, and returns the completed levels as a Partial
-// estimate with a widened confidence interval. With a CheckpointPath
-// the run resumes from the last completed level instead of restarting.
+// SplitContext estimates the catastrophic-pool rate by multilevel
+// splitting. The failure process must be exponential (memoryless) —
+// level trajectories re-arm failure clocks at entry, which is only valid
+// without ageing. ctx cancellation (or deadline) stops the campaign at
+// the next trajectory boundary, drains in-flight trajectories, and
+// returns the completed levels as a Partial estimate with a widened
+// confidence interval. With a CheckpointPath the run resumes from the
+// last completed level instead of restarting.
 func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc SplitConfig) (SplitResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return SplitResult{}, err

@@ -1,6 +1,7 @@
 package poolsim
 
 import (
+	"context"
 	"testing"
 
 	"mlec/internal/failure"
@@ -26,7 +27,7 @@ func hotConfig(clustered bool) Config {
 
 func TestLongRunBasics(t *testing.T) {
 	ttf := failure.MustExponentialAFR(0.5)
-	stats, err := LongRun(hotConfig(true), ttf, 200, 42)
+	stats, err := LongRunContext(context.Background(), hotConfig(true), ttf, 200, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +60,11 @@ func TestLongRunBasics(t *testing.T) {
 
 func TestLongRunDeterministic(t *testing.T) {
 	ttf := failure.MustExponentialAFR(0.5)
-	a, err := LongRun(hotConfig(true), ttf, 50, 7)
+	a, err := LongRunContext(context.Background(), hotConfig(true), ttf, 50, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := LongRun(hotConfig(true), ttf, 50, 7)
+	b, err := LongRunContext(context.Background(), hotConfig(true), ttf, 50, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestSplitMatchesBruteForce(t *testing.T) {
 		var brute RunStats
 		var err error
 		years := 9000.0
-		brute, err = LongRun(cfg, ttf, years, 11)
+		brute, err = LongRunContext(context.Background(), cfg, ttf, years, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func TestSplitMatchesBruteForce(t *testing.T) {
 		}
 		bruteRate := brute.CatRatePerPoolHour()
 
-		split, err := Split(cfg, ttf, SplitConfig{TrajectoriesPerLevel: 20000, Seed: 13})
+		split, err := SplitContext(context.Background(), cfg, ttf, SplitConfig{TrajectoriesPerLevel: 20000, Seed: 13})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +143,7 @@ func TestTrajectoryAllocs(t *testing.T) {
 func TestSplitClusteredLevelStructure(t *testing.T) {
 	cfg := hotConfig(true) // pl = 2
 	ttf := failure.MustExponentialAFR(0.5)
-	res, err := Split(cfg, ttf, SplitConfig{TrajectoriesPerLevel: 5000, Seed: 17})
+	res, err := SplitContext(context.Background(), cfg, ttf, SplitConfig{TrajectoriesPerLevel: 5000, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +170,11 @@ func TestSplitClusteredLevelStructure(t *testing.T) {
 // priority repair), strictly less often than a clustered pool's.
 func TestSplitDeclusteredCoverageDiscount(t *testing.T) {
 	ttf := failure.MustExponentialAFR(0.5)
-	cl, err := Split(hotConfig(true), ttf, SplitConfig{TrajectoriesPerLevel: 10000, Seed: 19})
+	cl, err := SplitContext(context.Background(), hotConfig(true), ttf, SplitConfig{TrajectoriesPerLevel: 10000, Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc, err := Split(hotConfig(false), ttf, SplitConfig{TrajectoriesPerLevel: 10000, Seed: 19})
+	dc, err := SplitContext(context.Background(), hotConfig(false), ttf, SplitConfig{TrajectoriesPerLevel: 10000, Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +201,11 @@ func TestFig7PaperScaleOrdering(t *testing.T) {
 		t.Skip("paper-scale splitting in -short mode")
 	}
 	ttf := failure.MustExponentialAFR(0.04)
-	cp, err := Split(paperCpConfig(), ttf, SplitConfig{TrajectoriesPerLevel: 15000, Seed: 23})
+	cp, err := SplitContext(context.Background(), paperCpConfig(), ttf, SplitConfig{TrajectoriesPerLevel: 15000, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := Split(paperDpConfig(240), ttf, SplitConfig{TrajectoriesPerLevel: 15000, Seed: 23})
+	dp, err := SplitContext(context.Background(), paperDpConfig(240), ttf, SplitConfig{TrajectoriesPerLevel: 15000, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,22 +7,17 @@ import (
 	"mlec/internal/failure"
 )
 
-// ReplayTrace drives one pool with a recorded failure trace instead of a
-// sampled distribution (§3: "simulating disk failures based on
-// distributions, rules, or real traces"). Trace events whose disk is
+// ReplayTraceContext drives one pool with a recorded failure trace
+// instead of a sampled distribution (§3: "simulating disk failures based
+// on distributions, rules, or real traces"). Trace events whose disk is
 // already failed when their time arrives are dropped, mirroring how an
 // operational trace can only report failures of disks that were in
 // service.
 //
 // The returned stats cover the span of the trace (or `years` if longer).
-// ReplayTrace is ReplayTraceContext without cancellation.
-func ReplayTrace(cfg Config, trace *failure.Trace, years float64, seed int64) (RunStats, error) {
-	return ReplayTraceContext(context.Background(), cfg, trace, years, seed)
-}
-
-// ReplayTraceContext is ReplayTrace under run control: on cancellation
-// or deadline the replay stops at the next event boundary and returns
-// statistics over the replayed span, marked Partial.
+// On cancellation or deadline the replay stops at the next event
+// boundary and returns statistics over the replayed span, marked
+// Partial.
 func ReplayTraceContext(ctx context.Context, cfg Config, trace *failure.Trace, years float64, seed int64) (RunStats, error) {
 	pool, err := NewPool(cfg, seed)
 	if err != nil {

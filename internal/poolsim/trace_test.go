@@ -1,6 +1,7 @@
 package poolsim
 
 import (
+	"context"
 	"testing"
 
 	"mlec/internal/failure"
@@ -15,7 +16,7 @@ func TestReplayTraceBasics(t *testing.T) {
 		{Disk: 2, TimeHours: 10.4},
 		{Disk: 3, TimeHours: 5000},
 	}}
-	stats, err := ReplayTrace(cfg, trace, 1, 9)
+	stats, err := ReplayTraceContext(context.Background(), cfg, trace, 1, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestReplayTraceSpacedFailuresHarmless(t *testing.T) {
 		{Disk: 1, TimeHours: 1000},
 		{Disk: 2, TimeHours: 2000},
 	}}
-	stats, err := ReplayTrace(cfg, trace, 1, 9)
+	stats, err := ReplayTraceContext(context.Background(), cfg, trace, 1, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +60,11 @@ func TestReplayTraceGeneratedMatchesLongRun(t *testing.T) {
 	ttf := failure.MustExponentialAFR(0.8)
 	years := 6000.0
 	trace := failure.GenerateTrace(cfg.Disks, years, ttf, 31)
-	replay, err := ReplayTrace(cfg, trace, years, 31)
+	replay, err := ReplayTraceContext(context.Background(), cfg, trace, years, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := LongRun(cfg, ttf, years, 33)
+	long, err := LongRunContext(context.Background(), cfg, ttf, years, 33)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +85,13 @@ func TestReplayTraceGeneratedMatchesLongRun(t *testing.T) {
 func TestReplayTraceValidation(t *testing.T) {
 	cfg := hotConfig(true)
 	bad := &failure.Trace{Events: []failure.Event{{Disk: 99, TimeHours: 1}}}
-	if _, err := ReplayTrace(cfg, bad, 1, 1); err == nil {
+	if _, err := ReplayTraceContext(context.Background(), cfg, bad, 1, 1); err == nil {
 		t.Error("out-of-range disk accepted")
 	}
 	unsorted := &failure.Trace{Events: []failure.Event{
 		{Disk: 0, TimeHours: 10}, {Disk: 1, TimeHours: 5},
 	}}
-	if _, err := ReplayTrace(cfg, unsorted, 1, 1); err == nil {
+	if _, err := ReplayTraceContext(context.Background(), cfg, unsorted, 1, 1); err == nil {
 		t.Error("unsorted trace accepted")
 	}
 }
@@ -100,7 +101,7 @@ func TestLongRunWeibull(t *testing.T) {
 	// wearout (shape > 1) should produce failures like exponential.
 	cfg := hotConfig(true)
 	w := failure.Weibull{Shape: 1.5, ScaleHours: 10000}
-	stats, err := LongRun(cfg, w, 500, 3)
+	stats, err := LongRunContext(context.Background(), cfg, w, 500, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

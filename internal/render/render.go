@@ -1,6 +1,6 @@
 // Package render formats experiment output: log-scale ASCII heatmaps
 // (the terminal analogue of the paper's PDL figures), aligned tables, and
-// CSV emitters for external plotting.
+// byte and hour quantities in human units.
 package render
 
 import (
@@ -152,21 +152,6 @@ func Table(w io.Writer, headers []string, rows [][]string) error {
 	}
 	for _, r := range rows {
 		if err := writeRow(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CSV writes rows as comma-separated values with a header line.
-func CSV(w io.Writer, headers []string, rows [][]string) error {
-	if headers != nil {
-		if _, err := fmt.Fprintln(w, strings.Join(headers, ",")); err != nil {
-			return err
-		}
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintln(w, strings.Join(r, ",")); err != nil {
 			return err
 		}
 	}

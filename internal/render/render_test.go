@@ -89,16 +89,6 @@ func TestTable(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	var sb strings.Builder
-	if err := CSV(&sb, []string{"x", "y"}, [][]string{{"1", "2"}}); err != nil {
-		t.Fatal(err)
-	}
-	if sb.String() != "x,y\n1,2\n" {
-		t.Errorf("CSV output %q", sb.String())
-	}
-}
-
 func TestBytes(t *testing.T) {
 	cases := map[float64]string{
 		5:       "5 B",

@@ -40,9 +40,6 @@ var (
 	// ErrShardSize is returned when shard lengths are inconsistent or
 	// zero.
 	ErrShardSize = errors.New("rs: inconsistent shard sizes")
-	// ErrDataLength is returned by Join when the original length is
-	// negative or more than the data shards hold.
-	ErrDataLength = errors.New("rs: original length does not fit the data shards")
 )
 
 // New returns a codec for k data and p parity shards.
@@ -104,47 +101,3 @@ func (c *Codec) Reconstruct(shards [][]byte) error { return c.code.Reconstruct(s
 // ReconstructData rebuilds only the missing data shards, leaving missing
 // parity shards nil. This is the minimum work needed to serve a read.
 func (c *Codec) ReconstructData(shards [][]byte) error { return c.code.Reconstruct(shards, true) }
-
-// Split partitions data into k equally sized shards (zero-padding the
-// tail) and allocates p empty parity shards, ready for Encode.
-func (c *Codec) Split(data []byte) ([][]byte, int) {
-	shardSize := max((len(data)+c.k-1)/c.k, 1)
-	shards := make([][]byte, c.k+c.p)
-	for i := 0; i < c.k; i++ {
-		shards[i] = make([]byte, shardSize)
-		if lo := i * shardSize; lo < len(data) {
-			copy(shards[i], data[lo:min(lo+shardSize, len(data))])
-		}
-	}
-	for i := c.k; i < c.k+c.p; i++ {
-		shards[i] = make([]byte, shardSize)
-	}
-	return shards, len(data)
-}
-
-// Join is the inverse of Split: it concatenates the data shards and trims
-// to the original length. It returns ErrDataLength for a length that is
-// negative or exceeds what the data shards hold.
-func (c *Codec) Join(shards [][]byte, origLen int) ([]byte, error) {
-	if len(shards) < c.k {
-		return nil, ErrTooFewShards
-	}
-	if origLen < 0 {
-		return nil, fmt.Errorf("%w: %d", ErrDataLength, origLen)
-	}
-	held := 0
-	for i := 0; i < c.k && held < origLen; i++ {
-		if shards[i] == nil {
-			return nil, fmt.Errorf("rs: data shard %d missing; Reconstruct first", i)
-		}
-		held += len(shards[i])
-	}
-	if held < origLen {
-		return nil, fmt.Errorf("%w: %d bytes asked of %d", ErrDataLength, origLen, held)
-	}
-	out := make([]byte, 0, origLen)
-	for i := 0; len(out) < origLen; i++ {
-		out = append(out, shards[i][:min(origLen-len(out), len(shards[i]))]...)
-	}
-	return out, nil
-}

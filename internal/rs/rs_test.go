@@ -2,10 +2,8 @@ package rs
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func fillRandom(shards [][]byte, k int, rng *rand.Rand) {
@@ -197,53 +195,6 @@ func TestZeroLengthShards(t *testing.T) {
 	}
 	if err := c.Reconstruct(make([][]byte, 5)); err != ErrTooFewShards {
 		t.Fatalf("Reconstruct of nothing: err = %v, want ErrTooFewShards", err)
-	}
-}
-
-// TestJoinLengthOutOfRange: a negative original length used to panic in
-// make, one beyond the data shards used to return short data and no
-// error.
-func TestJoinLengthOutOfRange(t *testing.T) {
-	c := MustNew(3, 2)
-	shards, n := c.Split([]byte("hello, world"))
-	for _, origLen := range []int{-1, 3*len(shards[0]) + 1, 1 << 50} {
-		if out, err := c.Join(shards, origLen); !errors.Is(err, ErrDataLength) {
-			t.Errorf("Join(origLen=%d) = %d bytes, %v; want ErrDataLength", origLen, len(out), err)
-		}
-	}
-	for _, origLen := range []int{0, n, 3 * len(shards[0])} {
-		if out, err := c.Join(shards, origLen); err != nil || len(out) != origLen {
-			t.Errorf("Join(origLen=%d) = %d bytes, %v", origLen, len(out), err)
-		}
-	}
-	// A missing shard is reported only when the length reaches into it.
-	shards[2] = nil
-	if _, err := c.Join(shards, len(shards[0])); err != nil {
-		t.Errorf("Join short of the missing shard: %v", err)
-	}
-	if _, err := c.Join(shards, n); err == nil || errors.Is(err, ErrDataLength) {
-		t.Errorf("Join into the missing shard: err = %v, want the missing-shard error", err)
-	}
-}
-
-func TestSplitJoinRoundTrip(t *testing.T) {
-	if err := quick.Check(func(data []byte) bool {
-		c := MustNew(5, 2)
-		shards, n := c.Split(data)
-		if err := c.Encode(shards); err != nil {
-			return false
-		}
-		shards[0], shards[6] = nil, nil
-		if err := c.Reconstruct(shards); err != nil {
-			return false
-		}
-		out, err := c.Join(shards, n)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(out, data)
-	}, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 

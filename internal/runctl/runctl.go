@@ -1,6 +1,6 @@
 // Package runctl is the run-control layer shared by every Monte-Carlo
-// engine in this repository (poolsim.Split, syssim, burst, the trace
-// replayer) and by the cmd/ binaries that drive them.
+// engine in this repository (poolsim.SplitContext, syssim, burst, the
+// trace replayer) and by the cmd/ binaries that drive them.
 //
 // The paper's headline numbers come from long rare-event campaigns —
 // two-stage splitting over >50,000-disk systems — and a production-shape

@@ -30,7 +30,9 @@ func Beat() { beats.Add(1) }
 // deadline; the watchdog's job is to say *why* on the way down.
 //
 // Intervals ≤ 0 disable the watchdog. The returned stop function is
-// idempotent; defer it next to the CLIContext stop. Trips are
+// idempotent and joins the watchdog goroutine: once it returns, no trip
+// is counted and nothing is written to errw. Defer it next to the
+// CLIContext stop. Trips are
 // wall-clock driven and so excluded from the determinism contract —
 // a healthy fixed-seed run never trips, and trace files from runs that
 // did are diagnostics, not artifacts.
@@ -38,12 +40,13 @@ func StartWatchdog(interval time.Duration, errw io.Writer) (stop func()) {
 	if interval <= 0 {
 		return func() {}
 	}
-	done := make(chan struct{})
+	done, exited := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	// runctl is the sanctioned goroutine layer (see barego), and the
 	// ticker is legal here: walltime restricts simulation packages, not
 	// run control.
 	go func() {
+		defer close(exited)
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		last := beats.Load()
@@ -67,5 +70,8 @@ func StartWatchdog(interval time.Duration, errw io.Writer) (stop func()) {
 			}
 		}
 	}()
-	return func() { once.Do(func() { close(done) }) }
+	return func() {
+		once.Do(func() { close(done) })
+		<-exited
+	}
 }

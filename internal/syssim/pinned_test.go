@@ -1,6 +1,7 @@
 package syssim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestSyssimStatsPinned(t *testing.T) {
 		{placement.SchemeDD, repair.RMin, 46624, 3764, 2, 0x432b9eddd6ce6800, 2, 0},
 	}
 	for _, p := range pins {
-		s, err := Run(hotSystem(p.scheme, p.method, 0.9), 300, 17)
+		s, err := RunContext(context.Background(), hotSystem(p.scheme, p.method, 0.9), 300, 17)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,7 @@ func TestRunContextDeadlineStopsHonestly(t *testing.T) {
 }
 
 func TestRunContextUncancelledMatchesRun(t *testing.T) {
-	a, err := Run(smallRunCfg(), 20, 9)
+	a, err := RunContext(context.Background(), smallRunCfg(), 20, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -279,18 +279,13 @@ func (s *System) buildNetworkStripes() error {
 	return nil
 }
 
-// Run simulates for the given number of years and returns statistics.
-// Run is RunContext without cancellation.
-func Run(cfg Config, years float64, seed int64) (Stats, error) {
-	return RunContext(context.Background(), cfg, years, seed)
-}
-
-// RunContext is Run under run control: the event loop polls ctx between
-// batches of events, so cancellation or a deadline stops the simulation
-// at an event boundary and returns statistics over the span actually
-// simulated, marked Partial. The event sequence up to that boundary is
-// identical to an uninterrupted run's — cancellation changes where the
-// run stops, never what it simulates.
+// RunContext simulates for the given number of years and returns
+// statistics. The event loop polls ctx between batches of events, so
+// cancellation or a deadline stops the simulation at an event boundary
+// and returns statistics over the span actually simulated, marked
+// Partial. The event sequence up to that boundary is identical to an
+// uninterrupted run's — cancellation changes where the run stops, never
+// what it simulates.
 func RunContext(ctx context.Context, cfg Config, years float64, seed int64) (Stats, error) {
 	cfg.Seed = seed
 	s, err := New(cfg)

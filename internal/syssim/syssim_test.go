@@ -1,6 +1,7 @@
 package syssim
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -34,7 +35,7 @@ func hotSystem(scheme placement.Scheme, method repair.Method, afr float64) Confi
 }
 
 func TestRunBasics(t *testing.T) {
-	stats, err := Run(hotSystem(placement.SchemeCD, repair.RMin, 0.5), 200, 1)
+	stats, err := RunContext(context.Background(), hotSystem(placement.SchemeCD, repair.RMin, 0.5), 200, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +55,11 @@ func TestRunBasics(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a, err := Run(hotSystem(placement.SchemeCC, repair.RFCO, 0.5), 50, 7)
+	a, err := RunContext(context.Background(), hotSystem(placement.SchemeCC, repair.RFCO, 0.5), 50, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(hotSystem(placement.SchemeCC, repair.RFCO, 0.5), 50, 7)
+	b, err := RunContext(context.Background(), hotSystem(placement.SchemeCC, repair.RFCO, 0.5), 50, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestNetworkStripeCoverage(t *testing.T) {
 func TestMethodTrafficOrdering(t *testing.T) {
 	traffic := map[repair.Method]float64{}
 	for _, m := range repair.AllMethods {
-		stats, err := Run(hotSystem(placement.SchemeCD, m, 0.5), 400, 11)
+		stats, err := RunContext(context.Background(), hotSystem(placement.SchemeCD, m, 0.5), 400, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,11 +138,11 @@ func TestMethodTrafficOrdering(t *testing.T) {
 // data-loss episodes that chunk-aware methods avoid (§4.2.3 F#1) on
 // network-declustered schemes.
 func TestRAllLosesMoreThanRFCO(t *testing.T) {
-	all, err := Run(hotSystem(placement.SchemeDD, repair.RAll, 0.7), 1500, 3)
+	all, err := RunContext(context.Background(), hotSystem(placement.SchemeDD, repair.RAll, 0.7), 1500, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fco, err := Run(hotSystem(placement.SchemeDD, repair.RFCO, 0.7), 1500, 3)
+	fco, err := RunContext(context.Background(), hotSystem(placement.SchemeDD, repair.RFCO, 0.7), 1500, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestPaperScaleSmoke(t *testing.T) {
 		TTF:             failure.MustExponentialAFR(0.01),
 	}
 	years := 25.0
-	stats, err := Run(cfg, years, 5)
+	stats, err := RunContext(context.Background(), cfg, years, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("nil TTF accepted")
 	}
-	if _, err := Run(hotSystem(placement.SchemeCC, repair.RAll, 0.5), 0, 1); err == nil {
+	if _, err := RunContext(context.Background(), hotSystem(placement.SchemeCC, repair.RAll, 0.5), 0, 1); err == nil {
 		t.Error("zero years accepted")
 	}
 }
@@ -228,7 +229,7 @@ func TestBurstPDLMatchesAnalytic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		analytic, err := burst.PDL(burst.NewMLECEvaluator(l), x, y, 4000, 5)
+		analytic, err := burst.PDLContext(context.Background(), burst.NewMLECEvaluator(l), x, y, 4000, 5, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +262,7 @@ func TestDrainLoopAllocs(t *testing.T) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		m0, e0 := ms.Mallocs, events.Value()
-		if _, err := Run(cfg, years, 5); err != nil {
+		if _, err := RunContext(context.Background(), cfg, years, 5); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&ms)

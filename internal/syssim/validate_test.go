@@ -1,6 +1,7 @@
 package syssim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // TestSplittingCompositionEndToEnd is the capstone cross-validation: on a
 // configuration hot enough to observe data loss directly, the full-system
 // simulator's measured loss-event rate must agree with the two-stage
-// splitting composition (stage 1 from poolsim.Split on the same pool
+// splitting composition (stage 1 from poolsim.SplitContext on the same pool
 // geometry, stage 2 from the analytic overlap model) within an order of
 // magnitude — the same mutual-verification discipline the paper describes
 // in §6.2.
@@ -26,7 +27,7 @@ func TestSplittingCompositionEndToEnd(t *testing.T) {
 
 	// Direct measurement.
 	years := 6000.0
-	stats, err := Run(cfg, years, 21)
+	stats, err := RunContext(context.Background(), cfg, years, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestSplittingCompositionEndToEnd(t *testing.T) {
 		DetectionDelayHours: failure.DefaultDetectionDelayHours,
 	}
 	ttf := failure.MustExponentialAFR(0.7)
-	split, err := poolsim.Split(pc, ttf, poolsim.SplitConfig{TrajectoriesPerLevel: 20000, Seed: 23})
+	split, err := poolsim.SplitContext(context.Background(), pc, ttf, poolsim.SplitConfig{TrajectoriesPerLevel: 20000, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,9 +142,6 @@ func (s *System) ObjectStripeBytes() int { return s.c.NetStripeDataBytes() }
 // its contents.
 func (s *System) FailDisk(id DiskID) { s.c.FailDiskAt(id) }
 
-// FailDiskIndex is FailDisk by flat index in [0, TotalDisks).
-func (s *System) FailDiskIndex(i int) { s.c.FailDisk(i) }
-
 // Report classifies the current damage per the paper's Table 1.
 func (s *System) Report() FailureReport { return s.c.Report() }
 
@@ -153,7 +150,8 @@ func (s *System) Report() FailureReport { return s.c.Report() }
 func (s *System) CatastrophicPools() []int { return s.c.CatastrophicPools() }
 
 // Repair restores all damage: catastrophic pools with the given method,
-// the rest locally. Failed disks are replaced in place.
+// the rest locally. Failed disks are replaced in place. A method outside
+// the four is refused with an error before anything changes.
 func (s *System) Repair(m RepairMethod) error { return s.c.Repair(m) }
 
 // Traffic reports the bytes moved by repairs so far.
@@ -197,7 +195,7 @@ func DescribeExperiment(id string) string { return experiments.Describe(id) }
 // rendering to w. RunExperiment is RunExperimentContext without
 // cancellation.
 func RunExperiment(id string, opts ExperimentOptions, w io.Writer) error {
-	return experiments.Run(id, opts, w)
+	return experiments.RunContext(context.Background(), id, opts, w)
 }
 
 // RunExperimentContext is RunExperiment under run control: cancellation

@@ -46,8 +46,8 @@ func TestSystemLifecycle(t *testing.T) {
 	}
 
 	// Inject a catastrophic burst into enclosure 0.
-	for i := 0; i < 7; i++ {
-		s.FailDiskIndex(i)
+	for d := 0; d < 7; d++ {
+		s.FailDisk(DiskID{Rack: 0, Enclosure: 0, Disk: d})
 	}
 	rep := s.Report()
 	if rep.AffectedLocalStripes == 0 {
@@ -79,9 +79,10 @@ func TestSystemDataLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill pn+1 aligned pools beyond local tolerance.
-	dpr := smallConfig(SchemeCC).Topology.DisksPerRack()
-	for _, d := range []int{0, 1, 2, dpr, dpr + 1, dpr + 2} {
-		s.FailDiskIndex(d)
+	for _, rack := range []int{0, 1} {
+		for d := 0; d < 3; d++ {
+			s.FailDisk(DiskID{Rack: rack, Enclosure: 0, Disk: d})
+		}
 	}
 	if _, err := s.Read("doc"); !errors.Is(err, ErrDataLoss) {
 		t.Fatalf("err = %v, want ErrDataLoss", err)
@@ -158,6 +159,15 @@ func TestEstimateDurabilityAPI(t *testing.T) {
 	}
 }
 
+// TestEstimateDurabilityRejectsNegativeTrajectories: a negative
+// trajectory count is an error, not a silent 20,000-trajectory run.
+func TestEstimateDurabilityRejectsNegativeTrajectories(t *testing.T) {
+	opts := DurabilityOptions{UseSimulation: true, Trajectories: -1}
+	if _, err := EstimateDurabilityContext(context.Background(), DefaultTopology(), DefaultParams(), SchemeCD, opts); err == nil {
+		t.Fatal("Trajectories = -1 accepted")
+	}
+}
+
 func TestEncodingThroughputAPI(t *testing.T) {
 	v, err := EncodingThroughput(DefaultParams(), 5*time.Millisecond)
 	if err != nil {
@@ -231,7 +241,7 @@ func TestSystemRebalance(t *testing.T) {
 	if err := s.Write("doc", data); err != nil {
 		t.Fatal(err)
 	}
-	s.FailDiskIndex(0)
+	s.FailDisk(DiskID{Rack: 0, Enclosure: 0, Disk: 0})
 	if err := s.Repair(RepairHybrid); err != nil {
 		t.Fatal(err)
 	}
