@@ -56,10 +56,11 @@ obs-smoke:
 
 ## chaos: the deterministic fault-injection matrix (see
 ## internal/faultinject). Builds mlecdur/mlecburst with -race and
-## asserts that fixed-seed campaigns with injected worker panics, torn
-## checkpoint writes, and a deliberately corrupted checkpoint
-## generation all converge to stdout byte-identical to the fault-free
-## run. CHAOS_REPORT collects per-case verdicts (the CI artifact).
+## asserts that fixed-seed campaigns whose worker panics or errors
+## after a checkpoint save fail, then resume to stdout byte-identical
+## to the fault-free run, and that torn checkpoint writes and a
+## deliberately corrupted checkpoint generation converge to the same
+## bytes. CHAOS_REPORT collects per-case verdicts (the CI artifact).
 CHAOS_REPORT ?= chaos-report.txt
 chaos:
 	rm -f $(CHAOS_REPORT)

@@ -7,6 +7,7 @@ package cli
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -141,10 +142,21 @@ func (c *Command) Exit(code int) {
 	os.Exit(code)
 }
 
-// Fail reports the error that ended the run and exits 1.
+// Fail reports the error that ended the run and exits 1. A faulted
+// worker — a contained panic or an injected fault — is recovered by
+// resuming, so with -checkpoint set Fail also says how.
 func (c *Command) Fail(err error) {
 	fmt.Fprintf(os.Stderr, "%s: %v\n", c.name, err)
+	var pe *runctl.PanicError
+	var ie *faultinject.InjectedError
+	if c.Checkpoint != "" && (errors.As(err, &pe) || errors.As(err, &ie)) {
+		c.resumeHint(os.Stderr)
+	}
 	c.Exit(1)
+}
+
+func (c *Command) resumeHint(w io.Writer) {
+	fmt.Fprintf(w, "Re-run the same command to resume from %s.\n", c.Checkpoint)
 }
 
 // Partial ends the report of an interrupted campaign on w: the banner,
@@ -152,7 +164,7 @@ func (c *Command) Fail(err error) {
 func (c *Command) Partial(w io.Writer, banner string) {
 	fmt.Fprintln(w, banner)
 	if c.Checkpoint != "" {
-		fmt.Fprintf(w, "Re-run the same command to resume from %s.\n", c.Checkpoint)
+		c.resumeHint(w)
 	} else {
 		fmt.Fprintln(w, "Pass -checkpoint to make interrupted campaigns resumable.")
 	}

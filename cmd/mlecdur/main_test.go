@@ -51,3 +51,27 @@ func TestFailedObsActivationWritesNoReport(t *testing.T) {
 		t.Errorf("failed activation left a run report (stat err %v)", err)
 	}
 }
+
+// TestWorkerFaultResumeHint: a faulted worker fails the run with exit 1
+// and names its stream; with -checkpoint the error is followed by the
+// resume line, without it nothing is added.
+func TestWorkerFaultResumeHint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := buildCLI(t)
+	ckpt := filepath.Join(t.TempDir(), "dur.ckpt")
+	hint := "Re-run the same command to resume from " + ckpt + "."
+	for _, kind := range []string{"panic", "error"} {
+		args := []string{"-scheme", "C/D", "-sim", "-trajectories", "50", "-chaos", "poolsim.worker:" + kind + ":nth=1"}
+		code, stdout, stderr := runCLI(t, bin, args...)
+		if code != 1 || stdout != "" || !strings.Contains(stderr, "stream ") || strings.Contains(stderr, "Re-run") {
+			t.Errorf("%s without -checkpoint: exit %d, stdout %q, stderr %q; want exit 1 naming the stream, no resume line",
+				kind, code, stdout, stderr)
+		}
+		code, _, stderr = runCLI(t, bin, append(args, "-checkpoint", ckpt)...)
+		if code != 1 || !strings.Contains(stderr, hint) {
+			t.Errorf("%s with -checkpoint: exit %d, stderr %q; want exit 1 and %q", kind, code, stderr, hint)
+		}
+	}
+}

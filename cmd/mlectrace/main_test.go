@@ -41,7 +41,7 @@ func TestEventSummaryKnowsEveryKind(t *testing.T) {
 	// The post-PR5 kinds specifically — the ones summaries used to lump
 	// as unknown.
 	for _, kind := range []string{
-		obs.EvFaultInjected, obs.EvStreamRetry, obs.EvCheckpointFallback, obs.EvStall, obs.EvLevelPromotion,
+		obs.EvFaultInjected, obs.EvCheckpointFallback, obs.EvStall, obs.EvLevelPromotion,
 	} {
 		if _, ok := kinds[kind]; !ok {
 			t.Errorf("KnownEventKinds lacks %q", kind)

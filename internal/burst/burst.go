@@ -177,9 +177,9 @@ func PDLContext(ctx context.Context, ev Evaluator, x, y, trials int, seed int64,
 				if ctx.Err() != nil {
 					return nil // drain: this batch replays on resume
 				}
-				// Chaos hook: a faulted batch re-runs from the same
-				// stream and rewrites the same checkpoint slots, so a
-				// healed round is byte-identical to a clean one.
+				// Chaos hook: a faulted batch fails the round before
+				// its save; a resume replays the round from the same
+				// streams, byte-identical to a clean one.
 				if err := faultinject.Fire("burst.batch", stream); err != nil {
 					return err
 				}

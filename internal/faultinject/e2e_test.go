@@ -1,25 +1,29 @@
-// End-to-end proof of the self-healing determinism contract (the chaos
-// CI matrix; make chaos runs exactly these tests):
+// End-to-end proof of the recovery contract (the chaos CI matrix; make
+// chaos runs exactly these tests):
 //
-//  1. A fixed-seed campaign with injected worker panics (≥10% of worker
-//     streams) and an injected checkpoint-write failure produces stdout
-//     byte-identical to the fault-free run — every fault healed by
-//     stream re-runs and save retries, none visible in the results.
-//  2. A campaign resumed after its newest checkpoint is deliberately
+//  1. A checkpointed fixed-seed campaign whose worker faults after the
+//     first level or round save exits 1, names the faulted stream and
+//     says how to resume; re-running the same command without chaos
+//     resumes and prints stdout byte-identical to the fault-free run.
+//  2. A torn checkpoint write heals within the process: the campaign
+//     finishes with the fault-free run's bytes.
+//  3. A campaign resumed after its newest checkpoint is deliberately
 //     corrupted falls back to the previous generation, loudly, and
 //     still converges to the byte-identical result.
 //
-// The binaries are built with -race so the healing paths are exercised
+// The binaries are built with -race so the recovery paths are exercised
 // under the race detector. With CHAOS_REPORT set, each case appends a
 // verdict line to that file (the CI artifact).
 package faultinject_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"sync"
 	"testing"
@@ -65,15 +69,30 @@ func buildRaceBinaries(t *testing.T) string {
 	return chaosBuildDir
 }
 
-func runChaosBinary(t *testing.T, bin string, args ...string) (stdout, stderr []byte) {
+// runChaosBinaryExit runs bin and returns its output and exit code.
+func runChaosBinaryExit(t *testing.T, bin string, args ...string) (stdout, stderr []byte, code int) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	if err := cmd.Run(); err != nil {
-		t.Fatalf("%s %v: %v\nstderr:\n%s", filepath.Base(bin), args, err, errb.String())
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) {
+			t.Fatalf("%s %v: %v", filepath.Base(bin), args, err)
+		}
+		return out.Bytes(), errb.Bytes(), ee.ExitCode()
 	}
-	return out.Bytes(), errb.Bytes()
+	return out.Bytes(), errb.Bytes(), 0
+}
+
+// runChaosBinary runs bin and fails the test unless it exits 0.
+func runChaosBinary(t *testing.T, bin string, args ...string) (stdout, stderr []byte) {
+	t.Helper()
+	out, errb, code := runChaosBinaryExit(t, bin, args...)
+	if code != 0 {
+		t.Fatalf("%s %v: exit %d\nstderr:\n%s", filepath.Base(bin), args, code, errb)
+	}
+	return out, errb
 }
 
 var chaosReportMu sync.Mutex
@@ -97,70 +116,120 @@ func reportChaos(t *testing.T, format string, args ...any) {
 	fmt.Fprintf(f, format+"\n", args...)
 }
 
-// TestChaosMatrixByteIdentity runs the fault matrix: each case runs a
-// campaign fault-free, then again with the chaos plan armed, and the
-// two stdouts must match byte for byte.
+// streamRE finds the stream a worker-fault error names: "on stream N"
+// for a contained panic, "(stream N)" for an injected error.
+var streamRE = regexp.MustCompile(`stream -?[0-9]+`)
+
+// TestChaosMatrixByteIdentity runs the fault matrix. A worker-fault case
+// runs the campaign fault-free, then with the chaos plan armed — which
+// must fail after a checkpoint save, name the stream and print the
+// resume line — then re-runs the same command without chaos, which
+// must resume to the fault-free stdout byte for byte. A heal case runs
+// with the plan armed and must finish with the fault-free stdout.
 func TestChaosMatrixByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs -race binaries")
 	}
 	bins := buildRaceBinaries(t)
+	// A splitting level launches one poolsim.worker per CPU (the levels
+	// here have more trajectories than the host has CPUs), so hit
+	// workers+1 is the first worker of level 2, after level 1's save. A
+	// burst round is 256 batches, so hit 257 is the first batch of
+	// round 2 — the burst cases ask for 313 batches of 64 trials.
+	levelWorker := runtime.NumCPU() + 1
+	const roundBatch = 257
 	cases := []struct {
-		name       string
-		bin        string
-		args       []string
-		chaos      string
-		checkpoint string // flag name when the case needs a checkpoint path
+		name  string
+		bin   string
+		args  []string
+		chaos string
+		heals bool // the fault heals within the process: no resume leg
 	}{
 		{
-			// ≥10% of splitting worker streams panic on first attempt,
-			// and the first checkpoint write attempt fails mid-stream.
-			name:       "mlecdur_worker_panics_and_ckpt_writeerr",
-			bin:        "mlecdur",
-			args:       []string{"-scheme", "D/D", "-sim", "-trajectories", "600", "-seed", "7"},
-			chaos:      "poolsim.worker:panic:p=0.25;runctl.checkpoint.write:writeerr:nth=1,bytes=8;seed=11",
-			checkpoint: "-checkpoint",
+			// A worker panic in splitting level 2, after the first
+			// checkpoint write tore and healed.
+			name:  "mlecdur_worker_panics_and_ckpt_writeerr",
+			bin:   "mlecdur",
+			args:  []string{"-scheme", "D/D", "-sim", "-trajectories", "600", "-seed", "7"},
+			chaos: fmt.Sprintf("poolsim.worker:panic:nth=%d;runctl.checkpoint.write:writeerr:nth=1,bytes=8;seed=11", levelWorker),
 		},
 		{
-			name:       "mlecburst_batch_panics_and_ckpt_writeerr",
-			bin:        "mlecburst",
-			args:       []string{"-scheme", "D/D", "-x", "3", "-y", "40", "-trials", "2000", "-seed", "5"},
-			chaos:      "burst.batch:panic:p=0.15;runctl.checkpoint.write:writeerr:nth=1;seed=13",
-			checkpoint: "-checkpoint",
+			name:  "mlecburst_batch_panics_and_ckpt_writeerr",
+			bin:   "mlecburst",
+			args:  []string{"-scheme", "D/D", "-x", "3", "-y", "40", "-trials", "20000", "-seed", "5"},
+			chaos: fmt.Sprintf("burst.batch:panic:nth=%d;runctl.checkpoint.write:writeerr:nth=1;seed=13", roundBatch),
 		},
 		{
-			// Injected worker errors (not panics) heal the same way.
+			// Injected worker errors (not panics) take the same path.
 			name:  "mlecdur_worker_errors",
 			bin:   "mlecdur",
 			args:  []string{"-scheme", "C/D", "-sim", "-trajectories", "600", "-seed", "9"},
-			chaos: "poolsim.worker:error:p=0.2;seed=17",
+			chaos: fmt.Sprintf("poolsim.worker:error:nth=%d;seed=17", levelWorker),
+		},
+		{
+			name:  "mlecdur_ckpt_writeerr",
+			bin:   "mlecdur",
+			args:  []string{"-scheme", "D/D", "-sim", "-trajectories", "600", "-seed", "7"},
+			chaos: "runctl.checkpoint.write:writeerr:every=2,bytes=8;seed=11",
+			heals: true,
+		},
+		{
+			name:  "mlecburst_ckpt_writeerr",
+			bin:   "mlecburst",
+			args:  []string{"-scheme", "D/D", "-x", "3", "-y", "40", "-trials", "20000", "-seed", "5"},
+			chaos: "runctl.checkpoint.write:writeerr:nth=1;seed=13",
+			heals: true,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			bin := filepath.Join(bins, tc.bin)
-			cleanArgs := append([]string(nil), tc.args...)
-			if tc.checkpoint != "" {
-				cleanArgs = append(cleanArgs, tc.checkpoint, filepath.Join(t.TempDir(), "clean.ckpt"))
+			withCkpt := func(path string) []string {
+				return append(append([]string(nil), tc.args...), "-checkpoint", path)
 			}
-			clean, _ := runChaosBinary(t, bin, cleanArgs...)
+			clean, _ := runChaosBinary(t, bin, withCkpt(filepath.Join(t.TempDir(), "clean.ckpt"))...)
 
-			chaosArgs := append([]string(nil), tc.args...)
-			if tc.checkpoint != "" {
-				chaosArgs = append(chaosArgs, tc.checkpoint, filepath.Join(t.TempDir(), "chaos.ckpt"))
+			ckpt := filepath.Join(t.TempDir(), "chaos.ckpt")
+			chaosArgs := append(withCkpt(ckpt), "-chaos", tc.chaos)
+			if tc.heals {
+				healed, stderrOut := runChaosBinary(t, bin, chaosArgs...)
+				if !bytes.Equal(clean, healed) {
+					reportChaos(t, "FAIL %s: healed stdout diverged from fault-free run", tc.name)
+					t.Fatalf("healed chaos run diverged from the fault-free run.\nclean:\n%s\nchaos:\n%s\nstderr:\n%s",
+						clean, healed, stderrOut)
+				}
+				if !bytes.Contains(stderrOut, []byte("chaos:")) {
+					t.Errorf("chaos announcement missing from stderr:\n%s", stderrOut)
+				}
+				reportChaos(t, "PASS %s: %s %v under %q healed in process, byte-identical to fault-free run",
+					tc.name, tc.bin, tc.args, tc.chaos)
+				return
 			}
-			chaosArgs = append(chaosArgs, "-chaos", tc.chaos)
-			healed, stderrOut := runChaosBinary(t, bin, chaosArgs...)
 
-			if !bytes.Equal(clean, healed) {
-				reportChaos(t, "FAIL %s: healed stdout diverged from fault-free run", tc.name)
-				t.Fatalf("healed chaos run diverged from the fault-free run.\nclean:\n%s\nchaos:\n%s\nstderr:\n%s",
-					clean, healed, stderrOut)
+			_, stderrOut, code := runChaosBinaryExit(t, bin, chaosArgs...)
+			if code != 1 {
+				reportChaos(t, "FAIL %s: faulted run exited %d, want 1", tc.name, code)
+				t.Fatalf("faulted run exited %d, want 1\nstderr:\n%s", code, stderrOut)
 			}
-			if !bytes.Contains(stderrOut, []byte("chaos:")) {
-				t.Errorf("chaos announcement missing from stderr:\n%s", stderrOut)
+			if !streamRE.Match(stderrOut) {
+				t.Errorf("faulted run's stderr names no stream:\n%s", stderrOut)
 			}
-			reportChaos(t, "PASS %s: %s %v under %q byte-identical to fault-free run",
+			resumeLine := fmt.Sprintf("Re-run the same command to resume from %s.", ckpt)
+			if !bytes.Contains(stderrOut, []byte(resumeLine)) {
+				t.Errorf("faulted run's stderr lacks %q:\n%s", resumeLine, stderrOut)
+			}
+			if _, err := os.Stat(ckpt); err != nil {
+				reportChaos(t, "FAIL %s: fault landed before the first checkpoint save", tc.name)
+				t.Fatalf("fault landed before the first checkpoint save: %v\nstderr:\n%s", err, stderrOut)
+			}
+
+			resumed, resumeErr := runChaosBinary(t, bin, withCkpt(ckpt)...)
+			if !bytes.Equal(clean, resumed) {
+				reportChaos(t, "FAIL %s: resumed stdout diverged from fault-free run", tc.name)
+				t.Fatalf("resume after the fault diverged from the fault-free run.\nclean:\n%s\nresumed:\n%s\nstderr:\n%s",
+					clean, resumed, resumeErr)
+			}
+			reportChaos(t, "PASS %s: %s %v under %q failed after a save; resume byte-identical to fault-free run",
 				tc.name, tc.bin, tc.args, tc.chaos)
 		})
 	}

@@ -7,8 +7,9 @@
 // campaign runner that models such systems should itself survive
 // faults, and the only way to trust that it does is to inject them on
 // purpose, deterministically, in CI. This package provides the
-// injection half of that loop; internal/runctl provides the healing
-// half (stream re-runs, checkpoint generations, the stall watchdog).
+// injection half of that loop; internal/runctl provides the recovery
+// half (panic containment, checkpoint resume and generations, save
+// retries, the stall watchdog).
 //
 // # Injection points
 //
@@ -22,32 +23,30 @@
 //
 // # Determinism
 //
-// Probability triggers are pure functions of (plan seed, point name,
-// stream id, per-stream hit index) via splitmix64 — never of wall
-// clock, scheduling, or map order — so a fixed-seed chaos run injects
-// the same faults at the same streams on every host. A probability
-// rule fires at most once per (point, stream): the first hit of a
-// cursed stream faults, its retry (the same stream, hit two) runs
-// clean, which is what lets runctl's K-attempt stream re-runs converge
-// to byte-identical results with certainty instead of with probability.
-// Count caps (`count=N`) bound total fires; nth/every triggers consult
-// a global per-point hit counter for single-threaded sites such as
-// checkpoint saves.
+// A probability rule is stateless: it fires on a hit iff a pure
+// function of (plan seed, point name, stream id) via splitmix64 falls
+// below p — never of wall clock, scheduling, or map order — so a
+// fixed-seed chaos run injects the same faults at the same streams on
+// every host. Count caps (`count=N`) bound total fires; nth/every
+// triggers consult a global per-point hit counter. At single-threaded
+// sites such as checkpoint saves that names one fixed hit; at a worker
+// site it names the pool round the hit falls in, since a round's
+// workers all finish before the next round starts, but not which of
+// the round's streams takes it.
 //
 // # Spec grammar
 //
-// Plans are parsed from the -chaos CLI flag or the MLEC_CHAOS
-// environment variable:
+// Plans are parsed from the -chaos CLI flag:
 //
 //	spec   := item (';' item)*
 //	item   := 'seed=' INT | rule
 //	rule   := point ':' kind (':' param (',' param)*)?
-//	kind   := 'panic' | 'error' | 'delay' | 'writeerr'
+//	kind   := 'panic' | 'error' | 'writeerr'
 //	param  := 'p=' FLOAT | 'nth=' INT | 'every=' INT |
-//	          'count=' INT | 'ms=' INT | 'bytes=' INT
+//	          'count=' INT | 'bytes=' INT
 //
-// Example: inject a panic into ~15% of worker streams and fail the
-// first checkpoint write once:
+// p must lie in (0, 1]. Example: inject a panic into ~15% of worker
+// streams and fail the first checkpoint write once:
 //
 //	-chaos 'poolsim.worker:panic:p=0.15;runctl.checkpoint.write:writeerr:nth=1'
 package faultinject
@@ -60,7 +59,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mlec/internal/obs"
 )
@@ -69,17 +67,12 @@ import (
 type Kind int
 
 const (
-	// KindPanic panics with an *InjectedError; the containment and
-	// retry machinery in runctl must convert it back into forward
-	// progress.
+	// KindPanic panics with an *InjectedError; runctl's containment
+	// must turn it into a typed error naming the stream.
 	KindPanic Kind = iota
 	// KindError returns an *InjectedError from Fire for the caller to
 	// propagate like any worker failure.
 	KindError
-	// KindDelay sleeps for the rule's duration and returns nil — a
-	// latency fault that must never change a fixed-seed result, only
-	// scheduling.
-	KindDelay
 	// KindWriteError arms Writer: the wrapped writer accepts the rule's
 	// byte budget and then fails, modeling torn or failed writes.
 	KindWriteError
@@ -92,8 +85,6 @@ func (k Kind) String() string {
 		return "panic"
 	case KindError:
 		return "error"
-	case KindDelay:
-		return "delay"
 	case KindWriteError:
 		return "writeerr"
 	}
@@ -118,8 +109,8 @@ func (e *InjectedError) Error() string {
 type Rule struct {
 	Point string
 	Kind  Kind
-	// Prob fires on the first hit of a (point, stream) pair with this
-	// probability, decided by a pure function of (seed, point, stream).
+	// Prob fires on every hit of a stream whose pure function of
+	// (seed, point, stream) falls below it.
 	Prob float64
 	// Nth fires on exactly the nth hit of the point (1-based, counted
 	// across all streams).
@@ -128,8 +119,6 @@ type Rule struct {
 	Every int
 	// Count caps total fires of this rule; 0 = unbounded.
 	Count int
-	// Delay is the sleep for KindDelay (default 10ms).
-	Delay time.Duration
 	// Bytes is how many bytes a KindWriteError writer accepts before
 	// failing (default 0: the first write fails outright).
 	Bytes int
@@ -144,8 +133,6 @@ type ruleState struct {
 	hits int64 // global hit counter (nth/every triggers)
 	// guarded by mu
 	fired int // fires so far (count cap)
-	// guarded by mu
-	stream map[int64]int64 // per-stream hit counts (prob trigger)
 }
 
 // Plan is an immutable set of armed rules plus the decision seed.
@@ -188,23 +175,12 @@ func Disable() { active.Store(nil) }
 // Enabled reports whether a plan is armed.
 func Enabled() bool { return active.Load() != nil }
 
-// injectedC ticks faultinject_injected_total{kind=...} per fire. Cells
-// are resolved lazily but cached so repeated fires stay cheap.
-var (
-	injectedMu sync.Mutex
-	// guarded by injectedMu
-	injectedC = map[Kind]*obs.Counter{}
-)
+// injected ticks once per fire; the fault_injected trace event carries
+// the point, kind and stream.
+var injected = obs.Default.Counter("faultinject_injected_total")
 
 func recordFire(point string, kind Kind, stream int64) {
-	injectedMu.Lock()
-	c := injectedC[kind]
-	if c == nil {
-		c = obs.Default.Counter(fmt.Sprintf("faultinject_injected_total{kind=%q}", kind))
-		injectedC[kind] = c
-	}
-	injectedMu.Unlock()
-	c.Inc()
+	injected.Inc()
 	obs.Trace.Emit(obs.TraceEvent{
 		Kind: obs.EvFaultInjected,
 		Note: fmt.Sprintf("%s %s stream=%d", point, kind, stream),
@@ -213,8 +189,8 @@ func recordFire(point string, kind Kind, stream int64) {
 
 // trigger decides whether this hit of the rule fires. It owns all
 // mutable rule state; decisions are deterministic given the hit order
-// of single-threaded sites and, for probability rules, deterministic
-// per (seed, point, stream) regardless of scheduling.
+// of single-threaded sites and, for probability rules, a pure function
+// of (seed, point, stream) regardless of scheduling.
 func (rs *ruleState) trigger(seed int64, stream int64) bool {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -226,14 +202,7 @@ func (rs *ruleState) trigger(seed int64, stream int64) bool {
 	case rs.rule.Every > 0:
 		fire = rs.hits%int64(rs.rule.Every) == 0
 	case rs.rule.Prob > 0:
-		if rs.stream == nil {
-			rs.stream = make(map[int64]int64)
-		}
-		rs.stream[stream]++
-		// Only the first hit of a stream can fire: a cursed stream's
-		// re-run is clean, which is what makes runctl's retries
-		// converge deterministically.
-		fire = rs.stream[stream] == 1 && unitProb(seed, rs.rule.Point, stream) < rs.rule.Prob
+		fire = unitProb(seed, rs.rule.Point, stream) < rs.rule.Prob
 	default:
 		fire = true
 	}
@@ -248,10 +217,10 @@ func (rs *ruleState) trigger(seed int64, stream int64) bool {
 
 // Fire consults the armed plan for point. With no plan, no rule for
 // the point, or an untriggered hit it returns nil; KindError returns
-// an *InjectedError; KindDelay sleeps and returns nil; KindPanic
-// panics with an *InjectedError. Stream keys probability decisions —
-// pass the same splitmix64 stream id the surrounding work is derived
-// from so the fault lands on a reproducible stream.
+// an *InjectedError; KindPanic panics with an *InjectedError. Stream
+// keys probability decisions — pass the same splitmix64 stream id the
+// surrounding work is derived from so the fault lands on a
+// reproducible stream.
 //
 //mlec:cold chaos instrumentation; the disabled fast path is one atomic load and armed plans are never a steady-state production configuration
 func Fire(point string, stream int64) error {
@@ -271,9 +240,6 @@ func Fire(point string, stream int64) error {
 	case KindPanic:
 		//lint:allow nakedpanic injecting a worker panic is this package's contract; runctl's containment converts it back into an error
 		panic(&InjectedError{Point: point, Kind: KindPanic, Stream: stream})
-	case KindDelay:
-		time.Sleep(rs.rule.Delay)
-		return nil
 	default:
 		return &InjectedError{Point: point, Kind: KindError, Stream: stream}
 	}
@@ -333,7 +299,7 @@ func (fw *faultyWriter) Write(p []byte) (int, error) {
 
 // unitProb maps (seed, point, stream) to a uniform probability in
 // [0, 1) via splitmix64 over the fowler-noll-vo hash of the point name
-// — a pure function, so the set of cursed streams is a property of the
+// — a pure function, so the set of faulted streams is a property of the
 // plan, not of the host or the schedule.
 //
 //mlec:unit prob
@@ -397,18 +363,16 @@ func parseRule(item string) (Rule, error) {
 	if len(parts) < 2 || parts[0] == "" {
 		return Rule{}, fmt.Errorf("faultinject: rule %q is not point:kind[:params]", item)
 	}
-	r := Rule{Point: parts[0], Delay: 10 * time.Millisecond}
+	r := Rule{Point: parts[0]}
 	switch parts[1] {
 	case "panic":
 		r.Kind = KindPanic
 	case "error":
 		r.Kind = KindError
-	case "delay":
-		r.Kind = KindDelay
 	case "writeerr":
 		r.Kind = KindWriteError
 	default:
-		return Rule{}, fmt.Errorf("faultinject: rule %q has unknown kind %q (want panic|error|delay|writeerr)", item, parts[1])
+		return Rule{}, fmt.Errorf("faultinject: rule %q has unknown kind %q (want panic|error|writeerr)", item, parts[1])
 	}
 	if len(parts) < 3 {
 		return r, nil
@@ -423,8 +387,8 @@ func parseRule(item string) (Rule, error) {
 		switch key {
 		case "p":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
-				return Rule{}, fmt.Errorf("faultinject: rule %q: p=%q must be a probability in [0,1]", item, val)
+			if err != nil || !(f > 0 && f <= 1) {
+				return Rule{}, fmt.Errorf("faultinject: rule %q: p=%q must be a probability in (0,1]", item, val)
 			}
 			r.Prob = f
 			triggers++
@@ -448,12 +412,6 @@ func parseRule(item string) (Rule, error) {
 				return Rule{}, fmt.Errorf("faultinject: rule %q: count=%q must be a positive integer", item, val)
 			}
 			r.Count = n
-		case "ms":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				return Rule{}, fmt.Errorf("faultinject: rule %q: ms=%q must be a non-negative integer", item, val)
-			}
-			r.Delay = time.Duration(n) * time.Millisecond
 		case "bytes":
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 0 {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"mlec/internal/obs"
 )
@@ -42,7 +41,7 @@ func TestParseGrammar(t *testing.T) {
 				t.Errorf("rule = %+v seed = %d", r, p.Seed)
 			}
 		}},
-		{"a:writeerr:nth=2,bytes=16; b:delay:ms=5", func(t *testing.T, p *Plan) {
+		{"a:writeerr:nth=2,bytes=16; b:error:every=3", func(t *testing.T, p *Plan) {
 			rs := p.Rules()
 			if len(rs) != 2 {
 				t.Fatalf("rules = %+v", rs)
@@ -50,8 +49,13 @@ func TestParseGrammar(t *testing.T) {
 			if rs[0].Nth != 2 || rs[0].Bytes != 16 {
 				t.Errorf("writeerr rule = %+v", rs[0])
 			}
-			if rs[1].Kind != KindDelay || rs[1].Delay != 5*time.Millisecond {
-				t.Errorf("delay rule = %+v", rs[1])
+			if rs[1].Kind != KindError || rs[1].Every != 3 {
+				t.Errorf("error rule = %+v", rs[1])
+			}
+		}},
+		{"a:panic:p=1", func(t *testing.T, p *Plan) {
+			if r := p.Rules()[0]; r.Prob != 1 {
+				t.Errorf("rule = %+v", r)
 			}
 		}},
 	}
@@ -68,6 +72,10 @@ func TestParseGrammar(t *testing.T) {
 		"a.b",                   // no kind
 		"a.b:explode",           // unknown kind
 		"a.b:panic:p=2",         // probability out of range
+		"pt:error:p=0;seed=1",   // p=0 would fall through to "every hit"
+		"a.b:panic:p=-0.1",      // negative probability
+		"a.b:panic:p=NaN",       // not a probability
+		"a.b:delay:ms=5",        // no delay kind
 		"a.b:panic:p=0.1,nth=3", // two triggers
 		"a.b:panic:wat",         // not key=value
 		"a.b:panic:zzz=1",       // unknown parameter
@@ -131,11 +139,11 @@ func TestEveryAndCount(t *testing.T) {
 	}
 }
 
-// TestProbDeterminismAndOncePerStream pins the two properties the
-// self-healing determinism argument rests on: the cursed-stream set is
-// a pure function of (seed, point, stream), and a cursed stream fires
-// only on its first hit, so its retry runs clean.
-func TestProbDeterminismAndOncePerStream(t *testing.T) {
+// TestProbIsStatelessPerStream pins the probability trigger: the set
+// of faulted streams is a pure function of (seed, point, stream), and
+// the decision carries no state, so every hit of a faulted stream fires
+// and no hit of another stream does.
+func TestProbIsStatelessPerStream(t *testing.T) {
 	const spec = "pt:error:p=0.3;seed=9"
 	cursed := func() map[int64]bool {
 		p, err := Parse(spec)
@@ -169,24 +177,13 @@ func TestProbDeterminismAndOncePerStream(t *testing.T) {
 		}
 	}
 
-	// Second hit of a cursed stream must not fire (the retry is clean).
-	p, err := Parse(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	Enable(p)
-	defer Disable()
-	var s0 int64 = -1
-	for s := range a {
-		s0 = s
-		break
-	}
-	if Fire("pt", s0) == nil {
-		t.Fatalf("stream %d: first hit did not fire", s0)
-	}
-	for retry := 0; retry < 3; retry++ {
-		if err := Fire("pt", s0); err != nil {
-			t.Fatalf("stream %d retry %d fired again: %v", s0, retry, err)
+	// Repeated hits decide the same way as the first.
+	arm(t, spec)
+	for s := int64(0); s < 50; s++ {
+		for hit := 0; hit < 3; hit++ {
+			if got := Fire("pt", s) != nil; got != a[s] {
+				t.Fatalf("stream %d hit %d: fired=%v, first pass fired=%v", s, hit, got, a[s])
+			}
 		}
 	}
 }
@@ -227,17 +224,13 @@ func TestConcurrentFiresCurseTheSameStreams(t *testing.T) {
 	}
 }
 
-// TestConcurrentFirstFiresShareOneCell fires several rules of one kind
-// from separate goroutines into a fresh kind→counter cache, so the
-// kind's cell is created while the others look it up: every fire must
-// land on the one faultinject_injected_total{kind="error"} counter.
+// TestConcurrentFirstFiresShareOneCell fires several rules from separate
+// goroutines at once: every fire must land on the one
+// faultinject_injected_total counter.
 func TestConcurrentFirstFiresShareOneCell(t *testing.T) {
 	const workers, each = 4, 20
-	arm(t, "a:error;b:error;c:error;d:error")
-	injectedMu.Lock()
-	injectedC = map[Kind]*obs.Counter{}
-	injectedMu.Unlock()
-	total := obs.Default.Counter(`faultinject_injected_total{kind="error"}`)
+	arm(t, "a:error;b:error;c:panic;d:error")
+	total := obs.Default.Counter("faultinject_injected_total")
 	before := total.Value()
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -247,7 +240,11 @@ func TestConcurrentFirstFiresShareOneCell(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < each; i++ {
-				if Fire(point, int64(i)) == nil {
+				fired := func() (fired bool) {
+					defer func() { fired = fired || recover() != nil }()
+					return Fire(point, int64(i)) != nil
+				}()
+				if !fired {
 					t.Errorf("%s: unconditional rule did not fire", point)
 				}
 			}
@@ -308,13 +305,6 @@ func TestWriterPartialAndFailedWrites(t *testing.T) {
 	}
 }
 
-func TestDelayKindSleepsAndReturnsNil(t *testing.T) {
-	arm(t, "dp:delay:nth=1,ms=1")
-	if err := Fire("dp", 0); err != nil {
-		t.Fatalf("delay returned %v", err)
-	}
-}
-
 func TestFlagsActivate(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := BindCLIFlags(fs)
@@ -337,19 +327,14 @@ func TestFlagsActivate(t *testing.T) {
 		t.Fatal("stop did not disarm the plan")
 	}
 
-	// Environment hook: the flag empty, MLEC_CHAOS set.
-	t.Setenv(EnvVar, "env.pt:error:nth=1")
-	f2 := &CLIFlags{}
-	stop2, err := f2.Activate(&errw)
+	// No spec arms nothing.
+	stop2, err := (&CLIFlags{}).Activate(&errw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stop2()
-	if !Enabled() {
-		t.Fatal("MLEC_CHAOS did not arm the plan")
-	}
-	if err := Fire("env.pt", 0); err == nil {
-		t.Fatal("env-armed rule did not fire")
+	stop2()
+	if Enabled() {
+		t.Fatal("empty spec armed a plan")
 	}
 
 	// A malformed spec is a usage error, not a silent no-op.

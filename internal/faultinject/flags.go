@@ -4,40 +4,28 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 )
-
-// EnvVar is the environment hook equivalent to the -chaos flag: a
-// chaos spec in MLEC_CHAOS arms the same plan in any CLI without
-// editing its command line — useful for chaos CI wrappers. The flag,
-// when set, wins over the environment.
-const EnvVar = "MLEC_CHAOS"
 
 // CLIFlags carries the chaos debug flag every CLI exposes. Bind before
 // flag.Parse, Activate after argument validation; the returned stop
 // function disarms the plan (idempotent).
 type CLIFlags struct {
-	Spec string // -chaos: injection spec, "" = consult MLEC_CHAOS, then off
+	Spec string // -chaos: injection spec, "" = off
 }
 
 // BindCLIFlags registers -chaos on fs.
 func BindCLIFlags(fs *flag.FlagSet) *CLIFlags {
 	f := &CLIFlags{}
 	fs.StringVar(&f.Spec, "chaos", "",
-		"arm the deterministic fault-injection plan (debug; e.g. 'poolsim.worker:panic:p=0.1'; env "+EnvVar+")")
+		"arm the deterministic fault-injection plan (debug; e.g. 'poolsim.worker:panic:p=0.1')")
 	return f
 }
 
-// Activate parses and arms the spec (flag first, MLEC_CHAOS fallback)
-// and announces the armed rules on errw so a chaos run is never
-// mistaken for a clean one. With no spec it arms nothing and the
-// returned stop is a no-op.
+// Activate parses and arms the spec and announces the armed rules on
+// errw so a chaos run is never mistaken for a clean one. With no spec
+// it arms nothing and the returned stop is a no-op.
 func (f *CLIFlags) Activate(errw io.Writer) (func(), error) {
-	spec := f.Spec
-	if spec == "" {
-		spec = os.Getenv(EnvVar)
-	}
-	plan, err := Parse(spec)
+	plan, err := Parse(f.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -65,9 +53,6 @@ func describeRule(r Rule) string {
 	s := fmt.Sprintf("%s: %s (%s", r.Point, r.Kind, trigger)
 	if r.Count > 0 {
 		s += fmt.Sprintf(", max %d", r.Count)
-	}
-	if r.Kind == KindDelay {
-		s += fmt.Sprintf(", %v", r.Delay)
 	}
 	if r.Kind == KindWriteError && r.Bytes > 0 {
 		s += fmt.Sprintf(", after %d bytes", r.Bytes)

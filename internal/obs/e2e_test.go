@@ -84,14 +84,11 @@ func TestCLIInertness(t *testing.T) {
 	}
 	bins := buildBinaries(t)
 	cases := []struct {
-		bin   string
-		args  []string
-		chaos string
+		bin  string
+		args []string
 	}{
-		{"mlecdur", []string{"-scheme", "D/D", "-sim", "-trajectories", "1000", "-seed", "7"},
-			"poolsim.worker:panic:p=0.2;seed=3"},
-		{"mlecburst", []string{"-scheme", "D/D", "-x", "3", "-y", "40", "-trials", "3000", "-seed", "5"},
-			"burst.batch:panic:p=0.2;seed=3"},
+		{"mlecdur", []string{"-scheme", "D/D", "-sim", "-trajectories", "1000", "-seed", "7"}},
+		{"mlecburst", []string{"-scheme", "D/D", "-x", "3", "-y", "40", "-trials", "3000", "-seed", "5"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.bin, func(t *testing.T) {
@@ -110,12 +107,15 @@ func TestCLIInertness(t *testing.T) {
 				t.Fatalf("observability changed a fixed-seed run's stdout.\nplain:\n%s\nobserved:\n%s",
 					plain, observed)
 			}
-			// Inertness extends to the fault-tolerance counters: a chaos
-			// run under full instrumentation — injected worker panics
-			// healed by stream retries, fault/retry counters ticking —
-			// must still print the fault-free run's bytes.
+			// Inertness extends to the fault-tolerance counters: a
+			// checkpointed chaos run under full instrumentation — a torn
+			// checkpoint write healed by the save retry, fault and retry
+			// counters ticking — must still print the fault-free run's
+			// bytes.
 			chaotic := append(append([]string(nil), tc.args...),
-				"-chaos", tc.chaos, "-obs", "127.0.0.1:0", "-progress", "25ms")
+				"-checkpoint", filepath.Join(dir, "run.ckpt"),
+				"-chaos", "runctl.checkpoint.write:writeerr:nth=1,bytes=8;seed=3",
+				"-obs", "127.0.0.1:0", "-progress", "25ms")
 			healed, chaosErr := runBinary(t, bin, chaotic...)
 			if !bytes.Equal(plain, healed) {
 				t.Fatalf("healed chaos run changed a fixed-seed run's stdout.\nplain:\n%s\nchaos:\n%s",

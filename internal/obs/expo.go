@@ -39,29 +39,13 @@ func (r *Registry) copyMetrics() map[string]any {
 }
 
 // WritePrometheus renders the registry in the Prometheus text
-// exposition format (version 0.0.4): one # TYPE line per base metric
-// name followed by its samples. Output is fully deterministic: metrics
-// sort by name, label blocks are canonicalized with sorted keys.
+// exposition format (version 0.0.4): per metric, sorted by name, one
+// # TYPE line and one sample. Output is fully deterministic.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	typed := make(map[string]string)   // base name -> prometheus type
-	lines := make(map[string][]string) // base name -> rendered sample lines
 	for _, kv := range SortedSnapshot(r.copyMetrics()) {
-		base, labels, ok := splitName(kv.Key)
-		if !ok {
-			continue // registry names are validated at creation; defensive
-		}
 		v := kv.Value.(interface{ Value() int64 }).Value() // *Counter | *Gauge
-		typed[base] = metricKind(kv.Value)
-		lines[base] = append(lines[base], fmt.Sprintf("%s%s %d", base, formatLabels(labels), v))
-	}
-	for _, kv := range SortedSnapshot(lines) {
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", kv.Key, typed[kv.Key]); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", kv.Key, metricKind(kv.Value), kv.Key, v); err != nil {
 			return err
-		}
-		for _, line := range kv.Value {
-			if _, err := fmt.Fprintln(w, line); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

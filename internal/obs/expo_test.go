@@ -23,30 +23,46 @@ func TestSortedSnapshot(t *testing.T) {
 	}
 }
 
+// TestSplitName pins that a metric name is not split into a base and a
+// label block: bare names are accepted whole, and every spelling with a
+// label block, well-formed or not, is rejected rather than parsed.
 func TestSplitName(t *testing.T) {
-	base, labels, ok := splitName(`repair_bytes_total{method="R_ALL"}`)
-	if !ok || base != "repair_bytes_total" || len(labels) != 1 ||
-		labels[0] != (Label{Key: "method", Value: "R_ALL"}) {
-		t.Fatalf("splitName = %q %v %v", base, labels, ok)
+	for _, n := range []string{"a_total", "_x", "ns:sub_total", "A9"} {
+		if !validName(n) {
+			t.Errorf("validName(%q) = false, want true", n)
+		}
 	}
-	if _, _, ok := splitName(`x{y="1"`); ok {
-		t.Fatal("unterminated label block accepted")
-	}
-	if _, _, ok := splitName(`x{y=1}`); ok {
-		t.Fatal("unquoted label value accepted")
-	}
-	if !validName("a_total") || validName("") || validName("9lead") || validName("sp ace") {
-		t.Fatal("validName misclassifies bare names")
+	for _, n := range []string{
+		"",
+		"9lead",
+		"sp ace",
+		`repair_bytes_total{method="R_ALL"}`,
+		`x{y="1"`,
+		`x{y=1}`,
+	} {
+		if validName(n) {
+			t.Errorf("validName(%q) = true, want false", n)
+		}
 	}
 }
 
-func TestFormatLabelsCanonical(t *testing.T) {
-	got := formatLabels([]Label{{Key: "z", Value: "1"}, {Key: "m", Value: `q"`}, {Key: "a", Value: "2"}})
-	if got != `{a="2",m="q\"",z="1"}` {
-		t.Fatalf("formatLabels = %s", got)
-	}
-	if formatLabels(nil) != "" {
-		t.Fatal("empty label set must render as empty string")
+// TestValidNameHostile pins which spellings the registry accepts: bare
+// Prometheus names only. A label block, even a well-formed one, and any
+// structural byte of the text format are rejected.
+func TestValidNameHostile(t *testing.T) {
+	for _, n := range []string{
+		`m_total{v="plain"}`,
+		`m_total{v="a\"b"}`,
+		"new\nline",
+		`qu"ote`,
+		`back\slash`,
+		"comma,inside",
+		"clos}ing",
+		"da-sh",
+	} {
+		if validName(n) {
+			t.Errorf("validName(%q) = true, want false", n)
+		}
 	}
 }
 
@@ -56,8 +72,7 @@ func TestFormatLabelsCanonical(t *testing.T) {
 func TestWritePrometheusRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("events_total").Add(12)
-	r.Counter(`repair_bytes_total{method="R_ALL"}`).Add(100)
-	r.Counter(`repair_bytes_total{method="R_MIN"}`).Add(7)
+	r.Counter("repair_bytes_total").Add(100)
 	r.Gauge("depth").Set(-3)
 
 	var buf bytes.Buffer
@@ -79,10 +94,9 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 		}
 	}
 	for series, want := range map[string]float64{
-		"events_total":                       12,
-		`repair_bytes_total{method="R_ALL"}`: 100,
-		`repair_bytes_total{method="R_MIN"}`: 7,
-		"depth":                              -3,
+		"events_total":       12,
+		"repair_bytes_total": 100,
+		"depth":              -3,
 	} {
 		got, ok := p.Sample(series)
 		if !ok {
@@ -104,13 +118,15 @@ func TestParsePrometheusRejects(t *testing.T) {
 		"unknown metric type":  "# TYPE a flummox\na 1\n",
 		"histogram type":       "# TYPE h histogram\nh_count 0\n",
 		"series with no value": "# TYPE a counter\na\n",
+		"label block":          "# TYPE g gauge\ng{k=\"v\"} -2\n",
+		"malformed name":       "# TYPE a-b counter\na-b 1\n",
 	}
 	for name, page := range cases {
 		if _, err := ParsePrometheus(strings.NewReader(page)); err == nil {
 			t.Errorf("%s: parser accepted %q", name, page)
 		}
 	}
-	ok := "# TYPE a counter\n# some comment\n\na 1\n# TYPE g gauge\ng{k=\"v\"} -2\n"
+	ok := "# TYPE a counter\n# some comment\n\na 1\n# TYPE g gauge\ng -2 1700000000\n"
 	if _, err := ParsePrometheus(strings.NewReader(ok)); err != nil {
 		t.Errorf("valid page rejected: %v", err)
 	}

@@ -74,9 +74,10 @@ func TestRegistryMergeCounters(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("resumed_total").Add(7)
 	r.MergeCounters(map[string]int64{
-		"resumed_total": 100, // raises the live counter
-		"fresh_total":   12,  // materializes a counter that didn't exist yet
-		"bad name":      5,   // invalid name: skipped
+		"resumed_total":                100, // raises the live counter
+		"fresh_total":                  12,  // materializes a counter that didn't exist yet
+		"bad name":                     5,   // invalid name: skipped
+		`labelled_total{kind="panic"}`: 9,   // label blocks are not names: skipped
 	})
 	if got := r.Counter("resumed_total").Value(); got != 100 {
 		t.Fatalf("resumed_total = %d, want 100", got)
@@ -85,8 +86,10 @@ func TestRegistryMergeCounters(t *testing.T) {
 		t.Fatalf("fresh_total = %d, want 12", got)
 	}
 	vals := r.CounterValues()
-	if _, ok := vals["bad name"]; ok {
-		t.Fatal("invalid counter name leaked into the registry")
+	for _, name := range []string{"bad name", `labelled_total{kind="panic"}`} {
+		if _, ok := vals[name]; ok {
+			t.Fatalf("invalid counter name %q leaked into the registry", name)
+		}
 	}
 }
 
@@ -113,7 +116,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				r.Counter("conc_total").Inc()
-				r.Counter(`conc_labeled_total{worker="a"}`).Inc()
+				r.Counter("conc_other_total").Inc()
 				r.Gauge("conc_gauge").Set(int64(i))
 				if i%500 == 0 {
 					_ = r.WritePrometheus(discard{})

@@ -1,8 +1,9 @@
 // Package obs is the stdlib-only observability layer shared by every
 // Monte-Carlo engine in this repository: an atomic metrics registry of
-// two kinds (integer counters and gauges), a structured progress
-// tracker (ETA, trials/sec, splitting-level occupancy, CI width), a
-// simulated-time trace recorder emitting JSONL events, and wall-clock
+// two kinds (integer counters and gauges) keyed by bare Prometheus
+// metric names, one series per name; a structured progress tracker
+// (ETA, trials/sec, splitting-level occupancy, CI width); a
+// simulated-time trace recorder emitting JSONL events; and wall-clock
 // causal spans. Each quantity has one home: a rate is a counter over
 // time (the progress task and any Prometheus scraper derive it), a
 // level's wall time is its span, occupancy and CI width live on the
@@ -96,8 +97,7 @@ func metricKind(m any) string {
 }
 
 // Counter returns the counter registered under name, creating it if
-// needed. The name may carry a Prometheus label block:
-// `faultinject_injected_total{kind="panic"}`.
+// needed. The name is a bare Prometheus metric name.
 func (r *Registry) Counter(name string) *Counter {
 	return r.lookup(name, "counter", func() any { return &Counter{} }).(*Counter)
 }

@@ -10,23 +10,23 @@ import (
 
 // PromSample is one parsed sample line of a Prometheus text exposition.
 type PromSample struct {
-	Series string // full series name including any label block
+	Series string // bare metric name
 	Value  float64
 }
 
 // PromText is the parsed form of a Prometheus text page.
 type PromText struct {
-	Types   map[string]string // base metric name -> declared type
+	Types   map[string]string // metric name -> declared type
 	Samples []PromSample      // in page order
 }
 
 // ParsePrometheus parses (and thereby validates) the subset of the
 // Prometheus text exposition format this package emits: `# TYPE` lines
 // declaring a counter or gauge, optional `# HELP`/comment lines, and
-// `series value` samples. It rejects other metric types, malformed
-// series names, unparseable values, duplicate series, and samples whose
-// base metric has no preceding # TYPE declaration — strict enough for
-// make obs-smoke to catch format regressions.
+// `name value` samples with bare metric names. It rejects other metric
+// types, label blocks and other malformed names, unparseable values,
+// duplicate series, and samples with no preceding # TYPE declaration —
+// strict enough for make obs-smoke to catch format regressions.
 func ParsePrometheus(rd io.Reader) (*PromText, error) {
 	out := &PromText{Types: make(map[string]string)}
 	seen := make(map[string]bool)
@@ -59,11 +59,10 @@ func ParsePrometheus(rd io.Reader) (*PromText, error) {
 		if err != nil {
 			return nil, fmt.Errorf("prom parse: line %d: %w", lineNo, err)
 		}
-		base, _, ok := splitName(series)
-		if !ok {
+		if !validName(series) {
 			return nil, fmt.Errorf("prom parse: line %d: malformed series %q", lineNo, series)
 		}
-		if out.Types[base] == "" {
+		if out.Types[series] == "" {
 			return nil, fmt.Errorf("prom parse: line %d: sample %s has no # TYPE", lineNo, series)
 		}
 		if seen[series] {
@@ -78,35 +77,19 @@ func ParsePrometheus(rd io.Reader) (*PromText, error) {
 	return out, nil
 }
 
-// parsePromSample splits a sample line into its series and value. The
-// series may contain spaces, commas, quotes and escaped specials inside
-// the label block; the end of the block is found with the same
-// quote-aware scanner splitName uses, so anything formatLabels emits is
-// cut at the right brace.
+// parsePromSample splits a sample line into its series and value.
 func parsePromSample(line string) (string, float64, error) {
-	cut := len(line)
-	if i := strings.IndexByte(line, '{'); i >= 0 {
-		_, rest, ok := scanLabelBlock(line[i:])
-		if !ok {
-			return "", 0, fmt.Errorf("sample %q: malformed label block", line)
-		}
-		cut = len(line) - len(rest)
-	} else if i := strings.IndexByte(line, ' '); i >= 0 {
-		cut = i
-	}
-	series := line[:cut]
-	rest := strings.TrimSpace(line[cut:])
-	fields := strings.Fields(rest)
-	if len(fields) < 1 {
+	fields := strings.Fields(line)
+	if len(fields) < 2 {
 		return "", 0, fmt.Errorf("sample %q has no value", line)
 	}
-	// A second field would be a timestamp; this package never emits one
+	// A third field would be a timestamp; this package never emits one
 	// but the format allows it.
-	val, err := strconv.ParseFloat(fields[0], 64)
+	val, err := strconv.ParseFloat(fields[1], 64)
 	if err != nil {
 		return "", 0, fmt.Errorf("sample %q: bad value: %v", line, err)
 	}
-	return series, val, nil
+	return fields[0], val, nil
 }
 
 // Sample returns the value of the named series and whether it exists.

@@ -37,7 +37,7 @@ func TestBuildRunReport(t *testing.T) {
 	r.Counter("syssim_events_total").Add(1000)
 	r.Counter("burst_pdl_trials_total").Add(500)
 	r.Counter("runctl_checkpoint_saves_total").Add(3)
-	r.Counter("runctl_stream_retries_total").Add(2)
+	r.Counter("runctl_checkpoint_save_retries_total").Add(2)
 
 	args := []string{"-seed", "7", "-run-report", "/tmp/r.json"}
 	rep := BuildRunReport("mlecdur", args, 7, 1500*time.Millisecond, r)
@@ -53,7 +53,7 @@ func TestBuildRunReport(t *testing.T) {
 	if rep.EventsSimulated != 1500 {
 		t.Fatalf("EventsSimulated = %d, want 1500 (sum of engine event counters)", rep.EventsSimulated)
 	}
-	if rep.Counters["runctl_checkpoint_saves_total"] != 3 || rep.Counters["runctl_stream_retries_total"] != 2 {
+	if rep.Counters["runctl_checkpoint_saves_total"] != 3 || rep.Counters["runctl_checkpoint_save_retries_total"] != 2 {
 		t.Fatalf("counters %v", rep.Counters)
 	}
 	if rep.PeakHeapBytes == 0 || rep.GoVersion == "" {
@@ -64,7 +64,7 @@ func TestBuildRunReport(t *testing.T) {
 func TestRunReportRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("syssim_events_total").Add(10)
-	r.Counter("runctl_stream_heals_total").Add(4)
+	r.Counter("runctl_checkpoint_fallback_loads_total").Add(4)
 	rep := BuildRunReport("mlecburst", []string{"-seed", "1"}, 1, time.Second, r)
 	path := t.TempDir() + "/RUNREPORT.json"
 	if err := WriteRunReport(path, rep); err != nil {
@@ -83,7 +83,7 @@ func TestRunReportRoundTrip(t *testing.T) {
 	}
 	if got.Tool != rep.Tool || got.EventsSimulated != rep.EventsSimulated ||
 		got.ConfigFingerprint != rep.ConfigFingerprint ||
-		got.Counters["runctl_stream_heals_total"] != 4 {
+		got.Counters["runctl_checkpoint_fallback_loads_total"] != 4 {
 		t.Fatalf("round trip lost fields: %+v vs %+v", got, rep)
 	}
 }

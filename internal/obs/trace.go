@@ -24,9 +24,8 @@ const (
 	EvLevelPromotion = "level_promotion" // a splitting run advanced one level
 
 	// Fault-tolerance events (see internal/faultinject and the
-	// self-healing paths in internal/runctl).
+	// recovery paths in internal/runctl).
 	EvFaultInjected      = "fault_injected"      // the chaos harness fired a rule
-	EvStreamRetry        = "stream_retry"        // a failed worker stream is being re-run
 	EvCheckpointFallback = "checkpoint_fallback" // a corrupt checkpoint fell back a generation
 	EvStall              = "stall"               // the watchdog saw live workers make no progress
 )
@@ -45,7 +44,6 @@ var eventKindDescriptions = map[string]string{
 	EvCheckpoint:         "checkpoint saved",
 	EvLevelPromotion:     "splitting run advanced one level",
 	EvFaultInjected:      "chaos harness fired a rule",
-	EvStreamRetry:        "failed worker stream re-run",
 	EvCheckpointFallback: "corrupt checkpoint fell back a generation",
 	EvStall:              "watchdog saw live workers make no progress",
 }

@@ -207,10 +207,10 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 			}
 			wstream := trajSeed(sc.Seed, level, lo)
 			pool.Go(wstream, func(ctx context.Context) error {
-				// Chaos hook: a fault here (panic or error) is healed by
-				// the pool re-running this worker from the same stream,
-				// recomputing identical slots — the injection point the
-				// chaos CI matrix drives.
+				// Chaos hook: a fault here (panic or error) fails the
+				// level before its save; a resume re-runs the level
+				// from the same streams, recomputing identical slots —
+				// the injection point the chaos CI matrix drives.
 				if err := faultinject.Fire("poolsim.worker", wstream); err != nil {
 					return err
 				}

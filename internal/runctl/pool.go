@@ -8,82 +8,62 @@ import (
 	"mlec/internal/obs"
 )
 
-// DefaultStreamAttempts is how many times a pool re-runs a failed or
-// panicked worker stream before giving up on the campaign. Three
-// attempts absorbs any single-shot fault per stream (including the
-// once-per-stream faults internal/faultinject injects) while keeping a
-// deterministically broken stream from looping forever.
-const DefaultStreamAttempts = 3
-
 // Pool is the managed worker pool every engine fans out through. It
-// owns a context (workers poll it to stop draining new work), contains
-// worker panics as typed errors, and self-heals: a worker whose
-// function panics or returns an error is re-run — same function, same
-// splitmix64 stream id — up to SetAttempts times before the failure is
-// kept for Wait.
-//
-// Self-healing leans on the engines' determinism discipline: worker
-// functions derive all randomness from their stream id and write
-// results to stream-owned slots, so a re-run recomputes byte-identical
-// results and a campaign that healed mid-flight is indistinguishable
-// from one that never faulted. Workers must therefore be idempotent
-// per attempt (pure writes keyed by stream/index; obs counters exempt,
-// they are inert by construction).
+// owns a context (workers poll it to stop draining new work) and
+// contains worker panics as typed errors. A worker runs once: its
+// function is a pure function of its stream id, so a fault it raises
+// would recur on a re-run. The one recovery path is the checkpoint —
+// re-running the same command resumes from the last saved level or
+// round, and stream purity makes the resumed run byte-identical to one
+// that never faulted.
 //
 // Workers must treat context cancellation as a graceful stop: finish
 // the trial in flight, skip the rest, return nil. Wait therefore
 // returns nil after a clean cancellation; the caller decides how to
-// mark the partial result. A failure during drain is recorded without
-// retry — cancellation means stop, not heal.
+// mark the partial result. A failure during drain is still recorded.
 type Pool struct {
-	ctx      context.Context
-	wg       sync.WaitGroup
-	attempts int
+	ctx context.Context
+	wg  sync.WaitGroup
 
 	mu sync.Mutex
 	// guarded by mu
+	launched int64
+	// guarded by mu
 	first error
+	// guarded by mu
+	firstSeq int64
 
 	// parentSpan, when set, parents each worker stream's wall-clock
 	// span; set once before the first Go, read only at worker launch.
 	parentSpan *obs.Span
 }
 
-// NewPool returns a pool whose workers observe ctx and re-run failed
-// streams up to DefaultStreamAttempts times.
+// NewPool returns a pool whose workers observe ctx.
 func NewPool(ctx context.Context) *Pool {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Pool{ctx: ctx, attempts: DefaultStreamAttempts}
+	return &Pool{ctx: ctx}
 }
 
 // Context returns the pool's context, for callers that split work
 // outside Go.
 func (p *Pool) Context() context.Context { return p.ctx }
 
-// SetAttempts overrides how many times a failed stream is re-run
-// before the campaign fails (minimum 1 = no retries). Call before Go.
-func (p *Pool) SetAttempts(n int) {
-	if n < 1 {
-		n = 1
-	}
-	p.attempts = n
-}
-
 // SetParentSpan parents the wall-clock span each worker stream records
 // under span (nil reverts to root spans). Call before Go — worker
 // launches read it without synchronization.
 func (p *Pool) SetParentSpan(span *obs.Span) { p.parentSpan = span }
 
-// Go launches fn as a pool worker. A panic in fn is recovered into a
-// *PanicError carrying stream (use the worker's base RNG stream id; for
-// per-trial precision wrap individual trials in Guard inside fn). A
-// failed attempt — returned error or contained panic — is re-run from
-// the same stream up to the pool's attempt budget; only the final
-// failure is kept for Wait. Each retry ticks
-// runctl_stream_retries_total and emits a stream_retry trace event.
+// Go launches fn as a pool worker and runs it once. A panic in fn is
+// recovered into a *PanicError carrying stream (use the worker's base
+// RNG stream id; for per-trial precision wrap individual trials in
+// Guard inside fn); a panic or a returned error is kept for Wait.
 func (p *Pool) Go(stream int64, fn func(ctx context.Context) error) {
+	p.mu.Lock()
+	seq := p.launched
+	p.launched++
+	p.mu.Unlock()
 	p.wg.Add(1)
 	obs.Default.Counter("runctl_pool_workers_started_total").Inc()
 	live.Add(1)
@@ -93,48 +73,28 @@ func (p *Pool) Go(stream int64, fn func(ctx context.Context) error) {
 			live.Add(-1)
 			p.wg.Done()
 		}()
-		var last error
-		attempts := 0
-		defer func() {
-			// The note is only built when a recorder is actually on —
-			// disabled runs must not pay the format allocation.
-			if span != nil {
-				span.EndNote(fmt.Sprintf("stream %d attempts %d", stream, attempts))
-			}
-		}()
-		for attempt := 1; ; attempt++ {
-			attempts = attempt
-			var ferr error
-			gerr := Guard(stream, func() { ferr = fn(p.ctx) })
-			Beat()
-			if gerr == nil && ferr == nil {
-				if attempt > 1 {
-					obs.Default.Counter("runctl_stream_heals_total").Inc()
-				}
-				return
-			}
-			last = gerr
-			if last == nil {
-				last = ferr
-			}
-			// Cancellation means stop, not heal: a failure during drain
-			// is recorded as-is. Likewise once the budget is spent.
-			if attempt >= p.attempts || p.ctx.Err() != nil {
-				break
-			}
-			obs.Default.Counter("runctl_stream_retries_total").Inc()
-			obs.Trace.Emit(obs.TraceEvent{
-				Kind: obs.EvStreamRetry,
-				Note: fmt.Sprintf("stream %d attempt %d/%d failed: %v", stream, attempt, p.attempts, last),
-			})
+		var ferr error
+		err := Guard(stream, func() { ferr = fn(p.ctx) })
+		Beat()
+		// The note is only built when a recorder is actually on —
+		// disabled runs must not pay the format allocation.
+		if span != nil {
+			span.EndNote(fmt.Sprintf("stream %d", stream))
 		}
-		p.record(last)
+		if err == nil {
+			err = ferr
+		}
+		if err != nil {
+			p.record(seq, err)
+		}
 	}()
 }
 
-// Wait blocks until every worker returned and reports the first error
-// that survived its retry budget (a contained panic or a
-// worker-returned error), or nil.
+// Wait blocks until every worker returned and reports the failure (a
+// contained panic or a worker-returned error) of the earliest Go call
+// among the failed workers, or nil. Which worker that is does not
+// depend on scheduling, so the stream it names is a stable
+// reproduction handle.
 func (p *Pool) Wait() error {
 	p.wg.Wait()
 	p.mu.Lock()
@@ -142,10 +102,10 @@ func (p *Pool) Wait() error {
 	return p.first
 }
 
-func (p *Pool) record(err error) {
+func (p *Pool) record(seq int64, err error) {
 	p.mu.Lock()
-	if p.first == nil {
-		p.first = err
+	if p.first == nil || seq < p.firstSeq {
+		p.first, p.firstSeq = err, seq
 	}
 	p.mu.Unlock()
 }

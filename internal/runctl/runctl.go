@@ -15,14 +15,19 @@
 //  2. Panic containment: worker goroutines run under Pool/Guard, which
 //     convert a panic into a typed *PanicError carrying the RNG stream
 //     id of the offending trial, so one bad trajectory surfaces as an
-//     error with a reproduction handle instead of killing the process
-//     and hours of completed trajectories with it.
+//     error with a reproduction handle instead of killing the process.
 //
 //  3. Checkpoint/resume: estimator state (completed levels and their
 //     tallies, per-stream cursors, entry snapshots) persists to a
 //     versioned file at natural boundaries, and resuming from a
 //     checkpoint is deterministic — same seed, resumed or uninterrupted,
 //     identical final statistics.
+//
+// Resume is the one recovery path for a faulted worker. A worker is a
+// pure function of its stream id, so re-running it in process would
+// only repeat its fault; a killed job, a pre-empted one and a
+// contained panic all end the same way — the run exits, and re-running
+// the same command resumes from the last checkpoint.
 //
 // The `barego` analyzer in internal/lint enforces that library code
 // launches goroutines only through this package (or carries a reviewed
@@ -57,13 +62,10 @@ func (e *PanicError) Error() string {
 
 // Guard runs fn and converts a panic into a *PanicError carrying the
 // stream id. It is the per-trial containment primitive; Pool applies it
-// to whole workers automatically. Contained panics tick
-// runctl_pool_panics_total so a run that survived bad trajectories
-// shows them in the same registry as everything else.
+// to whole workers automatically.
 func Guard(stream int64, fn func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			obs.Default.Counter("runctl_pool_panics_total").Inc()
 			err = &PanicError{Stream: stream, Value: r, Stack: debug.Stack()}
 		}
 	}()

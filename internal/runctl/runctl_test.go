@@ -66,26 +66,27 @@ func TestPoolReturnsWorkerError(t *testing.T) {
 }
 
 // TestPoolKeepsOneOfConcurrentFailures fails every worker at once, after
-// all are launched, so their final failures reach the pool's error slot
-// concurrently: Wait must report exactly one of them. Under -race this
-// is the slot's data-race certificate.
+// all are launched, so their failures reach the pool's error slot
+// concurrently: Wait must report the first-launched worker's. Under
+// -race this is the slot's data-race certificate.
 func TestPoolKeepsOneOfConcurrentFailures(t *testing.T) {
 	const workers = 8
 	p := NewPool(context.Background())
-	p.SetAttempts(1)
 	start := make(chan struct{})
-	errs := make(map[error]bool, workers)
+	var first error
 	for w := 0; w < workers; w++ {
 		err := fmt.Errorf("worker %d failed", w)
-		errs[err] = true
+		if w == 0 {
+			first = err
+		}
 		p.Go(int64(w), func(context.Context) error {
 			<-start
 			return err
 		})
 	}
 	close(start)
-	if err := p.Wait(); !errs[err] {
-		t.Fatalf("Wait = %v, want one of the workers' errors", err)
+	if err := p.Wait(); err != first {
+		t.Fatalf("Wait = %v, want %v", err, first)
 	}
 }
 

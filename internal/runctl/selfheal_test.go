@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,77 +16,47 @@ import (
 	"mlec/internal/obs"
 )
 
-// TestPoolRetriesFailedStream pins the self-healing contract: a worker
-// whose first attempts fail is re-run from the same stream id until it
-// succeeds or the attempt budget is spent, and only the final outcome
-// reaches Wait.
-func TestPoolRetriesFailedStream(t *testing.T) {
-	retries := obs.Default.Counter("runctl_stream_retries_total")
-	heals := obs.Default.Counter("runctl_stream_heals_total")
-	r0, h0 := retries.Value(), heals.Value()
-
-	var attempts atomic.Int64
+// TestPoolRunsFailedStreamOnce pins the one-recovery-path contract: a
+// worker that returns an error runs exactly once, and Wait returns that
+// error.
+func TestPoolRunsFailedStreamOnce(t *testing.T) {
+	want := errors.New("bad trajectory")
+	var runs atomic.Int64
 	p := NewPool(context.Background())
 	p.Go(55, func(context.Context) error {
-		if attempts.Add(1) < 3 {
-			return errors.New("transient")
-		}
-		return nil
+		runs.Add(1)
+		return want
 	})
-	if err := p.Wait(); err != nil {
-		t.Fatalf("Wait = %v after a heal, want nil", err)
+	if err := p.Wait(); err != want {
+		t.Fatalf("Wait = %v, want %v", err, want)
 	}
-	if n := attempts.Load(); n != 3 {
-		t.Errorf("worker ran %d times, want 3", n)
-	}
-	if d := retries.Value() - r0; d != 2 {
-		t.Errorf("runctl_stream_retries_total advanced by %d, want 2", d)
-	}
-	if d := heals.Value() - h0; d != 1 {
-		t.Errorf("runctl_stream_heals_total advanced by %d, want 1", d)
+	if n := runs.Load(); n != 1 {
+		t.Errorf("failing worker ran %d times, want 1", n)
 	}
 }
 
-// TestPoolRetriesPanickingStream proves panics heal the same way
-// returned errors do, and that exhausting the budget surfaces the last
-// failure as a typed *PanicError.
-func TestPoolRetriesPanickingStream(t *testing.T) {
-	var attempts atomic.Int64
+// TestPoolRunsPanickingStreamOnce: a worker that panics runs exactly
+// once too, and Wait returns a typed *PanicError naming the stream that
+// reproduces it.
+func TestPoolRunsPanickingStreamOnce(t *testing.T) {
+	var runs atomic.Int64
 	p := NewPool(context.Background())
 	p.Go(66, func(context.Context) error {
-		if attempts.Add(1) == 1 {
-			panic("first attempt dies")
-		}
-		return nil
-	})
-	if err := p.Wait(); err != nil {
-		t.Fatalf("Wait = %v, want the panicked stream healed on retry", err)
-	}
-	if n := attempts.Load(); n != 2 {
-		t.Errorf("worker ran %d times, want 2", n)
-	}
-
-	// Always-panicking stream: budget exhausts, the typed error survives.
-	attempts.Store(0)
-	p2 := NewPool(context.Background())
-	p2.SetAttempts(2)
-	p2.Go(67, func(context.Context) error {
-		attempts.Add(1)
+		runs.Add(1)
 		panic("always dies")
 	})
-	err := p2.Wait()
 	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Stream != 67 {
-		t.Fatalf("Wait = %v, want *PanicError on stream 67", err)
+	if err := p.Wait(); !errors.As(err, &pe) || pe.Stream != 66 {
+		t.Fatalf("Wait = %v, want *PanicError on stream 66", err)
 	}
-	if n := attempts.Load(); n != 2 {
-		t.Errorf("worker ran %d times, want exactly the 2-attempt budget", n)
+	if n := runs.Load(); n != 1 {
+		t.Errorf("panicking worker ran %d times, want 1", n)
 	}
 }
 
-// TestPoolNoRetryAfterCancel pins "cancellation means stop, not heal":
-// a failure observed after the pool context is cancelled is recorded
-// without burning retries.
+// TestPoolNoRetryAfterCancel pins "cancellation means stop": a failure
+// observed after the pool context is cancelled is still recorded, and
+// the worker runs once.
 func TestPoolNoRetryAfterCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -98,14 +70,14 @@ func TestPoolNoRetryAfterCancel(t *testing.T) {
 		t.Fatal("drain failure vanished")
 	}
 	if n := attempts.Load(); n != 1 {
-		t.Errorf("worker ran %d times after cancellation, want 1 (no retries)", n)
+		t.Errorf("worker ran %d times after cancellation, want 1", n)
 	}
 }
 
-// TestPoolHealsInjectedFault closes the loop with the chaos harness:
-// a once-per-stream injected panic is healed by the pool's retry and
-// the campaign succeeds.
-func TestPoolHealsInjectedFault(t *testing.T) {
+// TestPoolSurfacesInjectedFault closes the loop with the chaos harness:
+// an injected panic is contained, not re-run, and reaches Wait as a
+// *PanicError whose value is the typed injection on the same stream.
+func TestPoolSurfacesInjectedFault(t *testing.T) {
 	plan, err := faultinject.Parse("test.pool.worker:panic:nth=1")
 	if err != nil {
 		t.Fatal(err)
@@ -117,16 +89,44 @@ func TestPoolHealsInjectedFault(t *testing.T) {
 	p := NewPool(context.Background())
 	p.Go(9, func(context.Context) error {
 		runs.Add(1)
-		if err := faultinject.Fire("test.pool.worker", 9); err != nil {
-			return err
-		}
-		return nil
+		return faultinject.Fire("test.pool.worker", 9)
 	})
-	if err := p.Wait(); err != nil {
-		t.Fatalf("Wait = %v, want the injected panic healed", err)
+	err = p.Wait()
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Stream != 9 {
+		t.Fatalf("Wait = %v, want *PanicError on stream 9", err)
 	}
-	if n := runs.Load(); n != 2 {
-		t.Errorf("worker ran %d times, want 2 (fault, then clean retry)", n)
+	if ie, ok := pe.Value.(*faultinject.InjectedError); !ok || ie.Stream != 9 {
+		t.Errorf("panic value %v, want the injected fault on stream 9", pe.Value)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("worker ran %d times, want 1", n)
+	}
+}
+
+// TestPoolReportsEarliestLaunchedFailure: when several workers fail,
+// Wait names the one whose Go call came first, whatever order they
+// failed in. The later-launched worker is made to fail first; the
+// earlier one fails only once that worker has returned and left the
+// live gauge, so its failure is already recorded.
+func TestPoolReportsEarliestLaunchedFailure(t *testing.T) {
+	laterFailed := make(chan struct{})
+	var once sync.Once
+	p := NewPool(context.Background())
+	p.Go(1, func(context.Context) error {
+		<-laterFailed
+		for deadline := time.Now().Add(5 * time.Second); Live() > 1 && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+		return errors.New("stream 1 failed")
+	})
+	p.Go(2, func(context.Context) error {
+		defer once.Do(func() { close(laterFailed) })
+		panic("stream 2 dies first")
+	})
+	err := p.Wait()
+	if err == nil || err.Error() != "stream 1 failed" {
+		t.Fatalf("Wait = %v, want the failure of stream 1, launched first", err)
 	}
 }
 

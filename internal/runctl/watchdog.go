@@ -10,15 +10,15 @@ import (
 	"mlec/internal/obs"
 )
 
-// beats counts coarse units of worker progress (one per completed pool
-// worker attempt). The watchdog compares successive readings: live
-// workers plus a frozen beat count is the signature of a stall — a
-// deadlocked estimator, a worker stuck in an unbounded retry loop — and
-// the one failure mode panic containment and stream retries cannot heal.
+// beats counts coarse units of worker progress (one per finished pool
+// worker). The watchdog compares successive readings: live workers
+// plus a frozen beat count is the signature of a stall — a deadlocked
+// estimator, a worker stuck in an unbounded loop — the one failure
+// mode that neither ends the run nor leaves an error to report.
 var beats atomic.Int64
 
 // Beat records one unit of worker progress for the stall watchdog.
-// Pool ticks it automatically after every worker attempt; long-running
+// Pool ticks it automatically when a worker returns; long-running
 // hand-rolled workers may call it directly.
 func Beat() { beats.Add(1) }
 

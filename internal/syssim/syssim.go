@@ -322,10 +322,10 @@ func RunContext(ctx context.Context, cfg Config, years float64, seed int64) (Sta
 				return s.stats, nil
 			}
 			// Chaos hook, amortized with the poll. syssim is
-			// single-threaded, so there is no pool to heal an injected
-			// fault: error kinds fail the run loudly (panic kinds kill
-			// it), which is exactly what a chaos probe of an unhealable
-			// engine should report.
+			// single-threaded and keeps no checkpoint: error kinds
+			// fail the run loudly (panic kinds kill it), which is
+			// exactly what a chaos probe of an engine with no recovery
+			// path should report.
 			if err := faultinject.Fire("syssim.events", cfg.Seed); err != nil {
 				return s.stats, fmt.Errorf("syssim: injected fault: %w", err)
 			}
