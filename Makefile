@@ -43,7 +43,7 @@ race:
 ## drain paths, and a stall trip the watchdog's stop join, that a single
 ## pass can miss.
 stress:
-	$(GO) test -race -count=3 -run 'Cancel|Resume|Partial|Context|Pool|Watchdog' \
+	$(GO) test -race -count=3 -run 'Cancel|Resume|Partial|Context|Pool|Watchdog|Checkpoint' \
 		./internal/runctl ./internal/poolsim ./internal/burst ./internal/syssim
 
 ## obs-smoke: prove observability is inert. Builds mlecdur/mlecburst,

@@ -191,7 +191,7 @@ func EstimateDurabilityContext(ctx context.Context, topo Topology, params Params
 
 	out := make([]DurabilityEstimate, 0, len(repair.AllMethods))
 	for _, m := range repair.AllMethods {
-		r, err := splitting.Durability(l, m, s1)
+		r, err := splitting.Durability(l, m, s1, failure.DefaultDetectionDelayHours)
 		if err != nil {
 			return nil, err
 		}
@@ -222,7 +222,7 @@ func EstimateDurabilityContext(ctx context.Context, topo Topology, params Params
 // annualPDLAt composes stage 1 at another catastrophic rate.
 func annualPDLAt(l *placement.Layout, m RepairMethod, s1 splitting.Stage1, rate float64) (float64, error) {
 	s1.CatRatePerPoolHour = rate
-	r, err := splitting.Durability(l, m, s1)
+	r, err := splitting.Durability(l, m, s1, failure.DefaultDetectionDelayHours)
 	return r.AnnualPDL, err
 }
 

@@ -21,10 +21,10 @@ import (
 	"strings"
 
 	"mlec/internal/failure"
-	"mlec/internal/faultinject"
 	"mlec/internal/obs"
 	"mlec/internal/poolsim"
 	"mlec/internal/runctl"
+	"mlec/internal/topology"
 )
 
 func main() {
@@ -342,28 +342,24 @@ func cmdReplay(args []string) error {
 	segments := fs.Int("segments", 120, "simulated chunks per disk")
 	seed := fs.Int64("seed", 1, "layout seed")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget (0 = none); partial replay on expiry")
-	chaosFlags := faultinject.BindCLIFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *disks <= 0 || *kl <= 0 || *pl <= 0 {
 		return fmt.Errorf("replay: -disks, -kl, and -pl must be positive (got %d, %d, %d)", *disks, *kl, *pl)
 	}
-	stopChaos, err := chaosFlags.Activate(os.Stderr)
-	if err != nil {
-		return err
-	}
-	defer stopChaos()
 	ctx, stop := runctl.CLIContext(*timeout)
 	defer stop()
 	tr, err := failure.ParseTrace(os.Stdin)
 	if err != nil {
 		return err
 	}
+	topo := topology.Default()
 	cfg := poolsim.Config{
 		Disks: *disks, Width: *kl + *pl, Parity: *pl, Clustered: !*dp,
-		SegmentsPerDisk:   *segments,
-		DiskCapacityBytes: 20e12, DiskRepairBW: 40e6,
+		SegmentsPerDisk:     *segments,
+		DiskCapacityBytes:   topo.DiskCapacityBytes,
+		DiskRepairBW:        topo.DiskRepairBandwidth(),
 		DetectionDelayHours: failure.DefaultDetectionDelayHours,
 	}
 	stats, err := poolsim.ReplayTraceContext(ctx, cfg, tr, 0, *seed)

@@ -56,7 +56,6 @@ import (
 	"os"
 	"sort"
 
-	"mlec/internal/faultinject"
 	"mlec/internal/lint"
 	"mlec/internal/runctl"
 )
@@ -93,7 +92,6 @@ func main() {
 	baseline := flag.String("baseline", "", "baseline JSON file: fail only when an analyzer's finding count rises above it")
 	writeBaseline := flag.Bool("write-baseline", false, "rewrite the -baseline file with the current finding counts")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for loading and analysis (0 = none)")
-	chaosFlags := faultinject.BindCLIFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *writeBaseline && *baseline == "" {
@@ -106,13 +104,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mlecvet: -write-baseline rewrites every analyzer's count and cannot run with -only")
 		os.Exit(2)
 	}
-
-	stopChaos, err := chaosFlags.Activate(os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlecvet:", err)
-		os.Exit(2)
-	}
-	defer stopChaos()
 
 	ctx, stop := runctl.CLIContext(*timeout)
 	defer stop()

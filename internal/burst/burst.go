@@ -361,8 +361,8 @@ func HeatmapContext(ctx context.Context, ev Evaluator, xs, ys []int, trials int,
 }
 
 // poissonBinomialTail returns P(ΣX_i ≥ k) for independent Bernoulli
-// variables with the given success probabilities, via the standard O(n·k)
-// dynamic program with the count capped at k.
+// variables with the given success probabilities: the capped PMF's last
+// entry.
 func poissonBinomialTail(probs []float64, k int) float64 {
 	if k <= 0 {
 		return 1
@@ -370,24 +370,7 @@ func poissonBinomialTail(probs []float64, k int) float64 {
 	if k > len(probs) {
 		return 0
 	}
-	// dp[j] = P(exactly j successes so far), j capped at k (dp[k]
-	// absorbs "≥ k").
-	dp := make([]float64, k+1)
-	dp[0] = 1
-	for _, p := range probs {
-		if p == 0 {
-			continue
-		}
-		for j := k; j >= 1; j-- {
-			if j == k {
-				dp[k] = dp[k] + dp[k-1]*p
-			} else {
-				dp[j] = dp[j]*(1-p) + dp[j-1]*p
-			}
-		}
-		dp[0] *= 1 - p
-	}
-	return dp[k]
+	return poissonBinomialPMFCapped(probs, k)[k]
 }
 
 // WriteCSV emits the grid as "x,y,pdl,lo,hi,trials" rows for external

@@ -24,17 +24,18 @@ import (
 // reorder each other's draws and a fixed-seed cell is reproducible.
 type LRCEvaluator struct {
 	Layout *placement.LRCLayout
-	// Assignments is the number of rack-to-slot assignments averaged
-	// per ConditionalPDL call (default 8).
-	Assignments int
 
 	seed int64
 }
 
+// lrcAssignments is the number of rack-to-slot assignments averaged per
+// ConditionalPDL call.
+const lrcAssignments = 8
+
 // NewLRCEvaluator returns an evaluator whose assignment sampling is
 // keyed by seed.
 func NewLRCEvaluator(l *placement.LRCLayout, seed int64) *LRCEvaluator {
-	return &LRCEvaluator{Layout: l, Assignments: 8, seed: seed}
+	return &LRCEvaluator{Layout: l, seed: seed}
 }
 
 // TotalRacks implements Evaluator.
@@ -59,17 +60,13 @@ func (e *LRCEvaluator) ConditionalPDL(b *BurstLayout) float64 {
 		psi[rack] = float64(len(b.FailedDisks[i])) / dpr
 	}
 
-	assignments := e.Assignments
-	if assignments <= 0 {
-		assignments = 8
-	}
 	// The assignment stream is splitmix64 keyed by the layout:
 	// rngsplit.Mix under a running counter is that generator's output.
 	key, draws := rngsplit.Mix(e.seed, int(layoutHash(b))), 0
 	var sum float64
 	slot := make([]float64, width)
 	perm := make([]int, racks)
-	for a := 0; a < assignments; a++ {
+	for range lrcAssignments {
 		for i := range perm {
 			perm[i] = i
 		}
@@ -85,7 +82,7 @@ func (e *LRCEvaluator) ConditionalPDL(b *BurstLayout) float64 {
 		}
 		sum += lrcUnrecoverableProb(p, slot)
 	}
-	pUnrec := sum / float64(assignments)
+	pUnrec := sum / lrcAssignments
 	expected := l.TotalStripes() * pUnrec
 	return -math.Expm1(-expected)
 }

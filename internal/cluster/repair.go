@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"mlec/internal/repair"
@@ -19,7 +18,9 @@ type stripeRef struct {
 type damage struct {
 	ref  stripeRef
 	meta localStripeMeta
-	lost []int // chunk indices whose disk lost the chunk
+	// lost holds the chunk indices whose disk lost the chunk, ascending:
+	// the network stage takes a prefix, so R_MIN's share is data chunks.
+	lost []int
 }
 
 // scanDamage walks all stripes and groups damaged local stripes by pool.
@@ -75,8 +76,8 @@ func (c *Cluster) CatastrophicPools() []int {
 // four returns an error wrapping repair.ErrUnknownMethod before any
 // state changes.
 func (c *Cluster) Repair(method repair.Method) error {
-	if !slices.Contains(repair.AllMethods, method) {
-		return fmt.Errorf("cluster: %w: %v", repair.ErrUnknownMethod, method)
+	if err := method.Validate(); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
 	byPool := c.scanDamage()
 	catastrophic := map[int]bool{}
@@ -100,7 +101,11 @@ func (c *Cluster) Repair(method repair.Method) error {
 	// floats per repaired chunk, so repair order must be deterministic
 	// for byte-identical meters run to run.
 	for _, pool := range sortedKeys(catastrophic) {
-		if err := c.repairCatastrophicPool(pool, byPool[pool], method); err != nil {
+		ds := byPool[pool]
+		if method.Blind() {
+			ds = c.wholePool(pool)
+		}
+		if err := c.repairCatastrophicPool(ds, method); err != nil {
 			return err
 		}
 	}
@@ -118,43 +123,46 @@ func (c *Cluster) Repair(method repair.Method) error {
 	return nil
 }
 
-// repairCatastrophicPool dispatches on the repair method, which Repair
-// has already checked is one of the four.
-func (c *Cluster) repairCatastrophicPool(pool int, ds []damage, method repair.Method) error {
-	switch method {
-	case repair.RAll:
-		return c.repairAll(pool, ds)
-	case repair.RFCO:
-		return c.repairFailedChunksOnly(ds)
-	case repair.RHYB:
-		return c.repairHybrid(ds)
-	default:
-		return c.repairMinimum(ds)
-	}
-}
-
-// repairAll rebuilds every local stripe that lives in the pool — damaged
-// or not — from the network level, as a black-box RBOD replacement would.
-func (c *Cluster) repairAll(pool int, ds []damage) error {
-	_ = ds // R_ALL ignores damage detail by design: it cannot see it.
-	// The pool hosts local stripes from potentially every object;
-	// enumerate them all, in name order so the traffic meters accumulate
-	// deterministically.
-	for _, obj := range c.sortedObjects() {
-		for ns := range obj.stripes {
-			meta := &obj.stripes[ns]
-			for li := range meta.locals {
-				if meta.locals[li].pool != pool {
-					continue
-				}
-				ref := stripeRef{obj, ns, li}
-				if err := c.rebuildStripeViaNetwork(ref, meta.locals[li], allChunks(c.cfg.Params.LocalWidth())); err != nil {
-					return err
-				}
+// repairCatastrophicPool runs the method's two stages on each stripe of
+// a catastrophic pool: the network stage rebuilds the method's share of
+// the stripe's lost chunks, lowest index first, and local repair the
+// rest (at most pl of them).
+func (c *Cluster) repairCatastrophicPool(ds []damage, method repair.Method) error {
+	for _, d := range ds {
+		n := method.NetworkChunks(len(d.lost), c.cfg.Params.PL)
+		if n > 0 {
+			if err := c.rebuildStripeViaNetwork(d.ref, d.meta, d.lost[:n]); err != nil {
+				return err
+			}
+		}
+		if n < len(d.lost) {
+			d.lost = d.lost[n:]
+			if err := c.repairLocalStripe(d); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
+}
+
+// wholePool lists every local stripe that lives in the pool, damaged or
+// not, with all its chunks lost: what a blind method rebuilds, as a
+// black-box RBOD replacement would. The pool hosts local stripes from
+// potentially every object; they come in name order so the traffic
+// meters accumulate deterministically.
+func (c *Cluster) wholePool(pool int) []damage {
+	all := allChunks(c.cfg.Params.LocalWidth())
+	var ds []damage
+	for _, obj := range c.sortedObjects() {
+		for ns := range obj.stripes {
+			for li, lm := range obj.stripes[ns].locals {
+				if lm.pool == pool {
+					ds = append(ds, damage{ref: stripeRef{obj, ns, li}, meta: lm, lost: all})
+				}
+			}
+		}
+	}
+	return ds
 }
 
 func allChunks(w int) []int {
@@ -163,77 +171,6 @@ func allChunks(w int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-// repairFailedChunksOnly rebuilds exactly the lost chunks of each
-// damaged stripe over the network.
-func (c *Cluster) repairFailedChunksOnly(ds []damage) error {
-	for _, d := range ds {
-		if err := c.rebuildStripeViaNetwork(d.ref, d.meta, d.lost); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// repairHybrid: lost stripes via network, the rest locally.
-func (c *Cluster) repairHybrid(ds []damage) error {
-	for _, d := range ds {
-		if len(d.lost) > c.cfg.Params.PL {
-			if err := c.rebuildStripeViaNetwork(d.ref, d.meta, d.lost); err != nil {
-				return err
-			}
-		} else if err := c.repairLocalStripe(d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// repairMinimum: stage 1 rebuilds just enough chunks of each lost stripe
-// over the network to make it locally recoverable (data chunks first);
-// stage 2 finishes everything locally.
-func (c *Cluster) repairMinimum(ds []damage) error {
-	pl := c.cfg.Params.PL
-	for _, d := range ds {
-		if len(d.lost) > pl {
-			need := len(d.lost) - pl
-			// Pick lost data chunks first: network payloads only carry
-			// data ranges; len(lost data) ≥ need always holds because
-			// at most pl parity chunks exist.
-			var viaNet []int
-			for _, ci := range d.lost {
-				if ci < c.cfg.Params.KL && len(viaNet) < need {
-					viaNet = append(viaNet, ci)
-				}
-			}
-			if len(viaNet) < need {
-				return fmt.Errorf("cluster: internal: cannot select %d network chunks from %v", need, d.lost)
-			}
-			if err := c.rebuildStripeViaNetwork(d.ref, d.meta, viaNet); err != nil {
-				return err
-			}
-			// Remaining losses are now ≤ pl.
-			remaining := damage{ref: d.ref, meta: d.meta}
-			sel := map[int]bool{}
-			for _, ci := range viaNet {
-				sel[ci] = true
-			}
-			for _, ci := range d.lost {
-				if !sel[ci] {
-					remaining.lost = append(remaining.lost, ci)
-				}
-			}
-			if len(remaining.lost) > 0 {
-				if err := c.repairLocalStripe(remaining); err != nil {
-					return err
-				}
-			}
-		} else if err := c.repairLocalStripe(d); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // rebuildStripeViaNetwork reconstructs the given chunk indices of one

@@ -29,7 +29,6 @@ package ecdur
 import (
 	"fmt"
 
-	"mlec/internal/failure"
 	"mlec/internal/markov"
 	"mlec/internal/mathx"
 	"mlec/internal/placement"
@@ -92,14 +91,11 @@ func cascadeRate(in cascadeInput) float64 {
 }
 
 // SLEC estimates the annual system PDL of a (k+p) SLEC under the given
-// placement with independent failures at the per-hour rate lambda.
-func SLEC(topo topology.Config, params placement.SLECParams, pl placement.SLECPlacement, lambda float64) (Result, error) {
-	return SLECDetect(topo, params, pl, lambda, failure.DefaultDetectionDelayHours)
-}
-
-// SLECDetect is SLEC with an explicit failure-detection delay — the knob
-// behind the paper's §5.2.2 discussion of 1-minute detection.
-func SLECDetect(topo topology.Config, params placement.SLECParams, pl placement.SLECPlacement, lambda, detectHours float64) (Result, error) {
+// placement with independent failures at the per-hour rate lambda and
+// the failure-detection delay detectHours (the paper's is
+// failure.DefaultDetectionDelayHours; §5.2.2 discusses 1-minute
+// detection).
+func SLEC(topo topology.Config, params placement.SLECParams, pl placement.SLECPlacement, lambda, detectHours float64) (Result, error) {
 	l, err := placement.NewSLECLayout(topo, params, pl)
 	if err != nil {
 		return Result{}, err
@@ -177,13 +173,9 @@ func SLECDetect(topo topology.Config, params placement.SLECParams, pl placement.
 // LRC estimates the annual system PDL of a (k,l,r) LRC-Dp layout. The
 // cascade's stripe tolerance is r+1 dead chunks (any r+1 failures decode
 // under the MR criterion); the final arrival is fatal for the
-// MR-rejected fraction of (r+2)-patterns.
-func LRC(topo topology.Config, params placement.LRCParams, lambda float64) (Result, error) {
-	return LRCDetect(topo, params, lambda, failure.DefaultDetectionDelayHours)
-}
-
-// LRCDetect is LRC with an explicit failure-detection delay.
-func LRCDetect(topo topology.Config, params placement.LRCParams, lambda, detectHours float64) (Result, error) {
+// MR-rejected fraction of (r+2)-patterns. detectHours is the
+// failure-detection delay, as for SLEC.
+func LRC(topo topology.Config, params placement.LRCParams, lambda, detectHours float64) (Result, error) {
 	l, err := placement.NewLRCLayout(topo, params)
 	if err != nil {
 		return Result{}, err

@@ -3,6 +3,7 @@ package ecdur
 import (
 	"testing"
 
+	"mlec/internal/failure"
 	"mlec/internal/placement"
 	"mlec/internal/topology"
 )
@@ -11,7 +12,7 @@ const lambda = 0.01 / 8760
 
 func slecNines(t *testing.T, k, p int, pl placement.SLECPlacement) float64 {
 	t.Helper()
-	r, err := SLEC(topology.Default(), placement.SLECParams{K: k, P: p}, pl, lambda)
+	r, err := SLEC(topology.Default(), placement.SLECParams{K: k, P: p}, pl, lambda, failure.DefaultDetectionDelayHours)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +52,13 @@ func TestDeclusteredRepairHelps(t *testing.T) {
 }
 
 func TestSLECValidation(t *testing.T) {
-	if _, err := SLEC(topology.Default(), placement.SLECParams{K: 8, P: 3}, placement.LocalCp, lambda); err == nil {
+	if _, err := SLEC(topology.Default(), placement.SLECParams{K: 8, P: 3}, placement.LocalCp, lambda, failure.DefaultDetectionDelayHours); err == nil {
 		t.Error("non-dividing width accepted")
 	}
 }
 
 func TestLRCDurability(t *testing.T) {
-	r, err := LRC(topology.Default(), placement.LRCParams{K: 14, L: 2, R: 4}, lambda)
+	r, err := LRC(topology.Default(), placement.LRCParams{K: 14, L: 2, R: 4}, lambda, failure.DefaultDetectionDelayHours)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestLRCDurability(t *testing.T) {
 	}
 	t.Logf("LRC-Dp (14,2,4): %.1f nines", r.Nines)
 	// More global parities → more nines.
-	r2, err := LRC(topology.Default(), placement.LRCParams{K: 14, L: 2, R: 2}, lambda)
+	r2, err := LRC(topology.Default(), placement.LRCParams{K: 14, L: 2, R: 2}, lambda, failure.DefaultDetectionDelayHours)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +148,11 @@ func TestCascadeMoreDataLowerDurability(t *testing.T) {
 	topo := topology.Default()
 	big := topo
 	big.DiskCapacityBytes *= 4
-	small, err := SLEC(topo, placement.SLECParams{K: 8, P: 2}, placement.LocalDp, lambda)
+	small, err := SLEC(topo, placement.SLECParams{K: 8, P: 2}, placement.LocalDp, lambda, failure.DefaultDetectionDelayHours)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bigger, err := SLEC(big, placement.SLECParams{K: 8, P: 2}, placement.LocalDp, lambda)
+	bigger, err := SLEC(big, placement.SLECParams{K: 8, P: 2}, placement.LocalDp, lambda, failure.DefaultDetectionDelayHours)
 	if err != nil {
 		t.Fatal(err)
 	}

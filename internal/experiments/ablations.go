@@ -44,11 +44,11 @@ func AblationDetection(opts Options) (*AblationDetectionResult, error) {
 	lrcParams := placement.LRCParams{K: 14, L: 2, R: 4}
 	res := &AblationDetectionResult{}
 	for _, det := range []float64{1.0 / 60, 5.0 / 60, 0.5, 2, 8} {
-		md, err := splitting.DurabilityDetect(l, repair.RMin, s1, det)
+		md, err := splitting.Durability(l, repair.RMin, s1, det)
 		if err != nil {
 			return nil, err
 		}
-		ld, err := ecdur.LRCDetect(paperTopo(), lrcParams, opts.lambda(), det)
+		ld, err := ecdur.LRC(paperTopo(), lrcParams, opts.lambda(), det)
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"mlec/internal/ecdur"
+	"mlec/internal/failure"
 	"mlec/internal/placement"
 	"mlec/internal/render"
 	"mlec/internal/repair"
@@ -87,7 +88,7 @@ func mlecTradeoffPoint(params placement.Params, scheme placement.Scheme, opts Op
 	if err != nil {
 		return TradeoffPoint{}, err
 	}
-	dur, err := splitting.Durability(l, repair.RMin, s1)
+	dur, err := splitting.Durability(l, repair.RMin, s1, failure.DefaultDetectionDelayHours)
 	if err != nil {
 		return TradeoffPoint{}, err
 	}
@@ -105,7 +106,7 @@ func mlecTradeoffPoint(params placement.Params, scheme placement.Scheme, opts Op
 
 // slecTradeoffPoint evaluates one SLEC config.
 func slecTradeoffPoint(params placement.SLECParams, pl placement.SLECPlacement, opts Options) (TradeoffPoint, error) {
-	r, err := ecdur.SLEC(paperTopo(), params, pl, opts.lambda())
+	r, err := ecdur.SLEC(paperTopo(), params, pl, opts.lambda(), failure.DefaultDetectionDelayHours)
 	if err != nil {
 		return TradeoffPoint{}, err
 	}
@@ -220,7 +221,7 @@ func Fig15(opts Options) (*Fig15Result, error) {
 		res.Points = append(res.Points, pt)
 	}
 	for _, p := range head(lrcConfigs30, sz.tradeoffs) {
-		r, err := ecdur.LRC(paperTopo(), p, opts.lambda())
+		r, err := ecdur.LRC(paperTopo(), p, opts.lambda(), failure.DefaultDetectionDelayHours)
 		if err != nil {
 			return nil, err
 		}

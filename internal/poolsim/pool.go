@@ -17,7 +17,6 @@ package poolsim
 
 import (
 	"fmt"
-	"iter"
 	"math/bits"
 	"math/rand"
 
@@ -419,22 +418,6 @@ func (p *Pool) RandomHealthyDisk(rng *rand.Rand) int {
 		d := rng.Intn(p.Cfg.Disks)
 		if p.state[d] == diskHealthy {
 			return d
-		}
-	}
-}
-
-// LostStripeIDs yields the ids of the stripes currently beyond local
-// recovery, in ascending order, for network-level repair bookkeeping. It
-// reads each stripe's count as it reaches it, so the loop body may heal
-// the stripe it was handed (HealStripeChunks) without disturbing the
-// rest of the walk.
-func (p *Pool) LostStripeIDs() iter.Seq[int] {
-	return func(yield func(int) bool) {
-		pl := uint8(p.Cfg.Parity)
-		for s, c := range p.lostCount {
-			if c > pl && !yield(s) {
-				return
-			}
 		}
 	}
 }

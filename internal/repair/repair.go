@@ -12,6 +12,12 @@
 //	        over the network to make every stripe locally recoverable;
 //	        stage 2 finishes locally.
 //
+// The methods differ in one rule, written once here: how many of a
+// damaged local stripe's lost chunks the network stage rebuilds
+// (Method.NetworkChunks), and whether the method can see inside the pool
+// at all (Method.Blind). The analytic model below, the full-system
+// simulator (syssim) and the byte-accurate cluster all apply it.
+//
 // Accounting: every byte reconstructed over the network costs kn reads
 // from other racks plus 1 write, i.e. (kn+1)× the repaired volume in
 // cross-rack traffic, consistent with the R_ALL/Table 2 derivations in
@@ -55,6 +61,40 @@ func (m Method) String() string {
 		return "R_MIN"
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
+	}
+}
+
+// Validate returns an error wrapping ErrUnknownMethod for a Method
+// outside the four defined repair methods.
+func (m Method) Validate() error {
+	if m < RAll || m > RMin {
+		return fmt.Errorf("%w: %v", ErrUnknownMethod, m)
+	}
+	return nil
+}
+
+// Blind reports whether the method cannot see inside a catastrophic
+// pool, which only R_ALL cannot: it rebuilds every stripe of the pool
+// whole, and the network level counts the whole pool as lost until it
+// finishes.
+func (m Method) Blind() bool { return m == RAll }
+
+// NetworkChunks returns how many of a damaged local stripe's lost
+// chunks the network stage rebuilds, given its lost chunks and the local
+// parity pl; local repair rebuilds the rest. The network stage takes the
+// lowest chunk indices first, so R_MIN's share is data chunks: a stripe
+// loses at most pl parity chunks.
+func (m Method) NetworkChunks(lost, pl int) int {
+	switch m {
+	case RHYB: // lost stripes whole, the rest locally
+		if lost > pl {
+			return lost
+		}
+		return 0
+	case RMin: // just enough to leave pl losses to local repair
+		return max(lost-pl, 0)
+	default: // R_ALL, R_FCO: every lost chunk
+		return lost
 	}
 }
 
@@ -152,45 +192,22 @@ func (a *Analyzer) AnalyzeBurst(m Method) (Analysis, error) {
 // state: `failedDisks` disks down with the given stripe profile. It
 // returns ErrUnknownMethod for a Method outside the defined four.
 func (a *Analyzer) AnalyzeProfile(m Method, failedDisks int, prof StripeProfile) (Analysis, error) {
+	if err := m.Validate(); err != nil {
+		return Analysis{}, err
+	}
 	l := a.Layout
 	chunk := l.Topo.ChunkSizeBytes
-	pl := l.Params.PL
 
 	var netBytes, locBytes float64
-	switch m {
-	case RAll:
+	if m.Blind() {
 		// Rebuild the whole pool regardless of what actually failed.
 		netBytes = l.LocalPoolDataBytes()
-	case RFCO:
-		// Every failed chunk is rebuilt over the network.
+	} else {
 		for _, j := range prof.sortedFailureCounts() {
-			netBytes += prof[j] * float64(j) * chunk
+			n := m.NetworkChunks(j, l.Params.PL)
+			netBytes += prof[j] * float64(n) * chunk
+			locBytes += prof[j] * float64(j-n) * chunk
 		}
-	case RHYB:
-		// Lost stripes (> pl failures) over the network, the rest
-		// locally.
-		for _, j := range prof.sortedFailureCounts() {
-			n := prof[j]
-			if j > pl {
-				netBytes += n * float64(j) * chunk
-			} else {
-				locBytes += n * float64(j) * chunk
-			}
-		}
-	case RMin:
-		// Stage 1: j−pl chunks per lost stripe over the network.
-		// Stage 2: everything else locally.
-		for _, j := range prof.sortedFailureCounts() {
-			n := prof[j]
-			if j > pl {
-				netBytes += n * float64(j-pl) * chunk
-				locBytes += n * float64(pl) * chunk
-			} else {
-				locBytes += n * float64(j) * chunk
-			}
-		}
-	default:
-		return Analysis{}, fmt.Errorf("%w: %v", ErrUnknownMethod, m)
 	}
 
 	netBW := a.Model.PoolRepairBandwidth()

@@ -251,3 +251,47 @@ func TestAnalyzeProfileUnknownMethod(t *testing.T) {
 		t.Errorf("AnalyzeProfile(Method(99)) error = %v, want ErrUnknownMethod", err)
 	}
 }
+
+// TestNetworkChunks tabulates the rule that tells the methods apart, and
+// checks on every row that it orders the network shares R_MIN ≤ R_HYB ≤
+// R_FCO = R_ALL, the ordering behind Figure 8.
+func TestNetworkChunks(t *testing.T) {
+	for _, c := range []struct {
+		lost, pl int
+		want     [4]int // indexed by Method
+	}{
+		{0, 3, [4]int{0, 0, 0, 0}},
+		{1, 3, [4]int{1, 1, 0, 0}},
+		{3, 3, [4]int{3, 3, 0, 0}},
+		{4, 3, [4]int{4, 4, 4, 1}},
+		{6, 3, [4]int{6, 6, 6, 3}},
+		{20, 3, [4]int{20, 20, 20, 17}},
+		{1, 0, [4]int{1, 1, 1, 1}},
+		{2, 1, [4]int{2, 2, 2, 1}},
+		{5, 2, [4]int{5, 5, 5, 3}},
+	} {
+		var got [4]int
+		for _, m := range AllMethods {
+			got[m] = m.NetworkChunks(c.lost, c.pl)
+		}
+		if got != c.want {
+			t.Errorf("lost %d pl %d: NetworkChunks by method = %v, want %v", c.lost, c.pl, got, c.want)
+		}
+		if !(got[RMin] <= got[RHYB] && got[RHYB] <= got[RFCO] && got[RFCO] <= c.lost) {
+			t.Errorf("lost %d pl %d: shares %v break R_MIN ≤ R_HYB ≤ R_FCO ≤ lost", c.lost, c.pl, got)
+		}
+	}
+	for _, m := range AllMethods {
+		if m.Blind() != (m == RAll) {
+			t.Errorf("%v.Blind() = %v", m, m.Blind())
+		}
+		if err := m.Validate(); err != nil {
+			t.Errorf("%v.Validate() = %v", m, err)
+		}
+	}
+	for _, m := range []Method{-1, 4, 99} {
+		if err := m.Validate(); !errors.Is(err, ErrUnknownMethod) {
+			t.Errorf("%v.Validate() = %v, want ErrUnknownMethod", m, err)
+		}
+	}
+}

@@ -14,40 +14,45 @@ import (
 // checkpoint embeds the observability counter snapshot, and loading one
 // written by an earlier process restores cumulative counts.
 func TestCheckpointCarriesCounters(t *testing.T) {
+	// The counter is process-wide, so a repeated run (-count=n) starts
+	// where the last one left it: every expectation is relative to it.
 	const name = "runctl_test_ckpt_trials_total"
 	path := filepath.Join(t.TempDir(), "state.ckpt")
-	obs.Default.Counter(name).Add(7)
+	c := obs.Default.Counter(name)
+	c.Add(7)
+	live := c.Value()
 
 	if err := SaveCheckpoint(path, "test.kind", "fp", map[string]int{"x": 1}); err != nil {
 		t.Fatalf("SaveCheckpoint: %v", err)
 	}
 	env := readEnvelope(t, path)
-	if got := env.Counters[name]; got != 7 {
-		t.Fatalf("saved counter snapshot has %s=%d, want 7", name, got)
+	if got := env.Counters[name]; got != live {
+		t.Fatalf("saved counter snapshot has %s=%d, want the live %d", name, got, live)
 	}
 
 	// A checkpoint from a previous process carries a larger total; the
 	// load must raise the live counter to it.
-	env.Counters[name] = 100
+	raised := live + 93
+	env.Counters[name] = raised
 	writeEnvelope(t, path, env)
 	var payload map[string]int
 	ok, err := LoadCheckpoint(path, "test.kind", "fp", &payload)
 	if err != nil || !ok {
 		t.Fatalf("LoadCheckpoint: ok=%v err=%v", ok, err)
 	}
-	if got := obs.Default.Counter(name).Value(); got != 100 {
-		t.Fatalf("after resume counter %s=%d, want cumulative 100", name, got)
+	if got := c.Value(); got != raised {
+		t.Fatalf("after resume counter %s=%d, want cumulative %d", name, got, raised)
 	}
 
 	// A same-process resume, where the live counter already advanced
 	// past the snapshot, must not move it backwards or double-count.
-	env.Counters[name] = 5
+	env.Counters[name] = live
 	writeEnvelope(t, path, env)
 	if ok, err := LoadCheckpoint(path, "test.kind", "fp", &payload); err != nil || !ok {
 		t.Fatalf("LoadCheckpoint: ok=%v err=%v", ok, err)
 	}
-	if got := obs.Default.Counter(name).Value(); got != 100 {
-		t.Fatalf("merge lowered counter %s to %d, want floor at 100", name, got)
+	if got := c.Value(); got != raised {
+		t.Fatalf("merge lowered counter %s to %d, want floor at %d", name, got, raised)
 	}
 }
 

@@ -124,14 +124,10 @@ type Result struct {
 }
 
 // Durability composes stage 1 with the network level for one scheme and
-// repair method, using the paper's 30-minute detection delay.
-func Durability(l *placement.Layout, method repair.Method, s1 Stage1) (Result, error) {
-	return DurabilityDetect(l, method, s1, failure.DefaultDetectionDelayHours)
-}
-
-// DurabilityDetect is Durability with an explicit failure-detection
-// delay — the ablation knob of §4.2.3 F#3 and §5.2.2.
-func DurabilityDetect(l *placement.Layout, method repair.Method, s1 Stage1, detectHours float64) (Result, error) {
+// repair method. detectHours is the failure-detection delay: the paper's
+// is failure.DefaultDetectionDelayHours, and the ablations of §4.2.3 F#3
+// and §5.2.2 vary it.
+func Durability(l *placement.Layout, method repair.Method, s1 Stage1, detectHours float64) (Result, error) {
 	if s1.CatRatePerPoolHour < 0 {
 		return Result{}, fmt.Errorf("splitting: negative catastrophic rate")
 	}
@@ -145,10 +141,10 @@ func DurabilityDetect(l *placement.Layout, method repair.Method, s1 Stage1, dete
 	}
 	window := netWindow + detectHours
 
-	// φ visible to the network repairer: R_ALL cannot see inside the
-	// pool and must treat everything as lost.
+	// φ visible to the network repairer: a blind method cannot see
+	// inside the pool and must treat everything as lost.
 	phi := s1.LostStripeFraction
-	if method == repair.RAll {
+	if method.Blind() {
 		phi = 1
 	}
 	pn := l.Params.PN
@@ -220,7 +216,7 @@ func Fig10(layouts map[placement.Scheme]*placement.Layout,
 		}
 		row := Fig10Row{Scheme: s}
 		for _, m := range repair.AllMethods {
-			r, err := Durability(l, m, s1)
+			r, err := Durability(l, m, s1, failure.DefaultDetectionDelayHours)
 			if err != nil {
 				return nil, err
 			}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mlec/internal/failure"
 	"mlec/internal/markov"
 	"mlec/internal/placement"
 	"mlec/internal/poolsim"
@@ -170,7 +171,7 @@ func TestRAllMatchesMarkov(t *testing.T) {
 	s1 := stage1Fixture(t)
 	lambda := 0.01 / 8760
 	for _, s := range []placement.Scheme{placement.SchemeCC, placement.SchemeCD} {
-		r, err := Durability(ls[s], repair.RAll, s1[s.Local])
+		r, err := Durability(ls[s], repair.RAll, s1[s.Local], failure.DefaultDetectionDelayHours)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,11 +234,11 @@ func TestDurabilityWindowMonotone(t *testing.T) {
 	// Faster catastrophic-exit (smaller window) must never hurt.
 	ls := layouts(t)
 	s1 := stage1Fixture(t)[placement.Clustered]
-	r1, err := Durability(ls[placement.SchemeCC], repair.RAll, s1)
+	r1, err := Durability(ls[placement.SchemeCC], repair.RAll, s1, failure.DefaultDetectionDelayHours)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Durability(ls[placement.SchemeCC], repair.RMin, s1)
+	r2, err := Durability(ls[placement.SchemeCC], repair.RMin, s1, failure.DefaultDetectionDelayHours)
 	if err != nil {
 		t.Fatal(err)
 	}

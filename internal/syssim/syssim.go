@@ -125,6 +125,9 @@ func New(cfg Config) (*System, error) {
 	if cfg.TTF == nil {
 		return nil, fmt.Errorf("syssim: TTF distribution required")
 	}
+	if err := cfg.Method.Validate(); err != nil {
+		return nil, fmt.Errorf("syssim: %w", err)
+	}
 	l, err := placement.NewLayout(cfg.Topo, cfg.Params, cfg.Scheme)
 	if err != nil {
 		return nil, err
@@ -419,7 +422,7 @@ func (s *System) onCatastrophic(pool int) {
 		if c > s.stats.MaxConcurrentCatPools {
 			s.stats.MaxConcurrentCatPools = c
 		}
-		if s.cfg.Method == repair.RAll {
+		if s.cfg.Method.Blind() {
 			s.markWholePool(pool, true)
 		}
 	}
@@ -435,34 +438,15 @@ func (s *System) onCatastrophic(pool int) {
 // networkVolume returns the bytes the network stage must reconstruct for
 // this pool under the configured method.
 func (s *System) networkVolume(pool int) float64 {
-	p := s.pools[pool].Pool
-	seg := s.poolCfg.SegmentBytes()
-	switch s.cfg.Method {
-	case repair.RAll:
+	if s.cfg.Method.Blind() {
 		return float64(s.poolCfg.Disks) * s.cfg.Topo.DiskCapacityBytes
-	case repair.RFCO:
-		// All currently-lost chunks in the pool.
-		chunks := 0
-		for st := range s.poolCfg.Stripes() {
-			chunks += p.StripeLostCount(st)
-		}
-		return float64(chunks) * seg
-	default: // R_HYB, R_MIN: the lost stripes' chunks beyond the kept ones
-		chunks := 0
-		for st := range p.LostStripeIDs() {
-			chunks += p.StripeLostCount(st) - s.keptLosses()
-		}
-		return float64(chunks) * seg
 	}
-}
-
-// keptLosses is how many of a lost stripe's lost chunks the network
-// stage leaves to local repair: none under R_HYB, pl under R_MIN.
-func (s *System) keptLosses() int {
-	if s.cfg.Method == repair.RHYB {
-		return 0
+	p := s.pools[pool].Pool
+	chunks := 0
+	for st := range s.poolCfg.Stripes() {
+		chunks += s.cfg.Method.NetworkChunks(p.StripeLostCount(st), s.cfg.Params.PL)
 	}
-	return s.cfg.Params.PL
+	return float64(chunks) * s.poolCfg.SegmentBytes()
 }
 
 // completeNetworkRepair applies the method's network stage and updates
@@ -476,25 +460,19 @@ func (s *System) completeNetworkRepair(pool int) {
 	obs.Trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvRepairEnd,
 		Pool: pool, Method: s.cfg.Method.String(), Bytes: traffic})
 
-	switch s.cfg.Method {
-	case repair.RAll, repair.RFCO:
-		// The network stage rebuilt every failed chunk (R_ALL rebuilds
-		// even healthy ones; same end state).
-		healed := p.FailedDisks()
-		m.HealAll()
-		s.onDisksHealed(pool, healed)
-	default: // R_HYB rebuilds lost stripes whole, R_MIN back to pl losses
-		total := 0
-		for st := range p.LostStripeIDs() {
-			if n := p.StripeLostCount(st) - s.keptLosses(); n > 0 {
-				total += p.HealStripeChunks(st, n)
-			}
+	// The network stage rebuilt the method's share of every stripe's lost
+	// chunks (a blind method's share is all of them, the same end state as
+	// rebuilding the healthy ones too); local repair plans the rest.
+	healed := 0
+	for st := range s.poolCfg.Stripes() {
+		if n := s.cfg.Method.NetworkChunks(p.StripeLostCount(st), s.cfg.Params.PL); n > 0 {
+			healed += p.HealStripeChunks(st, n)
 		}
-		s.onDisksHealed(pool, total)
-		m.Replan()
 	}
+	s.onDisksHealed(pool, healed)
+	m.Replan()
 
-	if s.cfg.Method == repair.RAll {
+	if s.cfg.Method.Blind() {
 		s.markWholePool(pool, false)
 	}
 	s.poolCat[pool] = false
@@ -508,8 +486,8 @@ func (s *System) completeNetworkRepair(pool int) {
 	}
 }
 
-// markWholePool flips the R_ALL pool-is-lost view: every stripe of the
-// pool counts as a lost member while the pool is catastrophic.
+// markWholePool flips a blind method's pool-is-lost view: every stripe
+// of the pool counts as a lost member while the pool is catastrophic.
 func (s *System) markWholePool(pool int, lost bool) {
 	for st := range s.memberLost[pool] {
 		s.setMemberLost(pool, st, lost)
@@ -517,9 +495,10 @@ func (s *System) markWholePool(pool int, lost bool) {
 }
 
 // refreshMemberLost reconciles the pool's actual lost stripes with the
-// network accounting (no-op for R_ALL while the pool-is-lost view holds).
+// network accounting (no-op for a blind method while the pool-is-lost
+// view holds).
 func (s *System) refreshMemberLost(pool int) {
-	if s.cfg.Method == repair.RAll && s.poolCat[pool] {
+	if s.cfg.Method.Blind() && s.poolCat[pool] {
 		return
 	}
 	p := s.pools[pool].Pool

@@ -2,6 +2,7 @@ package syssim
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"testing"
 
@@ -191,6 +192,10 @@ func TestConfigValidation(t *testing.T) {
 	cfg.TTF = nil
 	if _, err := New(cfg); err == nil {
 		t.Error("nil TTF accepted")
+	}
+	// An unknown method is an error, not an R_MIN run.
+	if _, err := New(hotSystem(placement.SchemeDD, repair.Method(7), 0.5)); !errors.Is(err, repair.ErrUnknownMethod) {
+		t.Errorf("New(Method(7)) error = %v, want repair.ErrUnknownMethod", err)
 	}
 	if _, err := RunContext(context.Background(), hotSystem(placement.SchemeCC, repair.RAll, 0.5), 0, 1); err == nil {
 		t.Error("zero years accepted")

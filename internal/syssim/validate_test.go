@@ -66,7 +66,7 @@ func TestSplittingCompositionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1 := splitting.Stage1FromSplit(pc, split)
-	dur, err := splitting.Durability(l, repair.RAll, s1)
+	dur, err := splitting.Durability(l, repair.RAll, s1, failure.DefaultDetectionDelayHours)
 	if err != nil {
 		t.Fatal(err)
 	}

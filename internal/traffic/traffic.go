@@ -35,10 +35,6 @@ func NetworkSLECDailyBytes(topo topology.Config, params placement.SLECParams, la
 	return failuresPerHour(topo, lambdaPerHour) * hoursPerDay * perFailure, nil
 }
 
-// LocalSLECDailyBytes returns 0: local SLEC repairs never cross racks.
-// (It exists so comparison tables can enumerate all placements.)
-func LocalSLECDailyBytes(topology.Config, placement.SLECParams, float64) float64 { return 0 }
-
 // LRCDailyBytes returns the expected cross-rack repair traffic per day of
 // an LRC-Dp layout: the dominant single-failure repairs read the k/l
 // surviving chunks of the local group and write 1 — all across racks,

@@ -67,12 +67,6 @@ func TestLRCLessThanNetworkSLEC(t *testing.T) {
 	}
 }
 
-func TestLocalSLECZero(t *testing.T) {
-	if got := LocalSLECDailyBytes(topology.Default(), placement.SLECParams{K: 7, P: 3}, lambda); got != 0 {
-		t.Errorf("local SLEC cross-rack traffic %g, want 0", got)
-	}
-}
-
 func TestCompare(t *testing.T) {
 	topo := topology.Default()
 	l := placement.MustNewLayout(topo, placement.DefaultParams(), placement.SchemeCD)

@@ -232,6 +232,11 @@ func TestSimulateAPI(t *testing.T) {
 	if _, err := Simulate(SimulationConfig{Topology: topo, Params: Params{KN: 0}}, 1, 1); err == nil {
 		t.Error("invalid params accepted")
 	}
+	unknown := SimulationConfig{Topology: topo, Params: Params{KN: 2, PN: 1, KL: 4, PL: 2},
+		Scheme: SchemeDD, Method: RepairMethod(7), AFR: 0.5}
+	if _, err := Simulate(unknown, 2, 1); err == nil {
+		t.Error("unknown repair method accepted")
+	}
 }
 
 func TestSystemRebalance(t *testing.T) {
