@@ -9,7 +9,7 @@ GO ?= go
 # drive its methods from several goroutines at once.
 RACE_PKGS = ./internal/burst ./internal/poolsim ./internal/rs ./internal/syssim ./internal/cluster ./internal/runctl ./internal/obs ./internal/faultinject
 
-.PHONY: check build vet lint test race stress bench bench-smoke bench-check bench-json bench-engines fuzz obs-smoke chaos
+.PHONY: check build vet lint test race stress bench bench-smoke bench-check fuzz obs-smoke chaos
 
 ## check: build + vet + mlecvet + tests + race tests — the CI gate.
 check: build vet lint test bench-smoke bench-check race stress obs-smoke chaos
@@ -70,9 +70,10 @@ chaos:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-## bench-smoke: run every Benchmark* body exactly once, so a benchmark
-## whose setup or call site broke fails the gate instead of only
-## compiling.
+## bench-smoke: run every Benchmark* body exactly once (the gf256 Apply
+## and lrc global-solve micro-benchmarks no bench/ metric times, and
+## mlecvet's whole-repo run), so a benchmark whose setup or call site
+## broke fails the gate instead of only compiling.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
@@ -83,24 +84,6 @@ bench-smoke:
 ## stable call surface"); a change that reshapes one fails here.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run mlec/cmd/mlecvet ./...
-
-## bench-json: append a run to the committed kernel ledger
-## (BENCH_gf256.json): GB/s and allocs/op for the gf256 primitives and
-## the RS encode/reconstruct paths. LABEL names the run; APPEND=1 keeps
-## the runs already in the file so before/after pairs sit side by side.
-## The ledgers record a trajectory; whether a change moved a number is
-## decided by bench/'s -compare on alternating prebuilt pairs
-## (bench/README.md), not by comparing one run with a committed one.
-LABEL ?= dev
-bench-json:
-	$(GO) run ./cmd/mlecbench kernels -label $(LABEL) -out BENCH_gf256.json $(if $(APPEND),-append)
-
-## bench-engines: append a run to the committed engine ledger
-## (BENCH_engines.json): events per wall second for the pinned-seed
-## poolsim / syssim / burst campaigns, counted by the engines' own obs
-## counters. Same LABEL/APPEND discipline as bench-json.
-bench-engines:
-	$(GO) run ./cmd/mlecbench engines -label $(LABEL) -out BENCH_engines.json $(if $(APPEND),-append)
 
 ## fuzz: short fuzzing smoke of the hand-written parsers (failure-trace
 ## files, //lint:allow directives) and of the burst sampler, the codecs

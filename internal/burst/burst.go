@@ -256,7 +256,6 @@ func PDLContext(ctx context.Context, ev Evaluator, x, y, trials int, seed int64,
 	if hi > 1 {
 		hi = 1
 	}
-	task.SetCIWidth(hi - lo)
 	return Result{Racks: x, Failures: y, PDL: mean, Lo: lo, Hi: hi, Trials: done, Partial: completed < nb}, nil
 }
 

@@ -31,11 +31,11 @@ type Options struct {
 	// CSV switches renders that support it (the PDL heatmaps) from
 	// ASCII art to machine-readable CSV.
 	CSV bool
-	// CheckpointDir, when non-empty, makes the Monte-Carlo experiments
-	// (heatmaps, splitting stage 1, the full-system simulation driver)
-	// checkpoint their estimator state there and resume interrupted
-	// runs deterministically. Each experiment derives its own file
-	// names, so one directory serves a whole campaign.
+	// CheckpointDir, when non-empty, makes the PDL heatmaps and the
+	// stage-1 splitting estimator checkpoint their state there and
+	// resume interrupted runs deterministically. Each experiment
+	// derives its own file names, so one directory serves a whole
+	// campaign.
 	CheckpointDir string
 }
 

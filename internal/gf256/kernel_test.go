@@ -66,6 +66,25 @@ func randomShards(rng *rand.Rand, count, n int) [][]byte {
 	return shards
 }
 
+// BenchmarkApply times Apply on one 128 KiB source shard: the one-row
+// table loop (1x1) and the two-row loop (2x1, bytes of source).
+func BenchmarkApply(b *testing.B) {
+	const n = 128 << 10
+	for _, rows := range []int{1, 2} {
+		b.Run(fmt.Sprintf("%dx1", rows), func(b *testing.B) {
+			coef := [][]byte{{0x1d}, {0x8e}}[:rows]
+			in := randomShards(rand.New(rand.NewSource(1)), 1, n)
+			out := randomShards(rand.New(rand.NewSource(2)), rows, n)
+			b.SetBytes(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Apply(coef, in, out)
+			}
+		})
+	}
+}
+
 // checkApply runs Apply and refApply on the same inputs and on the same
 // stale output contents, which Apply must overwrite.
 func checkApply(t *testing.T, rng *rand.Rand, rows [][]byte, n int) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mlec/internal/gf256"
-	"mlec/internal/lrc"
 )
 
 // TestRAIDKnownAnswers holds Apply to the RAID-5 and RAID-6 parities of a
@@ -60,7 +59,7 @@ func TestLRCLocalParityIsGroupXOR(t *testing.T) {
 				shards[i][j] = byte(i*size + j)
 			}
 		}
-		if err := lrc.MustNew(k, l, r).Encode(shards); err != nil {
+		if err := mustLRC(k, l, r).Encode(shards); err != nil {
 			t.Fatal(err)
 		}
 		for g := 0; g < l; g++ {

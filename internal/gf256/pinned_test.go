@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mlec/internal/gf256"
-	"mlec/internal/lrc"
 	"mlec/internal/rs"
 )
 
@@ -43,7 +42,7 @@ func rsShape(k, p int, parity, rebuilt [5]uint64) pinnedShape {
 		exactlyP = append(exactlyP, i)
 	}
 	return pinnedShape{
-		name: fmt.Sprintf("rs %d+%d", k, p), k: k, parity: p, codec: rs.MustNew(k, p),
+		name: fmt.Sprintf("rs %d+%d", k, p), k: k, parity: p, codec: mustRS(k, p),
 		erasures: [][]int{
 			{k / 2},     // one data
 			{k + p - 1}, // one parity
@@ -57,7 +56,7 @@ func rsShape(k, p int, parity, rebuilt [5]uint64) pinnedShape {
 func lrcShape(k, l, r int, parity, rebuilt [5]uint64) pinnedShape {
 	g := k / l
 	return pinnedShape{
-		name: fmt.Sprintf("lrc %d,%d,%d", k, l, r), k: k, parity: l + r, codec: lrc.MustNew(k, l, r),
+		name: fmt.Sprintf("lrc %d,%d,%d", k, l, r), k: k, parity: l + r, codec: mustLRC(k, l, r),
 		erasures: [][]int{
 			{1},                       // single data loss in a group
 			{k},                       // a local parity alone

@@ -22,9 +22,27 @@ type refCodec struct {
 	gen [][]byte
 }
 
+// mustRS and mustLRC build the codecs of the fixed shapes these tests
+// hold; a shape New rejects is a bug in the test table.
+func mustRS(k, p int) *rs.Codec {
+	c, err := rs.New(k, p)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+func mustLRC(k, l, r int) *lrc.Codec {
+	c, err := lrc.New(k, l, r)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func refRS(k, p int) refCodec {
 	ref := refCodec{k: k}
-	c := rs.MustNew(k, p)
+	c := mustRS(k, p)
 	for i := 0; i < p; i++ {
 		row, err := c.ParityRow(i)
 		if err != nil {
@@ -126,12 +144,12 @@ type testedCodec struct {
 }
 
 func testedRS(k, p int) testedCodec {
-	c := rs.MustNew(k, p)
+	c := mustRS(k, p)
 	return testedCodec{fmt.Sprintf("rs %d+%d", k, p), refRS(k, p), c.Encode, c.Reconstruct, c.ReconstructData, rs.ErrTooFewShards}
 }
 
 func testedLRC(k, l, r int) testedCodec {
-	c := lrc.MustNew(k, l, r)
+	c := mustLRC(k, l, r)
 	return testedCodec{fmt.Sprintf("lrc %d,%d,%d", k, l, r), refLRC(k, l, r), c.Encode, c.Reconstruct, nil, lrc.ErrUnrecoverable}
 }
 

@@ -15,7 +15,7 @@ import (
 // validation belongs in returned errors. Two idioms are exempt:
 //
 //   - functions whose name starts with "Must": panicking on error is
-//     their documented contract (rs.MustNew, failure.MustExponentialAFR);
+//     their documented contract (placement.MustNewLayout, failure.MustExponentialAFR);
 //   - sites carrying //lint:allow nakedpanic <reason> — reserved for
 //     true invariant violations (corrupted internal state, kernel
 //     precondition breaches analogous to out-of-bounds indexing) where

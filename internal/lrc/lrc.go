@@ -77,15 +77,6 @@ func New(k, l, r int) (*Codec, error) {
 	return c, nil
 }
 
-// MustNew is New but panics on error.
-func MustNew(k, l, r int) *Codec {
-	c, err := New(k, l, r)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // DataShards returns k.
 func (c *Codec) DataShards() int { return c.k }
 

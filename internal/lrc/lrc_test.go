@@ -6,9 +6,19 @@ import (
 	"testing"
 )
 
-func newFilled(t *testing.T, k, l, r, size int, seed int64) (*Codec, [][]byte) {
+// mustNew builds a codec of a fixed test shape; a shape New rejects is
+// a bug in the test.
+func mustNew(k, l, r int) *Codec {
+	c, err := New(k, l, r)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+func newFilled(t testing.TB, k, l, r, size int, seed int64) (*Codec, [][]byte) {
 	t.Helper()
-	c := MustNew(k, l, r)
+	c := mustNew(k, l, r)
 	rng := rand.New(rand.NewSource(seed))
 	shards := make([][]byte, c.TotalShards())
 	for i := range shards {
@@ -54,7 +64,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestPaperLayout422(t *testing.T) {
 	// Figure 14: a (4,2,2) LRC. Chunks: a1 a2 a3 a4 | a12 a34 | ap aq
-	c := MustNew(4, 2, 2)
+	c := mustNew(4, 2, 2)
 	if c.TotalShards() != 8 {
 		t.Fatalf("TotalShards = %d, want 8", c.TotalShards())
 	}
@@ -127,7 +137,7 @@ func TestLocalRepairableWrongShardCount(t *testing.T) {
 // TestZeroLengthShards: a stripe of empty shards is a size error, not an
 // unrecoverable pattern.
 func TestZeroLengthShards(t *testing.T) {
-	c := MustNew(4, 2, 2)
+	c := mustNew(4, 2, 2)
 	shards := make([][]byte, 8)
 	for i := range shards {
 		shards[i] = []byte{}
@@ -275,5 +285,28 @@ func TestZeroGlobalParities(t *testing.T) {
 	shards = cloneWithErasures(ref, []int{0, 1})
 	if err := c.Reconstruct(shards); err != ErrUnrecoverable {
 		t.Fatalf("err = %v, want ErrUnrecoverable", err)
+	}
+}
+
+// BenchmarkReconstructGlobal times the (14,2,4) global solve on 128 KiB
+// shards: one loss in the first group, which its XOR row repairs, plus
+// two in the second group and a global parity, which only the Reed–
+// Solomon rows can. Throughput counts the bytes rebuilt.
+func BenchmarkReconstructGlobal(b *testing.B) {
+	const shardBytes = 128 << 10
+	lost := []int{0, 7, 8, 16}
+	c, ref := newFilled(b, 14, 2, 4, shardBytes, 3)
+	shards := make([][]byte, len(ref))
+	b.SetBytes(int64(len(lost)) * shardBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(shards, ref)
+		for _, j := range lost {
+			shards[j] = nil
+		}
+		if err := c.Reconstruct(shards); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

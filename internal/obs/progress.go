@@ -30,8 +30,9 @@ var Progress = &Tracker{}
 // read the clock themselves, which is what keeps the walltime analyzer
 // clean outside this package.
 type Task struct {
-	name  string
-	begun time.Time
+	tracker *Tracker // the tracker that started it; Finish removes it there
+	name    string
+	begun   time.Time
 
 	done atomic.Int64
 	goal int64 // <= 0 means unknown; fixed at StartTask
@@ -53,19 +54,16 @@ type Task struct {
 // work count (pass 0 when unknown); the task reports done/goal, rate
 // and ETA from it.
 func (t *Tracker) StartTask(name string, goal int64) *Task {
-	task := &Task{name: name, begun: time.Now(), goal: goal}
+	task := &Task{tracker: t, name: name, begun: time.Now(), goal: goal}
 	t.mu.Lock()
 	t.tasks = append(t.tasks, task)
 	t.mu.Unlock()
 	return task
 }
 
-// Finish deregisters the task.
+// Finish deregisters the task from the tracker that started it.
 func (task *Task) Finish() {
-	Progress.remove(task)
-}
-
-func (t *Tracker) remove(task *Task) {
+	t := task.tracker
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i, cur := range t.tasks {

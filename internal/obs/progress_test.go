@@ -11,7 +11,7 @@ import (
 func TestProgressTaskLifecycle(t *testing.T) {
 	tr := &Tracker{}
 	task := tr.StartTask("unit.test", 100)
-	defer task.Finish() // Finish removes from Progress, not tr; harmless
+	defer task.Finish()
 	task.Add(25)
 	task.SetLevel(2, 6)
 	task.SetOccupancy(0.4)
@@ -28,9 +28,15 @@ func TestProgressTaskLifecycle(t *testing.T) {
 	if s.Level != 2 || s.MaxLevel != 6 || s.Occupancy != 0.4 || s.CIWidth != 0.01 || s.Note != "warming" {
 		t.Fatalf("snapshot detail %+v", s)
 	}
-	tr.remove(task)
+}
+
+// TestFinishRemovesFromItsTracker finishes a task started on a tracker
+// other than Progress: it must leave that tracker.
+func TestFinishRemovesFromItsTracker(t *testing.T) {
+	tr := &Tracker{}
+	tr.StartTask("local.test", 10).Finish()
 	if got := tr.Snapshots(); len(got) != 0 {
-		t.Fatalf("after remove: %d snapshots", len(got))
+		t.Fatalf("tracker keeps %d snapshots after Finish", len(got))
 	}
 }
 
@@ -56,7 +62,7 @@ func TestProgressRender(t *testing.T) {
 			t.Errorf("render %q missing %q", line, frag)
 		}
 	}
-	tr.remove(task)
+	task.Finish()
 }
 
 // TestTaskConcurrentUpdates drives one task from several workers while
@@ -113,7 +119,7 @@ func TestTrackerConcurrentStartTask(t *testing.T) {
 			for i := 0; i < each; i++ {
 				task := tr.StartTask("start.test", 0)
 				tr.Snapshots()
-				tr.remove(task)
+				task.Finish()
 			}
 		}()
 	}

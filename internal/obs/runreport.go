@@ -16,8 +16,7 @@ import (
 // fingerprint, seed), how long it took, how many events it simulated,
 // every counter's final value, and how much heap it used — written by
 // the -run-report flag so that runs can be compared across commits
-// without re-deriving anything from logs. `mlecbench engines` reads the same
-// obs event counters for its BENCH_engines.json trajectory.
+// without re-deriving anything from logs.
 
 // RunReportSchema versions the report format; ParseRunReport rejects
 // anything else.

@@ -97,7 +97,10 @@ func TestLRCValidation(t *testing.T) {
 // rank-based decoder, for every erasure pattern of a small LRC.
 func TestLRCRecoverableMatchesCodec(t *testing.T) {
 	params := LRCParams{K: 4, L: 2, R: 2}
-	codec := lrc.MustNew(params.K, params.L, params.R)
+	codec, err := lrc.New(params.K, params.L, params.R)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := params.Width()
 	ref := make([][]byte, n)
 	for i := range ref {

@@ -15,7 +15,7 @@ import (
 // to two calls at once is reported, and without it the rebuilt bytes
 // would differ from the stripe.
 func TestSharedCodecConcurrentDecode(t *testing.T) {
-	c := MustNew(10, 4)
+	c := mustNew(10, 4)
 	const workers, rounds = 6, 40
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)

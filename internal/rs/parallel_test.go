@@ -35,14 +35,14 @@ func encodeBoth(t *testing.T, c *Codec, size, workers int, seed int64) {
 func TestEncodeParallelBelowCutoff(t *testing.T) {
 	// Any size below the 64 KiB/worker cutoff must fall back to the
 	// serial path (workers collapses to ≤ 1) and still be correct.
-	c := MustNew(6, 2)
+	c := mustNew(6, 2)
 	for _, size := range []int{1, 100, 4 << 10, (64 << 10) - 1} {
 		encodeBoth(t, c, size, 8, 101)
 	}
 }
 
 func TestEncodeParallelCutoffBoundary(t *testing.T) {
-	c := MustNew(4, 2)
+	c := mustNew(4, 2)
 	// Exactly one worker's worth: serial fallback.
 	encodeBoth(t, c, 64<<10, 8, 102)
 	// Exactly two workers' worth: first genuinely parallel size.
@@ -54,7 +54,7 @@ func TestEncodeParallelCutoffBoundary(t *testing.T) {
 func TestEncodeParallelNonDivisible(t *testing.T) {
 	// Sizes that don't divide evenly across workers exercise the
 	// truncated final range and the lo >= hi early break.
-	c := MustNew(10, 3)
+	c := mustNew(10, 3)
 	for _, tc := range []struct{ size, workers int }{
 		{192<<10 + 1, 3},
 		{192<<10 - 1, 3},
@@ -68,13 +68,13 @@ func TestEncodeParallelNonDivisible(t *testing.T) {
 func TestEncodeParallelManyWorkers(t *testing.T) {
 	// More workers than 64 KiB slices (and more than bytes): the worker
 	// count must clamp rather than spawn empty ranges.
-	c := MustNew(3, 2)
+	c := mustNew(3, 2)
 	encodeBoth(t, c, 200<<10, 1000, 106)
 	encodeBoth(t, c, 3, 1000, 107)
 }
 
 func TestEncodeParallelValidatesShards(t *testing.T) {
-	c := MustNew(4, 2)
+	c := mustNew(4, 2)
 	shards := newShards(4, 2, 128<<10)
 	shards[3] = nil
 	if err := c.EncodeParallel(shards, 4); err == nil {
@@ -91,7 +91,7 @@ func TestEncodeParallelReconstructs(t *testing.T) {
 	// End-to-end: parity produced in parallel must decode erasures like
 	// serially produced parity.
 	rng := rand.New(rand.NewSource(108))
-	c := MustNew(8, 3)
+	c := mustNew(8, 3)
 	const size = 256<<10 + 333
 	ref := newShards(8, 3, size)
 	fillRandom(ref, 8, rng)

@@ -57,15 +57,6 @@ func New(k, p int) (*Codec, error) {
 	return &Codec{k: k, p: p, gen: gen, code: gf256.NewCode("rs", k, gen, ErrShardSize, ErrTooFewShards)}, nil
 }
 
-// MustNew is New but panics on error; for static configurations.
-func MustNew(k, p int) *Codec {
-	c, err := New(k, p)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // DataShards returns k.
 func (c *Codec) DataShards() int { return c.k }
 

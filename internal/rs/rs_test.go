@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// mustNew builds a codec of a fixed test shape; a shape New rejects is
+// a bug in the test.
+func mustNew(k, p int) *Codec {
+	c, err := New(k, p)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func fillRandom(shards [][]byte, k int, rng *rand.Rand) {
 	for i := 0; i < k; i++ {
 		rng.Read(shards[i])
@@ -40,7 +50,7 @@ func TestNewValidation(t *testing.T) {
 func TestEncodeVerify(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, cfg := range []struct{ k, p int }{{2, 1}, {4, 2}, {10, 2}, {17, 3}, {10, 4}} {
-		c := MustNew(cfg.k, cfg.p)
+		c := mustNew(cfg.k, cfg.p)
 		shards := newShards(cfg.k, cfg.p, 1024)
 		fillRandom(shards, cfg.k, rng)
 		if err := c.Encode(shards); err != nil {
@@ -64,7 +74,7 @@ func TestEncodeVerify(t *testing.T) {
 func TestMDSExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, cfg := range []struct{ k, p int }{{2, 1}, {2, 2}, {3, 2}, {4, 3}, {5, 3}} {
-		c := MustNew(cfg.k, cfg.p)
+		c := mustNew(cfg.k, cfg.p)
 		n := cfg.k + cfg.p
 		ref := newShards(cfg.k, cfg.p, 64)
 		fillRandom(ref, cfg.k, rng)
@@ -105,7 +115,7 @@ func popcount(x int) int {
 func TestReconstructPaperConfig(t *testing.T) {
 	// The paper's local code (17+3): random triple erasures.
 	rng := rand.New(rand.NewSource(12))
-	c := MustNew(17, 3)
+	c := mustNew(17, 3)
 	ref := newShards(17, 3, 512)
 	fillRandom(ref, 17, rng)
 	if err := c.Encode(ref); err != nil {
@@ -132,7 +142,7 @@ func TestReconstructPaperConfig(t *testing.T) {
 }
 
 func TestReconstructTooManyErasures(t *testing.T) {
-	c := MustNew(4, 2)
+	c := mustNew(4, 2)
 	shards := newShards(4, 2, 16)
 	fillRandom(shards, 4, rand.New(rand.NewSource(13)))
 	if err := c.Encode(shards); err != nil {
@@ -146,7 +156,7 @@ func TestReconstructTooManyErasures(t *testing.T) {
 
 func TestReconstructDataOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	c := MustNew(6, 3)
+	c := mustNew(6, 3)
 	ref := newShards(6, 3, 128)
 	fillRandom(ref, 6, rng)
 	if err := c.Encode(ref); err != nil {
@@ -170,7 +180,7 @@ func TestReconstructDataOnly(t *testing.T) {
 }
 
 func TestShardSizeMismatch(t *testing.T) {
-	c := MustNew(3, 2)
+	c := mustNew(3, 2)
 	shards := newShards(3, 2, 32)
 	shards[2] = make([]byte, 31)
 	if err := c.Encode(shards); err != ErrShardSize {
@@ -181,7 +191,7 @@ func TestShardSizeMismatch(t *testing.T) {
 // TestZeroLengthShards: a stripe of empty shards is a size error to every
 // entry point, not a shortage of shards.
 func TestZeroLengthShards(t *testing.T) {
-	c := MustNew(3, 2)
+	c := mustNew(3, 2)
 	shards := newShards(3, 2, 0)
 	if err := c.Encode(shards); err != ErrShardSize {
 		t.Fatalf("Encode: err = %v, want ErrShardSize", err)
@@ -203,7 +213,7 @@ func TestParityRowsNonzero(t *testing.T) {
 	// some data shard would not be protected by that parity (a zero
 	// coefficient would break the MDS property for some erasure set).
 	for _, cfg := range []struct{ k, p int }{{2, 1}, {10, 2}, {17, 3}} {
-		c := MustNew(cfg.k, cfg.p)
+		c := mustNew(cfg.k, cfg.p)
 		for i := 0; i < cfg.p; i++ {
 			row, err := c.ParityRow(i)
 			if err != nil {
@@ -219,7 +229,7 @@ func TestParityRowsNonzero(t *testing.T) {
 }
 
 func TestParityRowBounds(t *testing.T) {
-	c := MustNew(4, 2)
+	c := mustNew(4, 2)
 	if _, err := c.ParityRow(2); err == nil {
 		t.Fatal("ParityRow(2) did not error")
 	}
@@ -230,8 +240,8 @@ func TestParityRowBounds(t *testing.T) {
 
 func TestEncodeIsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	c1 := MustNew(10, 2)
-	c2 := MustNew(10, 2)
+	c1 := mustNew(10, 2)
+	c2 := mustNew(10, 2)
 	s1 := newShards(10, 2, 64)
 	fillRandom(s1, 10, rng)
 	s2 := make([][]byte, len(s1))
@@ -254,7 +264,7 @@ func TestEncodeIsDeterministic(t *testing.T) {
 func TestWideCode(t *testing.T) {
 	// Wide stripe like the paper's throughput sweep upper range.
 	rng := rand.New(rand.NewSource(16))
-	c := MustNew(50, 10)
+	c := mustNew(50, 10)
 	shards := newShards(50, 10, 256)
 	fillRandom(shards, 50, rng)
 	if err := c.Encode(shards); err != nil {
@@ -279,7 +289,7 @@ func TestWideCode(t *testing.T) {
 
 func TestEncodeParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	c := MustNew(10, 3)
+	c := mustNew(10, 3)
 	const size = 512 << 10 // big enough to actually split
 	serial := newShards(10, 3, size)
 	fillRandom(serial, 10, rng)
@@ -312,7 +322,7 @@ func TestEncodeParallelMatchesSerial(t *testing.T) {
 func TestEncodeParallelSmallInput(t *testing.T) {
 	// Tiny shards must fall back to the serial path without error.
 	rng := rand.New(rand.NewSource(78))
-	c := MustNew(4, 2)
+	c := mustNew(4, 2)
 	shards := newShards(4, 2, 100)
 	fillRandom(shards, 4, rng)
 	if err := c.EncodeParallel(shards, 8); err != nil {

@@ -20,7 +20,6 @@ import (
 
 	"mlec/internal/bwmodel"
 	"mlec/internal/failure"
-	"mlec/internal/faultinject"
 	"mlec/internal/mathx/rngsplit"
 	"mlec/internal/obs"
 	"mlec/internal/placement"
@@ -323,14 +322,6 @@ func RunContext(ctx context.Context, cfg Config, years float64, seed int64) (Sta
 				s.stats.Partial = true
 				s.stats.SimYears = s.eng.Now() / failure.HoursPerYear
 				return s.stats, nil
-			}
-			// Chaos hook, amortized with the poll. syssim is
-			// single-threaded and keeps no checkpoint: error kinds
-			// fail the run loudly (panic kinds kill it), which is
-			// exactly what a chaos probe of an engine with no recovery
-			// path should report.
-			if err := faultinject.Fire("syssim.events", cfg.Seed); err != nil {
-				return s.stats, fmt.Errorf("syssim: injected fault: %w", err)
 			}
 		}
 		next, ok := s.eng.NextTime()
