@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"mlec"
 	"mlec/cmd/internal/cli"
@@ -55,9 +56,28 @@ func main() {
 	}
 	fmt.Printf("%v %v at %.1f%% AFR — stage 1: %s\n", scheme, params, afr*100, stage)
 	fmt.Printf("%-8s  %-22s  %-14s  %-12s  %s\n", "method", "cat rate (/pool/h)", "window (h)", "annual PDL", "nines")
+	// A sampled stage 1 that saw no catastrophe estimates a rate of 0;
+	// its nines would print as +Inf, which no run has earned.
+	var bounds []string
+	unsampled := false
 	for _, e := range ests {
-		fmt.Printf("%-8v  %-22.3g  %-14.1f  %-12.3g  %.1f\n",
-			e.Method, e.CatRatePerPoolHour, e.WindowHours, e.AnnualPDL, e.Nines)
+		nines := fmt.Sprintf("%.1f", e.Nines)
+		if *sim && e.AnnualPDL == 0 {
+			nines, unsampled = "n/a", true
+			if e.AnnualPDLHi > 0 {
+				bounds = append(bounds, fmt.Sprintf("%v %.3g", e.Method, e.AnnualPDLHi))
+			}
+		}
+		fmt.Printf("%-8v  %-22.3g  %-14.1f  %-12.3g  %s\n",
+			e.Method, e.CatRatePerPoolHour, e.WindowHours, e.AnnualPDL, nines)
+	}
+	if unsampled {
+		bound := ""
+		if len(bounds) > 0 {
+			bound = "; annual PDL upper bounds " + strings.Join(bounds, ", ")
+		}
+		fmt.Fprintf(os.Stderr, "mlecdur: no catastrophe was sampled in stage 1%s; raise -trajectories above %d for an estimate\n",
+			bound, *trajectories)
 	}
 	if len(ests) > 0 && ests[0].Partial {
 		c.Partial(os.Stdout, fmt.Sprintf("PARTIAL: splitting campaign interrupted; annual PDL bounded by [%.3g, %.3g] for %v.",

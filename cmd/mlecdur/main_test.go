@@ -75,3 +75,34 @@ func TestWorkerFaultResumeHint(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroCatastropheRun: a splitting stage 1 that samples no
+// catastrophe estimates a rate of 0. The nines column says n/a instead
+// of +Inf, and one stderr line says why and asks for more trajectories.
+func TestZeroCatastropheRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := buildCLI(t)
+	code, stdout, stderr := runCLI(t, bin, "-scheme", "D/D", "-sim", "-trajectories", "5", "-seed", "1")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	rows := strings.Split(strings.TrimSpace(stdout), "\n")[2:]
+	if len(rows) != 4 {
+		t.Fatalf("stdout %q: want four method rows", stdout)
+	}
+	for _, row := range rows {
+		if f := strings.Fields(row); f[len(f)-1] != "n/a" || f[3] != "0" {
+			t.Errorf("row %q: want annual PDL 0 and nines n/a", row)
+		}
+	}
+	if strings.Contains(stdout, "Inf") {
+		t.Errorf("stdout prints an infinite nines value:\n%s", stdout)
+	}
+	lines := strings.Split(strings.TrimSpace(stderr), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], "no catastrophe was sampled") ||
+		!strings.Contains(lines[0], "-trajectories above 5") {
+		t.Errorf("stderr %q: want one line saying no catastrophe was sampled and asking for more -trajectories", stderr)
+	}
+}

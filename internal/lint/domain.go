@@ -78,19 +78,9 @@ func parseDomain(s string) (Domain, bool) {
 	return DomNone, false
 }
 
-// DomVal is the dataflow lattice value: the domain plus a provenance
-// bit recording that the value passed through math.Exp. A linear
-// probability recovered from log space can be arbitrarily close to 0
-// or 1, which is exactly when 1−x cancels catastrophically; the cancel
-// analyzer keys on this bit.
-type DomVal struct {
-	D      Domain
-	ViaExp bool
-}
-
-// joinDom joins two domains: equal stays, None yields the other,
-// conflicting concrete domains go to Mixed.
-func joinDom(a, b Domain) Domain {
+// join is the lattice join used at control-flow merges: equal stays,
+// None yields the other, conflicting concrete domains go to Mixed.
+func (a Domain) join(b Domain) Domain {
 	switch {
 	case a == b:
 		return a
@@ -100,11 +90,6 @@ func joinDom(a, b Domain) Domain {
 		return a
 	}
 	return DomMixed
-}
-
-// join is the lattice join used at control-flow merges.
-func (v DomVal) join(w DomVal) DomVal {
-	return DomVal{D: joinDom(v.D, w.D), ViaExp: v.ViaExp || w.ViaExp}
 }
 
 // domainFromName classifies an identifier by its name, the cheapest and
@@ -203,9 +188,9 @@ func (u unitIndex) at(pos token.Position) (Domain, bool) {
 // //mlec:unit annotation at its declaration site wins, then the name
 // heuristic (floating-point objects only), then the integer-type rule
 // (every integer is a count). Objects of other types carry no domain.
-func seedObject(units unitIndex, fset *token.FileSet, obj types.Object) DomVal {
+func seedObject(units unitIndex, fset *token.FileSet, obj types.Object) Domain {
 	if obj == nil {
-		return DomVal{}
+		return DomNone
 	}
 	t := obj.Type()
 	if isIntegerType(t) {
@@ -213,20 +198,20 @@ func seedObject(units unitIndex, fset *token.FileSet, obj types.Object) DomVal {
 		// as a weight), but the default is Count.
 		if units != nil && obj.Pos().IsValid() {
 			if d, ok := units.at(fset.Position(obj.Pos())); ok {
-				return DomVal{D: d}
+				return d
 			}
 		}
-		return DomVal{D: DomCount}
+		return DomCount
 	}
 	if !isFloat(t) {
-		return DomVal{}
+		return DomNone
 	}
 	if units != nil && obj.Pos().IsValid() {
 		if d, ok := units.at(fset.Position(obj.Pos())); ok {
-			return DomVal{D: d}
+			return d
 		}
 	}
-	return DomVal{D: domainFromName(obj.Name())}
+	return domainFromName(obj.Name())
 }
 
 // isIntegerType reports whether t's underlying type is an integer.

@@ -10,66 +10,65 @@ import (
 // each function's CFG tracking the numeric Domain (domain.go) of every
 // variable and expression. It is the second lattice of the shared
 // walker (flow.go), with arithmetic-aware rules: math.Log moves a
-// probability into log space, math.Exp moves it back (setting the
-// ViaExp provenance bit the cancel analyzer keys on), multiplication
+// probability into log space, math.Exp moves it back, multiplication
 // composes probabilities but addition across domains poisons the
-// result to DomMixed. The probmix and cancel analyzers read the
-// recorded per-expression values.
+// result to DomMixed. The probmix analyzer reads the recorded
+// per-expression values.
 
 // FuncDomains is the result of running the domain engine over one
 // function body: the domain of every expression at its evaluation
 // point, plus the joined domain of each result slot (used by the fact
 // store to build cross-package summaries).
-type FuncDomains varFlow[DomVal]
+type FuncDomains varFlow[Domain]
 
 // Of returns the domain value of an expression node.
-func (fd *FuncDomains) Of(e ast.Expr) DomVal { return fd.exprs[e] }
+func (fd *FuncDomains) Of(e ast.Expr) Domain { return fd.exprs[e] }
 
 // domainFlow runs the forward domain analysis over a function body to a
 // fixed point (runFlow). params seeds the parameter objects from their
 // annotations/names; resultObjs names the result objects for bare
 // returns.
 func domainFlow(info *types.Info, facts *Facts, body *ast.BlockStmt,
-	params map[types.Object]DomVal, resultObjs []types.Object) *FuncDomains {
-	return (*FuncDomains)(runFlow[DomVal](domRules{}, info, facts, body, params, resultObjs))
+	params map[types.Object]Domain, resultObjs []types.Object) *FuncDomains {
+	return (*FuncDomains)(runFlow[Domain](domRules{}, info, facts, body, params, resultObjs))
 }
 
 // domRules is the domain lattice's side of the shared walker.
 type domRules struct{}
 
-type domFlow = varFlow[DomVal]
+type domFlow = varFlow[Domain]
 
 // declared: a variable whose right-hand side carried no domain falls
 // back to its declared seed (annotation, then name heuristic; see
 // seedObject).
-func (domRules) declared(fl *domFlow, obj types.Object) DomVal {
+func (domRules) declared(fl *domFlow, obj types.Object) Domain {
 	if fl.facts == nil {
-		return DomVal{}
+		return DomNone
 	}
 	return seedObject(fl.facts.units, fl.facts.fset, obj)
 }
 
 // slot: per-slot domains of x, y := f() come from the callee summary.
-func (t domRules) slot(fl *domFlow, e ast.Expr, _ DomVal, i int) DomVal {
+func (t domRules) slot(fl *domFlow, e ast.Expr, _ Domain, i int) Domain {
 	if call, ok := e.(*ast.CallExpr); ok {
 		if sum := t.calleeDomains(fl, call); sum != nil && i < len(sum.results) {
 			return sum.results[i]
 		}
 	}
-	return DomVal{}
+	return DomNone
 }
 
 // ranged: ranging a container yields elements of the container's
 // domain; the key is a count.
-func (domRules) ranged(_ *domFlow, _ *ast.RangeStmt, x DomVal) (key, val DomVal) {
-	return DomVal{D: DomCount}, x
+func (domRules) ranged(_ *domFlow, _ *ast.RangeStmt, x Domain) (key, val Domain) {
+	return DomCount, x
 }
 
-func (domRules) stored(_ *domFlow, _ *ast.IndexExpr, v DomVal) DomVal { return v }
+func (domRules) stored(_ *domFlow, _ *ast.IndexExpr, v Domain) Domain { return v }
 
 // compound: x op= e keeps x in its domain family the way the binary
 // operator would.
-func (domRules) compound(_ *domFlow, a *ast.AssignStmt, old, v DomVal) (DomVal, bool, bool) {
+func (domRules) compound(_ *domFlow, a *ast.AssignStmt, old, v Domain) (Domain, bool, bool) {
 	var op token.Token
 	switch a.Tok {
 	case token.ADD_ASSIGN:
@@ -81,31 +80,31 @@ func (domRules) compound(_ *domFlow, a *ast.AssignStmt, old, v DomVal) (DomVal, 
 	case token.QUO_ASSIGN:
 		op = token.QUO
 	default:
-		return DomVal{}, false, false
+		return DomNone, false, false
 	}
 	return binaryDomain(op, old, v), true, true
 }
 
 // expr computes the domain of an expression: the structural rules of
 // structural, then the type rules that hold whatever the structure.
-func (t domRules) expr(fl *domFlow, s varStore[DomVal], e ast.Expr) DomVal {
+func (t domRules) expr(fl *domFlow, s varStore[Domain], e ast.Expr) Domain {
 	v := t.structural(fl, s, e)
 	if tv, ok := fl.info.Types[e]; ok {
 		if tv.Value != nil {
 			// Constants carry no domain: 1, 0.5 and friends are
 			// compatible with every scale.
-			v = DomVal{}
-		} else if isIntegerType(tv.Type) && v == (DomVal{}) {
+			v = DomNone
+		} else if isIntegerType(tv.Type) && v == DomNone {
 			// Every integer-typed value is a count (exact arithmetic);
 			// an explicit annotation on the variable may refine it, so
 			// only override values with no information.
-			v = DomVal{D: DomCount}
+			v = DomCount
 		}
 	}
 	return v
 }
 
-func (t domRules) structural(fl *domFlow, s varStore[DomVal], e ast.Expr) DomVal {
+func (t domRules) structural(fl *domFlow, s varStore[Domain], e ast.Expr) Domain {
 	switch e := e.(type) {
 	case *ast.Ident:
 		if obj := fl.info.ObjectOf(e); obj != nil {
@@ -153,7 +152,7 @@ func (t domRules) structural(fl *domFlow, s varStore[DomVal], e ast.Expr) DomVal
 			fl.eval(s, e.X)
 			return t.declared(fl, sel.Obj())
 		}
-		return DomVal{}
+		return DomNone
 	case *ast.CompositeLit:
 		for _, el := range e.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
@@ -164,46 +163,45 @@ func (t domRules) structural(fl *domFlow, s varStore[DomVal], e ast.Expr) DomVal
 		}
 		// A composite value has no scalar domain of its own; element
 		// reads re-seed from field declarations.
-		return DomVal{}
+		return DomNone
 	case *ast.TypeAssertExpr:
 		return fl.eval(s, e.X)
 	case *ast.CallExpr:
 		return t.call(fl, s, e)
 	case *ast.FuncLit:
-		return DomVal{}
+		return DomNone
 	}
-	return DomVal{}
+	return DomNone
 }
 
 // binaryDomain applies the operator-aware domain algebra. The rules
 // encode the measurement semantics the repository's formulas rely on;
 // anything not listed is DomNone (no claim) or DomMixed when an operand
 // already is.
-func binaryDomain(op token.Token, x, y DomVal) DomVal {
-	if x.D == DomMixed || y.D == DomMixed {
-		return DomVal{D: DomMixed}
+func binaryDomain(op token.Token, x, y Domain) Domain {
+	if x == DomMixed || y == DomMixed {
+		return DomMixed
 	}
-	viaExp := x.ViaExp || y.ViaExp
 	switch op {
 	case token.ADD, token.SUB:
-		if x.D == DomNone || y.D == DomNone {
-			return DomVal{}
+		if x == DomNone || y == DomNone {
+			return DomNone
 		}
-		if x.D == y.D {
+		if x == y {
 			// p±p is probability-scaled, log+log is a log-domain
 			// product, rate+rate aggregates, count±count is exact.
-			return DomVal{D: x.D, ViaExp: viaExp}
+			return x
 		}
 		// Cross-domain addition is the probmix bug; the value itself
 		// is poisoned.
-		return DomVal{D: DomMixed}
+		return DomMixed
 	case token.MUL:
-		return DomVal{D: mulDomain(x.D, y.D), ViaExp: viaExp}
+		return mulDomain(x, y)
 	case token.QUO:
-		return DomVal{D: quoDomain(x.D, y.D), ViaExp: viaExp}
+		return quoDomain(x, y)
 	}
 	// Comparisons, %, bit operations: no scalar domain.
-	return DomVal{}
+	return DomNone
 }
 
 // mulDomain is the (commutative) multiplication table.
@@ -248,8 +246,8 @@ func quoDomain(a, b Domain) Domain {
 // call applies domain semantics for a call: the math-package
 // sources/converters, RNG draws, then summarized intra-module callees,
 // then a name-heuristic fallback.
-func (t domRules) call(fl *domFlow, s varStore[DomVal], call *ast.CallExpr) DomVal {
-	args := make([]DomVal, len(call.Args))
+func (t domRules) call(fl *domFlow, s varStore[Domain], call *ast.CallExpr) Domain {
+	args := make([]Domain, len(call.Args))
 	for i, a := range call.Args {
 		args[i] = fl.eval(s, a)
 	}
@@ -264,47 +262,44 @@ func (t domRules) call(fl *domFlow, s varStore[DomVal], call *ast.CallExpr) DomV
 
 	switch calleeName(fl.info, call) {
 	case "math.Exp", "math.Exp2":
-		// Back to linear space. The result's magnitude is unbounded
-		// below: exp of a very negative log-probability is exactly the
-		// value 1−x destroys. ViaExp records that provenance.
-		d := DomNone
-		if len(args) == 1 && args[0].D == DomLogProb {
-			d = DomProb
+		// Back to linear space.
+		if len(args) == 1 && args[0] == DomLogProb {
+			return DomProb
 		}
-		return DomVal{D: d, ViaExp: true}
+		return DomNone
 	case "math.Log", "math.Log2", "math.Log10", "math.Log1p":
-		return DomVal{D: DomLogProb}
+		return DomLogProb
 	case "math.Expm1":
 		// exp(x)−1 is a signed complement, deliberately outside the
-		// lattice; its whole point is avoiding the cancellation.
-		return DomVal{}
+		// lattice.
+		return DomNone
 	case "math.Sqrt", "math.Abs":
 		if len(args) == 1 {
 			return args[0]
 		}
 	case "math.Pow":
-		if len(args) == 2 && args[0].D == DomProb {
-			return DomVal{D: DomProb} // p^n stays in [0,1]
+		if len(args) == 2 && args[0] == DomProb {
+			return DomProb // p^n stays in [0,1]
 		}
-		return DomVal{}
+		return DomNone
 	case "math.Min", "math.Max", "builtin.min", "builtin.max":
-		var v DomVal
+		var v Domain
 		for _, a := range args {
 			v = v.join(a)
 		}
 		return v
 	case "builtin.len", "builtin.cap":
-		return DomVal{D: DomCount}
+		return DomCount
 	case "math/rand.Float64", "math/rand/v2.Float64",
 		"math/rand.(method).Float64", "math/rand/v2.(method).Float64":
-		return DomVal{D: DomProb} // a uniform draw is a probability
+		return DomProb // a uniform draw is a probability
 	}
 
 	// Intra-module callee with an eager summary.
 	if sum := t.calleeDomains(fl, call); sum != nil && len(sum.results) == 1 {
 		return sum.results[0]
 	}
-	return DomVal{}
+	return DomNone
 }
 
 // calleeDomains resolves the eager domain summary of a direct

@@ -23,10 +23,10 @@ import (
 // Three summaries are maintained per function:
 //
 //   - taint (funcSummary): which taint kinds each result carries and
-//     which parameters flow into it — the engine behind maporder,
-//     walltime and ctxpoll;
+//     which parameters flow into it — the engine behind maporder and
+//     walltime;
 //   - domain (domainSummary): the numeric Domain of each result — the
-//     engine behind probmix and cancel;
+//     engine behind probmix;
 //   - mayFail (bool): whether the function can return a non-nil error —
 //     the engine behind errflow. A function that returns only literal
 //     nil errors (directly or through callees, including recursive
@@ -81,7 +81,7 @@ type funcSummary struct {
 // domainSummary is one function's numeric-domain behaviour: the Domain
 // of each result slot.
 type domainSummary struct {
-	results []DomVal
+	results []Domain
 }
 
 // receiver flow is tracked with the top param bit, far above any real
@@ -160,7 +160,7 @@ func (f *Facts) computeAll(g *callGraph) {
 	for _, scc := range g.sccs {
 		for _, n := range scc {
 			f.summaries[n.fn] = &funcSummary{results: make([]taintVal, resultCount(n.fn))}
-			f.domains[n.fn] = &domainSummary{results: make([]DomVal, resultCount(n.fn))}
+			f.domains[n.fn] = &domainSummary{results: make([]Domain, resultCount(n.fn))}
 			f.mayFail[n.fn] = false
 		}
 		for iter := 1; iter <= sccIterationCap; iter++ {
@@ -245,7 +245,7 @@ func (f *Facts) computeDomains(n *cgNode) *domainSummary {
 	fd := n.site.decl
 	info := n.site.pkg.Info
 	nres := resultCount(n.fn)
-	sum := &domainSummary{results: make([]DomVal, nres)}
+	sum := &domainSummary{results: make([]Domain, nres)}
 	if fd.Body == nil {
 		return sum
 	}
@@ -253,11 +253,11 @@ func (f *Facts) computeDomains(n *cgNode) *domainSummary {
 	flow := domainFlow(info, f, fd.Body, f.paramSeeds(info, fd.Recv, fd.Type.Params), resultObjs)
 	copy(sum.results, flow.results)
 	for i := range sum.results {
-		if sum.results[i] == (DomVal{}) && resultObjs[i] != nil {
+		if sum.results[i] == DomNone && resultObjs[i] != nil {
 			sum.results[i] = seedObject(f.units, f.fset, resultObjs[i])
 		}
 	}
-	if nres > 0 && sum.results[0] == (DomVal{}) {
+	if nres > 0 && sum.results[0] == DomNone {
 		sum.results[0] = f.declSeed(n.fn, fd)
 	}
 	// An explicit //mlec:unit annotation on the declaration is a human
@@ -265,7 +265,7 @@ func (f *Facts) computeDomains(n *cgNode) *domainSummary {
 	// the engine sees a probability, but its result is a count.
 	if nres > 0 {
 		if d, ok := f.units.at(f.fset.Position(fd.Pos())); ok {
-			sum.results[0] = DomVal{D: d}
+			sum.results[0] = d
 		}
 	}
 	return sum
@@ -275,28 +275,28 @@ func (f *Facts) computeDomains(n *cgNode) *domainSummary {
 // an //mlec:unit annotation on (or directly above) the declaration
 // wins, then the name heuristic, both gated on the result being
 // floating-point.
-func (f *Facts) declSeed(fn *types.Func, fd *ast.FuncDecl) DomVal {
+func (f *Facts) declSeed(fn *types.Func, fd *ast.FuncDecl) Domain {
 	sig := fn.Type().(*types.Signature)
 	if sig.Results().Len() == 0 {
-		return DomVal{}
+		return DomNone
 	}
 	rt := sig.Results().At(0).Type()
 	if isIntegerType(rt) {
-		return DomVal{D: DomCount}
+		return DomCount
 	}
 	if !isFloat(rt) {
-		return DomVal{}
+		return DomNone
 	}
 	if d, ok := f.units.at(f.fset.Position(fd.Pos())); ok {
-		return DomVal{D: d}
+		return d
 	}
-	return DomVal{D: domainFromName(fn.Name())}
+	return domainFromName(fn.Name())
 }
 
 // paramSeeds maps the variables the field lists declare (a receiver, a
 // parameter list; nil lists are skipped) to their declared domains.
-func (f *Facts) paramSeeds(info *types.Info, lists ...*ast.FieldList) map[types.Object]DomVal {
-	params := make(map[types.Object]DomVal)
+func (f *Facts) paramSeeds(info *types.Info, lists ...*ast.FieldList) map[types.Object]Domain {
+	params := make(map[types.Object]Domain)
 	for _, list := range lists {
 		if list == nil {
 			continue
@@ -304,7 +304,7 @@ func (f *Facts) paramSeeds(info *types.Info, lists ...*ast.FieldList) map[types.
 		for _, field := range list.List {
 			for _, name := range field.Names {
 				obj := info.Defs[name]
-				if v := seedObject(f.units, f.fset, obj); v != (DomVal{}) {
+				if v := seedObject(f.units, f.fset, obj); v != DomNone {
 					params[obj] = v
 				}
 			}

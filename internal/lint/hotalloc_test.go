@@ -109,6 +109,10 @@ func FuzzEscapeEngine(f *testing.F) {
 	f.Add("package p\nimport \"sync\"\ntype C struct{ mu sync.Mutex; n int }\nfunc (c *C) Get(ok bool) int {\n\tc.mu.Lock()\n\tdefer func() { c.mu.Unlock() }()\n\tif !ok {\n\t\treturn 0\n\t}\n\treturn c.n\n}\n")
 	f.Add("package p\nimport \"sync/atomic\"\ntype H struct{ n int64 }\nfunc (h *H) Inc() { atomic.AddInt64(&h.n, 1) }\nfunc (h *H) Racy() int64 { return h.n }\n")
 	f.Add("package p\nimport \"sync\"\ntype R struct{ mu sync.RWMutex; m map[string]int }\nfunc (r *R) Scan(keys []string) {\n\tgo func() {\n\t\tr.mu.RLock()\n\t\tdefer r.mu.RUnlock()\n\t\tfor _, k := range keys {\n\t\t\t_ = r.m[k]\n\t\t}\n\t}()\n}\n")
+	// The idioms of the fixture that left with the cancel analyzer (the
+	// tests catch them now): 1 − exp through a variable, log(1 + x), and
+	// prob − prob. Kept as a mutation starting point.
+	f.Add("package p\nimport \"math\"\nfunc f(logSurvive, x, pHi, pLo float64) (float64, float64, float64) {\n\tq := math.Exp(logSurvive)\n\treturn 1 - q, math.Log(1 + x), pHi - pLo\n}\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		fset := token.NewFileSet()

@@ -154,7 +154,6 @@ func All() []*Analyzer {
 		WallTime,
 		CtxPoll,
 		ProbMix,
-		Cancel,
 		ErrFlow,
 		HotAlloc,
 		HotBCE,

@@ -64,10 +64,10 @@ func engineTuples(root string, pkgs []*Package) []string {
 				return ""
 			}
 		}
-		domOf := func(of func(ast.Expr) DomVal) func(ast.Expr) string {
+		domOf := func(of func(ast.Expr) Domain) func(ast.Expr) string {
 			return func(e ast.Expr) string {
-				if v := of(e); v != (DomVal{}) {
-					return fmt.Sprintf("%s exp=%v", v.D, v.ViaExp)
+				if v := of(e); v != DomNone {
+					return v.String()
 				}
 				return ""
 			}
@@ -98,8 +98,8 @@ func engineTuples(root string, pkgs []*Package) []string {
 				}
 				if sum := facts.domainsOf(fn); sum != nil {
 					for i, r := range sum.results {
-						if r != (DomVal{}) {
-							emit("domsum", fd.Pos(), "result%d %s exp=%v", i, r.D, r.ViaExp)
+						if r != DomNone {
+							emit("domsum", fd.Pos(), "result%d %s", i, r)
 						}
 					}
 				}
@@ -120,36 +120,37 @@ func engineTuples(root string, pkgs []*Package) []string {
 // every digest as it is. (The bounds engine's rows, later the lock
 // engine's and then the escape engine's, left with their engines: the
 // fixtures that had any were re-digested from the tree before each
-// deletion, without them.)
+// deletion, without them. Likewise the domain rows' exp= provenance bit,
+// read only by the deleted cancel analyzer: every fixture was
+// re-digested without it on the engine that still computed it.)
 var pinnedVerdicts = map[string]string{
-	"barego":           "fdabeed8434e8892",
-	"cancel":           "5b474a9cbd868b52",
-	"ctxpoll":          "40fe6356babc73e4",
+	"barego":           "f5f12a9d3a4576c1",
+	"ctxpoll":          "442b82d16b2730d4",
 	"directive":        "78423aff97c23193",
-	"errflow":          "4486b4593d4764d2",
-	"escape":           "a5c760fc779e67cc",
-	"floateq":          "6b1043489493c439",
-	"globalrand":       "52e664af8629c205",
-	"goleak":           "156ab61b59dd2423",
-	"hotalloc":         "b81090b56d3924b3",
-	"hotbce":           "254403c96fa4eb0d",
-	"hotbuildfail":     "850e2936ee2bb88a",
-	"hotdefer":         "c1560aac44cd901a",
-	"hotdirective":     "8daffa4665183504",
-	"hotiface":         "c105a5e240f5272f",
-	"hotinline":        "98ad028df89d4ebf",
-	"hotprealloc":      "8283b09367129344",
-	"loadedge":         "0c410f0af59f1e81",
-	"maporder":         "283b66aa6304d229",
-	"maporderdep":      "7328c946814629a3",
-	"nakedpanic":       "9b6d8355154e6c62",
-	"obsfake":          "6cc95e7cb7e5e40d",
-	"obspoll":          "2750a89ef75f8ba7",
-	"probmix":          "6417bee476da936b",
-	"sharedrng":        "7880fb6ca1190fe8",
-	"unitdirective":    "5a4aad51ecd396e7",
-	"waitgroupcapture": "e6cefad46b4bdecd",
-	"walltime":         "3df949f20e692b29",
+	"errflow":          "9224c51cd916c2a7",
+	"escape":           "4348e38d4a3bf833",
+	"floateq":          "c9c8cbaf54fe3db8",
+	"globalrand":       "1c4451e78f69d217",
+	"goleak":           "59290a97e64e9482",
+	"hotalloc":         "dd06051f3317d964",
+	"hotbce":           "7e8d2a723b4d3af1",
+	"hotbuildfail":     "35752b6ab13b3370",
+	"hotdefer":         "f490ea2fb0fe00a5",
+	"hotdirective":     "fbcb6db20804209e",
+	"hotiface":         "0ced22ef00982f02",
+	"hotinline":        "759e922479eeef32",
+	"hotprealloc":      "8ee74572a0291cbe",
+	"loadedge":         "a80ff09381c674ff",
+	"maporder":         "595884edf6306eb2",
+	"maporderdep":      "cf034c8c63e38f02",
+	"nakedpanic":       "a93858e8e7e802d2",
+	"obsfake":          "6b98a93ee8ee16a4",
+	"obspoll":          "5d44da9990394900",
+	"probmix":          "411cb5b864eb6ab6",
+	"sharedrng":        "171b0d3fd0071f00",
+	"unitdirective":    "2fb2ded90bf4be12",
+	"waitgroupcapture": "3ff7792710743edc",
+	"walltime":         "00e3ec77e1636613",
 	"walltimecli":      "cb74d8ad2f9205fc",
 }
 

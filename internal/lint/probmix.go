@@ -86,8 +86,8 @@ func mixableOp(op token.Token) bool {
 
 // concrete reports a domain an analyzer may claim: known and not the
 // Mixed top (already-poisoned values never re-report).
-func concrete(v DomVal) bool {
-	return v.D != DomNone && v.D != DomMixed
+func concrete(v Domain) bool {
+	return v != DomNone && v != DomMixed
 }
 
 func checkProbMixBinary(pass *Pass, doms *FuncDomains, e *ast.BinaryExpr) {
@@ -95,7 +95,7 @@ func checkProbMixBinary(pass *Pass, doms *FuncDomains, e *ast.BinaryExpr) {
 		return
 	}
 	x, y := doms.Of(e.X), doms.Of(e.Y)
-	if !concrete(x) || !concrete(y) || x.D == y.D {
+	if !concrete(x) || !concrete(y) || x == y {
 		return
 	}
 	verb := "mixes"
@@ -103,10 +103,10 @@ func checkProbMixBinary(pass *Pass, doms *FuncDomains, e *ast.BinaryExpr) {
 		verb = "compares"
 	}
 	fix := "convert one side first"
-	if (x.D == DomLogProb) != (y.D == DomLogProb) {
+	if (x == DomLogProb) != (y == DomLogProb) {
 		fix = "use math.Exp/math.Log to move both into one domain"
 	}
-	pass.Report(e.OpPos, "%s %s and %s values; %s", verb, x.D, y.D, fix)
+	pass.Report(e.OpPos, "%s %s and %s values; %s", verb, x, y, fix)
 }
 
 // checkProbMixAssign flags x = e and x op= e where x's declared domain
@@ -122,11 +122,11 @@ func checkProbMixAssign(pass *Pass, doms *FuncDomains, a *ast.AssignStmt) {
 		obj := assignedObject(pass.Info, l)
 		declared := seedObject(pass.Facts.units, pass.Facts.fset, obj)
 		v := doms.Of(a.Rhs[i])
-		if !concrete(declared) || !concrete(v) || declared.D == v.D {
+		if !concrete(declared) || !concrete(v) || declared == v {
 			continue
 		}
 		pass.Report(a.Rhs[i].Pos(), "assigns a %s value to %s (declared %s)",
-			v.D, obj.Name(), declared.D)
+			v, obj.Name(), declared)
 	}
 }
 
@@ -160,11 +160,11 @@ func checkProbMixComposite(pass *Pass, doms *FuncDomains, lit *ast.CompositeLit)
 		}
 		declared := seedObject(pass.Facts.units, pass.Facts.fset, field)
 		v := doms.Of(kv.Value)
-		if !concrete(declared) || !concrete(v) || declared.D == v.D {
+		if !concrete(declared) || !concrete(v) || declared == v {
 			continue
 		}
 		pass.Report(kv.Value.Pos(), "field %s (declared %s) initialized with a %s value",
-			field.Name(), declared.D, v.D)
+			field.Name(), declared, v)
 	}
 }
 
@@ -179,14 +179,14 @@ func checkProbMixReturn(pass *Pass, doms *FuncDomains, ret *ast.ReturnStmt, fd *
 		return
 	}
 	declared := pass.Facts.declSeed(fn, fd)
-	if !concrete(declared) || declared.D == DomCount {
+	if !concrete(declared) || declared == DomCount {
 		// Integer results are all counts; re-reporting them is noise.
 		return
 	}
 	v := doms.Of(ret.Results[0])
-	if !concrete(v) || declared.D == v.D {
+	if !concrete(v) || declared == v {
 		return
 	}
 	pass.Report(ret.Results[0].Pos(), "%s (declared %s) returns a %s value",
-		fd.Name.Name, declared.D, v.D)
+		fd.Name.Name, declared, v)
 }

@@ -93,3 +93,17 @@ func Allowed(ctx context.Context, rng *rand.Rand) float64 {
 	}
 	return sum
 }
+
+// PoolWorker is the campaign worker shape: a literal with its own
+// context, handed to a pool, whose loop passes the generator to a
+// sampler instead of drawing from it directly.
+func PoolWorker(spawn func(func(context.Context) error), rng *rand.Rand) {
+	spawn(func(ctx context.Context) error {
+		for i := 0; i < 64; i++ { // want `never consults its context`
+			draw(rng)
+		}
+		return nil
+	})
+}
+
+func draw(rng *rand.Rand) float64 { return rng.Float64() }

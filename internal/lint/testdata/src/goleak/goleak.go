@@ -5,6 +5,7 @@ package goleak
 
 import (
 	"context"
+	"os"
 	"sync"
 )
 
@@ -95,4 +96,21 @@ func loopForever() {
 // SpawnLoop leaks through a named callee.
 func SpawnLoop() {
 	go loopForever() // want `goroutine has no provable join or cancel path`
+}
+
+// Detached hands the goroutine to a standard-library function: no body
+// to follow, nothing to join.
+func Detached(path string) {
+	go os.Remove(path) // want `goroutine has no provable join or cancel path`
+}
+
+// Escalate starts a second goroutine from inside a cancellable one; the
+// inner one listens for nothing.
+func Escalate(ctx context.Context, quit func()) {
+	go func() {
+		<-ctx.Done()
+		go func() { // want `goroutine has no provable join or cancel path`
+			quit()
+		}()
+	}()
 }

@@ -15,6 +15,18 @@ func lockedBump(n *int) {
 	*n++
 }
 
+// tally's add is a small method, but the inliner refuses its defer.
+type tally struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (t *tally) add(d int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.n += d
+}
+
 // plainBump has no defer, but the inliner prices its two calls over the
 // budget ("function too complex"): a cost refusal, no finding.
 func plainBump(n *int) {
@@ -105,6 +117,15 @@ func Driver(xs []int, counters []int, visit func(int) int) int {
 		coldNote(&total)
 	}
 	return total
+}
+
+// MethodCaller calls a method the inliner refuses, once per item.
+//
+//mlec:hot
+func MethodCaller(xs []int, t *tally) {
+	for _, x := range xs {
+		t.add(x) // want `add in a hot loop, but the compiler cannot inline it: unhandled op DEFER`
+	}
 }
 
 // KernelCaller calls the big kernel per iteration: its cost exempts it.

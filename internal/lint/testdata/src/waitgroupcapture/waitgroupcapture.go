@@ -46,6 +46,23 @@ func SharedSum(xs []float64) float64 {
 	return sum
 }
 
+// FirstError keeps a fan-out's failure in one shared variable: flagged.
+func FirstError(jobs []func() error) error {
+	var wg sync.WaitGroup
+	var failed error
+	for _, job := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := job(); err != nil {
+				failed = err // want `writes shared accumulator "failed"`
+			}
+		}()
+	}
+	wg.Wait()
+	return failed
+}
+
 // PerSlot writes distinct slice elements: the blessed pattern, exempt.
 func PerSlot(xs []float64) []float64 {
 	out := make([]float64, len(xs))

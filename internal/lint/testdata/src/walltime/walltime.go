@@ -27,6 +27,16 @@ func (s *runStats) Accumulate(start time.Time) {
 	s.elapsedHours += time.Since(start).Hours() // want `accumulated into simulation statistics`
 }
 
+// TimedRun stores host time into its statistics from a deferred
+// closure on the way out.
+func (s *runStats) TimedRun(steps int) {
+	start := time.Now()
+	defer func() { s.elapsedHours = time.Since(start).Hours() }() // want `wall-clock reading stored into simulation state`
+	for i := 0; i < steps; i++ {
+		s.samples = append(s.samples, float64(i))
+	}
+}
+
 // Elapsed returns a wall-clock-derived duration from simulation code.
 func Elapsed(start time.Time) float64 {
 	return time.Since(start).Seconds() // want `wall-clock reading returned from simulation code`
