@@ -47,19 +47,20 @@ stress:
 		./internal/runctl ./internal/poolsim ./internal/burst ./internal/syssim
 
 ## obs-smoke: prove observability is inert. Builds mlecdur/mlecburst,
-## byte-compares fixed-seed stdout with the full -obs/-progress/
-## -trace-out stack on vs off, validates the trace file, and scrapes a
-## live endpoint: /metrics through the strict Prometheus parser (the
-## burst trial counter must be counting) and /progress for the task.
+## byte-compares fixed-seed stdout with the full -progress/-trace-out/
+## -span-out/-run-report/-profile-dir stack on vs off and across a failed
+## checkpoint save and its resume, validates the trace, span and report
+## files, and checks that the progress line reaches stderr and the run
+## report counts the engine's work.
 obs-smoke:
-	$(GO) test -count=1 -run 'TestCLIInertness|TestEndpointServes' ./internal/obs
+	$(GO) test -count=1 -run 'TestCLIInertness' ./internal/obs
 
 ## chaos: the deterministic fault-injection matrix (see
 ## internal/faultinject). Builds mlecdur/mlecburst with -race and
-## asserts that fixed-seed campaigns whose worker panics or errors
-## after a checkpoint save fail, then resume to stdout byte-identical
-## to the fault-free run, and that torn checkpoint writes and a
-## deliberately corrupted checkpoint generation converge to the same
+## asserts that fixed-seed campaigns whose worker panics or errors, or
+## whose checkpoint write tears, after a checkpoint save fail, then
+## resume to stdout byte-identical to the fault-free run, and that a
+## deliberately corrupted checkpoint generation converges to the same
 ## bytes. CHAOS_REPORT collects per-case verdicts (the CI artifact).
 CHAOS_REPORT ?= chaos-report.txt
 chaos:

@@ -143,13 +143,15 @@ func (c *Command) Exit(code int) {
 }
 
 // Fail reports the error that ended the run and exits 1. A faulted
-// worker — a contained panic or an injected fault — is recovered by
-// resuming, so with -checkpoint set Fail also says how.
+// worker — a contained panic or an injected fault — and a failed
+// checkpoint save, injected or real, are recovered by resuming from the
+// last committed checkpoint, so with -checkpoint set Fail also says how.
 func (c *Command) Fail(err error) {
 	fmt.Fprintf(os.Stderr, "%s: %v\n", c.name, err)
 	var pe *runctl.PanicError
 	var ie *faultinject.InjectedError
-	if c.Checkpoint != "" && (errors.As(err, &pe) || errors.As(err, &ie)) {
+	var se *runctl.CheckpointSaveError
+	if c.Checkpoint != "" && (errors.As(err, &pe) || errors.As(err, &ie) || errors.As(err, &se)) {
 		c.resumeHint(os.Stderr)
 	}
 	c.Exit(1)

@@ -313,13 +313,15 @@ func HeatmapContext(ctx context.Context, ev Evaluator, xs, ys []int, trials int,
 	gridTask := obs.Progress.StartTask("burst.grid", int64(len(xs)*len(ys)))
 	defer gridTask.Finish()
 	cellCount := obs.Default.Counter("burst_grid_cells_total")
+	restoredCells := 0
 	for iy := range ys {
 		for ix := range xs {
 			if ck.Done[iy][ix] {
-				gridTask.Add(1)
+				restoredCells++
 			}
 		}
 	}
+	gridTask.SetDone(int64(restoredCells))
 
 	for iy, y := range ys {
 		for ix, x := range xs {

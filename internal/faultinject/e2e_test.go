@@ -1,13 +1,12 @@
 // End-to-end proof of the recovery contract (the chaos CI matrix; make
 // chaos runs exactly these tests):
 //
-//  1. A checkpointed fixed-seed campaign whose worker faults after the
-//     first level or round save exits 1, names the faulted stream and
-//     says how to resume; re-running the same command without chaos
-//     resumes and prints stdout byte-identical to the fault-free run.
-//  2. A torn checkpoint write heals within the process: the campaign
-//     finishes with the fault-free run's bytes.
-//  3. A campaign resumed after its newest checkpoint is deliberately
+//  1. A checkpointed fixed-seed campaign whose worker faults, or whose
+//     checkpoint write tears, after a committed save exits 1, names the
+//     fault's stream and says how to resume; re-running the same
+//     command without chaos resumes and prints stdout byte-identical to
+//     the fault-free run.
+//  2. A campaign resumed after its newest checkpoint is deliberately
 //     corrupted falls back to the previous generation, loudly, and
 //     still converges to the byte-identical result.
 //
@@ -25,6 +24,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -116,16 +116,16 @@ func reportChaos(t *testing.T, format string, args ...any) {
 	fmt.Fprintf(f, format+"\n", args...)
 }
 
-// streamRE finds the stream a worker-fault error names: "on stream N"
-// for a contained panic, "(stream N)" for an injected error.
+// streamRE finds the stream a fault's error names: "on stream N" for a
+// contained panic, "(stream N)" for an injected error or write.
 var streamRE = regexp.MustCompile(`stream -?[0-9]+`)
 
-// TestChaosMatrixByteIdentity runs the fault matrix. A worker-fault case
-// runs the campaign fault-free, then with the chaos plan armed — which
-// must fail after a checkpoint save, name the stream and print the
-// resume line — then re-runs the same command without chaos, which
-// must resume to the fault-free stdout byte for byte. A heal case runs
-// with the plan armed and must finish with the fault-free stdout.
+// TestChaosMatrixByteIdentity runs the fault matrix. Each case runs the
+// campaign fault-free, then once per chaos plan with that plan armed —
+// each run must fail after a committed checkpoint save, name the stream
+// and print the resume line, and each resumes where the last left off —
+// then re-runs the same command without chaos, which must resume to the
+// fault-free stdout byte for byte.
 func TestChaosMatrixByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs -race binaries")
@@ -135,50 +135,56 @@ func TestChaosMatrixByteIdentity(t *testing.T) {
 	// here have more trajectories than the host has CPUs), so hit
 	// workers+1 is the first worker of level 2, after level 1's save. A
 	// burst round is 256 batches, so hit 257 is the first batch of
-	// round 2 — the burst cases ask for 313 batches of 64 trials.
+	// round 2 — the burst cases ask for 313 batches of 64 trials, two
+	// rounds and two saves. A write fault at save 2 comes after save 1
+	// committed; in a resumed run, even save 1 comes after the committed
+	// save the faulted run left.
 	levelWorker := runtime.NumCPU() + 1
 	const roundBatch = 257
 	cases := []struct {
 		name  string
 		bin   string
 		args  []string
-		chaos string
-		heals bool // the fault heals within the process: no resume leg
+		chaos []string // one faulted run per plan, in order
 	}{
 		{
-			// A worker panic in splitting level 2, after the first
-			// checkpoint write tore and healed.
-			name:  "mlecdur_worker_panics_and_ckpt_writeerr",
-			bin:   "mlecdur",
-			args:  []string{"-scheme", "D/D", "-sim", "-trajectories", "600", "-seed", "7"},
-			chaos: fmt.Sprintf("poolsim.worker:panic:nth=%d;runctl.checkpoint.write:writeerr:nth=1,bytes=8;seed=11", levelWorker),
+			// A worker panic in splitting level 2; the resumed run's
+			// first save then tears.
+			name: "mlecdur_worker_panics_and_ckpt_writeerr",
+			bin:  "mlecdur",
+			args: []string{"-scheme", "D/D", "-sim", "-trajectories", "600", "-seed", "7"},
+			chaos: []string{
+				fmt.Sprintf("poolsim.worker:panic:nth=%d;seed=11", levelWorker),
+				"runctl.checkpoint.write:writeerr:nth=1,bytes=8;seed=11",
+			},
 		},
 		{
-			name:  "mlecburst_batch_panics_and_ckpt_writeerr",
-			bin:   "mlecburst",
-			args:  []string{"-scheme", "D/D", "-x", "3", "-y", "40", "-trials", "20000", "-seed", "5"},
-			chaos: fmt.Sprintf("burst.batch:panic:nth=%d;runctl.checkpoint.write:writeerr:nth=1;seed=13", roundBatch),
+			name: "mlecburst_batch_panics_and_ckpt_writeerr",
+			bin:  "mlecburst",
+			args: []string{"-scheme", "D/D", "-x", "3", "-y", "40", "-trials", "20000", "-seed", "5"},
+			chaos: []string{
+				fmt.Sprintf("burst.batch:panic:nth=%d;seed=13", roundBatch),
+				"runctl.checkpoint.write:writeerr:nth=1;seed=13",
+			},
 		},
 		{
 			// Injected worker errors (not panics) take the same path.
 			name:  "mlecdur_worker_errors",
 			bin:   "mlecdur",
 			args:  []string{"-scheme", "C/D", "-sim", "-trajectories", "600", "-seed", "9"},
-			chaos: fmt.Sprintf("poolsim.worker:error:nth=%d;seed=17", levelWorker),
+			chaos: []string{fmt.Sprintf("poolsim.worker:error:nth=%d;seed=17", levelWorker)},
 		},
 		{
 			name:  "mlecdur_ckpt_writeerr",
 			bin:   "mlecdur",
 			args:  []string{"-scheme", "D/D", "-sim", "-trajectories", "600", "-seed", "7"},
-			chaos: "runctl.checkpoint.write:writeerr:every=2,bytes=8;seed=11",
-			heals: true,
+			chaos: []string{"runctl.checkpoint.write:writeerr:nth=2,bytes=8;seed=11"},
 		},
 		{
 			name:  "mlecburst_ckpt_writeerr",
 			bin:   "mlecburst",
 			args:  []string{"-scheme", "D/D", "-x", "3", "-y", "40", "-trials", "20000", "-seed", "5"},
-			chaos: "runctl.checkpoint.write:writeerr:nth=1;seed=13",
-			heals: true,
+			chaos: []string{"runctl.checkpoint.write:writeerr:nth=2;seed=13"},
 		},
 	}
 	for _, tc := range cases {
@@ -190,37 +196,23 @@ func TestChaosMatrixByteIdentity(t *testing.T) {
 			clean, _ := runChaosBinary(t, bin, withCkpt(filepath.Join(t.TempDir(), "clean.ckpt"))...)
 
 			ckpt := filepath.Join(t.TempDir(), "chaos.ckpt")
-			chaosArgs := append(withCkpt(ckpt), "-chaos", tc.chaos)
-			if tc.heals {
-				healed, stderrOut := runChaosBinary(t, bin, chaosArgs...)
-				if !bytes.Equal(clean, healed) {
-					reportChaos(t, "FAIL %s: healed stdout diverged from fault-free run", tc.name)
-					t.Fatalf("healed chaos run diverged from the fault-free run.\nclean:\n%s\nchaos:\n%s\nstderr:\n%s",
-						clean, healed, stderrOut)
+			for _, plan := range tc.chaos {
+				_, stderrOut, code := runChaosBinaryExit(t, bin, append(withCkpt(ckpt), "-chaos", plan)...)
+				if code != 1 {
+					reportChaos(t, "FAIL %s: run under %q exited %d, want 1", tc.name, plan, code)
+					t.Fatalf("run under %q exited %d, want 1\nstderr:\n%s", plan, code, stderrOut)
 				}
-				if !bytes.Contains(stderrOut, []byte("chaos:")) {
-					t.Errorf("chaos announcement missing from stderr:\n%s", stderrOut)
+				if !streamRE.Match(stderrOut) {
+					t.Errorf("faulted run's stderr names no stream:\n%s", stderrOut)
 				}
-				reportChaos(t, "PASS %s: %s %v under %q healed in process, byte-identical to fault-free run",
-					tc.name, tc.bin, tc.args, tc.chaos)
-				return
-			}
-
-			_, stderrOut, code := runChaosBinaryExit(t, bin, chaosArgs...)
-			if code != 1 {
-				reportChaos(t, "FAIL %s: faulted run exited %d, want 1", tc.name, code)
-				t.Fatalf("faulted run exited %d, want 1\nstderr:\n%s", code, stderrOut)
-			}
-			if !streamRE.Match(stderrOut) {
-				t.Errorf("faulted run's stderr names no stream:\n%s", stderrOut)
-			}
-			resumeLine := fmt.Sprintf("Re-run the same command to resume from %s.", ckpt)
-			if !bytes.Contains(stderrOut, []byte(resumeLine)) {
-				t.Errorf("faulted run's stderr lacks %q:\n%s", resumeLine, stderrOut)
-			}
-			if _, err := os.Stat(ckpt); err != nil {
-				reportChaos(t, "FAIL %s: fault landed before the first checkpoint save", tc.name)
-				t.Fatalf("fault landed before the first checkpoint save: %v\nstderr:\n%s", err, stderrOut)
+				resumeLine := fmt.Sprintf("Re-run the same command to resume from %s.", ckpt)
+				if !bytes.Contains(stderrOut, []byte(resumeLine)) {
+					t.Errorf("faulted run's stderr lacks %q:\n%s", resumeLine, stderrOut)
+				}
+				if _, err := os.Stat(ckpt); err != nil {
+					reportChaos(t, "FAIL %s: fault under %q landed before the first checkpoint save", tc.name, plan)
+					t.Fatalf("fault under %q landed before the first checkpoint save: %v\nstderr:\n%s", plan, err, stderrOut)
+				}
 			}
 
 			resumed, resumeErr := runChaosBinary(t, bin, withCkpt(ckpt)...)
@@ -230,7 +222,7 @@ func TestChaosMatrixByteIdentity(t *testing.T) {
 					clean, resumed, resumeErr)
 			}
 			reportChaos(t, "PASS %s: %s %v under %q failed after a save; resume byte-identical to fault-free run",
-				tc.name, tc.bin, tc.args, tc.chaos)
+				tc.name, tc.bin, tc.args, strings.Join(tc.chaos, " then "))
 		})
 	}
 }

@@ -8,8 +8,10 @@
 // faults, and the only way to trust that it does is to inject them on
 // purpose, deterministically, in CI. This package provides the
 // injection half of that loop; internal/runctl provides the recovery
-// half (panic containment, checkpoint resume and generations, save
-// retries, the stall watchdog).
+// half (panic containment, checkpoint resume and generations, the stall
+// watchdog). Every fault ends the run it lands in; recovery is
+// re-running the same command, which resumes from the last committed
+// checkpoint.
 //
 // # Injection points
 //
@@ -27,12 +29,11 @@
 // function of (plan seed, point name, stream id) via splitmix64 falls
 // below p — never of wall clock, scheduling, or map order — so a
 // fixed-seed chaos run injects the same faults at the same streams on
-// every host. Count caps (`count=N`) bound total fires; nth/every
-// triggers consult a global per-point hit counter. At single-threaded
-// sites such as checkpoint saves that names one fixed hit; at a worker
-// site it names the pool round the hit falls in, since a round's
-// workers all finish before the next round starts, but not which of
-// the round's streams takes it.
+// every host. An nth trigger consults a global per-point hit counter.
+// At single-threaded sites such as checkpoint saves that names one
+// fixed hit; at a worker site it names the pool round the hit falls
+// in, since a round's workers all finish before the next round starts,
+// but not which of the round's streams takes it.
 //
 // # Spec grammar
 //
@@ -42,13 +43,13 @@
 //	item   := 'seed=' INT | rule
 //	rule   := point ':' kind (':' param (',' param)*)?
 //	kind   := 'panic' | 'error' | 'writeerr'
-//	param  := 'p=' FLOAT | 'nth=' INT | 'every=' INT |
-//	          'count=' INT | 'bytes=' INT
+//	param  := 'p=' FLOAT | 'nth=' INT | 'bytes=' INT
 //
 // p must lie in (0, 1]. Example: inject a panic into ~15% of worker
-// streams and fail the first checkpoint write once:
+// streams, or fail the second checkpoint write after 8 bytes:
 //
-//	-chaos 'poolsim.worker:panic:p=0.15;runctl.checkpoint.write:writeerr:nth=1'
+//	-chaos 'poolsim.worker:panic:p=0.15'
+//	-chaos 'runctl.checkpoint.write:writeerr:nth=2,bytes=8'
 package faultinject
 
 import (
@@ -104,8 +105,8 @@ func (e *InjectedError) Error() string {
 	return fmt.Sprintf("faultinject: injected %s at %s (stream %d)", e.Kind, e.Point, e.Stream)
 }
 
-// Rule is one armed fault: a point, a kind, and a trigger. Exactly one
-// of Prob, Nth, Every selects the trigger; all zero means every hit.
+// Rule is one armed fault: a point, a kind, and a trigger. At most one
+// of Prob and Nth selects the trigger; both zero means every hit.
 type Rule struct {
 	Point string
 	Kind  Kind
@@ -115,10 +116,6 @@ type Rule struct {
 	// Nth fires on exactly the nth hit of the point (1-based, counted
 	// across all streams).
 	Nth int
-	// Every fires on every every-th hit of the point.
-	Every int
-	// Count caps total fires of this rule; 0 = unbounded.
-	Count int
 	// Bytes is how many bytes a KindWriteError writer accepts before
 	// failing (default 0: the first write fails outright).
 	Bytes int
@@ -130,9 +127,7 @@ type ruleState struct {
 
 	mu sync.Mutex
 	// guarded by mu
-	hits int64 // global hit counter (nth/every triggers)
-	// guarded by mu
-	fired int // fires so far (count cap)
+	hits int64 // global hit counter (nth trigger)
 }
 
 // Plan is an immutable set of armed rules plus the decision seed.
@@ -195,24 +190,13 @@ func (rs *ruleState) trigger(seed int64, stream int64) bool {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	rs.hits++
-	fire := false
 	switch {
 	case rs.rule.Nth > 0:
-		fire = rs.hits == int64(rs.rule.Nth)
-	case rs.rule.Every > 0:
-		fire = rs.hits%int64(rs.rule.Every) == 0
+		return rs.hits == int64(rs.rule.Nth)
 	case rs.rule.Prob > 0:
-		fire = unitProb(seed, rs.rule.Point, stream) < rs.rule.Prob
-	default:
-		fire = true
+		return unitProb(seed, rs.rule.Point, stream) < rs.rule.Prob
 	}
-	if fire && rs.rule.Count > 0 && rs.fired >= rs.rule.Count {
-		fire = false
-	}
-	if fire {
-		rs.fired++
-	}
-	return fire
+	return true
 }
 
 // Fire consults the armed plan for point. With no plan, no rule for
@@ -399,19 +383,6 @@ func parseRule(item string) (Rule, error) {
 			}
 			r.Nth = n
 			triggers++
-		case "every":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 1 {
-				return Rule{}, fmt.Errorf("faultinject: rule %q: every=%q must be a positive integer", item, val)
-			}
-			r.Every = n
-			triggers++
-		case "count":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 1 {
-				return Rule{}, fmt.Errorf("faultinject: rule %q: count=%q must be a positive integer", item, val)
-			}
-			r.Count = n
 		case "bytes":
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 0 {
@@ -423,7 +394,7 @@ func parseRule(item string) (Rule, error) {
 		}
 	}
 	if triggers > 1 {
-		return Rule{}, fmt.Errorf("faultinject: rule %q mixes p/nth/every; pick one trigger", item)
+		return Rule{}, fmt.Errorf("faultinject: rule %q mixes p and nth; pick one trigger", item)
 	}
 	return r, nil
 }

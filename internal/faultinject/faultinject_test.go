@@ -35,13 +35,13 @@ func TestParseGrammar(t *testing.T) {
 				t.Errorf("rule = %+v", r)
 			}
 		}},
-		{"a.b:error:p=0.25,count=3;seed=42", func(t *testing.T, p *Plan) {
+		{"a.b:error:p=0.25;seed=42", func(t *testing.T, p *Plan) {
 			r := p.Rules()[0]
-			if r.Prob != 0.25 || r.Count != 3 || p.Seed != 42 {
+			if r.Prob != 0.25 || p.Seed != 42 {
 				t.Errorf("rule = %+v seed = %d", r, p.Seed)
 			}
 		}},
-		{"a:writeerr:nth=2,bytes=16; b:error:every=3", func(t *testing.T, p *Plan) {
+		{"a:writeerr:nth=2,bytes=16; b:error:nth=3", func(t *testing.T, p *Plan) {
 			rs := p.Rules()
 			if len(rs) != 2 {
 				t.Fatalf("rules = %+v", rs)
@@ -49,7 +49,7 @@ func TestParseGrammar(t *testing.T) {
 			if rs[0].Nth != 2 || rs[0].Bytes != 16 {
 				t.Errorf("writeerr rule = %+v", rs[0])
 			}
-			if rs[1].Kind != KindError || rs[1].Every != 3 {
+			if rs[1].Kind != KindError || rs[1].Nth != 3 {
 				t.Errorf("error rule = %+v", rs[1])
 			}
 		}},
@@ -69,20 +69,22 @@ func TestParseGrammar(t *testing.T) {
 	}
 
 	bad := []string{
-		"a.b",                   // no kind
-		"a.b:explode",           // unknown kind
-		"a.b:panic:p=2",         // probability out of range
-		"pt:error:p=0;seed=1",   // p=0 would fall through to "every hit"
-		"a.b:panic:p=-0.1",      // negative probability
-		"a.b:panic:p=NaN",       // not a probability
-		"a.b:delay:ms=5",        // no delay kind
-		"a.b:panic:p=0.1,nth=3", // two triggers
-		"a.b:panic:wat",         // not key=value
-		"a.b:panic:zzz=1",       // unknown parameter
-		"seed=x",                // bad seed
-		"a:panic;a:error",       // duplicate point
-		"seed=5",                // arms no rules
-		":panic",                // empty point
+		"a.b",                     // no kind
+		"a.b:explode",             // unknown kind
+		"a.b:panic:p=2",           // probability out of range
+		"pt:error:p=0;seed=1",     // p=0 would fall through to "every hit"
+		"a.b:panic:p=-0.1",        // negative probability
+		"a.b:panic:p=NaN",         // not a probability
+		"a.b:delay:ms=5",          // no delay kind
+		"a.b:panic:p=0.1,nth=3",   // two triggers
+		"a.b:panic:wat",           // not key=value
+		"a.b:panic:zzz=1",         // unknown parameter
+		"a.b:error:every=2",       // no periodic trigger
+		"a.b:error:p=0.5,count=3", // no fire cap
+		"seed=x",                  // bad seed
+		"a:panic;a:error",         // duplicate point
+		"seed=5",                  // arms no rules
+		":panic",                  // empty point
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {
@@ -123,19 +125,6 @@ func TestNthTrigger(t *testing.T) {
 				t.Errorf("hit %d: error %v is not a typed injection", hit, err)
 			}
 		}
-	}
-}
-
-func TestEveryAndCount(t *testing.T) {
-	arm(t, "pt:error:every=2,count=2")
-	var fires []int
-	for hit := 1; hit <= 10; hit++ {
-		if Fire("pt", 0) != nil {
-			fires = append(fires, hit)
-		}
-	}
-	if len(fires) != 2 || fires[0] != 2 || fires[1] != 4 {
-		t.Errorf("fires at hits %v, want [2 4]", fires)
 	}
 }
 

@@ -47,13 +47,8 @@ func describeRule(r Rule) string {
 		trigger = fmt.Sprintf("p=%g per stream", r.Prob)
 	case r.Nth > 0:
 		trigger = fmt.Sprintf("hit #%d", r.Nth)
-	case r.Every > 0:
-		trigger = fmt.Sprintf("every %d hits", r.Every)
 	}
 	s := fmt.Sprintf("%s: %s (%s", r.Point, r.Kind, trigger)
-	if r.Count > 0 {
-		s += fmt.Sprintf(", max %d", r.Count)
-	}
 	if r.Kind == KindWriteError && r.Bytes > 0 {
 		s += fmt.Sprintf(", after %d bytes", r.Bytes)
 	}

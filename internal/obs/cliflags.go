@@ -17,7 +17,6 @@ import (
 // down and must run before the process exits (including error paths
 // that call os.Exit, which skip defers).
 type CLIFlags struct {
-	Endpoint   string        // -obs: HTTP listen address, "" = off
 	Every      time.Duration // -progress: render interval, 0 = off
 	TraceOut   string        // -trace-out: JSONL trace path, "" = off
 	SpanOut    string        // -span-out: JSONL wall-clock span path, "" = off
@@ -31,8 +30,6 @@ type CLIFlags struct {
 // BindCLIFlags registers the observability flags on fs.
 func BindCLIFlags(fs *flag.FlagSet) *CLIFlags {
 	f := &CLIFlags{tool: filepath.Base(fs.Name())}
-	fs.StringVar(&f.Endpoint, "obs", "",
-		"serve observability HTTP endpoint on this address (/metrics, /progress, /debug/pprof)")
 	fs.DurationVar(&f.Every, "progress", 0,
 		"render a progress report to stderr at this interval (0 disables)")
 	fs.StringVar(&f.TraceOut, "trace-out", "",
@@ -50,8 +47,7 @@ func BindCLIFlags(fs *flag.FlagSet) *CLIFlags {
 // flag parsing, before the run.
 func (f *CLIFlags) SetSeed(seed int64) { f.seed = seed }
 
-// Activate starts whatever the parsed flags ask for: the HTTP endpoint
-// (its resolved address is announced on errw), the trace and span
+// Activate starts whatever the parsed flags ask for: the trace and span
 // recorders, the progress reporter, and CPU profiling. The returned
 // stop function is idempotent, reports recorder errors to errw, and —
 // because it marks the end of the measured run — finalizes the wall
@@ -61,7 +57,6 @@ func (f *CLIFlags) SetSeed(seed int64) { f.seed = seed }
 // begins; a failed Activate releases what it opened and records no run.
 func (f *CLIFlags) Activate(errw io.Writer) (func(), error) {
 	var (
-		srv        *Server
 		traceFile  *os.File
 		spanFile   *os.File
 		cpuProfile *os.File
@@ -93,12 +88,6 @@ func (f *CLIFlags) Activate(errw io.Writer) (func(), error) {
 			close(quit)
 			<-ticked
 			quit = nil
-		}
-		if srv != nil {
-			if err := srv.Close(); err != nil {
-				fmt.Fprintf(errw, "obs: endpoint: %v\n", err)
-			}
-			srv = nil
 		}
 		if traceFile != nil {
 			if err := Trace.Stop(); err != nil {
@@ -162,15 +151,6 @@ func (f *CLIFlags) Activate(errw io.Writer) (func(), error) {
 			stop()
 			return nil, fmt.Errorf("obs: profile: %w", err)
 		}
-	}
-	if f.Endpoint != "" {
-		var err error
-		srv, err = Serve(f.Endpoint, Default)
-		if err != nil {
-			stop()
-			return nil, fmt.Errorf("obs: endpoint: %w", err)
-		}
-		fmt.Fprintf(errw, "obs: serving metrics on http://%s/metrics\n", srv.Addr())
 	}
 	if f.Every > 0 {
 		quit = make(chan struct{})

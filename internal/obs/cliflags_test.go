@@ -12,11 +12,18 @@ import (
 // heap profile) behind, and must release the recorders it had opened.
 func TestActivateFailureWritesNoReport(t *testing.T) {
 	dir := t.TempDir()
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string]CLIFlags{
-		"span path":     {SpanOut: filepath.Join(dir, "nodir", "s.jsonl")},
-		"endpoint":      {Endpoint: "127.0.0.1:99999"},
-		"after profile": {ProfileDir: filepath.Join(dir, "prof"), Endpoint: "127.0.0.1:99999"},
-		"after trace":   {TraceOut: filepath.Join(dir, "t.jsonl"), SpanOut: filepath.Join(dir, "nodir", "s.jsonl")},
+		"span path":   {SpanOut: filepath.Join(dir, "nodir", "s.jsonl")},
+		"after trace": {TraceOut: filepath.Join(dir, "t.jsonl"), SpanOut: filepath.Join(dir, "nodir", "s.jsonl")},
+		"profile dir after recorders": {
+			TraceOut:   filepath.Join(dir, "t2.jsonl"),
+			SpanOut:    filepath.Join(dir, "s2.jsonl"),
+			ProfileDir: filepath.Join(file, "prof"),
+		},
 	}
 	for name, f := range cases {
 		f.tool = "mlectest"
@@ -27,11 +34,6 @@ func TestActivateFailureWritesNoReport(t *testing.T) {
 		}
 		if _, err := os.Stat(f.RunReport); !os.IsNotExist(err) {
 			t.Errorf("%s: failed Activate left a run report (stat err %v)", name, err)
-		}
-		if f.ProfileDir != "" {
-			if _, err := os.Stat(filepath.Join(f.ProfileDir, "heap.pprof")); !os.IsNotExist(err) {
-				t.Errorf("%s: failed Activate wrote a heap profile", name)
-			}
 		}
 		if Trace.Enabled() || Spans.Enabled() {
 			t.Errorf("%s: failed Activate left a recorder running", name)

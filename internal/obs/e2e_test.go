@@ -1,16 +1,14 @@
 // End-to-end proof of the package's load-bearing claim: observability
 // is inert. A fixed-seed engine run must produce byte-identical stdout
-// with every obs feature enabled or disabled, and the HTTP endpoint
-// must serve a page the strict Prometheus parser accepts. make
-// obs-smoke runs exactly these tests.
+// with every obs feature enabled or disabled, and every exit a signal
+// leaves by (the progress line, the run report, the trace, span and
+// profile files) must carry it. make obs-smoke runs exactly this test.
 package obs_test
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -18,7 +16,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"mlec/internal/obs"
 )
@@ -63,32 +60,57 @@ func buildBinaries(t *testing.T) string {
 	return buildDir
 }
 
-func runBinary(t *testing.T, bin string, args ...string) (stdout, stderr []byte) {
+// runBinaryExit runs bin and returns its output and exit code.
+func runBinaryExit(t *testing.T, bin string, args ...string) (stdout, stderr []byte, code int) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	if err := cmd.Run(); err != nil {
-		t.Fatalf("%s %v: %v\nstderr:\n%s", filepath.Base(bin), args, err, errb.String())
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) {
+			t.Fatalf("%s %v: %v", filepath.Base(bin), args, err)
+		}
+		return out.Bytes(), errb.Bytes(), ee.ExitCode()
 	}
-	return out.Bytes(), errb.Bytes()
+	return out.Bytes(), errb.Bytes(), 0
 }
 
-// TestCLIInertness is the byte-identity check ISSUE 5 demands, extended
-// with the PR 10 surface: the same seed with and without the full
-// observability stack (-obs, -progress, -trace-out, -span-out,
-// -run-report, -profile-dir) must print the same bytes to stdout.
+// runBinary runs bin and fails the test unless it exits 0.
+func runBinary(t *testing.T, bin string, args ...string) (stdout, stderr []byte) {
+	t.Helper()
+	out, errb, code := runBinaryExit(t, bin, args...)
+	if code != 0 {
+		t.Fatalf("%s %v: exit %d\nstderr:\n%s", filepath.Base(bin), args, code, errb)
+	}
+	return out, errb
+}
+
+// TestCLIInertness is the byte-identity check: the same seed with and
+// without the full observability stack (-progress, -trace-out,
+// -span-out, -run-report, -profile-dir) must print the same bytes to
+// stdout, and so must a checkpointed run whose second save fails under
+// chaos and is then resumed. It also checks that the live signals
+// arrive: the progress line names the engine's task on stderr, and the
+// run report counts the engine's unit of work.
 func TestCLIInertness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs binaries")
 	}
 	bins := buildBinaries(t)
+	// Both campaigns save a checkpoint at least twice (mlecdur once per
+	// splitting level, mlecburst once per 256-batch round), so the
+	// chaos leg's second save comes after a committed one.
 	cases := []struct {
-		bin  string
-		args []string
+		bin     string
+		args    []string
+		task    string // progress task the engine runs
+		counter string // registry counter of the engine's unit of work
 	}{
-		{"mlecdur", []string{"-scheme", "D/D", "-sim", "-trajectories", "1000", "-seed", "7"}},
-		{"mlecburst", []string{"-scheme", "D/D", "-x", "3", "-y", "40", "-trials", "3000", "-seed", "5"}},
+		{"mlecdur", []string{"-scheme", "D/D", "-sim", "-trajectories", "1000", "-seed", "7"},
+			"poolsim.split", "poolsim_split_trajectories_total"},
+		{"mlecburst", []string{"-scheme", "D/D", "-x", "3", "-y", "40", "-trials", "20000", "-seed", "5"},
+			"burst.pdl", "burst_pdl_trials_total"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.bin, func(t *testing.T) {
@@ -99,33 +121,36 @@ func TestCLIInertness(t *testing.T) {
 			spanPath := filepath.Join(dir, "run.spans")
 			reportPath := filepath.Join(dir, "run.report.json")
 			profileDir := filepath.Join(dir, "profiles")
+			// A 1ms progress interval renders several lines during even a
+			// short campaign.
 			instrumented := append(append([]string(nil), tc.args...),
-				"-obs", "127.0.0.1:0", "-trace-out", tracePath, "-progress", "25ms",
+				"-trace-out", tracePath, "-progress", "1ms",
 				"-span-out", spanPath, "-run-report", reportPath, "-profile-dir", profileDir)
 			observed, stderrOut := runBinary(t, bin, instrumented...)
 			if !bytes.Equal(plain, observed) {
 				t.Fatalf("observability changed a fixed-seed run's stdout.\nplain:\n%s\nobserved:\n%s",
 					plain, observed)
 			}
-			// Inertness extends to the fault-tolerance counters: a
-			// checkpointed chaos run under full instrumentation — a torn
-			// checkpoint write healed by the save retry, fault and retry
-			// counters ticking — must still print the fault-free run's
-			// bytes.
-			chaotic := append(append([]string(nil), tc.args...),
-				"-checkpoint", filepath.Join(dir, "run.ckpt"),
-				"-chaos", "runctl.checkpoint.write:writeerr:nth=1,bytes=8;seed=3",
-				"-obs", "127.0.0.1:0", "-progress", "25ms")
-			healed, chaosErr := runBinary(t, bin, chaotic...)
-			if !bytes.Equal(plain, healed) {
-				t.Fatalf("healed chaos run changed a fixed-seed run's stdout.\nplain:\n%s\nchaos:\n%s",
-					plain, healed)
+			// Inertness extends to the one recovery path: a checkpointed
+			// run under instrumentation whose second save tears fails,
+			// says how to resume, and the resumed run prints the
+			// fault-free run's bytes.
+			ckpt := filepath.Join(dir, "run.ckpt")
+			withCkpt := append(append([]string(nil), tc.args...), "-checkpoint", ckpt, "-progress", "1ms")
+			_, chaosErr, code := runBinaryExit(t, bin, append(withCkpt,
+				"-chaos", "runctl.checkpoint.write:writeerr:nth=2,bytes=8;seed=3")...)
+			if code != 1 {
+				t.Fatalf("run with a failed save exited %d, want 1\nstderr:\n%s", code, chaosErr)
 			}
-			if !strings.Contains(string(chaosErr), "chaos:") {
-				t.Errorf("chaos announcement missing from stderr:\n%s", chaosErr)
+			for _, want := range []string{"chaos:", "Re-run the same command to resume from " + ckpt + "."} {
+				if !strings.Contains(string(chaosErr), want) {
+					t.Errorf("stderr of the run with a failed save lacks %q:\n%s", want, chaosErr)
+				}
 			}
-			if !strings.Contains(string(stderrOut), "obs: serving metrics on http://") {
-				t.Errorf("endpoint announcement missing from stderr:\n%s", stderrOut)
+			resumed, _ := runBinary(t, bin, withCkpt...)
+			if !bytes.Equal(plain, resumed) {
+				t.Fatalf("resume after a failed save changed a fixed-seed run's stdout.\nplain:\n%s\nresumed:\n%s",
+					plain, resumed)
 			}
 			f, err := os.Open(tracePath)
 			if err != nil {
@@ -178,6 +203,16 @@ func TestCLIInertness(t *testing.T) {
 			if rep.EventsSimulated <= 0 {
 				t.Errorf("run report events_simulated = %d, want > 0", rep.EventsSimulated)
 			}
+			// The live signals: the progress line names the engine's
+			// task, and the report counts the engine's unit of work.
+			t.Run("live_signals", func(t *testing.T) {
+				if want := "progress: " + tc.task; !strings.Contains(string(stderrOut), want) {
+					t.Errorf("no %q line reached stderr:\n%s", want, stderrOut)
+				}
+				if n := rep.Counters[tc.counter]; n <= 0 {
+					t.Errorf("run report counters[%s] = %d, want > 0", tc.counter, n)
+				}
+			})
 			// The fingerprint must cover only the physics flags: the
 			// plain and instrumented invocations describe the same run.
 			if want := obs.FingerprintArgs(tc.args); rep.ConfigFingerprint != want {
@@ -193,116 +228,4 @@ func TestCLIInertness(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestEndpointServes starts a long run with -obs, scrapes /metrics and
-// /progress while it works, and validates both payloads.
-func TestEndpointServes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs binaries")
-	}
-	bins := buildBinaries(t)
-	cmd := exec.Command(filepath.Join(bins, "mlecburst"),
-		"-x", "3", "-y", "40", "-trials", "50000000", "-seed", "1", "-obs", "127.0.0.1:0")
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-	}()
-
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			if rest, ok := strings.CutPrefix(line, "obs: serving metrics on http://"); ok {
-				addrCh <- strings.TrimSuffix(rest, "/metrics")
-				return
-			}
-		}
-		close(addrCh)
-	}()
-	var addr string
-	select {
-	case a, ok := <-addrCh:
-		if !ok {
-			t.Fatal("endpoint announcement never appeared on stderr")
-		}
-		addr = a
-	case <-time.After(30 * time.Second):
-		t.Fatal("timed out waiting for the endpoint announcement")
-	}
-
-	// The engine registers its counters as it starts; poll until the
-	// burst trial counter has counted a finished batch (every page
-	// served meanwhile must parse). A scraper derives the trial rate
-	// from this counter.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		page := httpGet(t, "http://"+addr+"/metrics")
-		prom, err := obs.ParsePrometheus(bytes.NewReader(page))
-		if err != nil {
-			t.Fatalf("/metrics does not parse: %v\npage:\n%s", err, page)
-		}
-		if v, ok := prom.Sample("burst_pdl_trials_total"); ok && v > 0 {
-			if kind := prom.Types["burst_pdl_trials_total"]; kind != "counter" {
-				t.Errorf("burst_pdl_trials_total exposed as %q, want counter", kind)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("/metrics never counted a burst trial; page:\n%s", page)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-
-	progPage := httpGet(t, "http://"+addr+"/progress")
-	var page obs.ProgressPage
-	if err := json.Unmarshal(progPage, &page); err != nil {
-		t.Fatalf("/progress does not decode: %v\npage:\n%s", err, progPage)
-	}
-	found := false
-	for _, task := range page.Tasks {
-		if strings.HasPrefix(task.Name, "burst.pdl") && task.Done > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("/progress shows no running burst.pdl task\npage:\n%s", progPage)
-	}
-}
-
-func httpGet(t *testing.T, url string) []byte {
-	t.Helper()
-	client := &http.Client{Timeout: 10 * time.Second}
-	var lastErr error
-	for attempt := 0; attempt < 20; attempt++ {
-		resp, err := client.Get(url)
-		if err != nil {
-			lastErr = err
-			time.Sleep(100 * time.Millisecond)
-			continue
-		}
-		var buf bytes.Buffer
-		_, err = buf.ReadFrom(resp.Body)
-		if cerr := resp.Body.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d\n%s", url, resp.StatusCode, buf.String())
-		}
-		return buf.Bytes()
-	}
-	t.Fatalf("GET %s never succeeded: %v", url, lastErr)
-	return nil
 }

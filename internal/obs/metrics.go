@@ -19,21 +19,8 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// mergeFloor raises the counter to at least v via CAS, used when
-// restoring a checkpointed snapshot: a counter that already advanced
-// past the snapshot (same-process resume) is left alone, so merging is
-// idempotent and never double-counts.
-func (c *Counter) mergeFloor(v int64) {
-	for {
-		cur := c.v.Load()
-		if cur >= v || c.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Gauge is an integer metric that can go up and down (live workers,
-// queue depth, catastrophic pools). The zero value is ready.
+// Gauge is an integer metric that can go up and down (live pool
+// workers). The zero value is ready.
 type Gauge struct {
 	v atomic.Int64
 }

@@ -15,23 +15,6 @@ func TestCounterAddInc(t *testing.T) {
 	}
 }
 
-func TestCounterMergeFloor(t *testing.T) {
-	var c Counter
-	c.Add(7)
-	c.mergeFloor(100)
-	if got := c.Value(); got != 100 {
-		t.Fatalf("after raise: Value = %d, want 100", got)
-	}
-	c.mergeFloor(5)
-	if got := c.Value(); got != 100 {
-		t.Fatalf("merge must never lower: Value = %d, want 100", got)
-	}
-	c.mergeFloor(100)
-	if got := c.Value(); got != 100 {
-		t.Fatalf("merge is idempotent: Value = %d, want 100", got)
-	}
-}
-
 func TestGaugeAddSet(t *testing.T) {
 	var g Gauge
 	g.Add(3)
@@ -70,40 +53,9 @@ func TestRegistryMalformedNamePanics(t *testing.T) {
 	r.Counter(`bad name{x=unquoted}`)
 }
 
-func TestRegistryMergeCounters(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("resumed_total").Add(7)
-	r.MergeCounters(map[string]int64{
-		"resumed_total":                100, // raises the live counter
-		"fresh_total":                  12,  // materializes a counter that didn't exist yet
-		"bad name":                     5,   // invalid name: skipped
-		`labelled_total{kind="panic"}`: 9,   // label blocks are not names: skipped
-	})
-	if got := r.Counter("resumed_total").Value(); got != 100 {
-		t.Fatalf("resumed_total = %d, want 100", got)
-	}
-	if got := r.Counter("fresh_total").Value(); got != 12 {
-		t.Fatalf("fresh_total = %d, want 12", got)
-	}
-	vals := r.CounterValues()
-	for _, name := range []string{"bad name", `labelled_total{kind="panic"}`} {
-		if _, ok := vals[name]; ok {
-			t.Fatalf("invalid counter name %q leaked into the registry", name)
-		}
-	}
-}
-
-func TestRegistryMergeSkipsWrongKind(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("depth")
-	r.MergeCounters(map[string]int64{"depth": 55})
-	if got := r.Gauge("depth").Value(); got != 0 {
-		t.Fatalf("merge overwrote a non-counter metric: gauge = %d", got)
-	}
-}
-
 // TestRegistryConcurrent hammers one registry from many goroutines —
-// creation races, hot-path updates, and exposition all at once. Run
+// creation races, hot-path updates, and the run report's snapshot all
+// at once. Run
 // under -race this is the package's data-race certificate.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
@@ -119,8 +71,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				r.Counter("conc_other_total").Inc()
 				r.Gauge("conc_gauge").Set(int64(i))
 				if i%500 == 0 {
-					_ = r.WritePrometheus(discard{})
-					r.MergeCounters(map[string]int64{"conc_total": int64(i)})
+					_ = r.CounterValues()
 				}
 			}
 		}()
@@ -130,7 +81,3 @@ func TestRegistryConcurrent(t *testing.T) {
 		t.Fatalf("conc_total = %d, want %d", got, want)
 	}
 }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }

@@ -4,8 +4,8 @@ import "fmt"
 
 // validName reports whether name is a bare Prometheus metric name
 // (`syssim_events_total`): a letter, '_' or ':' followed by letters,
-// digits, '_' or ':'. The name is the registry key and the series the
-// text exposition writes, so label blocks are not part of the grammar.
+// digits, '_' or ':'. The name is the registry key and the run
+// report's counters key, so label blocks are not part of the grammar.
 func validName(name string) bool {
 	if name == "" {
 		return false

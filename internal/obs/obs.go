@@ -1,16 +1,20 @@
 // Package obs is the stdlib-only observability layer shared by every
 // Monte-Carlo engine in this repository: an atomic metrics registry of
-// two kinds (integer counters and gauges) keyed by bare Prometheus
+// two kinds (integer counters and gauges) keyed by bare Prometheus-style
 // metric names, one series per name; a structured progress tracker
 // (ETA, trials/sec, splitting-level occupancy, CI width); a
 // simulated-time trace recorder emitting JSONL events; and wall-clock
 // causal spans. Each quantity has one home: a rate is a counter over
-// time (the progress task and any Prometheus scraper derive it), a
-// level's wall time is its span, occupancy and CI width live on the
-// progress task. The cmd/ binaries expose these through -obs (an HTTP
-// endpoint serving Prometheus text, the progress tasks, and pprof),
-// -progress (periodic stderr rendering), -trace-out and -span-out (the
-// JSONL files cmd/mlectrace reads back) and -run-report.
+// time (the progress task derives it), a level's wall time is its span,
+// occupancy and CI width live on the progress task.
+//
+// Each signal leaves the process exactly one way, and only when a cmd/
+// binary asks for it: counters through -run-report (the JSON document
+// written at exit), progress through -progress (periodic stderr
+// rendering), CPU and heap profiles through -profile-dir, simulated-time
+// events through -trace-out and wall-clock spans through -span-out (the
+// JSONL files cmd/mlectrace reads back). No exit is served over a
+// network, so no binary links net/http.
 //
 // # Inertness
 //
@@ -57,8 +61,8 @@ type Registry struct {
 	metrics map[string]any // *Counter | *Gauge
 }
 
-// Default is the process-wide registry every engine instruments. CLI
-// endpoints and checkpoint snapshots read from it.
+// Default is the process-wide registry every engine instruments. The
+// run report and the progress line read from it.
 var Default = NewRegistry()
 
 // NewRegistry returns an empty registry.
@@ -109,7 +113,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // CounterValues snapshots every integer counter, keyed by full metric
 // name. The map is built key-addressed, so its content is independent
-// of map iteration order; runctl embeds it in checkpoint envelopes.
+// of map iteration order; the run report records it.
 func (r *Registry) CounterValues() map[string]int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -120,28 +124,4 @@ func (r *Registry) CounterValues() map[string]int64 {
 		}
 	}
 	return out
-}
-
-// MergeCounters folds a saved CounterValues snapshot back into the
-// registry: each named counter is raised to at least its saved value
-// (never lowered), so a run resumed from a checkpoint in a fresh
-// process reports cumulative totals instead of restarting from zero.
-// Names registered as a non-counter kind are skipped — checkpoint data
-// is input, not an instrumentation contract.
-func (r *Registry) MergeCounters(vals map[string]int64) {
-	for name, v := range vals {
-		if !validName(name) {
-			continue
-		}
-		r.mu.Lock()
-		m, ok := r.metrics[name]
-		if !ok {
-			m = &Counter{}
-			r.metrics[name] = m
-		}
-		r.mu.Unlock()
-		if c, ok := m.(*Counter); ok {
-			c.mergeFloor(v)
-		}
-	}
 }

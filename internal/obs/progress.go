@@ -34,8 +34,9 @@ type Task struct {
 	name    string
 	begun   time.Time
 
-	done atomic.Int64
-	goal int64 // <= 0 means unknown; fixed at StartTask
+	done     atomic.Int64
+	restored atomic.Int64 // part of done restored from a checkpoint, not run here
+	goal     int64        // <= 0 means unknown; fixed at StartTask
 
 	mu sync.Mutex
 	// guarded by mu
@@ -77,8 +78,13 @@ func (task *Task) Finish() {
 // Add ticks the work counter; safe from any worker goroutine.
 func (task *Task) Add(delta int64) { task.done.Add(delta) }
 
-// SetDone replaces the work counter (used when resuming mid-run).
-func (task *Task) SetDone(v int64) { task.done.Store(v) }
+// SetDone seeds the work counter with v units restored from a
+// checkpoint when a run resumes. They count toward done/goal, but not
+// toward the rate, which covers only work done since StartTask.
+func (task *Task) SetDone(v int64) {
+	task.restored.Store(v)
+	task.done.Store(v)
+}
 
 // SetLevel records the current and maximum splitting level.
 func (task *Task) SetLevel(level, maxLevel int) {
@@ -114,7 +120,7 @@ type TaskSnapshot struct {
 	Done      int64
 	Goal      int64 // <= 0 when unknown
 	Elapsed   time.Duration
-	PerSec    float64       // work units per wall second
+	PerSec    float64       // work units run per wall second, restored work excluded
 	ETA       time.Duration // < 0 when unknown
 	Level     int
 	MaxLevel  int
@@ -138,7 +144,7 @@ func (task *Task) snapshot(now time.Time) TaskSnapshot {
 	s.Goal = task.goal
 	s.Elapsed = now.Sub(task.begun)
 	if secs := s.Elapsed.Seconds(); secs > 0 {
-		s.PerSec = float64(s.Done) / secs
+		s.PerSec = float64(s.Done-task.restored.Load()) / secs
 	}
 	s.ETA = -1
 	if s.Goal > 0 && s.Done > 0 && s.Done < s.Goal && s.PerSec > 0 {

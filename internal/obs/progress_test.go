@@ -3,9 +3,11 @@ package obs
 import (
 	"bytes"
 	"io"
+	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestProgressTaskLifecycle(t *testing.T) {
@@ -63,6 +65,28 @@ func TestProgressRender(t *testing.T) {
 		}
 	}
 	task.Finish()
+}
+
+// TestResumedTaskRateExcludesRestoredWork pins the progress line of a
+// resumed campaign: work restored from a checkpoint counts toward
+// done/goal and shrinks the remaining work behind the ETA, but the rate
+// covers only the work this process ran.
+func TestResumedTaskRateExcludesRestoredWork(t *testing.T) {
+	tr := &Tracker{}
+	task := tr.StartTask("resumed.test", 100)
+	defer task.Finish()
+	task.SetDone(60)
+	task.Add(5)
+	s := task.snapshot(task.begun.Add(time.Second))
+	if s.Done != 65 || s.Goal != 100 {
+		t.Fatalf("done/goal = %d/%d, want 65/100", s.Done, s.Goal)
+	}
+	if ran := s.PerSec * s.Elapsed.Seconds(); math.Abs(ran-5) > 1e-9 {
+		t.Fatalf("PerSec·Elapsed = %g, want 5 (the restored 60 are not this run's work)", ran)
+	}
+	if want := 7 * time.Second; s.ETA != want {
+		t.Fatalf("ETA = %v, want %v (35 remaining at 5/s)", s.ETA, want)
+	}
 }
 
 // TestTaskConcurrentUpdates drives one task from several workers while

@@ -66,7 +66,7 @@ var engineEventCounters = []string{
 // measured with a different instrumentation setup must fingerprint
 // identically.
 var obsOnlyFlags = []string{
-	"obs", "progress", "trace-out", "span-out", "run-report", "profile-dir",
+	"progress", "trace-out", "span-out", "run-report", "profile-dir",
 }
 
 // FingerprintArgs hashes the campaign-defining argument list (FNV-1a,

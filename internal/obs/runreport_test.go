@@ -15,11 +15,10 @@ func TestFingerprintIgnoresObsFlags(t *testing.T) {
 		t.Fatalf("fingerprint = %q, want 16 hex chars", base)
 	}
 	instrumented := [][]string{
-		append(append([]string{}, campaign...), "-obs", "127.0.0.1:0"),
 		append(append([]string{}, campaign...), "-trace-out", "/tmp/t.jsonl", "-span-out", "/tmp/s.jsonl"),
 		append(append([]string{}, campaign...), "-run-report=/tmp/r.json", "-profile-dir=/tmp/prof"),
 		append([]string{"-progress", "25ms"}, campaign...),
-		append([]string{"--obs=127.0.0.1:0"}, campaign...),
+		append([]string{"--progress=1s"}, campaign...),
 	}
 	for _, args := range instrumented {
 		if got := FingerprintArgs(args); got != base {
@@ -37,7 +36,7 @@ func TestBuildRunReport(t *testing.T) {
 	r.Counter("syssim_events_total").Add(1000)
 	r.Counter("burst_pdl_trials_total").Add(500)
 	r.Counter("runctl_checkpoint_saves_total").Add(3)
-	r.Counter("runctl_checkpoint_save_retries_total").Add(2)
+	r.Counter("runctl_checkpoint_loads_total").Add(2)
 
 	args := []string{"-seed", "7", "-run-report", "/tmp/r.json"}
 	rep := BuildRunReport("mlecdur", args, 7, 1500*time.Millisecond, r)
@@ -53,7 +52,7 @@ func TestBuildRunReport(t *testing.T) {
 	if rep.EventsSimulated != 1500 {
 		t.Fatalf("EventsSimulated = %d, want 1500 (sum of engine event counters)", rep.EventsSimulated)
 	}
-	if rep.Counters["runctl_checkpoint_saves_total"] != 3 || rep.Counters["runctl_checkpoint_save_retries_total"] != 2 {
+	if rep.Counters["runctl_checkpoint_saves_total"] != 3 || rep.Counters["runctl_checkpoint_loads_total"] != 2 {
 		t.Fatalf("counters %v", rep.Counters)
 	}
 	if rep.PeakHeapBytes == 0 || rep.GoVersion == "" {

@@ -5,9 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"mlec/internal/failure"
+	"mlec/internal/obs"
 	"mlec/internal/runctl"
 )
 
@@ -96,6 +99,55 @@ func TestSplitCancelLeavesNoWorkers(t *testing.T) {
 	}
 	if n := runctl.Live(); n != 0 {
 		t.Errorf("%d pool workers still live after cancelled SplitContext returned", n)
+	}
+}
+
+// countdownCtx is a context whose Err reports context.Canceled from
+// its (k+1)th call on; Done never closes. It measures how often a
+// function polls its context, independent of timing.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func newCountdownCtx(k int64) *countdownCtx {
+	c := &countdownCtx{Context: context.Background()}
+	c.left.Store(k)
+	return c
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSplitDrainsWithinPollBudget pins the per-trajectory context poll
+// in SplitContext's workers: once the context reports cancellation
+// after k polls, the level drains within k plus one trajectory per
+// worker, counted by the trajectory counter rather than the level
+// size. A worker that polled only once per chunk would run the whole
+// level.
+func TestSplitDrainsWithinPollBudget(t *testing.T) {
+	const n, k = 4000, 50
+	workers := runtime.NumCPU()
+	if workers > n {
+		workers = n
+	}
+	trajectories := obs.Default.Counter("poolsim_split_trajectories_total")
+	before := trajectories.Value()
+	res, err := SplitContext(newCountdownCtx(k), hotConfig(true), failure.MustExponentialAFR(0.8),
+		SplitConfig{TrajectoriesPerLevel: n, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Partial {
+		t.Error("cancelled campaign not marked Partial")
+	}
+	if ran := trajectories.Value() - before; ran > k+int64(workers) {
+		t.Errorf("ran %d trajectories after cancellation at poll %d, want at most %d (k + %d workers)",
+			ran, k, k+int64(workers), workers)
 	}
 }
 

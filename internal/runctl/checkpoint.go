@@ -9,7 +9,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"time"
 
 	"mlec/internal/faultinject"
 	"mlec/internal/obs"
@@ -18,15 +17,6 @@ import (
 // CheckpointVersion is the on-disk format version. Readers reject files
 // written by a different version rather than guessing.
 const CheckpointVersion = 1
-
-// Checkpoint save-retry policy: transient write failures (full disk
-// blips, injected faults) are retried with doubling, capped backoff
-// before the save is reported to the caller as failed.
-const (
-	checkpointSaveAttempts = 3
-	checkpointBackoffBase  = 10 * time.Millisecond
-	checkpointBackoffCap   = 100 * time.Millisecond
-)
 
 // PrevCheckpointPath returns the previous-good generation path for a
 // checkpoint at path: SaveCheckpoint rotates the newest file there
@@ -56,20 +46,36 @@ func (e *CorruptCheckpointError) Error() string {
 // Unwrap exposes the underlying decode error to errors.Is/As.
 func (e *CorruptCheckpointError) Unwrap() error { return e.Cause }
 
+// CheckpointSaveError reports a checkpoint save that failed to write,
+// rotate or commit. The save runs once: a failure ends the campaign,
+// and because a save never writes over a committed generation before
+// its own temp file is complete, the last committed checkpoint is
+// intact and re-running the same command resumes from it.
+type CheckpointSaveError struct {
+	Path  string // checkpoint being saved
+	Cause error  // underlying IO error (an *faultinject.InjectedError under chaos)
+}
+
+// Error implements error.
+func (e *CheckpointSaveError) Error() string {
+	return fmt.Sprintf("runctl: saving checkpoint %s: %v", e.Path, e.Cause)
+}
+
+// Unwrap exposes the underlying IO error to errors.Is/As.
+func (e *CheckpointSaveError) Unwrap() error { return e.Cause }
+
 // checkpointEnvelope is the versioned container around an estimator's
 // payload. Kind names the producing estimator ("poolsim.split",
 // "burst.pdl", "burst.grid"); Fingerprint hashes the configuration and
 // seed so a checkpoint is never resumed into a different campaign.
-// Counters is a snapshot of the observability registry's integer
-// counters at save time, so a run resumed in a fresh process reports
-// cumulative (not restarted) trial counts; it is optional and old
-// files without it load unchanged, which is why the version stays 1.
+// Files written by older binaries may also carry a "counters" object (a
+// snapshot of the observability registry); decoding ignores it, so they
+// load unchanged at version 1.
 type checkpointEnvelope struct {
-	Version     int              `json:"version"`
-	Kind        string           `json:"kind"`
-	Fingerprint string           `json:"fingerprint"`
-	Counters    map[string]int64 `json:"counters,omitempty"`
-	Payload     json.RawMessage  `json:"payload"`
+	Version     int             `json:"version"`
+	Kind        string          `json:"kind"`
+	Fingerprint string          `json:"fingerprint"`
+	Payload     json.RawMessage `json:"payload"`
 }
 
 // SaveCheckpoint durably writes payload to path as a gzip-compressed
@@ -79,8 +85,8 @@ type checkpointEnvelope struct {
 // the temp file renames into place — so an interrupted save can never
 // corrupt an existing checkpoint, and even a save that tears the
 // newest file after commit leaves a previous-good generation behind.
-// Transient write failures are retried with capped backoff (a fresh
-// temp file per attempt) before the error is returned.
+// The write is tried once; an IO failure comes back as a
+// *CheckpointSaveError.
 func SaveCheckpoint(path, kind, fingerprint string, payload any) error {
 	span := obs.StartSpan("runctl.checkpoint.save")
 	defer func() {
@@ -96,32 +102,21 @@ func SaveCheckpoint(path, kind, fingerprint string, payload any) error {
 		Version:     CheckpointVersion,
 		Kind:        kind,
 		Fingerprint: fingerprint,
-		Counters:    obs.Default.CounterValues(),
 		Payload:     raw,
 	})
 	if err != nil {
 		return fmt.Errorf("runctl: encoding %s checkpoint envelope: %w", kind, err)
 	}
+	saveErr := func(step string, err error) error {
+		return &CheckpointSaveError{Path: path, Cause: fmt.Errorf("%s: %w", step, err)}
+	}
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("runctl: checkpoint directory: %w", err)
+		return saveErr("directory", err)
 	}
-
-	var tmpName string
-	backoff := checkpointBackoffBase
-	for attempt := 1; ; attempt++ {
-		tmpName, err = writeCheckpointTemp(dir, path, env)
-		if err == nil {
-			break
-		}
-		if attempt >= checkpointSaveAttempts {
-			return fmt.Errorf("runctl: writing checkpoint %s (%d attempts): %w", path, attempt, err)
-		}
-		obs.Default.Counter("runctl_checkpoint_save_retries_total").Inc()
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > checkpointBackoffCap {
-			backoff = checkpointBackoffCap
-		}
+	tmpName, err := writeCheckpointTemp(dir, path, env)
+	if err != nil {
+		return saveErr("writing", err)
 	}
 
 	// Rotate the current checkpoint to the previous-good slot before
@@ -130,11 +125,11 @@ func SaveCheckpoint(path, kind, fingerprint string, payload any) error {
 	// back a generation.
 	if err := os.Rename(path, PrevCheckpointPath(path)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		os.Remove(tmpName)
-		return fmt.Errorf("runctl: rotating checkpoint %s: %w", path, err)
+		return saveErr("rotating", err)
 	}
 	if err := os.Rename(tmpName, path); err != nil {
 		os.Remove(tmpName)
-		return fmt.Errorf("runctl: committing checkpoint %s: %w", path, err)
+		return saveErr("committing", err)
 	}
 	obs.Default.Counter("runctl_checkpoint_saves_total").Inc()
 	// Checkpoints are saved at single-threaded boundaries (level ends,
@@ -254,11 +249,6 @@ func LoadCheckpoint(path, kind, fingerprint string, payload any) (bool, error) {
 				path, firstErr, p)
 		}
 		obs.Default.Counter("runctl_checkpoint_loads_total").Inc()
-		// Restore the saved counter snapshot so a resumed run reports
-		// cumulative totals. The merge floors each counter at its saved
-		// value (never lowers it), so a same-process resume — where the
-		// counters already advanced past the snapshot — is unaffected.
-		obs.Default.MergeCounters(env.Counters)
 		return true, nil
 	}
 	if firstErr != nil {

@@ -3,7 +3,6 @@ package runctl
 import (
 	"context"
 	"errors"
-	"fmt"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -166,56 +165,74 @@ func TestWatchdogTripsOnStall(t *testing.T) {
 	StartWatchdog(0, nil)()
 }
 
-// TestSaveCheckpointRetriesInjectedWriteFailure proves a torn first
-// write attempt is retried with a fresh temp file and the save still
-// lands, with the retry visible in the registry.
-func TestSaveCheckpointRetriesInjectedWriteFailure(t *testing.T) {
+// TestFailedSaveKeepsLastGeneration pins the one recovery path for a
+// failed checkpoint save: the save runs once and fails, counts no save,
+// leaves no temp file behind, and the last committed generation still
+// loads — which is what lets the CLI tell the user to re-run and resume.
+func TestFailedSaveKeepsLastGeneration(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt")
+	type state struct{ N int }
+	if err := SaveCheckpoint(path, "test.kind", "fp", state{N: 1}); err != nil {
+		t.Fatal(err)
+	}
+
 	plan, err := faultinject.Parse("runctl.checkpoint.write:writeerr:nth=1,bytes=3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	faultinject.Enable(plan)
 	defer faultinject.Disable()
-
-	saveRetries := obs.Default.Counter("runctl_checkpoint_save_retries_total")
-	s0 := saveRetries.Value()
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	type state struct{ N int }
-	if err := SaveCheckpoint(path, "test.kind", "fp", state{N: 7}); err != nil {
-		t.Fatalf("SaveCheckpoint under injected write failure = %v, want healed", err)
+	saves := obs.Default.Counter("runctl_checkpoint_saves_total")
+	s0 := saves.Value()
+	if err := SaveCheckpoint(path, "test.kind", "fp", state{N: 2}); err == nil {
+		t.Fatal("SaveCheckpoint under a torn write succeeded, want it to fail once")
 	}
-	if d := saveRetries.Value() - s0; d != 1 {
-		t.Errorf("runctl_checkpoint_save_retries_total advanced by %d, want 1", d)
+	if d := saves.Value() - s0; d != 0 {
+		t.Errorf("a failed save counted as %d saves", d)
 	}
-	var out state
-	if ok, err := LoadCheckpoint(path, "test.kind", "fp", &out); err != nil || !ok || out.N != 7 {
-		t.Fatalf("reload after healed save: ok=%v err=%v out=%+v", ok, err, out)
-	}
-
-	// Leftover temp files would accumulate across campaigns.
-	tmps, err := filepath.Glob(filepath.Join(filepath.Dir(path), "*.tmp*"))
+	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp*"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tmps) != 0 {
-		t.Errorf("failed attempts leaked temp files: %v", tmps)
+		t.Errorf("the failed save leaked temp files: %v", tmps)
+	}
+	var out state
+	if ok, err := LoadCheckpoint(path, "test.kind", "fp", &out); err != nil || !ok || out.N != 1 {
+		t.Fatalf("reload after the failed save: ok=%v err=%v out=%+v, want the committed N=1", ok, err, out)
 	}
 }
 
-// TestSaveCheckpointFailsAfterBudget: a write fault on every attempt
-// exhausts the retry budget and surfaces the injected error.
-func TestSaveCheckpointFailsAfterBudget(t *testing.T) {
-	plan, err := faultinject.Parse(fmt.Sprintf("runctl.checkpoint.write:writeerr:every=1,count=%d", checkpointSaveAttempts))
+// TestFailedSaveReturnsCheckpointSaveError pins the error a failed save
+// surfaces, the type cli.Fail keys its resume hint on: an injected torn
+// write comes back as a *CheckpointSaveError wrapping the injected
+// fault, and a real IO failure (the checkpoint directory is a file)
+// takes the same type.
+func TestFailedSaveReturnsCheckpointSaveError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	type state struct{ N int }
+	plan, err := faultinject.Parse("runctl.checkpoint.write:writeerr:nth=1,bytes=3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	faultinject.Enable(plan)
-	defer faultinject.Disable()
-
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	err = SaveCheckpoint(path, "test.kind", "fp", struct{ N int }{1})
+	err = SaveCheckpoint(path, "test.kind", "fp", state{N: 1})
+	faultinject.Disable()
+	var se *CheckpointSaveError
 	var ie *faultinject.InjectedError
-	if !errors.As(err, &ie) {
-		t.Fatalf("SaveCheckpoint = %v, want the injected write error after budget", err)
+	if !errors.As(err, &se) || !errors.As(err, &ie) {
+		t.Fatalf("SaveCheckpoint under a torn write = %v, want a *CheckpointSaveError wrapping the injected fault", err)
+	}
+
+	if err := SaveCheckpoint(path, "test.kind", "fp", state{N: 2}); err != nil {
+		t.Fatal(err)
+	}
+	err = SaveCheckpoint(filepath.Join(path, "nested.ckpt"), "test.kind", "fp", state{N: 3})
+	if !errors.As(err, &se) {
+		t.Fatalf("SaveCheckpoint under a file named as its directory = %v, want a *CheckpointSaveError", err)
+	}
+	if errors.As(err, &ie) {
+		t.Errorf("a real IO failure = %v, claims to be injected", err)
 	}
 }

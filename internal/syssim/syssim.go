@@ -106,11 +106,9 @@ type System struct {
 	// Observability cells, resolved once at construction so the event
 	// loop pays one atomic per update. Strictly write-only: the
 	// simulation never reads them back.
-	eventsC    *obs.Counter
-	failuresC  *obs.Counter
-	catC       *obs.Counter
-	catGauge   *obs.Gauge
-	depthGauge *obs.Gauge
+	eventsC   *obs.Counter
+	failuresC *obs.Counter
+	catC      *obs.Counter
 }
 
 // New builds the simulator.
@@ -142,11 +140,9 @@ func New(cfg Config) (*System, error) {
 		rng:     rngsplit.Derive(cfg.Seed, streamEngine),
 		netBW:   bwmodel.New(l).PoolRepairBandwidth(),
 
-		eventsC:    obs.Default.Counter("syssim_events_total"),
-		failuresC:  obs.Default.Counter("syssim_disk_failures_total"),
-		catC:       obs.Default.Counter("syssim_cat_events_total"),
-		catGauge:   obs.Default.Gauge("syssim_pools_catastrophic"),
-		depthGauge: obs.Default.Gauge("syssim_event_queue_depth"),
+		eventsC:   obs.Default.Counter("syssim_events_total"),
+		failuresC: obs.Default.Counter("syssim_disk_failures_total"),
+		catC:      obs.Default.Counter("syssim_cat_events_total"),
 	}
 	n := l.TotalLocalPools()
 	s.onFailure = s.fireFailure
@@ -311,10 +307,9 @@ func RunContext(ctx context.Context, cfg Config, years float64, seed int64) (Sta
 	//mlec:hot datacenter event loop; every simulated failure and repair drains through here
 	for i := 0; ; i++ {
 		if i%pollEvery == 0 {
-			// Poll-point observability: queue depth and simulated span.
-			// Reads of engine state here feed metrics only, never flow
+			// Poll-point observability: the simulated span. Reads of
+			// engine state here feed the progress note only, never flow
 			// back into the simulation.
-			s.depthGauge.Set(int64(s.eng.Pending()))
 			//lint:allow hotalloc progress note renders once per 1024 events, amortized away
 			task.SetNote(fmt.Sprintf("simyears %.2f/%.2f", s.eng.Now()/failure.HoursPerYear, years))
 			//lint:allow hotalloc context poll is amortized to one dispatch per 1024 events
@@ -407,11 +402,9 @@ func (s *System) onCatastrophic(pool int) {
 		s.stats.CatastrophicEvents++
 		s.catC.Inc()
 		s.catPools++
-		c := s.catPools
-		s.catGauge.Set(int64(c))
 		obs.Trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvPoolCat, Pool: pool})
-		if c > s.stats.MaxConcurrentCatPools {
-			s.stats.MaxConcurrentCatPools = c
+		if s.catPools > s.stats.MaxConcurrentCatPools {
+			s.stats.MaxConcurrentCatPools = s.catPools
 		}
 		if s.cfg.Method.Blind() {
 			s.markWholePool(pool, true)
@@ -468,7 +461,6 @@ func (s *System) completeNetworkRepair(pool int) {
 	}
 	s.poolCat[pool] = false
 	s.catPools--
-	s.catGauge.Set(int64(s.catPools))
 	obs.Trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvPoolHeal, Pool: pool})
 	s.refreshMemberLost(pool)
 	// New damage may already have re-accumulated during the window.
