@@ -9,10 +9,10 @@ GO ?= go
 # drive its methods from several goroutines at once.
 RACE_PKGS = ./internal/burst ./internal/poolsim ./internal/rs ./internal/syssim ./internal/cluster ./internal/runctl ./internal/obs ./internal/faultinject
 
-.PHONY: check build vet lint test race stress bench bench-smoke bench-check fuzz obs-smoke chaos
+.PHONY: check build vet lint test examples race stress bench bench-smoke bench-check fuzz obs-smoke chaos
 
 ## check: build + vet + mlecvet + tests + race tests — the CI gate.
-check: build vet lint test bench-smoke bench-check race stress obs-smoke chaos
+check: build vet lint test examples bench-smoke bench-check race stress obs-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,11 @@ lint:
 
 test:
 	$(GO) test ./...
+
+## examples: run every examples/ program; each must exit 0 (go build
+## ./... only compiles them).
+examples:
+	set -e; for d in examples/*/; do echo "== go run ./$${d%/}"; $(GO) run ./$${d%/}; done
 
 ## race: race-detect the concurrent simulator packages and the state
 ## their workers share.

@@ -232,5 +232,5 @@ func EncodingThroughput(params Params, budget time.Duration) (float64, error) {
 	if budget <= 0 {
 		budget = 25 * time.Millisecond
 	}
-	return throughput.MeasureMLEC(params, throughput.DefaultShardBytes, budget)
+	return throughput.NewTable(throughput.DefaultShardBytes, budget).MLEC(params)
 }

@@ -219,12 +219,12 @@ type AblationCoresResult struct {
 // local (17+3) code — quantifying §5.1.2 F#2's remark that throughput can
 // be bought with cores at the cost of "imperfect parallelism".
 func AblationCores(opts Options) (*AblationCoresResult, error) {
-	dur := opts.size().measure * 3
+	tab := throughput.NewTable(1<<20, opts.size().measure*3)
 	params := paperParams()
 	res := &AblationCoresResult{Params: params}
 	base := 0.0
 	for _, workers := range []int{1, 2, 4, 8} {
-		v, err := throughput.MeasureRSParallel(params.KL, params.PL, 1<<20, workers, dur)
+		v, err := tab.RSParallel(params.KL, params.PL, workers)
 		if err != nil {
 			return nil, err
 		}

@@ -231,6 +231,38 @@ func TestFig12Quick(t *testing.T) {
 	}
 }
 
+// TestFig12TimesEachCodeOnce: a code's rate does not depend on its
+// placement, so within one Fig 12 run a params tuple's C/C point (panel A)
+// and C/D point (panel B), and one SLEC code's points on every placement,
+// carry the same rate, bit for bit. A label is "<scheme> <code>".
+func TestFig12TimesEachCodeOnce(t *testing.T) {
+	r, err := Fig12(quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	byCode := map[string][]TradeoffPoint{}
+	for _, p := range append(append([]TradeoffPoint{}, r.PanelA...), r.PanelB...) {
+		_, code, ok := strings.Cut(p.Label, " ")
+		if !ok {
+			t.Fatalf("label %q names no code", p.Label)
+		}
+		byCode[code] = append(byCode[code], p)
+	}
+	if len(byCode) != 6 {
+		t.Errorf("%d distinct codes, want 6 (3 MLEC, 3 SLEC)", len(byCode))
+	}
+	for code, pts := range byCode {
+		if len(pts) < 2 {
+			t.Errorf("%s: only %d point", code, len(pts))
+		}
+		for _, p := range pts[1:] {
+			if p.BytesPerSec != pts[0].BytesPerSec {
+				t.Errorf("%s: %s at %g B/s but %s at %g B/s", code, pts[0].Label, pts[0].BytesPerSec, p.Label, p.BytesPerSec)
+			}
+		}
+	}
+}
+
 func TestFig14(t *testing.T) {
 	r, err := Fig14(quickOpts())
 	if err != nil {

@@ -13,20 +13,33 @@ import (
 	"mlec/internal/throughput"
 )
 
+// Fig11Cell is one Figure 11 heatmap entry.
+type Fig11Cell struct {
+	K, P        int
+	BytesPerSec float64
+}
+
 // Fig11Result carries the encoding-throughput heatmap.
 type Fig11Result struct {
-	Cells []throughput.Cell
+	Cells []Fig11Cell
 }
 
 // Fig11 measures single-goroutine RS encoding throughput over the paper's
 // (k, p) grid (§5.1.1). Quick mode samples a sub-grid.
 func Fig11(opts Options) (*Fig11Result, error) {
 	sz := opts.size()
-	cells, err := throughput.Fig11Grid(sz.fig11Ks, sz.fig11Ps, throughput.DefaultShardBytes, sz.measure)
-	if err != nil {
-		return nil, err
+	tab := throughput.NewTable(throughput.DefaultShardBytes, sz.measure)
+	res := &Fig11Result{Cells: make([]Fig11Cell, 0, len(sz.fig11Ks)*len(sz.fig11Ps))}
+	for _, p := range sz.fig11Ps {
+		for _, k := range sz.fig11Ks {
+			v, err := tab.RS(k, p)
+			if err != nil {
+				return nil, err
+			}
+			res.Cells = append(res.Cells, Fig11Cell{K: k, P: p, BytesPerSec: v})
+		}
 	}
-	return &Fig11Result{Cells: cells}, nil
+	return res, nil
 }
 
 // Render prints the grid as CSV-like rows (k, p, GB/s).
@@ -78,8 +91,8 @@ var slecConfigs30 = []placement.SLECParams{
 
 // mlecTradeoffPoint evaluates one MLEC config: R_MIN durability via the
 // splitting composition (Markov stage 1 — the R_ALL-visible rate — with
-// the analytic lost-stripe fraction) and measured encoding throughput.
-func mlecTradeoffPoint(params placement.Params, scheme placement.Scheme, opts Options) (TradeoffPoint, error) {
+// the analytic lost-stripe fraction) and encoding throughput from tab.
+func mlecTradeoffPoint(params placement.Params, scheme placement.Scheme, opts Options, tab *throughput.Table) (TradeoffPoint, error) {
 	l, err := placement.NewLayout(paperTopo(), params, scheme)
 	if err != nil {
 		return TradeoffPoint{}, err
@@ -92,7 +105,7 @@ func mlecTradeoffPoint(params placement.Params, scheme placement.Scheme, opts Op
 	if err != nil {
 		return TradeoffPoint{}, err
 	}
-	tp, err := throughput.MeasureMLEC(params, throughput.DefaultShardBytes, opts.size().measure)
+	tp, err := tab.MLEC(params)
 	if err != nil {
 		return TradeoffPoint{}, err
 	}
@@ -105,12 +118,12 @@ func mlecTradeoffPoint(params placement.Params, scheme placement.Scheme, opts Op
 }
 
 // slecTradeoffPoint evaluates one SLEC config.
-func slecTradeoffPoint(params placement.SLECParams, pl placement.SLECPlacement, opts Options) (TradeoffPoint, error) {
+func slecTradeoffPoint(params placement.SLECParams, pl placement.SLECPlacement, opts Options, tab *throughput.Table) (TradeoffPoint, error) {
 	r, err := ecdur.SLEC(paperTopo(), params, pl, opts.lambda(), failure.DefaultDetectionDelayHours)
 	if err != nil {
 		return TradeoffPoint{}, err
 	}
-	tp, err := throughput.MeasureRS(params.K, params.P, throughput.DefaultShardBytes, opts.size().measure)
+	tp, err := tab.RS(params.K, params.P)
 	if err != nil {
 		return TradeoffPoint{}, err
 	}
@@ -122,42 +135,38 @@ func slecTradeoffPoint(params placement.SLECParams, pl placement.SLECPlacement, 
 	}, nil
 }
 
-// Fig12 builds the MLEC-vs-SLEC durability/throughput scatter (§5.1.2).
+// Fig12 builds the MLEC-vs-SLEC durability/throughput scatter (§5.1.2),
+// one panel per local placement: clustered, then declustered.
 func Fig12(opts Options) (*Fig12Result, error) {
+	sz := opts.size()
+	tab := throughput.NewTable(throughput.DefaultShardBytes, sz.measure)
 	res := &Fig12Result{}
-	n := opts.size().tradeoffs
-	for _, p := range head(mlecConfigs30, n) {
-		a, err := mlecTradeoffPoint(p, placement.SchemeCC, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.PanelA = append(res.PanelA, a)
-		b, err := mlecTradeoffPoint(p, placement.SchemeCD, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.PanelB = append(res.PanelB, b)
-	}
-	for _, p := range head(slecConfigs30, n) {
-		for _, pl := range []placement.SLECPlacement{placement.LocalCp, placement.NetworkCp} {
-			if _, err := placement.NewSLECLayout(paperTopo(), p, pl); err != nil {
-				continue // width doesn't divide this placement's pools
-			}
-			pt, err := slecTradeoffPoint(p, pl, opts)
+	for _, panel := range []struct {
+		pts    *[]TradeoffPoint
+		scheme placement.Scheme
+		slec   []placement.SLECPlacement
+	}{
+		{&res.PanelA, placement.SchemeCC, []placement.SLECPlacement{placement.LocalCp, placement.NetworkCp}},
+		{&res.PanelB, placement.SchemeCD, []placement.SLECPlacement{placement.LocalDp, placement.NetworkDp}},
+	} {
+		for _, p := range head(mlecConfigs30, sz.tradeoffs) {
+			pt, err := mlecTradeoffPoint(p, panel.scheme, opts, tab)
 			if err != nil {
 				return nil, err
 			}
-			res.PanelA = append(res.PanelA, pt)
+			*panel.pts = append(*panel.pts, pt)
 		}
-		for _, pl := range []placement.SLECPlacement{placement.LocalDp, placement.NetworkDp} {
-			if _, err := placement.NewSLECLayout(paperTopo(), p, pl); err != nil {
-				continue
+		for _, p := range head(slecConfigs30, sz.tradeoffs) {
+			for _, pl := range panel.slec {
+				if _, err := placement.NewSLECLayout(paperTopo(), p, pl); err != nil {
+					continue // width doesn't divide this placement's pools
+				}
+				pt, err := slecTradeoffPoint(p, pl, opts, tab)
+				if err != nil {
+					return nil, err
+				}
+				*panel.pts = append(*panel.pts, pt)
 			}
-			pt, err := slecTradeoffPoint(p, pl, opts)
-			if err != nil {
-				return nil, err
-			}
-			res.PanelB = append(res.PanelB, pt)
 		}
 	}
 	return res, nil
@@ -211,10 +220,11 @@ var lrcConfigs30 = []placement.LRCParams{
 
 // Fig15 builds the C/D-vs-LRC-Dp durability/throughput scatter (§5.2.2).
 func Fig15(opts Options) (*Fig15Result, error) {
-	res := &Fig15Result{}
 	sz := opts.size()
+	tab := throughput.NewTable(throughput.DefaultShardBytes, sz.measure)
+	res := &Fig15Result{}
 	for _, p := range head(mlecConfigs30, sz.tradeoffs) {
-		pt, err := mlecTradeoffPoint(p, placement.SchemeCD, opts)
+		pt, err := mlecTradeoffPoint(p, placement.SchemeCD, opts, tab)
 		if err != nil {
 			return nil, err
 		}
@@ -225,7 +235,7 @@ func Fig15(opts Options) (*Fig15Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tp, err := throughput.MeasureLRC(p.K, p.L, p.R, throughput.DefaultShardBytes, sz.measure)
+		tp, err := tab.LRC(p.K, p.L, p.R)
 		if err != nil {
 			return nil, err
 		}

@@ -25,122 +25,128 @@ import (
 // paper's 128 KiB chunks produce.
 const DefaultShardBytes = 128 << 10
 
-// measure runs encode in a loop for at least dur and returns the
-// data-ingest throughput in bytes/second (k data shards per iteration).
-func measure(encode func(shards [][]byte) error, shards [][]byte, dataShards, shardBytes int, dur time.Duration) (float64, error) {
-	// Warm up once (builds tables into cache, faults pages).
+// Table times erasure codes' encoding throughput, each distinct code at
+// most once. A rate depends on the code's shape and the kernel, not on
+// where its chunks are placed, so the first lookup of a code runs its
+// encoder in a loop for the table's budget and later lookups return the
+// stored rate. Every code encodes the same shard buffers, grown to the
+// widest code timed so far. A Table is not safe for concurrent use.
+type Table struct {
+	shardBytes int
+	budget     time.Duration
+	rates      map[code]float64
+	shards     [][]byte
+}
+
+// code names one timed encoder: a (k+p) Reed–Solomon code split across
+// `workers` goroutines when l == 0, a (k, l, p) LRC otherwise (an LRC has
+// at least one local group).
+type code struct{ k, l, p, workers int }
+
+// NewTable returns an empty table that encodes shards of shardBytes bytes
+// for at least budget per code. Every lookup that would time a code fails
+// unless both are positive.
+func NewTable(shardBytes int, budget time.Duration) *Table {
+	return &Table{shardBytes: shardBytes, budget: budget, rates: map[code]float64{}}
+}
+
+// RS returns the single-goroutine encoding throughput of a (k+p)
+// Reed–Solomon code in bytes of data per second.
+func (t *Table) RS(k, p int) (float64, error) { return t.RSParallel(k, p, 1) }
+
+// RSParallel is RS with each encode split across `workers` goroutines —
+// the paper's "more CPU cores" option for raising encoding throughput
+// (§5.1.2 F#2). Scaling is imperfect (memory bandwidth and split
+// overhead), which the ablation-cores experiment quantifies.
+func (t *Table) RSParallel(k, p, workers int) (float64, error) {
+	c := code{k: k, p: p, workers: workers}
+	if v, ok := t.rates[c]; ok {
+		return v, nil
+	}
+	if p == 0 {
+		return 0, fmt.Errorf("throughput: p=0 has nothing to encode")
+	}
+	codec, err := rs.New(k, p)
+	if err != nil {
+		return 0, err
+	}
+	encode := codec.Encode
+	if workers > 1 {
+		encode = func(shards [][]byte) error { return codec.EncodeParallel(shards, workers) }
+	}
+	return t.time(c, k+p, encode)
+}
+
+// LRC returns the single-goroutine encoding throughput of a (k, l, r)
+// LRC in bytes of data per second (both encoding stages).
+func (t *Table) LRC(k, l, r int) (float64, error) {
+	c := code{k: k, l: l, p: r, workers: 1}
+	if v, ok := t.rates[c]; ok {
+		return v, nil
+	}
+	codec, err := lrc.New(k, l, r)
+	if err != nil {
+		return 0, err
+	}
+	return t.time(c, codec.TotalShards(), codec.Encode)
+}
+
+// MLEC returns the end-to-end single-core MLEC encoding throughput in
+// bytes of user data per second: the two levels' RS rates, composed.
+func (t *Table) MLEC(params placement.Params) (float64, error) {
+	tn, err := t.RS(params.KN, params.PN)
+	if err != nil {
+		return 0, fmt.Errorf("throughput: network level: %w", err)
+	}
+	tl, err := t.RS(params.KL, params.PL)
+	if err != nil {
+		return 0, fmt.Errorf("throughput: local level: %w", err)
+	}
+	return Compose(params, tn, tl), nil
+}
+
+// Compose combines the network level's rate tn and the local level's
+// rate tl, each per byte of its own data, into MLEC's rate per user byte.
+// The network level's data is the user data. The local level encodes
+// all kn+pn network chunks, so it ingests (kn+pn)/kn bytes per user byte
+// and runs at tl·kn/(kn+pn) per user byte. One core runs both stages, so
+// their per-byte times add: the rates compose harmonically (a zero rate
+// composes to zero).
+func Compose(params placement.Params, tn, tl float64) float64 {
+	local := tl * float64(params.KN) / float64(params.KN+params.PN)
+	return 1 / (1/tn + 1/local)
+}
+
+// time runs encode over the first width shards in a loop for at least the
+// table's budget, after one warm-up call (builds tables into cache, faults
+// pages), and stores and returns the data-ingest rate (c.k data shards
+// per call) in bytes/second.
+func (t *Table) time(c code, width int, encode func(shards [][]byte) error) (float64, error) {
+	if t.shardBytes <= 0 || t.budget <= 0 {
+		return 0, fmt.Errorf("throughput: shard size %d bytes and budget %v must be positive", t.shardBytes, t.budget)
+	}
+	for i := len(t.shards); i < width; i++ {
+		shard := make([]byte, t.shardBytes)
+		for j := range shard {
+			shard[j] = byte(i*31 + j)
+		}
+		t.shards = append(t.shards, shard)
+	}
+	shards := t.shards[:width]
 	if err := encode(shards); err != nil {
 		return 0, err
 	}
 	var iters int
 	start := time.Now()
 	var elapsed time.Duration
-	for elapsed < dur {
+	for elapsed < t.budget {
 		if err := encode(shards); err != nil {
 			return 0, err
 		}
 		iters++
 		elapsed = time.Since(start)
 	}
-	bytes := float64(iters) * float64(dataShards) * float64(shardBytes)
-	return bytes / elapsed.Seconds(), nil
-}
-
-func makeShards(total, shardBytes int) [][]byte {
-	shards := make([][]byte, total)
-	for i := range shards {
-		shards[i] = make([]byte, shardBytes)
-		for j := range shards[i] {
-			shards[i][j] = byte(i*31 + j)
-		}
-	}
-	return shards
-}
-
-// MeasureRS returns the single-goroutine encoding throughput of a (k+p)
-// Reed–Solomon code in bytes of data per second.
-func MeasureRS(k, p, shardBytes int, dur time.Duration) (float64, error) {
-	if p == 0 {
-		return 0, fmt.Errorf("throughput: p=0 has nothing to encode")
-	}
-	codec, err := rs.New(k, p)
-	if err != nil {
-		return 0, err
-	}
-	return measure(codec.Encode, makeShards(k+p, shardBytes), k, shardBytes, dur)
-}
-
-// MeasureLRC returns the single-goroutine encoding throughput of a
-// (k, l, r) LRC in bytes of data per second (both encoding stages).
-func MeasureLRC(k, l, r, shardBytes int, dur time.Duration) (float64, error) {
-	codec, err := lrc.New(k, l, r)
-	if err != nil {
-		return 0, err
-	}
-	return measure(codec.Encode, makeShards(codec.TotalShards(), shardBytes), k, shardBytes, dur)
-}
-
-// MeasureMLEC returns the end-to-end MLEC encoding throughput: every
-// byte passes the network-level (kn+pn) encoder and then the local-level
-// (kl+pl) encoder, so the ingest rates compose harmonically.
-func MeasureMLEC(params placement.Params, shardBytes int, dur time.Duration) (float64, error) {
-	if err := params.Validate(); err != nil {
-		return 0, err
-	}
-	tn, err := MeasureRS(params.KN, params.PN, shardBytes, dur)
-	if err != nil {
-		return 0, fmt.Errorf("throughput: network level: %w", err)
-	}
-	tl, err := MeasureRS(params.KL, params.PL, shardBytes, dur)
-	if err != nil {
-		return 0, fmt.Errorf("throughput: local level: %w", err)
-	}
-	return Compose(tn, tl), nil
-}
-
-// Compose combines two pipeline stage throughputs: a byte spending
-// 1/a + 1/b seconds total flows at the harmonic composition.
-func Compose(a, b float64) float64 {
-	if a <= 0 || b <= 0 {
-		return 0
-	}
-	return 1 / (1/a + 1/b)
-}
-
-// Cell is one Figure 11 heatmap entry.
-type Cell struct {
-	K, P        int
-	BytesPerSec float64
-}
-
-// Fig11Grid measures the (k, p) encoding-throughput heatmap. ks and ps
-// select the grid; dur is the per-cell measurement budget.
-func Fig11Grid(ks, ps []int, shardBytes int, dur time.Duration) ([]Cell, error) {
-	cells := make([]Cell, 0, len(ks)*len(ps))
-	for _, p := range ps {
-		for _, k := range ks {
-			v, err := MeasureRS(k, p, shardBytes, dur)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, Cell{K: k, P: p, BytesPerSec: v})
-		}
-	}
-	return cells, nil
-}
-
-// MeasureRSParallel is MeasureRS with the encode split across `workers`
-// goroutines — the paper's "more CPU cores" option for raising encoding
-// throughput (§5.1.2 F#2). Scaling is imperfect (memory bandwidth and
-// split overhead), which the ablation-cores experiment quantifies.
-func MeasureRSParallel(k, p, shardBytes, workers int, dur time.Duration) (float64, error) {
-	if p == 0 {
-		return 0, fmt.Errorf("throughput: p=0 has nothing to encode")
-	}
-	codec, err := rs.New(k, p)
-	if err != nil {
-		return 0, err
-	}
-	encode := func(shards [][]byte) error { return codec.EncodeParallel(shards, workers) }
-	return measure(encode, makeShards(k+p, shardBytes), k, shardBytes, dur)
+	v := float64(iters) * float64(c.k) * float64(t.shardBytes) / elapsed.Seconds()
+	t.rates[c] = v
+	return v, nil
 }

@@ -9,8 +9,36 @@ import (
 
 const testDur = 8 * time.Millisecond
 
+// TestTableRejectsNonPositiveSizes: a non-positive budget or shard size
+// is an error. Timing 0 bytes for 0 s used to return NaN with a nil error.
+func TestTableRejectsNonPositiveSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		shardBytes int
+		budget     time.Duration
+	}{
+		{"zero budget", 1024, 0},
+		{"negative budget", 1024, -5},
+		{"zero shard", 0, testDur},
+		{"negative shard", -1024, testDur},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tab := NewTable(tc.shardBytes, tc.budget)
+			if v, err := tab.RS(10, 2); err == nil {
+				t.Errorf("RS(10, 2) = %g, want an error", v)
+			}
+			if v, err := tab.LRC(4, 2, 2); err == nil {
+				t.Errorf("LRC(4, 2, 2) = %g, want an error", v)
+			}
+			if v, err := tab.MLEC(placement.Params{KN: 4, PN: 1, KL: 4, PL: 1}); err == nil {
+				t.Errorf("MLEC = %g, want an error", v)
+			}
+		})
+	}
+}
+
 func TestMeasureRSPositive(t *testing.T) {
-	v, err := MeasureRS(10, 2, 16<<10, testDur)
+	v, err := NewTable(16<<10, testDur).RS(10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +56,12 @@ func TestMoreParityLowerThroughput(t *testing.T) {
 	// Figure 11's vertical trend: throughput falls as p grows. Parity
 	// work per data byte is proportional to p, so p=8 must be several
 	// times slower than p=1 — well beyond measurement noise.
-	lo, err := MeasureRS(10, 8, 16<<10, testDur)
+	tab := NewTable(16<<10, testDur)
+	lo, err := tab.RS(10, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := MeasureRS(10, 1, 16<<10, testDur)
+	hi, err := tab.RS(10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,44 +71,74 @@ func TestMoreParityLowerThroughput(t *testing.T) {
 }
 
 func TestMeasureRSErrors(t *testing.T) {
-	if _, err := MeasureRS(10, 0, 1024, testDur); err == nil {
+	tab := NewTable(1024, testDur)
+	if _, err := tab.RS(10, 0); err == nil {
 		t.Error("p=0 accepted")
 	}
-	if _, err := MeasureRS(0, 2, 1024, testDur); err == nil {
+	if _, err := tab.RS(0, 2); err == nil {
 		t.Error("k=0 accepted")
 	}
+	if _, err := tab.RSParallel(10, 0, 2); err == nil {
+		t.Error("p=0 accepted on 2 workers")
+	}
+	if _, err := tab.MLEC(placement.Params{KN: 4, PN: 1, KL: 4, PL: 0}); err == nil {
+		t.Error("local p=0 accepted")
+	}
 }
 
+// TestCompose checks the MLEC composition exactly on fixed stage rates:
+// the local level ingests (kn+pn)/kn bytes per user byte, and one core
+// adds the two levels' per-byte times.
 func TestCompose(t *testing.T) {
-	if got := Compose(100, 100); got != 50 {
-		t.Errorf("Compose(100,100) = %g", got)
+	params := placement.Params{KN: 4, PN: 1, KL: 17, PL: 3}
+	for _, tc := range []struct {
+		tn, tl, want float64
+	}{
+		// The local rate 10 per local byte is 8 per user byte:
+		// 1/(1/8 + 1/8) = 4, where the sum of the two rates' per-byte
+		// times without the factor would give 40/9.
+		{8, 10, 4},
+		{2, 5, 4.0 / 3},
+		{0, 10, 0},
+		{8, 0, 0},
+	} {
+		if got := Compose(params, tc.tn, tc.tl); got != tc.want {
+			t.Errorf("Compose(%v, %g, %g) = %g, want %g", params, tc.tn, tc.tl, got, tc.want)
+		}
 	}
-	if got := Compose(0, 100); got != 0 {
-		t.Errorf("Compose(0,100) = %g", got)
-	}
-	// Composition is bounded by the slower stage.
-	if got := Compose(10, 1000); got >= 10 {
-		t.Errorf("Compose not below min: %g", got)
+	// With pn = 0 the local level sees only user bytes.
+	if got := Compose(placement.Params{KN: 4, PN: 0, KL: 4, PL: 1}, 8, 8); got != 4 {
+		t.Errorf("pn=0: Compose = %g, want 4", got)
 	}
 }
 
+// TestMeasureMLEC: the table's MLEC rate is the composition of the two
+// levels' stored RS rates, and a shape shared by both levels is timed once.
 func TestMeasureMLEC(t *testing.T) {
-	params := placement.Params{KN: 4, PN: 1, KL: 4, PL: 1}
-	mlec, err := MeasureMLEC(params, 16<<10, testDur)
-	if err != nil {
-		t.Fatal(err)
+	tab := NewTable(16<<10, time.Millisecond)
+	for _, params := range []placement.Params{
+		{KN: 4, PN: 1, KL: 4, PL: 1},
+		{KN: 4, PN: 1, KL: 10, PL: 2},
+	} {
+		mlec, err := tab.MLEC(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Both shapes were stored by MLEC; a stored lookup cannot fail.
+		tn, _ := tab.RS(params.KN, params.PN)
+		tl, _ := tab.RS(params.KL, params.PL)
+		if want := Compose(params, tn, tl); mlec != want || mlec <= 0 {
+			t.Errorf("%v: MLEC %g, want Compose of the stored rates %g", params, mlec, want)
+		}
 	}
-	single, err := MeasureRS(4, 1, 16<<10, testDur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mlec <= 0 || mlec >= single {
-		t.Errorf("MLEC throughput %g must be positive and below one stage's %g", mlec, single)
+	if len(tab.rates) != 2 {
+		t.Errorf("timed %d codes, want 2: (4+1) and (10+2)", len(tab.rates))
 	}
 }
 
 func TestMeasureLRC(t *testing.T) {
-	v, err := MeasureLRC(4, 2, 2, 16<<10, testDur)
+	tab := NewTable(16<<10, testDur)
+	v, err := tab.LRC(4, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,30 +148,43 @@ func TestMeasureLRC(t *testing.T) {
 	// LRC(4,2,2): 2 XOR locals + 2 RS globals; must be slower than a
 	// plain (4+1) RS but faster than... at least positive and slower
 	// than the single-parity code.
-	rsv, err := MeasureRS(4, 1, 16<<10, testDur)
+	rsv, err := tab.RS(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v >= rsv {
 		t.Errorf("LRC (%g) should not beat (4+1) RS (%g)", v, rsv)
 	}
-	if _, err := MeasureLRC(5, 2, 2, 1024, testDur); err == nil {
+	if _, err := tab.LRC(5, 2, 2); err == nil {
 		t.Error("k%l != 0 accepted")
 	}
 }
 
+// TestFig11GridShape: a (k, p) grid through one table times each cell
+// once, and looking a cell up again returns the same rate, bit for bit.
 func TestFig11GridShape(t *testing.T) {
-	cells, err := Fig11Grid([]int{2, 10}, []int{1, 4}, 8<<10, testDur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 4 {
-		t.Fatalf("%d cells", len(cells))
-	}
-	for _, c := range cells {
-		if c.BytesPerSec <= 0 {
-			t.Errorf("cell (%d,%d) zero throughput", c.K, c.P)
+	tab := NewTable(8<<10, testDur)
+	first := map[[2]int]float64{}
+	for pass := 0; pass < 2; pass++ {
+		for _, p := range []int{1, 4} {
+			for _, k := range []int{2, 10} {
+				v, err := tab.RS(k, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v <= 0 {
+					t.Errorf("cell (%d,%d) zero throughput", k, p)
+				}
+				if pass == 0 {
+					first[[2]int{k, p}] = v
+				} else if v != first[[2]int{k, p}] {
+					t.Errorf("cell (%d,%d) re-timed: %g then %g", k, p, first[[2]int{k, p}], v)
+				}
+			}
 		}
+	}
+	if len(tab.rates) != 4 || len(tab.shards) != 14 {
+		t.Errorf("%d codes timed over %d shards, want 4 over 14", len(tab.rates), len(tab.shards))
 	}
 }
 
@@ -120,19 +192,17 @@ func TestMeasureRSParallel(t *testing.T) {
 	// Correct throughput at 1 and many workers; multi-worker must not
 	// be catastrophically slower (perfect scaling isn't asserted — CI
 	// machines vary — only sanity).
-	one, err := MeasureRSParallel(10, 4, 512<<10, 1, 30*time.Millisecond)
+	tab := NewTable(512<<10, 30*time.Millisecond)
+	one, err := tab.RSParallel(10, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := MeasureRSParallel(10, 4, 512<<10, 4, 30*time.Millisecond)
+	many, err := tab.RSParallel(10, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("(10+4) encode: 1 worker %.0f MB/s, 4 workers %.0f MB/s", one/1e6, many/1e6)
 	if many < one/2 {
 		t.Errorf("parallel encode collapsed: %g vs %g", many, one)
-	}
-	if _, err := MeasureRSParallel(10, 0, 1024, 2, time.Millisecond); err == nil {
-		t.Error("p=0 accepted")
 	}
 }
