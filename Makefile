@@ -43,12 +43,11 @@ examples:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-## stress: repeat the cancellation / checkpoint-resume and watchdog
-## tests under the race detector — mid-run cancels exercise the pool
-## drain paths, and a stall trip the watchdog's stop join, that a single
-## pass can miss.
+## stress: repeat the cancellation and checkpoint-resume tests under
+## the race detector — mid-run cancels exercise the pool drain paths
+## that a single pass can miss.
 stress:
-	$(GO) test -race -count=3 -run 'Cancel|Resume|Partial|Context|Pool|Watchdog|Checkpoint' \
+	$(GO) test -race -count=3 -run 'Cancel|Resume|Partial|Context|Pool|Checkpoint' \
 		./internal/runctl ./internal/poolsim ./internal/burst ./internal/syssim
 
 ## obs-smoke: prove observability is inert. Builds mlecdur/mlecburst,

@@ -1,6 +1,6 @@
 // Package cli is the front mlecdur, mlecburst and mlecsim share: the
 // flags a campaign takes (seed, code, scheme, AFR, timeout, checkpoint,
-// watchdog, observability and chaos) and their checks, the run's
+// observability and chaos) and their checks, the run's
 // context, the exits that flush observability first, and the epilogue of
 // an interrupted campaign.
 package cli
@@ -26,23 +26,22 @@ type Command struct {
 	Seed       int64
 	Checkpoint string
 
-	name              string
-	timeout, watchdog time.Duration
-	obs               *obs.CLIFlags
-	chaos             *faultinject.CLIFlags
-	stops             []func() // what Start activated, in order
+	name    string
+	timeout time.Duration
+	obs     *obs.CLIFlags
+	chaos   *faultinject.CLIFlags
+	stops   []func() // what Start activated, in order
 }
 
 // New binds the flags every command takes on the default flag set:
 // -seed, -timeout (a run that times out leaves partial results, or
-// renders), -checkpoint (described by checkpointHelp), -watchdog, and the
+// renders), -checkpoint (described by checkpointHelp), and the
 // observability and chaos flags.
 func New(name, partial, checkpointHelp string) *Command {
 	c := &Command{name: name}
 	flag.Int64Var(&c.Seed, "seed", 1, "RNG seed")
 	flag.DurationVar(&c.timeout, "timeout", 0, "wall-clock budget (0 = none); partial "+partial+" on expiry")
 	flag.StringVar(&c.Checkpoint, "checkpoint", "", checkpointHelp)
-	flag.DurationVar(&c.watchdog, "watchdog", 0, "stall watchdog interval (0 = off); warns when live workers stop progressing")
 	c.obs = obs.BindCLIFlags(flag.CommandLine)
 	c.chaos = faultinject.BindCLIFlags(flag.CommandLine)
 	return c
@@ -107,9 +106,9 @@ func (c *Command) Usage(format string, args ...any) {
 }
 
 // Start activates observability and chaos and returns the run's context:
-// cancelled by -timeout or the first SIGINT/SIGTERM, watched by
-// -watchdog. An error comes before any work, for the caller to report
-// as a usage error; otherwise defer Stop.
+// cancelled by -timeout or the first SIGINT/SIGTERM. An error comes
+// before any work, for the caller to report as a usage error; otherwise
+// defer Stop.
 func (c *Command) Start() (context.Context, error) {
 	c.obs.SetSeed(c.Seed)
 	stopObs, err := c.obs.Activate(os.Stderr)
@@ -122,13 +121,12 @@ func (c *Command) Start() (context.Context, error) {
 		return nil, err
 	}
 	ctx, cancel := runctl.CLIContext(c.timeout)
-	c.stops = append(c.stops, stopChaos, cancel, runctl.StartWatchdog(c.watchdog, os.Stderr))
+	c.stops = append(c.stops, stopChaos, cancel)
 	return ctx, nil
 }
 
-// Stop ends the run in the reverse order of Start: the watchdog, the
-// context, chaos, then observability, which flushes its trace and writes
-// the run report.
+// Stop ends the run in the reverse order of Start: the context, chaos,
+// then observability, which flushes its trace and writes the run report.
 func (c *Command) Stop() {
 	for i := len(c.stops) - 1; i >= 0; i-- {
 		c.stops[i]()

@@ -8,8 +8,8 @@
 // faults, and the only way to trust that it does is to inject them on
 // purpose, deterministically, in CI. This package provides the
 // injection half of that loop; internal/runctl provides the recovery
-// half (panic containment, checkpoint resume and generations, the stall
-// watchdog). Every fault ends the run it lands in; recovery is
+// half (panic containment, checkpoint resume and generations). Every
+// fault ends the run it lands in; recovery is
 // re-running the same command, which resumes from the last committed
 // checkpoint.
 //
@@ -34,6 +34,11 @@
 // fixed hit; at a worker site it names the pool round the hit falls
 // in, since a round's workers all finish before the next round starts,
 // but not which of the round's streams takes it.
+//
+// A fire ticks faultinject_injected_total and emits no trace event:
+// worker sites fire in goroutine order, and the trace records only the
+// simulation, so a fixed seed writes the same trace with or without a
+// plan.
 //
 // # Spec grammar
 //
@@ -170,17 +175,8 @@ func Disable() { active.Store(nil) }
 // Enabled reports whether a plan is armed.
 func Enabled() bool { return active.Load() != nil }
 
-// injected ticks once per fire; the fault_injected trace event carries
-// the point, kind and stream.
+// injected ticks once per fire.
 var injected = obs.Default.Counter("faultinject_injected_total")
-
-func recordFire(point string, kind Kind, stream int64) {
-	injected.Inc()
-	obs.Trace.Emit(obs.TraceEvent{
-		Kind: obs.EvFaultInjected,
-		Note: fmt.Sprintf("%s %s stream=%d", point, kind, stream),
-	})
-}
 
 // trigger decides whether this hit of the rule fires. It owns all
 // mutable rule state; decisions are deterministic given the hit order
@@ -219,7 +215,7 @@ func Fire(point string, stream int64) error {
 	if !rs.trigger(plan.Seed, stream) {
 		return nil
 	}
-	recordFire(point, rs.rule.Kind, stream)
+	injected.Inc()
 	switch rs.rule.Kind {
 	case KindPanic:
 		//lint:allow nakedpanic injecting a worker panic is this package's contract; runctl's containment converts it back into an error
@@ -249,7 +245,7 @@ func Writer(point string, stream int64, w io.Writer) io.Writer {
 	if !rs.trigger(plan.Seed, stream) {
 		return w
 	}
-	recordFire(point, KindWriteError, stream)
+	injected.Inc()
 	return &faultyWriter{
 		w:      w,
 		remain: rs.rule.Bytes,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"io"
 	"slices"
 	"strings"
 	"sync"
@@ -257,6 +258,39 @@ func TestPanicKindPanicsTyped(t *testing.T) {
 	}()
 	_ = Fire("pt", 11)
 	t.Fatal("Fire did not panic")
+}
+
+// TestFireLeavesNoTraceEvent pins the trace as a record of the
+// simulation alone: a Fire and a Writer that trigger return their typed
+// faults and tick the injected counter, and a running trace stays
+// empty.
+func TestFireLeavesNoTraceEvent(t *testing.T) {
+	arm(t, "pt:error:nth=1;wp:writeerr:nth=1")
+	total := obs.Default.Counter("faultinject_injected_total")
+	before := total.Value()
+	var trace bytes.Buffer
+	if err := obs.Trace.Start(&trace); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { obs.Trace.Stop() })
+	fireErr := Fire("pt", 3)
+	_, writeErr := Writer("wp", 4, io.Discard).Write([]byte("x"))
+	if err := obs.Trace.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	var ie *InjectedError
+	if !errors.As(fireErr, &ie) || ie.Point != "pt" || ie.Kind != KindError || ie.Stream != 3 {
+		t.Errorf("Fire = %v, want the injected error at pt on stream 3", fireErr)
+	}
+	if !errors.As(writeErr, &ie) || ie.Point != "wp" || ie.Kind != KindWriteError {
+		t.Errorf("Write = %v, want the injected write error at wp", writeErr)
+	}
+	if d := total.Value() - before; d != 2 {
+		t.Errorf("faultinject_injected_total advanced by %d, want 2", d)
+	}
+	if trace.Len() != 0 {
+		t.Errorf("injected faults wrote to the trace:\n%s", trace.String())
+	}
 }
 
 func TestWriterPartialAndFailedWrites(t *testing.T) {

@@ -90,7 +90,8 @@ func runBinary(t *testing.T, bin string, args ...string) (stdout, stderr []byte)
 // without the full observability stack (-progress, -trace-out,
 // -span-out, -run-report, -profile-dir) must print the same bytes to
 // stdout, and so must a checkpointed run whose second save fails under
-// chaos and is then resumed. It also checks that the live signals
+// chaos and is then resumed. A checkpointed run writes the same trace
+// as a plain one. It also checks that the live signals
 // arrive: the progress line names the engine's task on stderr, and the
 // run report counts the engine's unit of work.
 func TestCLIInertness(t *testing.T) {
@@ -152,12 +153,21 @@ func TestCLIInertness(t *testing.T) {
 				t.Fatalf("resume after a failed save changed a fixed-seed run's stdout.\nplain:\n%s\nresumed:\n%s",
 					plain, resumed)
 			}
-			f, err := os.Open(tracePath)
+			// The trace records the simulation, not how the process ran
+			// it: a checkpointed run writes the same bytes.
+			trace, err := os.ReadFile(tracePath)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer f.Close()
-			evs, err := obs.ParseTraceEvents(f)
+			ckTracePath := filepath.Join(dir, "ckpt.trace")
+			runBinary(t, bin, append(append([]string(nil), tc.args...),
+				"-checkpoint", filepath.Join(dir, "fresh.ckpt"), "-trace-out", ckTracePath)...)
+			if ckTrace, err := os.ReadFile(ckTracePath); err != nil {
+				t.Fatal(err)
+			} else if !bytes.Equal(trace, ckTrace) {
+				t.Fatalf("-checkpoint changed a fixed-seed run's trace.\nplain:\n%s\ncheckpointed:\n%s", trace, ckTrace)
+			}
+			evs, err := obs.ParseTraceEvents(bytes.NewReader(trace))
 			if err != nil {
 				t.Fatalf("trace file does not parse: %v", err)
 			}

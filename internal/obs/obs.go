@@ -1,12 +1,12 @@
 // Package obs is the stdlib-only observability layer shared by every
 // Monte-Carlo engine in this repository: an atomic metrics registry of
 // two kinds (integer counters and gauges) keyed by bare Prometheus-style
-// metric names, one series per name; a structured progress tracker
-// (ETA, trials/sec, splitting-level occupancy, CI width); a
-// simulated-time trace recorder emitting JSONL events; and wall-clock
-// causal spans. Each quantity has one home: a rate is a counter over
-// time (the progress task derives it), a level's wall time is its span,
-// occupancy and CI width live on the progress task.
+// metric names, one series per name; a progress tracker (done/goal,
+// rate, ETA and a note the engine writes); a simulated-time trace
+// recorder emitting JSONL events; and wall-clock causal spans. Each
+// quantity has one home: a rate is a counter over time (the progress
+// task derives it), a level's wall time is its span, occupancy and CI
+// width are the splitting task's progress note.
 //
 // Each signal leaves the process exactly one way, and only when a cmd/
 // binary asks for it: counters through -run-report (the JSON document
@@ -26,7 +26,10 @@
 //   - progress tasks are plain atomic tallies, rendered only by an
 //     opt-in reporter goroutine writing to stderr;
 //   - trace emission is gated on a single atomic bool and records only
-//     simulated-time facts the engine already computed;
+//     simulation facts the engine already computed, from single-threaded
+//     sites; run control (checkpoints, injected faults) emits none, so
+//     a fixed seed writes the same trace with or without -checkpoint
+//     and -chaos;
 //   - nothing in this package touches an RNG stream, an event queue, or
 //     any value that flows into statistics.
 //

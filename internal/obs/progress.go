@@ -23,8 +23,8 @@ var Progress = &Tracker{}
 
 // Task is one unit of tracked work: a splitting run, a batch sweep, a
 // heatmap grid. Work counts are atomics so hot loops can tick them
-// without locks; the descriptive fields (level, occupancy, CI width)
-// are updated at stage boundaries under a mutex.
+// without locks; the note, where an engine describes its stage, is
+// updated at stage boundaries under a mutex.
 //
 // The wall-clock start time lives here, inside obs — engines never
 // read the clock themselves, which is what keeps the walltime analyzer
@@ -39,14 +39,6 @@ type Task struct {
 	goal     int64        // <= 0 means unknown; fixed at StartTask
 
 	mu sync.Mutex
-	// guarded by mu
-	level int
-	// guarded by mu
-	maxLevel int
-	// guarded by mu
-	occupancy float64 // meaningful when level > 0
-	// guarded by mu
-	ciWidth float64 // meaningful when > 0
 	// guarded by mu
 	note string
 }
@@ -86,27 +78,6 @@ func (task *Task) SetDone(v int64) {
 	task.done.Store(v)
 }
 
-// SetLevel records the current and maximum splitting level.
-func (task *Task) SetLevel(level, maxLevel int) {
-	task.mu.Lock()
-	task.level, task.maxLevel = level, maxLevel
-	task.mu.Unlock()
-}
-
-// SetOccupancy records the splitting-level entry occupancy in [0,1].
-func (task *Task) SetOccupancy(v float64) {
-	task.mu.Lock()
-	task.occupancy = v
-	task.mu.Unlock()
-}
-
-// SetCIWidth records the running confidence-interval width.
-func (task *Task) SetCIWidth(v float64) {
-	task.mu.Lock()
-	task.ciWidth = v
-	task.mu.Unlock()
-}
-
 // SetNote attaches a free-form annotation rendered after the ETA.
 func (task *Task) SetNote(s string) {
 	task.mu.Lock()
@@ -116,29 +87,18 @@ func (task *Task) SetNote(s string) {
 
 // TaskSnapshot is one rendered task state.
 type TaskSnapshot struct {
-	Name      string
-	Done      int64
-	Goal      int64 // <= 0 when unknown
-	Elapsed   time.Duration
-	PerSec    float64       // work units run per wall second, restored work excluded
-	ETA       time.Duration // < 0 when unknown
-	Level     int
-	MaxLevel  int
-	Occupancy float64
-	CIWidth   float64
-	Note      string
+	Name    string
+	Done    int64
+	Goal    int64 // <= 0 when unknown
+	Elapsed time.Duration
+	PerSec  float64       // work units run per wall second, restored work excluded
+	ETA     time.Duration // < 0 when unknown
+	Note    string
 }
 
 func (task *Task) snapshot(now time.Time) TaskSnapshot {
 	task.mu.Lock()
-	s := TaskSnapshot{
-		Name:      task.name,
-		Level:     task.level,
-		MaxLevel:  task.maxLevel,
-		Occupancy: task.occupancy,
-		CIWidth:   task.ciWidth,
-		Note:      task.note,
-	}
+	s := TaskSnapshot{Name: task.name, Note: task.note}
 	task.mu.Unlock()
 	s.Done = task.done.Load()
 	s.Goal = task.goal
@@ -186,12 +146,6 @@ func (t *Tracker) Render(w io.Writer, reg *Registry) {
 		}
 		if s.ETA >= 0 {
 			line += fmt.Sprintf(" eta %s", s.ETA.Round(time.Second))
-		}
-		if s.MaxLevel > 0 {
-			line += fmt.Sprintf(" level %d/%d occ %.3f", s.Level, s.MaxLevel, s.Occupancy)
-		}
-		if s.CIWidth > 0 {
-			line += fmt.Sprintf(" ci %.3g", s.CIWidth)
 		}
 		if s.Note != "" {
 			line += " " + s.Note

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"strings"
@@ -15,10 +16,7 @@ func TestProgressTaskLifecycle(t *testing.T) {
 	task := tr.StartTask("unit.test", 100)
 	defer task.Finish()
 	task.Add(25)
-	task.SetLevel(2, 6)
-	task.SetOccupancy(0.4)
-	task.SetCIWidth(0.01)
-	task.SetNote("warming")
+	task.SetNote("level 2/6 occ 0.400 ci 0.01")
 	snaps := tr.Snapshots()
 	if len(snaps) != 1 {
 		t.Fatalf("got %d snapshots, want 1", len(snaps))
@@ -27,7 +25,7 @@ func TestProgressTaskLifecycle(t *testing.T) {
 	if s.Name != "unit.test" || s.Done != 25 || s.Goal != 100 {
 		t.Fatalf("snapshot %+v", s)
 	}
-	if s.Level != 2 || s.MaxLevel != 6 || s.Occupancy != 0.4 || s.CIWidth != 0.01 || s.Note != "warming" {
+	if s.Note != "level 2/6 occ 0.400 ci 0.01" {
 		t.Fatalf("snapshot detail %+v", s)
 	}
 }
@@ -55,11 +53,11 @@ func TestProgressRender(t *testing.T) {
 
 	task := tr.StartTask("render.test", 10)
 	task.Add(5)
-	task.SetLevel(1, 3)
+	task.SetNote("level 1/3 occ 0.000")
 	var out bytes.Buffer
 	tr.Render(&out, reg)
 	line := out.String()
-	for _, frag := range []string{"render.test", "5/10", "50.0%", "level 1/3", "workers live 4"} {
+	for _, frag := range []string{"render.test", "5/10", "50.0%", " level 1/3 occ 0.000 (workers live 4)"} {
 		if !strings.Contains(line, frag) {
 			t.Errorf("render %q missing %q", line, frag)
 		}
@@ -93,16 +91,15 @@ func TestResumedTaskRateExcludesRestoredWork(t *testing.T) {
 // the reporter renders it, the way a splitting run and -progress share
 // a task. Each setter gets two goroutines of its own, so no other
 // setter's lock orders their writes: under -race this is the task's
-// data-race certificate.
+// data-race certificate. The two note writers differ, so the surviving
+// note must be one of them whole.
 func TestTaskConcurrentUpdates(t *testing.T) {
 	const each = 200
 	tr := &Tracker{}
 	task := tr.StartTask("concurrent.test", 2*each)
 	setters := []func(i int){
-		func(i int) { task.SetLevel(i, each) },
-		func(i int) { task.SetOccupancy(0.5) },
-		func(i int) { task.SetCIWidth(0.1) },
-		func(i int) { task.SetNote("worker") },
+		func(i int) { task.SetNote("level 1/6 occ 0.500") },
+		func(i int) { task.SetNote(fmt.Sprintf("level %d/%d occ 0.500 ci 0.1", i, each)) },
 		func(i int) { task.Add(1) },
 		func(i int) { tr.Render(io.Discard, NewRegistry()) },
 	}
@@ -123,7 +120,7 @@ func TestTaskConcurrentUpdates(t *testing.T) {
 	close(start)
 	wg.Wait()
 	s := tr.Snapshots()[0]
-	if s.Done != 2*each || s.MaxLevel != each || s.Note != "worker" {
+	if s.Done != 2*each || (s.Note != "level 1/6 occ 0.500" && s.Note != fmt.Sprintf("level %d/%d occ 0.500 ci 0.1", each-1, each)) {
 		t.Fatalf("snapshot %+v after concurrent updates", s)
 	}
 }

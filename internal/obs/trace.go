@@ -11,23 +11,19 @@ import (
 	"sync/atomic"
 )
 
-// Trace event kinds. All times are simulated hours — the recorder
-// never stamps wall-clock time, so a fixed-seed run produces an
-// identical trace on any host.
+// Trace event kinds: simulation facts only. Times are simulated hours,
+// and a level_promotion's clock is its splitting level. The recorder
+// never stamps wall-clock time and run control (checkpoint saves and
+// fallbacks, injected faults) emits nothing, so a fixed-seed run
+// produces an identical trace on any host, with or without -checkpoint
+// and -chaos.
 const (
 	EvFailure        = "failure"         // a disk failed
 	EvRepairStart    = "repair_start"    // a repair began (local or network)
 	EvRepairEnd      = "repair_end"      // a repair completed
 	EvPoolCat        = "pool_cat"        // a pool crossed into catastrophic state
 	EvPoolHeal       = "pool_heal"       // a catastrophic pool fully re-protected
-	EvCheckpoint     = "checkpoint"      // a run-control checkpoint was saved
 	EvLevelPromotion = "level_promotion" // a splitting run advanced one level
-
-	// Fault-tolerance events (see internal/faultinject and the
-	// recovery paths in internal/runctl).
-	EvFaultInjected      = "fault_injected"      // the chaos harness fired a rule
-	EvCheckpointFallback = "checkpoint_fallback" // a corrupt checkpoint fell back a generation
-	EvStall              = "stall"               // the watchdog saw live workers make no progress
 )
 
 // eventKindDescriptions is the single source of truth for the kinds
@@ -36,16 +32,12 @@ const (
 // constant without a row here makes every trace containing it
 // unparseable, which is how the set stays in sync.
 var eventKindDescriptions = map[string]string{
-	EvFailure:            "disk failed",
-	EvRepairStart:        "repair began",
-	EvRepairEnd:          "repair completed",
-	EvPoolCat:            "pool went catastrophic",
-	EvPoolHeal:           "pool fully re-protected",
-	EvCheckpoint:         "checkpoint saved",
-	EvLevelPromotion:     "splitting run advanced one level",
-	EvFaultInjected:      "chaos harness fired a rule",
-	EvCheckpointFallback: "corrupt checkpoint fell back a generation",
-	EvStall:              "watchdog saw live workers make no progress",
+	EvFailure:        "disk failed",
+	EvRepairStart:    "repair began",
+	EvRepairEnd:      "repair completed",
+	EvPoolCat:        "pool went catastrophic",
+	EvPoolHeal:       "pool fully re-protected",
+	EvLevelPromotion: "splitting run advanced one level",
 }
 
 // KnownEventKinds returns every event kind the tree emits with its

@@ -106,15 +106,15 @@ func TestRecorderRestartResetsSequence(t *testing.T) {
 	if err := rec.Start(&first); err != nil {
 		t.Fatal(err)
 	}
-	rec.Emit(TraceEvent{Kind: EvCheckpoint})
-	rec.Emit(TraceEvent{Kind: EvCheckpoint})
+	rec.Emit(TraceEvent{Kind: EvLevelPromotion})
+	rec.Emit(TraceEvent{Kind: EvLevelPromotion})
 	if err := rec.Stop(); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Start(&second); err != nil {
 		t.Fatal(err)
 	}
-	rec.Emit(TraceEvent{Kind: EvCheckpoint})
+	rec.Emit(TraceEvent{Kind: EvLevelPromotion})
 	if err := rec.Stop(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestRecorderFlushesAtThreshold(t *testing.T) {
 	}
 	long := strings.Repeat("x", 1024)
 	for i := 0; i < traceFlushThreshold/1024+2; i++ {
-		rec.Emit(TraceEvent{Kind: EvCheckpoint, Note: long})
+		rec.Emit(TraceEvent{Kind: EvLevelPromotion, Note: long})
 	}
 	if sink.Len() == 0 {
 		t.Fatal("buffer never flushed despite crossing the threshold")
@@ -145,9 +145,24 @@ func TestRecorderFlushesAtThreshold(t *testing.T) {
 	}
 }
 
+// TestKnownEventKindsAreSimulationFacts pins the trace's vocabulary:
+// syssim's five kinds and the splitting level boundary, nothing about
+// how the process was run.
+func TestKnownEventKindsAreSimulationFacts(t *testing.T) {
+	want := []string{EvFailure, EvLevelPromotion, EvPoolCat, EvPoolHeal, EvRepairEnd, EvRepairStart}
+	var got []string
+	for _, kv := range SortedSnapshot(KnownEventKinds()) {
+		got = append(got, kv.Key)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("KnownEventKinds = %v, want %v", got, want)
+	}
+}
+
 func TestParseTraceRejects(t *testing.T) {
 	bad := map[string]string{
 		"unknown kind":   `{"seq":1,"t":0,"kind":"made_up"}`,
+		"run control":    `{"seq":1,"t":0,"kind":"checkpoint"}`,
 		"repeated seq":   "{\"seq\":1,\"kind\":\"failure\"}\n{\"seq\":1,\"kind\":\"failure\"}",
 		"decreasing seq": "{\"seq\":2,\"kind\":\"failure\"}\n{\"seq\":1,\"kind\":\"failure\"}",
 		"zero seq":       `{"seq":0,"kind":"failure"}`,

@@ -24,10 +24,7 @@ type SplitConfig struct {
 	// TrajectoriesPerLevel is the number of trajectories simulated at
 	// each level (default 20000).
 	TrajectoriesPerLevel int
-	// MaxLevel caps the cascade depth (default pl+3): contributions
-	// from deeper levels are O((λ·T_repair)^depth) smaller.
-	MaxLevel int
-	Seed     int64
+	Seed                 int64
 	// CheckpointPath, when non-empty, persists the estimator state
 	// after every completed level (versioned, atomic; see runctl) and
 	// resumes from a compatible checkpoint at the same path. A resumed
@@ -51,9 +48,6 @@ type SplitResult struct {
 	// CatFractions[i] = P(the up-transition out of level i+1 is
 	// catastrophic | entered level i+1).
 	CatFractions []float64
-	// LevelTrajectories[i] is the number of trajectories that produced
-	// the level-(i+1) tallies.
-	LevelTrajectories []int
 	// CatRatePerPoolHour is the assembled catastrophic event rate.
 	CatRatePerPoolHour float64
 	// CatRateLo and CatRateHi bound the rate at 95% confidence:
@@ -66,11 +60,6 @@ type SplitResult struct {
 	CatRateLo, CatRateHi float64
 	// Samples holds pool states at (simulated) catastrophic events.
 	Samples []CatSample
-	// EntryShortfall lists the levels entered from fewer than n/10
-	// snapshots for n trajectories a level. Every level draws its
-	// trajectories' entries with replacement; these levels rest on so few
-	// distinct entries that their estimate is correspondingly unsure.
-	EntryShortfall []int
 	// Partial marks an estimate cut short by context cancellation or
 	// deadline: levels beyond the last completed one are missing and
 	// CatRateHi carries the full unexplored-tail bound. A partially
@@ -101,7 +90,9 @@ func trajSeed(seed int64, level, i int) int64 {
 // the next trajectory boundary, drains in-flight trajectories, and
 // returns the completed levels as a Partial estimate with a widened
 // confidence interval. With a CheckpointPath the run resumes from the
-// last completed level instead of restarting.
+// last completed level instead of restarting. The cascade stops at
+// level pl+3: contributions from deeper levels are O((λ·T_repair)^depth)
+// smaller, and CatRateHi bounds them.
 func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc SplitConfig) (SplitResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return SplitResult{}, err
@@ -110,13 +101,7 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 	if n <= 0 {
 		n = 20000
 	}
-	maxLevel := sc.MaxLevel
-	if maxLevel <= 0 {
-		maxLevel = cfg.Parity + 3
-	}
-	if maxLevel < cfg.Parity+1 {
-		return SplitResult{}, fmt.Errorf("poolsim: MaxLevel %d below pl+1 = %d", maxLevel, cfg.Parity+1)
-	}
+	maxLevel := cfg.Parity + 3
 	base, err := NewPool(cfg, sc.Seed)
 	if err != nil {
 		return SplitResult{}, err
@@ -167,6 +152,16 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 	task.SetDone(int64(startLevel-1) * int64(n))
 	trialCount := obs.Default.Counter("poolsim_split_trajectories_total")
 	campSpan := obs.StartSpan("poolsim.split")
+	// The progress note names the level in flight, the entry occupancy
+	// and the running CI width of the last completed one.
+	var occ, ciw float64
+	levelNote := func(level int) {
+		note := fmt.Sprintf("level %d/%d occ %.3f", level, maxLevel, occ)
+		if ciw > 0 {
+			note += fmt.Sprintf(" ci %.3g", ciw)
+		}
+		task.SetNote(note)
+	}
 	lastLevel := startLevel - 1
 	defer func() {
 		if campSpan != nil {
@@ -180,7 +175,7 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 			break
 		}
 		entries := st.Entries
-		task.SetLevel(level, maxLevel)
+		levelNote(level)
 		levelSpan := campSpan.Child("poolsim.level")
 		// Trajectories are independent given the entry set; run them on
 		// all CPUs through the runctl pool so a panicking trajectory
@@ -271,23 +266,18 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 		pCont := float64(ups-cats) / float64(n)
 		st.LevelProbs = append(st.LevelProbs, pUp)
 		st.CatFractions = append(st.CatFractions, catFrac)
-		st.LevelTrajectories = append(st.LevelTrajectories, n)
 		st.RateSum += st.Weight * catFrac
 		st.VarSum += st.Weight * st.Weight * catFrac * (1 - catFrac) / float64(n)
 		st.Weight *= pCont
-		if len(nextEntries) < n/10 {
-			st.EntryShortfall = append(st.EntryShortfall, level+1)
-		}
 		st.NextLevel, st.Entries = level+1, nextEntries
 
 		// Level-boundary observability: entry occupancy, the running CI
 		// width and a level-promotion trace event (the level's wall time
 		// is its poolsim.level span). Single-threaded here, so the trace
 		// stays deterministic.
-		occ := float64(len(nextEntries)) / float64(n)
-		task.SetOccupancy(occ)
-		ciw := 2 * 1.96 * beta0 * math.Sqrt(st.VarSum)
-		task.SetCIWidth(ciw)
+		occ = float64(len(nextEntries)) / float64(n)
+		ciw = 2 * 1.96 * beta0 * math.Sqrt(st.VarSum)
+		levelNote(level)
 		obs.Trace.Emit(obs.TraceEvent{
 			Kind:  obs.EvLevelPromotion,
 			Level: level,
@@ -311,17 +301,15 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 	res := SplitResult{
 		LevelProbs:         st.LevelProbs,
 		CatFractions:       st.CatFractions,
-		LevelTrajectories:  st.LevelTrajectories,
 		CatRatePerPoolHour: beta0 * st.RateSum,
 		Samples:            st.Samples,
-		EntryShortfall:     st.EntryShortfall,
 		Partial:            partial,
 	}
 	se := beta0 * math.Sqrt(st.VarSum)
 	// The residual weight bounds everything not simulated — the levels
 	// beyond the loop's end contribute at most weight (each deeper
 	// cascade reaches catastrophe with probability ≤ 1). For complete
-	// runs this is the (tiny) truncation bound at MaxLevel; for Partial
+	// runs this is the (tiny) truncation bound at level pl+3; for Partial
 	// runs it is the honest price of the missing levels.
 	tail := beta0 * st.Weight
 	res.CatRateLo = res.CatRatePerPoolHour - 1.96*se
@@ -349,16 +337,14 @@ func splitFingerprint(cfg Config, ttf failure.Exponential, n, maxLevel int, seed
 // the (seed, level, index)-pure trajectory RNGs it is everything needed
 // to continue the campaign exactly as an uninterrupted run would.
 type splitCheckpoint struct {
-	NextLevel         int         `json:"next_level"`
-	Weight            float64     `json:"weight"`   // Π P_j over completed levels
-	RateSum           float64     `json:"rate_sum"` // Σ w_i·catFrac_i, pre-β0
-	VarSum            float64     `json:"var_sum"`  // Σ w_i²·p_i(1−p_i)/n_i, pre-β0²
-	LevelProbs        []float64   `json:"level_probs"`
-	CatFractions      []float64   `json:"cat_fractions"`
-	LevelTrajectories []int       `json:"level_trajectories"`
-	EntryShortfall    []int       `json:"entry_shortfall,omitempty"`
-	Samples           []CatSample `json:"samples,omitempty"`
-	Entries           []Snapshot  `json:"entries"`
+	NextLevel    int         `json:"next_level"`
+	Weight       float64     `json:"weight"`   // Π P_j over completed levels
+	RateSum      float64     `json:"rate_sum"` // Σ w_i·catFrac_i, pre-β0
+	VarSum       float64     `json:"var_sum"`  // Σ w_i²·p_i(1−p_i)/n_i, pre-β0²
+	LevelProbs   []float64   `json:"level_probs"`
+	CatFractions []float64   `json:"cat_fractions"`
+	Samples      []CatSample `json:"samples,omitempty"`
+	Entries      []Snapshot  `json:"entries"`
 }
 
 // trajectory is a splitting worker's scratch: one machine, restored to

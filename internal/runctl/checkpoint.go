@@ -132,10 +132,6 @@ func SaveCheckpoint(path, kind, fingerprint string, payload any) error {
 		return saveErr("committing", err)
 	}
 	obs.Default.Counter("runctl_checkpoint_saves_total").Inc()
-	// Checkpoints are saved at single-threaded boundaries (level ends,
-	// round ends), so emitting the trace event here keeps trace files
-	// deterministic without per-engine wiring.
-	obs.Trace.Emit(obs.TraceEvent{Kind: obs.EvCheckpoint, Note: kind})
 	return nil
 }
 
@@ -205,8 +201,8 @@ func loadEnvelope(path string, generation int) (*checkpointEnvelope, error) {
 // LoadCheckpoint reads a checkpoint written by SaveCheckpoint into
 // payload. It returns (false, nil) when no generation exists at path —
 // a fresh start. A corrupt newest file falls back loudly to the
-// previous-good generation (warning on stderr, fallback counter and
-// trace event) before giving up; re-running the work since the older
+// previous-good generation (warning on stderr and the fallback
+// counter) before giving up; re-running the work since the older
 // checkpoint is cheap next to losing the campaign. A file whose
 // version, kind, or fingerprint does not match stays a hard error with
 // no fallback: resuming a checkpoint into a different configuration
@@ -241,10 +237,6 @@ func LoadCheckpoint(path, kind, fingerprint string, payload any) (bool, error) {
 		}
 		if generation > 0 {
 			obs.Default.Counter("runctl_checkpoint_fallback_loads_total").Inc()
-			obs.Trace.Emit(obs.TraceEvent{
-				Kind: obs.EvCheckpointFallback,
-				Note: fmt.Sprintf("%s: fell back to generation %d", path, generation),
-			})
 			fmt.Fprintf(os.Stderr, "runctl: checkpoint %s unusable (%v); resuming from previous generation %s\n",
 				path, firstErr, p)
 		}

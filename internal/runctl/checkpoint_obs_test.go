@@ -1,6 +1,7 @@
 package runctl
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"os"
@@ -70,6 +71,46 @@ func TestCheckpointWithoutCountersLoads(t *testing.T) {
 	}
 	if payload["x"] != 2 {
 		t.Fatalf("payload = %v, want x=2", payload)
+	}
+}
+
+// TestCheckpointLeavesNoTraceEvent pins the trace as a record of the
+// simulation alone: saves and a load that falls back a generation tick
+// their counters and write nothing to a running trace, so -checkpoint
+// leaves a fixed seed's trace as it was.
+func TestCheckpointLeavesNoTraceEvent(t *testing.T) {
+	saves := obs.Default.Counter("runctl_checkpoint_saves_total")
+	fallbacks := obs.Default.Counter("runctl_checkpoint_fallback_loads_total")
+	s0, f0 := saves.Value(), fallbacks.Value()
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	var trace bytes.Buffer
+	if err := obs.Trace.Start(&trace); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { obs.Trace.Stop() })
+	for level := 1; level <= 2; level++ {
+		if err := SaveCheckpoint(path, "test.kind", "fp", map[string]int{"level": level}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Truncate(path, 4); err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]int
+	if ok, err := LoadCheckpoint(path, "test.kind", "fp", &out); err != nil || !ok || out["level"] != 1 {
+		t.Fatalf("fallback load: ok=%v err=%v payload=%v, want level 1", ok, err, out)
+	}
+	if err := obs.Trace.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if d := saves.Value() - s0; d != 2 {
+		t.Errorf("runctl_checkpoint_saves_total advanced by %d, want 2", d)
+	}
+	if d := fallbacks.Value() - f0; d != 1 {
+		t.Errorf("runctl_checkpoint_fallback_loads_total advanced by %d, want 1", d)
+	}
+	if trace.Len() != 0 {
+		t.Errorf("checkpoint saves and a fallback wrote to the trace:\n%s", trace.String())
 	}
 }
 

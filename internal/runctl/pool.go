@@ -75,7 +75,6 @@ func (p *Pool) Go(stream int64, fn func(ctx context.Context) error) {
 		}()
 		var ferr error
 		err := Guard(stream, func() { ferr = fn(p.ctx) })
-		Beat()
 		// The note is only built when a recorder is actually on —
 		// disabled runs must not pay the format allocation.
 		if span != nil {

@@ -29,6 +29,12 @@
 // contained panic all end the same way — the run exits, and re-running
 // the same command resumes from the last checkpoint.
 //
+// Run control reports through counters (saves, loads, fallbacks,
+// workers started) and the runctl_pool_workers_live gauge, never through
+// the trace: the trace records the simulation, so a checkpointed run
+// writes the same trace as a plain one. A stalled campaign shows on the
+// -progress line as a count that stops moving while workers stay live.
+//
 // The `barego` analyzer in internal/lint enforces that library code
 // launches goroutines only through this package (or carries a reviewed
 // //lint:allow directive), so panic containment is a machine-checked

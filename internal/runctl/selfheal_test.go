@@ -5,7 +5,6 @@ import (
 	"errors"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -127,42 +126,6 @@ func TestPoolReportsEarliestLaunchedFailure(t *testing.T) {
 	if err == nil || err.Error() != "stream 1 failed" {
 		t.Fatalf("Wait = %v, want the failure of stream 1, launched first", err)
 	}
-}
-
-// TestWatchdogTripsOnStall drives the watchdog directly: live workers
-// plus a frozen beat count must trip it; progress must not.
-func TestWatchdogTripsOnStall(t *testing.T) {
-	trips := obs.Default.Counter("runctl_stall_watchdog_trips_total")
-	t0 := trips.Value()
-	errw := &lockedBuf{} // the watchdog goroutine writes concurrently
-
-	release := make(chan struct{})
-	p := NewPool(context.Background())
-	p.Go(1, func(context.Context) error {
-		<-release // stalls: no Beat lands while blocked here
-		return nil
-	})
-
-	stop := StartWatchdog(5*time.Millisecond, errw)
-	deadline := time.Now().Add(5 * time.Second)
-	for trips.Value() == t0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	stop()
-	stop() // idempotent
-	close(release)
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if trips.Value() == t0 {
-		t.Fatal("watchdog never tripped on a stalled worker")
-	}
-	if !strings.Contains(errw.String(), "no progress") {
-		t.Errorf("watchdog warning missing: %q", errw.String())
-	}
-
-	// Disabled watchdog is a no-op stop.
-	StartWatchdog(0, nil)()
 }
 
 // TestFailedSaveKeepsLastGeneration pins the one recovery path for a
