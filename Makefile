@@ -102,7 +102,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTaintEngine -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzEscapeEngine -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=10s ./internal/runctl
-	$(GO) test -run='^$$' -fuzz=FuzzSampleLayoutMatchesReference -fuzztime=10s ./internal/burst
+	$(GO) test -run='^$$' -fuzz=FuzzSampleLayout -fuzztime=10s ./internal/burst
 	$(GO) test -run='^$$' -fuzz=FuzzCodecMatchesReference -fuzztime=10s ./internal/gf256
 	$(GO) test -run='^$$' -fuzz=FuzzClusterReadAfterFailures -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzSourceMatchesMathRand -fuzztime=10s ./internal/mathx/rngsplit

@@ -101,7 +101,7 @@ const (
 // tallies persist after every round and a later call with the same
 // arguments resumes, reproducing the uninterrupted run's statistics
 // exactly (the reduction always runs in batch order over the same
-// per-batch sums).
+// per-batch means and squared deviations).
 func PDLContext(ctx context.Context, ev Evaluator, x, y, trials int, seed int64, checkpointPath string) (Result, error) {
 	if trials <= 0 {
 		return Result{}, fmt.Errorf("burst: trials = %d", trials)
@@ -112,9 +112,9 @@ func PDLContext(ctx context.Context, ev Evaluator, x, y, trials int, seed int64,
 	nb := (trials + pdlBatchTrials - 1) / pdlBatchTrials
 	ck := pdlCheckpoint{
 		Done:  make([]bool, nb),
-		Sums:  make([]float64, nb),
-		Sum2s: make([]float64, nb),
 		Ns:    make([]int, nb),
+		Means: make([]float64, nb),
+		M2s:   make([]float64, nb),
 	}
 	var fp string
 	if checkpointPath != "" {
@@ -125,7 +125,7 @@ func PDLContext(ctx context.Context, ev Evaluator, x, y, trials int, seed int64,
 			return Result{}, err
 		}
 		if ok {
-			if len(prev.Done) != nb || len(prev.Sums) != nb || len(prev.Sum2s) != nb || len(prev.Ns) != nb {
+			if len(prev.Done) != nb || len(prev.Ns) != nb || len(prev.Means) != nb || len(prev.M2s) != nb {
 				return Result{}, fmt.Errorf("burst: checkpoint %s has %d batches, campaign has %d", checkpointPath, len(prev.Done), nb)
 			}
 			ck = prev
@@ -192,19 +192,22 @@ func PDLContext(ctx context.Context, ev Evaluator, x, y, trials int, seed int64,
 				// One sampler, and so one layout, serves the whole
 				// batch; a batch that panics abandons its sampler.
 				sampler := samplers.Get().(*layoutSampler)
-				var sum, sum2 float64
+				// Welford's update: the batch's mean and sum of squared
+				// deviations, without the cancellation of Σpdl² − n·mean².
+				var mean, m2 float64
 				for i := lo; i < hi; i++ {
 					layout, err := sampler.sample(rng, ev.TotalRacks(), ev.DisksPerRack(), x, y)
 					if err != nil {
 						return err
 					}
 					pdl := ev.ConditionalPDL(layout)
-					sum += pdl
-					sum2 += pdl * pdl
+					d := pdl - mean
+					mean += d / float64(i-lo+1)
+					m2 += d * (pdl - mean)
 				}
 				// Each batch owns distinct slice elements; Wait orders
 				// these writes before the reduction below.
-				ck.Sums[b], ck.Sum2s[b], ck.Ns[b] = sum, sum2, hi-lo
+				ck.Ns[b], ck.Means[b], ck.M2s[b] = hi-lo, mean, m2
 				ck.Done[b] = true
 				trialCount.Add(int64(hi - lo))
 				batchCount.Inc()
@@ -226,29 +229,33 @@ func PDLContext(ctx context.Context, ev Evaluator, x, y, trials int, seed int64,
 		}
 	}
 
+	// Merge the batches in batch order by Chan et al.'s pairwise update.
+	// The first batch is taken as it is, so a constant evaluator's mean
+	// is its value to the bit.
 	var (
-		sum, sum2 float64
-		done      int
-		completed int
+		mean, m2        float64
+		done, completed int
 	)
 	for b := 0; b < nb; b++ {
 		if !ck.Done[b] {
 			continue
 		}
 		completed++
-		sum += ck.Sums[b]
-		sum2 += ck.Sum2s[b]
-		done += ck.Ns[b]
+		n := ck.Ns[b]
+		if done == 0 {
+			mean, m2, done = ck.Means[b], ck.M2s[b], n
+			continue
+		}
+		tot := done + n
+		d := ck.Means[b] - mean
+		mean += d * float64(n) / float64(tot)
+		m2 += ck.M2s[b] + d*d*float64(done)*float64(n)/float64(tot)
+		done = tot
 	}
 	if done == 0 {
 		return Result{Racks: x, Failures: y, PDL: math.NaN(), Lo: 0, Hi: 1, Partial: true}, nil
 	}
-	mean := sum / float64(done)
-	variance := sum2/float64(done) - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	se := math.Sqrt(variance / float64(done))
+	se := math.Sqrt(m2 / float64(done) / float64(done))
 	lo, hi := mean-1.96*se, mean+1.96*se
 	if lo < 0 {
 		lo = 0
@@ -371,7 +378,8 @@ func poissonBinomialTail(probs []float64, k int) float64 {
 	if k > len(probs) {
 		return 0
 	}
-	return poissonBinomialPMFCapped(probs, k)[k]
+	var buf [stackDist]float64
+	return poissonBinomialPMFCapped(buf[:0], probs, k)[k]
 }
 
 // WriteCSV emits the grid as "x,y,pdl,lo,hi,trials" rows for external

@@ -45,8 +45,8 @@ func TestSampleLayoutShape(t *testing.T) {
 }
 
 func TestSampleLayoutTightCorner(t *testing.T) {
-	// y == x forces exactly one failure per rack; rejection would stall,
-	// so the constructive fallback must kick in.
+	// y == x forces exactly one failure per rack, a cell where coverage
+	// by chance almost never happens.
 	rng := rand.New(rand.NewSource(2))
 	b, err := SampleLayout(rng, 60, 960, 50, 50)
 	if err != nil {
@@ -123,7 +123,7 @@ func TestPoissonBinomialPMFCapped(t *testing.T) {
 			probs[i] = rng.Float64()
 		}
 		capN := 1 + rng.Intn(n)
-		pmf := poissonBinomialPMFCapped(probs, capN)
+		pmf := poissonBinomialPMFCapped(nil, probs, capN)
 		// Sum of PMF must be 1; tail entry must equal the tail.
 		sum := 0.0
 		for _, v := range pmf {

@@ -127,10 +127,3 @@ func convolveMin1(acc, perRack []float64, maxDeg int) []float64 {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -44,6 +44,15 @@ func (e *LRCEvaluator) TotalRacks() int { return e.Layout.Topo.Racks }
 // DisksPerRack implements Evaluator.
 func (e *LRCEvaluator) DisksPerRack() int { return e.Layout.Topo.DisksPerRack() }
 
+// Scratch sizes that cover the paper's topologies and codes: the
+// evaluators keep buffers up to these sizes on the stack and allocate
+// only beyond them.
+const (
+	stackRacks = 256 // racks of a topology
+	stackWidth = 64  // chunks of a stripe
+	stackDist  = 16  // entries of a capped count distribution
+)
+
 // ConditionalPDL implements Evaluator.
 func (e *LRCEvaluator) ConditionalPDL(b *BurstLayout) float64 {
 	l := e.Layout
@@ -55,7 +64,9 @@ func (e *LRCEvaluator) ConditionalPDL(b *BurstLayout) float64 {
 	// Per-rack chunk failure probabilities; unaffected racks contribute
 	// 0 but dilute the assignment. We sample assignments of width
 	// distinct racks out of Topo.Racks and map each to its ψ.
-	psi := make([]float64, racks)
+	var psiBuf [stackRacks]float64
+	psi := resized(psiBuf[:0], racks)
+	clear(psi)
 	for i, rack := range b.Racks {
 		psi[rack] = float64(len(b.FailedDisks[i])) / dpr
 	}
@@ -64,12 +75,15 @@ func (e *LRCEvaluator) ConditionalPDL(b *BurstLayout) float64 {
 	// rngsplit.Mix under a running counter is that generator's output.
 	key, draws := rngsplit.Mix(e.seed, int(layoutHash(b))), 0
 	var sum float64
-	slot := make([]float64, width)
-	perm := make([]int, racks)
+	var slotBuf [stackWidth]float64
+	var permBuf [stackRacks]int
+	var swapBuf [stackWidth]int
+	slot, swaps := resized(slotBuf[:0], width), resized(swapBuf[:0], width)
+	perm := resized(permBuf[:0], racks)
+	for i := range perm {
+		perm[i] = i
+	}
 	for range lrcAssignments {
-		for i := range perm {
-			perm[i] = i
-		}
 		// Partial Fisher–Yates: only the stripe's width slots are used.
 		for s := range slot {
 			// Multiply-shift maps the 64-bit word onto [0, racks−s); its
@@ -78,9 +92,15 @@ func (e *LRCEvaluator) ConditionalPDL(b *BurstLayout) float64 {
 			draws++
 			j := s + int(word)
 			perm[s], perm[j] = perm[j], perm[s]
+			swaps[s] = j
 			slot[s] = psi[perm[s]]
 		}
 		sum += lrcUnrecoverableProb(p, slot)
+		// Only the width slots and their partners moved: the next
+		// assignment starts from the identity again.
+		for s, j := range swaps {
+			perm[s], perm[j] = s, j
+		}
 	}
 	pUnrec := sum / lrcAssignments
 	expected := l.TotalStripes() * pUnrec
@@ -115,14 +135,17 @@ func lrcUnrecoverableProb(p placement.LRCParams, slot []float64) float64 {
 	// excessDist starts as the distribution of GF (values 0..r+1 capped)
 	// and gets convolved with each group's excess distribution.
 	capN := p.R + 1
-	dist := poissonBinomialPMFCapped(slot[p.K+p.L:], capN)
+	var distBuf, nextBuf, fBuf, exBuf [stackDist]float64
+	var probBuf [stackWidth]float64
+	dist := poissonBinomialPMFCapped(distBuf[:0], slot[p.K+p.L:], capN)
+	next := resized(nextBuf[:0], capN+1)
 	for g := 0; g < p.L; g++ {
-		probs := make([]float64, 0, groupSize+1)
-		probs = append(probs, slot[g*groupSize:(g+1)*groupSize]...)
+		probs := append(probBuf[:0], slot[g*groupSize:(g+1)*groupSize]...)
 		probs = append(probs, slot[p.K+g])
-		fDist := poissonBinomialPMFCapped(probs, capN+1)
+		fDist := poissonBinomialPMFCapped(fBuf[:0], probs, capN+1)
 		// excess_g = max(0, F_g − 1)
-		exDist := make([]float64, capN+1)
+		exDist := resized(exBuf[:0], capN+1)
+		clear(exDist)
 		exDist[0] = fDist[0] + fDist[1]
 		for f := 2; f < len(fDist); f++ {
 			e := f - 1
@@ -131,16 +154,18 @@ func lrcUnrecoverableProb(p placement.LRCParams, slot []float64) float64 {
 			}
 			exDist[e] += fDist[f]
 		}
-		dist = convolveCapped(dist, exDist, capN)
+		convolveCapped(next, dist, exDist, capN)
+		dist, next = next, dist
 	}
 	return dist[capN] // P(total ≥ r+1) = P(unrecoverable)
 }
 
 // poissonBinomialPMFCapped returns the PMF of the number of successes of
 // independent Bernoulli trials, with all mass ≥ cap absorbed into
-// index cap.
-func poissonBinomialPMFCapped(probs []float64, capN int) []float64 {
-	dp := make([]float64, capN+1)
+// index cap. It writes into dst, reallocating it only to grow.
+func poissonBinomialPMFCapped(dst, probs []float64, capN int) []float64 {
+	dp := resized(dst, capN+1)
+	clear(dp)
 	dp[0] = 1
 	for _, p := range probs {
 		if p == 0 {
@@ -158,10 +183,10 @@ func poissonBinomialPMFCapped(probs []float64, capN int) []float64 {
 	return dp
 }
 
-// convolveCapped adds two independent capped distributions, capping the
-// sum at cap.
-func convolveCapped(a, b []float64, capN int) []float64 {
-	out := make([]float64, capN+1)
+// convolveCapped writes into out, which holds cap+1 entries, the sum of
+// two independent capped distributions, capped at cap.
+func convolveCapped(out, a, b []float64, capN int) {
+	clear(out[:capN+1])
 	for i, pa := range a {
 		if pa == 0 {
 			continue
@@ -177,5 +202,4 @@ func convolveCapped(a, b []float64, capN int) []float64 {
 			out[s] += pa * pb
 		}
 	}
-	return out
 }

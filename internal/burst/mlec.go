@@ -127,7 +127,9 @@ func sampledRackLossTail(psis []float64, totalRacks, m, t int) float64 {
 	}
 	// T[j][l] is row j of one flat table: l in [0, t], T[j][t] absorbs ≥ t.
 	cols := t + 1
-	T := make([]float64, (maxJ+1)*cols)
+	var tBuf [256]float64 // at most 52 entries for the paper's MLEC D/D, 55 for SLEC Net-Dp
+	T := resized(tBuf[:0], (maxJ+1)*cols)
+	clear(T)
 	T[0] = 1
 	for _, psi := range psis {
 		// Adding this rack to the (j−1)-subsets that lack it: its member

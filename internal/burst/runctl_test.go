@@ -2,10 +2,15 @@ package burst
 
 import (
 	"context"
+	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+
+	"mlec/internal/runctl"
 )
 
 // layoutEvaluator's conditional PDL depends on the sampled layout, so
@@ -141,5 +146,62 @@ func TestHeatmapContextResumeDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resumed.Cells, ref.Cells) {
 		t.Errorf("resumed grid differs from uninterrupted grid")
+	}
+}
+
+// nearOneEvaluator returns 1 − 1e-10·v for layoutEvaluator's v, and
+// records every v. Σpdl²/n − mean² cannot resolve a variance of 1e-21
+// next to 1: it rounds to 0 or to noise near 1e-16.
+type nearOneEvaluator struct {
+	layoutEvaluator
+	mu sync.Mutex
+	vs []float64
+}
+
+func (h *nearOneEvaluator) ConditionalPDL(l *BurstLayout) float64 {
+	v := h.layoutEvaluator.ConditionalPDL(l)
+	h.mu.Lock()
+	h.vs = append(h.vs, v)
+	h.mu.Unlock()
+	return 1 - 1e-10*v
+}
+
+// TestPDLIntervalNearOne: a cell whose trials differ only in the tenth
+// decimal below 1 gets the interval of its spread — 1.96 standard
+// errors, computed here from the recorded v's — not a zero-width or a
+// noise-sized one.
+func TestPDLIntervalNearOne(t *testing.T) {
+	ev := &nearOneEvaluator{layoutEvaluator: layoutEvaluator{racks: 20, dpr: 30}}
+	r, err := PDLContext(context.Background(), ev, 3, 40, 600, 5, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := float64(len(ev.vs))
+	var mean, ss float64
+	for _, v := range ev.vs {
+		mean += v / n
+	}
+	for _, v := range ev.vs {
+		ss += (v - mean) * (v - mean)
+	}
+	want := 1.96 * 1e-10 * math.Sqrt(ss/n/n)
+	if got := r.Hi - r.PDL; !(math.Abs(got/want-1) < 1e-3) || !(r.Lo < r.PDL) {
+		t.Errorf("PDL %.17g with interval [%.17g, %.17g]: half-width %.3g, want %.3g", r.PDL, r.Lo, r.Hi, got, want)
+	}
+}
+
+// TestPDLCheckpointRejectsOtherSampler: a checkpoint whose fingerprint
+// lacks this sampler's name — one written before the name entered the
+// fingerprint — fails to load instead of mixing two samplers' batches.
+func TestPDLCheckpointRejectsOtherSampler(t *testing.T) {
+	ev := &layoutEvaluator{racks: 20, dpr: 30}
+	path := filepath.Join(t.TempDir(), "pdl.ckpt")
+	old := strings.TrimSuffix(pdlFingerprint(ev, 3, 40, 640, 1), "|sampler="+samplerID)
+	ck := pdlCheckpoint{Done: make([]bool, 10), Ns: make([]int, 10), Means: make([]float64, 10), M2s: make([]float64, 10)}
+	if err := runctl.SaveCheckpoint(path, pdlCheckpointKind, old, ck); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PDLContext(context.Background(), ev, 3, 40, 640, 1, path); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("checkpoint of another sampler: error %v, want a fingerprint mismatch", err)
 	}
 }

@@ -2,40 +2,33 @@ package burst
 
 import (
 	"fmt"
-	"math/bits"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
+
+	"mlec/internal/mathx"
 )
 
-// maxRejects bounds the rejection attempts of one trial before the
-// constructive fallback takes over (the y≈x corner, where coverage by
-// chance is hopeless).
-const maxRejects = 64
-
-// layoutSampler draws burst layouts and owns every buffer the drawing
-// needs: a rejected attempt allocates nothing and consecutive trials
-// reuse one BurstLayout. A sampler serves one goroutine at a time.
+// layoutSampler draws burst layouts without rejection and owns every
+// buffer the drawing needs: consecutive trials reuse one BurstLayout and
+// the count table of their cell. A sampler serves one goroutine at a
+// time.
 //
 // The variate contract (DESIGN.md, "Burst layout sampling"): a trial
-// calls rng.Intn with a fixed sequence of arguments — the rack
-// permutation, then y draws per rejection attempt, then the
-// constructive draws if all attempts fail — and that sequence is what
-// every fixed-seed output of the repository rests on.
+// calls rng.Intn x times for the racks, then, rack by rack in ascending
+// rack order, rng.Float64 once for the rack's failure count c and
+// rng.Intn c times for its failed disks. That sequence is what every
+// fixed-seed output of the repository rests on.
 type layoutSampler struct {
-	perm   []int   // rack permutation; its sorted x-prefix becomes layout.Racks
-	table  []int   // Fisher–Yates table over flat disk indices; the identity between attempts
-	draws  []draw  // the running attempt, in draw order
-	counts []int   // the attempt's failures per affected rack
-	disks  []int   // backing store of layout.FailedDisks
-	rackOf divider // flat disk index → index of its rack among the x affected
-	layout BurstLayout
+	rackTable []int  // Fisher–Yates table over rack ids; the identity between trials
+	chosen    []bool // the racks drawn by the running trial; all false between trials
+	diskTable []int  // Fisher–Yates table over rack-local disks; the identity between racks
+	swaps     []int  // the running shuffle's swap partners, to restore its table
+	disks     []int  // backing store of layout.FailedDisks
+	counts    countTable
+	layout    BurstLayout
 }
-
-// draw is one draw of an attempt: the variate, an offset into the part
-// of the table not yet drawn from, and the flat disk index in
-// [0, x·dpr) it selected.
-type draw struct{ off, disk int }
 
 // samplers recycles samplers across the batches and cells of a grid; a
 // sampler's scratch depends on no topology, only grows.
@@ -70,148 +63,190 @@ func (s *layoutSampler) sample(rng *rand.Rand, totalRacks, dpr, x, y int) (*Burs
 	if y < x || y > x*dpr {
 		return nil, fmt.Errorf("burst: y=%d failures not in [x=%d, x·dpr=%d]", y, x, x*dpr)
 	}
-	n := x * dpr
-	s.rackOf = newDivider(dpr, n)
-	s.perm = resized(s.perm, totalRacks)
-	s.counts = resized(s.counts, x)
-	s.draws = resized(s.draws, y)
+	t := &s.counts
+	if t.dpr != dpr || t.x != x || t.y != y {
+		if err := t.build(dpr, x, y); err != nil {
+			return nil, err
+		}
+	}
+	s.rackTable = identity(s.rackTable, totalRacks)
+	if len(s.chosen) < totalRacks {
+		s.chosen = make([]bool, totalRacks)
+	}
+	s.diskTable = identity(s.diskTable, dpr)
+	s.swaps = resized(s.swaps, max(x, dpr))
 	s.disks = resized(s.disks, y)
+	s.layout.Racks = resized(s.layout.Racks, x)
 	s.layout.FailedDisks = resized(s.layout.FailedDisks, x)
-	if len(s.table) < n {
-		s.table = slices.Grow(s.table, n-len(s.table))
-		for i := len(s.table); i < n; i++ {
-			s.table = append(s.table, i)
+
+	// The racks: a partial Fisher–Yates, read back in ascending order
+	// off a mark per rack, which is cheaper than sorting them.
+	for _, r := range s.shuffle(rng, s.rackTable[:totalRacks], x) {
+		s.chosen[r] = true
+	}
+	s.restore(s.rackTable, x)
+	racks := s.layout.Racks[:0]
+	for r, ok := range s.chosen[:totalRacks] {
+		if ok {
+			racks = append(racks, r)
+			s.chosen[r] = false
 		}
 	}
 
-	// rng.Perm(totalRacks), draw for draw, into the reused buffer.
-	for i := range s.perm {
-		j := rng.Intn(i + 1)
-		s.perm[i] = s.perm[j]
-		s.perm[j] = i
-	}
-	s.layout.Racks = s.perm[:x]
-	slices.Sort(s.layout.Racks)
-
-	// Sample y distinct disks from x·dpr conditioned on full rack
-	// coverage, by rejection. Acceptance is high except at y≈x where we
-	// fall back to a direct constructive method.
-	covered := false
-	for attempt := 0; attempt < maxRejects && !covered; attempt++ {
-		covered = s.attempt(rng, n, x, y)
-	}
-	if !covered {
-		s.construct(rng, dpr, x, y)
-	}
-
-	// Split the flat draws by rack, keeping draw order within a rack.
-	off := 0
-	for r, c := range s.counts {
-		s.layout.FailedDisks[r] = s.disks[off : off : off+c]
+	// Rack by rack, its failure count given the failures the racks after
+	// it still need, then that many of its disks.
+	k, off := y-x, 0 // k: failures still to place beyond one per rack
+	for r := range racks {
+		e := t.draw(rng, x-r, k)
+		k -= e
+		c := e + 1
+		s.layout.FailedDisks[r] = s.disks[off : off+c : off+c]
+		copy(s.layout.FailedDisks[r], s.shuffle(rng, s.diskTable[:dpr], c))
+		s.restore(s.diskTable, c)
 		off += c
-	}
-	for _, d := range s.draws {
-		r := s.rackOf.div(d.disk)
-		s.layout.FailedDisks[r] = append(s.layout.FailedDisks[r], d.disk-r*dpr)
 	}
 	return &s.layout, nil
 }
 
-// attempt draws y distinct flat disk indices from [0, n) by a partial
-// Fisher–Yates and reports whether they cover all x racks. The y
-// variates are drawn first, all of them, because the stream must
-// advance by exactly y draws whatever becomes of the attempt; the
-// shuffle then tallies coverage as it goes and stops once more racks
-// are uncovered than draws are left, which is most attempts of a
-// scattered cell.
-func (s *layoutSampler) attempt(rng *rand.Rand, n, x, y int) bool {
-	table, draws, counts := s.table[:n], s.draws[:y], s.counts[:x]
-	for i := range draws {
-		draws[i].off = rng.Intn(n - i)
+// shuffle runs the first n steps of a Fisher–Yates shuffle of table,
+// one rng.Intn per step, logs each step's partner in s.swaps and
+// returns the n values drawn.
+func (s *layoutSampler) shuffle(rng *rand.Rand, table []int, n int) []int {
+	for i := range n {
+		j := i + rng.Intn(len(table)-i)
+		table[i], table[j] = table[j], table[i]
+		s.swaps[i] = j
 	}
-	clear(counts)
-	rackOf := s.rackOf
-	uncovered, done := x, 0
-	rest := table // table[i:] at draw i; rest[0] is the slot Fisher–Yates swaps into
-	//mlec:hot the shuffle: a scattered cell runs it 64 times per trial
-	for i := range draws {
-		if uncovered > len(draws)-i {
-			break // doomed
-		}
-		k := draws[i].off
-		//lint:allow hotbce k is a random variate below len(rest); no guard can prove that
-		v := rest[k]
-		rest[k] = rest[0]
-		rest = rest[1:]
-		draws[i].disk = v
-		r := rackOf.div(v)
-		//lint:allow hotbce r is the rack of a disk below x·dpr, so below len(counts) = x
-		c := counts[r]
-		counts[r] = c + 1
-		if c == 0 {
-			uncovered--
-		}
-		done++
-	}
-	for i, d := range draws[:done] {
-		table[i+d.off] = i + d.off
-	}
-	return uncovered == 0
+	return table[:n]
 }
 
-// construct guarantees coverage: give each rack one random disk, then
-// distribute the remaining y−x failures uniformly over the remaining
-// disks. The resulting distribution differs negligibly from the
-// conditioned-uniform one and is only used in the extreme y≈x corner
-// where rejection stalls.
-func (s *layoutSampler) construct(rng *rand.Rand, dpr, x, y int) {
-	clear(s.counts)
-	for r := 0; r < x; r++ {
-		d := r*dpr + rng.Intn(dpr)
-		s.table[d] = -1 // taken
-		s.draws[r].disk = d
-		s.counts[r] = 1
+// restore makes table the identity again after shuffle(…, n): only the
+// first n slots and their logged partners moved.
+func (s *layoutSampler) restore(table []int, n int) {
+	for i, j := range s.swaps[:n] {
+		table[i], table[j] = i, j
 	}
-	for k := x; k < y; {
-		d := rng.Intn(x * dpr)
-		if s.table[d] < 0 {
+}
+
+// countTable is the coverage dynamic program of one (dpr, x, y) cell,
+// the same "≥ 1 per rack" convolution as convolveMin1.
+//
+// Conditioned on their sum, the per-rack failure counts of a uniform
+// y-subset of the x·dpr disks are independent Binomial(dpr, p) counts
+// for any p: a count vector (c₁ … cₓ) has probability ∝ Π C(dpr, cᵣ),
+// and p^y·(1−p)^(x·dpr−y) is the same for every vector. With
+// p = y/(x·dpr) every weight is at most 1 and y is the counts' mean
+// before conditioning, so nothing overflows. A rack's count is c = e+1,
+// e ≥ 0 its extra failures, with weight w[e] = Binomial(dpr, p)(e+1).
+//
+// Row i holds ways(i, k): the total weight of giving i racks i+k
+// failures, each at least one, i.e. Σ_e w[e]·ways(i−1, k−e). It is kept
+// only for the k a trial can reach from (x, y−x) and where the weight
+// is not 0 in float64 arithmetic.
+type countTable struct {
+	dpr, x, y int // the cell the table is for; x = 0 while none is
+	w         []float64
+	wlo, whi  int   // the e with w[e] > 0
+	lo        []int // row i holds k from lo[i] on
+	start     []int // row i is vals[start[i]:start[i+1]]
+	vals      []float64
+}
+
+// build fills the table for (dpr, x, y), reusing its buffers; x ≥ 1,
+// x ≤ y ≤ x·dpr.
+func (t *countTable) build(dpr, x, y int) error {
+	t.x = 0
+	d := y - x
+	p := float64(y) / float64(x*dpr)
+	logP, logQ := math.Log(p), math.Log1p(-p)
+	t.w = resized(t.w, min(dpr, d+1))
+	t.wlo, t.whi = -1, -1
+	for e := range t.w {
+		c := e + 1
+		lw := mathx.LogChoose(dpr, c) + float64(c)*logP
+		if c < dpr { // at p = 1, 0·log 0 would be NaN
+			lw += float64(dpr-c) * logQ
+		}
+		if t.w[e] = math.Exp(lw); t.w[e] > 0 {
+			if t.wlo < 0 {
+				t.wlo = e
+			}
+			t.whi = e
+		}
+	}
+	if t.wlo < 0 {
+		return fmt.Errorf("burst: no rack count of dpr=%d has weight at x=%d y=%d", dpr, x, y)
+	}
+	t.lo, t.start = resized(t.lo, x+1), resized(t.start, x+2)
+	t.vals = append(t.vals[:0], 1) // row 0: no racks, no failures
+	t.lo[0], t.start[0], t.start[1] = 0, 0, 1
+	for i := 1; i <= x; i++ {
+		plo, prev := t.row(i - 1)
+		phi := plo + len(prev) - 1
+		// Reachable: the x−i racks drawn before took wlo…whi extras each.
+		lo := max(plo+t.wlo, d-(x-i)*t.whi, 0)
+		hi := min(phi+t.whi, d-(x-i)*t.wlo, d)
+		base := len(t.vals)
+		for k := lo; k <= hi; k++ {
+			var sum float64
+			for e := max(t.wlo, k-phi); e <= min(t.whi, k-plo); e++ {
+				sum += t.w[e] * prev[k-e-plo]
+			}
+			t.vals = append(t.vals, sum)
+		}
+		// Drop the ends that underflowed to 0.
+		row := t.vals[base:]
+		first := slices.IndexFunc(row, func(v float64) bool { return v > 0 })
+		if first < 0 {
+			return fmt.Errorf("burst: coverage weights underflow at dpr=%d x=%d y=%d", dpr, x, y)
+		}
+		last := len(row) - 1
+		for row[last] == 0 {
+			last--
+		}
+		t.vals = append(t.vals[:base], row[first:last+1]...)
+		t.lo[i], t.start[i+1] = lo+first, len(t.vals)
+	}
+	t.dpr, t.x, t.y = dpr, x, y
+	return nil
+}
+
+// row returns row i and the k of its first entry.
+func (t *countTable) row(i int) (lo int, vals []float64) {
+	return t.lo[i], t.vals[t.start[i]:t.start[i+1]]
+}
+
+// draw returns the extra failures e of the next rack when i racks,
+// this one included, still need i+k failures: one rng.Float64, then a
+// scan of e upward against w[e]·ways(i−1, k−e)/ways(i, k). The scan
+// adds the terms in the order build did, so its running sum ends at
+// ways(i, k) exactly; a variate that rounding leaves above it takes the
+// last e of positive weight.
+func (t *countTable) draw(rng *rand.Rand, i, k int) int {
+	lo, cur := t.row(i)
+	plo, prev := t.row(i - 1)
+	u := rng.Float64() * cur[k-lo]
+	e, last := max(t.wlo, k-(plo+len(prev)-1)), -1
+	for acc, ehi := 0.0, min(t.whi, k-plo); e <= ehi; e++ {
+		term := t.w[e] * prev[k-e-plo]
+		if term == 0 {
 			continue
 		}
-		s.table[d] = -1
-		s.draws[k].disk = d
-		s.counts[s.rackOf.div(d)]++
-		k++
+		last = e
+		if acc += term; acc > u {
+			return e
+		}
 	}
-	for _, d := range s.draws {
-		s.table[d.disk] = d.disk
-	}
+	return last
 }
 
-// divider divides indices below a known bound by a fixed d. A 64-bit
-// division per draw would bound the draw loop; for v < 2³² the quotient
-// v/d is the high word of v·⌈2⁶⁴/d⌉ (Lemire, Kaser & Kurz, "Faster
-// remainder by direct computation", 2019), one multiplication.
-type divider struct {
-	d   int
-	mul uint64 // ⌈2⁶⁴/d⌉, or 0 for plain division
-}
-
-// newDivider returns a divider by d for values below bound. It divides
-// plainly when the values may not fit 32 bits, or when d is 1 and the
-// reciprocal overflows to 0 by itself.
-func newDivider(d, bound int) divider {
-	if uint64(bound) > 1<<32 {
-		return divider{d: d}
+// identity extends buf, whose entries are the identity, to at least n
+// entries with buf[i] = i.
+func identity(buf []int, n int) []int {
+	for i := len(buf); i < n; i++ {
+		buf = append(buf, i)
 	}
-	return divider{d: d, mul: ^uint64(0)/uint64(d) + 1}
-}
-
-func (dv divider) div(v int) int {
-	if dv.mul == 0 {
-		return v / dv.d
-	}
-	q, _ := bits.Mul64(dv.mul, uint64(v))
-	return int(q)
+	return buf
 }
 
 // resized returns buf with length n, reallocating only to grow; the

@@ -59,7 +59,9 @@ func checkDigests(t *testing.T, got, want map[string]string) {
 // TestRendersPinned holds the Quick render of every deterministic
 // experiment, at two seeds, to the bytes recorded before the driver layer
 // was given one stage-1 path, one registration and one size table; the
-// heatmaps are pinned in their CSV form too.
+// heatmaps are pinned in their CSV form too. The burst-derived entries
+// (fig5, fig13, fig16, ablation-poolsize) were re-recorded once, when
+// the burst layout sampler became rejection-free (DESIGN.md §16).
 func TestRendersPinned(t *testing.T) {
 	got := map[string]string{}
 	for _, id := range List() {
@@ -98,8 +100,8 @@ var pinnedQuickRenders = map[string]string{
 	"ablation-detection/afr5":    "fbf9581df53a06e2b4802f0fb1f3b471",
 	"ablation-detection/seed1":   "968194187928d040e998afbfeb98a830",
 	"ablation-detection/seed7":   "968194187928d040e998afbfeb98a830",
-	"ablation-poolsize/seed1":    "8d86d92e11b5adbd0220b6e6973d4a92",
-	"ablation-poolsize/seed7":    "5e5e8ca0185e925b8f051783f75f07b3",
+	"ablation-poolsize/seed1":    "05c323a5f4482eb37d33aa4377b54ab4",
+	"ablation-poolsize/seed7":    "13a9b4aa12cc356ab5062f165b337f55",
 	"ablation-stripewidth/seed1": "0705b53b735364b4ec101669e7b3ff1d",
 	"ablation-stripewidth/seed7": "0705b53b735364b4ec101669e7b3ff1d",
 	"fig1/seed1":                 "252c004bcb24daa6e28bfe84a887981a",
@@ -107,15 +109,15 @@ var pinnedQuickRenders = map[string]string{
 	"fig10/afr5":                 "17e191f2a033e703bcf8a695af133ff0",
 	"fig10/seed1":                "94e488061341cedb8214e9274af250de",
 	"fig10/seed7":                "94e488061341cedb8214e9274af250de",
-	"fig13/csv":                  "20d67b7e270c9edcf8b4a8a0fe1c263c",
-	"fig13/seed1":                "f799f4b52087096bc3a11819e5c0a946",
-	"fig13/seed7":                "e32187540566143cc301bbd60149dd6f",
+	"fig13/csv":                  "cc55ae6a0ec1bd2bc9e337b1db5607ef",
+	"fig13/seed1":                "64e02c92f26e19f1a696379cf0066125",
+	"fig13/seed7":                "9eebcd116402fd52578213c08ff28d58",
 	"fig14/seed1":                "3bda5cbe625acdb9d9cfa5f87aaf2829",
 	"fig14/seed7":                "3bda5cbe625acdb9d9cfa5f87aaf2829",
-	"fig16/csv":                  "241e2fc8722ca771188a0745daa93c97",
-	"fig16/seed1":                "55aba6a52e2681bdf34266a6aebd2582",
-	"fig16/seed7":                "a98a58a7f3fdf736cdf46be9f279dfcc",
-	"fig5/csv":                   "622cd995fc31a8f5de9eeac68334a3d8",
+	"fig16/csv":                  "438786bec273af00e5bf9e5aa4a07d0d",
+	"fig16/seed1":                "71a80ea797db4c67654c1715a093653b",
+	"fig16/seed7":                "17602929983ef294951c0ed0c23123b2",
+	"fig5/csv":                   "59ba8ac0736e6f12680989035c30cfbc",
 	"fig5/seed1":                 "de5d81a710fe17536fa0d0a5c8e8bf5c",
 	"fig5/seed7":                 "36f2d22a74c89022e05acf601333ef2b",
 	"fig6/seed1":                 "e5b6ef165f26ae1743ff0357daf5a916",
