@@ -240,61 +240,57 @@ func (l *Layout) LocalPoolDataBytes() float64 {
 
 // DeclusteredStripes generates a pseudorandom declustered layout: stripes
 // of the given width over a pool of poolSize disks, each stripe on width
-// distinct disks, approximately balancing chunks per disk. The layout is
-// deterministic for a given seed. Used by the segment-granularity pool
-// simulator and the in-memory cluster.
-func DeclusteredStripes(poolSize, width, stripes int, seed int64) ([][]int, error) {
+// distinct disks, approximately balancing chunks per disk. It is flat:
+// stripe s is on disks out[s*width : (s+1)*width]. The layout is
+// deterministic for a given seed, and dealing a stripe allocates nothing.
+func DeclusteredStripes(poolSize, width, stripes int, seed int64) ([]int32, error) {
 	if width > poolSize {
 		return nil, fmt.Errorf("placement: stripe width %d exceeds pool size %d", width, poolSize)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	out := make([][]int, stripes)
+	out := make([]int32, 0, stripes*width)
 	// Balanced declustering: repeatedly deal shuffled disk permutations
-	// into stripes so per-disk chunk counts differ by at most one.
-	var deck []int
-	for i := 0; i < stripes; i++ {
-		s := make([]int, 0, width)
-		used := make(map[int]bool, width)
-		for len(s) < width {
-			if len(deck) == 0 {
-				deck = make([]int, poolSize)
+	// into stripes so per-disk chunk counts differ by at most one. The
+	// deck is deck[:n], dealt from the top; stripe s stamps its disks s.
+	deck, mark, n := make([]int32, poolSize), make([]int, poolSize), 0
+	for s := 1; s <= stripes; s++ {
+		for len(out) < s*width {
+			if n == 0 {
 				for j := range deck {
-					deck[j] = j
+					deck[j] = int32(j)
 				}
+				n = poolSize
 				rng.Shuffle(poolSize, func(a, b int) { deck[a], deck[b] = deck[b], deck[a] })
 			}
-			d := deck[len(deck)-1]
-			deck = deck[:len(deck)-1]
-			if used[d] {
+			n--
+			d := deck[n]
+			if mark[d] == s {
 				// Put the duplicate back at the bottom and draw a
 				// different disk uniformly from the unused ones.
-				deck = append([]int{d}, deck...)
-				d = rng.Intn(poolSize)
-				for used[d] {
-					d = rng.Intn(poolSize)
+				copy(deck[1:n+1], deck[:n])
+				deck[0] = d
+				n++
+				d = int32(rng.Intn(poolSize))
+				for mark[d] == s {
+					d = int32(rng.Intn(poolSize))
 				}
 			}
-			used[d] = true
-			s = append(s, d)
+			mark[d] = s
+			out = append(out, d)
 		}
-		out[i] = s
 	}
 	return out, nil
 }
 
-// ClusteredStripes generates the trivial clustered layout: every stripe
-// spans all poolSize (== width) disks in order.
-func ClusteredStripes(poolSize, width, stripes int) ([][]int, error) {
+// ClusteredStripes generates the trivial clustered layout, flat like
+// DeclusteredStripes': every stripe is disks 0 … width−1 (poolSize == width).
+func ClusteredStripes(poolSize, width, stripes int) ([]int32, error) {
 	if width != poolSize {
 		return nil, fmt.Errorf("placement: clustered pool size %d must equal width %d", poolSize, width)
 	}
-	out := make([][]int, stripes)
-	base := make([]int, width)
-	for i := range base {
-		base[i] = i
-	}
+	out := make([]int32, stripes*width)
 	for i := range out {
-		out[i] = base
+		out[i] = int32(i % width)
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -174,23 +175,25 @@ func TestStripeCounts(t *testing.T) {
 	}
 }
 
+// rows splits a flat layout into its stripes.
+func rows(flat []int32, width int) [][]int32 {
+	return slices.Collect(slices.Chunk(flat, width))
+}
+
 func TestDeclusteredStripes(t *testing.T) {
 	const poolSize, width, stripes = 120, 20, 3000
 	layout, err := DeclusteredStripes(poolSize, width, stripes, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(layout) != stripes {
-		t.Fatalf("got %d stripes", len(layout))
+	if len(layout) != stripes*width {
+		t.Fatalf("got %d disks for %d stripes", len(layout), stripes)
 	}
 	perDisk := make([]int, poolSize)
-	for si, s := range layout {
-		if len(s) != width {
-			t.Fatalf("stripe %d width %d", si, len(s))
-		}
-		seen := make(map[int]bool)
+	for si, s := range rows(layout, width) {
+		seen := make(map[int32]bool)
 		for _, d := range s {
-			if d < 0 || d >= poolSize {
+			if d < 0 || int(d) >= poolSize {
 				t.Fatalf("stripe %d references disk %d", si, d)
 			}
 			if seen[d] {
@@ -218,28 +221,14 @@ func TestDeclusteredStripesDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a {
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatal("same seed produced different layouts")
-			}
-		}
+	if !slices.Equal(a, b) {
+		t.Fatal("same seed produced different layouts")
 	}
 	c, err := DeclusteredStripes(30, 5, 100, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := true
-outer:
-	for i := range a {
-		for j := range a[i] {
-			if a[i][j] != c[i][j] {
-				same = false
-				break outer
-			}
-		}
-	}
-	if same {
+	if slices.Equal(a, c) {
 		t.Fatal("different seeds produced identical layouts")
 	}
 }
@@ -249,9 +238,12 @@ func TestClusteredStripes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range layout {
+	if len(layout) != 5*20 {
+		t.Fatalf("got %d disks for 5 stripes", len(layout))
+	}
+	for _, s := range rows(layout, 20) {
 		for i, d := range s {
-			if d != i {
+			if int(d) != i {
 				t.Fatal("clustered stripe must span the pool in order")
 			}
 		}
@@ -295,16 +287,13 @@ func TestDeclusteredStripesQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(layout) != stripes {
+		if len(layout) != stripes*width {
 			return false
 		}
-		for _, s := range layout {
-			if len(s) != width {
-				return false
-			}
-			seen := map[int]bool{}
+		for _, s := range rows(layout, width) {
+			seen := map[int32]bool{}
 			for _, d := range s {
-				if d < 0 || d >= poolSize || seen[d] {
+				if d < 0 || int(d) >= poolSize || seen[d] {
 					return false
 				}
 				seen[d] = true

@@ -244,7 +244,7 @@ func (m *Machine) Restore(s Snapshot) error {
 		p.lostMask[tj.S] = tj.M
 		p.lostCount[tj.S] = uint8(bits.OnesCount64(tj.M))
 		for mask := tj.M; mask != 0; mask &= mask - 1 {
-			d := p.stripeDisks[tj.S][bits.TrailingZeros64(mask)]
+			d := p.stripeDisk[tj.S*cfg.Width+bits.TrailingZeros64(mask)]
 			p.diskLost[d]++
 			if p.state[d] == diskRepairing {
 				p.detLost[tj.S]++

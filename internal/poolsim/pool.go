@@ -136,9 +136,7 @@ const (
 type Pool struct {
 	Cfg Config
 
-	stripeDisks  [][]int // stripe → member disk ids
-	diskStripes  [][]int // disk → stripe ids it participates in
-	memberOfDisk [][]int // parallel to diskStripes: member index within the stripe
+	layout // immutable after NewPool; every Clone shares it
 
 	// lostMask[s] has bit m set when stripe s's chunk at member m is
 	// currently lost (width ≤ 64 enforced at construction).
@@ -161,6 +159,15 @@ type Pool struct {
 	detected    int   // disks in diskRepairing
 }
 
+// layout is a pool's stripe geometry, built once by NewPool and never
+// written again. Stripe s is on disks stripeDisk[s·width : (s+1)·width];
+// disk d holds chunks of stripes diskStripe[diskStart[d]:diskStart[d+1]],
+// ascending, at member index diskMember[i] of each.
+type layout struct {
+	stripeDisk, diskStart, diskStripe []int32
+	diskMember                        []uint8
+}
+
 // NewPool builds the pool and its (seeded) stripe layout.
 func NewPool(cfg Config, layoutSeed int64) (*Pool, error) {
 	if err := cfg.Validate(); err != nil {
@@ -169,38 +176,48 @@ func NewPool(cfg Config, layoutSeed int64) (*Pool, error) {
 	if cfg.Width > 64 {
 		return nil, fmt.Errorf("poolsim: stripe width %d exceeds 64 (lost-mask capacity)", cfg.Width)
 	}
-	var layout [][]int
+	var l layout
 	var err error
 	if cfg.Clustered {
-		layout, err = placement.ClusteredStripes(cfg.Disks, cfg.Width, cfg.Stripes())
+		l.stripeDisk, err = placement.ClusteredStripes(cfg.Disks, cfg.Width, cfg.Stripes())
 	} else {
-		layout, err = placement.DeclusteredStripes(cfg.Disks, cfg.Width, cfg.Stripes(), layoutSeed)
+		l.stripeDisk, err = placement.DeclusteredStripes(cfg.Disks, cfg.Width, cfg.Stripes(), layoutSeed)
 	}
 	if err != nil {
 		return nil, err
 	}
-	words := (len(layout) + 63) / 64
-	p := &Pool{
-		Cfg:          cfg,
-		stripeDisks:  layout,
-		diskStripes:  make([][]int, cfg.Disks),
-		memberOfDisk: make([][]int, cfg.Disks),
-		lostMask:     make([]uint64, len(layout)),
-		lostCount:    make([]uint8, len(layout)),
-		detLost:      make([]uint8, len(layout)),
-		ready:        make([]uint64, (cfg.Width+1)*words),
-		readyN:       make([]int32, cfg.Width+1),
-		words:        words,
-		state:        make([]diskState, cfg.Disks),
-		diskLost:     make([]int, cfg.Disks),
+	// Counting sort by disk: the prefix sums leave diskStart[d] at the end
+	// of disk d's run, and dealing from the back walks it to the run's
+	// start while each disk's stripes stay ascending.
+	n, stripes := len(l.stripeDisk), cfg.Stripes()
+	l.diskStart = make([]int32, cfg.Disks+1)
+	for _, d := range l.stripeDisk {
+		l.diskStart[d]++
 	}
-	for s, disks := range layout {
-		for m, d := range disks {
-			p.diskStripes[d] = append(p.diskStripes[d], s)
-			p.memberOfDisk[d] = append(p.memberOfDisk[d], m)
+	for d := range cfg.Disks {
+		l.diskStart[d+1] += l.diskStart[d]
+	}
+	l.diskStripe, l.diskMember = make([]int32, n), make([]uint8, n)
+	for s := stripes - 1; s >= 0; s-- {
+		for m := cfg.Width - 1; m >= 0; m-- {
+			d := l.stripeDisk[s*cfg.Width+m]
+			l.diskStart[d]--
+			l.diskStripe[l.diskStart[d]], l.diskMember[l.diskStart[d]] = int32(s), uint8(m)
 		}
 	}
-	return p, nil
+	words := (stripes + 63) / 64
+	return &Pool{
+		Cfg:       cfg,
+		layout:    l,
+		lostMask:  make([]uint64, stripes),
+		lostCount: make([]uint8, stripes),
+		detLost:   make([]uint8, stripes),
+		ready:     make([]uint64, (cfg.Width+1)*words),
+		readyN:    make([]int32, cfg.Width+1),
+		words:     words,
+		state:     make([]diskState, cfg.Disks),
+		diskLost:  make([]int, cfg.Disks),
+	}, nil
 }
 
 // Clone deep-copies the pool state (sharing the immutable layout).
@@ -239,13 +256,14 @@ func (p *Pool) FailDisk(d int) (newlyLost int) {
 	p.state[d] = diskFailedUndetected
 	p.failedCount++
 	pl := uint8(p.Cfg.Parity)
-	for i, s := range p.diskStripes[d] {
-		m := p.memberOfDisk[d][i]
-		if p.lostMask[s]&(1<<uint(m)) != 0 {
+	stripes, members := p.chunksOf(d)
+	for i, s32 := range stripes {
+		s, m := int(s32), members[i]
+		if p.lostMask[s]&(1<<m) != 0 {
 			continue // already lost (only possible via direct injection)
 		}
 		p.unindex(s)
-		p.lostMask[s] |= 1 << uint(m)
+		p.lostMask[s] |= 1 << m
 		p.lostCount[s]++
 		p.index(s)
 		p.diskLost[d]++
@@ -263,13 +281,20 @@ func (p *Pool) DetectDisk(d int) {
 	}
 	p.state[d] = diskRepairing
 	p.detected++
-	for i, s := range p.diskStripes[d] {
-		if p.lostMask[s]&(1<<uint(p.memberOfDisk[d][i])) != 0 {
+	stripes, members := p.chunksOf(d)
+	for i, s32 := range stripes {
+		if s := int(s32); p.lostMask[s]&(1<<members[i]) != 0 {
 			p.unindex(s)
 			p.detLost[s]++
 			p.index(s)
 		}
 	}
+}
+
+// chunksOf returns disk d's stripes, ascending, and its member index in each.
+func (p *Pool) chunksOf(d int) (stripes []int32, members []uint8) {
+	lo, hi := p.diskStart[d], p.diskStart[d+1]
+	return p.diskStripe[lo:hi], p.diskMember[lo:hi:hi]
 }
 
 // unindex takes stripe s out of the repairable index before its counts
@@ -374,7 +399,7 @@ func (p *Pool) HealBatch(b *repairBatch) []int {
 		p.unindex(s)
 		for mask := p.lostMask[s]; mask != 0; mask &= mask - 1 {
 			m := bits.TrailingZeros64(mask)
-			d := p.stripeDisks[s][m]
+			d := int(p.stripeDisk[s*p.Cfg.Width+m])
 			if p.state[d] != diskRepairing {
 				continue
 			}
@@ -433,7 +458,7 @@ func (p *Pool) HealStripeChunks(s, n int) (healedDisks int) {
 	p.unindex(s)
 	for mask := p.lostMask[s]; mask != 0 && n > 0; mask &= mask - 1 {
 		m := bits.TrailingZeros64(mask)
-		d := p.stripeDisks[s][m]
+		d := int(p.stripeDisk[s*p.Cfg.Width+m])
 		p.lostMask[s] &^= 1 << uint(m)
 		p.lostCount[s]--
 		if p.state[d] == diskRepairing {

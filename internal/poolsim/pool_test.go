@@ -239,8 +239,8 @@ func TestSegmentAccounting(t *testing.T) {
 	// declustered dealer balances perfectly when widths divide).
 	p, _ := NewPool(cfg, 10)
 	for d := 0; d < cfg.Disks; d++ {
-		if got := len(p.diskStripes[d]); got != cfg.SegmentsPerDisk {
-			t.Fatalf("disk %d holds %d chunks, want %d", d, got, cfg.SegmentsPerDisk)
+		if stripes, _ := p.chunksOf(d); len(stripes) != cfg.SegmentsPerDisk {
+			t.Fatalf("disk %d holds %d chunks, want %d", d, len(stripes), cfg.SegmentsPerDisk)
 		}
 	}
 }

@@ -35,20 +35,28 @@ func newRefPool(p *Pool) *refPool {
 	}
 }
 
+// members returns stripe s's disks.
+func (p *Pool) members(s int) []int32 {
+	return p.stripeDisk[s*p.Cfg.Width : (s+1)*p.Cfg.Width]
+}
+
 func (r *refPool) failDisk(d int) (newlyLost int) {
 	r.state[d] = diskFailedUndetected
 	r.failedCount++
 	pl := uint8(r.p.Cfg.Parity)
-	for i, s := range r.p.diskStripes[d] {
-		m := r.p.memberOfDisk[d][i]
-		if r.lostMask[s]&(1<<uint(m)) != 0 {
-			continue
-		}
-		r.lostMask[s] |= 1 << uint(m)
-		r.lostCount[s]++
-		r.diskLost[d]++
-		if r.lostCount[s] == pl+1 {
-			newlyLost++
+	// Find d's chunks in the stripe → disk list, not in the pool's
+	// disk → stripe index, so the index is checked too.
+	for s := range r.lostMask {
+		for m, dm := range r.p.members(s) {
+			if int(dm) != d || r.lostMask[s]&(1<<uint(m)) != 0 {
+				continue
+			}
+			r.lostMask[s] |= 1 << uint(m)
+			r.lostCount[s]++
+			r.diskLost[d]++
+			if r.lostCount[s] == pl+1 {
+				newlyLost++
+			}
 		}
 	}
 	return newlyLost
@@ -97,7 +105,7 @@ func (r *refPool) nextBatch(b *repairBatch) bool {
 func (r *refPool) detectedLost(s int) int {
 	n := 0
 	mask := r.lostMask[s]
-	for m, d := range r.p.stripeDisks[s] {
+	for m, d := range r.p.members(s) {
 		if mask&(1<<uint(m)) != 0 && r.state[d] == diskRepairing {
 			n++
 		}
@@ -109,7 +117,7 @@ func (r *refPool) healBatch(b *repairBatch) []int {
 	var healed []int
 	for _, s := range b.stripes {
 		mask := r.lostMask[s]
-		for m, d := range r.p.stripeDisks[s] {
+		for m, d := range r.p.members(s) {
 			bit := uint64(1) << uint(m)
 			if mask&bit == 0 || r.state[d] != diskRepairing {
 				continue
@@ -121,7 +129,7 @@ func (r *refPool) healBatch(b *repairBatch) []int {
 				r.state[d] = diskHealthy
 				r.failedCount--
 				r.detected--
-				healed = append(healed, d)
+				healed = append(healed, int(d))
 			}
 		}
 	}
@@ -138,7 +146,7 @@ func (r *refPool) healAll() {
 
 func (r *refPool) healStripeChunks(s, n int) (healedDisks []int) {
 	mask := r.lostMask[s]
-	for m, d := range r.p.stripeDisks[s] {
+	for m, d := range r.p.members(s) {
 		if n == 0 {
 			break
 		}
@@ -156,7 +164,7 @@ func (r *refPool) healStripeChunks(s, n int) (healedDisks []int) {
 			}
 			r.state[d] = diskHealthy
 			r.failedCount--
-			healedDisks = append(healedDisks, d)
+			healedDisks = append(healedDisks, int(d))
 		}
 	}
 	return healedDisks
@@ -176,7 +184,7 @@ func (r *refPool) restore(s Snapshot) {
 	for _, tj := range s.Stripes {
 		r.lostMask[tj.S] = tj.M
 		r.lostCount[tj.S] = uint8(bits.OnesCount64(tj.M))
-		for i, d := range r.p.stripeDisks[tj.S] {
+		for i, d := range r.p.members(tj.S) {
 			if tj.M&(1<<uint(i)) != 0 {
 				r.diskLost[d]++
 			}

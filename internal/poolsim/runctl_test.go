@@ -2,6 +2,7 @@ package poolsim
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,7 +12,9 @@ import (
 
 	"mlec/internal/failure"
 	"mlec/internal/obs"
+	"mlec/internal/placement"
 	"mlec/internal/runctl"
+	"mlec/internal/topology"
 )
 
 // TestSplitCheckpointResumeDeterministic is the determinism contract of
@@ -177,6 +180,29 @@ func TestReplayTraceContextCancel(t *testing.T) {
 	}
 	if !stats.Partial {
 		t.Error("cancelled replay not marked Partial")
+	}
+}
+
+// TestSplitFingerprintNamesFields holds the field-by-field fingerprint to
+// the bytes it was printed as before, the whole Config under %+v, for the
+// stage-1 pool of every paper layout and for this package's test pools,
+// so that no checkpoint written before is orphaned. A field added to
+// Config shows on the %+v side only: from then on, compare against the
+// nine fields splitFingerprint names, spelled out.
+func TestSplitFingerprintNamesFields(t *testing.T) {
+	cfgs := []Config{hotConfig(true), hotConfig(false), paperDpConfig(24)}
+	for _, s := range placement.AllSchemes {
+		cfgs = append(cfgs, ConfigFor(placement.MustNewLayout(topology.Default(), placement.DefaultParams(), s), 120))
+	}
+	capped := hotConfig(false)
+	capped.MaxBatchStripes = 3
+	cfgs = append(cfgs, capped)
+	ttf := failure.MustExponentialAFR(0.01)
+	for _, cfg := range cfgs {
+		want := fmt.Sprintf("cfg=%+v|lambda=%g|n=%d|maxLevel=%d|seed=%d", cfg, ttf.RatePerHour, 20000, 12, int64(-5))
+		if got := splitFingerprint(cfg, ttf, 20000, 12, -5); got != want {
+			t.Errorf("fingerprint\n got %s\nwant %s", got, want)
+		}
 	}
 }
 

@@ -327,10 +327,13 @@ const splitCheckpointKind = "poolsim.split"
 // splitFingerprint binds a checkpoint to the exact campaign that wrote
 // it: any change to the pool geometry, failure rate, trajectory budget,
 // or seed changes every RNG stream, so resuming across it would mix
-// incompatible statistics.
+// incompatible statistics. Config's fields are named one by one, as %+v
+// prints them, so a field added to Config orphans no checkpoint.
 func splitFingerprint(cfg Config, ttf failure.Exponential, n, maxLevel int, seed int64) string {
-	return fmt.Sprintf("cfg=%+v|lambda=%g|n=%d|maxLevel=%d|seed=%d",
-		cfg, ttf.RatePerHour, n, maxLevel, seed)
+	return fmt.Sprintf("cfg={Disks:%d Width:%d Parity:%d Clustered:%t SegmentsPerDisk:%d DiskCapacityBytes:%g "+
+		"DiskRepairBW:%g DetectionDelayHours:%g MaxBatchStripes:%d}|lambda=%g|n=%d|maxLevel=%d|seed=%d",
+		cfg.Disks, cfg.Width, cfg.Parity, cfg.Clustered, cfg.SegmentsPerDisk, cfg.DiskCapacityBytes,
+		cfg.DiskRepairBW, cfg.DetectionDelayHours, cfg.MaxBatchStripes, ttf.RatePerHour, n, maxLevel, seed)
 }
 
 // splitCheckpoint is the level-boundary estimator state. Together with

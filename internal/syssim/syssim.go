@@ -16,6 +16,7 @@ package syssim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"mlec/internal/bwmodel"
@@ -86,16 +87,16 @@ type System struct {
 	netDone   []func()           // per pool, s.completeNetworkRepair(p), bound once
 
 	// Network stripe bookkeeping.
-	netOf      [][]int32 // [pool][stripe] → network stripe id (-1 stranded)
-	netLost    []int16   // lost-member count per network stripe
-	netDead    []bool    // currently counted as a loss episode
-	memberLost [][]bool  // [pool][stripe]: counted as lost member
+	netOf      []int32 // [pool·stripes + stripe] → network stripe id (-1 stranded)
+	netLost    []int16 // lost-member count per network stripe
+	netDead    []bool  // currently counted as a loss episode
+	memberLost []bool  // [pool·stripes + stripe]: counted as lost member
 
 	poolCat  []bool // pool currently catastrophic
 	catPools int    // pools currently catastrophic
 
-	healthy      int // healthy disks, system-wide
-	poolHealthy  []int
+	healthy      int     // healthy disks, system-wide
+	poolHealthy  fenwick // healthy disks per pool
 	failureEvent sim.Event
 	onFailure    func() // s.fireFailure, bound once
 
@@ -149,12 +150,15 @@ func New(cfg Config) (*System, error) {
 	s.pools = make([]*poolsim.Machine, n)
 	s.netRepair = make([]sim.Event, n)
 	s.netDone = make([]func(), n)
-	s.memberLost = make([][]bool, n)
+	s.memberLost = make([]bool, n*pc.Stripes())
 	s.poolCat = make([]bool, n)
-	s.poolHealthy = make([]int, n)
+	s.poolHealthy = make(fenwick, n+1)
 	for p := 0; p < n; p++ {
-		pool, err := poolsim.NewPool(pc, rngsplit.Mix(cfg.Seed, streamPool0+p))
-		if err != nil {
+		var pool *poolsim.Pool
+		if pc.Clustered && p > 0 {
+			// Clustered layouts ignore the seed: share pool 0's, still pristine.
+			pool = s.pools[0].Pool.Clone()
+		} else if pool, err = poolsim.NewPool(pc, rngsplit.Mix(cfg.Seed, streamPool0+p)); err != nil {
 			return nil, err
 		}
 		m := poolsim.NewMachine(pool, s.eng)
@@ -169,8 +173,7 @@ func New(cfg Config) (*System, error) {
 		}
 		s.netDone[p] = func() { s.completeNetworkRepair(p) }
 		s.pools[p] = m
-		s.memberLost[p] = make([]bool, pc.Stripes())
-		s.poolHealthy[p] = pc.Disks
+		s.poolHealthy.add(p, pc.Disks)
 	}
 	s.healthy = n * pc.Disks
 	if err := s.buildNetworkStripes(); err != nil {
@@ -185,12 +188,9 @@ func (s *System) buildNetworkStripes() error {
 	S := s.poolCfg.Stripes()
 	width := s.cfg.Params.NetworkWidth()
 	nPools := len(s.pools)
-	s.netOf = make([][]int32, nPools)
-	for p := range s.netOf {
-		s.netOf[p] = make([]int32, S)
-		for i := range s.netOf[p] {
-			s.netOf[p][i] = -1
-		}
+	s.netOf = make([]int32, nPools*S)
+	for i := range s.netOf {
+		s.netOf[i] = -1
 	}
 
 	if s.cfg.Scheme.Network == placement.Clustered {
@@ -202,7 +202,7 @@ func (s *System) buildNetworkStripes() error {
 		for p := 0; p < nPools; p++ {
 			np := l.NetworkPoolOf(p)
 			for st := 0; st < S; st++ {
-				s.netOf[p][st] = int32(np*S + st)
+				s.netOf[p*S+st] = int32(np*S + st)
 			}
 		}
 		return nil
@@ -214,17 +214,10 @@ func (s *System) buildNetworkStripes() error {
 	ppr := l.LocalPoolsPerRack()
 	racks := l.Topo.Racks
 	nextFree := make([]int, nPools)
-	var freeByRack [][]int // rack → pools with free stripes
-	rebuildFree := func() {
-		freeByRack = make([][]int, racks)
-		for p := 0; p < nPools; p++ {
-			if nextFree[p] < S {
-				r := p / ppr
-				freeByRack[r] = append(freeByRack[r], p)
-			}
-		}
+	freeByRack := make([][]int, racks) // rack → pools with free stripes
+	for p := range nPools {
+		freeByRack[p/ppr] = append(freeByRack[p/ppr], p)
 	}
-	rebuildFree()
 	total := nPools * S / width
 	var netLost []int16
 	perm := make([]int, racks)
@@ -252,7 +245,7 @@ func (s *System) buildNetworkStripes() error {
 			for _, r := range perm[g : g+width] {
 				idx := s.rng.Intn(len(freeByRack[r]))
 				p := freeByRack[r][idx]
-				s.netOf[p][nextFree[p]] = ns
+				s.netOf[p*S+nextFree[p]] = ns
 				nextFree[p]++
 				if nextFree[p] == S {
 					freeByRack[r][idx] = freeByRack[r][len(freeByRack[r])-1]
@@ -364,32 +357,42 @@ func (s *System) nextFailureDelay() float64 {
 
 // failRandomDisk picks a uniformly random healthy disk and fails it.
 func (s *System) failRandomDisk() {
-	target := s.rng.Intn(s.healthy)
-	pool := -1
-	for p, h := range s.poolHealthy {
-		if target < h {
-			pool = p
-			break
-		}
-		target -= h
-	}
-	if pool < 0 {
-		return
-	}
+	pool := s.poolHealthy.find(s.rng.Intn(s.healthy))
 	d := s.pools[pool].Pool.RandomHealthyDisk(s.rng)
 	s.stats.DiskFailures++
 	s.failuresC.Inc()
 	obs.Trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvFailure, Pool: pool, Disk: d})
-	s.poolHealthy[pool]--
+	s.poolHealthy.add(pool, -1)
 	s.healthy--
 	s.pools[pool].Fail(d)
+}
+
+// fenwick is a Fenwick tree of the pools' healthy disk counts: t[i] sums
+// those of pools [i − lowbit(i), i).
+type fenwick []int
+
+func (t fenwick) add(pool, n int) {
+	for i := pool + 1; i < len(t); i += i & -i {
+		t[i] += n
+	}
+}
+
+// find returns the first pool p with target < count(0) + … + count(p).
+func (t fenwick) find(target int) int {
+	p := 0
+	for step := 1 << (bits.Len(uint(len(t)-1)) - 1); step > 0; step >>= 1 {
+		if q := p + step; q < len(t) && t[q] <= target {
+			p, target = q, target-t[q]
+		}
+	}
+	return p
 }
 
 func (s *System) onDisksHealed(pool, n int) {
 	if n == 0 {
 		return
 	}
-	s.poolHealthy[pool] += n
+	s.poolHealthy.add(pool, n)
 	s.healthy += n
 	s.armFailureClock()
 }
@@ -472,7 +475,7 @@ func (s *System) completeNetworkRepair(pool int) {
 // markWholePool flips a blind method's pool-is-lost view: every stripe
 // of the pool counts as a lost member while the pool is catastrophic.
 func (s *System) markWholePool(pool int, lost bool) {
-	for st := range s.memberLost[pool] {
+	for st := range s.poolCfg.Stripes() {
 		s.setMemberLost(pool, st, lost)
 	}
 }
@@ -484,9 +487,9 @@ func (s *System) refreshMemberLost(pool int) {
 	if s.cfg.Method.Blind() && s.poolCat[pool] {
 		return
 	}
-	p := s.pools[pool].Pool
+	p, S := s.pools[pool].Pool, s.poolCfg.Stripes()
 	pl := s.cfg.Params.PL
-	for st, counted := range s.memberLost[pool] {
+	for st, counted := range s.memberLost[pool*S : (pool+1)*S] {
 		actual := p.StripeLostCount(st) > pl
 		if actual != counted {
 			s.setMemberLost(pool, st, actual)
@@ -497,11 +500,12 @@ func (s *System) refreshMemberLost(pool int) {
 // setMemberLost updates one local stripe's lost-member flag and the
 // network stripe counters, recording loss episodes.
 func (s *System) setMemberLost(pool, stripe int, lost bool) {
-	if s.memberLost[pool][stripe] == lost {
+	i := pool*s.poolCfg.Stripes() + stripe
+	if s.memberLost[i] == lost {
 		return
 	}
-	s.memberLost[pool][stripe] = lost
-	ns := s.netOf[pool][stripe]
+	s.memberLost[i] = lost
+	ns := s.netOf[i]
 	if ns < 0 {
 		return // stranded stripe
 	}

@@ -80,13 +80,11 @@ func TestNetworkStripeCoverage(t *testing.T) {
 		width := s.cfg.Params.NetworkWidth()
 		members := make(map[int32][]int) // ns → pool ids
 		assigned := 0
-		for p := range s.pools {
-			for st, ns := range s.netOf[p] {
-				_ = st
-				if ns >= 0 {
-					members[ns] = append(members[ns], p)
-					assigned++
-				}
+		S := s.poolCfg.Stripes()
+		for i, ns := range s.netOf {
+			if ns >= 0 {
+				members[ns] = append(members[ns], i/S)
+				assigned++
 			}
 		}
 		if s.stats.StrandedStripes > len(s.pools)*s.poolCfg.Stripes()/20 {
@@ -285,6 +283,36 @@ func TestDrainLoopAllocs(t *testing.T) {
 				t.Errorf("%v %v: the drain loop made %d mallocs over %d events, want at most 4 per progress note (%d notes) and 16 more",
 					scheme, method, extra, longEvents-shortEvents, notes)
 			}
+		}
+	}
+}
+
+// TestNewAllocsPerPool holds syssim.New on the paper datacenter (57,600
+// disks in 2,880 clustered or 480 declustered local pools) to its
+// allocation count per pool, once per local placement: 16 for the pool's
+// state, its machine and the system's callbacks, one detection callback
+// per disk, and 8 for a layout of its own (the dealer's generator, deck
+// and marks, and the four layout arrays) — clustered pools share one. An
+// allocation per stripe (360 a pool), a slice grown disk by disk, or
+// clustered pools building their own layouts again breaks the budget.
+func TestNewAllocsPerPool(t *testing.T) {
+	for _, scheme := range []placement.Scheme{placement.SchemeCC, placement.SchemeDD} {
+		cfg := Config{Topo: topology.Default(), Params: placement.DefaultParams(), Scheme: scheme,
+			Method: repair.RMin, TTF: failure.MustExponentialAFR(0.01), Seed: 1}
+		l := placement.MustNewLayout(cfg.Topo, cfg.Params, scheme)
+		pools := float64(l.TotalLocalPools())
+		budget := 16 + float64(l.LocalPoolSize())
+		if scheme.Local == placement.Declustered {
+			budget += 8
+		}
+		allocs := testing.AllocsPerRun(1, func() {
+			if _, err := New(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%v: %.0f mallocs, %.1f per pool", scheme, allocs, allocs/pools)
+		if allocs > budget*pools {
+			t.Errorf("%v: New made %.0f mallocs, %.1f per pool, want at most %g", scheme, allocs, allocs/pools, budget)
 		}
 	}
 }
