@@ -17,7 +17,7 @@ type SysSimResult struct {
 	Years  float64
 	AFR    float64
 	Method repair.Method
-	Runs   map[placement.Scheme]syssim.Stats
+	Runs   []syssim.Stats // per scheme, in placement.AllSchemes order
 }
 
 // SysSimContext runs the full 57,600-disk datacenter simulator for every
@@ -25,21 +25,19 @@ type SysSimResult struct {
 // end-to-end. At the default 1% AFR it measures fleet failure handling
 // and catastrophic-pool incidence; data-loss events need the splitting
 // estimator (they are too rare to observe directly, which is the point).
-// Cancellation or a deadline stops each scheme's simulation at the next
-// event boundary and the partial runs report the span they actually
-// covered (Stats.Partial).
+// The four schemes run at once (syssim.RunAllContext). Cancellation or a
+// deadline stops every scheme's simulation at its next event boundary
+// and the partial runs report the span they actually covered
+// (Stats.Partial).
 func SysSimContext(ctx context.Context, opts Options) (*SysSimResult, error) {
 	years := opts.size().sysYears
 	ttf, err := failure.NewExponentialAFR(opts.afr())
 	if err != nil {
 		return nil, err
 	}
-	res := &SysSimResult{
-		Years: years, AFR: opts.afr(), Method: repair.RMin,
-		Runs: map[placement.Scheme]syssim.Stats{},
-	}
-	for _, s := range placement.AllSchemes {
-		cfg := syssim.Config{
+	cfgs := make([]syssim.Config, len(placement.AllSchemes))
+	for i, s := range placement.AllSchemes {
+		cfgs[i] = syssim.Config{
 			Topo:            paperTopo(),
 			Params:          paperParams(),
 			Scheme:          s,
@@ -47,13 +45,12 @@ func SysSimContext(ctx context.Context, opts Options) (*SysSimResult, error) {
 			SegmentsPerDisk: 60,
 			TTF:             ttf,
 		}
-		stats, err := syssim.RunContext(ctx, cfg, years, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		res.Runs[s] = stats
 	}
-	return res, nil
+	runs, err := syssim.RunAllContext(ctx, cfgs, years, opts.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return &SysSimResult{Years: years, AFR: opts.afr(), Method: repair.RMin, Runs: runs}, nil
 }
 
 // Render prints the per-scheme fleet statistics.
@@ -61,10 +58,9 @@ func (r *SysSimResult) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Full-system simulation: 57,600 disks, %.0f years, %.1f%% AFR, %v\n",
 		r.Years, r.AFR*100, r.Method)
 	rows := make([][]string, 0, len(r.Runs))
-	for _, s := range placement.AllSchemes {
-		st := r.Runs[s]
+	for i, st := range r.Runs {
 		rows = append(rows, []string{
-			s.String(),
+			placement.AllSchemes[i].String(),
 			fmt.Sprintf("%d", st.DiskFailures),
 			fmt.Sprintf("%d", st.CatastrophicEvents),
 			fmt.Sprintf("%d", st.DataLossEvents),

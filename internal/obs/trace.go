@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,8 +53,9 @@ func KnownEventKinds() map[string]string {
 
 // TraceEvent is one JSONL record of a simulated-time trace. Unused
 // fields stay at their zero values and are omitted from the encoding;
-// Seq is a process-wide sequence number assigned at emission so
-// cmd/mlectrace can detect truncated or interleaved files.
+// Seq is a process-wide sequence number assigned at emission (for a
+// held event, at its commit) so cmd/mlectrace can detect truncated or
+// interleaved files.
 type TraceEvent struct {
 	Seq    uint64  `json:"seq"`
 	T      float64 `json:"t"` // simulated hours
@@ -78,6 +80,10 @@ const traceFlushThreshold = 64 * 1024
 // cheap enough to leave emission sites unconditioned.
 type Recorder struct {
 	on atomic.Bool
+	// held marks a recorder made by Hold: it numbers nothing, writes
+	// nowhere and keeps what it encodes, in kept, for Commit. Set before
+	// first use.
+	held bool
 
 	mu sync.Mutex
 	// guarded by mu
@@ -88,6 +94,8 @@ type Recorder struct {
 	seq uint64
 	// guarded by mu
 	err error // first write/encode error; emission stops on it
+	// guarded by mu
+	kept [][]byte // a held recorder's lines, in chunks of traceFlushThreshold bytes
 }
 
 // Trace is the process-wide recorder; -trace-out starts it.
@@ -120,11 +128,17 @@ func (r *Recorder) Emit(ev TraceEvent) {
 	if !r.on.Load() || r.err != nil {
 		return
 	}
-	r.seq++
+	if !r.held {
+		r.seq++ // a held recorder's stays 0: Commit numbers its events
+	}
 	ev.Seq = r.seq
 	b, err := json.Marshal(ev)
 	if err != nil {
 		r.err = err
+		return
+	}
+	if r.held {
+		r.keepLocked(b)
 		return
 	}
 	r.buf.Write(b)
@@ -142,6 +156,67 @@ func (r *Recorder) flushLocked() {
 	r.buf.Reset()
 	if err != nil {
 		r.err = err
+	}
+}
+
+// keepLocked appends one encoded line to a held recorder's chunks. Fixed
+// chunks hold the trace without the copies and spare capacity of one
+// doubling buffer: a full-scale syssim run keeps tens of megabytes.
+func (r *Recorder) keepLocked(line []byte) {
+	n := len(r.kept) - 1
+	if n < 0 || len(r.kept[n])+len(line)+1 > cap(r.kept[n]) {
+		r.kept = append(r.kept, make([]byte, 0, max(traceFlushThreshold, len(line)+1)))
+		n++
+	}
+	r.kept[n] = append(append(r.kept[n], line...), '\n')
+}
+
+// Hold returns a recorder for one of several runs that go at once but
+// whose events must reach r in a fixed order. It is on if r is on now
+// (off, its Emit is one atomic load and it keeps nothing). It encodes
+// each event as it comes, unnumbered, and keeps them all until r.Commit.
+func (r *Recorder) Hold() *Recorder {
+	h := &Recorder{held: true}
+	h.on.Store(r.on.Load())
+	return h
+}
+
+// heldPrefix opens every line a held recorder encodes: the sequence
+// number json.Marshal writes for Seq 0.
+const heldPrefix = `{"seq":0`
+
+// Commit appends the events h holds to r's trace in the order h was sent
+// them, numbering each now, and empties h. The bytes are those r would
+// have written had the events been emitted to it directly at this point,
+// so runs that commit in a fixed order leave the trace a function of the
+// seed alone, however they were scheduled.
+func (r *Recorder) Commit(h *Recorder) {
+	h.mu.Lock()
+	kept, herr := h.kept, h.err
+	h.kept, h.err = nil, nil
+	h.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.on.Load() || r.err != nil {
+		return
+	}
+	if herr != nil {
+		r.err = herr
+		return
+	}
+	var num [20]byte
+	for _, chunk := range kept {
+		for len(chunk) > 0 {
+			n := bytes.IndexByte(chunk, '\n') + 1
+			r.seq++
+			r.buf.WriteString(`{"seq":`)
+			r.buf.Write(strconv.AppendUint(num[:0], r.seq, 10))
+			r.buf.Write(chunk[len(heldPrefix):n])
+			chunk = chunk[n:]
+			if r.buf.Len() >= traceFlushThreshold {
+				r.flushLocked()
+			}
+		}
 	}
 }
 

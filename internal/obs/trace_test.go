@@ -127,6 +127,92 @@ func TestRecorderRestartResetsSequence(t *testing.T) {
 	}
 }
 
+// TestHeldCommitMatchesDirectEmit runs three emitters at once, each into
+// its own held recorder, and commits them in order: the sink must hold
+// the bytes of the same events emitted one run after another. The runs
+// fill several of a held recorder's chunks, one event is longer than a
+// chunk, and the flush threshold is crossed on the way.
+func TestHeldCommitMatchesDirectEmit(t *testing.T) {
+	runs := make([][]TraceEvent, 3)
+	for i := range runs {
+		for j := range 1200 + 50*i {
+			runs[i] = append(runs[i], TraceEvent{T: float64(j) / 3, Kind: EvRepairStart,
+				Pool: i, Disk: j, Method: "local", Bytes: 1e9 * float64(j)})
+		}
+	}
+	runs[1][700].Note = strings.Repeat("x", traceFlushThreshold+10)
+	var direct, committed bytes.Buffer
+	rec := &Recorder{}
+	if err := rec.Start(&direct); err != nil {
+		t.Fatal(err)
+	}
+	for _, evs := range runs {
+		for _, ev := range evs {
+			rec.Emit(ev)
+		}
+	}
+	if err := rec.Stop(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := rec.Start(&committed); err != nil {
+		t.Fatal(err)
+	}
+	held := make([]*Recorder, len(runs))
+	var wg sync.WaitGroup
+	for i, evs := range runs {
+		held[i] = rec.Hold()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, ev := range evs {
+				held[i].Emit(ev)
+			}
+		}()
+	}
+	wg.Wait()
+	if committed.Len() != 0 {
+		t.Fatal("held events reached the sink before Commit")
+	}
+	for _, h := range held {
+		rec.Commit(h)
+		rec.Commit(h) // emptied: a second commit adds nothing
+	}
+	if err := rec.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if direct.Len() < traceFlushThreshold {
+		t.Fatalf("trace of %d bytes never crosses the flush threshold", direct.Len())
+	}
+	if !bytes.Equal(committed.Bytes(), direct.Bytes()) {
+		t.Fatalf("committed trace (%d bytes) differs from the direct one (%d bytes)", committed.Len(), direct.Len())
+	}
+}
+
+// TestHoldOffKeepsNothing: a recorder held from a stopped one is off, so
+// its Emit allocates nothing and a Commit writes nothing.
+func TestHoldOffKeepsNothing(t *testing.T) {
+	rec := &Recorder{}
+	h := rec.Hold()
+	if h.Enabled() {
+		t.Fatal("recorder held from an off one is on")
+	}
+	if n := testing.AllocsPerRun(100, func() { h.Emit(TraceEvent{Kind: EvFailure, Pool: 3}) }); n != 0 {
+		t.Fatalf("off held Emit allocates %.1f times", n)
+	}
+	var sink bytes.Buffer
+	if err := rec.Start(&sink); err != nil {
+		t.Fatal(err)
+	}
+	rec.Commit(h)
+	if err := rec.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if sink.Len() != 0 {
+		t.Fatalf("commit of an off held recorder wrote %q", sink.String())
+	}
+}
+
 func TestRecorderFlushesAtThreshold(t *testing.T) {
 	var sink bytes.Buffer
 	rec := &Recorder{}

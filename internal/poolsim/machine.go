@@ -39,7 +39,7 @@ type Machine struct {
 	repairEv  sim.Event   // completion of the batch in flight
 	batch     repairBatch // the batch repairEv completes
 	batchDone func()      // m.finishBatch, bound once: a replan allocates no closure
-	onDetect  []func()    // per disk, m.detect(d), bound once likewise
+	onDetect  []func()    // per disk, m.detect(d), bound at its first arm and kept
 	timers    []detectTimer
 }
 
@@ -57,9 +57,6 @@ func NewMachine(pool *Pool, eng *sim.Engine) *Machine {
 		timers:   make([]detectTimer, pool.Cfg.Disks),
 	}
 	m.batchDone = m.finishBatch
-	for d := range m.onDetect {
-		m.onDetect[d] = func() { m.detect(d) }
-	}
 	return m
 }
 
@@ -77,8 +74,17 @@ func (m *Machine) Fail(d int) {
 
 func (m *Machine) arm(d int, delay float64) {
 	m.timers[d] = detectTimer{armed: m.eng.Now(), delay: delay}
+	if m.onDetect[d] == nil {
+		m.bindDetect(d)
+	}
 	m.eng.Schedule(delay, m.onDetect[d])
 }
+
+// bindDetect makes disk d's detection callback. Most disks of a
+// datacenter never fail, so none is made before it is first needed.
+//
+//mlec:cold once per disk over a machine's life, at the disk's first failure
+func (m *Machine) bindDetect(d int) { m.onDetect[d] = func() { m.detect(d) } }
 
 // detect fires when a detection falls due. HealAll leaves the detections
 // it overtook in the queue: if d has failed again since, its timer is the

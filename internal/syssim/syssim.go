@@ -26,6 +26,7 @@ import (
 	"mlec/internal/placement"
 	"mlec/internal/poolsim"
 	"mlec/internal/repair"
+	"mlec/internal/runctl"
 	"mlec/internal/sim"
 	"mlec/internal/topology"
 )
@@ -91,6 +92,7 @@ type System struct {
 	netLost    []int16 // lost-member count per network stripe
 	netDead    []bool  // currently counted as a loss episode
 	memberLost []bool  // [pool·stripes + stripe]: counted as lost member
+	poolLost   []int   // per pool, its stripes flagged in memberLost
 
 	poolCat  []bool // pool currently catastrophic
 	catPools int    // pools currently catastrophic
@@ -104,6 +106,10 @@ type System struct {
 
 	stats Stats
 
+	// trace receives every event the run emits, its pools' included:
+	// obs.Trace, or a recorder held for RunAllContext's ordered commit.
+	trace *obs.Recorder
+
 	// Observability cells, resolved once at construction so the event
 	// loop pays one atomic per update. Strictly write-only: the
 	// simulation never reads them back.
@@ -112,8 +118,11 @@ type System struct {
 	catC      *obs.Counter
 }
 
-// New builds the simulator.
-func New(cfg Config) (*System, error) {
+// New builds the simulator, tracing to obs.Trace.
+func New(cfg Config) (*System, error) { return build(cfg, obs.Trace) }
+
+// build builds the simulator, tracing to trace.
+func build(cfg Config, trace *obs.Recorder) (*System, error) {
 	if cfg.SegmentsPerDisk <= 0 {
 		cfg.SegmentsPerDisk = 60
 	}
@@ -140,6 +149,7 @@ func New(cfg Config) (*System, error) {
 		eng:     sim.New(),
 		rng:     rngsplit.Derive(cfg.Seed, streamEngine),
 		netBW:   bwmodel.New(l).PoolRepairBandwidth(),
+		trace:   trace,
 
 		eventsC:   obs.Default.Counter("syssim_events_total"),
 		failuresC: obs.Default.Counter("syssim_disk_failures_total"),
@@ -151,6 +161,7 @@ func New(cfg Config) (*System, error) {
 	s.netRepair = make([]sim.Event, n)
 	s.netDone = make([]func(), n)
 	s.memberLost = make([]bool, n*pc.Stripes())
+	s.poolLost = make([]int, n)
 	s.poolCat = make([]bool, n)
 	s.poolHealthy = make(fenwick, n+1)
 	for p := 0; p < n; p++ {
@@ -162,10 +173,14 @@ func New(cfg Config) (*System, error) {
 			return nil, err
 		}
 		m := poolsim.NewMachine(pool, s.eng)
-		m.Trace, m.ID = obs.Trace, p
+		m.Trace, m.ID = trace, p
 		m.OnHealed = func(disks []int) {
 			s.onDisksHealed(p, len(disks))
-			s.refreshMemberLost(p)
+			// Healing only lowers lost counts: a pool with no flagged
+			// stripe has none to clear and gains none.
+			if s.poolLost[p] > 0 {
+				s.refreshMemberLost(p)
+			}
 		}
 		m.OnCat = func() {
 			s.refreshMemberLost(p)
@@ -278,8 +293,41 @@ func (s *System) buildNetworkStripes() error {
 // uninterrupted run's — cancellation changes where the run stops, never
 // what it simulates.
 func RunContext(ctx context.Context, cfg Config, years float64, seed int64) (Stats, error) {
+	return run(ctx, cfg, years, seed, obs.Trace)
+}
+
+// RunAllContext runs RunContext for every config at once, one runctl.Pool
+// worker each (its stream the config's index), and returns their stats
+// in cfgs' order. Each run traces into a recorder of its own held from
+// obs.Trace; once every run has returned they are committed in cfgs'
+// order, so the trace holds the bytes a loop over RunContext writes.
+// Cancellation stops every run at its next poll, each Partial. The error
+// is that of the earliest config whose run failed.
+func RunAllContext(ctx context.Context, cfgs []Config, years float64, seed int64) ([]Stats, error) {
+	stats := make([]Stats, len(cfgs))
+	held := make([]*obs.Recorder, len(cfgs))
+	pool := runctl.NewPool(ctx)
+	for i, cfg := range cfgs {
+		held[i] = obs.Trace.Hold()
+		pool.Go(int64(i), func(ctx context.Context) (err error) {
+			stats[i], err = run(ctx, cfg, years, seed, held[i])
+			return err
+		})
+	}
+	err := pool.Wait()
+	for _, h := range held {
+		obs.Trace.Commit(h)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return stats, nil
+}
+
+// run is RunContext tracing to trace.
+func run(ctx context.Context, cfg Config, years float64, seed int64, trace *obs.Recorder) (Stats, error) {
 	cfg.Seed = seed
-	s, err := New(cfg)
+	s, err := build(cfg, trace)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -361,7 +409,7 @@ func (s *System) failRandomDisk() {
 	d := s.pools[pool].Pool.RandomHealthyDisk(s.rng)
 	s.stats.DiskFailures++
 	s.failuresC.Inc()
-	obs.Trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvFailure, Pool: pool, Disk: d})
+	s.trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvFailure, Pool: pool, Disk: d})
 	s.poolHealthy.add(pool, -1)
 	s.healthy--
 	s.pools[pool].Fail(d)
@@ -405,7 +453,7 @@ func (s *System) onCatastrophic(pool int) {
 		s.stats.CatastrophicEvents++
 		s.catC.Inc()
 		s.catPools++
-		obs.Trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvPoolCat, Pool: pool})
+		s.trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvPoolCat, Pool: pool})
 		if s.catPools > s.stats.MaxConcurrentCatPools {
 			s.stats.MaxConcurrentCatPools = s.catPools
 		}
@@ -417,7 +465,7 @@ func (s *System) onCatastrophic(pool int) {
 	s.eng.Cancel(s.netRepair[pool])
 	volume := s.networkVolume(pool)
 	hours := volume/s.netBW/3600 + s.cfg.DetectionDelayHours
-	obs.Trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvRepairStart,
+	s.trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvRepairStart,
 		Pool: pool, Method: s.cfg.Method.String(), Bytes: volume})
 	s.netRepair[pool] = s.eng.Schedule(hours, s.netDone[pool])
 }
@@ -444,7 +492,7 @@ func (s *System) completeNetworkRepair(pool int) {
 	volume := s.networkVolume(pool)
 	traffic := volume * float64(s.cfg.Params.KN+1)
 	s.stats.CrossRackRepairBytes += traffic
-	obs.Trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvRepairEnd,
+	s.trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvRepairEnd,
 		Pool: pool, Method: s.cfg.Method.String(), Bytes: traffic})
 
 	// The network stage rebuilt the method's share of every stripe's lost
@@ -464,7 +512,7 @@ func (s *System) completeNetworkRepair(pool int) {
 	}
 	s.poolCat[pool] = false
 	s.catPools--
-	obs.Trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvPoolHeal, Pool: pool})
+	s.trace.Emit(obs.TraceEvent{T: s.eng.Now(), Kind: obs.EvPoolHeal, Pool: pool})
 	s.refreshMemberLost(pool)
 	// New damage may already have re-accumulated during the window.
 	if p.LostStripes() > 0 {
@@ -505,6 +553,11 @@ func (s *System) setMemberLost(pool, stripe int, lost bool) {
 		return
 	}
 	s.memberLost[i] = lost
+	if lost {
+		s.poolLost[pool]++
+	} else {
+		s.poolLost[pool]--
+	}
 	ns := s.netOf[i]
 	if ns < 0 {
 		return // stranded stripe
