@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Code is a systematic linear erasure code over GF(2^8): a stripe is k
@@ -24,8 +25,31 @@ type Code struct {
 
 // scratches pools one Verify or Reconstruct call's working memory across
 // codes, each scratch grown to the shapes it meets: once warm, Verify
-// allocates nothing and Reconstruct only the shards it rebuilds.
-var scratches = sync.Pool{New: func() any { return new(scratch) }}
+// allocates nothing and Reconstruct only the shards it rebuilds. spare
+// holds the scratch returned last, outside the pool: a sync.Pool keeps an
+// item on the P that returned it and drops it at the second garbage
+// collection after, so a caller that resumes on another P after a
+// collection would otherwise grow a shard-sized parity buffer afresh.
+var (
+	scratches = sync.Pool{New: func() any { return new(scratch) }}
+	spare     atomic.Pointer[scratch]
+)
+
+// getScratch takes the spare scratch, or one from the pool.
+func getScratch() *scratch {
+	if s := spare.Swap(nil); s != nil {
+		return s
+	}
+	return scratches.Get().(*scratch)
+}
+
+// putScratch makes s the spare, or returns it to the pool when a spare is
+// already held.
+func putScratch(s *scratch) {
+	if !spare.CompareAndSwap(nil, s) {
+		scratches.Put(s)
+	}
+}
 
 type scratch struct {
 	idx                  []int    // decodeRows: lost data shards, then surviving parity shards
@@ -119,8 +143,8 @@ func (c *Code) Verify(shards [][]byte) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	s := scratches.Get().(*scratch)
-	defer scratches.Put(s)
+	s := getScratch()
+	defer putScratch(s)
 	out := [][]byte{resize(&s.parity, size)}
 	for i, want := range shards[c.k:] {
 		Apply(c.gen[i:i+1], shards[:c.k], out)
@@ -146,8 +170,8 @@ func (c *Code) Reconstruct(shards [][]byte, dataOnly bool) error {
 	if err != nil {
 		return err
 	}
-	s := scratches.Get().(*scratch)
-	defer func() { clear(s.present); clear(s.header[:cap(s.header)]); scratches.Put(s) }() // keep no caller's shard
+	s := getScratch()
+	defer func() { clear(s.present); clear(s.header[:cap(s.header)]); putScratch(s) }() // keep no caller's shard
 	data, parity := shards[:c.k], shards[c.k:]
 	dec, err := c.decodeRows(s, shards)
 	if err != nil {

@@ -5,11 +5,13 @@
 // x^8 + x^4 + x^3 + x^2 + 1 (0x11d), the same polynomial used by most
 // storage erasure codecs (including Intel ISA-L, which the paper benchmarks
 // in Figure 11). Multiplication uses 256-entry log/exp tables. The
-// shard-length kernel, Apply, multiplies 32 bytes at a time with
-// ISA-L's split-nibble shuffles on an amd64 CPU with AVX2
-// (kernel_amd64.s) and otherwise with Go loops over a per-multiplier
-// 256-entry product table. Code (code.go) is the systematic linear code
-// written once on top of Apply; rs and lrc are two generator matrices for it.
+// shard-length kernel, Apply, multiplies whole 32-byte vectors on amd64
+// (kernel_amd64.s): with one GFNI affine instruction per coefficient,
+// eight output rows per pass, where the CPU has GFNI; with ISA-L's
+// split-nibble shuffles where it has AVX2 only; and otherwise with Go
+// loops over a per-multiplier 256-entry product table. Code (code.go) is
+// the systematic linear code written once on top of Apply; rs and lrc
+// are two generator matrices for it.
 package gf256
 
 import "encoding/binary"
@@ -29,6 +31,7 @@ var (
 
 func init() {
 	genTables()
+	genKernelTables()
 }
 
 func genTables() {
@@ -118,14 +121,19 @@ func Log(a byte) int {
 // and out the same length, or Apply panics; out is overwritten and must
 // not overlap in.
 //
-// Rows are taken two at a time so that one pass over a source shard
-// feeds two outputs (mulAdd2); a zero coefficient costs nothing and a
-// coefficient of 1 is a plain XOR, which is what keeps an LRC local
-// parity row — or a decode row that reduced to one — at XOR speed.
+// On a GFNI host applyGFNI does the work, up to eight rows per pass over
+// the sources. Elsewhere rows are taken two at a time so that one pass
+// over a source shard feeds two outputs (mulAdd2); a zero coefficient
+// costs nothing and a coefficient of 1 is a plain XOR, which is what
+// keeps an LRC local parity row — or a decode row that reduced to one —
+// at XOR speed.
 func Apply(rows, in, out [][]byte) {
 	if !applicable(rows, in, out) {
 		//lint:allow nakedpanic hot-kernel precondition; the bounds-check analogue for mismatched shard geometry
 		panic("gf256: Apply shape mismatch")
+	}
+	if applyGFNI(rows, in, out) {
+		return
 	}
 	for len(rows) >= 2 {
 		r0, r1, d0, d1 := rows[0], rows[1], out[0], out[1]

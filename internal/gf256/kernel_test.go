@@ -66,20 +66,30 @@ func randomShards(rng *rand.Rand, count, n int) [][]byte {
 	return shards
 }
 
-// BenchmarkApply times Apply on one 128 KiB source shard: the one-row
-// table loop (1x1) and the two-row loop (2x1, bytes of source).
+// BenchmarkApply times Apply on every kernel leg at 1, 2, 3, 8 and 12
+// rows over ten 64 KiB source shards (bytes of source): one row, one
+// pair, a pair and an odd row, one full GFNI row group, and a group
+// split into 8 + 4.
 func BenchmarkApply(b *testing.B) {
-	const n = 128 << 10
-	for _, rows := range []int{1, 2} {
-		b.Run(fmt.Sprintf("%dx1", rows), func(b *testing.B) {
-			coef := [][]byte{{0x1d}, {0x8e}}[:rows]
-			in := randomShards(rand.New(rand.NewSource(1)), 1, n)
-			out := randomShards(rand.New(rand.NewSource(2)), rows, n)
-			b.SetBytes(n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Apply(coef, in, out)
+	const k, n = 10, 64 << 10
+	in := randomShards(rand.New(rand.NewSource(1)), k, n)
+	for _, leg := range kernelLegs {
+		b.Run(leg.name, func(b *testing.B) {
+			if why := leg.missing(); why != "" {
+				b.Skip(why)
+			}
+			defer leg.use()()
+			for _, nr := range []int{1, 2, 3, 8, 12} {
+				b.Run(fmt.Sprintf("%dx%d", nr, k), func(b *testing.B) {
+					rng := rand.New(rand.NewSource(2))
+					rows, out := randomShards(rng, nr, k), randomShards(rng, nr, n)
+					b.SetBytes(k * n)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						Apply(rows, in, out)
+					}
+				})
 			}
 		})
 	}
@@ -124,6 +134,74 @@ func applyMatchesScalar(t *testing.T) {
 					}
 				}
 				checkApply(t, rng, rows, n)
+			}
+		}
+	}
+}
+
+// TestApplyRandomShapes holds Apply to the scalar reference on random
+// shapes past every pass boundary of the GFNI body: up to 255 columns
+// (eight 32-column passes) and 1–20 rows (row groups of 8 split, the last
+// one short), with all-zero columns, zeros scattered so that a column can
+// vanish from one row group only, XOR-only rows as an LRC's local parity
+// has, lengths that are mostly not multiples of 32, and every shard a
+// window at an offset 0–32 into a padded array whose bytes outside the
+// window must stay as they were.
+func TestApplyRandomShapes(t *testing.T) { OnKernels(t, applyRandomShapes) }
+
+func applyRandomShapes(t *testing.T) {
+	const pad = 16
+	rng := rand.New(rand.NewSource(12))
+	for trial := range 300 {
+		k, nr := 1+rng.Intn(255), 1+rng.Intn(20)
+		if trial%10 == 0 {
+			k = 255
+		}
+		n, off := rng.Intn(200), rng.Intn(33)
+		if trial%3 == 0 {
+			n = 32 * rng.Intn(7)
+		}
+		rows := randomShards(rng, nr, k)
+		for c := range k {
+			zero := rng.Intn(4) == 0
+			for _, row := range rows {
+				if zero || rng.Intn(3) == 0 {
+					row[c] = 0
+				}
+			}
+		}
+		for _, row := range rows {
+			if rng.Intn(5) == 0 {
+				for c := range row {
+					row[c] = min(row[c], 1)
+				}
+			}
+		}
+		backing := randomShards(rng, k+nr, pad+off+n+pad)
+		frozen := make([][]byte, len(backing))
+		windows := make([][]byte, len(backing))
+		for i, b := range backing {
+			frozen[i] = append([]byte(nil), b...)
+			windows[i] = b[pad+off : pad+off+n]
+		}
+		in, out := windows[:k], windows[k:]
+		want := make([][]byte, nr)
+		for r := range want {
+			want[r] = make([]byte, n)
+		}
+		refApply(rows, in, want)
+		Apply(rows, in, out)
+		for r := range out {
+			if !bytes.Equal(want[r], out[r]) {
+				t.Fatalf("trial %d: Apply(%dx%d, n=%d, off=%d) row %d disagrees with scalar reference", trial, nr, k, n, off, r)
+			}
+		}
+		for i, b := range backing {
+			if i < k && !bytes.Equal(b, frozen[i]) {
+				t.Fatalf("trial %d: source %d was modified", trial, i)
+			}
+			if !bytes.Equal(b[:pad+off], frozen[i][:pad+off]) || !bytes.Equal(b[pad+off+n:], frozen[i][pad+off+n:]) {
+				t.Fatalf("trial %d: shard %d written outside its window", trial, i)
 			}
 		}
 	}
@@ -303,7 +381,8 @@ func TestDualLengthMismatchPanics(t *testing.T) {
 }
 
 // TestKernelsDoNotAllocate holds the //mlec:hot claim of zero allocations
-// per call: Apply at 1, 2, 3 and 12 rows, Code.Encode and XorSlice, on
+// per call: Apply at 1, 2, 3, 8, 9 and 12 rows and at 9 rows over 40
+// shards, Code.Encode and XorSlice, on
 // shards long enough for a vector body and a Go tail. It also holds the
 // pooled scratch to its promise: once warm, Code.Verify allocates nothing
 // and Code.Reconstruct exactly the shards it rebuilds.
@@ -319,10 +398,15 @@ func kernelsDoNotAllocate(t *testing.T) {
 			t.Errorf("%s: %v allocations per call, want 0", what, allocs)
 		}
 	}
-	for _, nr := range []int{1, 2, 3, 12} {
+	for _, nr := range []int{1, 2, 3, 8, 9, 12} {
 		rows, out := randomShards(rng, nr, len(in)), randomShards(rng, nr, n)
 		noAllocs(fmt.Sprintf("Apply with %d rows", nr), func() { Apply(rows, in, out) })
 	}
+	// 40 columns: the GFNI body's second pass of a row group adds into
+	// what its first stored.
+	wide := randomShards(rng, 40, n)
+	rows, out := randomShards(rng, 9, len(wide)), randomShards(rng, 9, n)
+	noAllocs("Apply with 9 rows over 40 shards", func() { Apply(rows, wide, out) })
 	gen, err := ParityRows(10, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -291,7 +291,9 @@ func (s *System) buildNetworkStripes() error {
 // and returns statistics over the span actually simulated, marked
 // Partial. The event sequence up to that boundary is identical to an
 // uninterrupted run's — cancellation changes where the run stops, never
-// what it simulates.
+// what it simulates. A context already done on entry stops the run before
+// the system is built: its Partial stats are all zero, StrandedStripes
+// (a fact of the built system) included.
 func RunContext(ctx context.Context, cfg Config, years float64, seed int64) (Stats, error) {
 	return run(ctx, cfg, years, seed, obs.Trace)
 }
@@ -326,6 +328,9 @@ func RunAllContext(ctx context.Context, cfgs []Config, years float64, seed int64
 
 // run is RunContext tracing to trace.
 func run(ctx context.Context, cfg Config, years float64, seed int64, trace *obs.Recorder) (Stats, error) {
+	if ctx.Err() != nil {
+		return Stats{Partial: true}, nil
+	}
 	cfg.Seed = seed
 	s, err := build(cfg, trace)
 	if err != nil {

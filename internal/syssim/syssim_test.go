@@ -3,6 +3,7 @@ package syssim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -316,4 +317,93 @@ func TestNewAllocsPerPool(t *testing.T) {
 			t.Errorf("%v: New made %.0f mallocs, %.1f per pool, want at most %g", scheme, allocs, allocs/pools, budget)
 		}
 	}
+}
+
+// TestLossBookAfterEveryHeal holds the network-stripe loss accounting to
+// the pools' actual damage after every local heal (OnHealed) and every
+// network repair: each local stripe's memberLost flag is set exactly when
+// it has lost more than pl chunks (or, under a blind method, while its
+// pool is catastrophic), poolLost counts a pool's flags and netLost a
+// network stripe's flagged members. It runs every scheme under every
+// repair method at a failure rate where local heals clear flagged stripes
+// of catastrophic pools, and it checks that such heals happened.
+func TestLossBookAfterEveryHeal(t *testing.T) {
+	for _, scheme := range placement.AllSchemes {
+		cleared := 0
+		for _, method := range repair.AllMethods {
+			cfg := hotSystem(scheme, method, 0.9)
+			cfg.Seed = 17
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			heals := 0
+			check := func(what string) {
+				heals++
+				if msg := s.lossBookMismatch(); msg != "" {
+					t.Fatalf("%v %v: after %s %d at %.0f h: %s", scheme, method, what, heals, s.eng.Now(), msg)
+				}
+			}
+			for p, m := range s.pools {
+				onHealed, netDone := m.OnHealed, s.netDone[p]
+				m.OnHealed = func(disks []int) {
+					before := s.poolLost[p]
+					onHealed(disks)
+					if s.poolLost[p] < before {
+						cleared++
+					}
+					check("local heal")
+				}
+				s.netDone[p] = func() { netDone(); check("network repair") }
+			}
+			s.armFailureClock()
+			for horizon := 30 * failure.HoursPerYear; ; {
+				if next, ok := s.eng.NextTime(); !ok || next > horizon {
+					break
+				}
+				s.eng.Step()
+			}
+			if heals == 0 {
+				t.Fatalf("%v %v: no heal in 30 years", scheme, method)
+			}
+		}
+		t.Logf("%v: %d local heals cleared a flagged stripe", scheme, cleared)
+		if cleared == 0 {
+			t.Errorf("%v: no local heal cleared a flagged stripe; the check never met the case it is for", scheme)
+		}
+	}
+}
+
+// lossBookMismatch recomputes memberLost, poolLost and netLost from the
+// pools' stripe lost counts and describes the first disagreement, or
+// returns "".
+func (s *System) lossBookMismatch() string {
+	S, pl := s.poolCfg.Stripes(), s.cfg.Params.PL
+	netLost := make([]int16, len(s.netLost))
+	for p, m := range s.pools {
+		blind := s.cfg.Method.Blind() && s.poolCat[p]
+		flagged := 0
+		for st := range S {
+			i := p*S + st
+			want := blind || m.Pool.StripeLostCount(st) > pl
+			if s.memberLost[i] != want {
+				return fmt.Sprintf("pool %d stripe %d: memberLost %v, want %v (%d chunks lost)", p, st, s.memberLost[i], want, m.Pool.StripeLostCount(st))
+			}
+			if want {
+				flagged++
+				if ns := s.netOf[i]; ns >= 0 {
+					netLost[ns]++
+				}
+			}
+		}
+		if s.poolLost[p] != flagged {
+			return fmt.Sprintf("pool %d: poolLost %d, want %d", p, s.poolLost[p], flagged)
+		}
+	}
+	for ns, n := range netLost {
+		if s.netLost[ns] != n {
+			return fmt.Sprintf("network stripe %d: netLost %d, want %d", ns, s.netLost[ns], n)
+		}
+	}
+	return ""
 }

@@ -3,9 +3,11 @@
 // Figure 11 (ISA-L on one Xeon core) and the throughput axes of
 // Figures 12 and 15.
 //
-// The kernel under the codecs (gf256.Apply) multiplies with ISA-L's
-// split-nibble AVX2 shuffles where the CPU has them and with Go table
-// loops elsewhere, so absolute numbers depend on the host; the shape —
+// The kernel under the codecs (gf256.Apply) multiplies with GFNI affine
+// instructions, up to eight parity rows per pass, where the CPU has
+// GFNI, with ISA-L's split-nibble AVX2 shuffles where it has AVX2 only,
+// and with Go table loops elsewhere, so absolute numbers depend on the
+// host; the shape —
 // throughput falling with p (parity work is O(k·p) per stripe) and with
 // wide k (cache pressure), MLEC beating wide SLEC at equal durability —
 // depends only on the arithmetic volume, which is identical.
