@@ -95,9 +95,9 @@ bench-check:
 
 ## fuzz: short fuzzing smoke of the hand-written parsers (failure-trace
 ## files, //lint:allow directives) and of the burst sampler, the
-## declustered stripe dealer, the codecs and the lazily seeded
-## rngsplit.Source against their references (math/rand for the last),
-## and of the cluster's degraded read under
+## declustered stripe dealer, the bit-sliced pool state, the codecs and
+## the lazily seeded rngsplit.Source against their references (math/rand
+## for the last), and of the cluster's degraded read under
 ## arbitrary disk failures. `go test -fuzz` accepts a single
 ## target per invocation, hence one line each.
 fuzz:
@@ -108,6 +108,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=10s ./internal/runctl
 	$(GO) test -run='^$$' -fuzz=FuzzSampleLayout -fuzztime=10s ./internal/burst
 	$(GO) test -run='^$$' -fuzz=FuzzDeclusteredStripes -fuzztime=10s ./internal/placement
+	$(GO) test -run='^$$' -fuzz=FuzzPoolMatchesReference -fuzztime=10s ./internal/poolsim
 	$(GO) test -run='^$$' -fuzz=FuzzCodecMatchesReference -fuzztime=10s ./internal/gf256
 	$(GO) test -run='^$$' -fuzz=FuzzClusterReadAfterFailures -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzSourceMatchesMathRand -fuzztime=10s ./internal/mathx/rngsplit

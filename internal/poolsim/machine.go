@@ -41,6 +41,11 @@ type Machine struct {
 	batchDone func()      // m.finishBatch, bound once: a replan allocates no closure
 	onDetect  []func()    // per disk, m.detect(d), bound at its first arm and kept
 	timers    []detectTimer
+	// Snapshot's scratch, made by the first: per-stripe masks (zero
+	// between calls) and the disks' member indices (snapshotScratch).
+	masks      []uint64
+	members    []uint8
+	firstChunk []int32
 }
 
 // detectTimer is a disk's detection countdown: armed at one clock
@@ -126,7 +131,9 @@ func (m *Machine) finishBatch() {
 
 //mlec:cold trace emission: absent, or one atomic load, in every run that is not being traced
 func (m *Machine) traceBatch(kind string) {
-	if m.Trace != nil {
+	// Enabled first: building the event and passing it to Emit, which
+	// would drop it, costs a 100-byte copy every batch.
+	if m.Trace != nil && m.Trace.Enabled() {
 		m.Trace.Emit(obs.TraceEvent{T: m.eng.Now(), Kind: kind,
 			Pool: m.ID, Method: "local", Bytes: m.batch.volumeBytes})
 	}
@@ -184,11 +191,19 @@ type snapDetect struct {
 // a restored machine starts its top batch afresh, as every replan does.
 func (m *Machine) Snapshot() Snapshot {
 	var s Snapshot
-	now := m.eng.Now()
-	for d, st := range m.Pool.state {
-		if st == diskHealthy {
-			continue
-		}
+	p, now := m.Pool, m.eng.Now()
+	if m.masks == nil {
+		m.snapshotScratch()
+	}
+	if len(p.down) > 0 {
+		s.Disks = make([]snapDisk, 0, len(p.down))
+	}
+	// Each down disk ORs its member bit into the mask of every stripe it
+	// lost a chunk of; its chunks' members are read in stripe order, the
+	// rank of a stripe among the disk's being a popcount.
+	chunks := 0
+	for _, d32 := range p.down {
+		d, st := int(d32), p.state[d32]
 		s.Disks = append(s.Disks, snapDisk{D: d, S: uint8(st)})
 		if st == diskFailedUndetected {
 			// delay − elapsed, not (armed + delay) − now: a disk that
@@ -198,24 +213,64 @@ func (m *Machine) Snapshot() Snapshot {
 			t := m.timers[d]
 			s.Detect = append(s.Detect, snapDetect{D: d, R: t.delay - (now - t.armed)})
 		}
+		members, held := m.members[m.firstChunk[d]:m.firstChunk[d+1]], p.set(p.diskSet, d)
+		for w, lost := range p.set(p.lost, d) {
+			chunks += bits.OnesCount64(lost)
+			for ; lost != 0; lost &= lost - 1 {
+				rank := bits.OnesCount64(held[w] & (lost&-lost - 1))
+				m.masks[w<<6|bits.TrailingZeros64(lost)] |= 1 << members[rank]
+			}
+			members = members[bits.OnesCount64(held[w]):]
+		}
 	}
-	for st, mask := range m.Pool.lostMask {
-		if mask != 0 {
-			s.Stripes = append(s.Stripes, snapStripe{S: st, M: mask})
+	// The stripes with a lost chunk (no more of them than lost chunks)
+	// are those with a non-zero count.
+	if chunks > 0 {
+		s.Stripes = make([]snapStripe, 0, chunks)
+	}
+	for w := range p.words {
+		for x := p.damaged(w); x != 0; x &= x - 1 {
+			st := w<<6 | bits.TrailingZeros64(x)
+			s.Stripes = append(s.Stripes, snapStripe{S: st, M: m.masks[st]})
+			m.masks[st] = 0
 		}
 	}
 	return s
 }
 
+// snapshotScratch makes Snapshot's scratch: the per-stripe masks, and
+// every disk's member index in each stripe it holds a chunk of, in stripe
+// order (disk d's from firstChunk[d] on), dealt as a counting sort.
+//
+//mlec:cold once per machine, at its first Snapshot; most machines never snapshot
+func (m *Machine) snapshotScratch() {
+	p, width := m.Pool, m.Pool.Cfg.Width
+	m.masks = make([]uint64, p.Cfg.Stripes())
+	m.firstChunk = make([]int32, p.Cfg.Disks+1)
+	for _, d := range p.stripeDisk {
+		m.firstChunk[d]++
+	}
+	for d := range p.Cfg.Disks {
+		m.firstChunk[d+1] += m.firstChunk[d]
+	}
+	m.members = make([]uint8, len(p.stripeDisk))
+	for i := len(p.stripeDisk) - 1; i >= 0; i-- {
+		d := p.stripeDisk[i]
+		m.firstChunk[d]--
+		m.members[m.firstChunk[d]] = uint8(i % width)
+	}
+}
+
 // Restore rewinds the machine to s at time 0 on an emptied engine (so
 // only a machine with an engine to itself): s is replayed onto a pristine
-// pool, the redundant counters re-derived from the masks, the detections
-// scheduled in the order listed, then the repair plan. Every snapshot
-// comes through here — each trajectory's entry, each entry of a loaded
-// checkpoint — so nothing is trusted: ids out of range, mask bits beyond
-// the stripe width, contradictory states and countdowns that are not
-// non-negative numbers are errors, after which the machine holds no
-// usable state until a Restore succeeds.
+// pool, the redundant state (counts, lost sets, the repairable set)
+// re-derived from the masks, the detections scheduled in the order
+// listed, then the repair plan. Every snapshot comes through here — each
+// trajectory's entry, each entry of a loaded checkpoint — so nothing is
+// trusted: ids out of range, mask bits beyond the stripe width,
+// contradictory states and countdowns that are not non-negative numbers
+// are errors, after which the machine holds no usable state until a
+// Restore succeeds (a HealAll clears whatever the failed one wrote).
 func (m *Machine) Restore(s Snapshot) error {
 	p, cfg := m.Pool, m.Pool.Cfg
 	p.HealAll()
@@ -232,35 +287,47 @@ func (m *Machine) Restore(s Snapshot) error {
 			return fmt.Errorf("disk %d listed twice", dj.D)
 		}
 		p.state[dj.D] = st
-		p.failedCount++
+		p.addDown(dj.D)
 		if st == diskRepairing {
 			p.detected++
 		}
 	}
+	// While the stripes are read, the repairable set marks those listed
+	// with a lost chunk; both it and the counts are derived from the lost
+	// sets afterwards, a word at a time.
+	stripes, healthyOwner := cfg.Stripes(), -1
+	stripeDisk, state, lost, words := p.stripeDisk, p.state, p.lost, p.words
 	for _, tj := range s.Stripes {
-		if tj.S < 0 || tj.S >= len(p.lostMask) {
+		if tj.S < 0 || tj.S >= stripes {
 			return fmt.Errorf("stripe %d out of range", tj.S)
 		}
 		if cfg.Width < 64 && tj.M>>uint(cfg.Width) != 0 {
 			return fmt.Errorf("stripe %d mask %#x exceeds width %d", tj.S, tj.M, cfg.Width)
 		}
-		if p.lostMask[tj.S] != 0 {
+		w, bit := tj.S>>6, uint64(1)<<uint(tj.S&63)
+		if p.repairable[w]&bit != 0 {
 			return fmt.Errorf("stripe %d listed twice", tj.S)
 		}
-		p.lostMask[tj.S] = tj.M
-		p.lostCount[tj.S] = uint8(bits.OnesCount64(tj.M))
+		if tj.M != 0 {
+			p.repairable[w] |= bit
+		}
 		for mask := tj.M; mask != 0; mask &= mask - 1 {
-			d := p.stripeDisk[tj.S*cfg.Width+bits.TrailingZeros64(mask)]
-			p.diskLost[d]++
-			if p.state[d] == diskRepairing {
-				p.detLost[tj.S]++
+			d := int(stripeDisk[tj.S*cfg.Width+bits.TrailingZeros64(mask)])
+			if state[d] != diskHealthy {
+				lost[d*words+w] |= bit
+			} else if healthyOwner < 0 || d < healthyOwner {
+				healthyOwner = d
 			}
 		}
-		p.index(tj.S)
 	}
-	for d, lost := range p.diskLost {
-		if lost > 0 && p.state[d] == diskHealthy {
-			return fmt.Errorf("healthy disk %d owns lost chunks", d)
+	if healthyOwner >= 0 {
+		return fmt.Errorf("healthy disk %d owns lost chunks", healthyOwner)
+	}
+	clear(p.repairable)
+	for _, d := range p.down {
+		addCount(p.count, p.planes, p.set(lost, int(d)), 0)
+		if state[d] == diskRepairing {
+			orInto(p.repairable, p.set(lost, int(d)))
 		}
 	}
 	last := -1

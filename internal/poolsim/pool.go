@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"mlec/internal/failure"
 	"mlec/internal/placement"
@@ -133,39 +134,47 @@ const (
 
 // Pool is the mutable pool state. It contains no event-queue machinery;
 // a Machine owns the clock and calls the mutators.
+//
+// The stripe state is bit-sliced: a stripe set is words machine words,
+// stripe s at bit s&63 of word s>>6, and every bit past the last stripe
+// is zero in every set. FailDisk, DetectDisk, NextBatch and HealBatch
+// work a word at a time, in O(down disks × words × planes), and look up
+// no chunk's disk or member but a healed disk's last.
 type Pool struct {
 	Cfg Config
 
 	layout // immutable after NewPool; every Clone shares it
 
-	// lostMask[s] has bit m set when stripe s's chunk at member m is
-	// currently lost (width ≤ 64 enforced at construction).
-	lostMask  []uint64
-	lostCount []uint8
+	// lost is one stripe set per disk, words apart: the stripes whose
+	// chunk on that disk is lost. Only a down disk's set is non-empty.
+	lost []uint64
+	// count holds every stripe's lost-chunk count in planes bit planes,
+	// word-major: bit k of stripe s's count is bit s&63 of
+	// count[(s>>6)·planes + k].
+	count []uint64
+	// repairable is the set of stripes with a lost chunk on a detected
+	// disk: the stripes a repair batch may take.
+	repairable []uint64
+	// batch is HealBatch's scratch, the set of the batch's stripes; it is
+	// empty between calls.
+	batch []uint64
+	// down lists the disks that are not healthy, ascending.
+	down []int32
 
-	// The repairable-stripe index, kept by every mutator. detLost[s]
-	// counts stripe s's lost chunks on detected (repairing) disks. Words
-	// [c·words, (c+1)·words) of ready are the set of stripes with
-	// lostCount c and detLost > 0 — the stripes a batch at priority c
-	// would take, in ascending order — and readyN[c] is its size.
-	detLost []uint8
-	ready   []uint64
-	readyN  []int32
-	words   int
+	state         []diskState
+	detected      int // disks in diskRepairing
+	words, planes int
 
-	state       []diskState
-	diskLost    []int // lost chunks attributable to each disk
-	failedCount int   // disks not healthy
-	detected    int   // disks in diskRepairing
+	batchCap     int     // Cfg.batchCap()
+	segmentBytes float64 // Cfg.SegmentBytes()
 }
 
 // layout is a pool's stripe geometry, built once by NewPool and never
 // written again. Stripe s is on disks stripeDisk[s·width : (s+1)·width];
-// disk d holds chunks of stripes diskStripe[diskStart[d]:diskStart[d+1]],
-// ascending, at member index diskMember[i] of each.
+// disk d holds a chunk of every stripe in diskSet[d·words : (d+1)·words].
 type layout struct {
-	stripeDisk, diskStart, diskStripe []int32
-	diskMember                        []uint8
+	stripeDisk []int32
+	diskSet    []uint64
 }
 
 // NewPool builds the pool and its (seeded) stripe layout.
@@ -178,69 +187,64 @@ func NewPool(cfg Config, layoutSeed int64) (*Pool, error) {
 	}
 	var l layout
 	var err error
+	stripes := cfg.Stripes()
 	if cfg.Clustered {
-		l.stripeDisk, err = placement.ClusteredStripes(cfg.Disks, cfg.Width, cfg.Stripes())
+		l.stripeDisk, err = placement.ClusteredStripes(cfg.Disks, cfg.Width, stripes)
 	} else {
-		l.stripeDisk, err = placement.DeclusteredStripes(cfg.Disks, cfg.Width, cfg.Stripes(), layoutSeed)
+		l.stripeDisk, err = placement.DeclusteredStripes(cfg.Disks, cfg.Width, stripes, layoutSeed)
 	}
 	if err != nil {
 		return nil, err
 	}
-	// Counting sort by disk: the prefix sums leave diskStart[d] at the end
-	// of disk d's run, and dealing from the back walks it to the run's
-	// start while each disk's stripes stay ascending.
-	n, stripes := len(l.stripeDisk), cfg.Stripes()
-	l.diskStart = make([]int32, cfg.Disks+1)
-	for _, d := range l.stripeDisk {
-		l.diskStart[d]++
-	}
-	for d := range cfg.Disks {
-		l.diskStart[d+1] += l.diskStart[d]
-	}
-	l.diskStripe, l.diskMember = make([]int32, n), make([]uint8, n)
-	for s := stripes - 1; s >= 0; s-- {
-		for m := cfg.Width - 1; m >= 0; m-- {
-			d := l.stripeDisk[s*cfg.Width+m]
-			l.diskStart[d]--
-			l.diskStripe[l.diskStart[d]], l.diskMember[l.diskStart[d]] = int32(s), uint8(m)
+	words := (stripes + 63) / 64
+	l.diskSet = make([]uint64, cfg.Disks*words)
+	for s := range stripes {
+		for _, d := range l.stripeDisk[s*cfg.Width : (s+1)*cfg.Width] {
+			l.diskSet[int(d)*words+s>>6] |= 1 << uint(s&63)
 		}
 	}
-	words := (stripes + 63) / 64
-	return &Pool{
-		Cfg:       cfg,
-		layout:    l,
-		lostMask:  make([]uint64, stripes),
-		lostCount: make([]uint8, stripes),
-		detLost:   make([]uint8, stripes),
-		ready:     make([]uint64, (cfg.Width+1)*words),
-		readyN:    make([]int32, cfg.Width+1),
-		words:     words,
-		state:     make([]diskState, cfg.Disks),
-		diskLost:  make([]int, cfg.Disks),
-	}, nil
+	p := &Pool{Cfg: cfg, layout: l, words: words, planes: bits.Len(uint(cfg.Width)),
+		batchCap: cfg.batchCap(), segmentBytes: cfg.SegmentBytes()}
+	p.allocState()
+	return p, nil
+}
+
+// allocState makes the pool's mutable state, pristine: the four kinds of
+// stripe set in one allocation, the disk states and the down list.
+func (p *Pool) allocState() {
+	d, w := p.Cfg.Disks*p.words, p.planes*p.words
+	sets := make([]uint64, d+w+2*p.words)
+	p.lost, p.count = sets[:d:d], sets[d:d+w:d+w]
+	p.repairable, p.batch = sets[d+w:d+w+p.words:d+w+p.words], sets[d+w+p.words:]
+	p.state = make([]diskState, p.Cfg.Disks)
+	p.down = make([]int32, 0, p.Cfg.Disks)
 }
 
 // Clone deep-copies the pool state (sharing the immutable layout).
 func (p *Pool) Clone() *Pool {
 	c := *p
-	c.lostMask = append([]uint64(nil), p.lostMask...)
-	c.lostCount = append([]uint8(nil), p.lostCount...)
-	c.detLost = append([]uint8(nil), p.detLost...)
-	c.ready = append([]uint64(nil), p.ready...)
-	c.readyN = append([]int32(nil), p.readyN...)
-	c.state = append([]diskState(nil), p.state...)
-	c.diskLost = append([]int(nil), p.diskLost...)
+	c.allocState()
+	copy(c.lost, p.lost)
+	copy(c.count, p.count)
+	copy(c.repairable, p.repairable)
+	copy(c.state, p.state)
+	c.down = append(c.down, p.down...)
 	return &c
 }
 
+// set returns disk d's stripe set in sets (p.lost or p.diskSet).
+func (p *Pool) set(sets []uint64, d int) []uint64 {
+	return sets[d*p.words : (d+1)*p.words : (d+1)*p.words]
+}
+
 // FailedDisks returns the number of disks that are failed or repairing.
-func (p *Pool) FailedDisks() int { return p.failedCount }
+func (p *Pool) FailedDisks() int { return len(p.down) }
 
 // DetectedDisks returns the number of disks whose failure was detected.
 func (p *Pool) DetectedDisks() int { return p.detected }
 
 // Healthy reports whether every disk is healthy.
-func (p *Pool) Healthy() bool { return p.failedCount == 0 }
+func (p *Pool) Healthy() bool { return len(p.down) == 0 }
 
 // DiskState returns disk d's lifecycle state.
 func (p *Pool) DiskState(d int) int { return int(p.state[d]) }
@@ -254,24 +258,11 @@ func (p *Pool) FailDisk(d int) (newlyLost int) {
 		panic(fmt.Sprintf("poolsim: disk %d failed twice", d))
 	}
 	p.state[d] = diskFailedUndetected
-	p.failedCount++
-	pl := uint8(p.Cfg.Parity)
-	stripes, members := p.chunksOf(d)
-	for i, s32 := range stripes {
-		s, m := int(s32), members[i]
-		if p.lostMask[s]&(1<<m) != 0 {
-			continue // already lost (only possible via direct injection)
-		}
-		p.unindex(s)
-		p.lostMask[s] |= 1 << m
-		p.lostCount[s]++
-		p.index(s)
-		p.diskLost[d]++
-		if p.lostCount[s] == pl+1 {
-			newlyLost++
-		}
-	}
-	return newlyLost
+	p.addDown(d)
+	// A healthy disk has no lost chunk, so all of its chunks are new.
+	lost := p.set(p.lost, d)
+	copy(lost, p.set(p.diskSet, d))
+	return addCount(p.count, p.planes, lost, p.Cfg.Parity+1)
 }
 
 // DetectDisk moves a failed disk into the repairing set.
@@ -281,61 +272,55 @@ func (p *Pool) DetectDisk(d int) {
 	}
 	p.state[d] = diskRepairing
 	p.detected++
-	stripes, members := p.chunksOf(d)
-	for i, s32 := range stripes {
-		if s := int(s32); p.lostMask[s]&(1<<members[i]) != 0 {
-			p.unindex(s)
-			p.detLost[s]++
-			p.index(s)
-		}
-	}
+	orInto(p.repairable, p.set(p.lost, d))
 }
 
-// chunksOf returns disk d's stripes, ascending, and its member index in each.
-func (p *Pool) chunksOf(d int) (stripes []int32, members []uint8) {
-	lo, hi := p.diskStart[d], p.diskStart[d+1]
-	return p.diskStripe[lo:hi], p.diskMember[lo:hi:hi]
+// addDown adds disk d, just taken out of service, to the down list
+// (whose capacity, Disks, it never outgrows).
+func (p *Pool) addDown(d int) {
+	i, _ := slices.BinarySearch(p.down, int32(d))
+	p.down = slices.Insert(p.down, i, int32(d))
 }
 
-// unindex takes stripe s out of the repairable index before its counts
-// change; index puts it back under its new priority afterwards. Both are
-// no-ops for a stripe with no detected lost chunk.
-func (p *Pool) unindex(s int) {
-	if p.detLost[s] > 0 {
-		c := int(p.lostCount[s])
-		p.ready[c*p.words+s>>6] &^= 1 << uint(s&63)
-		p.readyN[c]--
+// markHealthy returns down disk d, whose last lost chunk was just
+// rebuilt, to service.
+func (p *Pool) markHealthy(d int) {
+	if p.state[d] == diskRepairing {
+		p.detected--
 	}
-}
-
-func (p *Pool) index(s int) {
-	if p.detLost[s] > 0 {
-		c := int(p.lostCount[s])
-		p.ready[c*p.words+s>>6] |= 1 << uint(s&63)
-		p.readyN[c]++
-	}
+	p.state[d] = diskHealthy
+	i := slices.Index(p.down, int32(d))
+	p.down = slices.Delete(p.down, i, i+1)
 }
 
 // LostStripes returns the number of stripes currently beyond local
 // recovery (> pl lost chunks).
-func (p *Pool) LostStripes() int {
-	n := 0
-	pl := uint8(p.Cfg.Parity)
-	for _, c := range p.lostCount {
-		if c > pl {
-			n++
+func (p *Pool) LostStripes() (n int) {
+	for w := range p.words {
+		for x := p.damaged(w); x != 0; x &= x - 1 {
+			if p.StripeLostCount(w<<6|bits.TrailingZeros64(x)) > p.Cfg.Parity {
+				n++
+			}
 		}
 	}
 	return n
+}
+
+// damaged returns word w of the set of stripes with a lost chunk.
+func (p *Pool) damaged(w int) (set uint64) {
+	for _, x := range p.count[w*p.planes : (w+1)*p.planes] {
+		set |= x
+	}
+	return set
 }
 
 // Profile returns the stripe damage histogram: counts of stripes by
 // number of lost chunks (index = lost chunks; index 0 unused).
 func (p *Pool) Profile() []int {
 	prof := make([]int, p.Cfg.Width+1)
-	for _, c := range p.lostCount {
-		if c > 0 {
-			prof[c]++
+	for w := range p.words {
+		for x := p.damaged(w); x != 0; x &= x - 1 {
+			prof[p.StripeLostCount(w<<6|bits.TrailingZeros64(x))]++
 		}
 	}
 	return prof
@@ -357,63 +342,61 @@ type repairBatch struct {
 // and reports whether there is one. Priority is the stripe's total lost
 // count.
 func (p *Pool) NextBatch(b *repairBatch) bool {
-	best := 0
-	for c := len(p.readyN) - 1; c > 0; c-- {
-		if p.readyN[c] > 0 {
-			best = c
-			break
-		}
-	}
-	if best == 0 {
+	b.stripes, b.priority = topStripes(b.stripes, p.count, p.planes, p.repairable, p.batchCap)
+	if b.priority == 0 {
 		return false
 	}
-	stripes := b.stripes
-	stripes = stripes[:0]
-	chunks := 0
-	maxStripes := p.Cfg.batchCap()
-scan:
-	for w, word := range p.ready[best*p.words : (best+1)*p.words] {
-		for ; word != 0; word &= word - 1 {
-			s := w<<6 + bits.TrailingZeros64(word)
-			stripes = append(stripes, s)
-			chunks += int(p.detLost[s])
-			if len(stripes) >= maxStripes {
-				break scan
+	// Every stripe of the batch has priority lost chunks; the detected
+	// ones are what is left after the undetected disks' (usually none).
+	chunks := b.priority * len(b.stripes)
+	for _, d := range p.down {
+		if p.state[d] == diskFailedUndetected {
+			lost := p.set(p.lost, int(d))
+			for _, s := range b.stripes {
+				chunks -= int(lost[s>>6] >> uint(s&63) & 1)
 			}
 		}
 	}
-	b.stripes, b.priority = stripes, best
-	b.volumeBytes = float64(chunks) * p.Cfg.SegmentBytes()
+	b.volumeBytes = float64(chunks) * p.segmentBytes
 	return true
 }
 
 // HealBatch repairs the batch's detected lost chunks and returns the
 // disks that became fully healthy again (in b's storage: good until b's
-// next HealBatch).
+// next HealBatch), in the order a stripe-by-stripe, member-by-member walk
+// of the batch rebuilds their last chunks.
 func (p *Pool) HealBatch(b *repairBatch) []int {
+	// The batch as a stripe set, in the scratch (emptied again below).
+	// Every detected lost chunk of it is rebuilt, so its stripes leave
+	// the repairable set.
+	for _, s := range b.stripes {
+		p.batch[s>>6] |= 1 << uint(s&63)
+	}
+	for w, x := range p.batch {
+		p.repairable[w] &^= x
+	}
+	// A healed disk is first held as the position of its last rebuilt
+	// chunk, stripe·64 + member, which names it and orders it.
 	healed := b.healed
 	healed = healed[:0]
-	for _, s := range b.stripes {
-		// Every detected lost chunk of s is rebuilt, so s leaves the
-		// index for good: no index(s) afterwards.
-		p.unindex(s)
-		for mask := p.lostMask[s]; mask != 0; mask &= mask - 1 {
-			m := bits.TrailingZeros64(mask)
-			d := int(p.stripeDisk[s*p.Cfg.Width+m])
-			if p.state[d] != diskRepairing {
-				continue
-			}
-			p.lostMask[s] &^= 1 << uint(m)
-			p.lostCount[s]--
-			p.detLost[s]--
-			p.diskLost[d]--
-			if p.diskLost[d] == 0 {
-				p.state[d] = diskHealthy
-				p.failedCount--
-				p.detected--
-				healed = append(healed, d)
-			}
+	for i := 0; i < len(p.down); i++ {
+		d := int(p.down[i])
+		if p.state[d] != diskRepairing {
+			continue
 		}
+		lost := p.set(p.lost, d)
+		last := heal(lost, p.count, p.planes, p.batch)
+		if last < 0 || !empty(lost) {
+			continue
+		}
+		p.markHealthy(d)
+		i--
+		healed = append(healed, last<<6|slices.Index(p.stripeDisk[last*p.Cfg.Width:(last+1)*p.Cfg.Width], int32(d)))
+	}
+	clear(p.batch)
+	slices.Sort(healed)
+	for i, at := range healed {
+		healed[i] = int(p.stripeDisk[(at>>6)*p.Cfg.Width+at&63])
 	}
 	b.healed = healed
 	return healed
@@ -422,20 +405,19 @@ func (p *Pool) HealBatch(b *repairBatch) []int {
 // HealAll instantly restores the pool to pristine state (used after a
 // catastrophic event is handed to the network level).
 func (p *Pool) HealAll() {
-	clear(p.lostMask)
-	clear(p.lostCount)
-	clear(p.detLost)
-	clear(p.ready)
-	clear(p.readyN)
-	clear(p.state)
-	clear(p.diskLost)
-	p.failedCount = 0
+	for _, d := range p.down {
+		clear(p.set(p.lost, int(d)))
+		p.state[d] = diskHealthy
+	}
+	p.down = p.down[:0]
+	clear(p.count)
+	clear(p.repairable)
 	p.detected = 0
 }
 
 // RandomHealthyDisk returns a uniformly random healthy disk id.
 func (p *Pool) RandomHealthyDisk(rng *rand.Rand) int {
-	if p.failedCount == p.Cfg.Disks {
+	if len(p.down) == p.Cfg.Disks {
 		//lint:allow nakedpanic callers only ask while the pool has survivors; an empty pool is a simulator-state invariant violation
 		panic("poolsim: no healthy disk")
 	}
@@ -448,33 +430,147 @@ func (p *Pool) RandomHealthyDisk(rng *rand.Rand) int {
 }
 
 // StripeLostCount returns stripe s's current lost-chunk count.
-func (p *Pool) StripeLostCount(s int) int { return int(p.lostCount[s]) }
+func (p *Pool) StripeLostCount(s int) int {
+	c, w := 0, s>>6
+	for k, x := range p.count[w*p.planes : (w+1)*p.planes] {
+		c |= int(x>>uint(s&63)&1) << uint(k)
+	}
+	return c
+}
 
-// HealStripeChunks rebuilds up to n of stripe s's lost chunks (network
-// repair can restore chunks of undetected disks too — the network
-// repairer has its own maps). Returns how many disks became fully
-// healthy.
+// HealStripeChunks rebuilds up to n of stripe s's lost chunks, lowest
+// member first (network repair can restore chunks of undetected disks
+// too — the network repairer has its own maps). Returns how many disks
+// became fully healthy.
 func (p *Pool) HealStripeChunks(s, n int) (healedDisks int) {
-	p.unindex(s)
-	for mask := p.lostMask[s]; mask != 0 && n > 0; mask &= mask - 1 {
-		m := bits.TrailingZeros64(mask)
-		d := int(p.stripeDisk[s*p.Cfg.Width+m])
-		p.lostMask[s] &^= 1 << uint(m)
-		p.lostCount[s]--
-		if p.state[d] == diskRepairing {
-			p.detLost[s]--
-		}
-		p.diskLost[d]--
-		n--
-		if p.diskLost[d] == 0 {
-			if p.state[d] == diskRepairing {
-				p.detected--
+	w, bit, repairable := s>>6, uint64(1)<<uint(s&63), false
+	for _, d32 := range p.stripeDisk[s*p.Cfg.Width : (s+1)*p.Cfg.Width] {
+		d := int(d32)
+		lost := p.set(p.lost, d)
+		switch {
+		case lost[w]&bit == 0:
+		case n == 0:
+			repairable = repairable || p.state[d] == diskRepairing
+		default:
+			lost[w] &^= bit
+			subOne(p.count[w*p.planes:(w+1)*p.planes], bit)
+			n--
+			if empty(lost) {
+				p.markHealthy(d)
+				healedDisks++
 			}
-			p.state[d] = diskHealthy
-			p.failedCount--
-			healedDisks++
 		}
 	}
-	p.index(s)
+	if repairable {
+		p.repairable[w] |= bit
+	} else {
+		p.repairable[w] &^= bit
+	}
 	return healedDisks
+}
+
+// The word loops. Each walks a stripe set a word at a time and the count
+// planes of that word beside it. The loop conditions on the lengths of
+// count and lost never end a loop early; they let the compiler drop the
+// bounds checks.
+
+// addCount adds one to the count of every stripe in set and returns how
+// many of them it brought to exactly reach (none, for a reach below 1).
+//
+//mlec:hot every disk failure of every driver
+func addCount(count []uint64, planes int, set []uint64, reach int) (n int) {
+	for w := 0; w < len(set) && planes >= 0 && planes <= len(count); w++ {
+		pl := count[:planes]
+		count = count[planes:]
+		carry, at := set[w], set[w] // at: the stripes now at reach
+		for k, x := range pl {
+			pl[k], carry = x^carry, x&carry
+			// Keep the stripes whose bit k is reach's: pl[k], or its
+			// complement where reach's bit is 0.
+			at &= pl[k] ^ (uint64(reach>>uint(k)&1) - 1)
+		}
+		n += bits.OnesCount64(at)
+	}
+	return n
+}
+
+// heal takes the stripes of batch out of lost and lowers their counts
+// by one where they were in it, and returns the highest stripe it took,
+// or -1 for none.
+//
+//mlec:hot every finished repair batch, once per detected disk
+func heal(lost, count []uint64, planes int, batch []uint64) (last int) {
+	last = -1
+	for w := 0; w < len(batch) && w < len(lost) && planes >= 0 && planes <= len(count); w++ {
+		pl := count[:planes]
+		count = count[planes:]
+		if h := lost[w] & batch[w]; h != 0 {
+			lost[w] &^= h
+			last = w<<6 | (63 - bits.LeadingZeros64(h))
+			subOne(pl, h)
+		}
+	}
+	return last
+}
+
+// subOne lowers by one the count of every stripe in h, given the planes
+// of h's word.
+//
+//mlec:hot every rebuilt run of chunks, local or network
+func subOne(pl []uint64, h uint64) {
+	for k, x := range pl {
+		pl[k], h = x^h, ^x&h
+	}
+}
+
+// topStripes refills stripes with the stripes of set whose count is the
+// highest among set's, ascending, at most limit of them, and returns them
+// and that count (0 for an empty set). Each word's own top stripes come
+// from a top-down search of its planes; a word whose top is below the
+// best so far is skipped, one above it starts the list again.
+//
+//mlec:hot every repair plan
+func topStripes(stripes []int, count []uint64, planes int, set []uint64, limit int) ([]int, int) {
+	stripes = stripes[:0]
+	best := 0
+	for w := 0; w < len(set) && planes >= 0 && planes <= len(count); w++ {
+		pl, c, v := count[:planes], set[w], 0
+		count = count[planes:]
+		for k := len(pl) - 1; k >= 0 && c != 0; k-- {
+			if t := c & pl[k]; t != 0 {
+				c, v = t, v|1<<uint(k)
+			}
+		}
+		if v < best {
+			continue
+		} else if v > best {
+			best, stripes = v, stripes[:0]
+		}
+		for ; c != 0 && len(stripes) < limit; c &= c - 1 {
+			stripes = append(stripes, w<<6|bits.TrailingZeros64(c))
+		}
+	}
+	return stripes, best
+}
+
+// orInto adds src's stripes to dst.
+//
+//mlec:hot every detection
+func orInto(dst, src []uint64) {
+	src = src[:len(dst)]
+	for i, x := range src {
+		dst[i] |= x
+	}
+}
+
+// empty reports whether set holds no stripe.
+//
+//mlec:hot every repair batch, once per detected disk
+func empty(set []uint64) bool {
+	for _, x := range set {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -1,8 +1,11 @@
 package poolsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"mlec/internal/sim"
 )
 
 // paperCpConfig is the paper's local-Cp pool: 20 disks, (17+3).
@@ -239,8 +242,52 @@ func TestSegmentAccounting(t *testing.T) {
 	// declustered dealer balances perfectly when widths divide).
 	p, _ := NewPool(cfg, 10)
 	for d := 0; d < cfg.Disks; d++ {
-		if stripes, _ := p.chunksOf(d); len(stripes) != cfg.SegmentsPerDisk {
-			t.Fatalf("disk %d holds %d chunks, want %d", d, len(stripes), cfg.SegmentsPerDisk)
+		if n := setSize(p.set(p.diskSet, d)); n != cfg.SegmentsPerDisk {
+			t.Fatalf("disk %d holds %d chunks, want %d", d, n, cfg.SegmentsPerDisk)
+		}
+	}
+}
+
+// BenchmarkPoolTransitions times the pool transitions of the repair rule
+// on the paper's local pools (Cp: 20 disks, one stripe set word at 60
+// segments; Dp: 120 disks, 6 and 12 words). One op: two disks fail and
+// are detected, every batch is planned and healed until the pool is
+// healthy, then a third disk fails and the machine is snapshotted and
+// restored once.
+func BenchmarkPoolTransitions(b *testing.B) {
+	for _, segments := range []int{60, 120} {
+		cp := paperCpConfig()
+		cp.SegmentsPerDisk = segments
+		for _, cfg := range []Config{cp, paperDpConfig(segments)} {
+			name := fmt.Sprintf("Cp-%d", segments)
+			if !cfg.Clustered {
+				name = fmt.Sprintf("Dp-%d", segments)
+			}
+			b.Run(name, func(b *testing.B) {
+				pool, err := NewPool(cfg, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m := NewMachine(pool, sim.New())
+				var batch repairBatch
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					d := i % (cfg.Disks - 2)
+					pool.FailDisk(d)
+					pool.FailDisk(d + 1)
+					pool.DetectDisk(d)
+					pool.DetectDisk(d + 1)
+					for pool.NextBatch(&batch) {
+						pool.HealBatch(&batch)
+					}
+					m.Fail(d + 2)
+					if err := m.Restore(m.Snapshot()); err != nil {
+						b.Fatal(err)
+					}
+					m.HealAll()
+				}
+			})
 		}
 	}
 }

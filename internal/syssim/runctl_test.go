@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"mlec/internal/failure"
 	"mlec/internal/placement"
 	"mlec/internal/repair"
+	"mlec/internal/topology"
 )
 
 func smallRunCfg() Config {
@@ -56,5 +58,44 @@ func TestRunContextUncancelledMatchesRun(t *testing.T) {
 	}
 	if a != b {
 		t.Errorf("RunContext diverged from Run:\n%+v\n%+v", a, b)
+	}
+}
+
+// stopAfterCtx is a context whose Err turns non-nil at call polls+1: a
+// cancellation that lands at an exact poll, whatever the host's speed.
+type stopAfterCtx struct {
+	context.Context
+	polls, calls int
+}
+
+func (c *stopAfterCtx) Err() error {
+	c.calls++
+	if c.calls > c.polls {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBuildStopsAtPoolPoll: a context done while the system is being
+// built stops construction at the next pool, and the run returns the
+// all-zero Partial stats of a context done on entry. The first poll is
+// run's check on entry; each later one is a pool's, so polls+1 calls in
+// all means construction stopped at pool polls−1 of the paper
+// datacenter's 2,880 clustered or 480 declustered pools.
+func TestBuildStopsAtPoolPoll(t *testing.T) {
+	for _, scheme := range []placement.Scheme{placement.SchemeCC, placement.SchemeDD} {
+		cfg := Config{Topo: topology.Default(), Params: placement.DefaultParams(), Scheme: scheme,
+			Method: repair.RMin, TTF: failure.MustExponentialAFR(0.01)}
+		for _, polls := range []int{1, 2, 40} {
+			ctx := &stopAfterCtx{Context: context.Background(), polls: polls}
+			stats, err := RunContext(ctx, cfg, 10, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats != (Stats{Partial: true}) || ctx.calls != polls+1 {
+				t.Errorf("%v, stopped at poll %d: %d polls, stats %+v; want %d and only Partial",
+					scheme, polls+1, ctx.calls, stats, polls+1)
+			}
+		}
 	}
 }

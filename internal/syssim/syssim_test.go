@@ -290,10 +290,12 @@ func TestDrainLoopAllocs(t *testing.T) {
 
 // TestNewAllocsPerPool holds syssim.New on the paper datacenter (57,600
 // disks in 2,880 clustered or 480 declustered local pools) to its
-// allocation count per pool, once per local placement: 16 for the pool's
-// state, its machine and the system's callbacks, and 8 for a layout of
-// its own (the dealer's generator, deck and marks, and the four layout
-// arrays) — clustered pools share one. A disk's detection callback is
+// allocation count per pool, once per local placement: 12 for the pool's
+// state (its stripe sets in one allocation, disk states, down list), its
+// machine and the system's callbacks — 11, and the system's own few
+// spread over the pools — and 6 for a layout of its own (the dealer's
+// generator, deck and marks, and the two layout arrays) — clustered
+// pools share one. A disk's detection callback is
 // made at its first failure, not here. An allocation per disk (20 or 120
 // a pool) or per stripe (360), a slice grown disk by disk, or clustered
 // pools building their own layouts again breaks the budget.
@@ -303,9 +305,9 @@ func TestNewAllocsPerPool(t *testing.T) {
 			Method: repair.RMin, TTF: failure.MustExponentialAFR(0.01), Seed: 1}
 		l := placement.MustNewLayout(cfg.Topo, cfg.Params, scheme)
 		pools := float64(l.TotalLocalPools())
-		budget := 16.0
+		budget := 12.0
 		if scheme.Local == placement.Declustered {
-			budget += 8
+			budget += 6
 		}
 		allocs := testing.AllocsPerRun(1, func() {
 			if _, err := New(cfg); err != nil {
