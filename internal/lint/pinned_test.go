@@ -12,10 +12,10 @@ import (
 	"testing"
 )
 
-// engineTuples runs the two flow engines (taint, domain) over every
+// engineTuples runs the taint engine and the mayFail facts over every
 // declared function of pkgs and returns one sorted "engine pos value"
-// line per verdict: non-zero taint and non-none domain per expression,
-// the taint/domain/mayFail summary of each function.
+// line per verdict: non-zero taint per expression, the taint/mayFail
+// summary of each function.
 // Positions are relative to root so the lines compare across checkouts.
 func engineTuples(root string, pkgs []*Package) []string {
 	facts := NewFacts(pkgs)
@@ -64,14 +64,6 @@ func engineTuples(root string, pkgs []*Package) []string {
 				return ""
 			}
 		}
-		domOf := func(of func(ast.Expr) Domain) func(ast.Expr) string {
-			return func(e ast.Expr) string {
-				if v := of(e); v != DomNone {
-					return v.String()
-				}
-				return ""
-			}
-		}
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
@@ -80,8 +72,6 @@ func engineTuples(root string, pkgs []*Package) []string {
 				}
 				exprs("taint", fd.Body, taintOf(pass.FuncTaint(fd).Of),
 					func(l *ast.FuncLit) func(ast.Expr) string { return taintOf(pass.FuncLitTaint(l).Of) })
-				exprs("domain", fd.Body, domOf(pass.FuncDomains(fd).Of),
-					func(l *ast.FuncLit) func(ast.Expr) string { return domOf(pass.FuncLitDomains(l).Of) })
 				fn := pass.declFunc(fd)
 				if fn == nil {
 					continue
@@ -94,13 +84,6 @@ func engineTuples(root string, pkgs []*Package) []string {
 					}
 					if sum.recvFlows {
 						emit("taintsum", fd.Pos(), "recvFlows")
-					}
-				}
-				if sum := facts.domainsOf(fn); sum != nil {
-					for i, r := range sum.results {
-						if r != DomNone {
-							emit("domsum", fd.Pos(), "result%d %s", i, r)
-						}
 					}
 				}
 				if mf, known := facts.MayFail(fn); known && mf {
@@ -122,35 +105,38 @@ func engineTuples(root string, pkgs []*Package) []string {
 // fixtures that had any were re-digested from the tree before each
 // deletion, without them. Likewise the domain rows' exp= provenance bit,
 // read only by the deleted cancel analyzer: every fixture was
-// re-digested without it on the engine that still computed it.)
+// re-digested without it on the engine that still computed it. And the
+// domain engine's domain/domsum rows, whose only reader was the probmix
+// analyzer: every fixture was re-digested without them on the tree that
+// still had both.)
 var pinnedVerdicts = map[string]string{
-	"barego":           "f5f12a9d3a4576c1",
-	"ctxpoll":          "442b82d16b2730d4",
+	"barego":           "e3b0c44298fc1c14",
+	"ctxpoll":          "063d35f86fac1818",
 	"directive":        "78423aff97c23193",
-	"errflow":          "9224c51cd916c2a7",
-	"escape":           "4348e38d4a3bf833",
-	"floateq":          "c9c8cbaf54fe3db8",
-	"globalrand":       "1c4451e78f69d217",
-	"goleak":           "59290a97e64e9482",
-	"hotalloc":         "dd06051f3317d964",
-	"hotbce":           "7e8d2a723b4d3af1",
-	"hotbuildfail":     "35752b6ab13b3370",
-	"hotdefer":         "f490ea2fb0fe00a5",
-	"hotdirective":     "fbcb6db20804209e",
-	"hotiface":         "0ced22ef00982f02",
-	"hotinline":        "759e922479eeef32",
-	"hotprealloc":      "8ee74572a0291cbe",
-	"loadedge":         "a80ff09381c674ff",
-	"maporder":         "595884edf6306eb2",
-	"maporderdep":      "cf034c8c63e38f02",
-	"nakedpanic":       "a93858e8e7e802d2",
-	"obsfake":          "6b98a93ee8ee16a4",
-	"obspoll":          "5d44da9990394900",
-	"probmix":          "411cb5b864eb6ab6",
-	"sharedrng":        "171b0d3fd0071f00",
-	"unitdirective":    "2fb2ded90bf4be12",
-	"waitgroupcapture": "3ff7792710743edc",
-	"walltime":         "00e3ec77e1636613",
+	"errflow":          "e7400b936cfa5dbb",
+	"escape":           "d25161408fddc140",
+	"floateq":          "324aca393db4a1ca",
+	"globalrand":       "02f0c100df0d1373",
+	"goleak":           "e3b0c44298fc1c14",
+	"hotalloc":         "2a32d145a7a66983",
+	"hotbce":           "47c630184af0eb3f",
+	"hotbuildfail":     "e3b0c44298fc1c14",
+	"hotdefer":         "e3b0c44298fc1c14",
+	"hotdirective":     "e3b0c44298fc1c14",
+	"hotiface":         "f2f6bbd8189a46c9",
+	"hotinline":        "a561b8b28647475a",
+	"hotprealloc":      "5cc63ce809545329",
+	"loadedge":         "e3b0c44298fc1c14",
+	"maporder":         "53ad7eee1d35d1db",
+	"maporderdep":      "ce90fc7d404d715b",
+	"nakedpanic":       "4833245e45a45842",
+	"obsfake":          "e3b0c44298fc1c14",
+	"obspoll":          "b371ad432cef8acb",
+	"probmix":          "de2927a0c970e2df",
+	"sharedrng":        "bcac6f865b43d195",
+	"unitdirective":    "d993af6a9223a6b8",
+	"waitgroupcapture": "0b7c20c533a3b365",
+	"walltime":         "69e4731cf93998d0",
 	"walltimecli":      "cb74d8ad2f9205fc",
 }
 
