@@ -8,6 +8,7 @@ import (
 	"mlec/internal/burst"
 	"mlec/internal/bwmodel"
 	"mlec/internal/failure"
+	"mlec/internal/mathx"
 	"mlec/internal/placement"
 	"mlec/internal/poolsim"
 	"mlec/internal/repair"
@@ -197,9 +198,9 @@ func EstimateDurabilityContext(ctx context.Context, topo Topology, params Params
 		}
 		est := DurabilityEstimate{
 			Method:             m,
-			CatRatePerPoolHour: r.CatRatePerPoolHour,
+			CatRatePerPoolHour: float64(r.CatRatePerPoolHour),
 			WindowHours:        r.WindowHours,
-			AnnualPDL:          r.AnnualPDL,
+			AnnualPDL:          float64(r.AnnualPDL),
 			Nines:              r.Nines,
 			Partial:            s1.Partial,
 		}
@@ -220,10 +221,10 @@ func EstimateDurabilityContext(ctx context.Context, topo Topology, params Params
 }
 
 // annualPDLAt composes stage 1 at another catastrophic rate.
-func annualPDLAt(l *placement.Layout, m RepairMethod, s1 splitting.Stage1, rate float64) (float64, error) {
+func annualPDLAt(l *placement.Layout, m RepairMethod, s1 splitting.Stage1, rate mathx.Rate) (float64, error) {
 	s1.CatRatePerPoolHour = rate
 	r, err := splitting.Durability(l, m, s1, failure.DefaultDetectionDelayHours)
-	return r.AnnualPDL, err
+	return float64(r.AnnualPDL), err
 }
 
 // EncodingThroughput measures the end-to-end MLEC encoding throughput in

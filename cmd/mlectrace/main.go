@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"mlec/internal/failure"
+	"mlec/internal/mathx"
 	"mlec/internal/obs"
 	"mlec/internal/poolsim"
 	"mlec/internal/runctl"
@@ -88,7 +89,7 @@ func cmdGen(args []string) error {
 	if *shape > 0 {
 		ttf = failure.Weibull{Shape: *shape, ScaleHours: *scale}
 	} else {
-		d, err := failure.NewExponentialAFR(*afr)
+		d, err := failure.NewExponentialAFR(mathx.AFR(*afr))
 		if err != nil {
 			return err
 		}
@@ -136,7 +137,7 @@ func cmdStats(args []string) error {
 			repeat++
 		}
 	}
-	span := last / failure.HoursPerYear
+	span := last / mathx.HoursPerYear
 	fmt.Printf("events:            %d\n", len(tr.Events))
 	fmt.Printf("distinct disks:    %d (max id %d)\n", len(perDisk), maxDisk)
 	fmt.Printf("disks failing >1×: %d\n", repeat)
@@ -193,7 +194,7 @@ func writeEventSummary(w io.Writer, evs []obs.TraceEvent) {
 	}
 	describe := obs.KnownEventKinds()
 	fmt.Fprintf(w, "events:         %d\n", len(evs))
-	fmt.Fprintf(w, "simulated span: %.2f years\n", span/failure.HoursPerYear)
+	fmt.Fprintf(w, "simulated span: %.2f years\n", span/mathx.HoursPerYear)
 	for _, kv := range obs.SortedSnapshot(counts) {
 		fmt.Fprintf(w, "  %-20s %6d  %s\n", kv.Key, kv.Value, describe[kv.Key])
 	}

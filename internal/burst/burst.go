@@ -50,7 +50,7 @@ type Result struct {
 }
 
 // Nines returns the durability nines of the cell.
-func (r Result) Nines() float64 { return mathx.Nines(r.PDL) }
+func (r Result) Nines() float64 { return mathx.Nines(mathx.Prob(r.PDL)) }
 
 // Evaluator computes the conditional PDL of one sampled burst layout.
 // Implementations must be safe for concurrent use and must not retain

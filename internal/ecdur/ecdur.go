@@ -38,7 +38,7 @@ import (
 // Result is one durability estimate.
 type Result struct {
 	Label     string
-	AnnualPDL float64
+	AnnualPDL mathx.Prob
 	Nines     float64
 }
 
@@ -57,7 +57,7 @@ type cascadeInput struct {
 	// FatalFraction is P(pattern undecodable | a stripe reached
 	// Tolerance+1 dead chunks); 1 for MDS codes.
 	FatalFraction float64
-	Lambda        float64 // per-disk failure rate per hour
+	Lambda        mathx.Rate // per-disk failure rate
 	// DetectionHours floors every exposure window (default 0.5).
 	DetectionHours float64
 }
@@ -65,7 +65,8 @@ type cascadeInput struct {
 // cascadeRate returns the pool's data-loss rate per hour.
 func cascadeRate(in cascadeInput) float64 {
 	D, w, p := in.Disks, in.Width, in.Tolerance
-	rate := float64(D) * in.Lambda
+	lambda := float64(in.Lambda)
+	rate := float64(D) * lambda
 	for j := 1; j <= p; j++ {
 		// Exposure window of the level-j cohort.
 		var wj float64
@@ -78,7 +79,7 @@ func cascadeRate(in cascadeInput) float64 {
 		}
 		wj += in.DetectionHours
 		// Next failure during the window…
-		pArrive := float64(D-j) * in.Lambda * wj
+		pArrive := float64(D-j) * lambda * wj
 		if pArrive > 1 {
 			pArrive = 1
 		}
@@ -95,7 +96,7 @@ func cascadeRate(in cascadeInput) float64 {
 // the failure-detection delay detectHours (the paper's is
 // failure.DefaultDetectionDelayHours; §5.2.2 discusses 1-minute
 // detection).
-func SLEC(topo topology.Config, params placement.SLECParams, pl placement.SLECPlacement, lambda, detectHours float64) (Result, error) {
+func SLEC(topo topology.Config, params placement.SLECParams, pl placement.SLECPlacement, lambda mathx.Rate, detectHours float64) (Result, error) {
 	l, err := placement.NewSLECLayout(topo, params, pl)
 	if err != nil {
 		return Result{}, err
@@ -113,7 +114,7 @@ func SLEC(topo topology.Config, params placement.SLECParams, pl placement.SLECPl
 		if err != nil {
 			return Result{}, err
 		}
-		ratePerHour = r * float64(l.TotalPools())
+		ratePerHour = float64(r) * float64(l.TotalPools())
 
 	case placement.LocalDp:
 		D := topo.DisksPerEnclosure
@@ -166,7 +167,7 @@ func SLEC(topo topology.Config, params placement.SLECParams, pl placement.SLECPl
 		ratePerHour = cascadeRate(in)
 	}
 
-	pdl := mathx.RateToAnnualPDL(ratePerHour)
+	pdl := mathx.Rate(ratePerHour).AnnualPDL()
 	return Result{Label: label, AnnualPDL: pdl, Nines: mathx.Nines(pdl)}, nil
 }
 
@@ -175,7 +176,7 @@ func SLEC(topo topology.Config, params placement.SLECParams, pl placement.SLECPl
 // under the MR criterion); the final arrival is fatal for the
 // MR-rejected fraction of (r+2)-patterns. detectHours is the
 // failure-detection delay, as for SLEC.
-func LRC(topo topology.Config, params placement.LRCParams, lambda, detectHours float64) (Result, error) {
+func LRC(topo topology.Config, params placement.LRCParams, lambda mathx.Rate, detectHours float64) (Result, error) {
 	l, err := placement.NewLRCLayout(topo, params)
 	if err != nil {
 		return Result{}, err
@@ -195,8 +196,7 @@ func LRC(topo topology.Config, params placement.LRCParams, lambda, detectHours f
 		Lambda:           lambda,
 		DetectionHours:   detectHours,
 	}
-	rate := cascadeRate(in)
-	pdl := mathx.RateToAnnualPDL(rate)
+	pdl := mathx.Rate(cascadeRate(in)).AnnualPDL()
 	return Result{
 		Label:     fmt.Sprintf("LRC-Dp %v", params),
 		AnnualPDL: pdl,

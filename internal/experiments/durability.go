@@ -56,7 +56,7 @@ func paperStage1(ctx context.Context, opts Options) (map[placement.Scheme]*place
 type Fig7Result struct {
 	// PerScheme maps each MLEC scheme to the annual system-wide
 	// probability of at least one catastrophic local pool failure.
-	PerScheme map[placement.Scheme]float64
+	PerScheme map[placement.Scheme]mathx.Prob
 }
 
 // Fig7Context estimates the probability of catastrophic local failure
@@ -67,10 +67,10 @@ func Fig7Context(ctx context.Context, opts Options) (*Fig7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig7Result{PerScheme: map[placement.Scheme]float64{}}
+	res := &Fig7Result{PerScheme: map[placement.Scheme]mathx.Prob{}}
 	for _, s := range placement.AllSchemes {
-		rate := s1[s.Local].CatRatePerPoolHour * float64(ls[s].TotalLocalPools())
-		res.PerScheme[s] = mathx.RateToAnnualPDL(rate)
+		rate := mathx.Rate(float64(s1[s.Local].CatRatePerPoolHour) * float64(ls[s].TotalLocalPools()))
+		res.PerScheme[s] = rate.AnnualPDL()
 	}
 	return res, nil
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mlec/internal/failure"
+	"mlec/internal/mathx"
 	"mlec/internal/placement"
 	"mlec/internal/topology"
 )
@@ -41,15 +42,15 @@ type Options struct {
 
 // afr returns the annual failure rate, resolving 0 to the default.
 // RunContext has already refused values outside [0,1).
-func (o Options) afr() float64 {
+func (o Options) afr() mathx.AFR {
 	if o.AFR == 0 {
 		return failure.DefaultAFR
 	}
-	return o.AFR
+	return mathx.AFR(o.AFR)
 }
 
 // lambda returns the per-hour failure rate the analytic models take.
-func (o Options) lambda() float64 { return failure.LinearRatePerHour(o.afr()) }
+func (o Options) lambda() mathx.Rate { return o.afr().LinearPerHour() }
 
 // checkpointPath returns the checkpoint file for a named campaign, or
 // "" (checkpointing disabled) when no CheckpointDir is set.

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"mlec/internal/failure"
+	"mlec/internal/mathx"
 	"mlec/internal/placement"
 	"mlec/internal/render"
 	"mlec/internal/repair"
@@ -15,7 +16,7 @@ import (
 // SysSimResult carries one full-system simulation per MLEC scheme.
 type SysSimResult struct {
 	Years  float64
-	AFR    float64
+	AFR    mathx.AFR
 	Method repair.Method
 	Runs   []syssim.Stats // per scheme, in placement.AllSchemes order
 }

@@ -15,15 +15,13 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"mlec/internal/mathx"
 )
 
 // DefaultDetectionDelayHours is the paper's 30-minute failure detection
 // time (§3).
 const DefaultDetectionDelayHours = 0.5
-
-// HoursPerYear converts AFR-style annual rates to the simulator's hour
-// clock.
-const HoursPerYear = 8760.0
 
 // TTFDistribution samples times-to-failure in hours.
 type TTFDistribution interface {
@@ -37,44 +35,37 @@ type TTFDistribution interface {
 // failure rate: P(fail within a year) = AFR.
 type Exponential struct {
 	// RatePerHour is the hazard rate λ.
-	RatePerHour float64
+	RatePerHour mathx.Rate
 }
 
 // DefaultAFR is the paper's annual disk failure rate, 1 %.
-const DefaultAFR = 0.01
+const DefaultAFR mathx.AFR = 0.01
 
 // ResolveAFR applies the options convention shared by the library entry
 // points: an AFR of 0 means "unset" and resolves to DefaultAFR; any
 // other value outside (0,1), NaN included, is an error rather than a
-// silent substitution.
-func ResolveAFR(afr float64) (float64, error) {
+// silent substitution. It is where a caller's float64 becomes an AFR.
+func ResolveAFR(afr float64) (mathx.AFR, error) {
 	if afr == 0 {
 		return DefaultAFR, nil
 	}
 	if !(afr > 0 && afr < 1) {
 		return 0, fmt.Errorf("failure: AFR %g outside (0,1)", afr)
 	}
-	return afr, nil
+	return mathx.AFR(afr), nil
 }
 
 // NewExponentialAFR converts an annual failure rate (e.g. 0.01 for 1%)
-// into an exponential TTF distribution with λ = −ln(1−AFR)/8760.
-func NewExponentialAFR(afr float64) (Exponential, error) {
+// into an exponential TTF distribution with λ = afr.PerHour().
+func NewExponentialAFR(afr mathx.AFR) (Exponential, error) {
 	if !(afr > 0 && afr < 1) {
 		return Exponential{}, fmt.Errorf("failure: AFR %g outside (0,1)", afr)
 	}
-	return Exponential{RatePerHour: -math.Log1p(-afr) / HoursPerYear}, nil
+	return Exponential{RatePerHour: afr.PerHour()}, nil
 }
 
-// LinearRatePerHour is the per-hour failure rate AFR/8760 that the Markov
-// chains take: the AFR spread evenly over the year's hours. It is the
-// first-order term of NewExponentialAFR's −ln(1−AFR)/8760, which the
-// simulators use and which is 0.5 % higher at 1 % AFR and 5.4 % higher at
-// 10 % (DESIGN.md §5).
-func LinearRatePerHour(afr float64) float64 { return afr / HoursPerYear }
-
 // MustExponentialAFR is NewExponentialAFR but panics on error.
-func MustExponentialAFR(afr float64) Exponential {
+func MustExponentialAFR(afr mathx.AFR) Exponential {
 	d, err := NewExponentialAFR(afr)
 	if err != nil {
 		panic(err)
@@ -83,13 +74,13 @@ func MustExponentialAFR(afr float64) Exponential {
 }
 
 // AFR returns the implied annual failure rate.
-func (e Exponential) AFR() float64 { return -math.Expm1(-e.RatePerHour * HoursPerYear) }
+func (e Exponential) AFR() mathx.AFR { return mathx.AFR(e.RatePerHour.AnnualPDL()) }
 
 // Sample implements TTFDistribution.
-func (e Exponential) Sample(rng *rand.Rand) float64 { return rng.ExpFloat64() / e.RatePerHour }
+func (e Exponential) Sample(rng *rand.Rand) float64 { return rng.ExpFloat64() / float64(e.RatePerHour) }
 
 // MeanHours implements TTFDistribution.
-func (e Exponential) MeanHours() float64 { return 1 / e.RatePerHour }
+func (e Exponential) MeanHours() float64 { return 1 / float64(e.RatePerHour) }
 
 // Weibull is a TTF distribution with shape k and scale λ (hours):
 // shape < 1 models infant mortality, > 1 models wearout.
@@ -142,7 +133,7 @@ func (t *Trace) Sort() {
 // once per generated life; replacements re-enter with a fresh draw).
 func GenerateTrace(disks int, years float64, dist TTFDistribution, seed int64) *Trace {
 	rng := rand.New(rand.NewSource(seed))
-	horizon := years * HoursPerYear
+	horizon := years * mathx.HoursPerYear
 	tr := &Trace{}
 	for d := 0; d < disks; d++ {
 		t := dist.Sample(rng)

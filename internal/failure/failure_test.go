@@ -7,19 +7,21 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"mlec/internal/mathx"
 )
 
 func TestExponentialAFRRoundTrip(t *testing.T) {
-	for _, afr := range []float64{0.005, 0.01, 0.02, 0.1} {
+	for _, afr := range []mathx.AFR{0.005, 0.01, 0.02, 0.1} {
 		d, err := NewExponentialAFR(afr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := d.AFR(); math.Abs(got-afr) > 1e-12 {
+		if got := d.AFR(); math.Abs(float64(got-afr)) > 1e-12 {
 			t.Errorf("AFR round trip %g → %g", afr, got)
 		}
 	}
-	for _, bad := range []float64{0, 1, -0.1, 2} {
+	for _, bad := range []mathx.AFR{0, 1, -0.1, 2} {
 		if _, err := NewExponentialAFR(bad); err == nil {
 			t.Errorf("AFR %g accepted", bad)
 		}
@@ -39,7 +41,7 @@ func TestExponentialSampleMean(t *testing.T) {
 		t.Errorf("sample mean %g vs analytic %g (rel %g)", mean, d.MeanHours(), rel)
 	}
 	// 1% AFR → mean TTF ≈ 100 years.
-	if y := d.MeanHours() / HoursPerYear; y < 99 || y > 101 {
+	if y := d.MeanHours() / mathx.HoursPerYear; y < 99 || y > 101 {
 		t.Errorf("mean TTF %g years, want ≈ 99.5", y)
 	}
 }
@@ -82,7 +84,7 @@ func TestGenerateTrace(t *testing.T) {
 		if e.Disk < 0 || e.Disk >= 100 {
 			t.Fatalf("disk %d out of range", e.Disk)
 		}
-		if e.TimeHours < 0 || e.TimeHours >= 2*HoursPerYear {
+		if e.TimeHours < 0 || e.TimeHours >= 2*mathx.HoursPerYear {
 			t.Fatalf("time %g out of range", e.TimeHours)
 		}
 	}

@@ -281,8 +281,6 @@ func (fw *faultyWriter) Write(p []byte) (int, error) {
 // [0, 1) via splitmix64 over the fowler-noll-vo hash of the point name
 // — a pure function, so the set of faulted streams is a property of the
 // plan, not of the host or the schedule.
-//
-//mlec:unit prob
 func unitProb(seed int64, point string, stream int64) float64 {
 	const (
 		fnvOffset = 0xcbf29ce484222325

@@ -84,7 +84,7 @@ func TestSolveEntrySeededSkipsUnreachable(t *testing.T) {
 // TestSolveAllSeededReachesSources: with Bottom set every block starts
 // on the worklist, so the range header behind the return still
 // generates its fact and its successors see it — the start the taint
-// and domain engines need.
+// engine needs.
 func TestSolveAllSeededReachesSources(t *testing.T) {
 	g := parse(t, rangeAfterReturn)
 	visits := map[*Block]int{}

@@ -9,7 +9,7 @@ import (
 	"sort"
 )
 
-// Facts is the whole-program fact store — the probflow layer. Where the
+// Facts is the whole-program fact store. Where the
 // first generation of this file computed taint summaries lazily with an
 // optimistic recursion cut-off, the store now evaluates eagerly: it
 // builds the module call graph (callgraph.go), condenses it into
@@ -20,13 +20,11 @@ import (
 // with monotone transfer functions, so the iteration terminates and is
 // exact where the lazy cut-off used to be merely optimistic.
 //
-// Three summaries are maintained per function:
+// Two summaries are maintained per function:
 //
 //   - taint (funcSummary): which taint kinds each result carries and
 //     which parameters flow into it — the engine behind maporder and
 //     walltime;
-//   - domain (domainSummary): the numeric Domain of each result — the
-//     engine behind probmix;
 //   - mayFail (bool): whether the function can return a non-nil error —
 //     the engine behind errflow. A function that returns only literal
 //     nil errors (directly or through callees, including recursive
@@ -35,7 +33,6 @@ import (
 type Facts struct {
 	decls map[*types.Func]*declSite
 	fset  *token.FileSet
-	units unitIndex
 	// hotIdx and coldIdx merge //mlec:hot and //mlec:cold directive
 	// lines across packages; hot/cold/hotVia are the propagated
 	// hotness facts (see hot.go).
@@ -46,7 +43,6 @@ type Facts struct {
 	hotVia  map[*types.Func]*types.Func
 
 	summaries map[*types.Func]*funcSummary
-	domains   map[*types.Func]*domainSummary
 	mayFail   map[*types.Func]bool
 
 	// compiled holds the compiler's heap, bounds-check and inliner
@@ -78,12 +74,6 @@ type funcSummary struct {
 	recvFlows bool
 }
 
-// domainSummary is one function's numeric-domain behaviour: the Domain
-// of each result slot.
-type domainSummary struct {
-	results []Domain
-}
-
 // receiver flow is tracked with the top param bit, far above any real
 // Go parameter list this module will see.
 const recvBit = 1 << 31
@@ -101,11 +91,9 @@ const sccIterationCap = 64
 func NewFacts(pkgs []*Package) *Facts {
 	f := &Facts{
 		decls:     make(map[*types.Func]*declSite),
-		units:     make(unitIndex),
 		hotIdx:    make(posIndex),
 		coldIdx:   make(posIndex),
 		summaries: make(map[*types.Func]*funcSummary),
-		domains:   make(map[*types.Func]*domainSummary),
 		mayFail:   make(map[*types.Func]bool),
 	}
 	seen := make(map[*Package]bool)
@@ -128,7 +116,6 @@ func NewFacts(pkgs []*Package) *Facts {
 				}
 			}
 		}
-		maps.Copy(f.units, p.units)
 		maps.Copy(f.hotIdx, p.hots)
 		maps.Copy(f.coldIdx, p.colds)
 	}
@@ -160,7 +147,6 @@ func (f *Facts) computeAll(g *callGraph) {
 	for _, scc := range g.sccs {
 		for _, n := range scc {
 			f.summaries[n.fn] = &funcSummary{results: make([]taintVal, resultCount(n.fn))}
-			f.domains[n.fn] = &domainSummary{results: make([]Domain, resultCount(n.fn))}
 			f.mayFail[n.fn] = false
 		}
 		for iter := 1; iter <= sccIterationCap; iter++ {
@@ -168,10 +154,6 @@ func (f *Facts) computeAll(g *callGraph) {
 			for _, n := range scc {
 				if sum := f.computeTaint(n); !sum.equal(f.summaries[n.fn]) {
 					f.summaries[n.fn] = sum
-					changed = true
-				}
-				if dom := f.computeDomains(n); !dom.equal(f.domains[n.fn]) {
-					f.domains[n.fn] = dom
 					changed = true
 				}
 				if mf := f.computeMayFail(n); mf != f.mayFail[n.fn] {
@@ -195,10 +177,6 @@ func resultCount(fn *types.Func) int {
 
 func (s *funcSummary) equal(o *funcSummary) bool {
 	return s.recvFlows == o.recvFlows && slices.Equal(s.results, o.results)
-}
-
-func (d *domainSummary) equal(o *domainSummary) bool {
-	return slices.Equal(d.results, o.results)
 }
 
 // computeTaint runs the taint engine over one declaration in summary
@@ -234,83 +212,6 @@ func (f *Facts) computeTaint(n *cgNode) *funcSummary {
 		sum.results[i] = r
 	}
 	return sum
-}
-
-// computeDomains runs the domain engine over one declaration with
-// parameters seeded from their declarations, then fills still-unknown
-// result slots from the result declarations and, for the first slot,
-// the function's own name — HypergeomTail's body may end in an opaque
-// accumulator, but its name says probability.
-func (f *Facts) computeDomains(n *cgNode) *domainSummary {
-	fd := n.site.decl
-	info := n.site.pkg.Info
-	nres := resultCount(n.fn)
-	sum := &domainSummary{results: make([]Domain, nres)}
-	if fd.Body == nil {
-		return sum
-	}
-	resultObjs := resultObjects(info, fd.Type)
-	flow := domainFlow(info, f, fd.Body, f.paramSeeds(info, fd.Recv, fd.Type.Params), resultObjs)
-	copy(sum.results, flow.results)
-	for i := range sum.results {
-		if sum.results[i] == DomNone && resultObjs[i] != nil {
-			sum.results[i] = seedObject(f.units, f.fset, resultObjs[i])
-		}
-	}
-	if nres > 0 && sum.results[0] == DomNone {
-		sum.results[0] = f.declSeed(n.fn, fd)
-	}
-	// An explicit //mlec:unit annotation on the declaration is a human
-	// claim and overrides inference: Choose goes through exp(logΓ) so
-	// the engine sees a probability, but its result is a count.
-	if nres > 0 {
-		if d, ok := f.units.at(f.fset.Position(fd.Pos())); ok {
-			sum.results[0] = d
-		}
-	}
-	return sum
-}
-
-// declSeed derives the declared domain of a function's primary result:
-// an //mlec:unit annotation on (or directly above) the declaration
-// wins, then the name heuristic, both gated on the result being
-// floating-point.
-func (f *Facts) declSeed(fn *types.Func, fd *ast.FuncDecl) Domain {
-	sig := fn.Type().(*types.Signature)
-	if sig.Results().Len() == 0 {
-		return DomNone
-	}
-	rt := sig.Results().At(0).Type()
-	if isIntegerType(rt) {
-		return DomCount
-	}
-	if !isFloat(rt) {
-		return DomNone
-	}
-	if d, ok := f.units.at(f.fset.Position(fd.Pos())); ok {
-		return d
-	}
-	return domainFromName(fn.Name())
-}
-
-// paramSeeds maps the variables the field lists declare (a receiver, a
-// parameter list; nil lists are skipped) to their declared domains.
-func (f *Facts) paramSeeds(info *types.Info, lists ...*ast.FieldList) map[types.Object]Domain {
-	params := make(map[types.Object]Domain)
-	for _, list := range lists {
-		if list == nil {
-			continue
-		}
-		for _, field := range list.List {
-			for _, name := range field.Names {
-				obj := info.Defs[name]
-				if v := seedObject(f.units, f.fset, obj); v != DomNone {
-					params[obj] = v
-				}
-			}
-		}
-	}
-	return params
 }
 
 // computeMayFail decides whether the function can return a non-nil
@@ -393,12 +294,6 @@ func (f *Facts) summaryOf(fn *types.Func) *funcSummary {
 	return f.summaries[fn]
 }
 
-// domainsOf returns the function's eagerly-computed domain summary, or
-// nil when the function's source is outside the module.
-func (f *Facts) domainsOf(fn *types.Func) *domainSummary {
-	return f.domains[fn]
-}
-
 // MayFail reports whether a module function can return a non-nil error;
 // known reports whether the function is summarized at all (false for
 // stdlib and indirect callees).
@@ -450,19 +345,4 @@ func (p *Pass) FuncTaint(fd *ast.FuncDecl) *FuncTaint {
 // intraprocedural).
 func (p *Pass) FuncLitTaint(lit *ast.FuncLit) *FuncTaint {
 	return analyzeBody(p.Info, p.Facts, lit.Body, nil, resultObjects(p.Info, lit.Type))
-}
-
-// FuncDomains runs the domain engine over a declaration in analysis
-// mode: parameters are seeded from their declared domains so the
-// recorded per-expression values reflect what the signature promises.
-func (p *Pass) FuncDomains(fd *ast.FuncDecl) *FuncDomains {
-	return domainFlow(p.Info, p.Facts, fd.Body,
-		p.Facts.paramSeeds(p.Info, fd.Recv, fd.Type.Params), resultObjects(p.Info, fd.Type))
-}
-
-// FuncLitDomains is FuncDomains for a function literal (captured
-// variables are not modeled; parameters seed from their names).
-func (p *Pass) FuncLitDomains(lit *ast.FuncLit) *FuncDomains {
-	return domainFlow(p.Info, p.Facts, lit.Body,
-		p.Facts.paramSeeds(p.Info, lit.Type.Params), resultObjects(p.Info, lit.Type))
 }

@@ -91,26 +91,3 @@ func TestTaintGivesUpSilently(t *testing.T) {
 		t.Errorf("reported from a flow that did not converge: %s", d)
 	}
 }
-
-func TestDomainsGiveUpSilently(t *testing.T) {
-	src := func(n int) string {
-		return "package p\n\nimport \"math\"\n\nfunc Mix(p float64, k int) float64 {\n" +
-			"\tvar " + names("v", n) + " float64\n" +
-			"\tfor i := 0; i < k; i++ {\n" + chain("v", n) + "\t\tv0 = math.Log(p)\n\t}\n" +
-			fmt.Sprintf("\treturn p + v%d\n}\n", n)
-	}
-	diags, err := Run([]*Package{srcPackage(t, src(settles))}, []*Analyzer{ProbMix})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) == 0 {
-		t.Fatal("probmix missed prob + logprob behind a short chain")
-	}
-	diags, err = Run([]*Package{srcPackage(t, src(givesUp))}, []*Analyzer{ProbMix})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("reported from a flow that did not converge: %s", d)
-	}
-}

@@ -70,6 +70,15 @@ func isFloat(t types.Type) bool {
 	return b.Info()&types.IsFloat != 0
 }
 
+// isIntegerType reports whether t's underlying type is an integer.
+func isIntegerType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsInteger != 0
+}
+
 // sameSimpleExpr reports structural equality of two side-effect-free
 // expressions built from identifiers, selectors, parens and indexing.
 // Used to recognize the x != x NaN test.

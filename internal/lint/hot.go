@@ -14,7 +14,8 @@ import (
 //
 // # Directive grammar
 //
-// Two directives ride the same comment pipeline as //mlec:unit:
+// The //mlec: grammar has two directives; the loader reports any other
+// word after the prefix (a leftover //mlec:unit, a typo) as malformed:
 //
 //	//mlec:hot [rationale...]
 //	//mlec:cold [rationale...]
@@ -54,20 +55,19 @@ import (
 // diagnostic in a helper three packages away can say which annotated
 // kernel pulled it onto the hot path.
 
-// parseHotDirective parses one comment's text as a //mlec:hot or
-// //mlec:cold directive. kind is "hot" or "cold" when isDirective.
-func parseHotDirective(text string) (kind string, isDirective bool) {
-	for _, k := range [...]string{"hot", "cold"} {
-		rest, found := strings.CutPrefix(text, "//mlec:"+k)
-		if !found {
-			continue
-		}
-		// Reject prefixes of longer words (//mlec:hotspot is not ours).
-		if rest == "" || rest[0] == ' ' || rest[0] == '\t' {
-			return k, true
-		}
+// parseMlecDirective parses one comment's text as an //mlec: directive.
+// isDirective reports the prefix; word is the text after it up to the
+// first space or tab: "hot", "cold", or a word the loader reports
+// (//mlec:hotspot names "hotspot", not a hot directive).
+func parseMlecDirective(text string) (word string, isDirective bool) {
+	rest, found := strings.CutPrefix(text, "//mlec:")
+	if !found {
+		return "", false
 	}
-	return "", false
+	if i := strings.IndexAny(rest, " \t"); i >= 0 {
+		rest = rest[:i]
+	}
+	return rest, true
 }
 
 // validateHotDirectives records every //mlec:hot directive that
@@ -122,7 +122,7 @@ func (p *Package) validateHotDirectives() {
 }
 
 // posIndex resolves line-anchored directives by file and line, merged
-// across every package the fact store indexed (mirrors unitIndex).
+// across every package the fact store indexed.
 type posIndex map[string]map[int]bool
 
 // at reports a directive at the node's line or the line directly above.

@@ -113,6 +113,12 @@ func FuzzEscapeEngine(f *testing.F) {
 	// tests catch them now): 1 − exp through a variable, log(1 + x), and
 	// prob − prob. Kept as a mutation starting point.
 	f.Add("package p\nimport \"math\"\nfunc f(logSurvive, x, pHi, pLo float64) (float64, float64, float64) {\n\tq := math.Exp(logSurvive)\n\treturn 1 - q, math.Log(1 + x), pHi - pLo\n}\n")
+	// The idioms of the two fixtures that left with the probmix analyzer
+	// (mathx.Prob, Rate and AFR make the mixes compile errors now): a
+	// log-domain value added to a probability through a helper, and a
+	// leftover //mlec:unit annotation. Kept as mutation starting points.
+	f.Add("package p\nimport \"math\"\nfunc logOf(p float64) float64 { return math.Log(p) }\nfunc mix(pdl, ratePerHour float64) (float64, bool) {\n\tv := logOf(pdl)\n\treturn v + pdl, ratePerHour > pdl\n}\n")
+	f.Add("package p\n//mlec:unit rate\nvar arrivals = 3.5e-6\nfunc mixes(pdl float64) float64 { return arrivals + pdl }\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		fset := token.NewFileSet()

@@ -153,7 +153,6 @@ func All() []*Analyzer {
 		MapOrder,
 		WallTime,
 		CtxPoll,
-		ProbMix,
 		ErrFlow,
 		HotAlloc,
 		HotBCE,

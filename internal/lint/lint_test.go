@@ -156,7 +156,6 @@ func TestAnalyzers(t *testing.T) {
 		{WallTime, "walltimecli"},
 		{CtxPoll, "ctxpoll"},
 		{CtxPoll, "obspoll"},
-		{ProbMix, "probmix"},
 		{ErrFlow, "errflow"},
 		{HotAlloc, "hotalloc"},
 		{HotAlloc, "hotiface"},
@@ -196,15 +195,15 @@ func TestMalformedDirective(t *testing.T) {
 	}
 }
 
-// TestMalformedUnitDirective checks that //mlec:unit without a known
-// domain is recorded as malformed, while a well-formed annotation in the
-// same file still seeds the domain engine.
+// TestMalformedUnitDirective checks that a leftover //mlec:unit
+// annotation is recorded as malformed: the unit grammar is gone (mathx's
+// Prob, Rate and AFR types carry units now), so an annotation that
+// claims one must not sit silently in the code.
 func TestMalformedUnitDirective(t *testing.T) {
 	l := newFixtureLoader(t)
-	runFixture(t, l, ProbMix, "unitdirective") // the valid annotation must work
-	pkg := loadFixture(t, l, "unitdirective")
-	if got := malformed(pkg, "//mlec:unit"); len(got) != 2 {
-		t.Fatalf("got %d malformed //mlec:unit directives, want 2: %v", len(got), pkg.Malformed)
+	pkg := loadFixture(t, l, "hotdirective")
+	if got := malformed(pkg, "//mlec:unit"); len(got) != 1 || got[0].Msg != "//mlec:unit"+badMlec {
+		t.Fatalf("got malformed //mlec:unit directives %v, want one: %v", got, pkg.Malformed)
 	}
 }
 
@@ -233,8 +232,9 @@ func TestByName(t *testing.T) {
 	}
 	// Unknown names are rejected — among them the analyzers hotalloc
 	// absorbed, the one go vet's copylocks check replaced, the two the
-	// race detector replaced and the one the tests made redundant.
-	for _, name := range []string{"nosuch", "hotprealloc", "hotiface", "hotdefer", "copylock", "lockcheck", "atomicmix", "cancel"} {
+	// race detector replaced, the one the tests made redundant and the
+	// one mathx's unit types replaced.
+	for _, name := range []string{"nosuch", "hotprealloc", "hotiface", "hotdefer", "copylock", "lockcheck", "atomicmix", "cancel", "probmix"} {
 		if _, err := ByName(name); err == nil || !strings.Contains(err.Error(), "unknown analyzer") {
 			t.Errorf("ByName(%q) error = %v, want unknown analyzer", name, err)
 		}

@@ -34,9 +34,6 @@ type Package struct {
 	// line by //lint:allow directives; the value records whether the
 	// directive has suppressed a finding yet (see unusedAllows).
 	allows map[string]map[int]map[string]bool
-	// units maps filename → line → domain declared at that line by
-	// //mlec:unit directives (see domain.go).
-	units map[string]map[int]Domain
 	// hots and colds map filename → line of //mlec:hot and //mlec:cold
 	// directives (see hot.go for the attachment and propagation rules).
 	hots  map[string]map[int]bool
@@ -56,14 +53,14 @@ type DirectiveError struct {
 	Msg string
 }
 
-// What each directive needs: //lint:allow both of its fields; //mlec:unit
-// a known domain; //mlec:hot and //mlec:cold something to attach to (hot
-// on or directly above a function declaration or a statement, cold a
-// function declaration).
+// What each directive needs: //lint:allow both of its fields; //mlec:hot
+// and //mlec:cold something to attach to (hot on or directly above a
+// function declaration or a statement, cold a function declaration).
+// Any other //mlec: word is no directive at all.
 const (
 	badAllow = "//lint:allow needs an analyzer name and a reason"
-	badUnit  = "//mlec:unit needs a domain (prob, logprob, rate, count, weight)"
 	badHot   = "//mlec:hot anchors a function or statement; //mlec:cold anchors a function"
+	badMlec  = " is not a directive; the //mlec: directives are hot and cold"
 )
 
 func (p *Package) malformed(pos token.Position, msg string) {
@@ -419,31 +416,25 @@ func parseAllowDirective(text string) (analyzer string, isDirective, ok bool) {
 	return fields[0], true, true
 }
 
-// collectAllows indexes //lint:allow, //mlec:unit and //mlec:hot /
-// //mlec:cold directives by file and line.
+// collectAllows indexes //lint:allow and //mlec:hot / //mlec:cold
+// directives by file and line.
 func (p *Package) collectAllows() {
 	p.allows = make(map[string]map[int]map[string]bool)
-	p.units = make(map[string]map[int]Domain)
 	p.hots = make(map[string]map[int]bool)
 	p.colds = make(map[string]map[int]bool)
 	for _, f := range p.Files {
 		for _, group := range f.Comments {
 			for _, c := range group.List {
 				pos := p.Fset.Position(c.Pos())
-				if kind, isHot := parseHotDirective(c.Text); isHot {
-					if kind == "cold" {
-						byLine(p.colds, pos.Filename)[pos.Line] = true
-					} else {
+				if word, isMlec := parseMlecDirective(c.Text); isMlec {
+					switch word {
+					case "hot":
 						byLine(p.hots, pos.Filename)[pos.Line] = true
+					case "cold":
+						byLine(p.colds, pos.Filename)[pos.Line] = true
+					default:
+						p.malformed(pos, "//mlec:"+word+badMlec)
 					}
-					continue
-				}
-				if d, isUnit, ok := parseUnitDirective(c.Text); isUnit {
-					if !ok {
-						p.malformed(pos, badUnit)
-						continue
-					}
-					byLine(p.units, pos.Filename)[pos.Line] = d
 					continue
 				}
 				analyzer, isDirective, ok := parseAllowDirective(c.Text)

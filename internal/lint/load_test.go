@@ -147,3 +147,28 @@ func TestFileIncluded(t *testing.T) {
 		}
 	}
 }
+
+func TestParseMlecDirective(t *testing.T) {
+	cases := []struct {
+		text        string
+		word        string
+		isDirective bool
+	}{
+		{"//mlec:hot", "hot", true},
+		{"//mlec:cold formatting runs off the steady-state path", "cold", true},
+		{"//mlec:hot\tkernel", "hot", true},
+		{"//mlec:hotspot", "hotspot", true},
+		{"//mlec:unit prob", "unit", true},
+		{"//mlec:", "", true},
+		{"// mlec:hot", "", false},
+		{"//lint:allow floateq exact", "", false},
+		{"", "", false},
+	}
+	for _, c := range cases {
+		word, isDirective := parseMlecDirective(c.text)
+		if word != c.word || isDirective != c.isDirective {
+			t.Errorf("parseMlecDirective(%q) = (%q,%v), want (%q,%v)",
+				c.text, word, isDirective, c.word, c.isDirective)
+		}
+	}
+}

@@ -132,9 +132,7 @@ var pinnedVerdicts = map[string]string{
 	"nakedpanic":       "4833245e45a45842",
 	"obsfake":          "e3b0c44298fc1c14",
 	"obspoll":          "b371ad432cef8acb",
-	"probmix":          "de2927a0c970e2df",
 	"sharedrng":        "bcac6f865b43d195",
-	"unitdirective":    "d993af6a9223a6b8",
 	"waitgroupcapture": "0b7c20c533a3b365",
 	"walltime":         "69e4731cf93998d0",
 	"walltimecli":      "cb74d8ad2f9205fc",

@@ -48,3 +48,12 @@ var _ = render
 
 //mlec:hot
 // malformed: dangling directive anchored to no declaration or statement
+
+// malformed: //mlec: has no unit directive any more (mathx.Prob, Rate
+// and AFR carry units), so a leftover annotation is reported, not
+// silently ignored.
+//
+//mlec:unit prob
+var leftover = 0.5
+
+var _ = leftover

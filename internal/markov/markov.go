@@ -24,10 +24,10 @@ type Chain struct {
 	// N is the device count; P the parity tolerance (absorb at P+1).
 	N, P int
 	// LambdaPerHour is the per-device failure rate.
-	LambdaPerHour float64
-	// RepairRate returns the state-f repair completion rate μ_f (events
-	// per hour, moving f → f−1), f in [1, P].
-	RepairRate func(f int) float64
+	LambdaPerHour mathx.Rate
+	// RepairRate returns the state-f repair completion rate μ_f (moving
+	// f → f−1), f in [1, P].
+	RepairRate func(f int) mathx.Rate
 }
 
 // MTTDLHours returns the expected hours from the pristine state to
@@ -44,14 +44,15 @@ func (c Chain) MTTDLHours() (float64, error) {
 	if c.LambdaPerHour <= 0 {
 		return 0, fmt.Errorf("markov: lambda = %g", c.LambdaPerHour)
 	}
+	lambda := float64(c.LambdaPerHour)
 	d := make([]float64, c.P+1)
-	d[0] = 1 / (float64(c.N) * c.LambdaPerHour)
+	d[0] = 1 / (float64(c.N) * lambda)
 	for f := 1; f <= c.P; f++ {
-		mu := c.RepairRate(f)
+		mu := float64(c.RepairRate(f))
 		if mu < 0 {
 			return 0, fmt.Errorf("markov: negative repair rate at state %d", f)
 		}
-		d[f] = (1 + mu*d[f-1]) / (float64(c.N-f) * c.LambdaPerHour)
+		d[f] = (1 + mu*d[f-1]) / (float64(c.N-f) * lambda)
 	}
 	// Sum from the top: T_f = D_f + T_{f+1}, with T_{P+1} = 0.
 	t := 0.0
@@ -62,23 +63,23 @@ func (c Chain) MTTDLHours() (float64, error) {
 }
 
 // LossRatePerHour returns the long-run data-loss event rate ≈ 1/MTTDL.
-func (c Chain) LossRatePerHour() (float64, error) {
+func (c Chain) LossRatePerHour() (mathx.Rate, error) {
 	mttdl, err := c.MTTDLHours()
 	if err != nil {
 		return 0, err
 	}
-	return 1 / mttdl, nil
+	return mathx.Rate(1 / mttdl), nil
 }
 
 // SLECPool builds the chain for one SLEC pool: n devices, p parities,
 // per-disk failure rate λ, disk capacity and a state-dependent repair
 // bandwidth (bytes/s). μ_f = bw(f)/(remaining bytes of one disk) — the
 // standard "repair one device at a time" convention.
-func SLECPool(n, p int, lambdaPerHour, diskBytes float64, bw func(f int) float64) Chain {
+func SLECPool(n, p int, lambdaPerHour mathx.Rate, diskBytes float64, bw func(f int) float64) Chain {
 	return Chain{
 		N: n, P: p, LambdaPerHour: lambdaPerHour,
-		RepairRate: func(f int) float64 {
-			return bw(f) / diskBytes * 3600
+		RepairRate: func(f int) mathx.Rate {
+			return mathx.Rate(bw(f) / diskBytes * 3600)
 		},
 	}
 }
@@ -92,7 +93,7 @@ func SLECPool(n, p int, lambdaPerHour, diskBytes float64, bw func(f int) float64
 // catastrophic pools lose data under R_ALL's pool-is-lost view).
 type MLECRAllModel struct {
 	Layout        *placement.Layout
-	LambdaPerHour float64 // per-disk failure rate
+	LambdaPerHour mathx.Rate // per-disk failure rate
 }
 
 // LocalPoolChain returns the chain of one local pool.
@@ -110,36 +111,36 @@ func (m MLECRAllModel) LocalPoolChain() Chain {
 // CatRatePerPoolHour returns the local chain's absorption rate — the
 // R_ALL-visible catastrophic-pool rate (no priority-repair or stripe-
 // coverage discounts; those are what the simulator adds on top).
-func (m MLECRAllModel) CatRatePerPoolHour() (float64, error) {
+func (m MLECRAllModel) CatRatePerPoolHour() (mathx.Rate, error) {
 	return m.LocalPoolChain().LossRatePerHour()
 }
 
 // SystemAnnualPDL returns the system-wide annual probability of data
 // loss under R_ALL.
-func (m MLECRAllModel) SystemAnnualPDL() (float64, error) {
+func (m MLECRAllModel) SystemAnnualPDL() (mathx.Prob, error) {
 	l := m.Layout
 	catRate, err := m.CatRatePerPoolHour()
 	if err != nil {
 		return 0, err
 	}
 	repairHours := bwmodel.New(l).PoolRepairHours()
-	poolRepairRate := 1 / repairHours
+	poolRepairRate := mathx.Rate(1 / repairHours)
 
 	if l.Scheme.Network == placement.Clustered {
 		net := Chain{
 			N: l.Params.NetworkWidth(), P: l.Params.PN, LambdaPerHour: catRate,
-			RepairRate: func(f int) float64 { return poolRepairRate },
+			RepairRate: func(f int) mathx.Rate { return poolRepairRate },
 		}
 		rate, err := net.LossRatePerHour()
 		if err != nil {
 			return 0, err
 		}
-		return mathx.RateToAnnualPDL(rate * float64(l.TotalNetworkPools())), nil
+		return mathx.Rate(float64(rate) * float64(l.TotalNetworkPools())).AnnualPDL(), nil
 	}
 	// Network-declustered: any pn+1 concurrent catastrophic pools
 	// (in distinct racks; the distinct-rack correction is ≈1 at scale)
 	// lose data under R_ALL. Use the Poisson overlap rate across all
 	// pools with window = pool repair time.
 	rate := mathx.PoissonOverlapRate(l.TotalLocalPools(), catRate, repairHours, l.Params.PN+1)
-	return mathx.RateToAnnualPDL(rate), nil
+	return rate.AnnualPDL(), nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mlec/internal/mathx"
 	"mlec/internal/placement"
 	"mlec/internal/topology"
 )
@@ -22,7 +23,7 @@ func approx(a, b, tol float64) bool {
 func TestRAID5ClosedForm(t *testing.T) {
 	for _, c := range []struct {
 		n, p       int
-		lambda, mu float64
+		lambda, mu mathx.Rate
 	}{
 		{8, 1, 1e-6, 1e-2},
 		{10, 2, 1e-6, 1e-2},
@@ -31,19 +32,19 @@ func TestRAID5ClosedForm(t *testing.T) {
 		{100, 4, 1e-9, 10},
 	} {
 		mu := c.mu
-		chain := Chain{N: c.n, P: c.p, LambdaPerHour: c.lambda, RepairRate: func(int) float64 { return mu }}
+		chain := Chain{N: c.n, P: c.p, LambdaPerHour: c.lambda, RepairRate: func(int) mathx.Rate { return mu }}
 		got, err := chain.MTTDLHours()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := 1 / c.lambda
+		want := 1 / float64(c.lambda)
 		for i := 1; i <= c.p; i++ {
-			want *= c.mu / c.lambda
+			want *= float64(c.mu / c.lambda)
 		}
 		for i := 0; i <= c.p; i++ {
 			want /= float64(c.n - i)
 		}
-		if tol := 10 * float64(c.n) * c.lambda / c.mu; !approx(got, want, tol) {
+		if tol := 10 * float64(c.n) * float64(c.lambda/c.mu); !approx(got, want, tol) {
 			t.Errorf("n=%d p=%d: MTTDL %g, want %g within %g relative", c.n, c.p, got, want, tol)
 		}
 	}
@@ -54,7 +55,7 @@ func TestRAID5ClosedForm(t *testing.T) {
 func TestChainMonteCarlo(t *testing.T) {
 	c := Chain{
 		N: 6, P: 2, LambdaPerHour: 0.01,
-		RepairRate: func(f int) float64 { return 0.05 * float64(f) },
+		RepairRate: func(f int) mathx.Rate { return 0.05 * mathx.Rate(f) },
 	}
 	want, err := c.MTTDLHours()
 	if err != nil {
@@ -66,10 +67,10 @@ func TestChainMonteCarlo(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		tHours, f := 0.0, 0
 		for f <= c.P {
-			beta := float64(c.N-f) * c.LambdaPerHour
+			beta := float64(c.N-f) * float64(c.LambdaPerHour)
 			mu := 0.0
 			if f > 0 {
-				mu = c.RepairRate(f)
+				mu = float64(c.RepairRate(f))
 			}
 			tHours += rng.ExpFloat64() / (beta + mu)
 			if rng.Float64() < beta/(beta+mu) {
@@ -94,7 +95,7 @@ func TestChainValidation(t *testing.T) {
 		{N: 5, P: 1, LambdaPerHour: 0},
 	}
 	for i, c := range bad {
-		c.RepairRate = func(int) float64 { return 1 }
+		c.RepairRate = func(int) mathx.Rate { return 1 }
 		if _, err := c.MTTDLHours(); err == nil {
 			t.Errorf("bad chain %d accepted", i)
 		}
@@ -104,7 +105,7 @@ func TestChainValidation(t *testing.T) {
 func TestMoreParityMoreMTTDL(t *testing.T) {
 	mttdl := func(p int) float64 {
 		c := Chain{N: 20, P: p, LambdaPerHour: 1e-6,
-			RepairRate: func(int) float64 { return 1e-2 }}
+			RepairRate: func(int) mathx.Rate { return 1e-2 }}
 		v, err := c.MTTDLHours()
 		if err != nil {
 			t.Fatal(err)
@@ -122,9 +123,9 @@ func TestMoreParityMoreMTTDL(t *testing.T) {
 }
 
 func TestFasterRepairMoreMTTDL(t *testing.T) {
-	mttdl := func(mu float64) float64 {
+	mttdl := func(mu mathx.Rate) float64 {
 		c := Chain{N: 10, P: 2, LambdaPerHour: 1e-5,
-			RepairRate: func(int) float64 { return mu }}
+			RepairRate: func(int) mathx.Rate { return mu }}
 		v, _ := c.MTTDLHours()
 		return v
 	}
@@ -136,9 +137,9 @@ func TestFasterRepairMoreMTTDL(t *testing.T) {
 func TestMLECRAllSystemPDL(t *testing.T) {
 	topo := topology.Default()
 	params := placement.DefaultParams()
-	lambda := 0.01 / 8760 // ≈1% AFR
+	lambda := mathx.AFR(0.01).LinearPerHour()
 
-	pdls := map[placement.Scheme]float64{}
+	pdls := map[placement.Scheme]mathx.Prob{}
 	for _, s := range placement.AllSchemes {
 		l := placement.MustNewLayout(topo, params, s)
 		m := MLECRAllModel{Layout: l, LambdaPerHour: lambda}
@@ -166,7 +167,7 @@ func TestMLECRAllSystemPDL(t *testing.T) {
 func TestMLECLocalChainRates(t *testing.T) {
 	topo := topology.Default()
 	params := placement.DefaultParams()
-	lambda := 0.01 / 8760
+	lambda := mathx.AFR(0.01).LinearPerHour()
 
 	cp := MLECRAllModel{Layout: placement.MustNewLayout(topo, params, placement.SchemeCC), LambdaPerHour: lambda}
 	dp := MLECRAllModel{Layout: placement.MustNewLayout(topo, params, placement.SchemeCD), LambdaPerHour: lambda}

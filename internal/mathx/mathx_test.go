@@ -119,9 +119,9 @@ func TestOneMinusPow(t *testing.T) {
 }
 
 func TestNinesRoundTrip(t *testing.T) {
-	for _, pdl := range []float64{0.5, 1e-3, 1e-9, 1e-30} {
+	for _, pdl := range []Prob{0.5, 1e-3, 1e-9, 1e-30} {
 		n := Nines(pdl)
-		if got := math.Pow(10, -n); !approxEqual(got, pdl, 1e-9) {
+		if got := math.Pow(10, -n); !approxEqual(got, float64(pdl), 1e-9) {
 			t.Errorf("round trip pdl=%g → nines=%g → %g", pdl, n, got)
 		}
 	}
@@ -151,7 +151,7 @@ func TestBinomialTail(t *testing.T) {
 
 func TestPoissonOverlapRate(t *testing.T) {
 	// r=1: any event counts → rate m·λ.
-	if got := PoissonOverlapRate(10, 0.01, 5, 1); !approxEqual(got, 0.1, 1e-12) {
+	if got := PoissonOverlapRate(10, 0.01, 5, 1); !approxEqual(float64(got), 0.1, 1e-12) {
 		t.Errorf("r=1 rate = %g", got)
 	}
 	// m < r: impossible.
@@ -160,10 +160,11 @@ func TestPoissonOverlapRate(t *testing.T) {
 	}
 	// First-order check against the standard two-overlap formula
 	// m·λ·(m−1)·λ·w for tiny λw.
-	m, lambda, w := 12, 1e-6, 10.0
+	m, lambda, w := 12, Rate(1e-6), 10.0
 	got := PoissonOverlapRate(m, lambda, w, 2)
-	want := float64(m) * lambda * (1 - math.Pow(1-(-math.Expm1(-lambda*w)), float64(m-1)))
-	if !approxEqual(got, want, 1e-6) {
+	lw := float64(lambda) * w
+	want := float64(m) * float64(lambda) * (1 - math.Pow(1-(-math.Expm1(-lw)), float64(m-1)))
+	if !approxEqual(float64(got), want, 1e-6) {
 		t.Errorf("2-overlap rate = %g, want ≈ %g", got, want)
 	}
 	// Monotonicity: more sources → higher rate; higher r → lower rate.
@@ -176,16 +177,16 @@ func TestPoissonOverlapRate(t *testing.T) {
 }
 
 func TestRateToAnnualPDL(t *testing.T) {
-	if got := RateToAnnualPDL(0); got != 0 {
+	if got := Rate(0).AnnualPDL(); got != 0 {
 		t.Errorf("zero rate → %g", got)
 	}
 	// Tiny rates: PDL ≈ rate × 8760.
-	r := 1e-12
-	if got := RateToAnnualPDL(r); !approxEqual(got, r*8760, 1e-6) {
+	r := Rate(1e-12)
+	if got := r.AnnualPDL(); !approxEqual(float64(got), float64(r)*8760, 1e-6) {
 		t.Errorf("tiny-rate PDL = %g", got)
 	}
 	// Huge rates saturate at 1.
-	if got := RateToAnnualPDL(100); !approxEqual(got, 1, 1e-12) {
+	if got := Rate(100).AnnualPDL(); !approxEqual(float64(got), 1, 1e-12) {
 		t.Errorf("huge-rate PDL = %g", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"mlec/internal/failure"
+	"mlec/internal/mathx"
 	"mlec/internal/sim"
 )
 
@@ -37,7 +38,7 @@ func (s RunStats) CatRatePerPoolHour() float64 {
 	if s.SimYears <= 0 {
 		return 0
 	}
-	return float64(s.CatastrophicCount) / (s.SimYears * failure.HoursPerYear)
+	return float64(s.CatastrophicCount) / (s.SimYears * mathx.HoursPerYear)
 }
 
 // driver feeds one Machine from a failure process — per-disk clocks
@@ -106,7 +107,7 @@ func (dr *driver) run(ctx context.Context, horizon, years float64) RunStats {
 	for i := 0; ; i++ {
 		if i%pollEvery == 0 && ctx.Err() != nil {
 			dr.stats.Partial = true
-			dr.stats.SimYears = dr.m.eng.Now() / failure.HoursPerYear
+			dr.stats.SimYears = dr.m.eng.Now() / mathx.HoursPerYear
 			return dr.stats
 		}
 		next, ok := dr.m.eng.NextTime()
@@ -132,7 +133,7 @@ func LongRunContext(ctx context.Context, cfg Config, ttf failure.TTFDistribution
 	if years <= 0 {
 		return RunStats{}, fmt.Errorf("poolsim: years = %g", years)
 	}
-	return dr.run(ctx, years*failure.HoursPerYear, years), nil
+	return dr.run(ctx, years*mathx.HoursPerYear, years), nil
 }
 
 // newLongRun is LongRun's driver, every disk's failure clock armed: a

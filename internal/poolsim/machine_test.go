@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mlec/internal/failure"
+	"mlec/internal/mathx"
 	"mlec/internal/sim"
 )
 
@@ -173,7 +174,7 @@ func TestLongRunTransitionsDoNotAllocate(t *testing.T) {
 		var failures, cats int
 		span := func() {
 			f, c := dr.stats.DiskFailures, dr.stats.CatastrophicCount
-			horizon += 2000 * failure.HoursPerYear
+			horizon += 2000 * mathx.HoursPerYear
 			dr.run(context.Background(), horizon, 0)
 			failures, cats = dr.stats.DiskFailures-f, dr.stats.CatastrophicCount-c
 		}

@@ -108,7 +108,7 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 	}
 
 	partial := false
-	beta0 := float64(cfg.Disks) * ttf.RatePerHour // rate of 0 → 1 transitions
+	beta0 := float64(cfg.Disks) * float64(ttf.RatePerHour) // rate of 0 → 1 transitions
 
 	// st is the estimator's running state, kept as the checkpoint it is
 	// loaded from and saved as at every level boundary.
@@ -374,7 +374,7 @@ type trajResult struct {
 }
 
 func newTrajectory(pool *Pool, ttf failure.Exponential) *trajectory {
-	tr := &trajectory{m: NewMachine(pool, sim.New()), lambda: ttf.RatePerHour,
+	tr := &trajectory{m: NewMachine(pool, sim.New()), lambda: float64(ttf.RatePerHour),
 		rng: rand.New(rngsplit.NewSource(0))}
 	tr.onFail = tr.fail
 	tr.m.OnCat = func() { tr.outcome, tr.cat = outcomeCat, tr.m.CatSample() }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"mlec/internal/failure"
+	"mlec/internal/mathx"
 )
 
 // ReplayTraceContext drives one pool with a recorded failure trace
@@ -26,7 +27,7 @@ func ReplayTraceContext(ctx context.Context, cfg Config, trace *failure.Trace, y
 	if !trace.Sorted() {
 		return RunStats{}, fmt.Errorf("poolsim: trace not time-sorted")
 	}
-	horizon := years * failure.HoursPerYear
+	horizon := years * mathx.HoursPerYear
 	if n := len(trace.Events); n > 0 {
 		if last := trace.Events[n-1].TimeHours; last > horizon {
 			horizon = last
@@ -53,5 +54,5 @@ func ReplayTraceContext(ctx context.Context, cfg Config, trace *failure.Trace, y
 			dr.fail(ev.Disk)
 		})
 	}
-	return dr.run(ctx, horizon, horizon/failure.HoursPerYear), nil
+	return dr.run(ctx, horizon, horizon/mathx.HoursPerYear), nil
 }

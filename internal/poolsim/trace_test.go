@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mlec/internal/failure"
+	"mlec/internal/mathx"
 )
 
 func TestReplayTraceBasics(t *testing.T) {
@@ -30,8 +31,8 @@ func TestReplayTraceBasics(t *testing.T) {
 		t.Fatalf("bad catastrophe sample: %+v", stats.Samples)
 	}
 	// Horizon extends to cover the last event.
-	if stats.SimYears*failure.HoursPerYear < 5000 {
-		t.Fatalf("horizon %.0f h too short", stats.SimYears*failure.HoursPerYear)
+	if stats.SimYears*mathx.HoursPerYear < 5000 {
+		t.Fatalf("horizon %.0f h too short", stats.SimYears*mathx.HoursPerYear)
 	}
 }
 

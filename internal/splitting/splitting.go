@@ -32,11 +32,11 @@ import (
 // Stage1 summarizes the local-pool behaviour feeding the network level.
 type Stage1 struct {
 	// CatRatePerPoolHour is the catastrophic-event rate of one pool.
-	CatRatePerPoolHour float64
+	CatRatePerPoolHour mathx.Rate
 	// CatRateLo and CatRateHi bound the rate as the splitting estimator
 	// reports it (poolsim.SplitResult); both are zero on the Markov route,
 	// which has no sampling error.
-	CatRateLo, CatRateHi float64
+	CatRateLo, CatRateHi mathx.Rate
 	// FailedDisksAtCat is the typical number of failed disks at the
 	// catastrophic instant (pl+1 unless samples say otherwise).
 	FailedDisksAtCat int
@@ -48,23 +48,23 @@ type Stage1 struct {
 }
 
 // MarkovStage1 is stage 1 from the R_ALL Markov chain of l's local pool,
-// at the per-hour failure rate failure.LinearRatePerHour(afr).
-func MarkovStage1(l *placement.Layout, afr float64) (Stage1, error) {
-	m := markov.MLECRAllModel{Layout: l, LambdaPerHour: failure.LinearRatePerHour(afr)}
+// at the per-hour failure rate afr.LinearPerHour().
+func MarkovStage1(l *placement.Layout, afr mathx.AFR) (Stage1, error) {
+	m := markov.MLECRAllModel{Layout: l, LambdaPerHour: afr.LinearPerHour()}
 	rate, err := m.CatRatePerPoolHour()
 	if err != nil {
 		return Stage1{}, err
 	}
 	// Without samples stage 1 reads only the pool's geometry: pl+1 failed
 	// disks and the analytic φ, at any granularity.
-	return Stage1FromSplit(poolsim.ConfigFor(l, 0), poolsim.SplitResult{CatRatePerPoolHour: rate}), nil
+	return Stage1FromSplit(poolsim.ConfigFor(l, 0), poolsim.SplitResult{CatRatePerPoolHour: float64(rate)}), nil
 }
 
 // SplitStage1 is stage 1 from the splitting estimator on one local pool
 // of l at segmentsPerDisk granularity, under exponential failures at the
 // given AFR. Cancelling ctx returns a Partial stage 1 whose CatRateHi
 // covers the levels left unexplored.
-func SplitStage1(ctx context.Context, l *placement.Layout, segmentsPerDisk int, afr float64,
+func SplitStage1(ctx context.Context, l *placement.Layout, segmentsPerDisk int, afr mathx.AFR,
 	sc poolsim.SplitConfig) (Stage1, error) {
 	ttf, err := failure.NewExponentialAFR(afr)
 	if err != nil {
@@ -81,9 +81,9 @@ func SplitStage1(ctx context.Context, l *placement.Layout, segmentsPerDisk int, 
 // Stage1FromSplit derives Stage1 from a poolsim splitting run.
 func Stage1FromSplit(cfg poolsim.Config, res poolsim.SplitResult) Stage1 {
 	s := Stage1{
-		CatRatePerPoolHour: res.CatRatePerPoolHour,
-		CatRateLo:          res.CatRateLo,
-		CatRateHi:          res.CatRateHi,
+		CatRatePerPoolHour: mathx.Rate(res.CatRatePerPoolHour),
+		CatRateLo:          mathx.Rate(res.CatRateLo),
+		CatRateHi:          mathx.Rate(res.CatRateHi),
 		FailedDisksAtCat:   cfg.Parity + 1,
 		Partial:            res.Partial,
 	}
@@ -115,11 +115,11 @@ type Result struct {
 	Scheme placement.Scheme
 	Method repair.Method
 
-	CatRatePerPoolHour float64
-	WindowHours        float64 // catastrophic-state duration per event
-	LossGivenOverlap   float64 // P(lost network stripe | pn+1 overlap)
-	LossRatePerHour    float64
-	AnnualPDL          float64
+	CatRatePerPoolHour mathx.Rate
+	WindowHours        float64    // catastrophic-state duration per event
+	LossGivenOverlap   mathx.Prob // P(lost network stripe | pn+1 overlap)
+	LossRatePerHour    mathx.Rate
+	AnnualPDL          mathx.Prob
 	Nines              float64
 }
 
@@ -157,24 +157,24 @@ func Durability(l *placement.Layout, method repair.Method, s1 Stage1, detectHour
 	if l.Scheme.Network == placement.Clustered {
 		lossGivenOverlap = burst.LossGivenAlignedCatPools(l, phis)
 		perPool := mathx.PoissonOverlapRate(l.Params.NetworkWidth(), s1.CatRatePerPoolHour, window, pn+1)
-		overlapRate = perPool * float64(l.TotalNetworkPools())
+		overlapRate = float64(perPool) * float64(l.TotalNetworkPools())
 	} else {
 		lossGivenOverlap = burst.LossGivenScatteredCatPools(l, phis)
-		overlapRate = mathx.PoissonOverlapRate(l.TotalLocalPools(), s1.CatRatePerPoolHour, window, pn+1)
+		overlapRate = float64(mathx.PoissonOverlapRate(l.TotalLocalPools(), s1.CatRatePerPoolHour, window, pn+1))
 		// Distinct-rack correction: the pn+1 overlapping pools must sit
 		// in different racks for a network stripe to touch them all.
 		overlapRate *= distinctRackFactor(l, pn+1)
 	}
-	lossRate := overlapRate * lossGivenOverlap
+	lossRate := mathx.Rate(overlapRate * lossGivenOverlap)
 	return Result{
 		Scheme:             l.Scheme,
 		Method:             method,
 		CatRatePerPoolHour: s1.CatRatePerPoolHour,
 		WindowHours:        window,
-		LossGivenOverlap:   lossGivenOverlap,
+		LossGivenOverlap:   mathx.Prob(lossGivenOverlap),
 		LossRatePerHour:    lossRate,
-		AnnualPDL:          mathx.RateToAnnualPDL(lossRate),
-		Nines:              mathx.Nines(mathx.RateToAnnualPDL(lossRate)),
+		AnnualPDL:          lossRate.AnnualPDL(),
+		Nines:              mathx.Nines(lossRate.AnnualPDL()),
 	}, nil
 }
 

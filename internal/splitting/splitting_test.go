@@ -6,6 +6,7 @@ import (
 
 	"mlec/internal/failure"
 	"mlec/internal/markov"
+	"mlec/internal/mathx"
 	"mlec/internal/placement"
 	"mlec/internal/poolsim"
 	"mlec/internal/repair"
@@ -32,7 +33,7 @@ func layouts(t *testing.T) map[placement.Scheme]*placement.Layout {
 func stage1Fixture(t *testing.T) map[placement.Kind]Stage1 {
 	t.Helper()
 	ls := layouts(t)
-	lambda := 0.01 / 8760
+	lambda := mathx.AFR(0.01).LinearPerHour()
 	out := map[placement.Kind]Stage1{}
 
 	cp := markov.MLECRAllModel{Layout: ls[placement.SchemeCC], LambdaPerHour: lambda}
@@ -169,7 +170,7 @@ func TestFig10FinalOrdering(t *testing.T) {
 func TestRAllMatchesMarkov(t *testing.T) {
 	ls := layouts(t)
 	s1 := stage1Fixture(t)
-	lambda := 0.01 / 8760
+	lambda := mathx.AFR(0.01).LinearPerHour()
 	for _, s := range []placement.Scheme{placement.SchemeCC, placement.SchemeCD} {
 		r, err := Durability(ls[s], repair.RAll, s1[s.Local], failure.DefaultDetectionDelayHours)
 		if err != nil {
@@ -180,7 +181,7 @@ func TestRAllMatchesMarkov(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lr := math.Log10(r.AnnualPDL / pdl)
+		lr := math.Log10(float64(r.AnnualPDL / pdl))
 		t.Logf("%v R_ALL: splitting PDL %.3g vs Markov %.3g (Δ %.2f orders)", s, r.AnnualPDL, pdl, lr)
 		if math.Abs(lr) > 1.5 {
 			t.Errorf("%v: splitting and Markov disagree by %.1f orders", s, lr)

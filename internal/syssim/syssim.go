@@ -22,6 +22,7 @@ import (
 
 	"mlec/internal/bwmodel"
 	"mlec/internal/failure"
+	"mlec/internal/mathx"
 	"mlec/internal/mathx/rngsplit"
 	"mlec/internal/obs"
 	"mlec/internal/placement"
@@ -354,7 +355,7 @@ func run(ctx context.Context, cfg Config, years float64, seed int64, trace *obs.
 		return Stats{}, fmt.Errorf("syssim: years = %g", years)
 	}
 	s.armFailureClock()
-	horizon := years * failure.HoursPerYear
+	horizon := years * mathx.HoursPerYear
 	task := obs.Progress.StartTask("syssim.run", 0)
 	defer task.Finish()
 	span := obs.StartSpan("syssim.run")
@@ -371,11 +372,11 @@ func run(ctx context.Context, cfg Config, years float64, seed int64, trace *obs.
 			// engine state here feed the progress note only, never flow
 			// back into the simulation.
 			//lint:allow hotalloc progress note renders once per 1024 events, amortized away
-			task.SetNote(fmt.Sprintf("simyears %.2f/%.2f", s.eng.Now()/failure.HoursPerYear, years))
+			task.SetNote(fmt.Sprintf("simyears %.2f/%.2f", s.eng.Now()/mathx.HoursPerYear, years))
 			//lint:allow hotalloc context poll is amortized to one dispatch per 1024 events
 			if ctx.Err() != nil {
 				s.stats.Partial = true
-				s.stats.SimYears = s.eng.Now() / failure.HoursPerYear
+				s.stats.SimYears = s.eng.Now() / mathx.HoursPerYear
 				return s.stats, nil
 			}
 		}
@@ -413,7 +414,7 @@ func (s *System) fireFailure() {
 
 func (s *System) nextFailureDelay() float64 {
 	if exp, ok := s.cfg.TTF.(failure.Exponential); ok {
-		return s.rng.ExpFloat64() / (float64(s.healthy) * exp.RatePerHour)
+		return s.rng.ExpFloat64() / (float64(s.healthy) * float64(exp.RatePerHour))
 	}
 	// Non-memoryless fallback: approximate the aggregate process by
 	// sampling one TTF and scaling by the healthy count. Exact per-disk

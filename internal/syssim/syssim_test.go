@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mlec/internal/burst"
+	"mlec/internal/mathx"
 	"mlec/internal/obs"
 
 	"mlec/internal/failure"
@@ -19,7 +20,7 @@ import (
 // hotSystem is a small, failure-dense datacenter where catastrophic pools
 // and even data loss are observable: 6 racks × 1 enclosure × 8 disks,
 // (2+1)/(4+2) MLEC.
-func hotSystem(scheme placement.Scheme, method repair.Method, afr float64) Config {
+func hotSystem(scheme placement.Scheme, method repair.Method, afr mathx.AFR) Config {
 	topo := topology.Default()
 	topo.Racks = 6
 	topo.EnclosuresPerRack = 1
@@ -359,7 +360,7 @@ func TestLossBookAfterEveryHeal(t *testing.T) {
 				s.netDone[p] = func() { netDone(); check("network repair") }
 			}
 			s.armFailureClock()
-			for horizon := 30 * failure.HoursPerYear; ; {
+			for horizon := 30 * mathx.HoursPerYear; ; {
 				if next, ok := s.eng.NextTime(); !ok || next > horizon {
 					break
 				}

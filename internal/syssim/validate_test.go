@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mlec/internal/failure"
+	"mlec/internal/mathx"
 	"mlec/internal/placement"
 	"mlec/internal/poolsim"
 	"mlec/internal/repair"
@@ -34,8 +35,8 @@ func TestSplittingCompositionEndToEnd(t *testing.T) {
 	if stats.DataLossEvents < 20 {
 		t.Fatalf("only %d loss events; config too cold to validate", stats.DataLossEvents)
 	}
-	measured := float64(stats.DataLossEvents) / (years * failure.HoursPerYear)
-	measuredCat := float64(stats.CatastrophicEvents) / (years * failure.HoursPerYear)
+	measured := float64(stats.DataLossEvents) / (years * mathx.HoursPerYear)
+	measuredCat := float64(stats.CatastrophicEvents) / (years * mathx.HoursPerYear)
 
 	// Stage 1: splitting estimator on the same pool geometry.
 	pc := poolsim.Config{
@@ -70,7 +71,7 @@ func TestSplittingCompositionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lr := math.Log10(measured / dur.LossRatePerHour)
+	lr := math.Log10(measured / float64(dur.LossRatePerHour))
 	t.Logf("loss rate: syssim %.3g/h vs composition %.3g/h (Δ %.2f orders)",
 		measured, dur.LossRatePerHour, lr)
 	if math.Abs(lr) > 1.3 {

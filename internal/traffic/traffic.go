@@ -8,26 +8,24 @@ package traffic
 import (
 	"fmt"
 
+	"mlec/internal/mathx"
 	"mlec/internal/placement"
 	"mlec/internal/repair"
 	"mlec/internal/topology"
 )
 
-// hoursPerDay and related constants for rate conversions.
-const (
-	hoursPerDay  = 24.0
-	hoursPerYear = 8760.0
-)
+// hoursPerDay converts per-hour rates to daily traffic.
+const hoursPerDay = 24.0
 
 // failuresPerHour returns the system-wide disk failure arrival rate.
-func failuresPerHour(topo topology.Config, lambdaPerHour float64) float64 {
-	return float64(topo.TotalDisks()) * lambdaPerHour
+func failuresPerHour(topo topology.Config, lambdaPerHour mathx.Rate) float64 {
+	return float64(topo.TotalDisks()) * float64(lambdaPerHour)
 }
 
 // NetworkSLECDailyBytes returns the expected cross-rack repair traffic
 // per day of a network-placed (k+p) SLEC: every disk failure pulls k
 // chunk-reads across racks and writes 1 rebuilt chunk, per repaired byte.
-func NetworkSLECDailyBytes(topo topology.Config, params placement.SLECParams, lambdaPerHour float64) (float64, error) {
+func NetworkSLECDailyBytes(topo topology.Config, params placement.SLECParams, lambdaPerHour mathx.Rate) (float64, error) {
 	if params.K <= 0 || params.P < 0 {
 		return 0, fmt.Errorf("traffic: bad SLEC params %v", params)
 	}
@@ -39,7 +37,7 @@ func NetworkSLECDailyBytes(topo topology.Config, params placement.SLECParams, la
 // an LRC-Dp layout: the dominant single-failure repairs read the k/l
 // surviving chunks of the local group and write 1 — all across racks,
 // since LRC-Dp scatters every chunk to a distinct rack (§5.2.4).
-func LRCDailyBytes(topo topology.Config, params placement.LRCParams, lambdaPerHour float64) (float64, error) {
+func LRCDailyBytes(topo topology.Config, params placement.LRCParams, lambdaPerHour mathx.Rate) (float64, error) {
 	if params.K <= 0 || params.L <= 0 || params.K%params.L != 0 {
 		return 0, fmt.Errorf("traffic: bad LRC params %v", params)
 	}
@@ -52,7 +50,7 @@ func LRCDailyBytes(topo topology.Config, params placement.LRCParams, lambdaPerHo
 // of an MLEC system: catastrophic pools arrive at catRatePerPoolHour per
 // pool and each costs the repair method's cross-rack traffic. Ordinary
 // disk failures repair inside the enclosure and contribute nothing.
-func MLECYearlyBytes(l *placement.Layout, method repair.Method, catRatePerPoolHour float64) (float64, error) {
+func MLECYearlyBytes(l *placement.Layout, method repair.Method, catRatePerPoolHour mathx.Rate) (float64, error) {
 	if catRatePerPoolHour < 0 {
 		return 0, fmt.Errorf("traffic: negative catastrophic rate")
 	}
@@ -61,7 +59,7 @@ func MLECYearlyBytes(l *placement.Layout, method repair.Method, catRatePerPoolHo
 	if err != nil {
 		return 0, err
 	}
-	eventsPerYear := catRatePerPoolHour * float64(l.TotalLocalPools()) * hoursPerYear
+	eventsPerYear := float64(catRatePerPoolHour) * float64(l.TotalLocalPools()) * mathx.HoursPerYear
 	return eventsPerYear * burst.CrossRackTrafficBytes, nil
 }
 
@@ -77,7 +75,7 @@ type Comparison struct {
 
 // Compare builds the summary for the given configurations.
 func Compare(topo topology.Config, slec placement.SLECParams, lrcp placement.LRCParams,
-	l *placement.Layout, method repair.Method, lambdaPerHour, catRatePerPoolHour float64) (Comparison, error) {
+	l *placement.Layout, method repair.Method, lambdaPerHour, catRatePerPoolHour mathx.Rate) (Comparison, error) {
 	var c Comparison
 	var err error
 	if c.NetworkSLECDaily, err = NetworkSLECDailyBytes(topo, slec, lambdaPerHour); err != nil {
