@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// ErrFlow is the probflow analyzer for discarded errors on simulator
+// ErrFlow is the analyzer for discarded errors on simulator
 // paths. A Monte-Carlo campaign that drops an error keeps running with
 // a silently-absent contribution — the estimate stays plausible and the
 // confidence interval lies. The analyzer flags a call whose error
