@@ -2,7 +2,6 @@ package mlec
 
 import (
 	"go/ast"
-	"go/build"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -31,11 +30,10 @@ type codeIndex struct {
 	members  map[string]map[string]bool // type name → methods and fields
 	files    []string
 	strs     map[string]bool
-	std      map[string]bool // last element of every standard-library package path
 }
 
-// indexTree parses every .go file under root (testdata included: docs
-// name fixtures too) without type-checking it.
+// indexTree records every file under root and parses every .go file
+// (testdata included: docs name fixtures too) without type-checking it.
 func indexTree(t *testing.T, root string) *codeIndex {
 	t.Helper()
 	ix := &codeIndex{
@@ -43,7 +41,6 @@ func indexTree(t *testing.T, root string) *codeIndex {
 		pkgTypes: make(map[string][]string),
 		members:  make(map[string]map[string]bool),
 		strs:     make(map[string]bool),
-		std:      make(map[string]bool),
 	}
 	add := func(m map[string]map[string]bool, k, v string) {
 		if m[k] == nil {
@@ -124,22 +121,6 @@ func indexTree(t *testing.T, root string) *codeIndex {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stdRoot := filepath.Join(build.Default.GOROOT, "src")
-	err = filepath.WalkDir(stdRoot, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && (d.Name() == "testdata" || d.Name() == "vendor" || d.Name() == "internal") {
-			return filepath.SkipDir
-		}
-		if d.IsDir() {
-			ix.std[d.Name()] = true
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return ix
 }
 
@@ -173,9 +154,10 @@ var (
 // the dotted forms `pkg.Ident`, `pkg.Type.Member` and `Type.Member`
 // (a trailing "()" allowed). A pkg.Ident may name a method of one of
 // the package's types (`rs.EncodeParallel`). Not claims: a dotted name
-// with a lower-case head that is no package (`wg.Add`, an expression
-// on a local), one that is a file (`BENCHMARK.json`) or a string in the
-// code (span and fault-point names), and snake_case names (metrics).
+// with a lower-case head that is no package of the tree (a standard
+// library package, or `wg.Add`, an expression on a local), one that
+// names a file (`BENCHMARK.json`) or a string of the program (span and
+// fault-point names), and snake_case names (metrics).
 func (ix *codeIndex) resolve(ref string) bool {
 	if goPath.MatchString(ref) {
 		return ix.isFile(lineSuffix.ReplaceAllString(ref, ""))
@@ -202,7 +184,7 @@ func (ix *codeIndex) resolve(ref string) bool {
 	case ix.members[head] != nil:
 		return ix.membersResolve(parts)
 	}
-	return ix.std[head] || unicode.IsLower(rune(head[0]))
+	return unicode.IsLower(rune(head[0]))
 }
 
 // isFile reports whether a path suffix names a file of the tree.
