@@ -104,7 +104,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseTrace -fuzztime=10s ./internal/failure
 	$(GO) test -run='^$$' -fuzz=FuzzParseAllowDirective -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzTaintEngine -fuzztime=10s ./internal/lint
-	$(GO) test -run='^$$' -fuzz=FuzzEscapeEngine -fuzztime=10s ./internal/lint
+	$(GO) test -run='^$$' -fuzz=FuzzHotalloc -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=10s ./internal/runctl
 	$(GO) test -run='^$$' -fuzz=FuzzSampleLayout -fuzztime=10s ./internal/burst
 	$(GO) test -run='^$$' -fuzz=FuzzDeclusteredStripes -fuzztime=10s ./internal/placement

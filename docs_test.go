@@ -21,13 +21,14 @@ var docFiles = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
 
 // codeIndex is what the tree declares, by name: package names with their
 // package-scope identifiers, type names with their methods and fields,
-// every file's slash-separated path, and every string literal of the
-// program (span, counter and fault-point names are strings, not
-// identifiers).
+// the functions of _test.go files, every file's slash-separated path,
+// and every string literal of the program (span, counter and
+// fault-point names are strings, not identifiers).
 type codeIndex struct {
 	pkgScope map[string]map[string]bool // package name → package-scope identifiers
 	pkgTypes map[string][]string        // package name → its type names
 	members  map[string]map[string]bool // type name → methods and fields
+	tests    map[string]bool            // functions declared in _test.go files
 	files    []string
 	strs     map[string]bool
 }
@@ -40,6 +41,7 @@ func indexTree(t *testing.T, root string) *codeIndex {
 		pkgScope: make(map[string]map[string]bool),
 		pkgTypes: make(map[string][]string),
 		members:  make(map[string]map[string]bool),
+		tests:    make(map[string]bool),
 		strs:     make(map[string]bool),
 	}
 	add := func(m map[string]map[string]bool, k, v string) {
@@ -86,6 +88,9 @@ func indexTree(t *testing.T, root string) *codeIndex {
 			case *ast.FuncDecl:
 				if decl.Recv == nil {
 					add(ix.pkgScope, pkg, decl.Name.Name)
+					if strings.HasSuffix(path, "_test.go") {
+						ix.tests[decl.Name.Name] = true
+					}
 					continue
 				}
 				if recv := receiverTypeName(decl.Recv.List[0].Type); recv != "" {
@@ -144,23 +149,31 @@ func receiverTypeName(e ast.Expr) string {
 
 var (
 	backticked = regexp.MustCompile("`([^`\n]+)`")
-	goPath     = regexp.MustCompile(`^[A-Za-z0-9][\w./-]*\.go(:[\d,–-]+)?$`)
+	goPath     = regexp.MustCompile(`^[A-Za-z0-9][\w./-]*\.go$`)
 	dotted     = regexp.MustCompile(`^[A-Za-z_]\w*(\.[A-Za-z_]\w*)+(\(\))?$`)
-	lineSuffix = regexp.MustCompile(`:[\d,–-]+$`)
+	testName   = regexp.MustCompile(`^(Test|Fuzz|Benchmark)[A-Z0-9_]\w*$`)
+	lineRef    = regexp.MustCompile(`(^|\.go):[\d,–-]+$`)
 )
 
 // resolve reports whether one backticked reference names something in
-// the tree. The claims are `path.go` (any file a path suffix names) and
-// the dotted forms `pkg.Ident`, `pkg.Type.Member` and `Type.Member`
+// the tree. The claims are `path.go` (any file a path suffix names), a
+// bare `TestX`, `FuzzX` or `BenchmarkX` (a function of a _test.go file)
+// and the dotted forms `pkg.Ident`, `pkg.Type.Member` and `Type.Member`
 // (a trailing "()" allowed). A pkg.Ident may name a method of one of
-// the package's types (`rs.EncodeParallel`). Not claims: a dotted name
+// the package's types (`rs.EncodeParallel`). A line number (`x.go:12`,
+// `:12`) never resolves: no test can hold one. Not claims: a dotted name
 // with a lower-case head that is no package of the tree (a standard
 // library package, or `wg.Add`, an expression on a local), one that
 // names a file (`BENCHMARK.json`) or a string of the program (span and
 // fault-point names), and snake_case names (metrics).
 func (ix *codeIndex) resolve(ref string) bool {
-	if goPath.MatchString(ref) {
-		return ix.isFile(lineSuffix.ReplaceAllString(ref, ""))
+	switch {
+	case lineRef.MatchString(ref):
+		return false
+	case goPath.MatchString(ref):
+		return ix.isFile(ref)
+	case testName.MatchString(ref):
+		return ix.tests[ref]
 	}
 	if !dotted.MatchString(ref) || ix.isFile(ref) || ix.strs[ref] {
 		return true
@@ -245,11 +258,41 @@ func (ix *codeIndex) staleRefs(name, text string) []string {
 	return out
 }
 
+// untestedSections returns the heading of every "## " section of the
+// document that names no test, by a backticked `TestX`, `FuzzX` or
+// `BenchmarkX` the tree declares, outside fenced code blocks.
+func (ix *codeIndex) untestedSections(text string) []string {
+	var out []string
+	heading, tested, fenced := "", true, false
+	for _, line := range strings.Split(text+"\n## end", "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		if fenced {
+			continue
+		}
+		if strings.HasPrefix(line, "## ") {
+			if !tested {
+				out = append(out, heading)
+			}
+			heading, tested = line, false
+			continue
+		}
+		for _, m := range backticked.FindAllStringSubmatch(line, -1) {
+			if ref := strings.TrimSpace(m[1]); testName.MatchString(ref) && ix.tests[ref] {
+				tested = true
+			}
+		}
+	}
+	return out
+}
+
 // TestDocsNameRealCode holds DESIGN.md, README.md and EXPERIMENTS.md to
-// the tree: every backticked `pkg.Ident`, `Type.Method` and `path.go`
-// (a `:line` suffix dropped) must name a declaration or file that
-// exists, so a rename or deletion that leaves a document behind fails
-// here.
+// the tree: every backticked `pkg.Ident`, `Type.Method`, `path.go` and
+// test name must name a declaration or file that exists, so a rename or
+// deletion that leaves a document behind fails here. Every section of
+// DESIGN.md names at least one test, the one that holds its contract.
 func TestDocsNameRealCode(t *testing.T) {
 	ix := indexTree(t, ".")
 	for _, name := range docFiles {
@@ -260,11 +303,21 @@ func TestDocsNameRealCode(t *testing.T) {
 		for _, stale := range ix.staleRefs(name, string(text)) {
 			t.Errorf("%s names nothing in the tree", stale)
 		}
+		if name == "DESIGN.md" {
+			for _, heading := range ix.untestedSections(string(text)) {
+				t.Errorf("DESIGN.md section %q names no test", heading)
+			}
+		}
 	}
-	// The check must bite: seeded stale references of each form fail.
-	for _, ref := range []string{"mathx.RateToAnnualPDL", "Pool.LostStripeIDs", "obs.Task.SetLevel", "internal/lint/probmix.go", "domain.go:12"} {
+	// The check must bite: seeded stale references of each form fail,
+	// and so does a section that names no test.
+	for _, ref := range []string{"mathx.RateToAnnualPDL", "Pool.LostStripeIDs", "obs.Task.SetLevel", "internal/lint/probmix.go", "domain.go:12", "sampler.go:147", ":88", "TestNoSuchThing"} {
 		if ix.resolve(ref) {
 			t.Errorf("seeded stale reference `%s` resolved", ref)
 		}
+	}
+	seeded := "# Doc\n\n## 1. Held\n\n`TestDocsNameRealCode`\n\n## 2. Unheld\n\n`TestNoSuchThing`, `mathx.Prob`\n"
+	if got := ix.untestedSections(seeded); len(got) != 1 || got[0] != "## 2. Unheld" {
+		t.Errorf("seeded sections: untested %q, want only \"## 2. Unheld\"", got)
 	}
 }

@@ -72,7 +72,7 @@ func TestEscapeEngine(t *testing.T) {
 	}
 }
 
-// FuzzEscapeEngine feeds arbitrary parser-valid Go sources through
+// FuzzHotalloc feeds arbitrary parser-valid Go sources through
 // hotalloc's own half — the steady-state extents, the append capacity
 // plans, the capture check, dispatch and defer in loops — with every
 // function hot and a compiler transcript that puts a heap site at the
@@ -81,7 +81,7 @@ func TestEscapeEngine(t *testing.T) {
 // whatever the control-flow shape and even where the source does not
 // type-check. The corpus is seeded from the analyzer fixtures, so every
 // construct the hot* analyzers care about is a mutation starting point.
-func FuzzEscapeEngine(f *testing.F) {
+func FuzzHotalloc(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("testdata", "src", "*", "*.go"))
 	if err != nil {
 		f.Fatal(err)

@@ -3,16 +3,19 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // A Package is one parsed, type-checked package ready for analysis.
@@ -117,6 +120,12 @@ type Loader struct {
 	IncludeTests bool
 }
 
+// goEnvGOROOT asks the go command for its GOROOT, once per process.
+var goEnvGOROOT = sync.OnceValues(func() (string, error) {
+	out, err := exec.Command("go", "env", "GOROOT").Output()
+	return strings.TrimSpace(string(out)), err
+})
+
 // NewLoader returns a loader rooted at the module containing dir.
 func NewLoader(dir string) (*Loader, error) {
 	abs, err := filepath.Abs(dir)
@@ -126,6 +135,17 @@ func NewLoader(dir string) (*Loader, error) {
 	modDir, modPath, err := findModule(abs)
 	if err != nil {
 		return nil, err
+	}
+	// The source importer finds the standard library under go/build's
+	// GOROOT, which a binary built with -trimpath leaves empty unless the
+	// environment sets it; the go command that builds the hot packages
+	// knows it.
+	if build.Default.GOROOT == "" {
+		root, err := goEnvGOROOT()
+		if err != nil {
+			return nil, fmt.Errorf("lint: GOROOT is not set and `go env GOROOT` failed: %v", err)
+		}
+		build.Default.GOROOT = root
 	}
 	fset := token.NewFileSet()
 	return &Loader{

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/build"
 	"go/token"
 	"path/filepath"
 	"testing"
@@ -36,6 +37,26 @@ func TestLoadBuildTagExcluded(t *testing.T) {
 		if scope.Lookup(name) != nil {
 			t.Errorf("build-constrained declaration %s was loaded", name)
 		}
+	}
+}
+
+// TestLoadWithoutGOROOT checks that the loader still finds the standard
+// library when go/build knows no GOROOT, as in a binary built with
+// -trimpath and run without GOROOT in its environment.
+func TestLoadWithoutGOROOT(t *testing.T) {
+	saved := build.Default.GOROOT
+	build.Default.GOROOT = ""
+	defer func() { build.Default.GOROOT = saved }()
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "globalrand"))
+	if err != nil {
+		t.Fatalf("LoadDir(globalrand), which imports math/rand: %v", err)
+	}
+	if pkg == nil || pkg.Types.Scope().Lookup("Bad") == nil {
+		t.Fatal("LoadDir(globalrand) did not type-check the package")
 	}
 }
 
