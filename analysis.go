@@ -3,7 +3,6 @@ package mlec
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"mlec/internal/burst"
 	"mlec/internal/bwmodel"
@@ -228,10 +227,13 @@ func annualPDLAt(l *placement.Layout, m RepairMethod, s1 splitting.Stage1, rate 
 }
 
 // EncodingThroughput measures the end-to-end MLEC encoding throughput in
-// bytes of user data per second on one goroutine (Figure 11/12 axis).
-func EncodingThroughput(params Params, budget time.Duration) (float64, error) {
-	if budget <= 0 {
-		budget = 25 * time.Millisecond
+// bytes of user data per second on one goroutine (Figure 11/12 axis). Each
+// level's code encodes a fixed amount of data a round, and its rate is
+// its fastest round.
+func EncodingThroughput(params Params) (float64, error) {
+	tab, err := throughput.Measure(throughput.DefaultShardBytes, throughput.MLECCodes(params)...)
+	if err != nil {
+		return 0, err
 	}
-	return throughput.NewTable(throughput.DefaultShardBytes, budget).MLEC(params)
+	return tab.MLEC(params), nil
 }

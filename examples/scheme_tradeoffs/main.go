@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"mlec"
 )
@@ -39,7 +38,7 @@ func main() {
 		{KN: 10, PN: 2, KL: 17, PL: 3},
 		{KN: 17, PN: 3, KL: 17, PL: 3},
 	} {
-		tp, err := mlec.EncodingThroughput(cfg, 20*time.Millisecond)
+		tp, err := mlec.EncodingThroughput(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -219,21 +219,18 @@ type AblationCoresResult struct {
 // local (17+3) code — quantifying §5.1.2 F#2's remark that throughput can
 // be bought with cores at the cost of "imperfect parallelism".
 func AblationCores(opts Options) (*AblationCoresResult, error) {
-	tab := throughput.NewTable(1<<20, opts.size().measure*3)
 	params := paperParams()
-	res := &AblationCoresResult{Params: params}
-	base := 0.0
+	var codes []throughput.Code
 	for _, workers := range []int{1, 2, 4, 8} {
-		v, err := tab.RSParallel(params.KL, params.PL, workers)
-		if err != nil {
-			return nil, err
-		}
-		if workers == 1 {
-			base = v
-		}
-		res.Points = append(res.Points, CorePoint{
-			Workers: workers, BytesPerSec: v, Speedup: v / base,
-		})
+		codes = append(codes, throughput.RSParallel(params.KL, params.PL, workers))
+	}
+	tab, err := throughput.Measure(1<<20, codes...)
+	if err != nil {
+		return nil, err
+	}
+	res := &AblationCoresResult{Params: params}
+	for _, c := range codes {
+		res.Points = append(res.Points, CorePoint{Workers: c.Workers, BytesPerSec: tab[c], Speedup: tab[c] / tab[codes[0]]})
 	}
 	return res, nil
 }

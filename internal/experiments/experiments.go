@@ -11,7 +11,6 @@ import (
 	"math"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"mlec/internal/failure"
 	"mlec/internal/mathx"
@@ -63,14 +62,13 @@ func (o Options) checkpointPath(name string) string {
 
 // size holds every fidelity knob of the drivers for one mode.
 type size struct {
-	heatXs, heatYs    []int         // PDL heatmap axes: affected racks, failed disks
-	heatTrials        int           // Monte-Carlo trials per heatmap cell
-	splitTrajectories int           // stage-1 splitting trajectories a level; 0 takes the Markov chain
-	fig11Ks, fig11Ps  []int         // Figure 11's (k, p) grid
-	tradeoffs         int           // leading configurations of each code family on the Fig 12/15 scatters
-	measure           time.Duration // throughput budget of one cell
-	poolSizeTrials    int           // burst trials per ablation-poolsize row
-	sysYears          float64       // simulated years of each syssim run
+	heatXs, heatYs    []int   // PDL heatmap axes: affected racks, failed disks
+	heatTrials        int     // Monte-Carlo trials per heatmap cell
+	splitTrajectories int     // stage-1 splitting trajectories a level; 0 takes the Markov chain
+	fig11Ks, fig11Ps  []int   // Figure 11's (k, p) grid
+	tradeoffs         int     // leading configurations of each code family on the Fig 12/15 scatters
+	poolSizeTrials    int     // burst trials per ablation-poolsize row
+	sysYears          float64 // simulated years of each syssim run
 }
 
 // size is the size table: the paper-scale study, or with Quick the
@@ -80,13 +78,13 @@ func (o Options) size() size {
 		return size{
 			heatXs: span(1, 60, 10), heatYs: span(12, 60, 16), heatTrials: 120,
 			fig11Ks: []int{2, 10, 26, 50}, fig11Ps: []int{1, 4, 10},
-			tradeoffs: 3, measure: 4 * time.Millisecond, poolSizeTrials: 120, sysYears: 5,
+			tradeoffs: 3, poolSizeTrials: 120, sysYears: 5,
 		}
 	}
 	return size{
 		heatXs: span(1, 60, 2), heatYs: span(4, 60, 4), heatTrials: 600, splitTrajectories: 20000,
 		fig11Ks: span(2, 50, 4), fig11Ps: span(1, 10, 1),
-		tradeoffs: math.MaxInt, measure: 40 * time.Millisecond, poolSizeTrials: 400, sysYears: 25,
+		tradeoffs: math.MaxInt, poolSizeTrials: 400, sysYears: 25,
 	}
 }
 
@@ -117,7 +115,7 @@ var registry = map[string]experiment{}
 // register adds the driver run under id. Drivers observe ctx as far as
 // they can: the Monte-Carlo ones stop at the next trial boundary on
 // cancellation and render what they have (partial heatmap cells stay
-// NaN); analytic and time-boxed ones finish their computation.
+// NaN); analytic and throughput ones finish their computation.
 func register[R result](id, desc string, run func(context.Context, Options) (R, error)) {
 	registry[id] = experiment{desc, func(ctx context.Context, opts Options, w io.Writer) error {
 		r, err := run(ctx, opts)

@@ -25,18 +25,26 @@ type Fig11Result struct {
 }
 
 // Fig11 measures single-goroutine RS encoding throughput over the paper's
-// (k, p) grid (§5.1.1). Quick mode samples a sub-grid.
+// (k, p) grid (§5.1.1). Quick mode samples a sub-grid. The codes are
+// timed k by k, so the cells the figure's shape compares, one k's p
+// values, run next to each other in every round, and a slow stretch of
+// the host hits both sides of each comparison.
 func Fig11(opts Options) (*Fig11Result, error) {
 	sz := opts.size()
-	tab := throughput.NewTable(throughput.DefaultShardBytes, sz.measure)
-	res := &Fig11Result{Cells: make([]Fig11Cell, 0, len(sz.fig11Ks)*len(sz.fig11Ps))}
+	var codes []throughput.Code
+	for _, k := range sz.fig11Ks {
+		for _, p := range sz.fig11Ps {
+			codes = append(codes, throughput.RS(k, p))
+		}
+	}
+	tab, err := throughput.Measure(throughput.DefaultShardBytes, codes...)
+	if err != nil {
+		return nil, err
+	}
+	res := &Fig11Result{Cells: make([]Fig11Cell, 0, len(codes))}
 	for _, p := range sz.fig11Ps {
 		for _, k := range sz.fig11Ks {
-			v, err := tab.RS(k, p)
-			if err != nil {
-				return nil, err
-			}
-			res.Cells = append(res.Cells, Fig11Cell{K: k, P: p, BytesPerSec: v})
+			res.Cells = append(res.Cells, Fig11Cell{K: k, P: p, BytesPerSec: tab[throughput.RS(k, p)]})
 		}
 	}
 	return res, nil
@@ -92,7 +100,7 @@ var slecConfigs30 = []placement.SLECParams{
 // mlecTradeoffPoint evaluates one MLEC config: R_MIN durability via the
 // splitting composition (Markov stage 1 — the R_ALL-visible rate — with
 // the analytic lost-stripe fraction) and encoding throughput from tab.
-func mlecTradeoffPoint(params placement.Params, scheme placement.Scheme, opts Options, tab *throughput.Table) (TradeoffPoint, error) {
+func mlecTradeoffPoint(params placement.Params, scheme placement.Scheme, opts Options, tab throughput.Table) (TradeoffPoint, error) {
 	l, err := placement.NewLayout(paperTopo(), params, scheme)
 	if err != nil {
 		return TradeoffPoint{}, err
@@ -105,25 +113,17 @@ func mlecTradeoffPoint(params placement.Params, scheme placement.Scheme, opts Op
 	if err != nil {
 		return TradeoffPoint{}, err
 	}
-	tp, err := tab.MLEC(params)
-	if err != nil {
-		return TradeoffPoint{}, err
-	}
 	return TradeoffPoint{
 		Label:       fmt.Sprintf("%v %v", scheme, params),
 		Overhead:    params.StorageOverhead(),
 		Nines:       dur.Nines,
-		BytesPerSec: tp,
+		BytesPerSec: tab.MLEC(params),
 	}, nil
 }
 
 // slecTradeoffPoint evaluates one SLEC config.
-func slecTradeoffPoint(params placement.SLECParams, pl placement.SLECPlacement, opts Options, tab *throughput.Table) (TradeoffPoint, error) {
+func slecTradeoffPoint(params placement.SLECParams, pl placement.SLECPlacement, opts Options, tab throughput.Table) (TradeoffPoint, error) {
 	r, err := ecdur.SLEC(paperTopo(), params, pl, opts.lambda(), failure.DefaultDetectionDelayHours)
-	if err != nil {
-		return TradeoffPoint{}, err
-	}
-	tp, err := tab.RS(params.K, params.P)
 	if err != nil {
 		return TradeoffPoint{}, err
 	}
@@ -131,7 +131,7 @@ func slecTradeoffPoint(params placement.SLECParams, pl placement.SLECPlacement, 
 		Label:       r.Label,
 		Overhead:    float64(params.P) / float64(params.Width()),
 		Nines:       r.Nines,
-		BytesPerSec: tp,
+		BytesPerSec: tab[throughput.RS(params.K, params.P)],
 	}, nil
 }
 
@@ -139,7 +139,14 @@ func slecTradeoffPoint(params placement.SLECParams, pl placement.SLECPlacement, 
 // one panel per local placement: clustered, then declustered.
 func Fig12(opts Options) (*Fig12Result, error) {
 	sz := opts.size()
-	tab := throughput.NewTable(throughput.DefaultShardBytes, sz.measure)
+	codes := throughput.MLECCodes(head(mlecConfigs30, sz.tradeoffs)...)
+	for _, p := range head(slecConfigs30, sz.tradeoffs) {
+		codes = append(codes, throughput.RS(p.K, p.P))
+	}
+	tab, err := throughput.Measure(throughput.DefaultShardBytes, codes...)
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig12Result{}
 	for _, panel := range []struct {
 		pts    *[]TradeoffPoint
@@ -221,7 +228,14 @@ var lrcConfigs30 = []placement.LRCParams{
 // Fig15 builds the C/D-vs-LRC-Dp durability/throughput scatter (§5.2.2).
 func Fig15(opts Options) (*Fig15Result, error) {
 	sz := opts.size()
-	tab := throughput.NewTable(throughput.DefaultShardBytes, sz.measure)
+	codes := throughput.MLECCodes(head(mlecConfigs30, sz.tradeoffs)...)
+	for _, p := range head(lrcConfigs30, sz.tradeoffs) {
+		codes = append(codes, throughput.LRC(p.K, p.L, p.R))
+	}
+	tab, err := throughput.Measure(throughput.DefaultShardBytes, codes...)
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig15Result{}
 	for _, p := range head(mlecConfigs30, sz.tradeoffs) {
 		pt, err := mlecTradeoffPoint(p, placement.SchemeCD, opts, tab)
@@ -235,15 +249,11 @@ func Fig15(opts Options) (*Fig15Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tp, err := tab.LRC(p.K, p.L, p.R)
-		if err != nil {
-			return nil, err
-		}
 		res.Points = append(res.Points, TradeoffPoint{
 			Label:       r.Label,
 			Overhead:    float64(p.L+p.R) / float64(p.Width()),
 			Nines:       r.Nines,
-			BytesPerSec: tp,
+			BytesPerSec: tab[throughput.LRC(p.K, p.L, p.R)],
 		})
 	}
 	return res, nil

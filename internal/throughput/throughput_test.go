@@ -1,47 +1,38 @@
 package throughput
 
 import (
+	"slices"
 	"testing"
-	"time"
 
 	"mlec/internal/placement"
 )
 
-const testDur = 8 * time.Millisecond
-
-// TestTableRejectsNonPositiveSizes: a non-positive budget or shard size
-// is an error. Timing 0 bytes for 0 s used to return NaN with a nil error.
+// TestTableRejectsNonPositiveSizes: a non-positive shard size is an
+// error. Timing 0 bytes used to return NaN with a nil error.
 func TestTableRejectsNonPositiveSizes(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		shardBytes int
-		budget     time.Duration
 	}{
-		{"zero budget", 1024, 0},
-		{"negative budget", 1024, -5},
-		{"zero shard", 0, testDur},
-		{"negative shard", -1024, testDur},
+		{"zero shard", 0},
+		{"negative shard", -1024},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tab := NewTable(tc.shardBytes, tc.budget)
-			if v, err := tab.RS(10, 2); err == nil {
-				t.Errorf("RS(10, 2) = %g, want an error", v)
-			}
-			if v, err := tab.LRC(4, 2, 2); err == nil {
-				t.Errorf("LRC(4, 2, 2) = %g, want an error", v)
-			}
-			if v, err := tab.MLEC(placement.Params{KN: 4, PN: 1, KL: 4, PL: 1}); err == nil {
-				t.Errorf("MLEC = %g, want an error", v)
+			for _, codes := range [][]Code{{RS(10, 2)}, {LRC(4, 2, 2)}, MLECCodes(placement.Params{KN: 4, PN: 1, KL: 4, PL: 1})} {
+				if tab, err := Measure(tc.shardBytes, codes...); err == nil {
+					t.Errorf("Measure(%d, %v) = %v, want an error", tc.shardBytes, codes, tab)
+				}
 			}
 		})
 	}
 }
 
 func TestMeasureRSPositive(t *testing.T) {
-	v, err := NewTable(16<<10, testDur).RS(10, 2)
+	tab, err := Measure(16<<10, RS(10, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := tab[RS(10, 2)]
 	if v <= 0 {
 		t.Fatalf("throughput %g", v)
 	}
@@ -56,33 +47,25 @@ func TestMoreParityLowerThroughput(t *testing.T) {
 	// Figure 11's vertical trend: throughput falls as p grows. Parity
 	// work per data byte is proportional to p, so p=8 must be several
 	// times slower than p=1 — well beyond measurement noise.
-	tab := NewTable(16<<10, testDur)
-	lo, err := tab.RS(10, 8)
+	tab, err := Measure(16<<10, RS(10, 8), RS(10, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := tab.RS(10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hi < 2*lo {
+	if lo, hi := tab[RS(10, 8)], tab[RS(10, 1)]; hi < 2*lo {
 		t.Errorf("p=1 (%.0f MB/s) not ≫ p=8 (%.0f MB/s)", hi/1e6, lo/1e6)
 	}
 }
 
 func TestMeasureRSErrors(t *testing.T) {
-	tab := NewTable(1024, testDur)
-	if _, err := tab.RS(10, 0); err == nil {
-		t.Error("p=0 accepted")
-	}
-	if _, err := tab.RS(0, 2); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := tab.RSParallel(10, 0, 2); err == nil {
-		t.Error("p=0 accepted on 2 workers")
-	}
-	if _, err := tab.MLEC(placement.Params{KN: 4, PN: 1, KL: 4, PL: 0}); err == nil {
-		t.Error("local p=0 accepted")
+	for name, codes := range map[string][]Code{
+		"p=0":              {RS(10, 0)},
+		"k=0":              {RS(0, 2)},
+		"p=0 on 2 workers": {RSParallel(10, 0, 2)},
+		"local p=0":        MLECCodes(placement.Params{KN: 4, PN: 1, KL: 4, PL: 0}),
+	} {
+		if _, err := Measure(1024, codes...); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -113,78 +96,126 @@ func TestCompose(t *testing.T) {
 }
 
 // TestMeasureMLEC: the table's MLEC rate is the composition of the two
-// levels' stored RS rates, and a shape shared by both levels is timed once.
+// levels' RS rates, and a shape shared by both levels is timed once.
 func TestMeasureMLEC(t *testing.T) {
-	tab := NewTable(16<<10, time.Millisecond)
-	for _, params := range []placement.Params{
+	all := []placement.Params{
 		{KN: 4, PN: 1, KL: 4, PL: 1},
 		{KN: 4, PN: 1, KL: 10, PL: 2},
-	} {
-		mlec, err := tab.MLEC(params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Both shapes were stored by MLEC; a stored lookup cannot fail.
-		tn, _ := tab.RS(params.KN, params.PN)
-		tl, _ := tab.RS(params.KL, params.PL)
-		if want := Compose(params, tn, tl); mlec != want || mlec <= 0 {
-			t.Errorf("%v: MLEC %g, want Compose of the stored rates %g", params, mlec, want)
+	}
+	tab, err := Measure(16<<10, MLECCodes(all...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, params := range all {
+		tn, tl := tab[RS(params.KN, params.PN)], tab[RS(params.KL, params.PL)]
+		if mlec, want := tab.MLEC(params), Compose(params, tn, tl); mlec != want || mlec <= 0 {
+			t.Errorf("%v: MLEC %g, want Compose of the measured rates %g", params, mlec, want)
 		}
 	}
-	if len(tab.rates) != 2 {
-		t.Errorf("timed %d codes, want 2: (4+1) and (10+2)", len(tab.rates))
+	if len(tab) != 2 {
+		t.Errorf("timed %d codes, want 2: (4+1) and (10+2)", len(tab))
 	}
 }
 
+// TestMeasureLRC: an LRC encodes all k+l+r shards a call
+// (TestRoundsInterleave holds its work box to its k data shards).
 func TestMeasureLRC(t *testing.T) {
-	tab := NewTable(16<<10, testDur)
-	v, err := tab.LRC(4, 2, 2)
+	tab, err := Measure(16<<10, LRC(4, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v <= 0 {
+	if tab[LRC(4, 2, 2)] <= 0 {
 		t.Fatal("zero LRC throughput")
 	}
-	// LRC(4,2,2): 2 XOR locals + 2 RS globals; must be slower than a
-	// plain (4+1) RS but faster than... at least positive and slower
-	// than the single-parity code.
-	rsv, err := tab.RS(4, 1)
+	e, err := newEncoder(LRC(4, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v >= rsv {
-		t.Errorf("LRC (%g) should not beat (4+1) RS (%g)", v, rsv)
+	if e.width != 8 {
+		t.Errorf("LRC(4,2,2) encodes %d shards, want 8", e.width)
 	}
-	if _, err := tab.LRC(5, 2, 2); err == nil {
+	if _, err := Measure(16<<10, LRC(5, 2, 2)); err == nil {
 		t.Error("k%l != 0 accepted")
 	}
 }
 
-// TestFig11GridShape: a (k, p) grid through one table times each cell
-// once, and looking a cell up again returns the same rate, bit for bit.
-func TestFig11GridShape(t *testing.T) {
-	tab := NewTable(8<<10, testDur)
-	first := map[[2]int]float64{}
-	for pass := 0; pass < 2; pass++ {
-		for _, p := range []int{1, 4} {
-			for _, k := range []int{2, 10} {
-				v, err := tab.RS(k, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if v <= 0 {
-					t.Errorf("cell (%d,%d) zero throughput", k, p)
-				}
-				if pass == 0 {
-					first[[2]int{k, p}] = v
-				} else if v != first[[2]int{k, p}] {
-					t.Errorf("cell (%d,%d) re-timed: %g then %g", k, p, first[[2]int{k, p}], v)
+// TestRoundsInterleave drives the timing loop with counting encoders:
+// each code gets Rounds rounds of exactly ⌈WorkBytes ÷ (k·shardBytes)⌉
+// calls on its own width of the shared shards, and round r of every code
+// comes before round r+1 of any.
+func TestRoundsInterleave(t *testing.T) {
+	const shardBytes = 128 << 10
+	// At WorkBytes = 2 MiB: k = 2 takes 8 calls of 256 KiB, k = 10 two of
+	// 1.25 MiB, the LRC's k = 4 four of 512 KiB, and k = 50 one call.
+	codes := []Code{RS(2, 1), RS(10, 4), LRC(4, 2, 2), RS(50, 10)}
+	calls := []int{8, 2, 4, 1}
+	widths := []int{3, 14, 8, 60}
+	var got, want []int
+	encoders := make([]encoder, len(codes))
+	for i, c := range codes {
+		encoders[i] = encoder{c, widths[i], func(shards [][]byte) error {
+			if len(shards) != widths[i] {
+				t.Errorf("%+v: encoded %d shards, want %d", c, len(shards), widths[i])
+			}
+			got = append(got, i)
+			return nil
+		}}
+	}
+	tab, err := timeRounds(encoders, newShards(60, shardBytes), shardBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range Rounds {
+		for i := range codes {
+			for range calls[i] {
+				want = append(want, i)
+			}
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("call order (by code index)\n got %v\nwant %v", got, want)
+	}
+	if len(tab) != len(codes) {
+		t.Errorf("%d rates for %d codes", len(tab), len(codes))
+	}
+}
+
+// TestShardBytes: the shards are byte(i·31 + j), also where a shard is
+// shorter than the 31-byte shift.
+func TestShardBytes(t *testing.T) {
+	for _, n := range []int{1, 30, 31, 32, 1000} {
+		for i, shard := range newShards(5, n) {
+			for j, b := range shard {
+				if b != byte(i*31+j) {
+					t.Fatalf("shard bytes %d: shard %d byte %d = %d, want %d", n, i, j, b, byte(i*31+j))
 				}
 			}
 		}
 	}
-	if len(tab.rates) != 4 || len(tab.shards) != 14 {
-		t.Errorf("%d codes timed over %d shards, want 4 over 14", len(tab.rates), len(tab.shards))
+}
+
+// TestFig11GridShape: a (k, p) grid measured through one table times each
+// distinct cell once, so a cell listed twice has one rate.
+func TestFig11GridShape(t *testing.T) {
+	var codes []Code
+	for pass := 0; pass < 2; pass++ {
+		for _, p := range []int{1, 4} {
+			for _, k := range []int{2, 10} {
+				codes = append(codes, RS(k, p))
+			}
+		}
+	}
+	tab, err := Measure(8<<10, codes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range codes {
+		if tab[c] <= 0 {
+			t.Errorf("cell (%d,%d) zero throughput", c.K, c.P)
+		}
+	}
+	if len(tab) != 4 {
+		t.Errorf("%d codes timed, want 4", len(tab))
 	}
 }
 
@@ -192,15 +223,11 @@ func TestMeasureRSParallel(t *testing.T) {
 	// Correct throughput at 1 and many workers; multi-worker must not
 	// be catastrophically slower (perfect scaling isn't asserted — CI
 	// machines vary — only sanity).
-	tab := NewTable(512<<10, 30*time.Millisecond)
-	one, err := tab.RSParallel(10, 4, 1)
+	tab, err := Measure(512<<10, RSParallel(10, 4, 1), RSParallel(10, 4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := tab.RSParallel(10, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	one, many := tab[RSParallel(10, 4, 1)], tab[RSParallel(10, 4, 4)]
 	t.Logf("(10+4) encode: 1 worker %.0f MB/s, 4 workers %.0f MB/s", one/1e6, many/1e6)
 	if many < one/2 {
 		t.Errorf("parallel encode collapsed: %g vs %g", many, one)

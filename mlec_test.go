@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 )
 
 // smallConfig returns a System config small enough for fast tests.
@@ -169,7 +168,7 @@ func TestEstimateDurabilityRejectsNegativeTrajectories(t *testing.T) {
 }
 
 func TestEncodingThroughputAPI(t *testing.T) {
-	v, err := EncodingThroughput(DefaultParams(), 5*time.Millisecond)
+	v, err := EncodingThroughput(DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
