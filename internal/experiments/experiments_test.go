@@ -284,6 +284,11 @@ func TestFig15Quick(t *testing.T) {
 	if len(r.Points) < 4 {
 		t.Fatalf("%d points", len(r.Points))
 	}
+	for _, p := range r.Points {
+		if p.BytesPerSec <= 0 {
+			t.Errorf("%s: no measured rate", p.Label)
+		}
+	}
 }
 
 func TestFig16Quick(t *testing.T) {

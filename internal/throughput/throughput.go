@@ -37,16 +37,16 @@ import (
 const DefaultShardBytes = 128 << 10
 
 // WorkBytes is the least data one round of one code encodes. At the
-// 2–30 GB/s the kernel reaches, 2 MiB is a round of 0.07–1 ms: thousands
-// of times the clock's resolution and an encode call's fixed cost, and
-// well inside the scheduler's time slice, so the fastest of Rounds
-// rounds is seldom preempted; the full Figure 11 grid (130 codes) is
-// then about a quarter of a second.
+// 2–30 GB/s the kernel reaches, 2 MiB is a round of 0.07–1 ms: far above
+// the clock's resolution and an encode call's fixed cost, and shorter
+// than a scheduler time slice, so the fastest of Rounds rounds is seldom
+// preempted; the full Figure 11 grid (130 codes) then takes about a
+// quarter of a second.
 const WorkBytes = 2 << 20
 
-// Rounds is how many times each code is timed. The first round is cold
-// (tables built into cache, pages faulted), so it stands in for a
-// warm-up call: it is the fastest only if no later round is faster.
+// Rounds is how many times each code is timed. The first round runs
+// cold (tables built into cache, pages faulted); keeping the fastest
+// round lets it stand in for a warm-up call.
 const Rounds = 5
 
 // Code names one timed encoder: a (K+P) Reed–Solomon code split across
