@@ -21,9 +21,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 
-	"mlec/internal/faultinject"
 	"mlec/internal/mathx"
 	"mlec/internal/mathx/rngsplit"
 	"mlec/internal/obs"
@@ -94,69 +92,130 @@ const (
 )
 
 // PDLContext estimates the probability of data loss for a single (x, y)
-// cell by Monte Carlo over burst layouts, with trials split across CPUs.
-// Cancellation or a deadline stops the campaign at the next batch-round
-// boundary, drains in-flight batches, and returns the completed trials
-// as a Partial estimate. With a non-empty checkpointPath the per-batch
-// tallies persist after every round and a later call with the same
-// arguments resumes, reproducing the uninterrupted run's statistics
-// exactly (the reduction always runs in batch order over the same
-// per-batch means and squared deviations).
+// cell by Monte Carlo over burst layouts, with trials split across CPUs:
+// a campaign of one cell. Cancellation or a deadline stops the campaign
+// at the next batch, drains in-flight batches, and returns the
+// completed trials as a Partial estimate. With a non-empty
+// checkpointPath the per-batch tallies persist after every round and a
+// later call with the same arguments resumes, reproducing the
+// uninterrupted run's statistics exactly (the reduction always runs in
+// batch order over the same per-batch means and squared deviations).
 func PDLContext(ctx context.Context, ev Evaluator, x, y, trials int, seed int64, checkpointPath string) (Result, error) {
-	if trials <= 0 {
-		return Result{}, fmt.Errorf("burst: trials = %d", trials)
+	fp := func() string { return pdlFingerprint(ev, x, y, trials, seed) }
+	g, err := campaign(ctx, ev, []int{x}, []int{y}, trials, seed, checkpointPath, fp, fmt.Sprintf("x=%d y=%d", x, y))
+	if err != nil {
+		return Result{}, err
 	}
-	if y < x || x < 1 || x > ev.TotalRacks() || y > x*ev.DisksPerRack() {
-		return Result{Racks: x, Failures: y, PDL: math.NaN()}, nil
+	return g.Cells[0][0], nil
+}
+
+// campaign is the batch Monte Carlo behind PDLContext and
+// HeatmapContext. The cells of the grid where a burst fits — at least
+// one failure in each of x racks that exist — are evaluated, in
+// row-major order; cell i draws its batch b from
+// rngsplit.Mix((seed+i) ^ x<<20 ^ y, b). Batch b of the c-th evaluated
+// cell is unit c·nb + b; the units run through runctl's fan-out loop in
+// rounds of pdlRoundSize, skipping those a checkpoint holds, and the
+// per-batch tallies are saved after every round, under the campaign's
+// fingerprint. Each cell's batches are then merged in batch order into
+// its Result, Partial if they did not all complete and NaN if none did;
+// the other cells are NaN.
+func campaign(ctx context.Context, ev Evaluator, xs, ys []int, trials int, seed int64, path string, fingerprint func() string, label string) (*Grid, error) {
+	if trials <= 0 {
+		return nil, fmt.Errorf("burst: trials = %d", trials)
+	}
+	g := &Grid{Xs: xs, Ys: ys, Cells: make([][]Result, len(ys))}
+	type cell struct {
+		x, y int
+		seed int64
+		out  *Result
+	}
+	var cells []cell
+	for iy, y := range ys {
+		g.Cells[iy] = make([]Result, len(xs))
+		for ix, x := range xs {
+			g.Cells[iy][ix] = Result{Racks: x, Failures: y, PDL: math.NaN()}
+			if x >= 1 && y >= x && x <= ev.TotalRacks() && y <= x*ev.DisksPerRack() {
+				i := int64(iy*len(xs) + ix)
+				cells = append(cells, cell{x, y, (seed + i) ^ int64(x)<<20 ^ int64(y), &g.Cells[iy][ix]})
+			}
+		}
 	}
 	nb := (trials + pdlBatchTrials - 1) / pdlBatchTrials
+	n := len(cells) * nb
 	ck := pdlCheckpoint{
-		Done:  make([]bool, nb),
-		Ns:    make([]int, nb),
-		Means: make([]float64, nb),
-		M2s:   make([]float64, nb),
+		Done:  make([]bool, n),
+		Ns:    make([]int, n),
+		Means: make([]float64, n),
+		M2s:   make([]float64, n),
 	}
-	var fp string
-	if checkpointPath != "" {
-		fp = pdlFingerprint(ev, x, y, trials, seed)
+	var fp string // of a checkpointed campaign
+	if path != "" {
+		fp = fingerprint()
 		var prev pdlCheckpoint
-		ok, err := runctl.LoadCheckpoint(checkpointPath, pdlCheckpointKind, fp, &prev)
+		ok, err := runctl.LoadCheckpoint(path, pdlCheckpointKind, fp, &prev)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		if ok {
-			if len(prev.Done) != nb || len(prev.Ns) != nb || len(prev.Means) != nb || len(prev.M2s) != nb {
-				return Result{}, fmt.Errorf("burst: checkpoint %s has %d batches, campaign has %d", checkpointPath, len(prev.Done), nb)
+			if len(prev.Done) != n || len(prev.Ns) != n || len(prev.Means) != n || len(prev.M2s) != n {
+				return nil, fmt.Errorf("burst: checkpoint %s has %d batches, campaign has %d", path, len(prev.Done), n)
 			}
 			ck = prev
 		}
 	}
 
-	// Observability: per-cell progress plus registry counters. Updates
+	// Observability: campaign progress plus the trial counter. Updates
 	// are write-only tallies of work the estimator already decided to
 	// do, so they cannot influence the estimate.
-	task := obs.Progress.StartTask(fmt.Sprintf("burst.pdl x=%d y=%d", x, y), int64(trials))
+	task := obs.Progress.StartTask("burst.pdl "+label, int64(len(cells))*int64(trials))
 	defer task.Finish()
 	restored := 0
-	for b := 0; b < nb; b++ {
-		if ck.Done[b] {
-			restored += ck.Ns[b]
-		}
+	for _, n := range ck.Ns { // 0 for a batch not done
+		restored += n
 	}
 	task.SetDone(int64(restored))
 	trialCount := obs.Default.Counter("burst_pdl_trials_total")
-	batchCount := obs.Default.Counter("burst_pdl_batches_total")
 	span := obs.StartSpan("burst.pdl")
 	defer func() {
 		if span != nil {
-			span.EndNote(fmt.Sprintf("x=%d y=%d trials=%d", x, y, trials))
+			span.EndNote(fmt.Sprintf("%s trials=%d", label, trials))
 		}
 	}()
 
-	cellSeed := seed ^ int64(x)<<20 ^ int64(y)
-	for start := 0; start < nb; {
-		var round []int
-		for ; start < nb && len(round) < pdlRoundSize; start++ {
+	stream := func(u int) int64 { return rngsplit.Mix(cells[u/nb].seed, u%nb) }
+	var round []int
+	// batch runs the trials of unit round[i] on a pooled sampler, its
+	// generator reseeded with the batch's stream, and stores the batch's
+	// tallies in the unit's slots.
+	batch := func(i int) error {
+		u := round[i]
+		c, b := cells[u/nb], u%nb
+		sampler := samplers.Get().(*layoutSampler)
+		sampler.rng.Seed(stream(u))
+		lo, hi := b*pdlBatchTrials, min((b+1)*pdlBatchTrials, trials)
+		// Welford's update: the batch's mean and sum of squared
+		// deviations, without the cancellation of Σpdl² − n·mean².
+		var mean, m2 float64
+		for t := lo; t < hi; t++ {
+			layout, err := sampler.sample(sampler.rng, ev.TotalRacks(), ev.DisksPerRack(), c.x, c.y)
+			if err != nil {
+				return err
+			}
+			pdl := ev.ConditionalPDL(layout)
+			d := pdl - mean
+			mean += d / float64(t-lo+1)
+			m2 += d * (pdl - mean)
+		}
+		samplers.Put(sampler) // not deferred: a sampler that panicked mid-draw is not reused
+		ck.Ns[u], ck.Means[u], ck.M2s[u], ck.Done[u] = hi-lo, mean, m2, true
+		trialCount.Add(int64(hi - lo))
+		task.Add(int64(hi - lo))
+		return nil
+	}
+	for start := 0; start < n && ctx.Err() == nil; {
+		round = round[:0]
+		for ; start < n && len(round) < pdlRoundSize; start++ {
 			if !ck.Done[start] {
 				round = append(round, start)
 			}
@@ -164,96 +223,54 @@ func PDLContext(ctx context.Context, ev Evaluator, x, y, trials int, seed int64,
 		if len(round) == 0 {
 			continue
 		}
-		if ctx.Err() != nil {
-			break
-		}
 		pool := runctl.NewPool(ctx)
 		//lint:allow walltime the span is an opaque obs handle the pool only hands back to obs for stream children; no wall-clock value reaches the simulation
 		pool.SetParentSpan(span)
-		for _, b := range round {
-			b := b
-			stream := rngsplit.Mix(cellSeed, b)
-			pool.Go(stream, func(ctx context.Context) error {
-				if ctx.Err() != nil {
-					return nil // drain: this batch replays on resume
-				}
-				// Chaos hook: a faulted batch fails the round before
-				// its save; a resume replays the round from the same
-				// streams, byte-identical to a clean one.
-				if err := faultinject.Fire("burst.batch", stream); err != nil {
-					return err
-				}
-				rng := rand.New(rand.NewSource(stream))
-				lo := b * pdlBatchTrials
-				hi := lo + pdlBatchTrials
-				if hi > trials {
-					hi = trials
-				}
-				// One sampler, and so one layout, serves the whole
-				// batch; a batch that panics abandons its sampler.
-				sampler := samplers.Get().(*layoutSampler)
-				// Welford's update: the batch's mean and sum of squared
-				// deviations, without the cancellation of Σpdl² − n·mean².
-				var mean, m2 float64
-				for i := lo; i < hi; i++ {
-					layout, err := sampler.sample(rng, ev.TotalRacks(), ev.DisksPerRack(), x, y)
-					if err != nil {
-						return err
-					}
-					pdl := ev.ConditionalPDL(layout)
-					d := pdl - mean
-					mean += d / float64(i-lo+1)
-					m2 += d * (pdl - mean)
-				}
-				// Each batch owns distinct slice elements; Wait orders
-				// these writes before the reduction below.
-				ck.Ns[b], ck.Means[b], ck.M2s[b] = hi-lo, mean, m2
-				ck.Done[b] = true
-				trialCount.Add(int64(hi - lo))
-				batchCount.Inc()
-				task.Add(int64(hi - lo))
-				samplers.Put(sampler)
-				return nil
-			})
+		// A "burst.batch" fault fails the round before its save; a
+		// resume replays the round from the same streams,
+		// byte-identical to a clean one.
+		if err := pool.Each(len(round), func(i int) int64 { return stream(round[i]) }, "burst.batch", func() func(int) error { return batch }); err != nil {
+			return nil, err
 		}
-		if err := pool.Wait(); err != nil {
-			return Result{}, err
-		}
-		if checkpointPath != "" {
-			if err := runctl.SaveCheckpoint(checkpointPath, pdlCheckpointKind, fp, ck); err != nil {
-				return Result{}, err
+		if path != "" {
+			if err := runctl.SaveCheckpoint(path, pdlCheckpointKind, fp, ck); err != nil {
+				return nil, err
 			}
-		}
-		if ctx.Err() != nil {
-			break
 		}
 	}
 
-	// Merge the batches in batch order by Chan et al.'s pairwise update.
-	// The first batch is taken as it is, so a constant evaluator's mean
-	// is its value to the bit.
+	for ci, c := range cells {
+		*c.out = merge(c.x, c.y, ck, ci*nb, nb)
+	}
+	return g, nil
+}
+
+// merge reduces the nb batches of cell (x, y), units first … first+nb−1,
+// in batch order by Chan et al.'s pairwise update. The first batch is
+// taken as it is, so a constant evaluator's mean is its value to the bit.
+func merge(x, y int, ck pdlCheckpoint, first, nb int) Result {
 	var (
 		mean, m2        float64
 		done, completed int
 	)
-	for b := 0; b < nb; b++ {
-		if !ck.Done[b] {
+	for u := first; u < first+nb; u++ {
+		if !ck.Done[u] {
 			continue
 		}
 		completed++
-		n := ck.Ns[b]
+		n := ck.Ns[u]
 		if done == 0 {
-			mean, m2, done = ck.Means[b], ck.M2s[b], n
+			mean, m2, done = ck.Means[u], ck.M2s[u], n
 			continue
 		}
 		tot := done + n
-		d := ck.Means[b] - mean
+		d := ck.Means[u] - mean
 		mean += d * float64(n) / float64(tot)
-		m2 += ck.M2s[b] + d*d*float64(done)*float64(n)/float64(tot)
+		m2 += ck.M2s[u] + d*d*float64(done)*float64(n)/float64(tot)
 		done = tot
 	}
 	if done == 0 {
-		return Result{Racks: x, Failures: y, PDL: math.NaN(), Lo: 0, Hi: 1, Partial: true}, nil
+		return Result{Racks: x, Failures: y, PDL: math.NaN(), Lo: 0, Hi: 1, Partial: true}
 	}
 	se := math.Sqrt(m2 / float64(done) / float64(done))
 	lo, hi := mean-1.96*se, mean+1.96*se
@@ -263,7 +280,7 @@ func PDLContext(ctx context.Context, ev Evaluator, x, y, trials int, seed int64,
 	if hi > 1 {
 		hi = 1
 	}
-	return Result{Racks: x, Failures: y, PDL: mean, Lo: lo, Hi: hi, Trials: done, Partial: completed < nb}, nil
+	return Result{Racks: x, Failures: y, PDL: mean, Lo: lo, Hi: hi, Trials: done, Partial: completed < nb}
 }
 
 // Grid holds a PDL heatmap: Cells[iy][ix] corresponds to Ys[iy] failures
@@ -277,91 +294,25 @@ type Grid struct {
 	Partial bool
 }
 
-// HeatmapContext evaluates a whole grid of (x, y) cells, checkpointing
-// at cell granularity: each fully evaluated cell persists to
-// checkpointPath (when non-empty) and is restored verbatim on resume; a
-// cell cut short mid-campaign is discarded and re-evaluated, so resumed
-// grids match uninterrupted ones exactly. On cancellation the remaining
-// cells are NaN and the grid is marked Partial.
+// HeatmapContext evaluates a whole grid of (x, y) cells as one
+// campaign: the batches of every cell, in row-major cell order, with the
+// per-batch tallies checkpointed after every round (when checkpointPath
+// is non-empty) and restored on resume, so resumed grids match
+// uninterrupted ones exactly. Cell i of the grid draws the batches
+// PDLContext at seed+i does. A cell enters the grid only once all its
+// batches are done: on cancellation the rest are NaN and the grid is
+// marked Partial.
 func HeatmapContext(ctx context.Context, ev Evaluator, xs, ys []int, trials int, seed int64, checkpointPath string) (*Grid, error) {
-	g := &Grid{Xs: xs, Ys: ys, Cells: make([][]Result, len(ys))}
-	ck := gridCheckpoint{
-		Done:  make([][]bool, len(ys)),
-		Cells: make([][]Result, len(ys)),
+	fp := func() string { return gridFingerprint(ev, xs, ys, trials, seed) }
+	g, err := campaign(ctx, ev, xs, ys, trials, seed, checkpointPath, fp, fmt.Sprintf("grid %dx%d", len(xs), len(ys)))
+	if err != nil {
+		return nil, err
 	}
-	for iy := range ys {
-		g.Cells[iy] = make([]Result, len(xs))
-		ck.Done[iy] = make([]bool, len(xs))
-		ck.Cells[iy] = make([]Result, len(xs))
-	}
-	var fp string
-	if checkpointPath != "" {
-		fp = gridFingerprint(ev, xs, ys, trials, seed)
-		var prev gridCheckpoint
-		ok, err := runctl.LoadCheckpoint(checkpointPath, gridCheckpointKind, fp, &prev)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			if len(prev.Done) != len(ys) || len(prev.Cells) != len(ys) {
-				return nil, fmt.Errorf("burst: checkpoint %s grid shape mismatch", checkpointPath)
-			}
-			for iy := range ys {
-				if len(prev.Done[iy]) != len(xs) || len(prev.Cells[iy]) != len(xs) {
-					return nil, fmt.Errorf("burst: checkpoint %s grid shape mismatch", checkpointPath)
-				}
-			}
-			ck = prev
-		}
-	}
-
-	// Observability: grid progress at cell granularity (the DP cell
-	// throughput signal), counting restored cells as already done.
-	gridTask := obs.Progress.StartTask("burst.grid", int64(len(xs)*len(ys)))
-	defer gridTask.Finish()
-	cellCount := obs.Default.Counter("burst_grid_cells_total")
-	restoredCells := 0
-	for iy := range ys {
-		for ix := range xs {
-			if ck.Done[iy][ix] {
-				restoredCells++
-			}
-		}
-	}
-	gridTask.SetDone(int64(restoredCells))
-
-	for iy, y := range ys {
-		for ix, x := range xs {
-			if ck.Done[iy][ix] {
-				g.Cells[iy][ix] = ck.Cells[iy][ix]
-				continue
-			}
-			if ctx.Err() != nil {
-				g.Partial = true
-				g.Cells[iy][ix] = Result{Racks: x, Failures: y, PDL: math.NaN()}
-				continue
-			}
-			r, err := PDLContext(ctx, ev, x, y, trials, seed+int64(iy*len(xs)+ix), "")
-			if err != nil {
-				return nil, err
-			}
+	for _, row := range g.Cells {
+		for ix, r := range row {
 			if r.Partial {
-				// Mid-cell cancellation: discard so the cell re-runs in
-				// full on resume rather than entering the grid with a
-				// different trial count.
 				g.Partial = true
-				g.Cells[iy][ix] = Result{Racks: x, Failures: y, PDL: math.NaN()}
-				continue
-			}
-			g.Cells[iy][ix] = r
-			ck.Done[iy][ix] = true
-			ck.Cells[iy][ix] = r
-			cellCount.Inc()
-			gridTask.Add(1)
-			if checkpointPath != "" {
-				if err := runctl.SaveCheckpoint(checkpointPath, gridCheckpointKind, fp, ck); err != nil {
-					return nil, err
-				}
+				row[ix] = Result{Racks: r.Racks, Failures: r.Failures, PDL: math.NaN()}
 			}
 		}
 	}

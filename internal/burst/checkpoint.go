@@ -2,30 +2,21 @@ package burst
 
 import "fmt"
 
-// Checkpoint kinds inside the runctl envelope; LoadCheckpoint rejects
-// files written by other estimators.
-const (
-	pdlCheckpointKind  = "burst.pdl"
-	gridCheckpointKind = "burst.grid"
-)
+// pdlCheckpointKind names burst checkpoints, of one cell or of a grid,
+// inside the runctl envelope; LoadCheckpoint rejects files written by
+// other estimators.
+const pdlCheckpointKind = "burst.pdl"
 
-// pdlCheckpoint holds the per-batch tallies of one (x, y) cell: trial
-// count, mean and sum of squared deviations from the mean. Each batch's
-// tallies are pure functions of (seed, x, y, batch index), so the
-// reduction over them in batch order is independent of which process —
-// original or resumed — computed which batch.
+// pdlCheckpoint holds the per-batch tallies of a campaign, unit by unit:
+// trial count, mean and sum of squared deviations from the mean. Each
+// batch's tallies are pure functions of (seed, x, y, batch index), so
+// the reduction over them in batch order is independent of which
+// process — original or resumed — computed which batch.
 type pdlCheckpoint struct {
 	Done  []bool    `json:"done"`
 	Ns    []int     `json:"ns"`
 	Means []float64 `json:"means"`
 	M2s   []float64 `json:"m2s"`
-}
-
-// gridCheckpoint holds fully evaluated heatmap cells; partially
-// evaluated cells are never stored.
-type gridCheckpoint struct {
-	Done  [][]bool   `json:"done"`
-	Cells [][]Result `json:"cells"`
 }
 
 // samplerID names the layout sampler in every fingerprint: layouts

@@ -2,14 +2,19 @@ package burst
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"mlec/internal/faultinject"
+	"mlec/internal/obs"
 	"mlec/internal/runctl"
 )
 
@@ -203,5 +208,143 @@ func TestPDLCheckpointRejectsOtherSampler(t *testing.T) {
 	}
 	if _, err := PDLContext(context.Background(), ev, 3, 40, 640, 1, path); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("checkpoint of another sampler: error %v, want a fingerprint mismatch", err)
+	}
+}
+
+// TestHeatmapCheckpointsUndefinedCells checkpoints a grid with a cell
+// where no burst fits (y < x), as every paper grid has: the save
+// succeeds, since the per-batch tallies hold none of the cell's NaN,
+// which JSON cannot encode, and a run from the finished checkpoint
+// replays the grid.
+func TestHeatmapCheckpointsUndefinedCells(t *testing.T) {
+	ev := &layoutEvaluator{racks: 20, dpr: 30}
+	xs, ys := []int{2, 15}, []int{10, 20}
+	path := filepath.Join(t.TempDir(), "grid.ckpt")
+	g, err := HeatmapContext(context.Background(), ev, xs, ys, 640, 5, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := g.Cells[0][1]; !math.IsNaN(c.PDL) || c.Trials != 0 {
+		t.Fatalf("cell (15, 10) holds %+v, want the undefined NaN", c)
+	}
+	replayed, err := HeatmapContext(context.Background(), ev, xs, ys, 640, 5, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(replayed.Cells[1], g.Cells[1]) || replayed.Cells[0][0] != g.Cells[0][0] {
+		t.Errorf("replay from the finished checkpoint differs:\nreplayed: %+v\nfirst:    %+v", replayed.Cells, g.Cells)
+	}
+}
+
+// TestHeatmapResumesAfterRoundFault runs a grid of 320 batches, two
+// rounds, under a fault on the first batch of round 2: the campaign
+// fails after round 1's save, which holds 256 batches, and the resumed
+// grid equals the uninterrupted one.
+func TestHeatmapResumesAfterRoundFault(t *testing.T) {
+	ev := &layoutEvaluator{racks: 20, dpr: 30}
+	xs, ys := []int{2, 3}, []int{20, 30}
+	const trials = 80 * pdlBatchTrials // 4 cells × 80 batches
+	var seed int64 = 11
+	path := filepath.Join(t.TempDir(), "grid.ckpt")
+
+	ref, err := HeatmapContext(context.Background(), ev, xs, ys, trials, seed, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	plan, err := faultinject.Parse(fmt.Sprintf("burst.batch:panic:nth=%d", pdlRoundSize+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Enable(plan)
+	_, err = HeatmapContext(context.Background(), ev, xs, ys, trials, seed, path)
+	faultinject.Disable()
+	var pe *runctl.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("faulted grid returned %v, want a *runctl.PanicError", err)
+	}
+	var saved pdlCheckpoint
+	if ok, err := runctl.LoadCheckpoint(path, pdlCheckpointKind, gridFingerprint(ev, xs, ys, trials, seed), &saved); !ok || err != nil {
+		t.Fatalf("no round-1 checkpoint after the fault: ok=%v err=%v", ok, err)
+	}
+	done := 0
+	for _, d := range saved.Done {
+		if d {
+			done++
+		}
+	}
+	if done != pdlRoundSize {
+		t.Errorf("the save before the fault holds %d batches, want round 1's %d", done, pdlRoundSize)
+	}
+
+	resumed, err := HeatmapContext(context.Background(), ev, xs, ys, trials, seed, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resumed, ref) {
+		t.Errorf("resumed grid differs from the uninterrupted grid:\nresumed: %+v\nref:     %+v", resumed.Cells, ref.Cells)
+	}
+}
+
+// countdownCtx is a context whose Err reports context.Canceled from
+// its (k+1)th call on; Done never closes. It measures how often a
+// campaign polls its context, independent of timing.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestHeatmapDrainsWithinPollBudget pins the per-batch context poll of
+// the campaign loop: once the context reports cancellation after k
+// polls, a grid of 400 batches stops within k batches plus one per
+// worker, counted by the trial counter.
+func TestHeatmapDrainsWithinPollBudget(t *testing.T) {
+	const k = 50
+	ev := &layoutEvaluator{racks: 20, dpr: 30}
+	ctx := &countdownCtx{Context: context.Background()}
+	ctx.left.Store(k)
+	trials := obs.Default.Counter("burst_pdl_trials_total")
+	before := trials.Value()
+	g, err := HeatmapContext(ctx, ev, []int{2, 3}, []int{20, 30}, 100*pdlBatchTrials, 3, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Partial {
+		t.Error("cancelled grid not marked Partial")
+	}
+	workers := int64(runtime.NumCPU())
+	if batches := (trials.Value() - before) / pdlBatchTrials; batches > k+workers {
+		t.Errorf("ran %d batches after cancellation at poll %d, want at most %d (k + %d workers)",
+			batches, k, k+workers, workers)
+	}
+}
+
+// TestHeatmapRefusesParentGridCheckpoint writes a grid checkpoint in the
+// shape older builds saved — kind "burst.grid", finished cells as
+// Results — and requires the grid to refuse it by kind, not decode it.
+func TestHeatmapRefusesParentGridCheckpoint(t *testing.T) {
+	ev := &layoutEvaluator{racks: 20, dpr: 30}
+	xs, ys := []int{2, 3}, []int{20, 30}
+	path := filepath.Join(t.TempDir(), "grid.ckpt")
+	parent := struct {
+		Done  [][]bool   `json:"done"`
+		Cells [][]Result `json:"cells"`
+	}{
+		Done:  [][]bool{{true, false}, {false, false}},
+		Cells: [][]Result{{{Racks: 2, Failures: 20, PDL: 0.5, Lo: 0.4, Hi: 0.6, Trials: 640}, {}}, {{}, {}}},
+	}
+	if err := runctl.SaveCheckpoint(path, "burst.grid", gridFingerprint(ev, xs, ys, 640, 7), parent); err != nil {
+		t.Fatal(err)
+	}
+	_, err := HeatmapContext(context.Background(), ev, xs, ys, 640, 7, path)
+	if err == nil || !strings.Contains(err.Error(), `holds "burst.grid" state`) {
+		t.Fatalf("parent grid checkpoint: error %v, want a kind mismatch", err)
 	}
 }

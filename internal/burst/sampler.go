@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"mlec/internal/mathx"
+	"mlec/internal/mathx/rngsplit"
 )
 
 // layoutSampler draws burst layouts without rejection and owns every
@@ -28,11 +29,16 @@ type layoutSampler struct {
 	disks     []int  // backing store of layout.FailedDisks
 	counts    countTable
 	layout    BurstLayout
+	// rng is a campaign batch's generator, over an rngsplit.Source
+	// reseeded with the batch's stream: it makes the draws
+	// rand.NewSource(stream) would, without filling a new register.
+	rng *rand.Rand
 }
 
-// samplers recycles samplers across the batches and cells of a grid; a
-// sampler's scratch depends on no topology, only grows.
-var samplers = sync.Pool{New: func() any { return new(layoutSampler) }}
+// samplers recycles samplers across SampleLayout calls and the batches,
+// cells and grids of campaigns; a sampler's scratch depends on no
+// topology, only grows.
+var samplers = sync.Pool{New: func() any { return &layoutSampler{rng: rand.New(rngsplit.NewSource(0))} }}
 
 // SampleLayout draws a burst layout: x distinct racks chosen uniformly
 // from totalRacks, and y distinct disks chosen uniformly from the x·dpr

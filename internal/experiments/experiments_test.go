@@ -3,10 +3,13 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"io"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"mlec/internal/obs"
 	"mlec/internal/placement"
 	"mlec/internal/repair"
 )
@@ -301,6 +304,28 @@ func TestFig16Quick(t *testing.T) {
 	lastRow := r.Grid.Cells[len(r.Grid.Ys)-1]
 	if lastRow[0].PDL != 0 && lastRow[0].PDL == lastRow[0].PDL {
 		t.Errorf("single-rack LRC PDL %g, want 0", lastRow[0].PDL)
+	}
+}
+
+// TestQuickHeatmapsLaunchPerGrid reads the registry's counters across
+// quick fig5, fig13 and fig16: their nine grids draw 17,280 trials, and
+// each grid, one round of batches, launches at most one pool worker per
+// CPU rather than one per batch.
+func TestQuickHeatmapsLaunchPerGrid(t *testing.T) {
+	const grids, wantTrials = 9, 17280
+	launched := obs.Default.Counter("runctl_pool_workers_started_total")
+	trials := obs.Default.Counter("burst_pdl_trials_total")
+	l0, t0 := launched.Value(), trials.Value()
+	for _, id := range []string{"fig5", "fig13", "fig16"} {
+		if err := RunContext(context.Background(), id, quickOpts(), io.Discard); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+	}
+	if got := trials.Value() - t0; got != wantTrials {
+		t.Errorf("burst_pdl_trials_total rose by %d, want %d", got, wantTrials)
+	}
+	if got, limit := launched.Value()-l0, int64(grids*runtime.NumCPU()); got > limit {
+		t.Errorf("runctl_pool_workers_started_total rose by %d, want at most %d (one per CPU per grid)", got, limit)
 	}
 }
 

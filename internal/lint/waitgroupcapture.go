@@ -7,7 +7,7 @@ import (
 )
 
 // WaitGroupCapture enforces the one rule of the worker-pool discipline
-// (burst.PDLContext, poolsim.SplitContext, rs.EncodeParallel) that
+// (runctl.Pool.Each, rs.EncodeParallel) that
 // nothing else reports: a goroutine launched inside a loop must not
 // write to a variable declared outside the loop without holding a lock —
 // the shared-accumulator race. Writing to distinct elements of a

@@ -83,9 +83,6 @@ func (c *Codec) DataShards() int { return c.k }
 // LocalGroups returns l.
 func (c *Codec) LocalGroups() int { return c.l }
 
-// GlobalParities returns r.
-func (c *Codec) GlobalParities() int { return c.r }
-
 // TotalShards returns k+l+r.
 func (c *Codec) TotalShards() int { return c.k + c.l + c.r }
 

@@ -8,7 +8,6 @@ import (
 	"runtime"
 
 	"mlec/internal/failure"
-	"mlec/internal/faultinject"
 	"mlec/internal/mathx/rngsplit"
 	"mlec/internal/obs"
 	"mlec/internal/runctl"
@@ -178,64 +177,46 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 		levelNote(level)
 		levelSpan := campSpan.Child("poolsim.level")
 		// Trajectories are independent given the entry set; run them on
-		// all CPUs through the runctl pool so a panicking trajectory
-		// surfaces as a typed error with its RNG stream instead of
-		// killing the campaign. Per-trajectory RNGs are seeded by
-		// (level, index) so the result is identical regardless of
-		// scheduling.
+		// all CPUs through runctl's fan-out loop, one unit per CPU-sized
+		// chunk, so a panicking trajectory surfaces as a typed error with
+		// its RNG stream instead of killing the campaign. Per-trajectory
+		// RNGs are seeded by (level, index) so the result is identical
+		// regardless of scheduling.
 		slots := make([]trajResult, n)
 		pool := runctl.NewPool(ctx)
 		//lint:allow walltime the span is an opaque obs handle the pool only hands back to obs for stream children; no wall-clock value reaches the simulation
 		pool.SetParentSpan(levelSpan)
-		workers := runtime.NumCPU()
-		if workers > n {
-			workers = n
-		}
-		chunk := (n + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				continue
-			}
-			wstream := trajSeed(sc.Seed, level, lo)
-			pool.Go(wstream, func(ctx context.Context) error {
-				// Chaos hook: a fault here (panic or error) fails the
-				// level before its save; a resume re-runs the level
-				// from the same streams, recomputing identical slots —
-				// the injection point the chaos CI matrix drives.
-				if err := faultinject.Fire("poolsim.worker", wstream); err != nil {
-					return err
-				}
-				// The worker's one machine and one generator: every
-				// trajectory restores its entry onto the machine and
-				// reseeds the generator with its stream.
-				tr := newTrajectory(base.Clone(), ttf)
-				for i := lo; i < hi; i++ {
+		chunk := (n + runtime.NumCPU() - 1) / runtime.NumCPU()
+		chunks := (n + chunk - 1) / chunk
+		// Chaos hook "poolsim.worker", fired once per chunk: a fault
+		// (panic or error) fails the level before its save; a resume
+		// re-runs the level from the same streams, recomputing
+		// identical slots — the injection point the chaos CI matrix
+		// drives.
+		if err := pool.Each(chunks, func(c int) int64 { return trajSeed(sc.Seed, level, c*chunk) }, "poolsim.worker", func() func(int) error {
+			// The worker's one machine and one generator: every
+			// trajectory restores its entry onto the machine and
+			// reseeds the generator with its stream.
+			tr := newTrajectory(base.Clone(), ttf)
+			return func(c int) error {
+				for i := c * chunk; i < min((c+1)*chunk, n); i++ {
 					if ctx.Err() != nil {
 						return nil // drain: finish nothing new, keep what's done
 					}
 					stream := trajSeed(sc.Seed, level, i)
-					var restoreErr error
-					if err := runctl.Guard(stream, func() {
+					if err := runctl.Guard(stream, func() error {
 						tr.rng.Seed(stream)
-						restoreErr = tr.run(entries[tr.rng.Intn(len(entries))])
+						return tr.run(entries[tr.rng.Intn(len(entries))])
 					}); err != nil {
 						return err
-					}
-					if restoreErr != nil {
-						return restoreErr
 					}
 					slots[i] = tr.trajResult
 					trialCount.Inc()
 					task.Add(1)
 				}
 				return nil
-			})
-		}
-		if err := pool.Wait(); err != nil {
+			}
+		}); err != nil {
 			return SplitResult{}, err
 		}
 		if ctx.Err() != nil {

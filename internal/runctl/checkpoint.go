@@ -66,7 +66,7 @@ func (e *CheckpointSaveError) Unwrap() error { return e.Cause }
 
 // checkpointEnvelope is the versioned container around an estimator's
 // payload. Kind names the producing estimator ("poolsim.split",
-// "burst.pdl", "burst.grid"); Fingerprint hashes the configuration and
+// "burst.pdl"); Fingerprint hashes the configuration and
 // seed so a checkpoint is never resumed into a different campaign.
 // Files written by older binaries may also carry a "counters" object (a
 // snapshot of the observability registry); decoding ignores it, so they

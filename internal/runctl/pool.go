@@ -3,8 +3,10 @@ package runctl
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
+	"mlec/internal/faultinject"
 	"mlec/internal/obs"
 )
 
@@ -46,10 +48,6 @@ func NewPool(ctx context.Context) *Pool {
 	return &Pool{ctx: ctx}
 }
 
-// Context returns the pool's context, for callers that split work
-// outside Go.
-func (p *Pool) Context() context.Context { return p.ctx }
-
 // SetParentSpan parents the wall-clock span each worker stream records
 // under span (nil reverts to root spans). Call before Go — worker
 // launches read it without synchronization.
@@ -73,15 +71,11 @@ func (p *Pool) Go(stream int64, fn func(ctx context.Context) error) {
 			live.Add(-1)
 			p.wg.Done()
 		}()
-		var ferr error
-		err := Guard(stream, func() { ferr = fn(p.ctx) })
+		err := Guard(stream, func() error { return fn(p.ctx) })
 		// The note is only built when a recorder is actually on —
 		// disabled runs must not pay the format allocation.
 		if span != nil {
 			span.EndNote(fmt.Sprintf("stream %d", stream))
-		}
-		if err == nil {
-			err = ferr
 		}
 		if err != nil {
 			p.record(seq, err)
@@ -107,4 +101,68 @@ func (p *Pool) record(seq int64, err error) {
 		p.first, p.firstSeq = err, seq
 	}
 	p.mu.Unlock()
+}
+
+// Each is the one fan-out loop of the Monte-Carlo engines: it runs units
+// 0 … n−1 on min(runtime.NumCPU(), n) workers started through Go and
+// returns once every worker has. Workers take units in ascending order
+// and poll the pool's context before each take, so none takes a unit
+// once it has seen the context done; a unit that has started always
+// finishes. Unit u runs under Guard(stream(u)), after the loop has
+// fired the fault-injection point with stream(u), so an injected panic
+// is contained on the unit's stream too.
+//
+// newWorker is called once in each worker and returns the function
+// that runs a unit, closing over the worker's scratch. A worker whose
+// unit failed takes no more units, since its scratch may be torn.
+// Because units are taken in ascending order, every unit below a
+// failed one has been taken, so the failure Each reports — that of the
+// lowest failing unit — does not depend on scheduling. Callers write
+// results into per-unit slots and reduce them in unit order after Each
+// returns.
+func (p *Pool) Each(n int, stream func(unit int) int64, point string, newWorker func() func(unit int) error) error {
+	var (
+		mu   sync.Mutex
+		next int
+	)
+	// take hands out the next unit while ctx is not done and one is left.
+	take := func() (int, bool) {
+		if p.ctx.Err() != nil {
+			return 0, false
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		next++
+		return next - 1, next <= n
+	}
+	errs := make([]error, n)
+	for w := 0; w < min(runtime.NumCPU(), n); w++ {
+		// A worker is launched with its first unit, named by its stream.
+		u, ok := take()
+		if !ok {
+			break
+		}
+		p.Go(stream(u), func(context.Context) error {
+			run := newWorker()
+			for ; ok; u, ok = take() {
+				s := stream(u)
+				if errs[u] = Guard(s, func() error {
+					if err := faultinject.Fire(point, s); err != nil {
+						return err
+					}
+					return run(u)
+				}); errs[u] != nil {
+					return nil
+				}
+			}
+			return nil
+		})
+	}
+	werr := p.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return werr
 }

@@ -67,16 +67,16 @@ func (e *PanicError) Error() string {
 }
 
 // Guard runs fn and converts a panic into a *PanicError carrying the
-// stream id. It is the per-trial containment primitive; Pool applies it
-// to whole workers automatically.
-func Guard(stream int64, fn func()) (err error) {
+// stream id; without a panic it returns fn's error. It is the
+// per-trial containment primitive; Pool applies it to whole workers
+// automatically.
+func Guard(stream int64, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Stream: stream, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	fn()
-	return nil
+	return fn()
 }
 
 // live gauges worker goroutines currently running under any Pool, in

@@ -12,7 +12,7 @@ import (
 )
 
 func TestGuardConvertsPanic(t *testing.T) {
-	err := Guard(42, func() { panic("boom") })
+	err := Guard(42, func() error { panic("boom") })
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("Guard returned %v, want *PanicError", err)
@@ -26,8 +26,12 @@ func TestGuardConvertsPanic(t *testing.T) {
 	if len(pe.Stack) == 0 {
 		t.Error("no stack captured")
 	}
-	if err := Guard(1, func() {}); err != nil {
+	if err := Guard(1, func() error { return nil }); err != nil {
 		t.Errorf("clean Guard returned %v", err)
+	}
+	want := errors.New("bad trial")
+	if err := Guard(1, func() error { return want }); err != want {
+		t.Errorf("Guard of a failing fn returned %v, want its error", err)
 	}
 }
 

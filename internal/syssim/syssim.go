@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"strconv"
 
 	"mlec/internal/bwmodel"
 	"mlec/internal/failure"
@@ -36,9 +37,8 @@ import (
 // rngsplit stream ids. The fixed domains are negative so they can never
 // collide with the per-pool streams at streamPool0+p.
 const (
-	streamEngine      = -1
-	streamBurstLayout = -2
-	streamPool0       = 0
+	streamEngine = -1
+	streamPool0  = 0
 )
 
 // Config describes a full-system simulation.
@@ -365,14 +365,21 @@ func run(ctx context.Context, cfg Config, years float64, seed int64, trace *obs.
 		}
 	}()
 	const pollEvery = 1024
+	note := make([]byte, 0, 48) // the progress note's bytes
 	//mlec:hot datacenter event loop; every simulated failure and repair drains through here
 	for i := 0; ; i++ {
 		if i%pollEvery == 0 {
 			// Poll-point observability: the simulated span. Reads of
 			// engine state here feed the progress note only, never flow
-			// back into the simulation.
+			// back into the simulation. The note is rebuilt in place, not
+			// by fmt, whose pooled printer the race detector drops at
+			// random: its one malloc is the string.
+			note = append(note[:0], "simyears "...)
+			note = strconv.AppendFloat(note, s.eng.Now()/mathx.HoursPerYear, 'f', 2, 64)
+			note = append(note, '/')
+			note = strconv.AppendFloat(note, years, 'f', 2, 64)
 			//lint:allow hotalloc progress note renders once per 1024 events, amortized away
-			task.SetNote(fmt.Sprintf("simyears %.2f/%.2f", s.eng.Now()/mathx.HoursPerYear, years))
+			task.SetNote(string(note))
 			//lint:allow hotalloc context poll is amortized to one dispatch per 1024 events
 			if ctx.Err() != nil {
 				s.stats.Partial = true

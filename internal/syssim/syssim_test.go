@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"mlec/internal/burst"
 	"mlec/internal/mathx"
 	"mlec/internal/obs"
 
@@ -202,64 +201,17 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestBurstPDLMatchesAnalytic cross-validates the structural burst
-// injection against the burst package's analytic conditional-expectation
-// estimator. The topology is built so the analytic evaluator's
-// true-chunk-granularity stripe counts equal the simulator's segment
-// counts (DiskCapacity = Segments × ChunkSize), making the two models
-// directly comparable.
-func TestBurstPDLMatchesAnalytic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("burst cross-validation in -short mode")
-	}
-	topo := topology.Default()
-	topo.Racks = 6
-	topo.EnclosuresPerRack = 1
-	topo.DisksPerEnclosure = 12
-	const segments = 24
-	topo.DiskCapacityBytes = segments * topo.ChunkSizeBytes
-	params := placement.Params{KN: 2, PN: 1, KL: 4, PL: 2}
-
-	for _, scheme := range []placement.Scheme{placement.SchemeCD, placement.SchemeDD} {
-		cfg := Config{
-			Topo: topo, Params: params, Scheme: scheme, Method: repair.RFCO,
-			SegmentsPerDisk: segments, TTF: failure.MustExponentialAFR(0.01),
-		}
-		const x, y, trials = 2, 10, 1500
-		structural, err := BurstPDL(cfg, x, y, trials, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := placement.NewLayout(topo, params, scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		analytic, err := burst.PDLContext(context.Background(), burst.NewMLECEvaluator(l), x, y, 4000, 5, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("%v burst(x=%d,y=%d): structural %.3f vs analytic %.3f",
-			scheme, x, y, structural, analytic.PDL)
-		diff := structural - analytic.PDL
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > 0.08 {
-			t.Errorf("%v: structural %.3f vs analytic %.3f diverge", scheme, structural, analytic.PDL)
-		}
-	}
-}
-
 // TestDrainLoopAllocs holds RunContext's drain loop allocation-free on
 // every scheme × method pair at 50 % AFR. Two runs from one seed share
 // their setup, their teardown and their first span of events, so the
 // mallocs the longer run makes beyond the shorter one are the drain
 // loop's over the extra events. The one allocation allowed there is the
-// progress note, rendered once per 1024 events: its Sprintf boxes two
-// floats and builds the string, 3 mallocs, and now and then allocates
-// fmt's printer afresh, because a garbage collection emptied its cache
-// or, under the race detector, sync.Pool dropped it. Four a note covers
-// both.
+// progress note, rendered once per 1024 events into a string: one
+// malloc, built without fmt, whose pooled printer the race detector
+// drops at random. The mallocs are counted process-wide, and on a busy
+// host something outside the loop may land in the count; the loop
+// itself is deterministic and noise only adds mallocs, so each run is
+// counted as the fewest of three repeats.
 func TestDrainLoopAllocs(t *testing.T) {
 	events := obs.Default.Counter("syssim_events_total")
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -273,16 +225,26 @@ func TestDrainLoopAllocs(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.Mallocs - m0), events.Value() - e0
 	}
+	fewest := func(cfg Config, years float64) (mallocs, n int64) {
+		for i := 0; i < 3; i++ {
+			m, e := run(cfg, years)
+			if i == 0 || m < mallocs {
+				mallocs = m
+			}
+			n = e
+		}
+		return mallocs, n
+	}
 	for _, scheme := range placement.AllSchemes {
 		for _, method := range repair.AllMethods {
 			cfg := hotSystem(scheme, method, 0.5)
 			run(cfg, 1) // first-use registrations
-			short, shortEvents := run(cfg, 50)
-			long, longEvents := run(cfg, 200)
+			short, shortEvents := fewest(cfg, 50)
+			long, longEvents := fewest(cfg, 200)
 			notes := longEvents/1024 - shortEvents/1024 + 1
 			t.Logf("%v %v: %d mallocs over %d events", scheme, method, long-short, longEvents-shortEvents)
-			if extra := long - short; extra > 4*notes+16 {
-				t.Errorf("%v %v: the drain loop made %d mallocs over %d events, want at most 4 per progress note (%d notes) and 16 more",
+			if extra := long - short; extra > notes+16 {
+				t.Errorf("%v %v: the drain loop made %d mallocs over %d events, want at most 1 per progress note (%d notes) and 16 more",
 					scheme, method, extra, longEvents-shortEvents, notes)
 			}
 		}
