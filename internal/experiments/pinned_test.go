@@ -179,3 +179,28 @@ var pinnedFullRenders = map[string]string{
 	"fig10": "9a87d6b89458a9c77cc779e7c5aa5cdb",
 	"fig7":  "1c7f0ee5ef9261e6d6a9519ff8316081",
 }
+
+// TestFullHeatmapsPinned holds the paper-scale burst heatmaps, Figures
+// 5, 13 and 16 at seed 1, ASCII and CSV, to the renders recorded while
+// every panel still ran a campaign of its own: a figure's panels drawing
+// one layout stream must not move a bit.
+func TestFullHeatmapsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale heatmaps")
+	}
+	got := map[string]string{}
+	for _, id := range []string{"fig5", "fig13", "fig16"} {
+		got[id] = renderDigest(t, id, Options{Seed: 1, AFR: 0.01})
+		got[id+"/csv"] = renderDigest(t, id, Options{Seed: 1, AFR: 0.01, CSV: true})
+	}
+	checkDigests(t, got, pinnedFullHeatmaps)
+}
+
+var pinnedFullHeatmaps = map[string]string{
+	"fig13":     "dee4a0a4b894ae68f8c8986ae27ec636",
+	"fig13/csv": "077750b05af1b3d4582f567b6ec55b3c",
+	"fig16":     "b4701467ca6cb69a89df8d633efa14da",
+	"fig16/csv": "53806f65eb6ef1bd47910c97233ed00e",
+	"fig5":      "f44ac5d38eb5d13976793f5f57be8e8c",
+	"fig5/csv":  "bbab567e2a9dc4d7f0956f85476f684e",
+}
