@@ -85,10 +85,13 @@ func main() {
 	opts := mlec.ExperimentOptions{
 		Quick: *quick, Seed: c.Seed, AFR: afr, CSV: *csv, CheckpointDir: c.Checkpoint,
 	}
+	// One run: stage 1 and the codec rates several ids read are
+	// computed once.
+	run := mlec.NewExperimentRun(opts)
 	for _, id := range ids {
 		start := time.Now()
 		span := obs.StartSpan("mlecsim.experiment")
-		err := mlec.RunExperimentContext(ctx, id, opts, os.Stdout)
+		err := run.RunContext(ctx, id, os.Stdout)
 		if span != nil {
 			span.EndNote(id)
 		}

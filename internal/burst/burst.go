@@ -102,42 +102,63 @@ const (
 // batch order over the same per-batch means and squared deviations).
 func PDLContext(ctx context.Context, ev Evaluator, x, y, trials int, seed int64, checkpointPath string) (Result, error) {
 	fp := func() string { return pdlFingerprint(ev, x, y, trials, seed) }
-	g, err := campaign(ctx, ev, []int{x}, []int{y}, trials, seed, checkpointPath, fp, fmt.Sprintf("x=%d y=%d", x, y))
+	gs, err := campaign(ctx, []Evaluator{ev}, []int{x}, []int{y}, trials, seed, checkpointPath, fp, fmt.Sprintf("x=%d y=%d", x, y))
 	if err != nil {
 		return Result{}, err
 	}
-	return g.Cells[0][0], nil
+	return gs[0].Cells[0][0], nil
 }
 
-// campaign is the batch Monte Carlo behind PDLContext and
-// HeatmapContext. The cells of the grid where a burst fits — at least
-// one failure in each of x racks that exist — are evaluated, in
+// campaign is the batch Monte Carlo behind PDLContext, HeatmapContext
+// and HeatmapsContext. The cells of the grid where a burst fits — at
+// least one failure in each of x racks that exist — are evaluated, in
 // row-major order; cell i draws its batch b from
-// rngsplit.Mix((seed+i) ^ x<<20 ^ y, b). Batch b of the c-th evaluated
-// cell is unit c·nb + b; the units run through runctl's fan-out loop in
-// rounds of pdlRoundSize, skipping those a checkpoint holds, and the
-// per-batch tallies are saved after every round, under the campaign's
-// fingerprint. Each cell's batches are then merged in batch order into
-// its Result, Partial if they did not all complete and NaN if none did;
-// the other cells are NaN.
-func campaign(ctx context.Context, ev Evaluator, xs, ys []int, trials int, seed int64, path string, fingerprint func() string, label string) (*Grid, error) {
+// rngsplit.Mix((seed+i) ^ x<<20 ^ y, b). Each trial draws its layout
+// once and hands it to every evaluator, which keeps its own tallies: the
+// layout stream depends on no evaluator, so evaluator e's grid is the
+// one a campaign of evs[e] alone returns, bit for bit. Batch b of the
+// c-th evaluated cell is unit c·nb + b; the units run through runctl's
+// fan-out loop in rounds of pdlRoundSize, skipping those a checkpoint
+// holds, and the per-batch tallies are saved after every round, under
+// the campaign's fingerprint. Each cell's batches are then merged in
+// batch order into one Result per evaluator, Partial if they did not
+// all complete and NaN if none did; the other cells are NaN.
+func campaign(ctx context.Context, evs []Evaluator, xs, ys []int, trials int, seed int64, path string, fingerprint func() string, label string) ([]*Grid, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("burst: trials = %d", trials)
 	}
-	g := &Grid{Xs: xs, Ys: ys, Cells: make([][]Result, len(ys))}
-	type cell struct {
-		x, y int
-		seed int64
-		out  *Result
+	if len(evs) == 0 {
+		return nil, fmt.Errorf("burst: no evaluator")
 	}
-	var cells []cell
+	racks, dpr := evs[0].TotalRacks(), evs[0].DisksPerRack()
+	for _, ev := range evs[1:] {
+		if ev.TotalRacks() != racks || ev.DisksPerRack() != dpr {
+			return nil, fmt.Errorf("burst: evaluators over %d racks of %d disks and %d racks of %d disks cannot share layouts",
+				racks, dpr, ev.TotalRacks(), ev.DisksPerRack())
+		}
+	}
+	ne := len(evs)
+	grids := make([]*Grid, ne)
+	for e := range grids {
+		g := &Grid{Xs: xs, Ys: ys, Cells: make([][]Result, len(ys))}
+		for iy, y := range ys {
+			g.Cells[iy] = make([]Result, len(xs))
+			for ix, x := range xs {
+				g.Cells[iy][ix] = Result{Racks: x, Failures: y, PDL: math.NaN()}
+			}
+		}
+		grids[e] = g
+	}
+	type cell struct {
+		x, y, iy, ix int
+		seed         int64
+	}
+	cells := make([]cell, 0, len(xs)*len(ys))
 	for iy, y := range ys {
-		g.Cells[iy] = make([]Result, len(xs))
 		for ix, x := range xs {
-			g.Cells[iy][ix] = Result{Racks: x, Failures: y, PDL: math.NaN()}
-			if x >= 1 && y >= x && x <= ev.TotalRacks() && y <= x*ev.DisksPerRack() {
+			if x >= 1 && y >= x && x <= racks && y <= x*dpr {
 				i := int64(iy*len(xs) + ix)
-				cells = append(cells, cell{x, y, (seed + i) ^ int64(x)<<20 ^ int64(y), &g.Cells[iy][ix]})
+				cells = append(cells, cell{x, y, iy, ix, (seed + i) ^ int64(x)<<20 ^ int64(y)})
 			}
 		}
 	}
@@ -146,8 +167,8 @@ func campaign(ctx context.Context, ev Evaluator, xs, ys []int, trials int, seed 
 	ck := pdlCheckpoint{
 		Done:  make([]bool, n),
 		Ns:    make([]int, n),
-		Means: make([]float64, n),
-		M2s:   make([]float64, n),
+		Means: make([]float64, n*ne),
+		M2s:   make([]float64, n*ne),
 	}
 	var fp string // of a checkpointed campaign
 	if path != "" {
@@ -158,16 +179,17 @@ func campaign(ctx context.Context, ev Evaluator, xs, ys []int, trials int, seed 
 			return nil, err
 		}
 		if ok {
-			if len(prev.Done) != n || len(prev.Ns) != n || len(prev.Means) != n || len(prev.M2s) != n {
+			if len(prev.Done) != n || len(prev.Ns) != n || len(prev.Means) != n*ne || len(prev.M2s) != n*ne {
 				return nil, fmt.Errorf("burst: checkpoint %s has %d batches, campaign has %d", path, len(prev.Done), n)
 			}
 			ck = prev
 		}
 	}
 
-	// Observability: campaign progress plus the trial counter. Updates
-	// are write-only tallies of work the estimator already decided to
-	// do, so they cannot influence the estimate.
+	// Observability: campaign progress, in layouts, plus the layout and
+	// evaluation counters. Updates are write-only tallies of work the
+	// estimator already decided to do, so they cannot influence the
+	// estimate.
 	task := obs.Progress.StartTask("burst.pdl "+label, int64(len(cells))*int64(trials))
 	defer task.Finish()
 	restored := 0
@@ -175,6 +197,7 @@ func campaign(ctx context.Context, ev Evaluator, xs, ys []int, trials int, seed 
 		restored += n
 	}
 	task.SetDone(int64(restored))
+	layoutCount := obs.Default.Counter("burst_layouts_total")
 	trialCount := obs.Default.Counter("burst_pdl_trials_total")
 	span := obs.StartSpan("burst.pdl")
 	defer func() {
@@ -184,10 +207,10 @@ func campaign(ctx context.Context, ev Evaluator, xs, ys []int, trials int, seed 
 	}()
 
 	stream := func(u int) int64 { return rngsplit.Mix(cells[u/nb].seed, u%nb) }
-	var round []int
+	round := make([]int, 0, min(n, pdlRoundSize))
 	// batch runs the trials of unit round[i] on a pooled sampler, its
 	// generator reseeded with the batch's stream, and stores the batch's
-	// tallies in the unit's slots.
+	// tallies in the unit's slots, one mean and one M2 per evaluator.
 	batch := func(i int) error {
 		u := round[i]
 		c, b := cells[u/nb], u%nb
@@ -196,20 +219,26 @@ func campaign(ctx context.Context, ev Evaluator, xs, ys []int, trials int, seed 
 		lo, hi := b*pdlBatchTrials, min((b+1)*pdlBatchTrials, trials)
 		// Welford's update: the batch's mean and sum of squared
 		// deviations, without the cancellation of Σpdl² − n·mean².
-		var mean, m2 float64
+		means, m2s := ck.Means[u*ne:(u+1)*ne], ck.M2s[u*ne:(u+1)*ne]
+		clear(means)
+		clear(m2s)
 		for t := lo; t < hi; t++ {
-			layout, err := sampler.sample(sampler.rng, ev.TotalRacks(), ev.DisksPerRack(), c.x, c.y)
+			layout, err := sampler.sample(sampler.rng, racks, dpr, c.x, c.y)
 			if err != nil {
 				return err
 			}
-			pdl := ev.ConditionalPDL(layout)
-			d := pdl - mean
-			mean += d / float64(t-lo+1)
-			m2 += d * (pdl - mean)
+			k := float64(t - lo + 1)
+			for e, ev := range evs {
+				pdl := ev.ConditionalPDL(layout)
+				d := pdl - means[e]
+				means[e] += d / k
+				m2s[e] += d * (pdl - means[e])
+			}
 		}
 		samplers.Put(sampler) // not deferred: a sampler that panicked mid-draw is not reused
-		ck.Ns[u], ck.Means[u], ck.M2s[u], ck.Done[u] = hi-lo, mean, m2, true
-		trialCount.Add(int64(hi - lo))
+		ck.Ns[u], ck.Done[u] = hi-lo, true
+		layoutCount.Add(int64(hi - lo))
+		trialCount.Add(int64((hi - lo) * ne))
 		task.Add(int64(hi - lo))
 		return nil
 	}
@@ -240,15 +269,18 @@ func campaign(ctx context.Context, ev Evaluator, xs, ys []int, trials int, seed 
 	}
 
 	for ci, c := range cells {
-		*c.out = merge(c.x, c.y, ck, ci*nb, nb)
+		for e, g := range grids {
+			g.Cells[c.iy][c.ix] = merge(c.x, c.y, ck, ci*nb, nb, e, ne)
+		}
 	}
-	return g, nil
+	return grids, nil
 }
 
-// merge reduces the nb batches of cell (x, y), units first … first+nb−1,
-// in batch order by Chan et al.'s pairwise update. The first batch is
-// taken as it is, so a constant evaluator's mean is its value to the bit.
-func merge(x, y int, ck pdlCheckpoint, first, nb int) Result {
+// merge reduces evaluator e's tallies (of ne) over the nb batches of
+// cell (x, y), units first … first+nb−1, in batch order by Chan et al.'s
+// pairwise update. The first batch is taken as it is, so a constant
+// evaluator's mean is its value to the bit.
+func merge(x, y int, ck pdlCheckpoint, first, nb, e, ne int) Result {
 	var (
 		mean, m2        float64
 		done, completed int
@@ -258,15 +290,15 @@ func merge(x, y int, ck pdlCheckpoint, first, nb int) Result {
 			continue
 		}
 		completed++
-		n := ck.Ns[u]
+		n, bm, bm2 := ck.Ns[u], ck.Means[u*ne+e], ck.M2s[u*ne+e]
 		if done == 0 {
-			mean, m2, done = ck.Means[u], ck.M2s[u], n
+			mean, m2, done = bm, bm2, n
 			continue
 		}
 		tot := done + n
-		d := ck.Means[u] - mean
+		d := bm - mean
 		mean += d * float64(n) / float64(tot)
-		m2 += ck.M2s[u] + d*d*float64(done)*float64(n)/float64(tot)
+		m2 += bm2 + d*d*float64(done)*float64(n)/float64(tot)
 		done = tot
 	}
 	if done == 0 {
@@ -304,10 +336,35 @@ type Grid struct {
 // marked Partial.
 func HeatmapContext(ctx context.Context, ev Evaluator, xs, ys []int, trials int, seed int64, checkpointPath string) (*Grid, error) {
 	fp := func() string { return gridFingerprint(ev, xs, ys, trials, seed) }
-	g, err := campaign(ctx, ev, xs, ys, trials, seed, checkpointPath, fp, fmt.Sprintf("grid %dx%d", len(xs), len(ys)))
+	gs, err := campaign(ctx, []Evaluator{ev}, xs, ys, trials, seed, checkpointPath, fp, fmt.Sprintf("grid %dx%d", len(xs), len(ys)))
 	if err != nil {
 		return nil, err
 	}
+	return finishGrid(gs[0]), nil
+}
+
+// HeatmapsContext is HeatmapContext for several evaluators over one
+// topology (the same TotalRacks and DisksPerRack) as one campaign: each
+// trial draws its layout once and every evaluator scores it, so grid e
+// equals HeatmapContext's grid for evs[e] at the same arguments, bit for
+// bit, for one draw of the layouts instead of len(evs). The checkpoint
+// holds every evaluator's tallies under one fingerprint naming them all.
+func HeatmapsContext(ctx context.Context, evs []Evaluator, xs, ys []int, trials int, seed int64, checkpointPath string) ([]*Grid, error) {
+	fp := func() string { return gridsFingerprint(evs, xs, ys, trials, seed) }
+	gs, err := campaign(ctx, evs, xs, ys, trials, seed, checkpointPath, fp,
+		fmt.Sprintf("grid %dx%d evaluators=%d", len(xs), len(ys), len(evs)))
+	if err != nil {
+		return nil, err
+	}
+	for _, g := range gs {
+		finishGrid(g)
+	}
+	return gs, nil
+}
+
+// finishGrid NaNs the cells whose batches did not all complete and marks
+// the grid Partial if there are any.
+func finishGrid(g *Grid) *Grid {
 	for _, row := range g.Cells {
 		for ix, r := range row {
 			if r.Partial {
@@ -316,7 +373,7 @@ func HeatmapContext(ctx context.Context, ev Evaluator, xs, ys []int, trials int,
 			}
 		}
 	}
-	return g, nil
+	return g
 }
 
 // poissonBinomialTail returns P(ΣX_i ≥ k) for independent Bernoulli

@@ -16,13 +16,26 @@ import (
 // stage1Segments is the splitting granularity of each local pool kind.
 var stage1Segments = map[placement.Kind]int{placement.Clustered: 100, placement.Declustered: 240}
 
-// paperStage1 builds the four paper layouts and estimates the
+// stage1Product is what paperStage1 computes: the four paper layouts and
+// the stage-1 estimate of each local placement kind.
+type stage1Product struct {
+	ls map[placement.Scheme]*placement.Layout
+	s1 map[placement.Kind]splitting.Stage1
+}
+
+// paperStage1 returns the run's stage 1, computing it if no driver of
+// the run has: it builds the four paper layouts and estimates the
 // catastrophic-pool behaviour of both local placement kinds (a pool
 // behaves the same under either network scheme). Quick mode uses the
 // Markov R_ALL view with the analytic lost-stripe fraction; full mode
-// runs the poolsim splitting estimator (the paper's stage 1).
-func paperStage1(ctx context.Context, opts Options) (map[placement.Scheme]*placement.Layout,
+// runs the poolsim splitting estimator (the paper's stage 1). Only a
+// whole estimate is kept for the run's later readers.
+func paperStage1(ctx context.Context, r *Run) (map[placement.Scheme]*placement.Layout,
 	map[placement.Kind]splitting.Stage1, error) {
+	if p := r.stage1; p != nil {
+		return p.ls, p.s1, nil
+	}
+	opts := r.opts
 	ls, err := paperLayouts()
 	if err != nil {
 		return nil, nil, err
@@ -49,6 +62,7 @@ func paperStage1(ctx context.Context, opts Options) (map[placement.Scheme]*place
 		}
 		out[kind] = s1
 	}
+	r.stage1 = &stage1Product{ls, out}
 	return ls, out, nil
 }
 
@@ -63,7 +77,12 @@ type Fig7Result struct {
 // (§4.1.3). The stage-1 splitting estimator checkpoints under
 // opts.CheckpointDir and resumes deterministically.
 func Fig7Context(ctx context.Context, opts Options) (*Fig7Result, error) {
-	ls, s1, err := paperStage1(ctx, opts)
+	return fig7(ctx, NewRun(opts))
+}
+
+// fig7 is Fig7Context on the run's stage 1.
+func fig7(ctx context.Context, r *Run) (*Fig7Result, error) {
+	ls, s1, err := paperStage1(ctx, r)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +113,12 @@ type Fig10Result struct {
 // repair methods (§4.2.3). The stage-1 splitting estimator checkpoints
 // under opts.CheckpointDir and resumes deterministically.
 func Fig10Context(ctx context.Context, opts Options) (*Fig10Result, error) {
-	ls, s1, err := paperStage1(ctx, opts)
+	return fig10(ctx, NewRun(opts))
+}
+
+// fig10 is Fig10Context on the run's stage 1.
+func fig10(ctx context.Context, r *Run) (*Fig10Result, error) {
+	ls, s1, err := paperStage1(ctx, r)
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,7 @@ import (
 	"mlec/internal/failure"
 	"mlec/internal/mathx"
 	"mlec/internal/placement"
+	"mlec/internal/throughput"
 	"mlec/internal/topology"
 )
 
@@ -106,7 +107,7 @@ type result interface{ Render(w io.Writer) error }
 // experiment is one registry entry.
 type experiment struct {
 	desc string
-	run  func(ctx context.Context, opts Options, w io.Writer) error
+	run  func(ctx context.Context, r *Run, w io.Writer) error
 }
 
 // registry maps experiment ids to their entries; filled by init below.
@@ -116,41 +117,49 @@ var registry = map[string]experiment{}
 // they can: the Monte-Carlo ones stop at the next trial boundary on
 // cancellation and render what they have (partial heatmap cells stay
 // NaN); analytic and throughput ones finish their computation.
-func register[R result](id, desc string, run func(context.Context, Options) (R, error)) {
-	registry[id] = experiment{desc, func(ctx context.Context, opts Options, w io.Writer) error {
-		r, err := run(ctx, opts)
+func register[R result](id, desc string, run func(context.Context, *Run) (R, error)) {
+	registry[id] = experiment{desc, func(ctx context.Context, r *Run, w io.Writer) error {
+		res, err := run(ctx, r)
 		if err != nil {
 			return err
 		}
-		return r.Render(w)
+		return res.Render(w)
 	}}
 }
 
-// noCtx adapts a driver that does not observe cancellation.
-func noCtx[R result](run func(Options) (R, error)) func(context.Context, Options) (R, error) {
-	return func(_ context.Context, opts Options) (R, error) { return run(opts) }
+// optsOnly adapts a driver that reads no run product.
+func optsOnly[R result](run func(context.Context, Options) (R, error)) func(context.Context, *Run) (R, error) {
+	return func(ctx context.Context, r *Run) (R, error) { return run(ctx, r.opts) }
+}
+
+// noCtx adapts a driver that reads no run product and does not observe
+// cancellation.
+func noCtx[R result](run func(Options) (R, error)) func(context.Context, *Run) (R, error) {
+	return func(_ context.Context, r *Run) (R, error) { return run(r.opts) }
 }
 
 func init() {
 	register("fig1", "storage scaling dataset (disks per system, capacity per disk)",
-		func(_ context.Context, opts Options) (*Fig1Result, error) { return Fig1(opts), nil })
+		func(_ context.Context, r *Run) (*Fig1Result, error) { return Fig1(r.opts), nil })
 	register("tab1", "failure-mode taxonomy demonstrated on a live cluster", noCtx(Tab1))
-	register("fig5", "MLEC PDL heatmaps under correlated failure bursts (4 schemes)", Fig5Context)
+	register("fig5", "MLEC PDL heatmaps under correlated failure bursts (4 schemes)", optsOnly(Fig5Context))
 	register("fig6", "repair time under single-disk and catastrophic local failures", noCtx(Fig6Tab2))
 	register("tab2", "repair size and available repair bandwidth per MLEC scheme", noCtx(Fig6Tab2))
-	register("fig7", "probability of catastrophic local failure per scheme", Fig7Context)
+	register("fig7", "probability of catastrophic local failure per scheme", fig7)
 	register("fig8", "cross-rack repair traffic of the four repair methods", noCtx(Fig8))
 	register("fig9", "network/local repair time of the four repair methods", noCtx(Fig9))
-	register("fig10", "durability (nines) per scheme and repair method", Fig10Context)
+	register("fig10", "durability (nines) per scheme and repair method", fig10)
 	register("fig11", "encoding throughput heatmap over (k, p)", noCtx(Fig11))
-	register("fig12", "MLEC vs SLEC durability/throughput tradeoff at ~30% overhead", noCtx(Fig12))
-	register("fig13", "SLEC PDL heatmaps under correlated failure bursts (4 placements)", Fig13Context)
+	register("fig12", "MLEC vs SLEC durability/throughput tradeoff at ~30% overhead",
+		func(_ context.Context, r *Run) (*Fig12Result, error) { return fig12(r) })
+	register("fig13", "SLEC PDL heatmaps under correlated failure bursts (4 placements)", optsOnly(Fig13Context))
 	register("fig14", "LRC (4,2,2) layout and local-repair demonstration", noCtx(Fig14))
-	register("fig15", "MLEC vs LRC durability/throughput tradeoff at ~30% overhead", noCtx(Fig15))
-	register("fig16", "LRC-Dp PDL heatmap under correlated failure bursts", Fig16Context)
+	register("fig15", "MLEC vs LRC durability/throughput tradeoff at ~30% overhead",
+		func(_ context.Context, r *Run) (*Fig15Result, error) { return fig15(r) })
+	register("fig16", "LRC-Dp PDL heatmap under correlated failure bursts", optsOnly(Fig16Context))
 	register("sec514", "repair network traffic: network SLEC vs MLEC", noCtx(Sec5Traffic))
 	register("sec524", "repair network traffic: LRC vs MLEC", noCtx(Sec5Traffic))
-	register("syssim", "full-system simulation of the 57,600-disk datacenter (all schemes)", SysSimContext)
+	register("syssim", "full-system simulation of the 57,600-disk datacenter (all schemes)", optsOnly(SysSimContext))
 	register("ablation-detection", "durability vs failure-detection time (MLEC vs LRC)", noCtx(AblationDetection))
 	register("ablation-poolsize", "local-Dp pool size vs repair speed and burst PDL", noCtx(AblationPoolSize))
 	register("ablation-stripewidth", "local stripe width vs lost-stripe fraction and repair traffic",
@@ -158,18 +167,67 @@ func init() {
 	register("ablation-cores", "multi-core encoding throughput scaling", noCtx(AblationCores))
 }
 
-// RunContext executes the experiment with the given id, rendering to w.
-// Cancellation or a deadline stops the Monte-Carlo engines at the next
-// trial boundary and the experiment renders the partial result it has.
-func RunContext(ctx context.Context, id string, opts Options, w io.Writer) error {
+// Run is one run of experiments over a list of ids, taken one at a time
+// through its RunContext. What several drivers read is computed once per
+// run, by the first driver that reads it, and handed to the rest: stage
+// 1 of Figures 7 and 10, and the codec rates of Figures 12 and 15. A
+// product that failed or was cut short is never kept, so the next reader
+// computes it again (resuming from its checkpoint, if any). A Run serves
+// one goroutine at a time.
+type Run struct {
+	opts   Options
+	stage1 *stage1Product   // nil until a driver computed it whole
+	rates  throughput.Table // codes measured so far, at DefaultShardBytes
+}
+
+// NewRun starts a run under opts.
+func NewRun(opts Options) *Run { return &Run{opts: opts} }
+
+// RunContext executes the experiment with the given id as part of the
+// run, rendering to w. Cancellation or a deadline stops the Monte-Carlo
+// engines at the next trial boundary and the experiment renders the
+// partial result it has.
+func (r *Run) RunContext(ctx context.Context, id string, w io.Writer) error {
 	e, ok := registry[id]
 	if !ok {
 		return fmt.Errorf("experiments: unknown experiment %q (try List())", id)
 	}
-	if _, err := failure.ResolveAFR(opts.AFR); err != nil {
+	if _, err := failure.ResolveAFR(r.opts.AFR); err != nil {
 		return fmt.Errorf("experiments: %w", err)
 	}
-	return e.run(ctx, opts, w)
+	return e.run(ctx, r, w)
+}
+
+// RunContext executes the experiment with the given id, rendering to w:
+// a run of one id.
+func RunContext(ctx context.Context, id string, opts Options, w io.Writer) error {
+	return NewRun(opts).RunContext(ctx, id, w)
+}
+
+// measure returns a table holding the rates of codes, measuring at
+// DefaultShardBytes, in one throughput.Measure, only those the run has
+// not measured yet: a code two figures of the run share prints one rate.
+func (r *Run) measure(codes ...throughput.Code) (throughput.Table, error) {
+	var missing []throughput.Code
+	for _, c := range codes {
+		if _, ok := r.rates[c]; !ok {
+			missing = append(missing, c)
+		}
+	}
+	if len(missing) == 0 {
+		return r.rates, nil
+	}
+	tab, err := throughput.Measure(throughput.DefaultShardBytes, missing...)
+	if err != nil {
+		return nil, err
+	}
+	if r.rates == nil {
+		r.rates = throughput.Table{}
+	}
+	for _, c := range missing {
+		r.rates[c] = tab[c]
+	}
+	return r.rates, nil
 }
 
 // List returns the registered experiment ids in sorted order.

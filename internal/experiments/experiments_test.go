@@ -329,6 +329,33 @@ func TestQuickHeatmapsLaunchPerGrid(t *testing.T) {
 	}
 }
 
+// TestQuickHeatmapsDrawLayoutsOncePerFigure reads burst_layouts_total
+// across quick fig5, fig13 and fig16: each figure's panels score one
+// stream of layouts, so the 17,280 evaluations rest on 5,760 layouts,
+// 1,920 a figure (16 cells of 120 trials), and each figure is one
+// campaign, launching at most one pool worker per CPU.
+func TestQuickHeatmapsDrawLayoutsOncePerFigure(t *testing.T) {
+	const figures, wantLayouts, wantEvaluations = 3, 5760, 17280
+	layouts := obs.Default.Counter("burst_layouts_total")
+	evaluations := obs.Default.Counter("burst_pdl_trials_total")
+	launched := obs.Default.Counter("runctl_pool_workers_started_total")
+	l0, e0, w0 := layouts.Value(), evaluations.Value(), launched.Value()
+	for _, id := range []string{"fig5", "fig13", "fig16"} {
+		if err := RunContext(context.Background(), id, quickOpts(), io.Discard); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+	}
+	if got := layouts.Value() - l0; got != wantLayouts {
+		t.Errorf("burst_layouts_total rose by %d, want %d", got, wantLayouts)
+	}
+	if got := evaluations.Value() - e0; got != wantEvaluations {
+		t.Errorf("burst_pdl_trials_total rose by %d, want %d", got, wantEvaluations)
+	}
+	if got, limit := launched.Value()-w0, int64(figures*runtime.NumCPU()); got > limit {
+		t.Errorf("runctl_pool_workers_started_total rose by %d, want at most %d (one per CPU per figure)", got, limit)
+	}
+}
+
 func TestSec5Traffic(t *testing.T) {
 	r, err := Sec5Traffic(quickOpts())
 	if err != nil {

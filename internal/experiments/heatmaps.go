@@ -41,11 +41,12 @@ func renderPanels(w io.Writer, csv bool, panels ...panel) error {
 	return nil
 }
 
-// heatmap runs one PDL grid at the size table's axes and trials,
-// checkpointed under the campaign name.
-func heatmap(ctx context.Context, opts Options, ev burst.Evaluator, name string) (*burst.Grid, error) {
+// heatmaps runs a figure's PDL grids, one per evaluator, as one campaign
+// at the size table's axes and trials, checkpointed under the figure's
+// name: its panels score one stream of layouts.
+func heatmaps(ctx context.Context, opts Options, evs []burst.Evaluator, name string) ([]*burst.Grid, error) {
 	sz := opts.size()
-	return burst.HeatmapContext(ctx, ev, sz.heatXs, sz.heatYs, sz.heatTrials, opts.Seed, opts.checkpointPath(name))
+	return burst.HeatmapsContext(ctx, evs, sz.heatXs, sz.heatYs, sz.heatTrials, opts.Seed, opts.checkpointPath(name))
 }
 
 func renderGrid(w io.Writer, title string, g *burst.Grid) error {
@@ -71,20 +72,24 @@ type Fig5Result struct {
 }
 
 // Fig5Context evaluates PDL under correlated failure bursts for the four
-// MLEC schemes (§4.1.1), checkpointing each scheme's grid separately
-// under opts.CheckpointDir.
+// MLEC schemes (§4.1.1) as one campaign, checkpointed as fig5 under
+// opts.CheckpointDir.
 func Fig5Context(ctx context.Context, opts Options) (*Fig5Result, error) {
 	ls, err := paperLayouts()
 	if err != nil {
 		return nil, err
 	}
+	evs := make([]burst.Evaluator, len(placement.AllSchemes))
+	for i, s := range placement.AllSchemes {
+		evs[i] = burst.NewMLECEvaluator(ls[s])
+	}
+	gs, err := heatmaps(ctx, opts, evs, "fig5")
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig5Result{Grids: map[placement.Scheme]*burst.Grid{}, csv: opts.CSV}
-	for _, s := range placement.AllSchemes {
-		g, err := heatmap(ctx, opts, burst.NewMLECEvaluator(ls[s]), "fig5-"+s.String())
-		if err != nil {
-			return nil, err
-		}
-		res.Grids[s] = g
+	for i, s := range placement.AllSchemes {
+		res.Grids[s] = gs[i]
 	}
 	return res, nil
 }
@@ -107,21 +112,25 @@ type Fig13Result struct {
 }
 
 // Fig13Context evaluates burst PDL for the four SLEC placements with the
-// paper's (7+3) code (§5.1.3), checkpointing each placement's grid
-// separately under opts.CheckpointDir.
+// paper's (7+3) code (§5.1.3) as one campaign, checkpointed as fig13
+// under opts.CheckpointDir.
 func Fig13Context(ctx context.Context, opts Options) (*Fig13Result, error) {
 	params := placement.SLECParams{K: 7, P: 3}
-	res := &Fig13Result{Params: params, Grids: map[placement.SLECPlacement]*burst.Grid{}, csv: opts.CSV}
-	for _, pl := range placement.AllSLECPlacements {
+	evs := make([]burst.Evaluator, len(placement.AllSLECPlacements))
+	for i, pl := range placement.AllSLECPlacements {
 		l, err := placement.NewSLECLayout(paperTopo(), params, pl)
 		if err != nil {
 			return nil, err
 		}
-		g, err := heatmap(ctx, opts, burst.NewSLECEvaluator(l), "fig13-"+pl.String())
-		if err != nil {
-			return nil, err
-		}
-		res.Grids[pl] = g
+		evs[i] = burst.NewSLECEvaluator(l)
+	}
+	gs, err := heatmaps(ctx, opts, evs, "fig13")
+	if err != nil {
+		return nil, err
+	}
+	res := &Fig13Result{Params: params, Grids: map[placement.SLECPlacement]*burst.Grid{}, csv: opts.CSV}
+	for i, pl := range placement.AllSLECPlacements {
+		res.Grids[pl] = gs[i]
 	}
 	return res, nil
 }
@@ -151,11 +160,11 @@ func Fig16Context(ctx context.Context, opts Options) (*Fig16Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := heatmap(ctx, opts, burst.NewLRCEvaluator(l, opts.Seed), "fig16")
+	gs, err := heatmaps(ctx, opts, []burst.Evaluator{burst.NewLRCEvaluator(l, opts.Seed)}, "fig16")
 	if err != nil {
 		return nil, err
 	}
-	return &Fig16Result{Params: params, Grid: g, csv: opts.CSV}, nil
+	return &Fig16Result{Params: params, Grid: gs[0], csv: opts.CSV}, nil
 }
 
 // Render prints the heatmap.

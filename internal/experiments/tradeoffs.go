@@ -137,13 +137,17 @@ func slecTradeoffPoint(params placement.SLECParams, pl placement.SLECPlacement, 
 
 // Fig12 builds the MLEC-vs-SLEC durability/throughput scatter (§5.1.2),
 // one panel per local placement: clustered, then declustered.
-func Fig12(opts Options) (*Fig12Result, error) {
+func Fig12(opts Options) (*Fig12Result, error) { return fig12(NewRun(opts)) }
+
+// fig12 is Fig12 on the run's codec rates.
+func fig12(r *Run) (*Fig12Result, error) {
+	opts := r.opts
 	sz := opts.size()
 	codes := throughput.MLECCodes(head(mlecConfigs30, sz.tradeoffs)...)
 	for _, p := range head(slecConfigs30, sz.tradeoffs) {
 		codes = append(codes, throughput.RS(p.K, p.P))
 	}
-	tab, err := throughput.Measure(throughput.DefaultShardBytes, codes...)
+	tab, err := r.measure(codes...)
 	if err != nil {
 		return nil, err
 	}
@@ -226,13 +230,18 @@ var lrcConfigs30 = []placement.LRCParams{
 }
 
 // Fig15 builds the C/D-vs-LRC-Dp durability/throughput scatter (§5.2.2).
-func Fig15(opts Options) (*Fig15Result, error) {
+func Fig15(opts Options) (*Fig15Result, error) { return fig15(NewRun(opts)) }
+
+// fig15 is Fig15 on the run's codec rates: after Figure 12 in the same
+// run, its MLEC points print Figure 12's rates.
+func fig15(r *Run) (*Fig15Result, error) {
+	opts := r.opts
 	sz := opts.size()
 	codes := throughput.MLECCodes(head(mlecConfigs30, sz.tradeoffs)...)
 	for _, p := range head(lrcConfigs30, sz.tradeoffs) {
 		codes = append(codes, throughput.LRC(p.K, p.L, p.R))
 	}
-	tab, err := throughput.Measure(throughput.DefaultShardBytes, codes...)
+	tab, err := r.measure(codes...)
 	if err != nil {
 		return nil, err
 	}

@@ -22,6 +22,7 @@ import (
 	"slices"
 
 	"mlec/internal/failure"
+	"mlec/internal/obs"
 	"mlec/internal/placement"
 )
 
@@ -177,6 +178,10 @@ type layout struct {
 	diskSet    []uint64
 }
 
+// dealsC counts the declustered layouts NewPool deals, the costly part
+// of building a datacenter's pools: write-only, never read back.
+var dealsC = obs.Default.Counter("poolsim_declustered_deals_total")
+
 // NewPool builds the pool and its (seeded) stripe layout.
 func NewPool(cfg Config, layoutSeed int64) (*Pool, error) {
 	if err := cfg.Validate(); err != nil {
@@ -192,6 +197,7 @@ func NewPool(cfg Config, layoutSeed int64) (*Pool, error) {
 		l.stripeDisk, err = placement.ClusteredStripes(cfg.Disks, cfg.Width, stripes)
 	} else {
 		l.stripeDisk, err = placement.DeclusteredStripes(cfg.Disks, cfg.Width, stripes, layoutSeed)
+		dealsC.Inc()
 	}
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mlec/internal/failure"
+	"mlec/internal/obs"
 	"mlec/internal/placement"
 	"mlec/internal/repair"
 	"mlec/internal/topology"
@@ -97,5 +98,40 @@ func TestBuildStopsAtPoolPoll(t *testing.T) {
 					scheme, polls+1, ctx.calls, stats, polls+1)
 			}
 		}
+	}
+}
+
+// TestRunAllDealsEachPoolOnce runs the four paper schemes at once and
+// one by one. C/D and D/D deal the same 480 declustered pools (same pool
+// model, same per-pool seeds), so RunAllContext deals 480 layouts where
+// four RunContext calls deal 960, and every run's stats are the same.
+func TestRunAllDealsEachPoolOnce(t *testing.T) {
+	const years, seed, pools = 2, 77001, 480
+	var cfgs []Config
+	for _, s := range placement.AllSchemes {
+		cfgs = append(cfgs, Config{Topo: topology.Default(), Params: placement.DefaultParams(), Scheme: s,
+			Method: repair.RMin, TTF: failure.MustExponentialAFR(0.05)})
+	}
+	deals := obs.Default.Counter("poolsim_declustered_deals_total")
+	d0 := deals.Value()
+	all, err := RunAllContext(context.Background(), cfgs, years, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := deals.Value() - d0; got != pools {
+		t.Errorf("RunAllContext dealt %d declustered layouts, want %d", got, pools)
+	}
+	d0 = deals.Value()
+	for i, cfg := range cfgs {
+		st, err := RunContext(context.Background(), cfg, years, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st != all[i] {
+			t.Errorf("%v: RunAllContext %+v, RunContext %+v", cfg.Scheme, all[i], st)
+		}
+	}
+	if got := deals.Value() - d0; got != 2*pools {
+		t.Errorf("four RunContext calls dealt %d declustered layouts, want %d", got, 2*pools)
 	}
 }

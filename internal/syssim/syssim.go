@@ -20,6 +20,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"strconv"
+	"sync"
 
 	"mlec/internal/bwmodel"
 	"mlec/internal/failure"
@@ -121,16 +122,15 @@ type System struct {
 }
 
 // New builds the simulator, tracing to obs.Trace.
-func New(cfg Config) (*System, error) { return build(context.Background(), cfg, obs.Trace) }
+func New(cfg Config) (*System, error) { return build(context.Background(), cfg, obs.Trace, nil) }
 
 // errBuildStopped is build's answer when ctx was done before every pool
 // was built.
 var errBuildStopped = errors.New("syssim: construction stopped")
 
-// build builds the simulator, tracing to trace. It polls ctx once a pool
-// (480 or 2,880 of them in the paper datacenter, ≈ 0.1–0.3 s in all), so
-// a cancellation or deadline does not wait for the rest.
-func build(ctx context.Context, cfg Config, trace *obs.Recorder) (*System, error) {
+// prepare fills cfg's defaults, validates it and returns its layout and
+// the model of one of its local pools.
+func prepare(cfg Config) (Config, *placement.Layout, poolsim.Config, error) {
 	if cfg.SegmentsPerDisk <= 0 {
 		cfg.SegmentsPerDisk = 60
 	}
@@ -138,18 +138,53 @@ func build(ctx context.Context, cfg Config, trace *obs.Recorder) (*System, error
 		cfg.DetectionDelayHours = failure.DefaultDetectionDelayHours
 	}
 	if cfg.TTF == nil {
-		return nil, fmt.Errorf("syssim: TTF distribution required")
+		return cfg, nil, poolsim.Config{}, fmt.Errorf("syssim: TTF distribution required")
 	}
 	if err := cfg.Method.Validate(); err != nil {
-		return nil, fmt.Errorf("syssim: %w", err)
+		return cfg, nil, poolsim.Config{}, fmt.Errorf("syssim: %w", err)
 	}
 	l, err := placement.NewLayout(cfg.Topo, cfg.Params, cfg.Scheme)
 	if err != nil {
-		return nil, err
+		return cfg, nil, poolsim.Config{}, err
 	}
 	// NewPool validates pc, so the first pool reports a bad one.
 	pc := poolsim.ConfigFor(l, cfg.SegmentsPerDisk)
 	pc.DetectionDelayHours = cfg.DetectionDelayHours
+	return cfg, l, pc, nil
+}
+
+// pristinePools holds the pristine local pools that several runs of
+// RunAllContext share: runs with the same pool model and seed deal the
+// same pool p, so it is dealt once, by whichever run reaches it first,
+// and every run takes a Clone, which shares the immutable layout. A
+// clustered run asks only for pool 0, so it holds one.
+type pristinePools []pristinePool
+
+type pristinePool struct {
+	once sync.Once
+	pool *poolsim.Pool
+	err  error
+}
+
+// clone returns a pristine copy of pool p of the pool model pc at seed.
+func (pp pristinePools) clone(pc poolsim.Config, seed int64, p int) (*poolsim.Pool, error) {
+	d := &pp[p]
+	d.once.Do(func() { d.pool, d.err = poolsim.NewPool(pc, rngsplit.Mix(seed, streamPool0+p)) })
+	if d.err != nil {
+		return nil, d.err
+	}
+	return d.pool.Clone(), nil
+}
+
+// build builds the simulator, tracing to trace, its pools cloned from
+// shared when that is not nil and dealt afresh otherwise. It polls ctx
+// once a pool (480 or 2,880 of them in the paper datacenter), so a
+// cancellation or deadline does not wait for the rest.
+func build(ctx context.Context, cfg Config, trace *obs.Recorder, shared pristinePools) (*System, error) {
+	cfg, l, pc, err := prepare(cfg)
+	if err != nil {
+		return nil, err
+	}
 	s := &System{
 		cfg:     cfg,
 		layout:  l,
@@ -177,10 +212,16 @@ func build(ctx context.Context, cfg Config, trace *obs.Recorder) (*System, error
 			return nil, errBuildStopped
 		}
 		var pool *poolsim.Pool
-		if pc.Clustered && p > 0 {
+		switch {
+		case pc.Clustered && p > 0:
 			// Clustered layouts ignore the seed: share pool 0's, still pristine.
 			pool = s.pools[0].Pool.Clone()
-		} else if pool, err = poolsim.NewPool(pc, rngsplit.Mix(cfg.Seed, streamPool0+p)); err != nil {
+		case shared != nil:
+			pool, err = shared.clone(pc, cfg.Seed, p)
+		default:
+			pool, err = poolsim.NewPool(pc, rngsplit.Mix(cfg.Seed, streamPool0+p))
+		}
+		if err != nil {
 			return nil, err
 		}
 		m := poolsim.NewMachine(pool, s.eng)
@@ -307,24 +348,28 @@ func (s *System) buildNetworkStripes() error {
 // system is whole: its Partial stats are all zero, StrandedStripes (a
 // fact of the built system) included.
 func RunContext(ctx context.Context, cfg Config, years float64, seed int64) (Stats, error) {
-	return run(ctx, cfg, years, seed, obs.Trace)
+	return run(ctx, cfg, years, seed, obs.Trace, nil)
 }
 
 // RunAllContext runs RunContext for every config at once, one runctl.Pool
 // worker each (its stream the config's index), and returns their stats
-// in cfgs' order. Each run traces into a recorder of its own held from
-// obs.Trace; once every run has returned they are committed in cfgs'
-// order, so the trace holds the bytes a loop over RunContext writes.
-// Cancellation stops every run at its next poll, each Partial. The error
-// is that of the earliest config whose run failed.
+// in cfgs' order. Runs whose local pools are the same — the same pool
+// model at the same seed, as C/D and D/D are — share them: each such
+// pool is dealt once and every run clones it. Each run traces into a
+// recorder of its own held from obs.Trace; once every run has returned
+// they are committed in cfgs' order, so the trace holds the bytes a loop
+// over RunContext writes. Cancellation stops every run at its next poll,
+// each Partial. The error is that of the earliest config whose run
+// failed.
 func RunAllContext(ctx context.Context, cfgs []Config, years float64, seed int64) ([]Stats, error) {
 	stats := make([]Stats, len(cfgs))
 	held := make([]*obs.Recorder, len(cfgs))
+	shared := sharePools(cfgs, seed)
 	pool := runctl.NewPool(ctx)
 	for i, cfg := range cfgs {
 		held[i] = obs.Trace.Hold()
 		pool.Go(int64(i), func(ctx context.Context) (err error) {
-			stats[i], err = run(ctx, cfg, years, seed, held[i])
+			stats[i], err = run(ctx, cfg, years, seed, held[i], shared[i])
 			return err
 		})
 	}
@@ -338,13 +383,50 @@ func RunAllContext(ctx context.Context, cfgs []Config, years float64, seed int64
 	return stats, nil
 }
 
-// run is RunContext tracing to trace.
-func run(ctx context.Context, cfg Config, years float64, seed int64, trace *obs.Recorder) (Stats, error) {
+// sharePools returns, per config, the pristine pools it shares with the
+// other configs whose pool model and pool count match its own at seed,
+// or nil for a config that shares them with none (or that build will
+// refuse).
+func sharePools(cfgs []Config, seed int64) []pristinePools {
+	type key struct {
+		pc    poolsim.Config
+		pools int
+	}
+	keys := make([]key, len(cfgs))
+	users := map[key]int{}
+	for i, cfg := range cfgs {
+		cfg.Seed = seed
+		if _, l, pc, err := prepare(cfg); err == nil {
+			keys[i] = key{pc, l.TotalLocalPools()}
+			users[keys[i]]++
+		}
+	}
+	shared := make([]pristinePools, len(cfgs))
+	made := map[key]pristinePools{}
+	for i, k := range keys {
+		if users[k] < 2 {
+			continue
+		}
+		if made[k] == nil {
+			n := k.pools
+			if k.pc.Clustered {
+				n = 1
+			}
+			made[k] = make(pristinePools, n)
+		}
+		shared[i] = made[k]
+	}
+	return shared
+}
+
+// run is RunContext tracing to trace, its pools cloned from shared when
+// that is not nil.
+func run(ctx context.Context, cfg Config, years float64, seed int64, trace *obs.Recorder, shared pristinePools) (Stats, error) {
 	if ctx.Err() != nil {
 		return Stats{Partial: true}, nil
 	}
 	cfg.Seed = seed
-	s, err := build(ctx, cfg, trace)
+	s, err := build(ctx, cfg, trace, shared)
 	if errors.Is(err, errBuildStopped) {
 		return Stats{Partial: true}, nil
 	}
