@@ -39,12 +39,14 @@ examples:
 	set -e; for d in examples/*/; do echo "== go run ./$${d%/}"; $(GO) run ./$${d%/}; done
 
 ## race: race-detect the concurrent simulator packages and the state
-## their workers share, and the syssim experiment, which runs its four
-## schemes at once (the rest of internal/experiments fans out only
-## through the packages above).
+## their workers share, and the experiments that share products between
+## concurrent workers: syssim, whose four schemes run at once and share
+## their dealt pools, and the heatmaps, whose panels score one campaign's
+## layouts (the rest of internal/experiments fans out only through the
+## packages above).
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'SysSim' ./internal/experiments
+	$(GO) test -race -run 'SysSim|Heatmap' ./internal/experiments
 
 ## stress: repeat the cancellation and checkpoint-resume tests under
 ## the race detector — mid-run cancels exercise the pool drain paths

@@ -4,7 +4,7 @@
 // to `go vet` and `go test -race`, and checks only what neither of them
 // reports; concurrency discipline is left to the race detector, run
 // over tests that drive the shared state from several goroutines.
-// -list names the fourteen analyzers; DESIGN.md §6 gives the finding,
+// -list names the thirteen analyzers; DESIGN.md §6 gives the finding,
 // or the seeded defect nothing else reports, that each one rests on.
 //
 // Usage:

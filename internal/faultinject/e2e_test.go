@@ -44,8 +44,8 @@ var (
 	chaosBuildErr  error
 )
 
-// buildRaceBinaries compiles mlecdur and mlecburst with -race once per
-// test process.
+// buildRaceBinaries compiles mlecdur, mlecburst and mlecsim with -race
+// once per test process.
 func buildRaceBinaries(t *testing.T) string {
 	t.Helper()
 	chaosBuildOnce.Do(func() {
@@ -54,7 +54,7 @@ func buildRaceBinaries(t *testing.T) string {
 		if chaosBuildErr != nil {
 			return
 		}
-		for _, name := range []string{"mlecdur", "mlecburst"} {
+		for _, name := range []string{"mlecdur", "mlecburst", "mlecsim"} {
 			cmd := exec.Command("go", "build", "-race", "-o", filepath.Join(chaosBuildDir, name), "./cmd/"+name)
 			cmd.Dir = root
 			if out, err := cmd.CombinedOutput(); err != nil {
@@ -116,6 +116,10 @@ func reportChaos(t *testing.T, format string, args ...any) {
 	fmt.Fprintf(f, format+"\n", args...)
 }
 
+// doneRE matches mlecsim's per-experiment timing lines, the one part of
+// its stdout that is not a function of the seed.
+var doneRE = regexp.MustCompile(`(?m)^\[\S+ done in \S+\]\n`)
+
 // streamRE finds the stream a fault's error names: "on stream N" for a
 // contained panic, "(stream N)" for an injected error or write.
 var streamRE = regexp.MustCompile(`stream -?[0-9]+`)
@@ -146,6 +150,12 @@ func TestChaosMatrixByteIdentity(t *testing.T) {
 		bin   string
 		args  []string
 		chaos []string // one faulted run per plan, in order
+		// ids are mlecsim's positional arguments, after every flag.
+		ids []string
+		// saved is the file a save writes, relative to the -checkpoint
+		// argument: "" for the argument itself, a name in it for
+		// mlecsim, whose argument is a directory.
+		saved string
 	}{
 		{
 			// A worker panic in splitting level 2; the resumed run's
@@ -186,18 +196,29 @@ func TestChaosMatrixByteIdentity(t *testing.T) {
 			args:  []string{"-scheme", "D/D", "-x", "3", "-y", "40", "-trials", "20000", "-seed", "5"},
 			chaos: []string{"runctl.checkpoint.write:writeerr:nth=2;seed=13"},
 		},
+		{
+			// One campaign feeds four evaluators: their tallies share
+			// each save and resume together.
+			name:  "mlecsim_fig5_batch_panics",
+			bin:   "mlecsim",
+			args:  []string{"-seed", "3"},
+			chaos: []string{fmt.Sprintf("burst.batch:panic:nth=%d;seed=19", roundBatch)},
+			ids:   []string{"fig5"},
+			saved: "fig5.ckpt",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			bin := filepath.Join(bins, tc.bin)
-			withCkpt := func(path string) []string {
-				return append(append([]string(nil), tc.args...), "-checkpoint", path)
+			withCkpt := func(path string, flags ...string) []string {
+				argv := append(append([]string(nil), tc.args...), "-checkpoint", path)
+				return append(append(argv, flags...), tc.ids...)
 			}
 			clean, _ := runChaosBinary(t, bin, withCkpt(filepath.Join(t.TempDir(), "clean.ckpt"))...)
 
 			ckpt := filepath.Join(t.TempDir(), "chaos.ckpt")
 			for _, plan := range tc.chaos {
-				_, stderrOut, code := runChaosBinaryExit(t, bin, append(withCkpt(ckpt), "-chaos", plan)...)
+				_, stderrOut, code := runChaosBinaryExit(t, bin, withCkpt(ckpt, "-chaos", plan)...)
 				if code != 1 {
 					reportChaos(t, "FAIL %s: run under %q exited %d, want 1", tc.name, plan, code)
 					t.Fatalf("run under %q exited %d, want 1\nstderr:\n%s", plan, code, stderrOut)
@@ -209,13 +230,14 @@ func TestChaosMatrixByteIdentity(t *testing.T) {
 				if !bytes.Contains(stderrOut, []byte(resumeLine)) {
 					t.Errorf("faulted run's stderr lacks %q:\n%s", resumeLine, stderrOut)
 				}
-				if _, err := os.Stat(ckpt); err != nil {
+				if _, err := os.Stat(filepath.Join(ckpt, tc.saved)); err != nil {
 					reportChaos(t, "FAIL %s: fault under %q landed before the first checkpoint save", tc.name, plan)
 					t.Fatalf("fault under %q landed before the first checkpoint save: %v\nstderr:\n%s", plan, err, stderrOut)
 				}
 			}
 
 			resumed, resumeErr := runChaosBinary(t, bin, withCkpt(ckpt)...)
+			clean, resumed = doneRE.ReplaceAll(clean, nil), doneRE.ReplaceAll(resumed, nil)
 			if !bytes.Equal(clean, resumed) {
 				reportChaos(t, "FAIL %s: resumed stdout diverged from fault-free run", tc.name)
 				t.Fatalf("resume after the fault diverged from the fault-free run.\nclean:\n%s\nresumed:\n%s\nstderr:\n%s",

@@ -293,3 +293,13 @@ func channelJoined(pass *Pass, encl *ast.BlockStmt, g *ast.GoStmt, spawned *ast.
 	})
 	return joined
 }
+
+// isContextType reports whether t is context.Context.
+func isContextType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
+}

@@ -152,7 +152,6 @@ func All() []*Analyzer {
 		BareGo,
 		MapOrder,
 		WallTime,
-		CtxPoll,
 		ErrFlow,
 		HotAlloc,
 		HotBCE,

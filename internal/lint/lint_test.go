@@ -154,8 +154,6 @@ func TestAnalyzers(t *testing.T) {
 		{MapOrder, "maporder"},
 		{WallTime, "walltime"},
 		{WallTime, "walltimecli"},
-		{CtxPoll, "ctxpoll"},
-		{CtxPoll, "obspoll"},
 		{ErrFlow, "errflow"},
 		{HotAlloc, "hotalloc"},
 		{HotAlloc, "hotiface"},

@@ -111,7 +111,6 @@ func engineTuples(root string, pkgs []*Package) []string {
 // still had both.)
 var pinnedVerdicts = map[string]string{
 	"barego":           "e3b0c44298fc1c14",
-	"ctxpoll":          "063d35f86fac1818",
 	"directive":        "78423aff97c23193",
 	"errflow":          "e7400b936cfa5dbb",
 	"escape":           "d25161408fddc140",
@@ -131,7 +130,6 @@ var pinnedVerdicts = map[string]string{
 	"maporderdep":      "ce90fc7d404d715b",
 	"nakedpanic":       "4833245e45a45842",
 	"obsfake":          "e3b0c44298fc1c14",
-	"obspoll":          "b371ad432cef8acb",
 	"sharedrng":        "bcac6f865b43d195",
 	"waitgroupcapture": "0b7c20c533a3b365",
 	"walltime":         "69e4731cf93998d0",

@@ -42,9 +42,8 @@
 // This package is the one sanctioned place where wall-clock readings
 // may land (progress rates, ETAs, span durations): the
 // walltime analyzer lets simulation packages pass wall-clock-derived
-// values into package obs, and the ctxpoll analyzer exempts obs's own
-// pump loops, because neither path can reach simulation state. See
-// internal/lint/walltime.go and internal/lint/ctxpoll.go.
+// values into package obs, because that path cannot reach simulation
+// state. See internal/lint/walltime.go.
 //
 // obs sits below runctl in the import graph (runctl feeds its worker
 // gauges and checkpoint counters from here), so it must not import any
