@@ -32,6 +32,7 @@ import (
 
 	"mlec"
 	"mlec/cmd/internal/cli"
+	"mlec/internal/experiments"
 	"mlec/internal/obs"
 )
 
@@ -87,7 +88,7 @@ func main() {
 	}
 	// One run: stage 1 and the codec rates several ids read are
 	// computed once.
-	run := mlec.NewExperimentRun(opts)
+	run := experiments.NewRun(opts)
 	for _, id := range ids {
 		start := time.Now()
 		span := obs.StartSpan("mlecsim.experiment")

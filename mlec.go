@@ -206,17 +206,6 @@ func RunExperimentContext(ctx context.Context, id string, opts ExperimentOptions
 	return experiments.RunContext(ctx, id, opts, w)
 }
 
-// ExperimentRun is one run of experiments over a list of ids, taken one
-// at a time through its RunContext (same contract as
-// RunExperimentContext). What several drivers read — stage 1 of Figures
-// 7 and 10, the codec rates of Figures 12 and 15 — is computed once per
-// run and handed to the rest; a failed or interrupted product is never
-// kept. RunExperimentContext is a run of one id.
-type ExperimentRun = experiments.Run
-
-// NewExperimentRun starts a run of experiments under opts.
-func NewExperimentRun(opts ExperimentOptions) *ExperimentRun { return experiments.NewRun(opts) }
-
 // ScrubReport summarizes a cluster-wide parity consistency check.
 type ScrubReport = cluster.ScrubReport
 
