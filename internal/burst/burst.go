@@ -335,12 +335,11 @@ type Grid struct {
 // batches are done: on cancellation the rest are NaN and the grid is
 // marked Partial.
 func HeatmapContext(ctx context.Context, ev Evaluator, xs, ys []int, trials int, seed int64, checkpointPath string) (*Grid, error) {
-	fp := func() string { return gridFingerprint(ev, xs, ys, trials, seed) }
-	gs, err := campaign(ctx, []Evaluator{ev}, xs, ys, trials, seed, checkpointPath, fp, fmt.Sprintf("grid %dx%d", len(xs), len(ys)))
+	gs, err := HeatmapsContext(ctx, []Evaluator{ev}, xs, ys, trials, seed, checkpointPath)
 	if err != nil {
 		return nil, err
 	}
-	return finishGrid(gs[0]), nil
+	return gs[0], nil
 }
 
 // HeatmapsContext is HeatmapContext for several evaluators over one
@@ -351,29 +350,21 @@ func HeatmapContext(ctx context.Context, ev Evaluator, xs, ys []int, trials int,
 // holds every evaluator's tallies under one fingerprint naming them all.
 func HeatmapsContext(ctx context.Context, evs []Evaluator, xs, ys []int, trials int, seed int64, checkpointPath string) ([]*Grid, error) {
 	fp := func() string { return gridsFingerprint(evs, xs, ys, trials, seed) }
-	gs, err := campaign(ctx, evs, xs, ys, trials, seed, checkpointPath, fp,
-		fmt.Sprintf("grid %dx%d evaluators=%d", len(xs), len(ys), len(evs)))
+	gs, err := campaign(ctx, evs, xs, ys, trials, seed, checkpointPath, fp, fmt.Sprintf("grid %dx%d", len(xs), len(ys)))
 	if err != nil {
 		return nil, err
 	}
 	for _, g := range gs {
-		finishGrid(g)
-	}
-	return gs, nil
-}
-
-// finishGrid NaNs the cells whose batches did not all complete and marks
-// the grid Partial if there are any.
-func finishGrid(g *Grid) *Grid {
-	for _, row := range g.Cells {
-		for ix, r := range row {
-			if r.Partial {
-				g.Partial = true
-				row[ix] = Result{Racks: r.Racks, Failures: r.Failures, PDL: math.NaN()}
+		for _, row := range g.Cells {
+			for ix, r := range row {
+				if r.Partial {
+					g.Partial = true
+					row[ix] = Result{Racks: r.Racks, Failures: r.Failures, PDL: math.NaN()}
+				}
 			}
 		}
 	}
-	return g
+	return gs, nil
 }
 
 // poissonBinomialTail returns P(ΣX_i ≥ k) for independent Bernoulli

@@ -37,6 +37,12 @@ func paperEvaluators(seed int64) ([]Evaluator, []string) {
 	return append(evs, NewLRCEvaluator(ll, seed)), append(names, "lrc")
 }
 
+// gridFingerprint is the fingerprint of HeatmapContext's one-evaluator
+// campaign.
+func gridFingerprint(ev Evaluator, xs, ys []int, trials int, seed int64) string {
+	return gridsFingerprint([]Evaluator{ev}, xs, ys, trials, seed)
+}
+
 // sameBits reports whether two grids hold the same cells, NaNs
 // included, to the bit.
 func sameBits(a, b *Grid) error {

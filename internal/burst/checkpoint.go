@@ -13,8 +13,10 @@ import (
 const pdlCheckpointKind = "burst.pdl"
 
 // pdlCheckpoint holds the per-batch tallies of a campaign, unit by unit:
-// trial count, mean and sum of squared deviations from the mean. Each
-// batch's tallies are pure functions of (seed, x, y, batch index), so
+// the trial count and, for each of the campaign's ne evaluators, the
+// mean and sum of squared deviations from the mean (unit u's evaluator e
+// at Means[u·ne+e] and M2s[u·ne+e]). Each batch's tallies are pure
+// functions of (seed, x, y, batch index), so
 // the reduction over them in batch order is independent of which
 // process — original or resumed — computed which batch.
 type pdlCheckpoint struct {
@@ -34,11 +36,6 @@ const samplerID = "coverage-dp"
 func pdlFingerprint(ev Evaluator, x, y, trials int, seed int64) string {
 	return fmt.Sprintf("x=%d|y=%d|trials=%d|seed=%d|racks=%d|dpr=%d|evaluators=%s|sampler=%s",
 		x, y, trials, seed, ev.TotalRacks(), ev.DisksPerRack(), evaluatorID(ev), samplerID)
-}
-
-// gridFingerprint binds a one-evaluator grid checkpoint to its campaign.
-func gridFingerprint(ev Evaluator, xs, ys []int, trials int, seed int64) string {
-	return gridsFingerprint([]Evaluator{ev}, xs, ys, trials, seed)
 }
 
 // gridsFingerprint binds a grid checkpoint to its campaign, naming every

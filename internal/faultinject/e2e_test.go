@@ -244,7 +244,7 @@ func TestChaosMatrixByteIdentity(t *testing.T) {
 					clean, resumed, resumeErr)
 			}
 			reportChaos(t, "PASS %s: %s %v under %q failed after a save; resume byte-identical to fault-free run",
-				tc.name, tc.bin, tc.args, strings.Join(tc.chaos, " then "))
+				tc.name, tc.bin, append(tc.args, tc.ids...), strings.Join(tc.chaos, " then "))
 		})
 	}
 }

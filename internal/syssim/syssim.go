@@ -364,7 +364,7 @@ func RunContext(ctx context.Context, cfg Config, years float64, seed int64) (Sta
 func RunAllContext(ctx context.Context, cfgs []Config, years float64, seed int64) ([]Stats, error) {
 	stats := make([]Stats, len(cfgs))
 	held := make([]*obs.Recorder, len(cfgs))
-	shared := sharePools(cfgs, seed)
+	shared := sharePools(cfgs)
 	pool := runctl.NewPool(ctx)
 	for i, cfg := range cfgs {
 		held[i] = obs.Trace.Hold()
@@ -384,37 +384,36 @@ func RunAllContext(ctx context.Context, cfgs []Config, years float64, seed int64
 }
 
 // sharePools returns, per config, the pristine pools it shares with the
-// other configs whose pool model and pool count match its own at seed,
-// or nil for a config that shares them with none (or that build will
-// refuse).
-func sharePools(cfgs []Config, seed int64) []pristinePools {
+// other configs whose pool model and pool count match its own (every
+// run of RunAllContext has the same seed), or nil for a config that
+// shares them with none or that build will refuse.
+func sharePools(cfgs []Config) []pristinePools {
 	type key struct {
 		pc    poolsim.Config
 		pools int
 	}
-	keys := make([]key, len(cfgs))
+	keys := make([]*key, len(cfgs)) // nil for a config build refuses
 	users := map[key]int{}
 	for i, cfg := range cfgs {
-		cfg.Seed = seed
 		if _, l, pc, err := prepare(cfg); err == nil {
-			keys[i] = key{pc, l.TotalLocalPools()}
-			users[keys[i]]++
+			keys[i] = &key{pc, l.TotalLocalPools()}
+			users[*keys[i]]++
 		}
 	}
 	shared := make([]pristinePools, len(cfgs))
 	made := map[key]pristinePools{}
 	for i, k := range keys {
-		if users[k] < 2 {
+		if k == nil || users[*k] < 2 {
 			continue
 		}
-		if made[k] == nil {
+		if made[*k] == nil {
 			n := k.pools
 			if k.pc.Clustered {
 				n = 1
 			}
-			made[k] = make(pristinePools, n)
+			made[*k] = make(pristinePools, n)
 		}
-		shared[i] = made[k]
+		shared[i] = made[*k]
 	}
 	return shared
 }
