@@ -97,6 +97,11 @@ func FuzzHotalloc(f *testing.F) {
 		f.Add(string(src))
 	}
 	f.Add("package p\nfunc f(n int) {\n\ti := 0\nagain:\n\tdefer g()\n\ti++\n\tif i < n {\n\t\tgoto again\n\t}\n}\n")
+	// The loop shapes of the deleted ctxpoll fixtures: context-taking
+	// functions around rand-drawing for and range loops, one polling,
+	// one delegating, one stepping an engine.
+	f.Add("package p\nimport (\n\t\"context\"\n\t\"math/rand\"\n)\nfunc polls(ctx context.Context, n int, rng *rand.Rand) float64 {\n\tsum := 0.0\n\tfor i := 0; i < n; i++ {\n\t\tif i%1024 == 0 && ctx.Err() != nil {\n\t\t\treturn sum\n\t\t}\n\t\tsum += rng.Float64()\n\t}\n\treturn sum\n}\nfunc delegates(ctx context.Context, xs []float64, rng *rand.Rand) float64 {\n\tsum := 0.0\n\tfor range xs {\n\t\tsum += once(ctx, rng)\n\t}\n\treturn sum\n}\nfunc once(ctx context.Context, rng *rand.Rand) float64 {\n\tif ctx.Err() != nil {\n\t\treturn 0\n\t}\n\treturn rng.Float64()\n}\n")
+	f.Add("package p\nimport (\n\t\"context\"\n\t\"mlec/internal/sim\"\n)\nfunc drain(ctx context.Context, eng *sim.Engine, horizon float64) {\n\tfor i := 0; ; i++ {\n\t\tif i%1024 == 0 && ctx.Err() != nil {\n\t\t\treturn\n\t\t}\n\t\tnext, ok := eng.NextTime()\n\t\tif !ok || next > horizon {\n\t\t\treturn\n\t\t}\n\t\teng.Step()\n\t}\n}\n")
 	f.Add("package p\nfunc f(xs []int) []int {\n\tout := make([]int, 0, len(xs))\n\tfor _, x := range xs {\n\t\tout = append(out, x)\n\t}\n\treturn out\n}\n")
 	// A lock copied by value and then locked through the copy: the idiom
 	// of the fixture that left with the copylock analyzer (go vet reports
